@@ -228,25 +228,6 @@ func BenchmarkScaleSmoke(b *testing.B) {
 		b.ReportMetric(float64(par.WindowSched.Windows), "Scale_windows")
 		b.ReportMetric(float64(par.Stats.GroupCommitBatches), "Scale_groupbatches")
 		b.ReportMetric(float64(par.Stats.GroupCommitFollowers), "Scale_groupfollowers")
-
-		// WindowParallel variant: the same cell under speculate-and-replay.
-		// Its simulated metrics are byte-identical to the serial-grant run
-		// by construction (TestWindowParallelMatchesSerialGrant enforces
-		// it), so ScaleWinPar_cTPS shares the ±5% deterministic gate — a
-		// divergence here means the replay path changed machine behaviour.
-		// The host-side numbers are tracked, not gated: the wall-clock
-		// ratio is Amdahl-bounded by the program-logic share of host time
-		// (replayers still serialise simulated-hardware work on one slot)
-		// and depends on the CI host.
-		wp := params(8)
-		wp.Machine.WindowParallel = true
-		wpar := workload.RunParallel(wp)
-		wTPS := experiments.CommittedTPS(wpar.Cycles, wpar.Result)
-		b.ReportMetric(wTPS, "ScaleWinPar_cTPS")
-		b.ReportMetric(float64(wpar.WindowSched.SpecParks), "ScaleWinPar_specparks")
-		if wpar.Wall > 0 {
-			b.ReportMetric(float64(par.Wall)/float64(wpar.Wall), "ScaleWinPar_hostspeedup")
-		}
 	}
 }
 

@@ -5,8 +5,9 @@
 //
 //	BenchmarkName-8   1   123456 ns/op   2345678 SSP_cTPS   1.40 SSP_speedup
 //
-// into {benchmark: {metric: value}}, writes the report (BENCH_ci.json in
-// CI, uploaded as an artifact), and compares selected metrics against a
+// into {benchmark: {metric: value}}, stamps the report with the host it ran
+// on ("host": CPU count, GOMAXPROCS, Go version), writes it (BENCH_ci.json
+// in CI, uploaded as an artifact), and compares selected metrics against a
 // checked-in baseline:
 //
 //	go test -bench=. -benchtime=1x -run '^$' . | tee bench.txt
@@ -37,13 +38,25 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
+// Host identifies the machine and toolchain a report was produced on, so
+// host-dependent metrics (ns/op, wall-clock ratios) stay attributable.
+// benchjson runs in the same job as the benchmarks it converts.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
 // Report is the JSON document benchjson reads and writes.
 type Report struct {
+	// Host is zero when read from a report written before it was recorded.
+	Host Host `json:"host"`
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to its
 	// metrics: the standard ns/op plus every b.ReportMetric unit.
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
@@ -59,7 +72,10 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 // silently dropping it would erase the very metrics CI gates on, and the
 // gate would then "fail open" as a missing-baseline leniency.
 func parseBench(r io.Reader) (Report, error) {
-	rep := Report{Benchmarks: map[string]map[string]float64{}}
+	rep := Report{
+		Host:       Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()},
+		Benchmarks: map[string]map[string]float64{},
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for ln := 1; sc.Scan(); ln++ {

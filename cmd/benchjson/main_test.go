@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -36,6 +39,16 @@ func TestParseBench(t *testing.T) {
 	// The -8 GOMAXPROCS suffix is stripped from sub-benchmarks too.
 	if rep.Benchmarks["BenchmarkTxnPath/SSP"] == nil {
 		t.Fatal("BenchmarkTxnPath/SSP missing (suffix not stripped?)")
+	}
+	// Every emitted report names the host it was produced on.
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`"host":{"num_cpu":%d,"gomaxprocs":%d,"go_version":%q}`,
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
+	if !strings.Contains(string(data), want) {
+		t.Errorf("report lacks %s: %s", want, data)
 	}
 }
 

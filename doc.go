@@ -70,43 +70,6 @@
 // speedup, barrier-wait share and per-shard journal pressure; CI gates the
 // windowed 8-core BenchmarkScaleSmoke at ±5%.
 //
-// # Host-parallel windowed execution (speculate-and-replay)
-//
-// ssp.Config.WindowParallel (requires TimeWindow > 0; default false keeps
-// the serial-grant mode above bit-for-bit) recovers host parallelism from
-// the windowed scheduler without touching its arbitration
-// (internal/machine/winpar.go). Each core splits into two goroutines: a
-// SPECULATOR runs the program against a functional image of the heap (a
-// run-level shadow of every mapped page, seeded through the cache
-// hierarchy's coherent peek path, plus a per-core byte-masked overlay of
-// its own uncommitted stores) and records every Core operation into an op
-// log; a REPLAYER drains that log through the machine's real execution
-// paths under the UNCHANGED window scheduler — replayers occupy the
-// scheduler slots exactly as program goroutines did, so every arbitration
-// decision, Stats counter and histogram bucket is byte-identical to the
-// serial-grant run (workload.TestWindowParallelMatchesSerialGrant enforces
-// this on the determinism mixes; machine.TestWindowParallelStress under
-// -race on the abort/global-commit mix). Operations whose results feed the
-// program (Acquire, Now, Abort, HardenIdle, EnsureMapped, BlockExternal)
-// PARK the speculator until its replayer catches up and replies, which
-// also re-syncs the overlay against the shadow; stores, loads, commits and
-// releases stream without blocking. Loads are validated on replay against
-// the speculated bytes — a divergence (an unsynchronised cross-core read,
-// impossible for lock-disciplined programs) panics with both values rather
-// than silently corrupting determinism. WindowStats.SpecOps/SpecParks
-// report the log volume and park rate (both deterministic). The host
-// speedup is Amdahl-bounded by the program-logic share of host wall time:
-// replayers still serialise all simulated-hardware work on one slot, and
-// profiling shows the cache-simulation mutex (Hierarchy.Retag full scans,
-// level.peek) dominates, so the measured gain on the memcached mixes is
-// modest (see `sspbench -exp scale`, which re-runs every windowed cell
-// under WindowParallel and prints the host-speedup and spec-park columns);
-// sharding the L3/directory locks is the follow-on that would raise the
-// ceiling. BlockExternal parks, so the server path runs functionally
-// correct under WindowParallel, but serve-path determinism is forfeited
-// exactly as it is under serial-grant windows (host-channel waits remain
-// host-dependent).
-//
 // # Multi-channel memory model
 //
 // The memory system supports multiple independent channels

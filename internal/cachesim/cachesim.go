@@ -790,9 +790,7 @@ func (h *Hierarchy) Present(core int, pa memsim.PAddr) bool {
 	return h.privatePresent(core, uint64(pa>>memsim.LineShift))
 }
 
-// DebugPeek resolves the current value of pa's line without charging timing
-// or mutating cache state: owner's private copy, else a dirty L3 copy, else
-// durable memory. Test and assertion helper.
+// debugPeekLocked is DebugPeek's body; the caller holds h.mu.
 func (h *Hierarchy) debugPeekLocked(pa memsim.PAddr, buf []byte) {
 	la := uint64(pa >> memsim.LineShift)
 	off := int(pa & (memsim.LineBytes - 1))
@@ -915,35 +913,6 @@ func (h *Hierarchy) Load(core int, pa memsim.PAddr, buf []byte, at engine.Cycles
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.loadLocked(core, pa, buf, at)
-}
-
-// PeekLine copies the hierarchy's current value of the full line containing
-// pa into buf (LineBytes) without advancing time or touching LRU, directory,
-// or counter state, following the value-authority chain: a dirty private
-// copy in the owning core's L1/L2, then a (possibly dirty) L3 copy. Returns
-// false when no cached copy exists — the tier below is then authoritative.
-// Quiescent-only (the machine's speculative-image seeding).
-func (h *Hierarchy) PeekLine(pa memsim.PAddr, buf []byte) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	la := uint64(pa >> memsim.LineShift)
-	e := h.dirGet(la)
-	if e.owner >= 0 {
-		o := int(e.owner)
-		if c := h.l1[o].peek(la); c != nil && c.dirty {
-			copy(buf, c.data[:])
-			return true
-		}
-		if c := h.l2[o].peek(la); c != nil && c.dirty {
-			copy(buf, c.data[:])
-			return true
-		}
-	}
-	if c := h.l3.peek(la); c != nil {
-		copy(buf, c.data[:])
-		return true
-	}
-	return false
 }
 
 // Store writes data at pa (within one line) into core's L1 with exclusive

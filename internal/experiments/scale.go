@@ -31,16 +31,6 @@ type ScalePoint struct {
 	Serial   workload.Result         // 1-core serial baseline (shared by all cells)
 	Parallel workload.ParallelResult // cores-goroutine run at this window
 	Speedup  float64                 // parallel committed TPS / serial committed TPS
-
-	// WinPar is the same cell re-run with Config.WindowParallel — the
-	// speculate-and-replay mode — and HostSpeedup the serial-grant wall
-	// over the WindowParallel wall: the host-time recovered by taking the
-	// program off the scheduler's slot. Simulated metrics are byte-identical
-	// between the two runs by construction (the determinism regression
-	// enforces it); nil / 0 for free-running cells (Window == 0), where
-	// WindowParallel is undefined.
-	WinPar      *workload.ParallelResult
-	HostSpeedup float64
 }
 
 // ScaleSweep runs kind under SSP for every window × cores combination on a
@@ -75,15 +65,6 @@ func ScaleSweep(sc Scale, kind workload.Kind, windows, coresList []int) []ScaleP
 			if sTPS > 0 {
 				pt.Speedup = CommittedTPS(par.Cycles, par.Result) / sTPS
 			}
-			if w > 0 {
-				wp := pp
-				wp.Machine.WindowParallel = true
-				wpar := workload.RunParallel(wp)
-				pt.WinPar = &wpar
-				if wpar.Wall > 0 {
-					pt.HostSpeedup = float64(par.Wall) / float64(wpar.Wall)
-				}
-			}
 			points = append(points, pt)
 		}
 	}
@@ -111,10 +92,7 @@ func RenderScale(points []ScalePoint) string {
 			Speedup: pt.Speedup,
 		}, true
 	}))
-	b.WriteString("\nscheduler cost (host side; simulated timing is window-invariant;\n" +
-		"winpar = WindowParallel re-run of the cell, simulated metrics byte-identical —\n" +
-		"its host speedup is Amdahl-bounded by the program-logic share of host time,\n" +
-		"since replayers still serialise all simulated-hardware work on one slot):\n")
+	b.WriteString("\nscheduler cost (host side; simulated timing is window-invariant):\n")
 	for _, w := range rowKeys {
 		for _, c := range coresList {
 			pt, ok := cellOf(w, c)
@@ -127,14 +105,9 @@ func RenderScale(points []ScalePoint) string {
 				continue
 			}
 			ws := pt.Parallel.WindowSched
-			fmt.Fprintf(&b, "  W=%-5d x %2dcore: wall %6.1fms, barrier-wait %5.1f%% of host core-time, %d windows, %d grants, %d stalls",
+			fmt.Fprintf(&b, "  W=%-5d x %2dcore: wall %6.1fms, barrier-wait %5.1f%% of host core-time, %d windows, %d grants, %d stalls\n",
 				w, c, float64(pt.Parallel.Wall.Microseconds())/1000,
 				100*ws.BarrierShare(c, pt.Parallel.Wall), ws.Windows, ws.Grants, ws.BarrierStalls)
-			if pt.WinPar != nil {
-				fmt.Fprintf(&b, "; winpar wall %6.1fms (host speedup %.2fx, %d spec parks)",
-					float64(pt.WinPar.Wall.Microseconds())/1000, pt.HostSpeedup, pt.WinPar.WindowSched.SpecParks)
-			}
-			b.WriteByte('\n')
 		}
 	}
 	b.WriteString("\njournal pressure (windowed cells, largest core count):\n")

@@ -26,7 +26,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/txn"
-	"repro/internal/vm"
 )
 
 // Log record kinds.
@@ -76,17 +75,4 @@ func lineOf(env *txn.Env, core int, va uint64, at engine.Cycles) (memsim.PAddr, 
 	ppn, t := env.Translate(core, va, at)
 	pa := ppn + memsim.PAddr(va&(memsim.PageBytes-1))
 	return pa, memsim.LineAddr(pa), t
-}
-
-// peekLineAddr implements txn.Peeker for the write-in-place logging
-// designs: the visible value always lives in the page table's home frame
-// (redo's uncommitted lines are pinned in the volatile hierarchy, which the
-// machine's value-authority chain consults before memory). Untimed.
-func peekLineAddr(env *txn.Env, va uint64) (memsim.PAddr, bool) {
-	ppn, ok := env.PT.Lookup(vm.VPNOf(va))
-	if !ok {
-		return 0, false
-	}
-	off := memsim.PAddr(va&(memsim.PageBytes-1)) &^ (memsim.LineBytes - 1)
-	return ppn + off, true
 }

@@ -111,13 +111,6 @@ func (r *Redo) engineFor(core int) *redoEngine {
 // Name implements txn.Backend.
 func (r *Redo) Name() string { return "REDO-LOG" }
 
-// PeekLineAddr implements txn.Peeker (write-in-place home frame; committed
-// values still in the write-back queue are also pinned in the volatile
-// hierarchy, which ranks above memory in the value-authority chain).
-func (r *Redo) PeekLineAddr(va uint64) (memsim.PAddr, bool) {
-	return peekLineAddr(r.env, va)
-}
-
 // Begin implements txn.Backend.
 func (r *Redo) Begin(core int, at engine.Cycles) engine.Cycles {
 	if r.inTxn[core] {

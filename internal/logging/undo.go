@@ -45,11 +45,6 @@ func NewUndo(env *txn.Env) *Undo {
 // Name implements txn.Backend.
 func (u *Undo) Name() string { return "UNDO-LOG" }
 
-// PeekLineAddr implements txn.Peeker (write-in-place: the home frame).
-func (u *Undo) PeekLineAddr(va uint64) (memsim.PAddr, bool) {
-	return peekLineAddr(u.env, va)
-}
-
 // Begin implements txn.Backend.
 func (u *Undo) Begin(core int, at engine.Cycles) engine.Cycles {
 	if u.inTxn[core] {

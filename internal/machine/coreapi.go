@@ -14,14 +14,6 @@ import (
 // non-transactional stores, all advancing the core's clock.
 //
 // Core implements pheap.Tx, so the allocator can be called mid-transaction.
-//
-// Execution routing: each public method either executes directly (the exec*
-// methods below, the historical behaviour) or, inside a WindowParallel Run,
-// records the operation into the core's speculative log for deterministic
-// replay (winpar.go). spec is non-nil exactly while such a Run is active;
-// the program's goroutine then speculates against a functional heap image
-// while the core's replayer goroutine drives the exec* paths — the only
-// code that ever touches clocks, stats, or simulated hardware.
 type Core struct {
 	m     *Machine
 	id    int
@@ -31,37 +23,17 @@ type Core struct {
 	// feeding the Table 3 statistics.
 	wsLines map[uint64]struct{}
 	wsPages map[uint64]struct{}
-
-	// spec is the core's speculative state during a WindowParallel Run
-	// (nil otherwise). Written only while the machine is quiescent.
-	spec *specCore
 }
 
 // ID returns the core index.
 func (c *Core) ID() int { return c.id }
 
-// Now returns the core's clock. Under WindowParallel the canonical clock is
-// only known once replay catches up, so the call parks the speculator.
-func (c *Core) Now() engine.Cycles {
-	if c.spec != nil {
-		return c.spec.park(specOp{kind: opNow}).t
-	}
-	return c.execNow()
-}
-
-func (c *Core) execNow() engine.Cycles { return c.m.clocks[c.id] }
+// Now returns the core's clock.
+func (c *Core) Now() engine.Cycles { return c.m.clocks[c.id] }
 
 // SetNow moves the core's clock forward (drivers use it to align clients);
 // moving backwards panics.
 func (c *Core) SetNow(t engine.Cycles) {
-	if c.spec != nil {
-		c.spec.push(specOp{kind: opSetNow, arg: uint64(t)})
-		return
-	}
-	c.execSetNow(t)
-}
-
-func (c *Core) execSetNow(t engine.Cycles) {
 	if t < c.m.clocks[c.id] {
 		panic("machine: clock moved backwards")
 	}
@@ -71,14 +43,6 @@ func (c *Core) execSetNow(t engine.Cycles) {
 
 // Compute charges n cycles of pure computation.
 func (c *Core) Compute(n engine.Cycles) {
-	if c.spec != nil {
-		c.spec.push(specOp{kind: opCompute, arg: uint64(n)})
-		return
-	}
-	c.execCompute(n)
-}
-
-func (c *Core) execCompute(n engine.Cycles) {
 	c.m.clocks[c.id] += n
 	c.tick()
 }
@@ -107,14 +71,6 @@ func (c *Core) tick() {
 // Determinism is forfeited for the run: external wake-ups arrive in host
 // order.
 func (c *Core) BlockExternal(wait func()) {
-	if c.spec != nil {
-		c.spec.blockExternal(wait)
-		return
-	}
-	c.execBlockExternal(wait)
-}
-
-func (c *Core) execBlockExternal(wait func()) {
 	if s := c.m.sched; s != nil && s.active {
 		s.external(c.id, wait)
 		return
@@ -136,15 +92,7 @@ func (c *Core) begin(start func(core int, at engine.Cycles) engine.Cycles) {
 }
 
 // Begin opens a failure-atomic section.
-func (c *Core) Begin() {
-	if c.spec != nil {
-		c.spec.begin(specOp{kind: opBegin})
-		return
-	}
-	c.execBegin()
-}
-
-func (c *Core) execBegin() { c.begin(c.m.backend.Begin) }
+func (c *Core) Begin() { c.begin(c.m.backend.Begin) }
 
 // BeginGlobal opens a failure-atomic section that may write pages owned by
 // multiple arenas/journal shards — a cross-shard "global" transaction.
@@ -155,14 +103,6 @@ func (c *Core) execBegin() { c.begin(c.m.backend.Begin) }
 // Begin. Isolation remains the program's job: acquire every involved
 // structure's Lock (in a consistent order) around the section.
 func (c *Core) BeginGlobal() {
-	if c.spec != nil {
-		c.spec.begin(specOp{kind: opBeginGlobal})
-		return
-	}
-	c.execBeginGlobal()
-}
-
-func (c *Core) execBeginGlobal() {
 	if gb, ok := c.m.backend.(txn.GlobalBackend); ok {
 		c.begin(gb.BeginGlobal)
 		return
@@ -172,14 +112,6 @@ func (c *Core) execBeginGlobal() {
 
 // Commit closes the section; on return its writes are durable.
 func (c *Core) Commit() {
-	if c.spec != nil {
-		c.spec.commit(specOp{kind: opCommit})
-		return
-	}
-	c.execCommit()
-}
-
-func (c *Core) execCommit() {
 	if !c.inTxn {
 		panic("machine: Commit outside transaction")
 	}
@@ -196,20 +128,12 @@ func (c *Core) execCommit() {
 // atomically, never partially. On backends without the relaxed mode — or
 // with DurabilityEpoch = 0 — this is exactly Commit.
 func (c *Core) CommitRelaxed() {
-	if c.spec != nil {
-		c.spec.commit(specOp{kind: opCommitRelaxed})
-		return
-	}
-	c.execCommitRelaxed()
-}
-
-func (c *Core) execCommitRelaxed() {
 	if !c.inTxn {
 		panic("machine: Commit outside transaction")
 	}
 	rb, ok := c.m.backend.(txn.RelaxedBackend)
 	if !ok {
-		c.execCommit()
+		c.Commit()
 		return
 	}
 	c.op()
@@ -222,14 +146,6 @@ func (c *Core) execCommitRelaxed() {
 // every section this machine acknowledged before the call — relaxed or not
 // — is durable. A no-op on backends without the relaxed mode.
 func (c *Core) Sync() {
-	if c.spec != nil {
-		c.spec.push(specOp{kind: opSync})
-		return
-	}
-	c.execSync()
-}
-
-func (c *Core) execSync() {
 	rb, ok := c.m.backend.(txn.RelaxedBackend)
 	if !ok {
 		return
@@ -247,13 +163,6 @@ func (c *Core) execSync() {
 // is frozen). A no-op, returning false, on backends without the relaxed
 // mode and when the shard has nothing unsealed.
 func (c *Core) HardenIdle() bool {
-	if c.spec != nil {
-		return c.spec.park(specOp{kind: opHardenIdle}).b
-	}
-	return c.execHardenIdle()
-}
-
-func (c *Core) execHardenIdle() bool {
 	ih, ok := c.m.backend.(txn.IdleHardener)
 	if !ok {
 		return false
@@ -266,18 +175,8 @@ func (c *Core) execHardenIdle() bool {
 	return true
 }
 
-// Abort rolls the open section back. Under WindowParallel this parks: the
-// speculative image re-converges with the canonical (rolled-back) state
-// before the program continues.
+// Abort rolls the open section back.
 func (c *Core) Abort() {
-	if c.spec != nil {
-		c.spec.abort()
-		return
-	}
-	c.execAbort()
-}
-
-func (c *Core) execAbort() {
 	if !c.inTxn {
 		panic("machine: Abort outside transaction")
 	}
@@ -287,24 +186,11 @@ func (c *Core) execAbort() {
 }
 
 // InTxn reports whether a section is open.
-func (c *Core) InTxn() bool {
-	if c.spec != nil {
-		return c.spec.inTxn
-	}
-	return c.inTxn
-}
+func (c *Core) InTxn() bool { return c.inTxn }
 
 // StoreBytes performs ATOMIC_STOREs of data at va inside a transaction, or
 // plain persistent stores outside one, splitting at cache-line boundaries.
 func (c *Core) StoreBytes(va uint64, data []byte) {
-	if c.spec != nil {
-		c.spec.store(va, data)
-		return
-	}
-	c.execStoreBytes(va, data)
-}
-
-func (c *Core) execStoreBytes(va uint64, data []byte) {
 	for len(data) > 0 {
 		n := memsim.LineBytes - int(va&(memsim.LineBytes-1))
 		if n > len(data) {
@@ -325,14 +211,6 @@ func (c *Core) execStoreBytes(va uint64, data []byte) {
 
 // LoadBytes reads len(buf) bytes at va, splitting at line boundaries.
 func (c *Core) LoadBytes(va uint64, buf []byte) {
-	if c.spec != nil {
-		c.spec.load(va, buf)
-		return
-	}
-	c.execLoadBytes(va, buf)
-}
-
-func (c *Core) execLoadBytes(va uint64, buf []byte) {
 	for len(buf) > 0 {
 		n := memsim.LineBytes - int(va&(memsim.LineBytes-1))
 		if n > len(buf) {
@@ -371,19 +249,8 @@ func (c *Core) Load64(va uint64) uint64 {
 // exclusive in host time exactly as it is in simulated time; in windowed
 // mode the scheduler queues the core and the releaser hands the lock over
 // in deterministic (clock, core-index) order. Release must run on the same
-// goroutine. Under WindowParallel the call parks: the canonical hand-off
-// order — and, transitively, the visibility of the previous holder's
-// writes in the speculative image — is established by replay before the
-// speculator proceeds into the critical section.
+// goroutine.
 func (c *Core) Acquire(l *Lock) {
-	if c.spec != nil {
-		c.spec.park(specOp{kind: opAcquire, lk: l})
-		return
-	}
-	c.execAcquire(l)
-}
-
-func (c *Core) execAcquire(l *Lock) {
 	if s := c.m.sched; s != nil && s.active {
 		c.tick()
 		s.lockAcquire(c.id, l)
@@ -396,14 +263,6 @@ func (c *Core) execAcquire(l *Lock) {
 
 // Release frees the lock at the core's current time.
 func (c *Core) Release(l *Lock) {
-	if c.spec != nil {
-		c.spec.push(specOp{kind: opRelease, lk: l})
-		return
-	}
-	c.execRelease(l)
-}
-
-func (c *Core) execRelease(l *Lock) {
 	if s := c.m.sched; s != nil && s.active {
 		s.lockRelease(c.id, l)
 		return

@@ -97,17 +97,6 @@ type Config struct {
 	// produce byte-identical Stats (see winsched.go). 0 (default) is the
 	// free-running concurrent mode, bit-for-bit the historical behaviour.
 	TimeWindow engine.Cycles
-
-	// WindowParallel recovers host parallelism inside windowed Runs by
-	// splitting each core into a concurrent speculator (the program,
-	// executing against a functional heap image) and a replayer driving the
-	// recorded operations through the unchanged window scheduler — see
-	// winpar.go. Results, Stats and histograms included, stay byte-identical
-	// to the serial-grant mode (WindowParallel=false) for the same seed.
-	// Requires TimeWindow > 0 and a lock-disciplined program (shared
-	// persistent data accessed under a Lock; divergence panics otherwise).
-	// Default false: the serial-grant scheduler, bit-for-bit.
-	WindowParallel bool
 }
 
 // DefaultConfig returns the paper's system parameters for the given design
@@ -317,9 +306,6 @@ func build(cfg Config, image []byte) (*Machine, error) {
 		m.sched = newWinSched(m, cfg.TimeWindow)
 		m.env.Sched = m.sched
 	}
-	if cfg.WindowParallel && cfg.TimeWindow <= 0 {
-		panic("machine: WindowParallel requires TimeWindow > 0")
-	}
 	switch cfg.Backend {
 	case SSP:
 		m.backend = core.NewSSP(m.env, cfg.SSP, image == nil)
@@ -330,21 +316,7 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	default:
 		panic("machine: unknown backend")
 	}
-	if cfg.WindowParallel {
-		if _, ok := m.backend.(txn.Peeker); !ok {
-			panic(fmt.Sprintf("machine: backend %s does not support WindowParallel (no txn.Peeker)", cfg.Backend))
-		}
-	}
-	// Heap page mapping allocates frames, so its order must be canonical:
-	// inside a WindowParallel Run a speculating core parks and lets its
-	// replayer perform the mapping at the operation's canonical position.
-	m.heap = &pheap.Heap{EnsureMapped: func(tx pheap.Tx, first, last int) {
-		if c, ok := tx.(*Core); ok && c.spec != nil {
-			c.spec.ensureMapped(first, last)
-			return
-		}
-		m.ensureMapped(first, last)
-	}}
+	m.heap = &pheap.Heap{EnsureMapped: func(_ pheap.Tx, first, last int) { m.ensureMapped(first, last) }}
 	for c := 0; c < cfg.Cores; c++ {
 		m.cores = append(m.cores, &Core{m: m, id: c})
 	}
@@ -548,10 +520,6 @@ func (m *Machine) MaxClock() engine.Cycles {
 func (m *Machine) Run(fn func(c *Core)) {
 	if m.parallel {
 		panic("machine: nested Run")
-	}
-	if m.cfg.WindowParallel {
-		m.runWinPar(fn)
-		return
 	}
 	if m.sched != nil {
 		m.sched.start()

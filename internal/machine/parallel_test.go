@@ -459,19 +459,18 @@ type heapArena struct {
 	live []uint64
 }
 
-// winParStress runs the local+global mixed commit script (the
+// windowedStress runs the local+global mixed commit script (the
 // TestParallelGroupCommit shape: 4 cores × 2 journal shards, lock-guarded
-// shared pages, 25% multi-shard globals) on a fresh machine and returns
-// its aggregate stats plus the written values. windowParallel selects the
-// speculate-and-replay mode; the window scheduler is on either way.
-func winParStress(t *testing.T, txns int, windowParallel bool) (stats.Stats, []map[uint64]uint64) {
+// shared pages, 25% multi-shard globals, plus occasional aborts) on a fresh
+// machine under the window scheduler, audits the result, and returns the
+// run's aggregate stats.
+func windowedStress(t *testing.T, txns int) stats.Stats {
 	t.Helper()
 	const sharedPages = 8
 	cfg := testConfig(SSP, stressCores)
 	cfg.Layout.JournalShards = 2
 	cfg.SSP.GroupCommitWindow = 4096
 	cfg.TimeWindow = 4096
-	cfg.WindowParallel = windowParallel
 	m := New(cfg)
 	m.Heap().EnsureMapped(nil, 1, sharedPages)
 
@@ -506,7 +505,7 @@ func winParStress(t *testing.T, txns int, windowParallel bool) (stats.Stats, []m
 				for _, p := range pages {
 					line := rng.Intn(64)
 					va := heapVA(p, line*64)
-					old := c.Load64(va) // exercise the speculative read path
+					old := c.Load64(va)
 					c.Store64(va, val^old>>48)
 					expect[p][va] = val ^ old>>48
 				}
@@ -523,7 +522,7 @@ func winParStress(t *testing.T, txns int, windowParallel bool) (stats.Stats, []m
 			va := heapVA(p, line*64)
 			c.Store64(va, val)
 			expect[p][va] = val
-			if rng.Intn(8) == 0 { // occasional rollback through the replayer
+			if rng.Intn(8) == 0 { // occasional rollback
 				c.Abort()
 				delete(expect[p], va)
 			} else {
@@ -544,36 +543,34 @@ func winParStress(t *testing.T, txns int, windowParallel bool) (stats.Stats, []m
 	for p := 1; p <= sharedPages; p++ {
 		for va, want := range expect[p] {
 			if got := c0.Load64(va); got != want {
-				t.Errorf("windowParallel=%v: %#x = %#x, want %#x", windowParallel, va, got, want)
+				t.Errorf("%#x = %#x, want %#x", va, got, want)
 			}
 		}
 	}
 	if err := recycle(m); err != nil {
 		t.Fatalf("post-run recovery: %v", err)
 	}
-	return st, expect
+	return st
 }
 
-// TestWindowParallelStress is the -race gate for the speculate-and-replay
-// path (Config.WindowParallel): the TestParallelGroupCommit mix — 4 cores
-// over 2 journal shards, lock-guarded shared pages, global multi-shard
-// commits, plus aborts driving the shadow-heap rollback — run under
-// speculation, with data, frame invariants and crash recovery audited,
-// and the aggregate Stats required byte-identical to the serial-grant
-// scheduler on the same script.
-func TestWindowParallelStress(t *testing.T) {
+// TestWindowedStressByteIdentical is the windowed run of the
+// TestParallelGroupCommit mix — 4 cores over 2 journal shards, lock-guarded
+// shared pages, global multi-shard commits, plus aborts — with data, frame
+// invariants and crash recovery audited, and the aggregate Stats required
+// byte-identical between two runs of the same script.
+func TestWindowedStressByteIdentical(t *testing.T) {
 	txns := 250
 	if testing.Short() {
 		txns = 60
 	}
-	serial, _ := winParStress(t, txns, false)
-	spec, _ := winParStress(t, txns, true)
-	if serial.Commits == 0 || serial.Aborts == 0 || serial.GlobalCommits == 0 {
+	first := windowedStress(t, txns)
+	second := windowedStress(t, txns)
+	if first.Commits == 0 || first.Aborts == 0 || first.GlobalCommits == 0 {
 		t.Fatalf("stress mix degenerate: commits %d aborts %d globals %d",
-			serial.Commits, serial.Aborts, serial.GlobalCommits)
+			first.Commits, first.Aborts, first.GlobalCommits)
 	}
-	if !reflect.DeepEqual(serial, spec) {
-		t.Errorf("WindowParallel stats diverged from serial-grant:\nserial: %+v\nspec:   %+v", serial, spec)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("windowed stats diverged between identical runs:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 

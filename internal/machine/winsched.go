@@ -80,13 +80,6 @@ type WindowStats struct {
 	// serialised it approaches (N-1)/N of N*wall; its growth with W picks
 	// the default window size (see `sspbench -exp scale`).
 	HostWait time.Duration
-
-	// SpecOps/SpecParks count, under Config.WindowParallel, the operations
-	// the speculators recorded and the parks that re-synchronised them with
-	// canonical replay (winpar.go). Both are deterministic — a pure
-	// function of the program — and zero in serial-grant runs.
-	SpecOps   uint64
-	SpecParks uint64
 }
 
 // BarrierShare returns HostWait as a fraction of cores*wall — the share of
@@ -104,10 +97,10 @@ type winSched struct {
 	w engine.Cycles
 
 	mu        sync.Mutex
-	active    bool            // inside a windowed Run
-	pending   int             // cores that have not reached enter() yet
-	running   int             // core holding the slot, -1 when none
-	windowEnd engine.Cycles   // exclusive upper bound of the current window
+	active    bool          // inside a windowed Run
+	pending   int           // cores that have not reached enter() yet
+	running   int           // core holding the slot, -1 when none
+	windowEnd engine.Cycles // exclusive upper bound of the current window
 	state     []schedState
 	rdvAt     []engine.Cycles // rendezvous deadline, valid while schedRendezvous
 	grant     []chan struct{} // per-core slot token (cap 1)
@@ -116,11 +109,6 @@ type winSched struct {
 	grants        uint64
 	barrierStalls uint64
 	hostWait      time.Duration
-
-	// WindowParallel speculation counters, folded in from the per-core
-	// specCores as the run's goroutines join (quiescent writes).
-	specOps   uint64
-	specParks uint64
 }
 
 func newWinSched(m *Machine, w engine.Cycles) *winSched {
@@ -157,7 +145,6 @@ func (s *winSched) start() {
 	}
 	s.windowEnd = (min/s.w + 1) * s.w
 	s.windows, s.grants, s.barrierStalls, s.hostWait = 0, 0, 0, 0
-	s.specOps, s.specParks = 0, 0
 }
 
 // stop disarms the scheduler after the core goroutines join.
@@ -424,7 +411,5 @@ func (s *winSched) snapshot() WindowStats {
 		Grants:        s.grants,
 		BarrierStalls: s.barrierStalls,
 		HostWait:      s.hostWait,
-		SpecOps:       s.specOps,
-		SpecParks:     s.specParks,
 	}
 }

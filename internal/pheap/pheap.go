@@ -51,9 +51,7 @@ type Heap struct {
 	// outside transactional semantics; mapping an untouched page is
 	// crash-safe (a leaked frame at worst, reclaimed by recovery's sweep).
 	// tx is the transaction handle the allocator was invoked with (nil from
-	// quiescent setup paths); the machine uses it to route the mapping to
-	// the calling core's canonical execution under WindowParallel, where
-	// frame-allocation order must not depend on the host schedule.
+	// quiescent setup paths); the machine ignores it.
 	EnsureMapped func(tx Tx, firstVPN, lastVPN int)
 }
 

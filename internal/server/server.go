@@ -29,6 +29,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -333,6 +334,16 @@ func parseKey(tok string) uint64 {
 	return h.Sum64()
 }
 
+// lineSlackBytes is the room a request line gets beyond its value: the
+// verb, the key token and the separators.
+const lineSlackBytes = 256
+
+// maxLineBytes bounds one request line so a full-size SET always fits,
+// never below the scanner's default.
+func maxLineBytes(valueBytes int) int {
+	return max(bufio.MaxScanTokenSize, lineSlackBytes+valueBytes)
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -343,6 +354,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	sc := bufio.NewScanner(conn)
+	sc.Buffer(nil, maxLineBytes(s.cfg.ValueBytes))
 	out := bufio.NewWriter(conn)
 	replyCh := make(chan reply, 1)
 	getBuf := make([]byte, s.cfg.ValueBytes)
@@ -411,6 +423,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		case 'Y':
 			fmt.Fprintf(out, "SYNCED\n")
 		}
+		out.Flush()
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		s.errs.Add(1)
+		fmt.Fprintf(out, "ERR line too long\n")
 		out.Flush()
 	}
 }

@@ -93,6 +93,38 @@ func TestServerProtocol(t *testing.T) {
 	}
 }
 
+// TestServerLineTooLong sends a SET whose line exceeds the scanner's limit:
+// the server must count the error, reply, and close the connection rather
+// than dropping it silently.
+func TestServerLineTooLong(t *testing.T) {
+	s, err := New(Config{
+		Addr:    "127.0.0.1:0",
+		Machine: ssp.Config{Cores: 1},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	conn, rd := dial(t, s)
+
+	// The server may close before it has read the whole line, so the write
+	// can fail part-way; only the reply matters.
+	_, _ = fmt.Fprintf(conn, "SET 1 %s\n", strings.Repeat("x", maxLineBytes(s.cfg.ValueBytes)))
+	line, err := rd.ReadString('\n')
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	if got := strings.TrimSpace(line); got != "ERR line too long" {
+		t.Fatalf("oversized SET = %q, want ERR line too long", got)
+	}
+	if got := s.Snapshot().Errors; got != 1 {
+		t.Fatalf("errs = %d, want 1", got)
+	}
+	if _, err := rd.ReadString('\n'); err == nil {
+		t.Fatal("connection still open after an oversized line")
+	}
+}
+
 // TestServerRelaxedRequiresEpoch checks the config guard.
 func TestServerRelaxedRequiresEpoch(t *testing.T) {
 	if _, err := New(Config{Addr: "127.0.0.1:0", Relaxed: true}); err == nil {

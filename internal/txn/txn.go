@@ -85,19 +85,6 @@ type WindowScheduler interface {
 	TicketWake(cores []int)
 }
 
-// Peeker is an optional Backend capability: resolve the physical line
-// address that currently holds the program-visible value of the cache line
-// containing va, without advancing simulated time or touching TLB, cache,
-// or metadata state. For write-in-place designs that is the page table's
-// home frame; for SSP it follows the page's current-bit redirection into
-// the shadow sub-page. ok is false when va's page is unmapped.
-//
-// The machine's WindowParallel mode requires it to seed the speculative
-// heap image at Run start; callers must hold the machine quiescent.
-type Peeker interface {
-	PeekLineAddr(va uint64) (pa memsim.PAddr, ok bool)
-}
-
 // Cores returns the number of simulated cores.
 func (e *Env) Cores() int { return len(e.TLBs) }
 

@@ -61,66 +61,6 @@ func TestWindowedRunsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWindowParallelMatchesSerialGrant is the speculate-and-replay
-// equivalence regression: each 8-core mix run under the serial-grant
-// scheduler (WindowParallel=false) and under host-parallel speculation
-// (WindowParallel=true) with the same seed must produce the identical
-// simulated Result — aggregate Stats, histograms, write-set profile,
-// journal pressure, per-core rows, and the scheduler's deterministic
-// counters. Only host-side measurements (Wall, HostWait) and the
-// speculation counters themselves (zero under serial-grant by definition)
-// may differ.
-func TestWindowParallelMatchesSerialGrant(t *testing.T) {
-	for _, p := range windowedMixes() {
-		p := p
-		t.Run(p.Kind.String(), func(t *testing.T) {
-			serial := RunParallel(p)
-
-			wp := p
-			wp.Machine.WindowParallel = true
-			spec := RunParallel(wp)
-
-			if !reflect.DeepEqual(serial.Result, spec.Result) {
-				t.Fatalf("WindowParallel diverged from serial-grant:\nserial: %+v\nspec:   %+v", serial.Result, spec.Result)
-			}
-			if !reflect.DeepEqual(serial.PerCore, spec.PerCore) {
-				t.Fatalf("per-core rows diverged:\n%+v\nvs\n%+v", serial.PerCore, spec.PerCore)
-			}
-			w1, w2 := serial.WindowSched, spec.WindowSched
-			w1.HostWait, w2.HostWait = 0, 0
-			w1.SpecOps, w2.SpecOps = 0, 0
-			w1.SpecParks, w2.SpecParks = 0, 0
-			if w1 != w2 {
-				t.Fatalf("scheduler counters diverged: %+v vs %+v", w1, w2)
-			}
-			if spec.WindowSched.SpecOps == 0 || spec.WindowSched.SpecParks == 0 {
-				t.Fatal("WindowParallel run recorded no speculation — the mode did not engage")
-			}
-			if serial.Stats.Commits == 0 {
-				t.Fatal("no commits — equivalence check ran nothing")
-			}
-		})
-	}
-}
-
-// TestWindowParallelRunsByteIdentical: two same-seed WindowParallel runs
-// must also be byte-identical to EACH OTHER, speculation counters
-// included (they are a pure function of the program).
-func TestWindowParallelRunsByteIdentical(t *testing.T) {
-	p := windowedMixes()[1] // the cross-shard mix: global txns + arenas
-	p.Machine.WindowParallel = true
-	r1 := RunParallel(p)
-	r2 := RunParallel(p)
-	if !reflect.DeepEqual(r1.Result, r2.Result) {
-		t.Fatalf("same-seed WindowParallel runs diverged:\nrun1: %+v\nrun2: %+v", r1.Result, r2.Result)
-	}
-	w1, w2 := r1.WindowSched, r2.WindowSched
-	w1.HostWait, w2.HostWait = 0, 0
-	if w1 != w2 {
-		t.Fatalf("scheduler counters diverged: %+v vs %+v", w1, w2)
-	}
-}
-
 // TestWindowedServeByteIdentical covers the histogram path: the open-loop
 // serve mix (relaxed acks, durability epoch) run twice on a windowed
 // 8-core machine must produce identical latency histograms and

@@ -233,21 +233,6 @@ type Config struct {
 	// speedup curves are unaffected; 4096 is a good default window.
 	// 0 (default) is the free-running concurrent mode, bit-for-bit.
 	TimeWindow int
-	// WindowParallel recovers host parallelism inside windowed Runs
-	// (TimeWindow > 0) without giving up their determinism: each core
-	// splits into a concurrent speculator running the program against a
-	// functional heap image and a replayer driving the recorded operations
-	// through the unchanged window scheduler, so every arbitration is
-	// still resolved in (simulated clock, core index) order and results —
-	// Stats and histograms included — stay byte-identical to
-	// WindowParallel=false for the same seed. Requires TimeWindow > 0 and
-	// the repo's locking discipline (shared persistent data accessed under
-	// a Lock; a violation panics with a divergence report). The host
-	// speedup is bounded by the program-logic share of host time — the
-	// simulated-hardware work stays serialised — so expect a modest win;
-	// see `sspbench -exp scale` host columns. Default false: the
-	// serial-grant scheduler, bit-for-bit.
-	WindowParallel bool
 	// GroupCommitWindow, in cycles, coalesces the journal legs of commits
 	// concurrently bound for the same metadata-journal shard: the first
 	// committer holds its record batch open for the window, followers
@@ -387,7 +372,6 @@ func (c Config) apply() machine.Config {
 	if c.TimeWindow > 0 {
 		mc.TimeWindow = engine.Cycles(c.TimeWindow)
 	}
-	mc.WindowParallel = c.WindowParallel
 	if c.GroupCommitWindow > 0 {
 		mc.SSP.GroupCommitWindow = engine.Cycles(c.GroupCommitWindow)
 	}
@@ -439,9 +423,6 @@ func (c Config) Validate() error {
 	}
 	if c.TimeWindow < 0 {
 		return fmt.Errorf("ssp: TimeWindow is %d cycles, want >= 0 (0 selects free-running concurrent mode)", c.TimeWindow)
-	}
-	if c.WindowParallel && c.TimeWindow <= 0 {
-		return fmt.Errorf("ssp: WindowParallel requires TimeWindow > 0 (the speculate-and-replay mode is defined only for windowed runs)")
 	}
 	if c.GroupCommitWindow < 0 {
 		return fmt.Errorf("ssp: GroupCommitWindow is %d cycles, want >= 0 (0 disables group commit)", c.GroupCommitWindow)

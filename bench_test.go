@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -463,6 +464,32 @@ func BenchmarkTxnPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMachineNew is the host cost of building a machine — what every
+// trap point of a crash sweep and every cell of an experiment grid pays
+// first: ssp.New with the SSP backend at the sweeps' 32 MB and at the paper's
+// Table 2 machine's 192 MB of NVRAM. The bytes one build allocates
+// (MachineNew_<size>_allocMB, in MiB) are gated in CI at 192 MB (see
+// cmd/benchjson and .github/workflows/ci.yml): construction stays
+// proportional to what a run touches, not to the configured capacity.
+func BenchmarkMachineNew(b *testing.B) {
+	for _, mb := range []int{32, 192} {
+		b.Run(itoa(mb)+"MB", func(b *testing.B) {
+			cfg := ssp.Config{Backend: ssp.SSP, Cores: 1, NVRAMMB: mb, DRAMMB: 4, MaxHeapPages: 36 << 10}
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				machineSink = ssp.MustNew(cfg)
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/(1<<20), "MachineNew_"+itoa(mb)+"MB_allocMB")
+		})
+	}
+}
+
+// machineSink keeps BenchmarkMachineNew's machines reachable.
+var machineSink *ssp.Machine
 
 func itoa(v int) string {
 	if v == 0 {

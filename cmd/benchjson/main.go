@@ -234,30 +234,39 @@ func checkGates(rep, base Report, gates string, threshold float64) ([]string, bo
 		}
 		want, ok := lookup(base, spec)
 		if !ok {
-			lines = append(lines, fmt.Sprintf("benchjson: %s = %.0f (no baseline yet; run -update to record)", spec, cur))
+			lines = append(lines, fmt.Sprintf("benchjson: %s = %s (no baseline yet; run -update to record)", spec, num(cur)))
 			continue
 		}
 		if lowerIsBetter {
 			ceil := want * (1 + threshold)
 			if cur > ceil {
-				lines = append(lines, fmt.Sprintf("benchjson: FAIL %s = %.0f, above %.0f (baseline %.0f + %d%%)",
-					spec, cur, ceil, want, int(threshold*100)))
+				lines = append(lines, fmt.Sprintf("benchjson: FAIL %s = %s, above %s (baseline %s + %d%%)",
+					spec, num(cur), num(ceil), num(want), int(threshold*100)))
 				failed = true
 			} else {
-				lines = append(lines, fmt.Sprintf("benchjson: OK %s = %.0f (baseline %.0f, ceiling %.0f)", spec, cur, want, ceil))
+				lines = append(lines, fmt.Sprintf("benchjson: OK %s = %s (baseline %s, ceiling %s)", spec, num(cur), num(want), num(ceil)))
 			}
 			continue
 		}
 		floor := want * (1 - threshold)
 		if cur < floor {
-			lines = append(lines, fmt.Sprintf("benchjson: FAIL %s = %.0f, below %.0f (baseline %.0f - %d%%)",
-				spec, cur, floor, want, int(threshold*100)))
+			lines = append(lines, fmt.Sprintf("benchjson: FAIL %s = %s, below %s (baseline %s - %d%%)",
+				spec, num(cur), num(floor), num(want), int(threshold*100)))
 			failed = true
 		} else {
-			lines = append(lines, fmt.Sprintf("benchjson: OK %s = %.0f (baseline %.0f, floor %.0f)", spec, cur, want, floor))
+			lines = append(lines, fmt.Sprintf("benchjson: OK %s = %s (baseline %s, floor %s)", spec, num(cur), num(want), num(floor)))
 		}
 	}
 	return lines, failed
+}
+
+// num prints a gated value: a whole number for the counters and rates, four
+// significant digits for a metric below 100 (a ratio, MiB per build).
+func num(v float64) string {
+	if v >= 100 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
 }
 
 func fatal(err error) {

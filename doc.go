@@ -94,6 +94,50 @@
 // committed TPS, speedup and per-channel bus utilization across the
 // channels × cores grid.
 //
+// # Memory and caches materialise on touch
+//
+// A machine is provisioned far beyond what a run touches — shadow
+// sub-paging keeps two frames per virtual page, and every trap point of a
+// crash sweep and every cell of an experiment grid builds a fresh one — so
+// nothing in the simulated hardware is built to its configured capacity.
+// Building a machine, dropping its volatile state at a power failure and
+// recovering it cost what the run touched; a capacity only bounds.
+//
+// internal/memsim keeps DRAM and NVRAM bytes behind a two-level directory
+// (region.go): one slot per MiB of address space, a slot's chunk of 256
+// page pointers and per-page wear counters allocated when something in that
+// MiB is first written, and a page's 4 KiB when that page is. A page never
+// written reads as zeros from one shared page that is only ever copied out
+// of. A page materialises under the same address-striped data lock that
+// guards its bytes; a chunk is published by compare-and-swap, since its
+// pages belong to different stripes. Every access is range-checked against
+// DRAM and NVRAM before any lock is taken, so an address past capacity
+// panics instead of reading zeros. NVRAMImage, Crash and ssp.Restore still
+// trade a flat []byte (NewFromImage skips the image's all-zero pages), and
+// bank and bus ledgers materialise at a resource's first booking.
+//
+// internal/cachesim keeps a level as a directory with one slot per 64
+// consecutive sets — the sets one page's lines index — and allocates a
+// set's ways at the first fill into it; looking up an unmaterialised set
+// is a miss, and DropAll clears the directories. FlushAll and
+// DebugValidate visit lines in set-index order, ways in order within a
+// set, never in the order sets were first filled: FlushAll issues timed
+// write-backs, so the visiting order is part of the simulated result
+// (cachesim.TestFlushAllOrderGolden pins it to the values of the eagerly
+// allocated array). DebugValidate costs what is cached, which is what lets
+// every crashsweep oracle run it after each recovery and again after its
+// verification reads.
+//
+// The same rule holds for what build and Recover walk above the hardware:
+// vm.FrameAlloc is a bump cursor over never-allocated frames between a hot
+// LIFO stack and a cold FIFO queue (the allocation sequence of the full
+// free list it replaced, vm.TestFrameAllocMatchesListModel), the page-table
+// mirror reaches as far as the highest mapped page, wal.Scan reads a ring
+// through a 4 KiB window and stops where parsing stops, and the wear
+// statistics visit written pages only. ssp.TestMachineAllocationBudget and
+// CI's BenchmarkMachineNew gate keep a capacity-sized make from returning:
+// ssp.New on the 192 MB Table 2 machine allocates 0.4 MiB.
+//
 // # Sharded SSP metadata journal
 //
 // The SSP metadata journal supports per-core sharding

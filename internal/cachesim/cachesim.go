@@ -78,13 +78,25 @@ type line struct {
 	data  [memsim.LineBytes]byte
 }
 
+// level is one cache array. Its sets materialise on touch: the directory
+// holds one slot per setChunk consecutive sets, a slot is nil until a line is
+// filled into one of its sets, and a set within it is nil until its own
+// first fill. Building a level therefore costs its directory and dropping it
+// costs what was filled. A nil set holds no valid line. Anything that visits
+// every line (FlushAll, DebugValidate) walks sets in index order — FlushAll
+// issues timed write-backs, so the order lines are visited in is part of the
+// simulated result.
 type level struct {
-	sets  int
-	ways  int
-	lat   engine.Cycles
-	lines []line
-	tick  uint64
+	sets int
+	ways int
+	lat  engine.Cycles
+	dir  []*[setChunk][]line
+	tick uint64
 }
+
+// setChunk is the number of consecutive sets behind one directory slot: the
+// lines of one page index exactly that many consecutive sets.
+const setChunk = memsim.PageBytes / memsim.LineBytes
 
 func newLevel(bytes, ways int, lat engine.Cycles) *level {
 	nLines := bytes / memsim.LineBytes
@@ -93,12 +105,30 @@ func newLevel(bytes, ways int, lat engine.Cycles) *level {
 		sets = 1
 		ways = nLines
 	}
-	return &level{sets: sets, ways: ways, lat: lat, lines: make([]line, sets*ways)}
+	return &level{sets: sets, ways: ways, lat: lat, dir: make([]*[setChunk][]line, (sets+setChunk-1)/setChunk)}
 }
 
+// set returns lineAddr's set, nil if nothing was ever filled into it.
 func (l *level) set(lineAddr uint64) []line {
-	s := int(lineAddr % uint64(l.sets))
-	return l.lines[s*l.ways : (s+1)*l.ways]
+	i := lineAddr % uint64(l.sets)
+	if c := l.dir[i/setChunk]; c != nil {
+		return c[i%setChunk]
+	}
+	return nil
+}
+
+// fillSet is set for the fill path: it materialises the set.
+func (l *level) fillSet(lineAddr uint64) []line {
+	i := lineAddr % uint64(l.sets)
+	c := l.dir[i/setChunk]
+	if c == nil {
+		c = new([setChunk][]line)
+		l.dir[i/setChunk] = c
+	}
+	if c[i%setChunk] == nil {
+		c[i%setChunk] = make([]line, l.ways)
+	}
+	return c[i%setChunk]
 }
 
 // lookup returns the line holding lineAddr, or nil.
@@ -131,7 +161,7 @@ func (l *level) peek(lineAddr uint64) *line {
 // redo-style designs must not write uncommitted data back in place (DHTM
 // keeps transactional lines pinned in the volatile hierarchy).
 func (l *level) victim(lineAddr uint64) *line {
-	set := l.set(lineAddr)
+	set := l.fillSet(lineAddr)
 	var oldest, oldestNonTx *line
 	for i := range set {
 		if !set[i].valid {
@@ -150,11 +180,29 @@ func (l *level) victim(lineAddr uint64) *line {
 	return oldest
 }
 
+// reset empties the level by releasing what was materialised.
 func (l *level) reset() {
-	for i := range l.lines {
-		l.lines[i] = line{}
-	}
+	clear(l.dir)
 	l.tick = 0
+}
+
+// valid returns the level's valid lines, sets in index order and ways in
+// order within a set (see the type comment for why the order is fixed).
+func (l *level) valid() []*line {
+	var out []*line
+	for _, c := range l.dir {
+		if c == nil {
+			continue
+		}
+		for _, set := range c {
+			for i := range set {
+				if set[i].valid {
+					out = append(out, &set[i])
+				}
+			}
+		}
+	}
+	return out
 }
 
 type dirEntry struct {
@@ -816,7 +864,8 @@ func (h *Hierarchy) debugPeekLocked(pa memsim.PAddr, buf []byte) {
 // DebugValidate checks the coherence invariant: every valid cached copy of
 // a line carries the authority value resolved by DebugPeek, and at most one
 // core holds a dirty private copy. It returns a description of the first
-// violation, or "". Test helper; O(total cache lines).
+// violation, or "". Test helper; its cost follows the lines cached, not the
+// hierarchy's capacity.
 func (h *Hierarchy) DebugValidate() string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -830,11 +879,7 @@ func (h *Hierarchy) DebugValidate() string {
 	}
 	for core := range h.l1 {
 		for _, lv := range []*level{h.l1[core], h.l2[core]} {
-			for i := range lv.lines {
-				c := &lv.lines[i]
-				if !c.valid {
-					continue
-				}
+			for _, c := range lv.valid() {
 				if c.dirty {
 					e := h.dirGet(c.tag)
 					if int(e.owner) != core {
@@ -847,11 +892,7 @@ func (h *Hierarchy) DebugValidate() string {
 			}
 		}
 	}
-	for i := range h.l3.lines {
-		c := &h.l3.lines[i]
-		if !c.valid {
-			continue
-		}
+	for _, c := range h.l3.valid() {
 		// A stale L3 copy is legal while a dirty private owner shadows it;
 		// every read path consults the owner first.
 		if e := h.dirGet(c.tag); e.owner >= 0 {
@@ -885,9 +926,8 @@ func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles
 	defer h.mu.Unlock()
 	t := at
 	flushLevel := func(l *level) {
-		for i := range l.lines {
-			c := &l.lines[i]
-			if c.valid && c.dirty {
+		for _, c := range l.valid() {
+			if c.dirty {
 				d, _ := h.flushLocked(0, memsim.PAddr(c.tag)<<memsim.LineShift, at, cat)
 				if d > t {
 					t = d

@@ -19,8 +19,10 @@ import (
 // BeginGlobal (cross-shard two-phase commit on a multi-shard SSP machine);
 // a nil/short Global slice means all-local. Sync marks transactions whose
 // committing core issues a durability-upgrade Sync right after the commit —
-// only meaningful to the relaxed runner (RunScriptRelaxed).
+// only meaningful to the relaxed runner (RunScriptRelaxed). Seed is what the
+// generator built the script from; the sweeps print it with every failure.
 type Script struct {
+	Seed   uint64
 	Txns   [][]uint64
 	Global []bool
 	Sync   []bool
@@ -47,7 +49,7 @@ func (sc Script) maxPage() int {
 // lines across transactions.
 func MakeScript(seed uint64, n int) Script {
 	rng := engine.NewRNG(seed)
-	var sc Script
+	sc := Script{Seed: seed}
 	for i := 0; i < n; i++ {
 		var addrs []uint64
 		for j := 0; j <= rng.Intn(6); j++ {
@@ -72,7 +74,7 @@ func MakeScript(seed uint64, n int) Script {
 func MakeCrossScript(seed uint64, n int) Script {
 	rng := engine.NewRNG(seed)
 	const pages = 8
-	var sc Script
+	sc := Script{Seed: seed}
 	for i := 0; i < n; i++ {
 		global := rng.Intn(2) == 0
 		var addrs []uint64
@@ -301,13 +303,13 @@ func sweepScript(cfg ssp.Config, sc Script, run func(*ssp.Machine, Script) (map[
 		committed, boundary := run(m, sc)
 		m.Mem().SetWriteTrap(-1)
 		if err := m.Recover(); err != nil {
-			logf("  trap %d: recovery error: %v\n", k, err)
+			logf("  trap %d (script seed %#x): recovery error: %v\n", k, sc.Seed, err)
 			failures++
 			continue
 		}
 		m.Heap().EnsureMapped(nil, 1, sc.maxPage())
 		if err := Verify(m, committed, boundary); err != nil {
-			logf("  trap %d: %v\n", k, err)
+			logf("  trap %d (script seed %#x): %v\n", k, sc.Seed, err)
 			failures++
 		} else if verbose {
 			logf("  trap %d ok\n", k)
@@ -316,10 +318,30 @@ func sweepScript(cfg ssp.Config, sc Script, run func(*ssp.Machine, Script) (map[
 	return points, failures
 }
 
+// coherent wraps one oracle's post-recovery reads in the cache coherence
+// checker: once on the hierarchy as recovery left it, once after the reads
+// refilled it.
+func coherent(m *ssp.Machine, reads func() error) error {
+	if msg := m.DebugValidateCaches(); msg != "" {
+		return fmt.Errorf("caches incoherent after recovery: %s", msg)
+	}
+	if err := reads(); err != nil {
+		return err
+	}
+	if msg := m.DebugValidateCaches(); msg != "" {
+		return fmt.Errorf("caches incoherent after the verification reads: %s", msg)
+	}
+	return nil
+}
+
 // Verify checks the recovered machine against the expectation state: every
 // committed value present, and the boundary transaction (if any) applied
-// all-or-nothing.
+// all-or-nothing; and the caches coherent before and after those reads.
 func Verify(m *ssp.Machine, committed, boundary map[uint64]uint64) error {
+	return coherent(m, func() error { return verify(m, committed, boundary) })
+}
+
+func verify(m *ssp.Machine, committed, boundary map[uint64]uint64) error {
 	c := m.Core(0)
 	if boundary != nil {
 		applied := false

@@ -40,7 +40,7 @@ func (sc Script) syncAt(i int) bool { return i < len(sc.Sync) && sc.Sync[i] }
 // with its End record deferred into the coordinator's open epoch.
 func MakeRelaxedScript(seed uint64, n int, cross bool) Script {
 	rng := engine.NewRNG(seed)
-	var sc Script
+	sc := Script{Seed: seed}
 	line := 0   // next private line in the packed local region (pages 1+)
 	page := 100 // next private page for global write sets
 	addr := func(p, l int) uint64 {
@@ -111,8 +111,13 @@ func RunScriptRelaxed(m *ssp.Machine, sc Script) RelaxedOutcome {
 // VerifyRelaxed checks a recovered machine against the relaxed contract
 // (see the package comment above) for one trap run's outcome. cfg must be
 // the machine's configuration — the per-shard suffix rule needs the
-// core-to-coordinator-shard mapping.
+// core-to-coordinator-shard mapping. The caches must be coherent before and
+// after the reads.
 func VerifyRelaxed(m *ssp.Machine, cfg ssp.Config, sc Script, out RelaxedOutcome) error {
+	return coherent(m, func() error { return verifyRelaxed(m, cfg, sc, out) })
+}
+
+func verifyRelaxed(m *ssp.Machine, cfg ssp.Config, sc Script, out RelaxedOutcome) error {
 	cores, shards := cfg.Cores, cfg.JournalShards
 	if cores == 0 {
 		cores = 1
@@ -202,13 +207,13 @@ func SweepRelaxedScript(cfg ssp.Config, sc Script, verbose bool, log io.Writer) 
 		out := RunScriptRelaxed(m, sc)
 		m.Mem().SetWriteTrap(-1)
 		if err := m.Recover(); err != nil {
-			logf("  trap %d: recovery error: %v\n", k, err)
+			logf("  trap %d (script seed %#x): recovery error: %v\n", k, sc.Seed, err)
 			failures++
 			continue
 		}
 		m.Heap().EnsureMapped(nil, 1, sc.maxPage())
 		if err := VerifyRelaxed(m, cfg, sc, out); err != nil {
-			logf("  trap %d: %v\n", k, err)
+			logf("  trap %d (script seed %#x): %v\n", k, sc.Seed, err)
 			failures++
 		} else if verbose {
 			logf("  trap %d ok\n", k)

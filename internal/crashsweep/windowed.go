@@ -90,8 +90,12 @@ func runWindowed(m *ssp.Machine, sc Script) (committed map[uint64]uint64, bounda
 // expectation state: every committed value present, and every core's
 // boundary transaction applied all-or-nothing, each judged independently
 // (the cores' page ranges are disjoint, so one core's outcome cannot mask
-// another's).
+// another's). The caches must be coherent before and after the reads.
 func VerifyWindowed(m *ssp.Machine, committed map[uint64]uint64, boundaries []map[uint64]uint64) error {
+	return coherent(m, func() error { return verifyWindowed(m, committed, boundaries) })
+}
+
+func verifyWindowed(m *ssp.Machine, committed map[uint64]uint64, boundaries []map[uint64]uint64) error {
 	c := m.Core(0)
 	expect := map[uint64]uint64{}
 	for va, v := range committed {
@@ -149,13 +153,13 @@ func SweepWindowedScript(cfg ssp.Config, sc Script, verbose bool, log io.Writer)
 		committed, boundaries := runWindowed(m, sc)
 		m.Mem().SetWriteTrap(-1)
 		if err := m.Recover(); err != nil {
-			logf("  trap %d: recovery error: %v\n", k, err)
+			logf("  trap %d (script seed %#x): recovery error: %v\n", k, sc.Seed, err)
 			failures++
 			continue
 		}
 		m.Heap().EnsureMapped(nil, 1, sc.maxPage()+(m.Cores()-1)*windowedPageStride)
 		if err := VerifyWindowed(m, committed, boundaries); err != nil {
-			logf("  trap %d: %v\n", k, err)
+			logf("  trap %d (script seed %#x): %v\n", k, sc.Seed, err)
 			failures++
 		} else if verbose {
 			logf("  trap %d ok\n", k)

@@ -20,9 +20,16 @@ type Core struct {
 	inTxn bool
 
 	// Per-transaction write-set characterisation (virtual lines/pages),
-	// feeding the Table 3 statistics.
+	// feeding the Table 3 statistics. The maps live as long as the core and
+	// are emptied at each Begin.
 	wsLines map[uint64]struct{}
 	wsPages map[uint64]struct{}
+
+	// word is Store64's and Load64's buffer. A local array would escape to
+	// the heap through the backend interface call — one allocation per
+	// access, most of what a transaction allocated; no backend keeps the
+	// slice past the call.
+	word [8]byte
 }
 
 // ID returns the core index.
@@ -87,8 +94,8 @@ func (c *Core) begin(start func(core int, at engine.Cycles) engine.Cycles) {
 	c.op()
 	c.m.clocks[c.id] = start(c.id, c.m.clocks[c.id])
 	c.inTxn = true
-	c.wsLines = make(map[uint64]struct{})
-	c.wsPages = make(map[uint64]struct{})
+	clear(c.wsLines)
+	clear(c.wsPages)
 }
 
 // Begin opens a failure-atomic section.
@@ -228,9 +235,8 @@ func (c *Core) Store64(va uint64, v uint64) {
 	if va%8 != 0 {
 		panic(fmt.Sprintf("machine: unaligned Store64 at %#x", va))
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	c.StoreBytes(va, b[:])
+	binary.LittleEndian.PutUint64(c.word[:], v)
+	c.StoreBytes(va, c.word[:])
 }
 
 // Load64 reads an aligned 8-byte word.
@@ -238,9 +244,8 @@ func (c *Core) Load64(va uint64) uint64 {
 	if va%8 != 0 {
 		panic(fmt.Sprintf("machine: unaligned Load64 at %#x", va))
 	}
-	var b [8]byte
-	c.LoadBytes(va, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	c.LoadBytes(va, c.word[:])
+	return binary.LittleEndian.Uint64(c.word[:])
 }
 
 // Acquire takes the lock, advancing the clock past the current holder and

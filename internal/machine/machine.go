@@ -318,7 +318,7 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	}
 	m.heap = &pheap.Heap{EnsureMapped: func(_ pheap.Tx, first, last int) { m.ensureMapped(first, last) }}
 	for c := 0; c < cfg.Cores; c++ {
-		m.cores = append(m.cores, &Core{m: m, id: c})
+		m.cores = append(m.cores, &Core{m: m, id: c, wsLines: map[uint64]struct{}{}, wsPages: map[uint64]struct{}{}})
 	}
 	return m, nil
 }
@@ -379,10 +379,7 @@ func (m *Machine) Stats() *stats.Stats {
 // live in memsim rather than a shard, so they are folded in at snapshot
 // time; shards carry zeros for these fields.
 func (m *Machine) fillWear(st *stats.Stats) {
-	for _, w := range m.mem.WearProfile(m.layout.FramePoolBase, m.layout.Frames) {
-		if w == 0 {
-			continue
-		}
+	for _, w := range m.mem.WornPages(m.layout.FramePoolBase, m.layout.Frames) {
 		st.FramesWritten++
 		st.FrameWriteTotal += w
 		if w > st.FrameWriteMax {

@@ -117,7 +117,7 @@ func TestChannelPolicies(t *testing.T) {
 // booked time is non-negative and its overhang past the bucket span never
 // exceeds one access latency (the carry the reserve loop handles).
 func checkWheel(w *wheel, maxLatency engine.Cycles) error {
-	for i := range w.b {
+	for i := range w.buckets() {
 		s := &w.b[i]
 		if s.used < 0 {
 			return fmt.Errorf("bucket %d booked negative time %d", i, s.used)
@@ -132,7 +132,7 @@ func checkWheel(w *wheel, maxLatency engine.Cycles) error {
 // wheelFrontier returns the latest booked completion across the wheel.
 func wheelFrontier(w *wheel) engine.Cycles {
 	var mx engine.Cycles
-	for i := range w.b {
+	for i := range w.buckets() {
 		if e := engine.Cycles(w.b[i].epoch)*wheelSpan + w.b[i].used; w.b[i].used > 0 && e > mx {
 			mx = e
 		}

@@ -47,6 +47,7 @@
 package memsim
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -196,9 +197,18 @@ type wbucket struct {
 	used  engine.Cycles
 }
 
-// wheel is the occupancy ledger of one shared resource.
+// wheel is the occupancy ledger of one shared resource. Its buckets
+// materialise at the first booking, so a bank no access reaches costs
+// nothing to build or to reset.
 type wheel struct {
-	b [wheelBuckets]wbucket
+	b *[wheelBuckets]wbucket
+}
+
+func (w *wheel) buckets() *[wheelBuckets]wbucket {
+	if w.b == nil {
+		w.b = new([wheelBuckets]wbucket)
+	}
+	return w.b
 }
 
 // reserveFIFO books dur busy cycles at the earliest position at or after
@@ -209,6 +219,7 @@ type wheel struct {
 // frontier are not reusable. Used for banks, whose traffic is chains of
 // dependent accesses.
 func (w *wheel) reserveFIFO(at, dur engine.Cycles) engine.Cycles {
+	b := w.buckets()
 	if at < 0 {
 		at = 0
 	}
@@ -216,14 +227,14 @@ func (w *wheel) reserveFIFO(at, dur engine.Cycles) engine.Cycles {
 	start := at
 	// A previous bucket's bookings may overhang into this one.
 	if p := idx - 1; p >= 0 {
-		if s := &w.b[p%wheelBuckets]; s.epoch == p {
+		if s := &b[p%wheelBuckets]; s.epoch == p {
 			if e := engine.Cycles(p)*wheelSpan + s.used; e > start {
 				start = e
 			}
 		}
 	}
 	for {
-		s := &w.b[idx%wheelBuckets]
+		s := &b[idx%wheelBuckets]
 		if s.epoch < idx {
 			s.epoch, s.used = idx, 0 // recycle a stale bucket
 		}
@@ -251,9 +262,10 @@ func (w *wheel) reserveFIFO(at, dur engine.Cycles) engine.Cycles {
 // stamp every covered bucket, or reserveFIFO's one-bucket lookback would
 // admit overlapping accesses issued a few windows later.
 func (w *wheel) bookFrontier(start, dur engine.Cycles) {
+	b := w.buckets()
 	end := start + dur
 	for idx := int64(start) / wheelSpan; engine.Cycles(idx)*wheelSpan < end; idx++ {
-		s := &w.b[idx%wheelBuckets]
+		s := &b[idx%wheelBuckets]
 		if s.epoch < idx {
 			s.epoch, s.used = idx, 0
 		}
@@ -274,13 +286,14 @@ func (w *wheel) bookFrontier(start, dur engine.Cycles) {
 // wheel exists to decouple; what matters is the bandwidth cap, reached at
 // span/dur transfers per window.
 func (w *wheel) reserveCapacity(at, dur engine.Cycles) engine.Cycles {
+	b := w.buckets()
 	if at < 0 {
 		at = 0
 	}
 	idx := int64(at) / wheelSpan
 	start := engine.Cycles(-1)
 	for dur > 0 {
-		s := &w.b[idx%wheelBuckets]
+		s := &b[idx%wheelBuckets]
 		if s.epoch < idx {
 			s.epoch, s.used = idx, 0
 		}
@@ -354,19 +367,13 @@ type Memory struct {
 	cfg       Config
 	nChannels int
 
-	dram  []byte
-	nvram []byte
+	dram  region
+	nvram region
 
 	dataMu [dataStripes]sync.Mutex
 
 	chans     []channel
 	busCycles engine.Cycles
-
-	// wear counts durable line writes per NVRAM page — the media-endurance
-	// profile software wear-leveling consumes. Updated atomically: with
-	// line-granular interleaving one page's lines hit different channels, so
-	// a page's counter can be bumped under different channel locks at once.
-	wear []uint64
 
 	powerMu    sync.Mutex
 	powerOff   bool
@@ -399,11 +406,10 @@ func New(cfg Config, st *stats.Stats) *Memory {
 	m := &Memory{
 		cfg:       cfg,
 		nChannels: nCh,
-		dram:      make([]byte, cfg.DRAMBytes),
-		nvram:     make([]byte, cfg.NVRAMBytes),
+		dram:      newRegion(0, cfg.DRAMBytes),
+		nvram:     newRegion(cfg.NVRAMBase, cfg.NVRAMBytes),
 		chans:     make([]channel, nCh),
 		busCycles: engine.NSToCycles(cfg.BusNS, cfg.FreqGHz),
-		wear:      make([]uint64, (cfg.NVRAMBytes+PageBytes-1)/PageBytes),
 		trapAfter: -1,
 	}
 	for i := range m.chans {
@@ -425,7 +431,12 @@ func NewFromImage(cfg Config, st *stats.Stats, img []byte) (*Memory, error) {
 		return nil, fmt.Errorf("memsim: NVRAM image is %d bytes but Config.NVRAMBytes is %d; the image must come from a machine with the same memory capacities", len(img), cfg.NVRAMBytes)
 	}
 	m := New(cfg, st)
-	copy(m.nvram, img)
+	for off := 0; off < len(img); off += PageBytes {
+		pg := img[off:min(off+PageBytes, len(img))]
+		if !bytes.Equal(pg, zeroPage[:len(pg)]) {
+			m.copyIn(cfg.NVRAMBase+PAddr(off), pg)
+		}
+	}
 	return m, nil
 }
 
@@ -496,17 +507,6 @@ func (m *Memory) ChannelOf(pa PAddr) int {
 	return ch
 }
 
-func (m *Memory) backing(pa PAddr, n int) []byte {
-	if m.IsNVRAM(pa) {
-		off := pa - m.cfg.NVRAMBase
-		return m.nvram[off : off+PAddr(n)]
-	}
-	if pa+PAddr(n) > PAddr(m.cfg.DRAMBytes) {
-		panic(fmt.Sprintf("memsim: address %#x+%d outside DRAM and NVRAM", pa, n))
-	}
-	return m.dram[pa : pa+PAddr(n)]
-}
-
 func (m *Memory) stripe(pa PAddr) *sync.Mutex {
 	return &m.dataMu[(uint64(pa)>>PageShift)%dataStripes]
 }
@@ -519,9 +519,10 @@ func (m *Memory) copyIn(pa PAddr, data []byte) {
 		if n > len(data) {
 			n = len(data)
 		}
+		r, off := m.locate(pa, n)
 		mu := m.stripe(pa)
 		mu.Lock()
-		copy(m.backing(pa, n), data[:n])
+		copy(r.writable(off)[off&(PageBytes-1):], data[:n])
 		mu.Unlock()
 		pa += PAddr(n)
 		data = data[n:]
@@ -535,9 +536,10 @@ func (m *Memory) copyOut(pa PAddr, buf []byte) {
 		if n > len(buf) {
 			n = len(buf)
 		}
+		r, off := m.locate(pa, n)
 		mu := m.stripe(pa)
 		mu.Lock()
-		copy(buf[:n], m.backing(pa, n))
+		copy(buf[:n], r.readable(off)[off&(PageBytes-1):])
 		mu.Unlock()
 		pa += PAddr(n)
 		buf = buf[n:]
@@ -566,7 +568,7 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 			lat = m.cfg.NVRAMWrite
 			c.st.NVRAMWriteLines++ // line count maintained here; bytes by caller category
 			c.st.NVRAMWriteBytes[cat] += uint64(nbytes)
-			atomic.AddUint64(&m.wear[(pa-m.cfg.NVRAMBase)>>PageShift], 1)
+			atomic.AddUint64(m.wearOf(pa), 1)
 		} else {
 			lat = m.cfg.NVRAMRead
 			c.st.NVRAMReadLines++
@@ -758,8 +760,15 @@ func (m *Memory) PowerOn() {
 
 // NVRAMImage returns a copy of the durable NVRAM contents.
 func (m *Memory) NVRAMImage() []byte {
-	img := make([]byte, len(m.nvram))
-	m.copyOut(m.cfg.NVRAMBase, img)
+	img := make([]byte, m.cfg.NVRAMBytes)
+	for ci := range m.nvram.dir {
+		if m.nvram.dir[ci].Load() == nil {
+			continue // nothing in this chunk was written: img already reads zero
+		}
+		lo := ci * chunkPages * PageBytes
+		hi := min(lo+chunkPages*PageBytes, len(img))
+		m.copyOut(m.cfg.NVRAMBase+PAddr(lo), img[lo:hi])
+	}
 	return img
 }
 
@@ -770,20 +779,37 @@ func (m *Memory) PageWrites(pa PAddr) uint64 {
 	if !m.IsNVRAM(pa) {
 		return 0
 	}
-	return atomic.LoadUint64(&m.wear[(pa-m.cfg.NVRAMBase)>>PageShift])
+	page := uint64(pa-m.cfg.NVRAMBase) >> PageShift
+	if c := m.nvram.chunkOf(page); c != nil {
+		return atomic.LoadUint64(&c.wear[page&(chunkPages-1)])
+	}
+	return 0
 }
 
-// WearProfile copies the per-page write counters for the `pages` NVRAM
-// pages starting at base (base must be page-aligned NVRAM). Index i is the
-// wear of the page at base + i*PageBytes.
-func (m *Memory) WearProfile(base PAddr, pages int) []uint64 {
+// WornPages returns the write counters of the written-to pages among the
+// `pages` NVRAM pages starting at base (base must be page-aligned NVRAM), in
+// address order; pages never written are left out, so the cost follows the
+// pages a run wrote.
+func (m *Memory) WornPages(base PAddr, pages int) []uint64 {
 	if !m.IsNVRAM(base) || base%PageBytes != 0 {
-		panic(fmt.Sprintf("memsim: WearProfile base %#x is not an NVRAM page", base))
+		panic(fmt.Sprintf("memsim: WornPages base %#x is not an NVRAM page", base))
 	}
-	first := (base - m.cfg.NVRAMBase) >> PageShift
-	out := make([]uint64, pages)
-	for i := range out {
-		out[i] = atomic.LoadUint64(&m.wear[int(first)+i])
+	first := uint64(base-m.cfg.NVRAMBase) >> PageShift
+	end := first + uint64(pages)
+	if end<<PageShift > m.cfg.NVRAMBytes {
+		panic(fmt.Sprintf("memsim: WornPages of %d pages at %#x runs past NVRAM", pages, base))
+	}
+	var out []uint64
+	for page := first; page < end; {
+		next := min(end, (page>>chunkShift+1)<<chunkShift) // first page of the next chunk
+		if c := m.nvram.chunkOf(page); c != nil {
+			for ; page < next; page++ {
+				if w := atomic.LoadUint64(&c.wear[page&(chunkPages-1)]); w != 0 {
+					out = append(out, w)
+				}
+			}
+		}
+		page = next
 	}
 	return out
 }
@@ -791,8 +817,12 @@ func (m *Memory) WearProfile(base PAddr, pages int) []uint64 {
 // ResetWear zeroes the per-page write counters (after warm-up, with
 // measurement-window statistics).
 func (m *Memory) ResetWear() {
-	for i := range m.wear {
-		atomic.StoreUint64(&m.wear[i], 0)
+	for ci := range m.nvram.dir {
+		if c := m.nvram.dir[ci].Load(); c != nil {
+			for i := range c.wear {
+				atomic.StoreUint64(&c.wear[i], 0)
+			}
+		}
 	}
 }
 

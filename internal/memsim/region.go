@@ -1,0 +1,108 @@
+package memsim
+
+import (
+	"fmt"
+	"sync/atomic"
+)
+
+// Byte images materialise on touch: a region is a directory of chunks, a
+// chunk holds chunkPages page pointers and wear counters, and a page's 4 KiB
+// exist only once something was written to it. Building a Memory therefore
+// costs a directory of one pointer per MiB of capacity, and everything that
+// walks a region (NVRAMImage, ResetWear, WornPages) walks what was
+// touched.
+const (
+	chunkShift = 8
+	chunkPages = 1 << chunkShift // 1 MiB of address space per directory slot
+)
+
+// zeroPage is what a never-written page reads as. It is shared by every
+// Memory in the process, so it is only ever copied out of: readable hands it
+// out, writable never does.
+var zeroPage [PageBytes]byte
+
+type chunk struct {
+	// pages[i] is nil until the page's first write. Guarded by the page's
+	// dataMu stripe, like the bytes behind it.
+	pages [chunkPages]*[PageBytes]byte
+	// wear[i] counts durable line writes to the page — the media-endurance
+	// profile software wear-leveling consumes (NVRAM only). Updated
+	// atomically: with line-granular interleaving one page's lines hit
+	// different channels, so a page's counter can be bumped under different
+	// channel locks at once.
+	wear [chunkPages]uint64
+}
+
+// region is one contiguous physical range, DRAM or NVRAM.
+type region struct {
+	base PAddr
+	size uint64
+	// dir[i] covers pages [i<<chunkShift, (i+1)<<chunkShift). Slots are
+	// published by compare-and-swap because the pages of one chunk belong to
+	// different dataMu stripes.
+	dir []atomic.Pointer[chunk]
+}
+
+func newRegion(base PAddr, size uint64) region {
+	pages := (size + PageBytes - 1) / PageBytes
+	return region{base: base, size: size, dir: make([]atomic.Pointer[chunk], (pages+chunkPages-1)/chunkPages)}
+}
+
+// chunkOf returns the chunk holding the region's page-th page, or nil if
+// nothing in it was touched yet.
+func (r *region) chunkOf(page uint64) *chunk {
+	return r.dir[page>>chunkShift].Load()
+}
+
+// touchChunk is chunkOf that materialises the chunk.
+func (r *region) touchChunk(page uint64) *chunk {
+	slot := &r.dir[page>>chunkShift]
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	slot.CompareAndSwap(nil, new(chunk))
+	return slot.Load()
+}
+
+// locate returns the region holding [pa, pa+n) and the span's offset in it.
+// It panics unless the span lies wholly inside DRAM or NVRAM, and runs before
+// any lock is taken: nothing behind it bounds an access any more, and an
+// access past capacity must never quietly read the zero page.
+func (m *Memory) locate(pa PAddr, n int) (*region, uint64) {
+	r := &m.dram
+	if pa >= m.cfg.NVRAMBase {
+		r = &m.nvram
+	}
+	off := uint64(pa - r.base)
+	if off > r.size || uint64(n) > r.size-off {
+		panic(fmt.Sprintf("memsim: address %#x+%d outside DRAM and NVRAM", pa, n))
+	}
+	return r, off
+}
+
+// readable returns the page holding offset off for reading: a never-written
+// page is the shared zeroPage. The caller holds the page's dataMu stripe.
+func (r *region) readable(off uint64) *[PageBytes]byte {
+	page := off >> PageShift
+	if c := r.chunkOf(page); c != nil && c.pages[page&(chunkPages-1)] != nil {
+		return c.pages[page&(chunkPages-1)]
+	}
+	return &zeroPage
+}
+
+// writable is readable for a store: it materialises the page.
+func (r *region) writable(off uint64) *[PageBytes]byte {
+	page := off >> PageShift
+	slot := &r.touchChunk(page).pages[page&(chunkPages-1)]
+	if *slot == nil {
+		*slot = new([PageBytes]byte)
+	}
+	return *slot
+}
+
+// wearOf returns the wear counter of the NVRAM page containing pa (which
+// must be NVRAM), materialising its chunk.
+func (m *Memory) wearOf(pa PAddr) *uint64 {
+	page := uint64(pa-m.cfg.NVRAMBase) >> PageShift
+	return &m.nvram.touchChunk(page).wear[page&(chunkPages-1)]
+}

@@ -1,0 +1,321 @@
+package memsim
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/stats"
+)
+
+// flatModel is the reference the materialise-on-touch backing is compared
+// against: DRAM and NVRAM as two flat byte slices, with the power state and
+// the write trap.
+type flatModel struct {
+	cfg   Config
+	dram  []byte
+	nvram []byte
+	off   bool
+	trap  int64
+}
+
+func newFlatModel(cfg Config) *flatModel {
+	return &flatModel{cfg: cfg, dram: make([]byte, cfg.DRAMBytes), nvram: make([]byte, cfg.NVRAMBytes), trap: -1}
+}
+
+func (f *flatModel) span(pa PAddr, n int) []byte {
+	if pa >= f.cfg.NVRAMBase {
+		o := pa - f.cfg.NVRAMBase
+		return f.nvram[o : o+PAddr(n)]
+	}
+	return f.dram[pa : pa+PAddr(n)]
+}
+
+// powerOff cuts the power, which disarms the trap; with the power already
+// off it does nothing.
+func (f *flatModel) powerOff() {
+	if !f.off {
+		f.off, f.trap = true, -1
+	}
+}
+
+// write is WriteBytes: an NVRAM write counts against the trap and is lost
+// with the power off; a DRAM write always lands.
+func (f *flatModel) write(pa PAddr, data []byte) {
+	if pa >= f.cfg.NVRAMBase {
+		if f.trap == 0 {
+			f.powerOff()
+		} else if f.trap > 0 {
+			f.trap--
+		}
+		if f.off {
+			return
+		}
+	}
+	copy(f.span(pa, len(data)), data)
+}
+
+// sparseTestConfig has an NVRAM that ends inside a directory chunk and a
+// DRAM smaller than one.
+func sparseTestConfig() Config {
+	cfg := DefaultConfig()
+	cfg.DRAMBytes = 64 << 10
+	cfg.NVRAMBytes = 1<<20 + 5*PageBytes
+	return cfg
+}
+
+// Randomised differential test of the byte images against the flat model:
+// timed and untimed writes and reads, spans that straddle pages, writes of
+// all-zero data (which must materialise nothing wrong and read back as
+// zeros), an armed write trap, PowerOff/PowerOn, and a reboot through
+// NVRAMImage + NewFromImage.
+func TestSparseBackingMatchesFlatModel(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		cfg := sparseTestConfig()
+		rng := engine.NewRNG(seed)
+		mem, model := New(cfg, &stats.Stats{}), newFlatModel(cfg)
+		dramPages, nvPages := int(cfg.DRAMBytes/PageBytes), int(cfg.NVRAMBytes/PageBytes)
+
+		// addr picks a page — mostly from a few hot ones, so that pages are
+		// overwritten and most of the range stays untouched — and returns the
+		// address of a byte offset in it, plus the bytes left in the region.
+		addr := func() (PAddr, int) {
+			base, pages := PAddr(0), dramPages
+			if rng.Intn(4) != 0 {
+				base, pages = cfg.NVRAMBase, nvPages
+			}
+			page := rng.Intn(pages)
+			switch rng.Intn(4) {
+			case 0:
+				page = rng.Intn(min(8, pages))
+			case 1:
+				page = pages - 1 - rng.Intn(min(8, pages))
+			}
+			off := page*PageBytes + rng.Intn(PageBytes)
+			return base + PAddr(off), pages*PageBytes - off
+		}
+		payload := func(n int) []byte {
+			b := make([]byte, n)
+			if rng.Intn(4) != 0 { // one in four writes is all zeros
+				for i := range b {
+					b[i] = byte(rng.Intn(256))
+				}
+			}
+			return b
+		}
+		compare := func(step int, what string, pa PAddr, got []byte) {
+			t.Helper()
+			if want := model.span(pa, len(got)); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d step %d: %s of %d bytes at %#x differs from the flat model", seed, step, what, len(got), pa)
+			}
+		}
+
+		for step := 0; step < 6000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 20:
+				pa, _ := addr()
+				data := payload(LineBytes)
+				mem.WriteLine(pa, data, 0, stats.CatData)
+				model.write(LineAddr(pa), data)
+			case op < 35:
+				pa, _ := addr()
+				n := 1 + rng.Intn(LineBytes-int(pa&(LineBytes-1)))
+				data := payload(n)
+				mem.WriteBytes(pa, data, 0, stats.CatData)
+				model.write(pa, data)
+			case op < 50:
+				pa, left := addr()
+				data := payload(min(left, 1+rng.Intn(2*PageBytes)))
+				mem.Poke(pa, data)
+				copy(model.span(pa, len(data)), data)
+			case op < 70:
+				pa, _ := addr()
+				buf := make([]byte, LineBytes)
+				mem.ReadLine(pa, buf, 0)
+				compare(step, "ReadLine", LineAddr(pa), buf)
+			case op < 90:
+				pa, left := addr()
+				buf := make([]byte, min(left, 1+rng.Intn(3*PageBytes)))
+				mem.Peek(pa, buf)
+				compare(step, "Peek", pa, buf)
+			case op < 93:
+				n := int64(rng.Intn(12))
+				mem.SetWriteTrap(n)
+				model.trap = n
+			case op < 95:
+				mem.PowerOff()
+				model.powerOff()
+			case op < 97:
+				mem.PowerOn()
+				model.off = false
+			default:
+				img := mem.NVRAMImage()
+				if !bytes.Equal(img, model.nvram) {
+					t.Fatalf("seed %d step %d: NVRAMImage differs from the flat model", seed, step)
+				}
+				if rng.Intn(3) == 0 { // reboot: DRAM, power state and trap start over
+					var err error
+					if mem, err = NewFromImage(cfg, &stats.Stats{}, img); err != nil {
+						t.Fatal(err)
+					}
+					clear(model.dram)
+					model.off, model.trap = false, -1
+				}
+			}
+			if mem.PoweredOff() != model.off {
+				t.Fatalf("seed %d step %d: PoweredOff %v, model %v", seed, step, mem.PoweredOff(), model.off)
+			}
+		}
+		whole := make([]byte, cfg.DRAMBytes)
+		mem.Peek(0, whole)
+		compare(-1, "final DRAM Peek", 0, whole)
+		if !bytes.Equal(mem.NVRAMImage(), model.nvram) {
+			t.Fatalf("seed %d: final NVRAMImage differs from the flat model", seed)
+		}
+	}
+	if zeroPage != [PageBytes]byte{} {
+		t.Fatal("the shared zero page was written to")
+	}
+}
+
+// An image page that is all zeros costs NewFromImage nothing; every other
+// page comes back byte for byte.
+func TestNewFromImageSkipsZeroPages(t *testing.T) {
+	cfg := sparseTestConfig()
+	img := make([]byte, cfg.NVRAMBytes)
+	img[3*PageBytes+17] = 1
+	img[len(img)-1] = 2
+	mem, err := NewFromImage(cfg, &stats.Stats{}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mem.NVRAMImage(), img) {
+		t.Fatal("image did not survive NewFromImage")
+	}
+	pages := 0
+	for i := range mem.nvram.dir {
+		if c := mem.nvram.dir[i].Load(); c != nil {
+			for _, pg := range c.pages {
+				if pg != nil {
+					pages++
+				}
+			}
+		}
+	}
+	if pages != 2 {
+		t.Fatalf("NewFromImage materialised %d pages for an image with 2 non-zero pages", pages)
+	}
+}
+
+// Every access outside DRAM and NVRAM panics — also one that starts inside
+// and runs out, and also past the NVRAM end, where no slice bound stands
+// behind the explicit check any more: it must never read the zero page.
+func TestOutOfRangeAccessPanics(t *testing.T) {
+	cfg := sparseTestConfig()
+	mem := New(cfg, &stats.Stats{})
+	dramEnd, nvEnd := PAddr(cfg.DRAMBytes), cfg.NVRAMBase+PAddr(cfg.NVRAMBytes)
+	buf := make([]byte, 2*LineBytes)
+	for _, tc := range []struct {
+		name string
+		pa   PAddr
+	}{
+		{"first byte past DRAM", dramEnd},
+		{"hole between DRAM and NVRAM", cfg.NVRAMBase - PageBytes},
+		{"first byte past NVRAM", nvEnd},
+		{"far past NVRAM", nvEnd + 64<<20},
+		{"last page of the address space", ^PAddr(0) &^ (PageBytes - 1)},
+		{"span running out of DRAM", dramEnd - LineBytes},
+		{"span running out of NVRAM", nvEnd - LineBytes},
+	} {
+		for name, access := range map[string]func(){
+			"Peek":      func() { mem.Peek(tc.pa, buf) },
+			"Poke":      func() { mem.Poke(tc.pa, buf) },
+			"ReadLine":  func() { mem.ReadLine(tc.pa+LineBytes, buf, 0) },
+			"WriteLine": func() { mem.WriteLine(tc.pa+LineBytes, buf, 0, stats.CatData) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", tc.name, name)
+					}
+				}()
+				access()
+			}()
+		}
+	}
+}
+
+// A read of a never-written page copies out of the shared zero page: the
+// caller's buffer is the caller's, and scribbling on it changes no later
+// read of that page or of any other unwritten one.
+func TestUnwrittenPageReadsAreCopies(t *testing.T) {
+	cfg := sparseTestConfig()
+	mem, other := New(cfg, &stats.Stats{}), New(cfg, &stats.Stats{})
+	pa := cfg.NVRAMBase + 7*PageBytes
+	buf := make([]byte, PageBytes)
+	mem.Peek(pa, buf)
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	line := make([]byte, LineBytes)
+	mem.ReadLine(pa, line, 0)
+	for i := range line {
+		line[i] = 0xFF
+	}
+	for _, m := range []*Memory{mem, other} {
+		for _, at := range []PAddr{pa, pa + 9*PageBytes, 0} {
+			got := bytes.Repeat([]byte{1}, PageBytes)
+			m.Peek(at, got)
+			if !bytes.Equal(got, make([]byte, PageBytes)) {
+				t.Fatalf("unwritten page %#x no longer reads as zeros", at)
+			}
+		}
+	}
+}
+
+// WornPages over any page range is the non-zero PageWrites of that range, in
+// address order, whether or not the range starts or ends inside a directory
+// chunk, and is empty again after ResetWear.
+func TestWornPagesMatchesPageWrites(t *testing.T) {
+	cfg := sparseTestConfig()
+	cfg.NVRAMBytes = 3<<20 + 5*PageBytes
+	mem := New(cfg, &stats.Stats{})
+	rng := engine.NewRNG(3)
+	total := int(cfg.NVRAMBytes / PageBytes)
+	for i := 0; i < 400; i++ {
+		page := rng.Intn(total)
+		if rng.Intn(2) == 0 { // leave the middle MiB untouched
+			page = rng.Intn(200)
+		} else if page >= 256 && page < 512 {
+			continue
+		}
+		mem.WriteLine(cfg.NVRAMBase+PAddr(page*PageBytes+rng.Intn(PageBytes)), line(1), 0, stats.CatData)
+	}
+	for i := 0; i < 50; i++ {
+		first := rng.Intn(total)
+		pages := rng.Intn(total - first + 1)
+		base := cfg.NVRAMBase + PAddr(first*PageBytes)
+		var want []uint64
+		for p := 0; p < pages; p++ {
+			if w := mem.PageWrites(base + PAddr(p*PageBytes)); w != 0 {
+				want = append(want, w)
+			}
+		}
+		got := mem.WornPages(base, pages)
+		if len(got) != len(want) {
+			t.Fatalf("WornPages(%d pages from page %d) returned %d counters, PageWrites has %d non-zero", pages, first, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("WornPages(%d pages from page %d)[%d] = %d, want %d", pages, first, j, got[j], want[j])
+			}
+		}
+	}
+	if len(mem.WornPages(cfg.NVRAMBase, total)) == 0 {
+		t.Fatal("no page recorded a write")
+	}
+	mem.ResetWear()
+	if got := mem.WornPages(cfg.NVRAMBase, total); len(got) != 0 {
+		t.Fatalf("%d pages still worn after ResetWear", len(got))
+	}
+}

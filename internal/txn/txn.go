@@ -132,7 +132,8 @@ type Backend interface {
 	Begin(core int, at engine.Cycles) engine.Cycles
 
 	// Store performs an ATOMIC_STORE of data (within one cache line) at
-	// virtual address va inside the open section.
+	// virtual address va inside the open section. The backend copies what
+	// it needs: the caller reuses data's bytes after the call.
 	Store(core int, va uint64, data []byte, at engine.Cycles) engine.Cycles
 
 	// Load reads len(buf) bytes at va through the mechanism's current

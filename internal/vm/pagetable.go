@@ -19,14 +19,29 @@ type PageTable struct {
 	layout Layout
 
 	mu     sync.RWMutex
-	mirror []memsim.PAddr // 0 = unmapped
+	mirror []memsim.PAddr // 0 = unmapped; reaches as far as the highest VPN ever mapped
 }
 
 // NewPageTable returns a page table over mem; the mirror starts empty
 // (matching a freshly formatted image). Call Rebuild when booting from an
 // existing image.
 func NewPageTable(mem *memsim.Memory, l Layout) *PageTable {
-	return &PageTable{mem: mem, layout: l, mirror: make([]memsim.PAddr, l.Cfg.MaxHeapPages)}
+	return &PageTable{mem: mem, layout: l}
+}
+
+// setMirror records vpn -> pa in the mirror, growing it to reach vpn. The
+// caller holds mu.
+func (pt *PageTable) setMirror(vpn int, pa memsim.PAddr) {
+	if vpn < 0 || vpn >= pt.layout.Cfg.MaxHeapPages {
+		panic(fmt.Sprintf("vm: out-of-range vpn %d", vpn))
+	}
+	if vpn >= len(pt.mirror) {
+		if pa == 0 {
+			return
+		}
+		pt.mirror = append(pt.mirror, make([]memsim.PAddr, vpn+1-len(pt.mirror))...)
+	}
+	pt.mirror[vpn] = pa
 }
 
 // Lookup returns the frame mapped at vpn, if any. No timing is charged;
@@ -57,13 +72,7 @@ func (pt *PageTable) Walk(vpn int, at engine.Cycles) (memsim.PAddr, engine.Cycle
 // Set durably maps vpn to frame pa (0 unmaps) with an 8-byte atomic write
 // and returns its completion time.
 func (pt *PageTable) Set(vpn int, pa memsim.PAddr, at engine.Cycles) engine.Cycles {
-	pt.mu.Lock()
-	if vpn < 0 || vpn >= len(pt.mirror) {
-		pt.mu.Unlock()
-		panic(fmt.Sprintf("vm: Set of out-of-range vpn %d", vpn))
-	}
-	pt.mirror[vpn] = pa
-	pt.mu.Unlock()
+	pt.SetMirror(vpn, pa)
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(pa))
 	return pt.mem.WriteBytes(pt.layout.PTEAddr(vpn), buf[:], at, stats.CatControl)
@@ -73,18 +82,19 @@ func (pt *PageTable) Set(vpn int, pa memsim.PAddr, at engine.Cycles) engine.Cycl
 // durable repair is journaled separately.
 func (pt *PageTable) SetMirror(vpn int, pa memsim.PAddr) {
 	pt.mu.Lock()
-	pt.mirror[vpn] = pa
-	pt.mu.Unlock()
+	defer pt.mu.Unlock()
+	pt.setMirror(vpn, pa)
 }
 
 // Rebuild reloads the mirror from the durable PTE array.
 func (pt *PageTable) Rebuild() {
-	buf := make([]byte, len(pt.mirror)*8)
+	buf := make([]byte, pt.layout.Cfg.MaxHeapPages*8)
 	pt.mem.Peek(pt.layout.PageTableBase, buf)
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	for i := range pt.mirror {
-		pt.mirror[i] = memsim.PAddr(binary.LittleEndian.Uint64(buf[i*8:]))
+	clear(pt.mirror)
+	for vpn := 0; vpn < len(buf)/8; vpn++ {
+		pt.setMirror(vpn, memsim.PAddr(binary.LittleEndian.Uint64(buf[vpn*8:])))
 	}
 }
 
@@ -114,21 +124,68 @@ func (pt *PageTable) Mapped() [](struct {
 // volatile: recovery rebuilds it by scanning the page table and SSP slots
 // (frames lost between mapping and commit leak until then — see DESIGN.md
 // §5).
+//
+// The free pool is one conceptual stack, top first: the hot frames (Free,
+// last in first out), then the frames no one has taken yet in ascending
+// index order, then the cold frames (FreeCold, first in first out). The
+// middle part is a cursor rather than a list, so neither building nor
+// resetting the allocator, nor anything it does, walks the pool. A frame a
+// Reserve took, or one that is listed twice, is still in the stack; Alloc
+// skips an entry whose frame is in use when it surfaces.
 type FrameAlloc struct {
 	layout Layout
 
-	mu   sync.Mutex
-	free []int // stack of free frame indices
-	used []bool
+	mu       sync.Mutex
+	hot      []int
+	next     int // frames [next, layout.Frames) were never handed out
+	cold     []int
+	coldHead int    // cold[coldHead:] is the queue
+	used     []bool // used[idx], for the frames up to the highest one ever taken
+	inUse    int
 }
 
 // NewFrameAlloc returns an allocator with every frame free.
 func NewFrameAlloc(l Layout) *FrameAlloc {
-	fa := &FrameAlloc{layout: l, used: make([]bool, l.Frames)}
-	for i := l.Frames - 1; i >= 0; i-- {
-		fa.free = append(fa.free, i)
+	return &FrameAlloc{layout: l}
+}
+
+// pop removes the top entry of the free stack.
+func (fa *FrameAlloc) pop() (int, bool) {
+	switch {
+	case len(fa.hot) > 0:
+		idx := fa.hot[len(fa.hot)-1]
+		fa.hot = fa.hot[:len(fa.hot)-1]
+		return idx, true
+	case fa.next < fa.layout.Frames:
+		fa.next++
+		return fa.next - 1, true
+	case fa.coldHead < len(fa.cold):
+		fa.coldHead++
+		return fa.cold[fa.coldHead-1], true
 	}
-	return fa
+	return 0, false
+}
+
+func (fa *FrameAlloc) isUsed(idx int) bool { return idx < len(fa.used) && fa.used[idx] }
+
+// take marks a free frame used.
+func (fa *FrameAlloc) take(idx int) {
+	if idx >= len(fa.used) {
+		fa.used = append(fa.used, make([]bool, idx+1-len(fa.used))...)
+	}
+	fa.used[idx] = true
+	fa.inUse++
+}
+
+// release marks pa's frame free and returns its index.
+func (fa *FrameAlloc) release(pa memsim.PAddr) int {
+	idx := fa.layout.FrameIndex(pa)
+	if !fa.isUsed(idx) {
+		panic(fmt.Sprintf("vm: double free of frame %#x", pa))
+	}
+	fa.used[idx] = false
+	fa.inUse--
+	return idx
 }
 
 // Alloc returns a free frame's base address. It panics when the pool is
@@ -136,27 +193,23 @@ func NewFrameAlloc(l Layout) *FrameAlloc {
 func (fa *FrameAlloc) Alloc() memsim.PAddr {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	for len(fa.free) > 0 {
-		idx := fa.free[len(fa.free)-1]
-		fa.free = fa.free[:len(fa.free)-1]
-		if !fa.used[idx] {
-			fa.used[idx] = true
+	for {
+		idx, ok := fa.pop()
+		if !ok {
+			panic("vm: NVRAM frame pool exhausted; raise Config.NVRAMBytes")
+		}
+		if !fa.isUsed(idx) {
+			fa.take(idx)
 			return fa.layout.FrameAddr(idx)
 		}
 	}
-	panic("vm: NVRAM frame pool exhausted; raise Config.NVRAMBytes")
 }
 
 // Free returns a frame to the pool.
 func (fa *FrameAlloc) Free(pa memsim.PAddr) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	idx := fa.layout.FrameIndex(pa)
-	if !fa.used[idx] {
-		panic(fmt.Sprintf("vm: double free of frame %#x", pa))
-	}
-	fa.used[idx] = false
-	fa.free = append(fa.free, idx)
+	fa.hot = append(fa.hot, fa.release(pa))
 }
 
 // FreeCold returns a frame to the cold end of the pool, so it is reused
@@ -167,12 +220,12 @@ func (fa *FrameAlloc) Free(pa memsim.PAddr) {
 func (fa *FrameAlloc) FreeCold(pa memsim.PAddr) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	idx := fa.layout.FrameIndex(pa)
-	if !fa.used[idx] {
-		panic(fmt.Sprintf("vm: double free of frame %#x", pa))
+	idx := fa.release(pa)
+	if fa.coldHead > len(fa.cold)/2 { // drop the consumed prefix
+		fa.cold = fa.cold[:copy(fa.cold, fa.cold[fa.coldHead:])]
+		fa.coldHead = 0
 	}
-	fa.used[idx] = false
-	fa.free = append([]int{idx}, fa.free...)
+	fa.cold = append(fa.cold, idx)
 }
 
 // Reserve marks a frame used during recovery rebuilds; reserving an
@@ -181,10 +234,10 @@ func (fa *FrameAlloc) Reserve(pa memsim.PAddr) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
 	idx := fa.layout.FrameIndex(pa)
-	if fa.used[idx] {
+	if fa.isUsed(idx) {
 		panic(fmt.Sprintf("vm: frame %#x reserved twice", pa))
 	}
-	fa.used[idx] = true
+	fa.take(idx)
 }
 
 // Reset returns the allocator to the all-free state, then the caller
@@ -192,24 +245,16 @@ func (fa *FrameAlloc) Reserve(pa memsim.PAddr) {
 func (fa *FrameAlloc) Reset() {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	fa.free = fa.free[:0]
-	for i := fa.layout.Frames - 1; i >= 0; i-- {
-		fa.used[i] = false
-		fa.free = append(fa.free, i)
-	}
+	fa.hot, fa.next = fa.hot[:0], 0
+	fa.cold, fa.coldHead = fa.cold[:0], 0
+	fa.used, fa.inUse = fa.used[:0], 0
 }
 
 // InUse returns the number of allocated frames.
 func (fa *FrameAlloc) InUse() int {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	n := 0
-	for _, u := range fa.used {
-		if u {
-			n++
-		}
-	}
-	return n
+	return fa.inUse
 }
 
 // FreeCount returns the number of available frames.

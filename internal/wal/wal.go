@@ -213,25 +213,40 @@ func (s *Stream) SetTIDFloor(tid uint32) {
 	}
 }
 
+// scanWindow is how much of a region Scan reads at a time.
+const scanWindow = memsim.PageBytes
+
 // Scan reads the durable region from offset zero, returning every valid
 // record up to the first checksum failure or TID regression. It reflects
 // only bytes that reached NVRAM — staged bytes lost in a crash are invisible,
-// exactly as they would be.
+// exactly as they would be. It reads the region through a fixed window and
+// no further than the record that stops it, so scanning a near-empty ring
+// costs a window, not the ring's capacity.
 func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
-	raw := make([]byte, capacity)
-	mem.Peek(base, raw)
 	var out []Record
+	var win [scanWindow]byte
+	winOff, winLen := 0, 0 // win[:winLen] holds region bytes [winOff, winOff+winLen)
+	// bytesAt returns region bytes [off, off+n), n <= scanWindow, refilling
+	// the window from off when it does not hold them all.
+	bytesAt := func(off, n int) []byte {
+		if off < winOff || off+n > winOff+winLen {
+			winOff, winLen = off, min(scanWindow, capacity-off)
+			mem.Peek(base+memsim.PAddr(off), win[:winLen])
+		}
+		return win[off-winOff : off-winOff+n]
+	}
 	off := 0
 	var last uint32
 	for off+HeaderBytes <= capacity {
-		sum := binary.LittleEndian.Uint32(raw[off:])
-		tid := binary.LittleEndian.Uint32(raw[off+4:])
-		kind := raw[off+8]
-		plen := int(raw[off+9])
+		hdr := bytesAt(off, HeaderBytes)
+		sum := binary.LittleEndian.Uint32(hdr[0:])
+		tid := binary.LittleEndian.Uint32(hdr[4:])
+		kind := hdr[8]
+		plen := int(hdr[9])
 		if plen > MaxPayload || off+encodedLen(plen) > capacity {
 			break
 		}
-		payload := raw[off+HeaderBytes : off+HeaderBytes+plen]
+		payload := bytesAt(off+HeaderBytes, plen)
 		if checksum(tid, kind, payload) != sum {
 			break
 		}

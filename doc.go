@@ -138,6 +138,44 @@
 // CI's BenchmarkMachineNew gate keep a capacity-sized make from returning:
 // ssp.New on the 192 MB Table 2 machine allocates 0.4 MiB.
 //
+// # SSP cache: victim policy and constant-time metadata
+//
+// The paper's SSP cache (§4.1.2, §4.2) is a small hardware table, so the
+// three things the translate → fetchMeta → allocSlot → accessLat path asks
+// of it cost the host a constant, whatever Config.Entries is. When no slot
+// is free, allocSlot evicts the quiescent entry — no TLB caches the page
+// (tlbRef == 0) and no open write set holds it (coreRef == 0) — with the
+// LOWEST VPN, consolidating it first if it still has committed lines on
+// its shadow frame, and panics when every entry is referenced. The policy
+// makes the victim a function of simulated state alone. Three structures in
+// internal/core serve it:
+//
+//   - The entry table (ssp.go, metaTable) is indexed by VPN, which is dense
+//     from zero: a directory with one slot per 256 heap pages, sized from
+//     the layout, a chunk allocated at the first store into it, directory
+//     slots and entries published atomically. lookupMeta is two loads and
+//     takes no lock in any mode; stores and deletes happen under structMu.
+//     Invariant: the population counter equals the entries present.
+//   - The quiescent index (slots.go, quiescentSet) is a bitmap over VPN
+//     with one summary level, grown to the highest VPN added; the victim is
+//     find-first-set. Invariant: it holds exactly the VPNs of entries with
+//     tlbRef == 0 && coreRef == 0. Every change of either count updates it
+//     before the page's lock is released (refTaken, refDropped), as do
+//     entry insertion, deletion, Crash and Recover's rebuild.
+//   - The L3-residency model (meta.go, lruSet) is a doubly linked list
+//     threaded through an array indexed by slot id, most recently touched
+//     first: a miss on a full set evicts the tail. Invariant: the list
+//     holds each resident slot once, at most ResidentEntries of them.
+//
+// In parallel mode the quiescent index has one leaf lock, quiescentMu,
+// beside residentMu below the page lock: structMu → journalMu[i] →
+// pageMeta.mu → quiescentMu/residentMu/consolMu. SSP.DebugCheckFrames
+// checks all three invariants against a full scan of the table, and
+// internal/core's differential tests hold the structures to the scan, sort
+// and min-tick search they replaced (sspcache_test.go), which remain there
+// as the reference models; TestEvictionCostIndependentOfEntries fails if an
+// eviction at 4096 entries costs over 3× one at 256.
+//
 // # Sharded SSP metadata journal
 //
 // The SSP metadata journal supports per-core sharding

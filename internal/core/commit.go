@@ -137,6 +137,7 @@ func (s *SSP) Store(core int, va uint64, data []byte, at engine.Cycles) engine.C
 		}
 		if bm == 0 {
 			meta.coreRef++
+			s.refTaken(meta)
 		}
 		s.wsb[core][meta.vpn] = bm | bit
 	}
@@ -428,6 +429,7 @@ func (s *SSP) releaseWriteSet(core int, pages []int, at engine.Cycles) {
 		meta := s.lookupMeta(vpn)
 		s.lockMeta(meta)
 		meta.coreRef--
+		s.refDropped(meta)
 		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
 		s.unlockMeta(meta)
 		if !inactive {
@@ -596,6 +598,7 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 			s.env.StatsFor(core).FlipBroadcasts++
 		}
 		meta.coreRef--
+		s.refDropped(meta)
 		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
 		s.unlockMeta(meta)
 		if !inactive {

@@ -13,38 +13,54 @@ import (
 	"repro/internal/wal"
 )
 
+// envSize sizes a test environment.
+type envSize struct {
+	cores     int
+	tlb       int // entries per core; tiny TLBs make evictions easy to force
+	heapPages int
+	slots     int // persistent SSP slots
+	nvramMB   int
+	shards    int // metadata journal shards; 0 keeps the layout's default
+}
+
 // testEnv assembles a minimal environment around the SSP backend.
 func testEnv(t *testing.T, cores int) (*txn.Env, *SSP) {
 	t.Helper()
+	return shardEnv(t, cores, 0)
+}
+
+// sizedEnv is testEnv with the machine's sizes and the SSP configuration
+// chosen by the caller.
+func sizedEnv(tb testing.TB, z envSize, cfg Config) (*txn.Env, *SSP) {
+	tb.Helper()
 	st := &stats.Stats{}
 	mcfg := memsim.DefaultConfig()
 	mcfg.DRAMBytes = 1 << 20
-	mcfg.NVRAMBytes = 24 << 20
+	mcfg.NVRAMBytes = uint64(z.nvramMB) << 20
 	mem := memsim.New(mcfg, st)
-	lcfg := vm.DefaultLayoutConfig(cores)
-	lcfg.MaxHeapPages = 512
-	lcfg.SSPSlots = 64
+	lcfg := vm.DefaultLayoutConfig(z.cores)
+	lcfg.MaxHeapPages = z.heapPages
+	lcfg.SSPSlots = z.slots
 	lcfg.JournalBytes = 8 << 10
+	if z.shards > 0 {
+		lcfg.JournalShards = z.shards
+	}
 	lcfg.LogBytes = 32 << 10
 	layout := vm.NewLayout(mcfg, lcfg)
 	env := &txn.Env{
 		Mem:           mem,
-		Caches:        cachesim.New(cachesim.DefaultConfig(cores), mem, st),
+		Caches:        cachesim.New(cachesim.DefaultConfig(z.cores), mem, st),
 		PT:            vm.NewPageTable(mem, layout),
 		Frames:        vm.NewFrameAlloc(layout),
 		Layout:        layout,
 		Stats:         st,
 		BarrierCycles: 30,
 	}
-	for c := 0; c < cores; c++ {
-		env.TLBs = append(env.TLBs, tlbsim.New(8, st)) // tiny TLB: evictions are easy to force
+	for c := 0; c < z.cores; c++ {
+		env.TLBs = append(env.TLBs, tlbsim.New(z.tlb, st))
 	}
 	vm.Format(mem, layout)
-	cfg := DefaultConfig()
-	cfg.Entries = 64
-	cfg.ResidentEntries = 64
-	s := NewSSP(env, cfg, true)
-	return env, s
+	return env, NewSSP(env, cfg, true)
 }
 
 // mapPage maps heap vpn to a fresh frame.

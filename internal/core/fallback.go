@@ -108,6 +108,7 @@ func (s *SSP) fbStore(core int, va uint64, data []byte, at engine.Cycles) engine
 	}
 	if _, pinned := s.fbPages[core][meta.vpn]; !pinned {
 		meta.coreRef++
+		s.refTaken(meta)
 		s.fbPages[core][meta.vpn] = struct{}{}
 	}
 	t = s.env.Caches.Store(core, pa, data, t)
@@ -192,6 +193,7 @@ func (s *SSP) finishFallback(core int, at engine.Cycles) {
 		s.lockMeta(meta)
 		if meta.coreRef > 0 {
 			meta.coreRef--
+			s.refDropped(meta)
 		}
 		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
 		s.unlockMeta(meta)

@@ -347,39 +347,120 @@ func decodeJournalPayload(p []byte, frameAddr func(int) memsim.PAddr) (sid int, 
 }
 
 // lruSet models which SSP cache entries currently sit in the L3-resident
-// slice: a bounded recency set over slot IDs.
+// slice: a bounded recency set over slot IDs, held as an intrusive doubly
+// linked list indexed by slot id — head is the most recently touched slot,
+// tail the least, so a touch (hit or miss, with or without an eviction) is
+// O(1). The node array grows to the highest slot id ever touched; slots are
+// handed out from 0 upward, so a machine pays for the slots it used.
+//
+// Invariants (checked by check): the list holds exactly the n slots whose in
+// bit is set, each once; n ≤ cap; head.prev and tail.next are lruNil.
 type lruSet struct {
-	cap  int
-	tick uint64
-	at   map[int]uint64 // sid -> last access tick
+	cap        int
+	n          int
+	head, tail int32
+	nodes      []lruNode
 }
 
+type lruNode struct {
+	prev, next int32
+	in         bool
+}
+
+const lruNil = int32(-1)
+
+// newLRUSet returns an empty set. A capacity below one still keeps the slot
+// touched last (the set evicts before it inserts, never after).
 func newLRUSet(capacity int) *lruSet {
-	return &lruSet{cap: capacity, at: make(map[int]uint64)}
+	if capacity < 1 {
+		capacity = 1
+	}
+	return &lruSet{cap: capacity, head: lruNil, tail: lruNil}
 }
 
-// Touch records an access and reports whether it hit the resident set.
+// Touch records an access and reports whether it hit the resident set. A miss
+// on a full set evicts the least recently touched slot.
 func (l *lruSet) Touch(sid int) bool {
-	l.tick++
-	if _, ok := l.at[sid]; ok {
-		l.at[sid] = l.tick
+	if sid >= len(l.nodes) {
+		l.nodes = append(l.nodes, make([]lruNode, sid+1-len(l.nodes))...)
+	}
+	id := int32(sid)
+	hit := l.nodes[sid].in
+	switch {
+	case hit && l.head == id:
 		return true
-	}
-	if len(l.at) >= l.cap {
-		oldSid, oldTick := -1, ^uint64(0)
-		for s, tk := range l.at {
-			if tk < oldTick {
-				oldSid, oldTick = s, tk
-			}
+	case hit:
+		l.unlink(id)
+	default:
+		if l.n >= l.cap {
+			old := l.tail
+			l.unlink(old)
+			l.nodes[old].in = false
+			l.n--
 		}
-		delete(l.at, oldSid)
+		l.nodes[sid].in = true
+		l.n++
 	}
-	l.at[sid] = l.tick
-	return false
+	nd := &l.nodes[sid]
+	nd.prev, nd.next = lruNil, l.head
+	if l.head != lruNil {
+		l.nodes[l.head].prev = id
+	} else {
+		l.tail = id
+	}
+	l.head = id
+	return hit
 }
+
+// unlink takes a member out of the list, leaving its in bit alone.
+func (l *lruSet) unlink(id int32) {
+	nd := l.nodes[id]
+	if nd.prev != lruNil {
+		l.nodes[nd.prev].next = nd.next
+	} else {
+		l.head = nd.next
+	}
+	if nd.next != lruNil {
+		l.nodes[nd.next].prev = nd.prev
+	} else {
+		l.tail = nd.prev
+	}
+}
+
+// has reports whether sid is resident, without touching it.
+func (l *lruSet) has(sid int) bool { return sid < len(l.nodes) && l.nodes[sid].in }
 
 // Reset clears the set (power loss).
 func (l *lruSet) Reset() {
-	l.at = make(map[int]uint64)
-	l.tick = 0
+	clear(l.nodes)
+	l.n, l.head, l.tail = 0, lruNil, lruNil
+}
+
+// check walks the list against the invariants above and describes the first
+// violation, or returns "".
+func (l *lruSet) check() string {
+	if l.n > l.cap {
+		return fmt.Sprintf("residency list holds %d slots, capacity %d", l.n, l.cap)
+	}
+	walked, prev := 0, lruNil
+	for id := l.head; id != lruNil; prev, id = id, l.nodes[id].next {
+		// A slot listed twice closes a cycle, which the bound catches.
+		if walked++; walked > l.n || !l.nodes[id].in || l.nodes[id].prev != prev {
+			return fmt.Sprintf("residency list: slot %d (in=%v prev=%d) is stop %d of %d, reached from %d",
+				id, l.nodes[id].in, l.nodes[id].prev, walked, l.n, prev)
+		}
+	}
+	if prev != l.tail || walked != l.n {
+		return fmt.Sprintf("residency list walk ended at %d after %d slots; tail %d, n %d", prev, walked, l.tail, l.n)
+	}
+	in := 0
+	for i := range l.nodes {
+		if l.nodes[i].in {
+			in++
+		}
+	}
+	if in != l.n {
+		return fmt.Sprintf("residency list: %d in bits set for %d list members", in, l.n)
+	}
+	return ""
 }

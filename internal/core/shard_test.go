@@ -3,47 +3,16 @@ package core
 import (
 	"testing"
 
-	"repro/internal/cachesim"
-	"repro/internal/memsim"
-	"repro/internal/stats"
-	"repro/internal/tlbsim"
 	"repro/internal/txn"
-	"repro/internal/vm"
 )
 
 // shardEnv is testEnv with a multi-shard metadata journal.
 func shardEnv(t *testing.T, cores, shards int) (*txn.Env, *SSP) {
 	t.Helper()
-	st := &stats.Stats{}
-	mcfg := memsim.DefaultConfig()
-	mcfg.DRAMBytes = 1 << 20
-	mcfg.NVRAMBytes = 24 << 20
-	mem := memsim.New(mcfg, st)
-	lcfg := vm.DefaultLayoutConfig(cores)
-	lcfg.MaxHeapPages = 512
-	lcfg.SSPSlots = 64
-	lcfg.JournalBytes = 8 << 10
-	lcfg.JournalShards = shards
-	lcfg.LogBytes = 32 << 10
-	layout := vm.NewLayout(mcfg, lcfg)
-	env := &txn.Env{
-		Mem:           mem,
-		Caches:        cachesim.New(cachesim.DefaultConfig(cores), mem, st),
-		PT:            vm.NewPageTable(mem, layout),
-		Frames:        vm.NewFrameAlloc(layout),
-		Layout:        layout,
-		Stats:         st,
-		BarrierCycles: 30,
-	}
-	for c := 0; c < cores; c++ {
-		env.TLBs = append(env.TLBs, tlbsim.New(8, st))
-	}
-	vm.Format(mem, layout)
 	cfg := DefaultConfig()
 	cfg.Entries = 64
 	cfg.ResidentEntries = 64
-	s := NewSSP(env, cfg, true)
-	return env, s
+	return sizedEnv(t, envSize{cores: cores, tlb: 8, heapPages: 512, slots: 64, nvramMB: 24, shards: shards}, cfg)
 }
 
 // crashRecover drops volatile hardware state and runs SSP recovery.

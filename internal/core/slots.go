@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/wal"
@@ -26,32 +26,127 @@ func (s *SSP) format() {
 	}
 }
 
-// allocSlot returns a free slot, evicting (and if needed consolidating) an
-// unreferenced entry when the transient cache is full. Caller holds
-// structMu in parallel mode; a candidate's reference counts cannot rise
-// while it is held (new references require either a TLB hit, impossible for
-// a page with tlbRef == 0, or the structMu-guarded slow path).
+// quiescentSet is the ordered set of VPNs whose SSP cache entry is quiescent
+// (tlbRef == 0 && coreRef == 0) — the eviction candidates of §4.1.2. It is a
+// bitmap over VPN with one summary level (summary bit w set iff leaf word w
+// is non-zero), so add, remove and min are O(1): min scans the summary, one
+// word per 4096 heap pages, then takes find-first-set twice. Both levels grow
+// to the highest VPN ever added.
+type quiescentSet struct {
+	leaf []uint64
+	sum  []uint64
+}
+
+func (q *quiescentSet) add(vpn int) {
+	w := vpn >> 6
+	if w >= len(q.leaf) {
+		q.leaf = append(q.leaf, make([]uint64, w+1-len(q.leaf))...)
+		q.sum = append(q.sum, make([]uint64, w>>6+1-len(q.sum))...)
+	}
+	q.leaf[w] |= 1 << uint(vpn&63)
+	q.sum[w>>6] |= 1 << uint(w&63)
+}
+
+func (q *quiescentSet) remove(vpn int) {
+	w := vpn >> 6
+	if w >= len(q.leaf) {
+		return
+	}
+	q.leaf[w] &^= 1 << uint(vpn&63)
+	if q.leaf[w] == 0 {
+		q.sum[w>>6] &^= 1 << uint(w&63)
+	}
+}
+
+func (q *quiescentSet) has(vpn int) bool {
+	w := vpn >> 6
+	return w < len(q.leaf) && q.leaf[w]&(1<<uint(vpn&63)) != 0
+}
+
+// min returns the lowest member, or -1 when the set is empty.
+func (q *quiescentSet) min() int {
+	for i, sw := range q.sum {
+		if sw != 0 {
+			w := i<<6 + bits.TrailingZeros64(sw)
+			return w<<6 + bits.TrailingZeros64(q.leaf[w])
+		}
+	}
+	return -1
+}
+
+func (q *quiescentSet) count() int {
+	n := 0
+	for _, w := range q.leaf {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func (q *quiescentSet) reset() {
+	clear(q.leaf)
+	clear(q.sum)
+}
+
+// refTaken and refDropped keep the quiescent index equal to the set of
+// entries with no reference. Every tlbRef/coreRef change calls one of them
+// right after the change, with the page's lock still held in parallel mode:
+// counts are never negative, so the entry left the set iff the sum is now 1
+// and entered it iff the sum is now 0. quiescentMu is a leaf lock below
+// pageMeta.mu.
+func (s *SSP) refTaken(meta *pageMeta) {
+	if meta.tlbRef+meta.coreRef == 1 {
+		s.setQuiescent(meta.vpn, false)
+	}
+}
+
+func (s *SSP) refDropped(meta *pageMeta) {
+	if meta.tlbRef+meta.coreRef == 0 {
+		s.setQuiescent(meta.vpn, true)
+	}
+}
+
+func (s *SSP) setQuiescent(vpn int, on bool) {
+	if s.parallel {
+		s.quiescentMu.Lock()
+		defer s.quiescentMu.Unlock()
+	}
+	if on {
+		s.quiescent.add(vpn)
+	} else {
+		s.quiescent.remove(vpn)
+	}
+}
+
+// lowestQuiescent returns the lowest quiescent VPN, -1 when every entry is
+// referenced.
+func (s *SSP) lowestQuiescent() int {
+	if s.parallel {
+		s.quiescentMu.Lock()
+		defer s.quiescentMu.Unlock()
+	}
+	return s.quiescent.min()
+}
+
+// allocSlot returns a free slot. When the transient cache is full it evicts
+// the quiescent entry with the lowest VPN (§4.1.2: "already consolidated ...
+// and not referenced by any TLB"; the lowest-first choice is this model's, it
+// makes the victim a function of simulated state), consolidating it first if
+// it still has committed lines on its shadow frame. The victim comes from the
+// quiescent index in O(1). Caller holds structMu in parallel mode; a
+// candidate's reference counts cannot rise while it is held (new references
+// require either a TLB hit, impossible for a page with tlbRef == 0, or the
+// structMu-guarded slow path), and releaseEntry re-checks them.
 func (s *SSP) allocSlot(at engine.Cycles) int {
 	if len(s.freeSlots) > 0 {
 		sid := s.freeSlots[len(s.freeSlots)-1]
 		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 		return sid
 	}
-	// Evict a quiescent entry (§4.1.2: "already consolidated ... and not
-	// referenced by any TLB"). Deterministic choice: lowest vpn first.
-	var victims []int
-	s.forEachMeta(func(vpn int, m *pageMeta) {
-		s.lockMeta(m)
-		if m.tlbRef == 0 && m.coreRef == 0 {
-			victims = append(victims, vpn)
-		}
-		s.unlockMeta(m)
-	})
-	if len(victims) == 0 {
+	victim := s.lowestQuiescent()
+	if victim < 0 {
 		panic("core: SSP cache exhausted with every entry referenced; raise Config.Entries")
 	}
-	sort.Ints(victims)
-	meta := s.lookupMeta(victims[0])
+	meta := s.lookupMeta(victim)
 	s.lockMeta(meta)
 	committed := meta.committed
 	s.unlockMeta(meta)
@@ -109,6 +204,7 @@ func (s *SSP) onTLBEvict(core int, vpn int) {
 		s.unlockMeta(meta)
 		panic("core: negative TLB refcount")
 	}
+	s.refDropped(meta)
 	inactive := meta.tlbRef == 0 && meta.coreRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
 	s.unlockMeta(meta)
 	if !inactive {

@@ -15,26 +15,31 @@ import (
 )
 
 // This file holds the SSP type itself: configuration wiring, the locking
-// primitives, the striped transient-cache map, and address translation. The
+// primitives, the transient-cache entry table, and address translation. The
 // rest of the mechanism is split by concern — the transaction pipeline in
 // commit.go (with the cross-shard two-phase protocol in global.go), journal
 // shard append/checkpoint logic in journal.go, slot allocation and eviction
 // in slots.go, page consolidation in consolidate.go, the software fall-back
 // path in fallback.go, and crash recovery in recover.go.
 
-// metaShards is the number of striped locks over the transient SSP cache:
-// page-metadata lookups on different vpn stripes never contend.
-const metaShards = 64
-
-// entryShard is one stripe of the transient SSP cache map. The shard lock
-// protects the map structure only; the per-page fields inside a pageMeta
-// are protected by the pageMeta's own mutex (see meta.go). Map mutation
-// additionally happens only under structMu, so an iterator holding structMu
-// needs no shard locks.
-type entryShard struct {
-	mu sync.RWMutex
-	m  map[int]*pageMeta
+// metaTable is the transient SSP cache's entry table, indexed by VPN (heap
+// VPNs are dense from zero). The directory has one slot per metaChunkPages
+// consecutive heap pages and is sized once from the layout; a chunk is
+// allocated when the first entry is stored into it. Directory slots and
+// entries are published atomically, so a lookup is two loads and takes no
+// lock in any mode. Stores, deletes and reset happen only under structMu (or
+// on a quiescent machine), so n needs no lock of its own.
+type metaTable struct {
+	dir []atomic.Pointer[metaChunk]
+	n   int // entries present
 }
+
+const (
+	metaChunkBits  = 8
+	metaChunkPages = 1 << metaChunkBits
+)
+
+type metaChunk [metaChunkPages]atomic.Pointer[pageMeta]
 
 // SSP is the Shadow Sub-Paging backend; it implements txn.Backend.
 //
@@ -42,10 +47,10 @@ type entryShard struct {
 // engaged only while parallel mode is on — serial runs execute exactly the
 // unlocked deterministic paths they always did. The lock order is
 //
-//	structMu → journalMu[i] → pageMeta.mu → residentMu/consolMu
+//	structMu → journalMu[i] → pageMeta.mu → quiescentMu/residentMu/consolMu
 //	  → caches → page table → memory
 //
-// structMu protects everything "structural": entry-map mutation, the
+// structMu protects everything "structural": entry-table mutation, the
 // free-slot list, slot allocation/eviction, consolidation scheduling and
 // checkpoint execution. The metadata journal is sharded: each shard's
 // stream, dirty-slot set and high-water trigger are protected by that
@@ -85,10 +90,11 @@ type SSP struct {
 	nextTID atomic.Uint32
 	nextVer atomic.Uint32
 
-	shards      [metaShards]entryShard // by vpn; the transient SSP cache
-	slotShadow  []slotState            // journal-consistent view of the slot array
-	slotOwner   []*pageMeta            // owning cache entry per slot (nil = unowned); structMu
-	slotBarrier []journalRef           // pending release-record barrier per slot; structMu
+	entries     metaTable    // by vpn; the transient SSP cache
+	quiescent   quiescentSet // vpns of unreferenced entries; quiescentMu (slots.go)
+	slotShadow  []slotState  // journal-consistent view of the slot array
+	slotOwner   []*pageMeta  // owning cache entry per slot (nil = unowned); structMu
+	slotBarrier []journalRef // pending release-record barrier per slot; structMu
 	freeSlots   []int
 
 	dirtySlots []map[int]struct{} // per journal shard: slots needing a checkpoint write
@@ -149,13 +155,14 @@ type SSP struct {
 	// Parallel-mode state. parallel is flipped only while the machine is
 	// quiescent. consolQ accumulates pages whose consolidation was deferred;
 	// epochOps counts commits since the last batch drain.
-	parallel   bool
-	structMu   sync.Mutex
-	journalMu  []sync.Mutex // one per journal shard
-	residentMu sync.Mutex
-	consolMu   sync.Mutex
-	consolQ    []int
-	epochOps   int
+	parallel    bool
+	structMu    sync.Mutex
+	journalMu   []sync.Mutex // one per journal shard
+	quiescentMu sync.Mutex
+	residentMu  sync.Mutex
+	consolMu    sync.Mutex
+	consolQ     []int
+	epochOps    int
 }
 
 var _ txn.Backend = (*SSP)(nil)
@@ -206,9 +213,7 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	if s.cfg.DurabilityEpoch < 0 {
 		s.cfg.DurabilityEpoch = 0
 	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[int]*pageMeta)
-	}
+	s.entries.dir = make([]atomic.Pointer[metaChunk], (env.Layout.Cfg.MaxHeapPages+metaChunkPages-1)/metaChunkPages)
 	cores := env.Cores()
 	s.inTxn = make([]bool, cores)
 	s.globalTxn = make([]bool, cores)
@@ -282,46 +287,56 @@ func (s *SSP) unlockShard(si int) {
 }
 
 // ---------------------------------------------------------------------------
-// Transient-cache map access (striped).
+// Transient-cache entry table access.
 
-func (s *SSP) shard(vpn int) *entryShard { return &s.shards[uint(vpn)%metaShards] }
-
-// lookupMeta returns vpn's transient cache entry, or nil.
+// lookupMeta returns vpn's transient cache entry, or nil: two atomic loads,
+// no lock in any mode. A vpn outside the layout's heap has no entry.
 func (s *SSP) lookupMeta(vpn int) *pageMeta {
-	sh := s.shard(vpn)
-	if s.parallel {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
+	ci := vpn >> metaChunkBits
+	if uint(ci) >= uint(len(s.entries.dir)) {
+		return nil
 	}
-	return sh.m[vpn]
+	c := s.entries.dir[ci].Load()
+	if c == nil {
+		return nil
+	}
+	return c[vpn&(metaChunkPages-1)].Load()
 }
 
-// storeMeta inserts an entry. Caller holds structMu in parallel mode.
+// storeMeta inserts a new, unreferenced entry and lists it as quiescent.
+// Caller holds structMu in parallel mode.
 func (s *SSP) storeMeta(meta *pageMeta) {
-	sh := s.shard(meta.vpn)
-	if s.parallel {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+	d := &s.entries.dir[meta.vpn>>metaChunkBits]
+	c := d.Load()
+	if c == nil {
+		c = new(metaChunk)
+		d.Store(c)
 	}
-	sh.m[meta.vpn] = meta
+	c[meta.vpn&(metaChunkPages-1)].Store(meta)
+	s.entries.n++
+	s.setQuiescent(meta.vpn, true)
 }
 
-// deleteMeta removes an entry. Caller holds structMu in parallel mode.
+// deleteMeta removes an entry from the table and from the quiescent index.
+// Caller holds structMu in parallel mode.
 func (s *SSP) deleteMeta(vpn int) {
-	sh := s.shard(vpn)
-	if s.parallel {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	delete(sh.m, vpn)
+	s.entries.dir[vpn>>metaChunkBits].Load()[vpn&(metaChunkPages-1)].Store(nil)
+	s.entries.n--
+	s.setQuiescent(vpn, false)
 }
 
-// forEachMeta visits every entry. Caller holds structMu in parallel mode
-// (map mutation only happens under structMu, so no shard locks are needed).
+// forEachMeta visits every entry in VPN order. Caller holds structMu in
+// parallel mode. It walks the whole directory: forensics and tests only.
 func (s *SSP) forEachMeta(fn func(vpn int, meta *pageMeta)) {
-	for i := range s.shards {
-		for vpn, meta := range s.shards[i].m {
-			fn(vpn, meta)
+	for ci := range s.entries.dir {
+		c := s.entries.dir[ci].Load()
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			if meta := c[i].Load(); meta != nil {
+				fn(ci<<metaChunkBits+i, meta)
+			}
 		}
 	}
 }
@@ -331,19 +346,16 @@ func (s *SSP) metaOf(vpn int) *pageMeta { return s.lookupMeta(vpn) }
 
 // entryCount returns the transient cache population. Caller holds structMu
 // in parallel mode.
-func (s *SSP) entryCount() int {
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].m)
-	}
-	return n
-}
+func (s *SSP) entryCount() int { return s.entries.n }
 
-// resetEntries replaces the whole transient cache (crash, recovery).
+// resetEntries empties the transient cache and its quiescent index (crash,
+// recovery); the chunks go back to the collector.
 func (s *SSP) resetEntries() {
-	for i := range s.shards {
-		s.shards[i].m = make(map[int]*pageMeta)
+	for i := range s.entries.dir {
+		s.entries.dir[i].Store(nil)
 	}
+	s.entries.n = 0
+	s.quiescent.reset()
 }
 
 // ---------------------------------------------------------------------------
@@ -404,6 +416,7 @@ func (s *SSP) translate(core int, va uint64, at engine.Cycles) (*pageMeta, engin
 	s.env.TLBs[core].Insert(tlbsim.VPN(vpn), ppn)
 	s.lockMeta(meta)
 	meta.tlbRef++
+	s.refTaken(meta)
 	s.unlockMeta(meta)
 	s.unlockStruct()
 	return meta, t
@@ -450,8 +463,9 @@ func (s *SSP) accessLat(sid int) engine.Cycles {
 
 // DebugCheckFrames verifies the frame-ownership invariant: every entry's
 // ppn0 matches its PTE, and all entry frames plus free-slot spares are
-// pairwise disjoint. Returns a description of the first violation, or "".
-// Quiescent-machine helper (tests, post-run assertions).
+// pairwise disjoint. It then checks the SSP cache's indices against a full
+// scan of the entry table (checkIndices). Returns a description of the first
+// violation, or "". Quiescent-machine helper (tests, post-run assertions).
 func (s *SSP) DebugCheckFrames() string {
 	owner := map[memsim.PAddr]string{}
 	claim := func(pa memsim.PAddr, who string) string {
@@ -494,7 +508,37 @@ func (s *SSP) DebugCheckFrames() string {
 			return msg
 		}
 	}
-	return ""
+	return s.checkIndices()
+}
+
+// checkIndices compares the structures the metadata path reads in O(1) with
+// what a full scan of the entry table says: the quiescent index is exactly
+// the set of entries with no TLB or core reference, the table's population
+// counter matches its contents, and the residency list is well formed.
+func (s *SSP) checkIndices() string {
+	msg := ""
+	entries, quiescent := 0, 0
+	s.forEachMeta(func(vpn int, meta *pageMeta) {
+		entries++
+		q := meta.tlbRef == 0 && meta.coreRef == 0
+		if q {
+			quiescent++
+		}
+		if msg == "" && (meta.vpn != vpn || s.quiescent.has(vpn) != q) {
+			msg = fmt.Sprintf("vpn %d: entry vpn %d tlbRef %d coreRef %d, quiescent index says %v",
+				vpn, meta.vpn, meta.tlbRef, meta.coreRef, s.quiescent.has(vpn))
+		}
+	})
+	if msg != "" {
+		return msg
+	}
+	if n := s.quiescent.count(); n != quiescent {
+		return fmt.Sprintf("quiescent index holds %d vpns, %d entries are quiescent", n, quiescent)
+	}
+	if entries != s.entryCount() {
+		return fmt.Sprintf("entry table holds %d entries, entryCount() = %d", entries, s.entryCount())
+	}
+	return s.resident.check()
 }
 
 // DebugPage exposes a page's SSP state for tests and forensics: the two

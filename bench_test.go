@@ -14,9 +14,10 @@ import (
 	"repro/ssp"
 )
 
-// benchScale keeps every experiment in benchmark-friendly territory; the
-// numbers in EXPERIMENTS.md come from `sspbench -scale full`. The shrunken
-// STLB preserves TLB-pressure effects (consolidation) at small sizes.
+// benchScale keeps every experiment in benchmark-friendly territory;
+// `sspbench -scale full` runs the same experiments at reproduction size.
+// The shrunken STLB preserves TLB-pressure effects (consolidation) at small
+// sizes.
 func benchScale() experiments.Scale {
 	return experiments.Scale{Ops: 1200, Keys: 8192, Elems: 1 << 17, Items: 4096, Tuples: 4096, Seed: 0xE0, STLB: 128}
 }
@@ -185,8 +186,7 @@ func BenchmarkParallelSmoke(b *testing.B) {
 		if sTPS > 0 {
 			b.ReportMetric(pTPS/sTPS, "SSP_speedup")
 		}
-		// Tracked (not gated): the 4-core data-flush fence cost the
-		// commit-path knobs attack — see BenchmarkCommitPath.
+		// Tracked (not gated): the 4-core data-flush fence cost.
 		b.ReportMetric(float64(par.Stats.CommitBarrierWait), "SSP_barrierwait_cycles")
 	}
 }
@@ -194,8 +194,8 @@ func BenchmarkParallelSmoke(b *testing.B) {
 // BenchmarkScaleSmoke is the deterministic-scheduler CI gate (see
 // cmd/benchjson and .github/workflows/ci.yml): SSP on the sharded memcached
 // workload with 8 goroutine-backed cores under the bounded-lag window
-// scheduler (TimeWindow 4096, 4 channels, 4 journal shards, group-commit
-// window on). Because the windowed run is a pure function of simulated
+// scheduler (TimeWindow 4096, 4 channels, 4 journal shards). Because the
+// windowed run is a pure function of simulated
 // state, every reported metric is exactly reproducible — CI gates
 // Scale_cTPS at ±5%, which only a behavioural change can trip.
 func BenchmarkScaleSmoke(b *testing.B) {
@@ -210,7 +210,6 @@ func BenchmarkScaleSmoke(b *testing.B) {
 		}
 		p.Machine.Channels = 4
 		p.Machine.JournalShards = 4
-		p.Machine.GroupCommitWindow = 4096
 		p.Machine.TimeWindow = 4096
 		return p
 	}
@@ -223,12 +222,8 @@ func BenchmarkScaleSmoke(b *testing.B) {
 		if sTPS > 0 {
 			b.ReportMetric(pTPS/sTPS, "Scale_speedup")
 		}
-		// Tracked (not gated): the scheduler's deterministic activity and
-		// the group-commit identity members (batches + followers = commits
-		// exactly under TimeWindow > 0).
+		// Tracked (not gated): the scheduler's deterministic activity.
 		b.ReportMetric(float64(par.WindowSched.Windows), "Scale_windows")
-		b.ReportMetric(float64(par.Stats.GroupCommitBatches), "Scale_groupbatches")
-		b.ReportMetric(float64(par.Stats.GroupCommitFollowers), "Scale_groupfollowers")
 	}
 }
 
@@ -263,54 +258,6 @@ func BenchmarkCrossShardSmoke(b *testing.B) {
 			b.ReportMetric(pTPS/bTPS, "SSPCross_speedup_50pct")
 		}
 		b.ReportMetric(float64(par.Stats.CommitBarrierWait), "SSPCross_barrierwait_cycles")
-	}
-}
-
-// BenchmarkCommitPath records the commit-path batching trajectory for
-// BENCH_5.json: the paper model versus both knobs on (eager write-behind
-// flushing + a 4096-cycle group-commit window) on the two 4-core
-// single-shard mixes. Reported rather than gated — the group rendezvous
-// depends on host scheduling, so the knobs-on numbers carry run-to-run
-// variance that a hard gate would turn into flakes.
-func BenchmarkCommitPath(b *testing.B) {
-	params := func(kind workload.Kind, eager bool, window int) workload.Params {
-		p := workload.Params{
-			Kind:    kind,
-			Backend: ssp.SSP,
-			Clients: 4,
-			Ops:     4000,
-			Items:   4096,
-			Tuples:  4096,
-			Seed:    0xE0,
-		}
-		p.Machine.Channels = 4
-		p.Machine.JournalShards = 1
-		if kind == workload.MemcachedCross {
-			// The distributed mix needs per-core shards to have cross-shard
-			// commits at all; the knobs then attack the fence and fan-out.
-			p.Machine.JournalShards = 4
-			p.CrossPct = 50
-		}
-		p.Machine.EagerFlush = eager
-		p.Machine.GroupCommitWindow = window
-		return p
-	}
-	for i := 0; i < b.N; i++ {
-		for _, kind := range []workload.Kind{workload.Memcached, workload.Vacation, workload.MemcachedCross} {
-			name := kind.String()
-			base := workload.RunParallel(params(kind, false, 0))
-			knobs := workload.RunParallel(params(kind, true, 4096))
-			b.ReportMetric(experiments.CommittedTPS(base.Cycles, base.Result), name+"_base_cTPS")
-			b.ReportMetric(experiments.CommittedTPS(knobs.Cycles, knobs.Result), name+"_knobs_cTPS")
-			b.ReportMetric(float64(base.Stats.CommitBarrierWait), name+"_base_barrierwait_cycles")
-			b.ReportMetric(float64(knobs.Stats.CommitBarrierWait), name+"_knobs_barrierwait_cycles")
-			b.ReportMetric(100*experiments.BarrierWaitShare(base, 4), name+"_base_barrier_pct")
-			b.ReportMetric(100*experiments.BarrierWaitShare(knobs, 4), name+"_knobs_barrier_pct")
-			if knobs.Stats.GroupCommitBatches > 0 {
-				b.ReportMetric(float64(knobs.Stats.GroupCommitBatches+knobs.Stats.GroupCommitFollowers)/float64(knobs.Stats.GroupCommitBatches),
-					name+"_group_occupancy")
-			}
-		}
 	}
 }
 

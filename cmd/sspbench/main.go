@@ -1,7 +1,8 @@
 // Command sspbench regenerates the paper's tables and figures on the
 // simulated machine, plus the beyond-the-paper scaling experiments (the
 // concurrent engine, multi-channel memory, journal sharding, cross-shard
-// transactions and the commit-path batching knobs). Each experiment prints
+// transactions, relaxed durability and the window scheduler). Each
+// experiment prints
 // the same rows/series the paper reports (normalised throughput, write
 // traffic, breakdowns, sweeps).
 //
@@ -13,8 +14,8 @@
 //
 // The experiment ids, the usage text and the `all` ordering all come from
 // one table below, so they cannot drift apart; run -list for the live
-// index. See DESIGN.md §3 for details and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// index. The root package's doc.go describes each beyond-the-paper
+// mechanism an experiment sweeps, one section per subsystem.
 package main
 
 import (
@@ -36,7 +37,6 @@ type benchFlags struct {
 	cores    int
 	channels int
 	shards   int
-	window   int
 }
 
 // experiment is one -exp entry: the id, the one-line summary printed by
@@ -134,14 +134,6 @@ var experimentTable = []experiment{
 			fmt.Println(experiments.RenderCrossShard(experiments.CrossShardSweep(sc, k, fl.channels, fl.shards, fracs, coreList)))
 		}
 	}},
-	{"commitpath", "eager-flush x group-commit knob sweep", func(sc experiments.Scale, fl benchFlags) {
-		coreList := experiments.SweepPowersOfTwo(fl.cores)
-		for _, mix := range experiments.CommitPathMixes() {
-			section(fmt.Sprintf("Commit-path batching — SSP on %s (%d shards, %d channels, cross %d%%), window %d cycles x %v cores",
-				mix.Kind, mix.Shards, mix.Channels, mix.CrossPct, fl.window, coreList))
-			fmt.Println(experiments.RenderCommitPath(experiments.CommitPathSweep(sc, mix, fl.window, coreList)))
-		}
-	}},
 	{"epoch", "relaxed-durability epoch sweep (epoch x cores)", func(sc experiments.Scale, fl benchFlags) {
 		coreList := experiments.SweepPowersOfTwo(fl.cores)
 		epochs := experiments.EpochLengths()
@@ -169,7 +161,7 @@ var experimentTable = []experiment{
 		coreList := experiments.SweepPowersOfTwo(fl.cores)
 		windows := experiments.ScaleWindows()
 		for _, k := range []workload.Kind{workload.Memcached, workload.Vacation} {
-			section(fmt.Sprintf("Window-scheduler scale-out — SSP committed TPS on %s, windows %v cycles x %v cores (4 shards, 4 channels, group window 4096)",
+			section(fmt.Sprintf("Window-scheduler scale-out — SSP committed TPS on %s, windows %v cycles x %v cores (4 shards, 4 channels)",
 				k, windows, coreList))
 			fmt.Println(experiments.RenderScale(experiments.ScaleSweep(sc, k, windows, coreList)))
 		}
@@ -210,7 +202,6 @@ func main() {
 	cores := flag.Int("cores", 4, "max cores for the scaling sweeps (one goroutine each)")
 	channels := flag.Int("channels", 8, "max memory channels for -exp channels; fixed channel count for -exp journal/crossshard")
 	shards := flag.Int("shards", 4, "max SSP journal shards for -exp journal; fixed count for -exp crossshard")
-	window := flag.Int("window", 4096, "group-commit window in cycles for -exp commitpath")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit")
 	flag.Parse()
@@ -233,10 +224,6 @@ func main() {
 	}
 	if *cores < 1 {
 		fmt.Fprintf(os.Stderr, "-cores must be at least 1\n")
-		os.Exit(2)
-	}
-	if *window < 0 {
-		fmt.Fprintf(os.Stderr, "-window must be non-negative\n")
 		os.Exit(2)
 	}
 
@@ -292,7 +279,7 @@ func main() {
 		}()
 	}
 
-	fl := benchFlags{cores: *cores, channels: *channels, shards: *shards, window: *window}
+	fl := benchFlags{cores: *cores, channels: *channels, shards: *shards}
 	run := func(e experiment) {
 		start := time.Now()
 		e.run(sc, fl)

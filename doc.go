@@ -6,8 +6,9 @@
 // transactions), repro/ssp/pds (persistent data structures) and
 // repro/ssp/kv (a memcached-like persistent cache). The simulator
 // substrates, the SSP mechanism, the logging baselines and the experiment
-// harness live under internal/. See README.md for a tour, DESIGN.md for the
-// system inventory and EXPERIMENTS.md for paper-vs-measured results.
+// harness live under internal/. The sections below describe each subsystem
+// beyond the paper's Table 2 machine; the closing paragraphs list the
+// commands that regenerate the paper's tables and figures.
 //
 // # Concurrency contract
 //
@@ -43,19 +44,17 @@
 // executes at a time — always the ready core with the smallest
 // (clock, core index) — so every shared-hardware arbitration the
 // free-running mode resolves in host order (memory bank and bus wheels,
-// row-buffer transitions, cache ownership transfers, lock hand-off,
-// group-commit leader election, epoch hardening) resolves in simulated-time
-// order with a deterministic core-index tie-break. Two runs with the same
-// seed and core count then produce byte-identical Stats, histograms
-// included (workload.TestWindowedRunsByteIdentical), and the group-commit
-// identity batches + followers = group-path commits holds exactly rather
-// than approximately. Locks integrate with the scheduler (release hands the
-// lock to the waiter with the smallest resume clock, not to whichever
-// goroutine the host wakes); group-commit followers park on flush tickets
-// and leaders hold their windows open via a rendezvous that excludes parked
-// cores, so the serialisation cannot deadlock. The price is host
-// parallelism: execution is serialised, so wall-clock gains from extra host
-// cores disappear while SIMULATED speedup curves are unaffected
+// row-buffer transitions, cache ownership transfers, lock hand-off, epoch
+// hardening) resolves in simulated-time order with a deterministic
+// core-index tie-break. Two runs with the same seed and core count then
+// produce byte-identical Stats, histograms included
+// (workload.TestWindowedRunsByteIdentical). The scheduler knows two ways
+// for a core to park: a lock wait (release hands the lock to the waiter
+// with the smallest resume clock, not to whichever goroutine the host
+// wakes) and a host-side block (Core.BlockExternal). No backend parks
+// through it — nothing below the Core API waits on another core. The price
+// is host parallelism: execution is serialised, so wall-clock gains from
+// extra host cores disappear while SIMULATED speedup curves are unaffected
 // (conservative windows only fix the interleaving). Machine.WindowStats
 // reports windows/grants/barrier stalls (deterministic) plus the host-side
 // barrier-wait share used to pick the default W — at small scale W=4096
@@ -64,8 +63,8 @@
 // host-channel waits (Core.BlockExternal) remain live but host-dependent;
 // everything inside the simulated machine is covered. The windowed
 // crash class (crashsweep.TestTrapSweepWindowed) trap-sweeps a windowed
-// 4-core machine with journal sharding, group commit and durability epochs
-// composed, proving window barriers cannot reorder durability points.
+// 4-core machine with journal sharding and durability epochs composed,
+// proving window barriers cannot reorder durability points.
 // `sspbench -exp scale` sweeps window size × cores (1-16) and reports
 // speedup, barrier-wait share and per-shard journal pressure; CI gates the
 // windowed 8-core BenchmarkScaleSmoke at ±5%.
@@ -228,55 +227,24 @@
 // exact single-shard fast path: same records, 24-byte payloads on the
 // single-journal paper model, no extra traffic.
 //
-// # Commit-path batching: group commit and eager data flush
+// # Commit-path batching (deleted)
 //
-// The commit pipeline's persistence legs support batching and overlap
-// (PR 5), behind two knobs that default to the paper model — at the
-// defaults (EagerFlush off, GroupCommitWindow 0) serial throughput and the
-// Figure 6/7 write-traffic ratios reproduce the PR 2/3/4 figures
-// bit-for-bit.
-//
-// ssp.Config.EagerFlush turns the deferred commit-time data flush into a
-// write-behind: each store's unit is clwb'd as it ages out of a small
-// per-core queue (the two most recently stored units stay unflushed), so
-// the commit fence degenerates to a probe — clean lines cost nothing, the
-// fence is a max over the in-flight completions plus a write-back of the
-// few units dirtied since their eager flush (Stats.EagerFlushLines counts
-// the write-behind writes; re-dirtied units are the eager model's write
-// amplification). Crash semantics are unchanged: eagerly flushed data is
-// durable in the shadow locations that the committed bitmaps do not
-// reference until the journal End record, so every pre-End crash rolls it
-// back via the shadow slots (trap-swept by internal/crashsweep with the
-// knob on). The page's metadata barrier moves to first-store time: pending
-// consolidation/release records harden before the first eager flush may
-// land in the page's frames.
-//
-// ssp.Config.GroupCommitWindow (cycles) coalesces the journal legs of
-// commits concurrently bound for the same shard: the first committer (the
-// leader) opens a window, followers whose clocks fall within the window on
-// either side of the leader's append their batches behind it under the
-// same shard lock and wait — holding no locks; the flush-ticket wait sits
-// entirely outside the lock order — on the leader's flush ticket, and one
-// ring flush hardens every member (Stats.GroupCommitBatches/Followers;
-// batches + followers = commits routed through the group path). The ring
-// bytes are exactly the members' ordinary batches in append order, so
-// recovery's per-shard batch validation applies verbatim: a torn leader
-// flush takes every follower behind the tear down with it. Grouping only
-// forms when several cores share a shard (cores > JournalShards); serial
-// execution degenerates to batches of one, bit-identical to the
-// per-commit model.
-//
-// Independent of the knobs, two always-on simulated-hardware fixes take
-// redundant serialisation off the commit path: the commit-time metadata
-// barrier and the cross-shard prepare fan-out charge the max — not the sum
-// — of their independent per-shard ring flushes, and a global commit's
-// prepare leg (which carries no commit point) overlaps the data-flush
-// fence in simulated time, with only the coordinator End waiting for both.
-// Measured on the 4-shard 4-channel memcached cross-shard mix at a 50%
-// global fraction (small scale): 2-core speedup 0.51x -> 0.61x, 4-core
-// 0.39x -> 0.46x, and the 4-core commit-barrier wait falls from 4.8% to
-// 2.0% of core-cycles (-58%). `sspbench -exp commitpath` sweeps the knob
-// grid; BENCH_5.json records the trajectory.
+// PR 5 (commit 56ae86b; `git show 56ae86b` for the design) put two
+// beyond-paper knobs beside the paper's single commit path: EagerFlush, a
+// Vilamb-style write-behind that clwb'd each stored unit as it aged out of
+// a per-core queue, and GroupCommitWindow, which coalesced concurrent
+// commits' journal legs behind a leader's flush ticket. Neither showed a
+// win on any deterministic benchmark: the 8-core windowed memcached scale
+// run was 8.1% faster with the group window off (5 143 994 → 5 558 842
+// committed TPS at W=4096), and BenchmarkCommitPath had both knobs together
+// at −15% (memcached) and −13% (vacation) against the paper model. Both
+// were deleted, with the scheduler's ticket and rendezvous states they
+// needed. What PR 5 fixed independently of them stays: the commit-time
+// metadata barrier and the cross-shard prepare fan-out charge the max — not
+// the sum — of their independent per-shard ring flushes
+// (core.TestBarrierFlushChargesMax), and a global commit's prepare leg
+// overlaps the data-flush fence, with only the coordinator End waiting for
+// both.
 //
 // # Relaxed durability: epoch-batched commit (CommitRelaxed)
 //
@@ -357,8 +325,8 @@
 // idle. Only the data frame pool is buffered — journal, log, slot-array
 // and page-table traffic is the durability mechanism itself and always
 // passes through. Crash semantics (trap-swept by
-// crashsweep.TestTrapSweepBuffered, alone and composed with EagerFlush,
-// GroupCommitWindow and DurabilityEpoch): a dirty buffered line exists
+// crashsweep.TestTrapSweepBuffered, alone and composed with
+// DurabilityEpoch): a dirty buffered line exists
 // only for legally-volatile data (absorbed victim write-backs), commit
 // flushes write through, and a commit fence covering a line whose only
 // dirty copy was absorbed hardens it first — committed data is never
@@ -398,9 +366,6 @@
 // `go run ./cmd/sspbench -exp crossshard -cores 4 -shards 4` (cross-shard
 // transaction fraction × cores on the sharded memcached / partitioned
 // vacation mixes, with global-commit and prepare-record traffic) and
-// `go run ./cmd/sspbench -exp commitpath -cores 4` (the EagerFlush ×
-// GroupCommitWindow knob grid with commit-barrier-wait shares and
-// group-commit batch occupancy) and
 // `go run ./cmd/sspbench -exp epoch -cores 4` (the relaxed-durability
 // epoch-length × cores sweep with acknowledged-vs-durable TPS and mean
 // harden lag) and

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the transaction pipeline: Begin/Store/Load/Commit/Abort and
-// the commit-protocol state machine. Every commit runs the same five-stage
-// sequence (§4.1.1 "Transaction Commit"):
+// the commit sequence. Every commit runs the same five stages (§4.1.1
+// "Transaction Commit"):
 //
 //	1. metadata barrier   — flush shards holding pending records that still
 //	                        remap a write-set page's frames (barrierFlush)
@@ -20,24 +20,15 @@ import (
 //	4. publication        — install the new slot-shadow states
 //	5. release            — drop core references, close the epoch
 //
-// Stages 3-4 are the commitProtocol: commitLocal is the single-shard fast
-// path (one record batch into the committing core's shard — the PR 3
-// behaviour, bit-for-bit), commitGlobal (global.go) is the cross-shard
-// two-phase protocol used by BeginGlobal transactions whose write set spans
-// multiple journal shards.
-
-// commitProtocol is stages 3-4 of the commit pipeline: journal the
-// metadata batch for the (sorted, non-empty) write-set pages, harden it,
-// and publish the new slot states. start is the core's clock at the head
-// of the commit (after the metadata barrier), fence the data-persistence
-// fence completion. Work that carries no commit point — a global
-// transaction's prepare records and their flushes — may overlap the data
-// fence in simulated time (charged from start); a batch's commit point
-// (the UpdateEnd-carrying flush, the coordinator End) must wait for fence.
-// Implementations return the core's clock after the batch is durable.
-type commitProtocol interface {
-	journalAndPublish(core int, pages []int, start, fence engine.Cycles) engine.Cycles
-}
+// Stages 3-4 have two legs: localCommit is the single-shard fast path (one
+// record batch into the committing core's shard), globalCommit (global.go)
+// the cross-shard two-phase protocol used by BeginGlobal transactions whose
+// write set spans multiple journal shards. Both take start, the core's
+// clock after the metadata barrier, and fence, the data-persistence fence
+// completion. Work that carries no commit point — a global transaction's
+// prepare records and their flushes — may overlap the data fence in
+// simulated time (charged from start); a batch's commit point (the
+// UpdateEnd-carrying flush, the coordinator End) must wait for fence.
 
 // slotPub is one page's pending slot-shadow publication: the state
 // snapshotted while journaling, installed once the batch is durable.
@@ -80,41 +71,6 @@ func (s *SSP) Store(core int, va uint64, data []byte, at engine.Cycles) engine.C
 	unit := s.unitOf(lineIdx)
 	bit := uint64(1) << uint(unit)
 
-	if s.cfg.EagerFlush {
-		p := &s.ePending[core]
-		switch {
-		case p[0].meta == meta && p[0].unit == unit:
-			// Clustered store to the most recent unit: no flush yet.
-		case p[1].meta == meta && p[1].unit == unit:
-			p[0], p[1] = p[1], p[0] // promote; no flush
-		default:
-			// A third distinct unit enters the queue: the oldest ages out
-			// and its write-behind flush is issued, now that its clustered
-			// stores are (very likely) over — a unit the transaction
-			// revisits later is simply caught dirty by the commit fence's
-			// probe. Keeping the two most recent units unflushed means the
-			// commit probe's write-backs never queue behind a just-issued
-			// redundant flush of the same line.
-			if p[1].meta != nil {
-				s.lockMeta(p[1].meta)
-				s.eagerFlushUnit(core, p[1].meta, p[1].unit, t)
-				s.unlockMeta(p[1].meta)
-			}
-			if bm == 0 {
-				// First write to this page in the transaction: eager
-				// flushes will land durably in the page's frames, so the
-				// metadata barrier of the deferred pipeline's stage 1
-				// moves here — pending consolidation/release records that
-				// still remap the frames must harden first. Before the
-				// page lock (journalMu precedes pageMeta.mu in the lock
-				// order).
-				t = s.eagerBarrier(meta, t)
-			}
-			p[1] = p[0]
-			p[0] = pendingEagerFlush{meta: meta, unit: unit}
-		}
-	}
-
 	s.lockMeta(meta)
 	defer s.unlockMeta(meta)
 	firstTouch := bm&bit == 0
@@ -146,69 +102,6 @@ func (s *SSP) Store(core int, va uint64, data []byte, at engine.Cycles) engine.C
 	t = s.env.Caches.Store(core, target, data, t)
 	s.clock(t)
 	return t
-}
-
-// pendingEagerFlush names one unit in a core's write-behind queue (nil
-// meta = empty slot).
-type pendingEagerFlush struct {
-	meta *pageMeta
-	unit int
-}
-
-// eagerWriteBehind is one core's write-behind queue (Config.EagerFlush):
-// the two most recently stored units of its open transaction, most recent
-// first. Stores to a unit cluster, so a unit aging out of the queue has
-// almost always seen its last store — its eager flush then captures the
-// final bytes in one write, where a flush-per-store would queue redundant
-// writes behind each other on the line's bank and push the tail write-back
-// past the commit. Depth two (rather than one) keeps the transaction's
-// final units unflushed: their write-backs happen at the commit probe,
-// concurrently and without queueing behind a just-issued eager flush of
-// the same line.
-type eagerWriteBehind [2]pendingEagerFlush
-
-// eagerBarrier hardens the page's pending consolidation/release records
-// before any eager data flush may land in its frames — the per-page half of
-// barrierFlush, run at first-store time because EagerFlush moves the data
-// writes forward. The store waits for the completion (it orders the page's
-// first durable data write behind the records); with nothing pending it
-// costs nothing. The barrier mark is frozen for the whole transaction: a
-// consolidation needs coreRef == 0, and this store is about to hold a
-// reference.
-func (s *SSP) eagerBarrier(meta *pageMeta, at engine.Cycles) engine.Cycles {
-	s.lockMeta(meta)
-	ref := meta.barrier
-	s.unlockMeta(meta)
-	t := at
-	s.lockShard(ref.shard)
-	if !s.journals[ref.shard].Durable(ref.mark) {
-		t = s.flushShard(ref.shard, -1, t)
-	}
-	s.unlockShard(ref.shard)
-	return t
-}
-
-// eagerFlushUnit issues the eager clwbs for one unit: every retagged line
-// — stored lines with their fresh data, plus (for multi-line units) the
-// untouched lines carrying the committed bytes renamed to the shadow frame
-// — is written back. The core does not wait; the completion is recorded in
-// the page's flushDone high-water for the commit fence. Lines the
-// transaction dirties again afterwards are caught by the fence's probe
-// flush (flushData). Caller holds the page lock.
-func (s *SSP) eagerFlushUnit(core int, meta *pageMeta, unit int, at engine.Cycles) {
-	cur := (meta.current >> uint(unit)) & 1
-	begin, end := s.unitLines(unit)
-	fl := meta.flushDone
-	for li := begin; li < end; li++ {
-		done, wrote := s.env.Caches.Flush(core, meta.lineAddr(li, cur), at, stats.CatData)
-		if wrote {
-			s.env.StatsFor(core).EagerFlushLines++
-		}
-		if done > fl {
-			fl = done
-		}
-	}
-	meta.flushDone = fl
 }
 
 // Load implements txn.Backend: address translation selects P0 or P1 per
@@ -302,21 +195,13 @@ func (s *SSP) commit(core int, at engine.Cycles, relaxed bool) engine.Cycles {
 			t = s.relaxedLocalCommit(core, pages, start, fence)
 		}
 	} else {
-		// Stage 2: data persistence.
+		// Stage 2: data persistence; stages 3-4: journal batch +
+		// publication (an empty write set has nothing to journal).
 		t = s.flushData(core, pages, start)
-
-		// Stages 3-4: journal batch + publication (protocol-specific).
-		if len(pages) > 0 {
-			var proto commitProtocol
-			switch {
-			case globalShards != nil:
-				proto = &commitGlobal{s: s, shards: globalShards}
-			case s.cfg.GroupCommitWindow > 0:
-				proto = groupCommit{s: s}
-			default:
-				proto = commitLocal{s: s}
-			}
-			t = proto.journalAndPublish(core, pages, start, t)
+		if globalShards != nil {
+			t = s.globalCommit(core, globalShards, pages, start, t)
+		} else if len(pages) > 0 {
+			t = s.localCommit(core, pages, t)
 		}
 	}
 
@@ -342,27 +227,16 @@ func (s *SSP) commit(core int, at engine.Cycles, relaxed bool) engine.Cycles {
 // slowest flush (bank-level parallelism applies). The fence wait is
 // surfaced as Stats.CommitBarrierWait — the commit-critical-path cycles the
 // core spent blocked on its data-flush barrier.
-//
-// In eager mode (Config.EagerFlush) each unit's lines were written back at
-// first-store time, so the loop degenerates to a probe: lines the
-// transaction did not dirty again are already clean (the Flush performs no
-// write and costs no memory time) and the fence reduces to the max of the
-// pages' outstanding in-flight completions — only lines re-dirtied since
-// their eager flush still pay a commit-time write-back.
 func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
 	fence := at
-	// The write-behind slot needs no separate flush: its unit is dirty and
-	// the probe below writes it back as part of the fence.
-	s.ePending[core] = eagerWriteBehind{}
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
 		bm := s.wsb[core][vpn]
 		s.lockMeta(meta)
-		// The page's in-flight completion high-water covers eager-mode
-		// write-behind flushes and relaxed commits' issued-but-unfenced
-		// flushes alike: a synchronous fence over this page must not
-		// under-wait either.
-		if (s.cfg.EagerFlush || s.cfg.DurabilityEpoch > 0) && meta.flushDone > fence {
+		// A relaxed commit's issued-but-unfenced flushes of this page may
+		// still be in flight: a synchronous fence over it must not
+		// under-wait them.
+		if meta.flushDone > fence {
 			fence = meta.flushDone
 		}
 		for unit := 0; unit < memsim.LinesPerPage/s.cfg.SubPageLines; unit++ {
@@ -391,7 +265,6 @@ func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
 // rather than under-waits.
 func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cycles {
 	fence := at
-	s.ePending[core] = eagerWriteBehind{}
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
 		bm := s.wsb[core][vpn]
@@ -482,21 +355,24 @@ func (s *SSP) snapshotPage(core int, vpn int) slotPub {
 	return slotPub{meta: meta, sid: sid, st: st}
 }
 
-// commitLocal is the single-shard fast path: one record batch (recUpdate…
+// localCommit is the single-shard fast path: one record batch (recUpdate…
 // recUpdateEnd) appended to the committing core's shard under that shard's
-// lock only, then a shard flush makes the transaction durable. The
-// slot-shadow snapshot (and its update version) is taken under each page's
-// own lock, so commits on other shards — even to other pages of the same
-// slot array — proceed concurrently.
-type commitLocal struct{ s *SSP }
-
-// The single-shard batch cannot overlap the data fence: its flush hardens
-// the UpdateEnd seal — the commit point — so everything runs from fence.
-func (l commitLocal) journalAndPublish(core int, pages []int, _, fence engine.Cycles) engine.Cycles {
-	s := l.s
+// lock only, then a shard flush makes the transaction durable and the slot
+// states are published — still under the shard lock, so a concurrent
+// checkpoint cannot truncate the records before their states reach
+// slotShadow. The slot-shadow snapshot (and its update version) is taken
+// under each page's own lock, so commits on other shards — even to other
+// pages of the same slot array — proceed concurrently.
+//
+// The batch cannot overlap the data fence: its flush hardens the
+// UpdateEnd seal — the commit point — so everything runs from fence.
+func (s *SSP) localCommit(core int, pages []int, fence engine.Cycles) engine.Cycles {
 	si := s.shardFor(core)
 	s.lockShard(si)
-	t, needCkpt := s.localCommitLocked(si, core, pages, fence)
+	pubs, t := s.appendBatch(si, core, pages, s.allocTID(), fence)
+	t = s.flushShard(si, core, t)
+	s.publishSlots(pubs)
+	needCkpt := s.overHighWater(si)
 	s.unlockShard(si)
 	if needCkpt && s.parallel {
 		// Serial mode checkpoints after stage 5's consolidations (Commit's
@@ -579,7 +455,6 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 	if s.fallback[core] {
 		return s.fbAbort(core, at)
 	}
-	s.ePending[core] = eagerWriteBehind{} // squashed lines need no write-behind
 	t := at
 	for _, vpn := range s.sortedWS(core) {
 		meta := s.lookupMeta(vpn)

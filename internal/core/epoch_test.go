@@ -10,36 +10,39 @@ import (
 // The crash classes proper (every trap point, cross-shard epochs) are swept
 // by internal/crashsweep; these pin the deterministic counter contracts.
 
-// TestGroupCommitAccountingIdentity pins the group-path identity on the
-// serial machine: every commit that reaches the group-commit journal leg is
-// counted exactly once, as a batch leader or as a follower, so batches +
-// followers equals the group-path commits — total commits minus the
-// empty-write-set ones, which skip the journal leg entirely.
-func TestGroupCommitAccountingIdentity(t *testing.T) {
+// TestSyncCommitWaitsForRelaxedFlushes pins the under-wait rule of the
+// synchronous data fence: a relaxed commit issues its data flushes without
+// fencing on them (flushDataAsync) and records their completion in the
+// page's flushDone. A synchronous Commit on the same page from a core whose
+// clock is far behind must not return before those flushes land, or its
+// commit point would precede durable data its committed bitmap covers. The
+// Sync in between hardens the relaxed epoch first, so neither the second
+// commit's metadata barrier nor its shard harden waits on the relaxed
+// fence: flushData's flushDone check is the only wait left.
+func TestSyncCommitWaitsForRelaxedFlushes(t *testing.T) {
 	env, s := testEnv(t, 2)
-	s.cfg.GroupCommitWindow = 4096
+	s.cfg.DurabilityEpoch = 1 << 30 // only the explicit Sync hardens
 	mapPage(env, 0)
-	mapPage(env, 1)
 
-	const withWrites, empty = 8, 3
-	for i := 0; i < withWrites; i++ {
-		core := i % 2
-		s.Begin(core, 0)
-		s.Store(core, va(core, i), []byte{byte(i + 1)}, 0)
-		s.Commit(core, 0)
+	const late = engine.Cycles(1_000_000)
+	at := s.Begin(0, late)
+	for line := 0; line < 8; line++ {
+		at = s.Store(0, va(0, line), []byte{byte(line + 1)}, at)
 	}
-	for i := 0; i < empty; i++ {
-		s.Begin(0, 0)
-		s.Commit(0, 0)
+	at = s.CommitRelaxed(0, at)
+	relaxedDone := s.metaOf(0).flushDone
+	if relaxedDone <= late {
+		t.Fatalf("relaxed commit recorded flushDone %d, want past its start %d", relaxedDone, late)
 	}
+	s.Sync(0, at)
 
-	st := env.Stats
-	if st.Commits != withWrites+empty {
-		t.Fatalf("Commits = %d, want %d", st.Commits, withWrites+empty)
+	t1 := s.Begin(1, 0)
+	t1 = s.Store(1, va(0, 40), []byte{0xEE}, t1)
+	if t1 >= relaxedDone {
+		t.Fatalf("core 1 reached commit at %d, not behind the relaxed flushes (%d)", t1, relaxedDone)
 	}
-	if got := st.GroupCommitBatches + st.GroupCommitFollowers; got != withWrites {
-		t.Errorf("batches %d + followers %d = %d, want %d group-path commits",
-			st.GroupCommitBatches, st.GroupCommitFollowers, got, withWrites)
+	if end := s.Commit(1, t1); end < relaxedDone {
+		t.Errorf("sync commit on the page returned at %d, before the relaxed commit's data flushes landed at %d", end, relaxedDone)
 	}
 }
 

@@ -42,9 +42,6 @@ func decodeFBPayload(p []byte) (memsim.PAddr, []byte) {
 // log itself is per-core.
 func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 	s.env.StatsFor(core).FallbackTxns++
-	// The speculative lines move in place under the undo log; the
-	// write-behind slot's shadow-frame flush is moot.
-	s.ePending[core] = eagerWriteBehind{}
 	t := at
 	tid := s.allocTID()
 	s.fbTID[core] = tid

@@ -72,14 +72,9 @@ func (s *SSP) participantShards(pages []int) []int {
 	return shards
 }
 
-// commitGlobal is the two-phase journal leg of a cross-shard commit.
-type commitGlobal struct {
-	s      *SSP
-	shards []int // participant shards, ascending
-}
-
-func (g *commitGlobal) journalAndPublish(core int, pages []int, start, fence engine.Cycles) engine.Cycles {
-	s := g.s
+// globalCommit is the two-phase journal leg of a cross-shard commit over
+// the participant shards (ascending).
+func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence engine.Cycles) engine.Cycles {
 	// Prepare records carry no commit point, so their appends and flushes
 	// overlap the data-flush fence in simulated time: the controller may
 	// issue them while the write-set clwbs are still in flight, because
@@ -91,16 +86,16 @@ func (g *commitGlobal) journalAndPublish(core int, pages []int, start, fence eng
 
 	// Group the write set by owning shard (pages stay vpn-sorted within a
 	// group, so serial runs append deterministically).
-	groups := make(map[int][]int, len(g.shards))
+	groups := make(map[int][]int, len(shards))
 	for _, vpn := range pages {
 		si := s.shardOfSlot(s.lookupMeta(vpn).slot)
 		groups[si] = append(groups[si], vpn)
 	}
 
 	// Lock every involved shard in ascending order, then draw the TID.
-	locked := g.shards
+	locked := shards
 	if !slices.Contains(locked, coord) {
-		locked = append(append([]int{}, g.shards...), coord)
+		locked = append(append([]int{}, shards...), coord)
 		sort.Ints(locked)
 	}
 	for _, si := range locked {
@@ -116,7 +111,7 @@ func (g *commitGlobal) journalAndPublish(core int, pages []int, start, fence eng
 	// serialised fan-out was a modelling artefact, not hardware.
 	var mask uint32
 	pubs := make([]slotPub, 0, len(pages))
-	for _, si := range g.shards {
+	for _, si := range shards {
 		mask |= 1 << uint(si)
 		for _, vpn := range groups[si] {
 			pub := s.snapshotPage(core, vpn)
@@ -127,7 +122,7 @@ func (g *commitGlobal) journalAndPublish(core int, pages []int, start, fence eng
 		}
 	}
 	prepDone := t
-	for _, si := range g.shards {
+	for _, si := range shards {
 		if done := s.flushShard(si, core, t); done > prepDone {
 			prepDone = done
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -11,9 +10,9 @@ import (
 )
 
 // This file is the metadata-journal layer: shard routing, TID and version
-// allocation, record appends' shared helpers, the group-commit protocol
-// (Config.GroupCommitWindow), per-shard high-water checkpointing (§4.1.2),
-// and the quiescent pressure report. The commit pipeline (commit.go,
+// allocation, record appends' shared helpers, the relaxed-durability epoch
+// engine, per-shard high-water checkpointing (§4.1.2), and the quiescent
+// pressure report. The commit pipeline (commit.go,
 // global.go), consolidation (consolidate.go) and slot release (slots.go)
 // all append through these helpers; recovery (recover.go) is their read
 // side.
@@ -86,20 +85,6 @@ func (s *SSP) appendBatch(si, core int, pages []int, tid uint32, at engine.Cycle
 	return pubs, t
 }
 
-// localCommitLocked is the single-shard journal leg body: append the batch,
-// flush the shard, publish the slot states. Caller holds journalMu[si] in
-// parallel mode (publication under the shard lock keeps a concurrent
-// checkpoint from truncating the records before their states reach
-// slotShadow). Returns the durable time and whether the ring passed its
-// high-water mark.
-func (s *SSP) localCommitLocked(si, core int, pages []int, at engine.Cycles) (engine.Cycles, bool) {
-	tid := s.allocTID()
-	pubs, t := s.appendBatch(si, core, pages, tid, at)
-	t = s.flushShard(si, core, t)
-	s.publishSlots(pubs)
-	return t, s.overHighWater(si)
-}
-
 // drainShardCheckpoint is the parallel-mode commit tail: re-acquire
 // structMu → journalMu[si] in lock order and re-check the high-water
 // trigger under the locks. Only shard si is checkpointed, so one hot core
@@ -133,7 +118,7 @@ func (s *SSP) drainShardCheckpoint(si int, at engine.Cycles) {
 // corresponding synchronous flush would not have taken, so the established
 // structMu → journalMu[i] → pageMeta.mu order is unchanged (the deferred
 // publications take page locks under the shard lock, exactly like
-// localCommitLocked's publish-after-flush).
+// localCommit's publish-after-flush).
 
 // shardEpoch is one journal shard's open relaxed-durability epoch.
 type shardEpoch struct {
@@ -146,8 +131,8 @@ type shardEpoch struct {
 }
 
 // markUnsealed notes an append to shard si that the next flush must cover
-// with a seal. appendRecord calls it; direct Append sites (the global End,
-// group members ride appendRecord) must call it themselves. No-op in the
+// with a seal. appendRecord calls it; direct Append sites (the global End)
+// must call it themselves. No-op in the
 // synchronous model. Caller holds journalMu[si] in parallel mode.
 func (s *SSP) markUnsealed(si int) {
 	if s.cfg.DurabilityEpoch > 0 {
@@ -323,181 +308,6 @@ func (s *SSP) Sync(core int, at engine.Cycles) engine.Cycles {
 	return t
 }
 
-// ---------------------------------------------------------------------------
-// Group commit (Config.GroupCommitWindow > 0): the journal legs of
-// concurrent commits bound for the same shard coalesce into one ring
-// append sequence and ONE flush. The first committer (the leader) opens a
-// window; followers arriving while it is open append their batches behind
-// the leader's under the same shard lock and wait — holding no locks — on
-// the leader's flush ticket, which carries the durable cycle. The leader
-// closes the window, flushes once at the max of the members' append
-// completions, publishes every member's slot states under the shard lock,
-// and closes the ticket.
-//
-// Crash semantics are unchanged: the ring bytes of a group are exactly the
-// members' ordinary batches in append order, so recovery's per-shard batch
-// validation applies verbatim — a torn group flush loses a suffix of the
-// ring, and any member whose recUpdateEnd falls past the tear (every
-// follower behind a torn leader included) drops as an unsealed batch.
-
-// commitGroup is one shard's open group-commit window.
-type commitGroup struct {
-	openAt     engine.Cycles // leader arrival
-	deadline   engine.Cycles // simulated close time: leader arrival + window
-	appendDone engine.Cycles // latest member append completion
-	pubs       []slotPub     // every member's pending slot publications
-	durable    engine.Cycles // leader's flush completion; valid once done closes
-	done       chan struct{} // the flush ticket: closed after flush + publication
-	cores      []int         // windowed mode: follower cores parked on the ticket
-}
-
-// admits reports whether a commit at simulated time `at` may join the
-// group: within the window on EITHER side of the leader's arrival. The
-// upper bound is the window's close; the lower bound keeps a core whose
-// simulated clock has drifted far behind the leader from coupling to the
-// leader's much later flush — such a commit is not concurrent with the
-// window in simulated time (its own flush would long have completed) and
-// riding the ticket would teleport its clock forward by the whole drift.
-func (g *commitGroup) admits(at, window engine.Cycles) bool {
-	return at <= g.deadline && at+window >= g.openAt
-}
-
-// maxGroupHostWait caps the leader's host-side rendezvous sleep. Host time
-// does not advance simulated time, so the cap bounds only wall-clock cost,
-// not the simulated window.
-const maxGroupHostWait = 20 * time.Microsecond
-
-// groupHostWait holds the leader open so concurrently committing cores can
-// join its batch. Group admission itself is decided by the simulated
-// deadline; the sleep is only the rendezvous heuristic that gives the host
-// scheduler a chance to run the would-be followers. The simulation runs a
-// few host-nanoseconds per simulated cycle, so the sleep over-covers the
-// window (capped — host time never advances simulated time, the cap bounds
-// only wall-clock cost).
-func (s *SSP) groupHostWait() {
-	w := 4 * time.Duration(s.cfg.GroupCommitWindow) * time.Nanosecond
-	if w > maxGroupHostWait {
-		w = maxGroupHostWait
-	}
-	time.Sleep(w)
-}
-
-// groupCommit is the group-commit implementation of commitProtocol: stages
-// 3-4 of the pipeline with the shard flush amortised over every member of
-// the window. Serial execution — where no concurrent committer can exist —
-// degenerates to batches of one with the exact single-shard behaviour.
-//
-// Windowed mode (env.Sched.Windowed()): the two host-time blocking points —
-// the leader's rendezvous sleep and the followers' flush-ticket channel
-// wait — divert through the window scheduler (WaitCommitWindow, TicketPark/
-// TicketWake). Admission is then decided purely in simulated time, so which
-// commits group together — and hence GroupCommitBatches/Followers — is
-// deterministic, where free-running mode depends on the host schedule.
-type groupCommit struct{ s *SSP }
-
-// windowed reports whether the deterministic window scheduler governs this
-// run (it never changes while a core is executing).
-func (s *SSP) windowed() bool {
-	return s.env.Sched != nil && s.env.Sched.Windowed()
-}
-
-// Like commitLocal, a group's flush hardens the members' UpdateEnd seals —
-// the commit points — so everything runs from fence.
-func (g groupCommit) journalAndPublish(core int, pages []int, _, fence engine.Cycles) engine.Cycles {
-	s := g.s
-	at := fence
-	si := s.shardFor(core)
-	if !s.parallel {
-		t, _ := s.localCommitLocked(si, core, pages, at)
-		s.env.StatsFor(core).GroupCommitBatches++
-		return t
-	}
-	windowed := s.windowed()
-
-	s.lockShard(si)
-	if grp := s.groups[si]; grp != nil {
-		if grp.admits(at, s.cfg.GroupCommitWindow) {
-			// Follower: append behind the leader, ride its flush ticket.
-			tid := s.allocTID()
-			pubs, tA := s.appendBatch(si, core, pages, tid, at)
-			grp.pubs = append(grp.pubs, pubs...)
-			if tA > grp.appendDone {
-				grp.appendDone = tA
-			}
-			s.env.StatsFor(core).GroupCommitFollowers++
-			if windowed {
-				// Park on the scheduler's ticket instead of the channel:
-				// the leader (itself parked in its rendezvous) can only
-				// flush after this core yields the execution slot, and
-				// TicketWake's scheduler hand-off orders the read of
-				// grp.durable after the leader's write.
-				grp.cores = append(grp.cores, core)
-				s.unlockShard(si)
-				s.env.Sched.TicketPark(core)
-				return engine.MaxCycles(at, grp.durable)
-			}
-			s.unlockShard(si)
-			<-grp.done // no locks held: the ticket wait is outside the lock order
-			return engine.MaxCycles(at, grp.durable)
-		}
-		// Outside the window (expired, or this core's clock drifted far
-		// behind the leader) while the leader has not flushed yet: commit
-		// solo. The solo flush may harden the open group's records early —
-		// harmless, the leader's own flush then writes (almost) nothing.
-		t, need := s.localCommitLocked(si, core, pages, at)
-		s.env.StatsFor(core).GroupCommitBatches++
-		s.unlockShard(si)
-		if need {
-			s.drainShardCheckpoint(si, t)
-		}
-		return t
-	}
-
-	// Leader: open the window, append, linger, then flush for everyone.
-	grp := &commitGroup{openAt: at, deadline: at + s.cfg.GroupCommitWindow, done: make(chan struct{})}
-	tid := s.allocTID()
-	grp.pubs, grp.appendDone = s.appendBatch(si, core, pages, tid, at)
-	s.groups[si] = grp
-	s.unlockShard(si)
-
-	if (s.env.Cores()+len(s.journals)-1-si)/len(s.journals) > 1 {
-		// The rendezvous only makes sense when another core maps to THIS
-		// shard (cores c with c mod shards == si); with one core on the
-		// shard no follower can ever arrive and the wait would be pure
-		// wall-clock waste.
-		if windowed {
-			// Deterministic rendezvous: park until no schedulable core's
-			// clock is <= the window's simulated deadline — every core
-			// that could still be admitted has either joined or provably
-			// commits outside the window.
-			s.env.Sched.WaitCommitWindow(core, grp.deadline)
-		} else {
-			s.groupHostWait()
-		}
-	}
-
-	s.lockShard(si)
-	s.groups[si] = nil // close the window: later arrivals lead new groups
-	t := s.flushShard(si, core, grp.appendDone)
-	grp.durable = t
-	// Publish every member's states under the shard lock, before any
-	// checkpoint can truncate the just-flushed records.
-	s.publishSlots(grp.pubs)
-	s.env.StatsFor(core).GroupCommitBatches++
-	need := s.overHighWater(si)
-	s.unlockShard(si)
-	if len(grp.cores) > 0 {
-		// Windowed followers: ready them through the scheduler (grants
-		// resume in deterministic clock order at this core's next yield).
-		s.env.Sched.TicketWake(grp.cores)
-	}
-	close(grp.done)
-	if need {
-		s.drainShardCheckpoint(si, t)
-	}
-	return t
-}
-
 // overHighWater reports whether shard si's ring passed the checkpoint
 // trigger (§4.1.2). Caller holds journalMu[si] in parallel mode.
 func (s *SSP) overHighWater(si int) bool {
@@ -543,24 +353,6 @@ func (s *SSP) maybeCheckpointAll(at engine.Cycles) {
 // records. Reading another shard's slot is safe here — slotSnapshot takes
 // only the owning page's lock (journalMu → pageMeta.mu order), and
 // slotShadow never holds state whose journal records are not yet durable.
-//
-// Group-commit rule (same shape): an OPEN group window on this shard holds
-// member batches that are appended — and marked dirty — but not yet
-// published to slotShadow, so slotSnapshot would persist their slots'
-// PRE-group states while the truncation destroys the records themselves,
-// silently losing commits the members will be told are durable. The
-// checkpoint therefore first FLUSHES the ring — the members' records,
-// End seals included, become durable and hence replayable, exactly the
-// invariant the dirty/pendingGlobal slots already enjoy — and then writes
-// the group's pending publication states (the newest version per slot,
-// against a possibly newer slotShadow) into the slot array before
-// truncating. Both legs matter: without the flush the multi-line slot
-// writes would be the SOLE durable copy and a crash between two of them
-// would tear a member transaction; without the slot writes the truncation
-// would orphan the records' effects. The leader's later flush of the
-// reset ring writes nothing. The checkpoint effectively commits the open
-// group a little early — every member's full batch is already in
-// grp.pubs, so each transaction stays all-or-nothing.
 func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	// Relaxed-durability legs. A participant shard whose prepare records
 	// still await their coordinator End's hardening must not truncate
@@ -577,21 +369,12 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	}
 	dirty := s.dirtySlots[si]
 	pending := s.pendingGlobalSlots[si]
-	groupStates := map[int]slotState{}
-	if grp := s.groups[si]; grp != nil {
-		at = s.flushShard(si, -1, at)
-		for _, p := range grp.pubs {
-			if cur, ok := groupStates[p.sid]; !ok || p.st.ver > cur.ver {
-				groupStates[p.sid] = p.st
-			}
-		}
-	}
-	if len(dirty) == 0 && len(pending) == 0 && len(groupStates) == 0 {
+	if len(dirty) == 0 && len(pending) == 0 {
 		s.journals[si].Reset()
 		return
 	}
 	t := at
-	sids := make([]int, 0, len(dirty)+len(pending)+len(groupStates))
+	sids := make([]int, 0, len(dirty)+len(pending))
 	for sid := range dirty {
 		sids = append(sids, sid)
 	}
@@ -600,20 +383,9 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 			sids = append(sids, sid)
 		}
 	}
-	for sid := range groupStates {
-		_, d := dirty[sid]
-		_, p := pending[sid]
-		if !d && !p {
-			sids = append(sids, sid)
-		}
-	}
 	sort.Ints(sids)
 	for _, sid := range sids {
-		st := s.slotSnapshot(sid)
-		if g, ok := groupStates[sid]; ok && g.ver > st.ver {
-			st = g
-		}
-		t = s.env.Mem.WriteLine(s.slotAddr(sid), encodeSlot(st, s.env.Layout.FrameIndex), t, stats.CatCheckpoint)
+		t = s.env.Mem.WriteLine(s.slotAddr(sid), encodeSlot(s.slotSnapshot(sid), s.env.Layout.FrameIndex), t, stats.CatCheckpoint)
 	}
 	s.journals[si].Reset()
 	clear(dirty)

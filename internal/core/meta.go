@@ -79,23 +79,6 @@ type Config struct {
 	// allocator, with the flip journaled by the same consolidation record.
 	// 0 disables rotation.
 	WearRotateWrites uint64
-	// EagerFlush issues each dirty write-set line's cache flush (clwb)
-	// immediately after the store instead of deferring it to the commit
-	// fence (Vilamb-style eager persistence). The commit-time fence then
-	// waits only on the tail of still-in-flight flushes — a max over the
-	// write set's outstanding completion cycles tracked in pageMeta — not
-	// on freshly issued write-backs. Repeated stores to a line re-flush
-	// it, so eager mode trades extra NVRAM data writes for critical-path
-	// latency. Off (the paper's deferred model) by default.
-	EagerFlush bool
-	// GroupCommitWindow, when positive, coalesces the journal leg of
-	// concurrent commits bound for the same shard: the first committer
-	// (the leader) holds its batch open for this many simulated cycles,
-	// followers arriving within the window append their batches to the
-	// same ring and wait on the leader's flush ticket, and one flush
-	// hardens them all. Zero (the paper model: one flush per commit) by
-	// default; serial execution degenerates to batches of one.
-	GroupCommitWindow engine.Cycles
 	// DurabilityEpoch, when positive, enables the relaxed-durability commit
 	// mode (CommitRelaxed): a relaxed commit is acknowledged as soon as its
 	// journal batch is buffered, and each journal shard hardens its open
@@ -153,12 +136,12 @@ type pageMeta struct {
 	// shard's stream; the stream itself is touched under that shard's lock).
 	barrier journalRef
 
-	// flushDone is the latest completion cycle of an eager in-flight data
-	// flush issued against this page (Config.EagerFlush, and the issued-not-
-	// fenced data flushes of relaxed commits). The commit fence takes the
-	// max over its write-set pages instead of re-flushing; the value is
-	// monotone, so a commit can only over-wait (never under-wait) on
-	// another core's already-fenced flushes. Protected by mu.
+	// flushDone is the latest completion cycle of the issued-but-unfenced
+	// data flushes relaxed commits left against this page (flushDataAsync);
+	// zero unless a relaxed commit ran. A synchronous commit fence takes
+	// the max over its write-set pages; the value is monotone, so a commit
+	// can only over-wait (never under-wait) on another core's flushes.
+	// Protected by mu.
 	flushDone engine.Cycles
 
 	// lastUpdate names the journal position of this page's most recent
@@ -280,8 +263,7 @@ const (
 
 // journal record payload: u32 sid, u32 vpn, u32 ppn0Idx, u32 ppn1Idx,
 // u64 committed — 24 bytes ("128 bits of metadata for each modified page",
-// §3.3, plus the slot's frame fields needed for recovery; see DESIGN.md
-// §5). With sharded journals (JournalShards > 1) the payload additionally
+// §3.3, plus the slot's frame fields needed for recovery). With sharded journals (JournalShards > 1) the payload additionally
 // carries the u32 slot update version that orders a record against
 // independently checkpointed shards; the single-journal paper model keeps
 // the 24-byte record — one stream's order is the update order, so the

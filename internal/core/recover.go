@@ -27,7 +27,6 @@ func (s *SSP) Crash() {
 		s.wsb[c] = make(map[int]uint64)
 		s.inTxn[c] = false
 		s.globalTxn[c] = false
-		s.ePending[c] = eagerWriteBehind{}
 		s.fallback[c] = false
 		s.fbOld[c] = make(map[memsim.PAddr][memsim.LineBytes]byte)
 		s.fbPages[c] = make(map[int]struct{})

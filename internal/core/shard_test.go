@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // shardEnv is testEnv with a multi-shard metadata journal.
@@ -150,5 +151,48 @@ func TestShardRecoveryMergesTIDOrder(t *testing.T) {
 		if buf[0] != byte(i+1) {
 			t.Errorf("page %d line %d: %d, want %d", i%4, i%64, buf[0], i+1)
 		}
+	}
+}
+
+// TestBarrierFlushChargesMax pins the fan-out rule: with pending
+// consolidation records in two DIFFERENT shards, the commit-time metadata
+// barrier charges the max of the two independent ring flushes, not their
+// sum. (memsim charges each flush's bank time either way; the fence is
+// what changes.)
+func TestBarrierFlushChargesMax(t *testing.T) {
+	env, s := shardEnv(t, 2, 2)
+	mapPage(env, 0)
+	mapPage(env, 1)
+	// Dirty both shards' rings with unflushed records and plant barrier
+	// marks on both pages.
+	for core := 0; core <= 1; core++ {
+		s.Begin(core, 0)
+		s.Store(core, va(core, 0), []byte{1}, 0)
+		s.Commit(core, 0)
+	}
+	for core := 0; core <= 1; core++ {
+		si := s.shardFor(core)
+		st := slotState{vpn: core, ppn0: s.lookupMeta(core).ppn0, ppn1: s.lookupMeta(core).ppn1, ver: s.allocVer()}
+		s.appendRecord(si, -1, wal.Record{TID: s.allocTID(), Kind: recConsolidate, Payload: s.journalPayload(s.lookupMeta(core).slot, st)}, s.lookupMeta(core).slot, 0)
+		s.lookupMeta(core).barrier = journalRef{shard: si, mark: s.journals[si].MarkHere()}
+	}
+	soloA := s.journals[0].Flush(0) // measure one shard's flush cost...
+	s.journals[0].Reset()
+	_ = soloA
+
+	// Re-plant shard 0's record (Reset dropped it) and time the barrier.
+	st := slotState{vpn: 0, ppn0: s.lookupMeta(0).ppn0, ppn1: s.lookupMeta(0).ppn1, ver: s.allocVer()}
+	s.appendRecord(0, -1, wal.Record{TID: s.allocTID(), Kind: recConsolidate, Payload: s.journalPayload(s.lookupMeta(0).slot, st)}, s.lookupMeta(0).slot, 0)
+	s.lookupMeta(0).barrier = journalRef{shard: 0, mark: s.journals[0].MarkHere()}
+
+	done := s.barrierFlush(0, []int{0, 1}, 0, nil)
+	// Each ring flush alone costs at least one NVRAM write (~hundreds of
+	// cycles). Under the old sum rule the two-shard barrier would charge
+	// at least twice a single flush; the max rule stays within ~1.5x.
+	if soloA <= 0 {
+		t.Fatal("single-shard flush charged no time")
+	}
+	if done > soloA+soloA/2 {
+		t.Errorf("two-shard barrier charged %d cycles, more than 1.5x a single flush (%d): looks like a sum, not a max", done, soloA)
 	}
 }

@@ -70,13 +70,6 @@ type metaChunk [metaChunkPages]atomic.Pointer[pageMeta]
 // stores to different pages proceed concurrently. Commit-time page
 // consolidation, which would otherwise funnel every core through structMu
 // at commit, is deferred to a batched epoch drain (see consolidate.go).
-//
-// Group commit (Config.GroupCommitWindow > 0) adds one wait rule to the
-// order: a follower blocks on its leader's flush ticket holding NO locks —
-// the ticket wait sits entirely outside the lock order — and the leader
-// closes, flushes and publishes its group under the shard's journalMu
-// alone, so a ticket wait can never participate in a lock cycle (see
-// journal.go).
 type SSP struct {
 	env *txn.Env
 	cfg Config
@@ -98,12 +91,6 @@ type SSP struct {
 	freeSlots   []int
 
 	dirtySlots []map[int]struct{} // per journal shard: slots needing a checkpoint write
-
-	// groups holds each journal shard's open group-commit window (nil when
-	// none): the leader's batch accumulating followers until the leader
-	// flushes (Config.GroupCommitWindow; see journal.go). Guarded by the
-	// shard's journalMu; only populated in parallel mode.
-	groups []*commitGroup
 
 	// epochs holds each journal shard's open relaxed-durability epoch
 	// (Config.DurabilityEpoch > 0; zero-valued and untouched otherwise).
@@ -132,12 +119,6 @@ type SSP struct {
 	inTxn     []bool
 	globalTxn []bool
 	wsb       []map[int]uint64 // write-set buffer: vpn -> updated bitmap
-
-	// ePending is each core's write-behind queue (Config.EagerFlush): the
-	// units its open transaction stored to most recently, flushed eagerly
-	// as they age out (commit.go). Touched only by the owning core's
-	// goroutine.
-	ePending []eagerWriteBehind
 
 	// Software fall-back path (§3.5).
 	fallback []bool
@@ -204,12 +185,8 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 		s.pendingGlobalSlots = append(s.pendingGlobalSlots, make(map[int]struct{}))
 	}
 	s.journalMu = make([]sync.Mutex, len(s.journals))
-	s.groups = make([]*commitGroup, len(s.journals))
 	s.epochs = make([]shardEpoch, len(s.journals))
 	s.prepHolds = make([]atomic.Int32, len(s.journals))
-	if s.cfg.GroupCommitWindow < 0 {
-		s.cfg.GroupCommitWindow = 0
-	}
 	if s.cfg.DurabilityEpoch < 0 {
 		s.cfg.DurabilityEpoch = 0
 	}
@@ -217,7 +194,6 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	cores := env.Cores()
 	s.inTxn = make([]bool, cores)
 	s.globalTxn = make([]bool, cores)
-	s.ePending = make([]eagerWriteBehind, cores)
 	s.wsb = make([]map[int]uint64, cores)
 	s.fallback = make([]bool, cores)
 	s.fbTID = make([]uint32, cores)
@@ -445,7 +421,7 @@ func (s *SSP) fetchMeta(vpn int, ppn memsim.PAddr, at engine.Cycles) (*pageMeta,
 	s.storeMeta(meta)
 	// The slot association becomes journal-visible only at the page's
 	// first commit; until then the page's committed state is entirely in
-	// its PTE frame, which needs no metadata (see DESIGN.md).
+	// its PTE frame, which needs no metadata.
 	t := at + s.accessLat(sid)
 	return meta, t
 }

@@ -124,19 +124,6 @@ func ShardedConfig(b ssp.Backend, cores, journalShards int) ssp.Config {
 	return cfg
 }
 
-// WithCommitKnobs turns on both commit-path batching knobs: eager
-// (write-behind) data flushing, which makes speculative data durable in
-// the shadow frames BEFORE the journal End record — every pre-End trap
-// point must roll it back via the shadow slots — and a group-commit
-// window, which on the sweep's serial machines degenerates to batches of
-// one but still routes every commit through the group protocol's code
-// path.
-func WithCommitKnobs(cfg ssp.Config) ssp.Config {
-	cfg.EagerFlush = true
-	cfg.GroupCommitWindow = 4096
-	return cfg
-}
-
 // BufferedConfig is Config with the DRAM buffer tier interposed and a
 // shrunken cache hierarchy: 16 buffer frames in front of a 32 KiB L2 and a
 // 64 KiB L3, so the buffered sweep's non-transactional spray

@@ -185,15 +185,14 @@ func TestCrossScriptExercisesTwoPhase(t *testing.T) {
 // inside every buffer window — after a dirty absorb (the absorbed line is
 // DRAM-only and legally lost), between a frame eviction's write-backs, and
 // around the commit fence's write-throughs. Committed transactions must
-// survive every cut with the tier in the path; classes stack the
-// commit-path knobs (eager flush + group commit) and a DurabilityEpoch on
-// top.
+// survive every cut with the tier in the path; a second class stacks a
+// DurabilityEpoch on top.
 func TestTrapSweepBuffered(t *testing.T) {
 	scripts, txns := 1, 10 // the spray makes each sweep ~8x a plain script's
 	if testing.Short() {
 		scripts, txns = 1, 6
 	}
-	epoch := WithCommitKnobs(BufferedConfig(ssp.SSP))
+	epoch := BufferedConfig(ssp.SSP)
 	epoch.DurabilityEpoch = 30000
 	classes := []struct {
 		name string
@@ -201,7 +200,6 @@ func TestTrapSweepBuffered(t *testing.T) {
 		seed uint64
 	}{
 		{"plain", BufferedConfig(ssp.SSP), 0xB0F1},
-		{"knobs", WithCommitKnobs(BufferedConfig(ssp.SSP)), 0xB0F2},
 		{"epoch", epoch, 0xB0F3},
 	}
 	for _, cl := range classes {
@@ -270,8 +268,8 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 // verified — every transaction atomic, losses a per-shard suffix of the
 // acknowledgment order (at most the open epoch, never torn), everything
 // behind a completed Sync durable, and nothing invented. Classes cover the
-// single-core machine, a short epoch (inline age-bound hardens dominate),
-// journal shards, and both commit-path knobs stacked on top.
+// single-core machine, a short epoch (inline age-bound hardens dominate)
+// and journal shards.
 func TestTrapSweepRelaxed(t *testing.T) {
 	txns := 12
 	if testing.Short() {
@@ -286,7 +284,6 @@ func TestTrapSweepRelaxed(t *testing.T) {
 		{"local", Config(ssp.SSP), 30000, 0x3E1A},
 		{"short-epoch", Config(ssp.SSP), 4000, 0x3E1B},
 		{"shards", ShardedConfig(ssp.SSP, 3, 3), 30000, 0x3E1C},
-		{"knobs", WithCommitKnobs(Config(ssp.SSP)), 30000, 0x3E1D},
 	}
 	for _, cl := range classes {
 		cl := cl
@@ -369,39 +366,11 @@ func TestTrapSweepCrossRelaxed(t *testing.T) {
 	t.Logf("%d trap points checked", total)
 }
 
-// TestTrapSweepEagerFlush runs the single-core trap sweep with the eager
-// (write-behind) data-flush knob on: every store's unit is written back to
-// the shadow frame ahead of commit, so the sweep's pre-End trap points now
-// find durable-but-uncommitted data in NVRAM — recovery must roll every
-// one of them back via the shadow slots, and the extra data writes add
-// trap points of their own.
-func TestTrapSweepEagerFlush(t *testing.T) {
-	scripts, txns := 2, 10
-	if testing.Short() {
-		scripts, txns = 1, 6
-	}
-	total := 0
-	for s := 0; s < scripts; s++ {
-		seed := 0xEA6E + uint64(s)*1000003
-		cfg := Config(ssp.SSP)
-		cfg.EagerFlush = true
-		points, bad := SweepConfig(cfg, seed, txns, false, os.Stderr)
-		if bad != 0 {
-			t.Fatalf("script %d (seed %#x): %d of %d trap points violated the all-or-nothing contract", s, seed, bad, points)
-		}
-		total += points
-	}
-	if total == 0 {
-		t.Fatal("eager-flush sweep checked no trap points")
-	}
-	t.Logf("%d trap points checked", total)
-}
-
-// TestTrapSweepCommitKnobs re-runs every sweep class — local, journal
-// shards, cross-shard, and the checkpoint-interleaved tiny-ring class —
-// with BOTH commit-path knobs on (eager flush + a group-commit window).
-// The acceptance bar for the knobs is exactly this: all trap classes keep
-// the all-or-nothing contract with the batching enabled.
+// TestTrapSweepCommitKnobs sweeps the synchronous commit path across the
+// configuration knobs that shape it, each class on its own seed: one core,
+// journal shards, cross-shard commits, epoch seals inside every journal
+// leg (DurabilityEpoch with synchronous commits), and the
+// checkpoint-interleaved tiny-ring class.
 func TestTrapSweepCommitKnobs(t *testing.T) {
 	txns := 10
 	if testing.Short() {
@@ -413,9 +382,9 @@ func TestTrapSweepCommitKnobs(t *testing.T) {
 		cross bool
 		seed  uint64
 	}{
-		{"local", WithCommitKnobs(Config(ssp.SSP)), false, 0xEA60},
-		{"shards", WithCommitKnobs(ShardedConfig(ssp.SSP, 3, 3)), false, 0xEA61},
-		{"cross", WithCommitKnobs(ShardedConfig(ssp.SSP, 4, 4)), true, 0xEA62},
+		{"local", Config(ssp.SSP), false, 0xEA60},
+		{"shards", ShardedConfig(ssp.SSP, 3, 3), false, 0xEA61},
+		{"cross", ShardedConfig(ssp.SSP, 4, 4), true, 0xEA62},
 	}
 	for _, cl := range classes {
 		cl := cl
@@ -441,7 +410,7 @@ func TestTrapSweepCommitKnobs(t *testing.T) {
 		// epoch-seal record first, adding trap points inside each commit's
 		// journal leg. The strict contract still applies: everything
 		// committed survives every cut.
-		cfg := WithCommitKnobs(ShardedConfig(ssp.SSP, 3, 3))
+		cfg := ShardedConfig(ssp.SSP, 3, 3)
 		cfg.DurabilityEpoch = 30000
 		points, bad := SweepConfig(cfg, 0xEA63, txns, false, os.Stderr)
 		if bad != 0 {
@@ -453,7 +422,7 @@ func TestTrapSweepCommitKnobs(t *testing.T) {
 		t.Logf("epoch: %d trap points checked", points)
 	})
 	t.Run("checkpoints", func(t *testing.T) {
-		cfg := WithCommitKnobs(ShardedConfig(ssp.SSP, 4, 4))
+		cfg := ShardedConfig(ssp.SSP, 4, 4)
 		cfg.JournalKB = 1 // high-water after ~16 records: checkpoints mid-script
 		seed := uint64(0xCCEA)
 		sc := MakeCrossScript(seed, 30)

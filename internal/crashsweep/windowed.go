@@ -4,9 +4,9 @@
 // Determinism is what makes a concurrent trap sweep well-defined at all:
 // every re-run of the script produces the same durable NVRAM write stream
 // in the same order, so "power failure after write k" names the same cut
-// point in every run — and the sweep then proves that window barriers,
-// group-commit tickets and epoch hardening cannot reorder a durability
-// point across a commit's acknowledgement.
+// point in every run — and the sweep then proves that window barriers and
+// epoch hardening cannot reorder a durability point across a commit's
+// acknowledgement.
 
 package crashsweep
 
@@ -18,21 +18,19 @@ import (
 )
 
 // windowedPageStride separates the cores' page ranges: core c writes the
-// script's pages shifted up by c*stride, so cores share journal shards,
-// group-commit windows and epochs but never a data page — verification
-// stays per-core all-or-nothing.
+// script's pages shifted up by c*stride, so cores share journal shards and
+// epochs but never a data page — verification stays per-core
+// all-or-nothing.
 const windowedPageStride = 16
 
 // WindowedConfig is the machine the windowed sweep class runs on: a
 // multi-core machine with the deterministic window scheduler, per-core
-// journal shards, a group-commit window and a durability epoch all
-// composed — every batching knob the scheduler must not be allowed to
-// reorder durability points across.
+// journal shards and a durability epoch composed — the batching the
+// scheduler must not be allowed to reorder durability points across.
 func WindowedConfig(cores int) ssp.Config {
 	cfg := Config(ssp.SSP)
 	cfg.Cores = cores
 	cfg.JournalShards = 2
-	cfg.GroupCommitWindow = 4096
 	cfg.DurabilityEpoch = 50000
 	cfg.TimeWindow = 4096
 	return cfg

@@ -9,12 +9,11 @@ import (
 
 // TestTrapSweepWindowed is the windowed concurrent crash class: the script
 // runs with one goroutine per core on a 4-core machine under the
-// deterministic window scheduler, with journal sharding, a group-commit
-// window and a durability epoch all composed (WindowedConfig), and the
-// trap sweep injects a power failure after every durable NVRAM write.
-// Because TimeWindow > 0 makes the write stream reproducible, each trap
-// point names the same cut in every run — the sweep proves window
-// barriers, group-commit tickets and epoch hardening cannot move a
+// deterministic window scheduler, with journal sharding and a durability
+// epoch composed (WindowedConfig), and the trap sweep injects a power
+// failure after every durable NVRAM write. Because TimeWindow > 0 makes the
+// write stream reproducible, each trap point names the same cut in every
+// run — the sweep proves window barriers and epoch hardening cannot move a
 // durability point past a synchronous commit's acknowledgement.
 func TestTrapSweepWindowed(t *testing.T) {
 	scripts, txns := 2, 10
@@ -35,28 +34,6 @@ func TestTrapSweepWindowed(t *testing.T) {
 		t.Fatal("windowed sweep checked no trap points")
 	}
 	t.Logf("%d trap points checked", total)
-}
-
-// TestTrapSweepWindowedEagerFlush stacks the eager write-behind data flush
-// on top of the windowed class: speculative data becomes durable in the
-// shadow frames before the journal End record, so every pre-End trap point
-// must roll the early flushes back via the shadow slots — now with four
-// cores' commits interleaved by the window scheduler.
-func TestTrapSweepWindowedEagerFlush(t *testing.T) {
-	txns := 10
-	if testing.Short() {
-		txns = 6
-	}
-	cfg := WindowedConfig(4)
-	cfg.EagerFlush = true
-	points, bad := SweepWindowedScript(cfg, MakeScript(0xEF1A, txns), false, os.Stderr)
-	if bad != 0 {
-		t.Fatalf("%d of %d trap points violated the all-or-nothing contract", bad, points)
-	}
-	if points == 0 {
-		t.Fatal("windowed eager-flush sweep checked no trap points")
-	}
-	t.Logf("%d trap points checked", points)
 }
 
 // TestWindowedRunDeterministic double-checks the windowed sweep's

@@ -7,7 +7,7 @@ import (
 	"repro/ssp"
 )
 
-// Ablations beyond the paper's figures, for the design choices DESIGN.md
+// Ablations beyond the paper's figures, for the design choices the paper
 // calls out (§3.4 eager consolidation, §4.2 write-set buffer, §4.3 sub-page
 // granularity and hardware-cost reduction).
 

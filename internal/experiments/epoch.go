@@ -10,9 +10,7 @@ import (
 
 // This file is the relaxed-durability epoch experiment (beyond the paper):
 // it sweeps the epoch length (ssp.Config.DurabilityEpoch) against the core
-// count on the single-journal-shard real-workload mixes — the same machine
-// shapes as the commit-path sweep's shared-journal rows, so the epoch rows
-// compose directly with that experiment's baseline. Epoch 0 is the paper's
+// count on the single-journal-shard real-workload mixes. Epoch 0 is the paper's
 // synchronous model (every commit waits for its journal flush); each longer
 // epoch amortises more commits per seal-and-flush, shrinking the
 // commit-barrier share of machine time and opening a committed-vs-durable
@@ -31,8 +29,8 @@ type EpochPoint struct {
 }
 
 // EpochMix names one workload mix of the sweep with its machine shape. The
-// defaults mirror the commit-path sweep's shared-journal mixes: one journal
-// shard, so every core contends on the ring the epoch engine batches.
+// defaults use one journal shard, so every core contends on the ring the
+// epoch engine batches.
 type EpochMix struct {
 	Kind     workload.Kind
 	Shards   int
@@ -78,6 +76,16 @@ func EpochSweep(sc Scale, mix EpochMix, epochs, coresList []int) []EpochPoint {
 		}
 	}
 	return points
+}
+
+// BarrierWaitShare returns CommitBarrierWait as a fraction of the run's
+// total core-cycles (window × cores) — the share of the machine's time
+// spent blocked on commit-critical persistence fences.
+func BarrierWaitShare(res workload.ParallelResult, cores int) float64 {
+	if res.Cycles <= 0 || cores <= 0 {
+		return 0
+	}
+	return float64(res.Stats.CommitBarrierWait) / (float64(res.Cycles) * float64(cores))
 }
 
 // MeanHardenLag returns the mean cycles from an epoch's first relaxed

@@ -3,12 +3,12 @@
 // (microbenchmark throughput, 1 and 4 threads), Figure 6 (logging writes),
 // Figures 7a/7b (NVRAM writes and SSP write breakdown), Figure 8 (NVRAM
 // latency sensitivity), Figure 9 (SSP cache latency sensitivity), and
-// Tables 4/5 (real-workload speedup and write savings). See DESIGN.md §3
-// for the experiment index.
+// Tables 4/5 (real-workload speedup and write savings). `sspbench -list`
+// is the experiment index.
 //
 // Each runner returns structured rows and renders the same series the
 // paper reports; absolute numbers come from the simulator, shapes are what
-// is compared (EXPERIMENTS.md records paper-vs-measured).
+// is compared.
 package experiments
 
 import (
@@ -41,12 +41,12 @@ func SmallScale() Scale {
 	return Scale{Ops: 1500, Keys: 8192, Elems: 1 << 19, Items: 4096, Tuples: 4096, Seed: 0xE0}
 }
 
-// FullScale returns the reproduction sizes used for EXPERIMENTS.md. The
+// FullScale returns the reproduction sizes (`sspbench -scale full`). The
 // tree/hash working sets sit within the TLB hierarchy's reach (the regime
 // the paper's batching argument assumes); the SPS array exceeds it, making
-// SPS the consolidation-heavy outlier. EXPERIMENTS.md separately records
-// the working-set cliff just past TLB reach (Keys=131072), where eager
-// consolidation bandwidth erodes the four-thread advantage.
+// SPS the consolidation-heavy outlier. The measured record of the SPS cliff
+// and of the tree working-set cliff just past TLB reach (Keys=131072) is
+// gone; ROADMAP item 2's regime map rebuilds it.
 func FullScale() Scale {
 	return Scale{Ops: 20000, Keys: 65536, Elems: 1 << 20, Items: 16384, Tuples: 16384, Seed: 0xE0}
 }

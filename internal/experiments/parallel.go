@@ -97,19 +97,9 @@ func RenderParallel(rows []ParallelRow) string {
 		fmt.Fprintf(&b, "\n%s metadata-journal pressure (parallel window):\n  %s\n",
 			r.Backend.String(), JournalPressureLine(r.Parallel.Result))
 	}
-	for _, r := range rows {
-		st := r.Parallel.Stats
-		if st.GroupCommitBatches == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\n%s group commit: %d batches, %d followers (%.2f members/flush)\n",
-			r.Backend.String(), st.GroupCommitBatches, st.GroupCommitFollowers,
-			float64(st.GroupCommitBatches+st.GroupCommitFollowers)/float64(st.GroupCommitBatches))
-	}
 	if rows[0].Parallel.TimeWindow == 0 {
-		b.WriteString("\nnote: per-core timing, occupancy and the group-commit batch/follower split above\n" +
-			"are host-schedule dependent in free-running mode; set Config.TimeWindow > 0 (e.g. 4096)\n" +
-			"for byte-identical repeats (batches + followers = group-path commits holds either way).\n")
+		b.WriteString("\nnote: per-core timing and occupancy above are host-schedule dependent in\n" +
+			"free-running mode; set Config.TimeWindow > 0 (e.g. 4096) for byte-identical repeats.\n")
 	} else {
 		ws := rows[0].Parallel.WindowSched
 		fmt.Fprintf(&b, "\ndeterministic window scheduler: W=%d cycles, %d windows, %d grants, %d barrier stalls\n",

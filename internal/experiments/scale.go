@@ -34,14 +34,13 @@ type ScalePoint struct {
 }
 
 // ScaleSweep runs kind under SSP for every window × cores combination on a
-// sharded machine (4 channels, per-core-capped journal shards, the
-// commit-path group window on) so the shared-hardware arbitration the
-// scheduler makes deterministic is actually exercised.
+// sharded machine (4 channels, per-core-capped journal shards) so the
+// shared-hardware arbitration the scheduler makes deterministic is actually
+// exercised.
 func ScaleSweep(sc Scale, kind workload.Kind, windows, coresList []int) []ScalePoint {
 	tune := func(p *workload.Params, window int) {
 		p.Machine.Channels = 4
 		p.Machine.JournalShards = 4
-		p.Machine.GroupCommitWindow = 4096
 		p.Machine.TimeWindow = window
 	}
 	sp := sc.params(kind, ssp.SSP, 1)

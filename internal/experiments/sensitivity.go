@@ -22,7 +22,7 @@ type Fig8Point struct {
 
 // Fig8 sweeps NVRAM latency for RBTree-Rand and BTree-Rand (the paper's two
 // representative workloads). NVRAM read and write are both set to
-// multiple×50 ns (see DESIGN.md §5 for the x-axis interpretation).
+// multiple×50 ns.
 func Fig8(sc Scale) []Fig8Point {
 	var out []Fig8Point
 	for _, k := range []workload.Kind{workload.RBTreeRand, workload.BTreeRand} {

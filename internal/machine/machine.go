@@ -8,7 +8,7 @@
 // advances it by the modelled latency. Serial multi-client workloads
 // interleave transactions by always running the client whose clock is
 // lowest (see internal/workload), while memory-bank and lock timelines are
-// shared across cores so contention is modelled (DESIGN.md §5).
+// shared across cores so contention is modelled.
 //
 // Machine.Run adds a concurrent mode: one goroutine per core, with shared
 // structures (memory, caches, page table, backend metadata) synchronising
@@ -304,7 +304,6 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	}
 	if cfg.TimeWindow > 0 {
 		m.sched = newWinSched(m, cfg.TimeWindow)
-		m.env.Sched = m.sched
 	}
 	switch cfg.Backend {
 	case SSP:
@@ -620,7 +619,7 @@ func (m *Machine) Recover() error {
 }
 
 // Lock is a simulated mutex: acquisition serialises critical sections in
-// simulated time without spinning (DESIGN.md §5). In free-running
+// simulated time without spinning. In free-running
 // concurrent mode the simulated hand-off is backed by a real mutex held
 // between Acquire and Release, so host-level mutual exclusion matches the
 // simulated one. In windowed mode (Config.TimeWindow > 0) the scheduler

@@ -22,8 +22,8 @@ import (
 // remains below the window end, the window advances to the earliest ready
 // core's window and scheduling resumes. Every shared-hardware interaction —
 // memory-bank and bus occupancy bookings, row-buffer transitions, cache
-// ownership transfers, journal appends, group-commit admission, epoch age
-// checks, TID/version allocation — therefore happens in one global order
+// ownership transfers, journal appends, lock hand-off, epoch age checks,
+// TID/version allocation — therefore happens in one global order
 // that is a pure function of the simulated state, never of the host
 // schedule: two runs with the same seed and core count produce byte-
 // identical Stats.
@@ -36,32 +36,27 @@ import (
 //
 // Blocking. A core that must wait on ANOTHER core's progress cannot simply
 // block in host time — it holds the only execution slot. Instead it parks
-// in one of four states and releases the slot:
+// in one of two states and releases the slot:
 //
 //   - lock wait: Core.Acquire on a held Lock; the releaser hands the lock
 //     to the waiting core with the lowest (clock, index) pair.
-//   - ticket: a group-commit follower waiting on its leader's flush
-//     (txn.WindowScheduler.TicketPark/TicketWake).
-//   - rendezvous: a group-commit leader holding its window open for
-//     followers (WaitCommitWindow); released once no schedulable core's
-//     clock is at or below the deadline.
 //   - external: a core blocked on a host-side event — a server worker's
 //     request queue (Core.BlockExternal). The scheduler does not wait for
 //     external cores; they re-enter as ready when the event arrives, so a
 //     machine with external cores is live but NOT deterministic (the event
 //     arrival order is the host's).
+//
+// Backends never park: nothing below the Core API blocks on another core.
 
 // schedState is one core's scheduler state.
 type schedState uint8
 
 const (
-	schedReady      schedState = iota // wants the slot
-	schedRunning                      // holds the slot (at most one core)
-	schedLockWait                     // parked on a Lock's queue
-	schedTicket                       // parked on a group-commit flush ticket
-	schedRendezvous                   // group-commit leader holding its window open
-	schedExternal                     // blocked on a host-side event
-	schedDone                         // returned from Run's fn
+	schedReady    schedState = iota // wants the slot
+	schedRunning                    // holds the slot (at most one core)
+	schedLockWait                   // parked on a Lock's queue
+	schedExternal                   // blocked on a host-side event
+	schedDone                       // returned from Run's fn
 )
 
 // WindowStats describes one windowed Run's scheduling activity. Counters
@@ -102,7 +97,6 @@ type winSched struct {
 	running   int           // core holding the slot, -1 when none
 	windowEnd engine.Cycles // exclusive upper bound of the current window
 	state     []schedState
-	rdvAt     []engine.Cycles // rendezvous deadline, valid while schedRendezvous
 	grant     []chan struct{} // per-core slot token (cap 1)
 
 	windows       uint64
@@ -117,7 +111,6 @@ func newWinSched(m *Machine, w engine.Cycles) *winSched {
 		w:       w,
 		running: -1,
 		state:   make([]schedState, m.cfg.Cores),
-		rdvAt:   make([]engine.Cycles, m.cfg.Cores),
 		grant:   make([]chan struct{}, m.cfg.Cores),
 	}
 	for i := range s.grant {
@@ -204,15 +197,12 @@ func (s *winSched) parkLocked(id int, st schedState) {
 }
 
 // scheduleLocked hands the free slot to the best grantable core, advancing
-// the window when every ready core is past its end. It resolves rendezvous
-// releases first: their conditions depend on the very states this call is
-// reacting to. Caller holds mu. No-op while a core runs or before the
-// start barrier completes.
+// the window when every ready core is past its end. Caller holds mu. No-op
+// while a core runs or before the start barrier completes.
 func (s *winSched) scheduleLocked() {
 	if !s.active || s.running != -1 || s.pending > 0 {
 		return
 	}
-	s.releaseRendezvousLocked()
 	for {
 		best := -1
 		anyReady := false
@@ -239,8 +229,7 @@ func (s *winSched) scheduleLocked() {
 		}
 		if !anyReady {
 			// Everyone is parked or done. Lock waiters resume via their
-			// holder's Release, tickets via their leader (whose rendezvous
-			// was just resolved above), externals via their host event.
+			// holder's Release, externals via their host event.
 			return
 		}
 		// Window barrier: advance to the window containing the earliest
@@ -258,37 +247,6 @@ func (s *winSched) grantLocked(id int) {
 	s.running = id
 	s.grants++
 	s.grant[id] <- struct{}{}
-}
-
-// releaseRendezvousLocked readies every rendezvous core whose wait
-// condition now holds. Ascending index order; releasing one core to ready
-// can only extend (never break) another's wait, so a single pass is
-// deterministic and complete.
-func (s *winSched) releaseRendezvousLocked() {
-	for i, st := range s.state {
-		if st == schedRendezvous && !s.commitMayArriveLocked(i, s.rdvAt[i]) {
-			s.state[i] = schedReady
-		}
-	}
-}
-
-// commitMayArriveLocked reports whether any core other than self could
-// still commit at a simulated time <= deadline: it is schedulable (ready or
-// running) with a clock at or below the deadline. Parked cores do not
-// count — a lock waiter resumes at or after its holder's release time, and
-// ticket/rendezvous/external cores are mid-commit or host-blocked — which
-// is exactly what makes two concurrent leaders (or a leader holding a Lock
-// a laggard wants) deadlock-free.
-func (s *winSched) commitMayArriveLocked(self int, deadline engine.Cycles) bool {
-	for j, st := range s.state {
-		if j == self {
-			continue
-		}
-		if (st == schedReady || st == schedRunning) && s.m.clocks[j] <= deadline {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -360,46 +318,6 @@ func (s *winSched) external(id int, wait func()) {
 	<-s.grant[id]
 	s.mu.Lock()
 	s.hostWait += time.Since(t0)
-	s.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
-// txn.WindowScheduler implementation (the backend-facing hooks).
-
-// Windowed reports whether the scheduler currently governs execution.
-// Called from core goroutines during Run; active flips only while the
-// machine is quiescent, so the read is ordered by the goroutine start/join.
-func (s *winSched) Windowed() bool { return s.active }
-
-// WaitCommitWindow implements txn.WindowScheduler.
-func (s *winSched) WaitCommitWindow(core int, deadline engine.Cycles) {
-	if !s.active {
-		return
-	}
-	s.mu.Lock()
-	if s.commitMayArriveLocked(core, deadline) {
-		s.rdvAt[core] = deadline
-		s.parkLocked(core, schedRendezvous)
-	}
-	s.mu.Unlock()
-}
-
-// TicketPark implements txn.WindowScheduler.
-func (s *winSched) TicketPark(core int) {
-	s.mu.Lock()
-	s.parkLocked(core, schedTicket)
-	s.mu.Unlock()
-}
-
-// TicketWake implements txn.WindowScheduler. The caller keeps running; the
-// woken cores are granted in (clock, index) order at its next yield.
-func (s *winSched) TicketWake(cores []int) {
-	s.mu.Lock()
-	for _, c := range cores {
-		if s.state[c] == schedTicket {
-			s.state[c] = schedReady
-		}
-	}
 	s.mu.Unlock()
 }
 

@@ -2,7 +2,7 @@
 // simulated machine (Table 2): DRAM and NVRAM DIMMs spread over one or more
 // independent memory channels, with per-bank busy timelines, row-buffer
 // locality and per-line data-bus occupancy per channel. It stands in for the
-// DRAMSim2 model the paper integrated into MarssX86 (see DESIGN.md §1).
+// DRAMSim2 model the paper integrated into MarssX86.
 //
 // # Channels
 //

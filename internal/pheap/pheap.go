@@ -7,8 +7,8 @@
 //
 // Mnemosyne-style systems leave allocator persistence to the runtime; the
 // paper inherits that model. Building it on the transactional API both
-// exercises the mechanism under test and removes a class of recovery leaks
-// (see DESIGN.md §5).
+// exercises the mechanism under test and removes a class of recovery
+// leaks.
 package pheap
 
 import (

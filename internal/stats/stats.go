@@ -158,26 +158,6 @@ type Stats struct {
 	// flush fence and REDO-LOG's write-back queue-admission stall.
 	CommitBarrierWait uint64
 
-	// EagerFlushLines counts cache-line write-backs issued by the eager
-	// async data-flush path (Config.EagerFlush): clwbs launched at store
-	// time instead of at the commit fence. Repeated stores to a line
-	// re-flush it, so EagerFlushLines exceeding the deferred model's data
-	// flushes is the write amplification eager flushing trades for commit
-	// latency.
-	EagerFlushLines uint64
-
-	// Group-commit counters (Config.GroupCommitWindow > 0).
-	// GroupCommitBatches counts journal-leg flushes on the group-commit
-	// path — a leader's coalesced flush or a latecomer's solo flush — and
-	// GroupCommitFollowers counts commits that rode another core's flush
-	// ticket instead of paying their own. Batches + Followers equals the
-	// commits routed through the group protocol — the journaling commits,
-	// i.e. Commits minus multi-shard globals, empty-write-set commits and
-	// fall-back commits — so followers/batches is the mean extra occupancy
-	// per coalesced flush.
-	GroupCommitBatches   uint64
-	GroupCommitFollowers uint64
-
 	// Relaxed-durability counters (Config.DurabilityEpoch > 0).
 	// RelaxedCommits counts transactions acknowledged by CommitRelaxed with
 	// their durability deferred into a shard epoch. EpochSeals counts
@@ -365,9 +345,6 @@ func (s *Stats) Add(o *Stats) {
 	s.JournalRecords += o.JournalRecords
 	s.FallbackTxns += o.FallbackTxns
 	s.CommitBarrierWait += o.CommitBarrierWait
-	s.EagerFlushLines += o.EagerFlushLines
-	s.GroupCommitBatches += o.GroupCommitBatches
-	s.GroupCommitFollowers += o.GroupCommitFollowers
 	s.RelaxedCommits += o.RelaxedCommits
 	s.EpochSeals += o.EpochSeals
 	s.HardenedEpochs += o.HardenedEpochs
@@ -452,12 +429,6 @@ func (s *Stats) Summary() string {
 	}
 	if s.CommitBarrierWait > 0 {
 		fmt.Fprintf(&b, "commit-barrier wait cycles: %d\n", s.CommitBarrierWait)
-	}
-	if s.EagerFlushLines > 0 {
-		fmt.Fprintf(&b, "eager data flushes (lines): %d\n", s.EagerFlushLines)
-	}
-	if s.GroupCommitBatches > 0 {
-		fmt.Fprintf(&b, "group-commit batches: %d (%d followers)\n", s.GroupCommitBatches, s.GroupCommitFollowers)
 	}
 	if s.RelaxedCommits > 0 {
 		fmt.Fprintf(&b, "relaxed commits: %d, epochs hardened: %d (seals: %d)\n", s.RelaxedCommits, s.HardenedEpochs, s.EpochSeals)

@@ -44,45 +44,6 @@ type Env struct {
 	BarrierCycles engine.Cycles
 	// STLBCycles is the extra latency of an L2 STLB hit.
 	STLBCycles engine.Cycles
-
-	// Sched is the machine's deterministic bounded-lag window scheduler
-	// (machine.Config.TimeWindow > 0), or nil in free-running mode. While
-	// Sched.Windowed() is true a backend must not block in host time
-	// (sleeps, bare channel waits) on another core's progress — it parks
-	// through the scheduler instead, so lockstep windows keep advancing and
-	// wake-up order stays deterministic.
-	Sched WindowScheduler
-}
-
-// WindowScheduler is the deterministic window scheduler's backend-facing
-// hook set. Core execution inside a windowed Machine.Run is serialised onto
-// one execution slot granted in min-(clock, core-index) order, so any
-// host-time rendezvous between cores would deadlock; these methods are the
-// scheduler-mediated replacements.
-type WindowScheduler interface {
-	// Windowed reports whether the scheduler currently governs core
-	// execution (inside a windowed Machine.Run). Backends check it at each
-	// decision point; it never changes while a core is executing.
-	Windowed() bool
-
-	// WaitCommitWindow parks the calling core until no other schedulable
-	// core's clock is <= deadline — the deterministic replacement for the
-	// group-commit leader's host-time rendezvous sleep. Cores parked on
-	// locks, tickets, host-side events, or their own rendezvous do not
-	// count as schedulable (they cannot commit before resuming), so two
-	// leaders can never wait on each other. The caller must hold no backend
-	// locks.
-	WaitCommitWindow(core int, deadline engine.Cycles)
-
-	// TicketPark parks the calling core until TicketWake names it — the
-	// deterministic replacement for a follower's flush-ticket channel wait.
-	// The caller must hold no backend locks.
-	TicketPark(core int)
-
-	// TicketWake readies previously TicketParked cores; the caller keeps
-	// the execution slot. Writes the caller made before TicketWake are
-	// visible to the woken cores when they resume.
-	TicketWake(cores []int)
 }
 
 // Cores returns the number of simulated cores.

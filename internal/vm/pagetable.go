@@ -122,8 +122,7 @@ func (pt *PageTable) Mapped() [](struct {
 
 // FrameAlloc hands out physical frames from the pool. Allocation state is
 // volatile: recovery rebuilds it by scanning the page table and SSP slots
-// (frames lost between mapping and commit leak until then — see DESIGN.md
-// §5).
+// (frames lost between mapping and commit leak until then).
 //
 // The free pool is one conceptual stack, top first: the hot frames (Free,
 // last in first out), then the frames no one has taken yet in ascending

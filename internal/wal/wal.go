@@ -80,7 +80,6 @@ type Stream struct {
 	pendingStart   int    // offset of pending[0] within the region
 	flushedThrough int
 	generation     uint64
-	flushWrites    uint64 // tail-line NVRAM writes performed by Flush
 }
 
 // NewStream returns an empty stream over [base, base+capacity).
@@ -158,18 +157,10 @@ func (s *Stream) Flush(at engine.Cycles) engine.Cycles {
 	}
 	t = s.mem.WriteBytes(s.base+memsim.PAddr(s.pendingStart), s.pending, t, s.cat)
 	s.flushedThrough = s.pendingStart + len(s.pending)
-	s.flushWrites++
 	// Keep the bytes staged: the line is partially filled and will be
 	// rewritten in full when more records arrive.
 	return t
 }
-
-// FlushWrites returns the number of partial-tail-line NVRAM writes Flush has
-// performed over the stream's lifetime (full lines drain during Append and
-// are not counted). Group commit coalesces several batches into one flush,
-// so this counter growing slower than the commit count is the saving made
-// visible.
-func (s *Stream) FlushWrites() uint64 { return s.flushWrites }
 
 // Reset logically truncates the stream: appends restart at offset zero,
 // overwriting the previous generation. Durable truncation is unnecessary —

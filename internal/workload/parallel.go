@@ -28,13 +28,6 @@ type CoreResult struct {
 	// BarrierWait is the core's commit-barrier wait: cycles its commits
 	// spent blocked on their data-flush fences (Stats.CommitBarrierWait).
 	BarrierWait uint64
-
-	// Group-commit participation (Stats.GroupCommitBatches/Followers):
-	// journal-leg flushes this core led (or paid solo) and commits where it
-	// rode another core's flush ticket instead. Zero when the group-commit
-	// window is off.
-	GroupBatches   uint64
-	GroupFollowers uint64
 }
 
 // ParallelResult is a parallel run's measurements: the aggregate in Result
@@ -49,8 +42,8 @@ type ParallelResult struct {
 	// WindowSched the scheduler's activity during the measured Run — both
 	// zero in free-running mode (Machine.TimeWindow == 0). When TimeWindow
 	// > 0 the whole Result, Stats and histograms included, is byte-identical
-	// across same-seed runs; at 0, cross-core timing, occupancy lines and
-	// the group-commit batch/follower split are host-schedule dependent.
+	// across same-seed runs; at 0, cross-core timing and occupancy lines are
+	// host-schedule dependent.
 	TimeWindow  ssp.Cycles
 	WindowSched ssp.WindowStats
 }
@@ -118,13 +111,11 @@ func RunParallel(p Params) ParallelResult {
 		coreElapsed := m.Core(i).Now() - start
 		cst := m.CoreStats(i)
 		cr := CoreResult{
-			Core:           i,
-			Txns:           uint64(share[i]),
-			Commits:        cst.Commits,
-			Cycles:         coreElapsed,
-			BarrierWait:    cst.CommitBarrierWait,
-			GroupBatches:   cst.GroupCommitBatches,
-			GroupFollowers: cst.GroupCommitFollowers,
+			Core:        i,
+			Txns:        uint64(share[i]),
+			Commits:     cst.Commits,
+			Cycles:      coreElapsed,
+			BarrierWait: cst.CommitBarrierWait,
 		}
 		if coreElapsed > 0 {
 			cr.TPS = float64(cr.Commits) / m.Seconds(coreElapsed)

@@ -12,8 +12,8 @@ import (
 // a customer table are persistent red-black trees; reservations are
 // persistent list nodes hanging off customers.
 //
-// Transaction mix (documented in DESIGN.md; STAMP's user-query dominated
-// default): 80% make-reservation, 10% delete-customer, 10% update-tables.
+// Transaction mix (STAMP's user-query dominated default): 80%
+// make-reservation, 10% delete-customer, 10% update-tables.
 const (
 	vacResourceTables = 3
 	vacReserveEntry   = 32 // type, id, price, next

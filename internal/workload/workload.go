@@ -6,7 +6,7 @@
 //
 // Clients are simulated cores. The driver always steps the client with the
 // lowest clock, so multi-client runs interleave deterministically while
-// sharing memory-bank and lock timelines (DESIGN.md §5).
+// sharing memory-bank and lock timelines.
 package workload
 
 import (

@@ -27,7 +27,6 @@ func TestConfigValidation(t *testing.T) {
 		{"subpage lines 3", Config{SubPageLines: 3}, "SubPageLines"},
 		{"subpage lines 8", Config{SubPageLines: 8}, "SubPageLines"},
 		{"negative subpage lines", Config{SubPageLines: -4}, "SubPageLines"},
-		{"negative group window", Config{GroupCommitWindow: -1}, "GroupCommitWindow"},
 		{"negative epoch", Config{DurabilityEpoch: -100}, "DurabilityEpoch"},
 		{"negative time window", Config{TimeWindow: -4096}, "TimeWindow"},
 	}
@@ -58,7 +57,7 @@ func TestConfigValidationAccepts(t *testing.T) {
 		{Channels: MaxChannels, JournalShards: MaxJournalShards},
 		{SubPageLines: 1},
 		{SubPageLines: 4},
-		{DurabilityEpoch: 1 << 20, GroupCommitWindow: 4096},
+		{DurabilityEpoch: 1 << 20},
 		{TimeWindow: 4096},
 	} {
 		if err := cfg.Validate(); err != nil {

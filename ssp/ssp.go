@@ -194,19 +194,6 @@ type Config struct {
 	SubPageLines    int    // persistence granularity in lines (§4.3; 1 or 4)
 	WSBEntries      int    // write-set buffer capacity in pages (§4.2)
 
-	// Commit-path batching knobs (beyond the paper; both default to the
-	// paper model, which reproduces every earlier figure bit-for-bit).
-	//
-	// EagerFlush issues each dirty write-set line's write-back (clwb)
-	// immediately after the store instead of deferring it to the commit
-	// fence, so the fence waits only on the tail of still-in-flight
-	// flushes (Stats.CommitBarrierWait collapses). Repeated stores to a
-	// line re-flush it — extra NVRAM data writes (Stats.EagerFlushLines)
-	// are the price of the shorter critical path. Crash semantics are
-	// unchanged: eagerly flushed data lands in the shadow locations the
-	// committed bitmaps do not reference until the journal End record, so
-	// a crash rolls it back exactly as before.
-	EagerFlush bool
 	// DurabilityEpoch, in cycles, enables the relaxed-durability commit
 	// mode: Core.CommitRelaxed acknowledges a transaction as soon as its
 	// journal batch is buffered, and each metadata-journal shard hardens
@@ -225,7 +212,7 @@ type Config struct {
 	// many simulated cycles and execution within a window is serialised in
 	// min-(clock, core-index) order, so all shared-hardware arbitration —
 	// memory bank and bus occupancy, row-buffer transitions, cache
-	// ownership transfers, group-commit admission, epoch hardening — is
+	// ownership transfers, lock hand-off, epoch hardening — is
 	// resolved in simulated-time order and two runs with the same seed and
 	// core count produce byte-identical Stats (see Machine.WindowStats for
 	// the scheduler's own counters). The host-parallelism of Run is
@@ -233,15 +220,6 @@ type Config struct {
 	// speedup curves are unaffected; 4096 is a good default window.
 	// 0 (default) is the free-running concurrent mode, bit-for-bit.
 	TimeWindow int
-	// GroupCommitWindow, in cycles, coalesces the journal legs of commits
-	// concurrently bound for the same metadata-journal shard: the first
-	// committer holds its record batch open for the window, followers
-	// append behind it and wait on the leader's flush ticket, and one ring
-	// flush hardens every batch (Stats.GroupCommitBatches/
-	// GroupCommitFollowers). 0 = the paper's flush-per-commit model.
-	// Grouping only forms when several cores share a shard (cores >
-	// JournalShards); serial execution degenerates to batches of one.
-	GroupCommitWindow int
 	// DRAMCacheFrames interposes a pager-style DRAM buffer cache of this
 	// many 4 KiB frames between the CPU cache hierarchy and the NVRAM data
 	// frame pool (beyond the paper). Clean fills and re-reads are served at
@@ -368,12 +346,8 @@ func (c Config) apply() machine.Config {
 	}
 	mc.SSP.LazyConsolidation = c.LazyConsolidation
 	mc.SSP.FlipViaShootdown = c.FlipViaShootdown
-	mc.SSP.EagerFlush = c.EagerFlush
 	if c.TimeWindow > 0 {
 		mc.TimeWindow = engine.Cycles(c.TimeWindow)
-	}
-	if c.GroupCommitWindow > 0 {
-		mc.SSP.GroupCommitWindow = engine.Cycles(c.GroupCommitWindow)
 	}
 	if c.DurabilityEpoch > 0 {
 		mc.SSP.DurabilityEpoch = engine.Cycles(c.DurabilityEpoch)
@@ -423,9 +397,6 @@ func (c Config) Validate() error {
 	}
 	if c.TimeWindow < 0 {
 		return fmt.Errorf("ssp: TimeWindow is %d cycles, want >= 0 (0 selects free-running concurrent mode)", c.TimeWindow)
-	}
-	if c.GroupCommitWindow < 0 {
-		return fmt.Errorf("ssp: GroupCommitWindow is %d cycles, want >= 0 (0 disables group commit)", c.GroupCommitWindow)
 	}
 	if c.DurabilityEpoch < 0 {
 		return fmt.Errorf("ssp: DurabilityEpoch is %d cycles, want >= 0 (0 keeps every commit synchronous)", c.DurabilityEpoch)

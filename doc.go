@@ -12,11 +12,12 @@
 //
 // # Concurrency contract
 //
-// The machine has two execution modes. Outside ssp.Machine.Run every call
-// runs on the caller's goroutine and the simulation is bit-for-bit
-// deterministic, as in the original single-goroutine model. Machine.Run(fn)
-// invokes fn once per Core, each invocation on its own goroutine, so the
-// simulated cores genuinely execute in parallel on the host. The rules:
+// Outside ssp.Machine.Run every call runs on the caller's goroutine and the
+// simulation is bit-for-bit deterministic, as in the original
+// single-goroutine model. Machine.Run(fn) invokes fn once per Core, each
+// invocation on its own goroutine: free-running (TimeWindow 0), the
+// simulated cores genuinely execute in parallel on the host; under the
+// window scheduler below, one at a time. The rules:
 //
 //   - One goroutine per Core: a Core handle (Begin/Store64/Load64/Commit,
 //     plus Heap/Arena allocation through it) belongs to the goroutine Run
@@ -108,17 +109,20 @@
 // MiB is first written, and a page's 4 KiB when that page is. A page never
 // written reads as zeros from one shared page that is only ever copied out
 // of. A page materialises under the same address-striped data lock that
-// guards its bytes; a chunk is published by compare-and-swap, since its
-// pages belong to different stripes. Every access is range-checked against
+// guards its bytes (when the memory takes locks at all, see below); a chunk
+// is published by compare-and-swap, since its pages belong to different
+// stripes. Every access is range-checked against
 // DRAM and NVRAM before any lock is taken, so an address past capacity
 // panics instead of reading zeros. NVRAMImage, Crash and ssp.Restore still
 // trade a flat []byte (NewFromImage skips the image's all-zero pages), and
 // bank and bus ledgers materialise at a resource's first booking.
 //
-// internal/cachesim keeps a level as a directory with one slot per 64
-// consecutive sets — the sets one page's lines index — and allocates a
-// set's ways at the first fill into it; looking up an unmaterialised set
-// is a miss, and DropAll clears the directories. FlushAll and
+// internal/cachesim keeps a level's set index as a directory with one slot
+// per 64 consecutive sets — the sets one page's lines index — and gives a
+// set its block of ways at the first fill into it; looking up a set that has
+// none is a miss, and DropAll unmaps the blocks it handed out and keeps
+// their storage for the refill (the layout is in the next section but one).
+// FlushAll and
 // DebugValidate visit lines in set-index order, ways in order within a
 // set, never in the order sets were first filled: FlushAll issues timed
 // write-backs, so the visiting order is part of the simulated result
@@ -166,7 +170,7 @@
 //     first: a miss on a full set evicts the tail. Invariant: the list
 //     holds each resident slot once, at most ResidentEntries of them.
 //
-// In parallel mode the quiescent index has one leaf lock, quiescentMu,
+// In free-running mode the quiescent index has one leaf lock, quiescentMu,
 // beside residentMu below the page lock: structMu → journalMu[i] →
 // pageMeta.mu → quiescentMu/residentMu/consolMu. SSP.DebugCheckFrames
 // checks all three invariants against a full scan of the table, and
@@ -174,6 +178,55 @@
 // and min-tick search they replaced (sspcache_test.go), which remain there
 // as the reference models; TestEvictionCostIndependentOfEntries fails if an
 // eviction at 4096 entries costs over 3× one at 256.
+//
+// # Host synchronisation and the hit path
+//
+// Which mode takes which host locks. Only a free-running Machine.Run
+// (TimeWindow 0) executes cores at the same time on host threads, so only
+// it synchronises the simulated hardware: cachesim's interconnect mutex,
+// memsim's address-striped data locks, per-channel timing locks and power
+// lock, and SSP's structMu / journalMu[i] / pageMeta.mu and leaf locks, plus
+// the atomic max behind SSP's background clock. Serial execution and the
+// window scheduler take none of them. The scheduler runs exactly one core at
+// a time and hands the execution slot on through its own mutex and a
+// channel, so everything the previous holder wrote happens before the next
+// holder runs — the same ordering the locks would give, at no cost per
+// access. Machine.setParallel switches the caches, the memory and the
+// backend (txn.ParallelAware's concurrent flag) together while the machine
+// is quiescent; SSP's other parallel-mode behaviour, batched consolidation,
+// is simulated and applies to every Run. Go's race detector gates both
+// sides: TestParallelLocalGlobalStress for the locks, the Windowed tests
+// (run repeatedly under -race in CI) for the grant.
+//
+// The directory decides who is probed. cachesim's directory holds, for every
+// line some private cache holds, the sharer mask and the dirty owner, in an
+// open-addressing table with no Go map that DropAll clears in place. The L3
+// is not inclusive — an L3 victim does not back-invalidate private copies —
+// so this state cannot live in the L3 lines. Invalidations, cache injection
+// and discards visit the set bits of the sharer mask, not every core, which
+// is exact because of an invariant DebugValidate checks after every
+// recovery: every valid L1/L2 copy's core is a sharer, and the owner is a
+// sharer. A store that hits a dirty L1 copy needs no directory access at
+// all: the copy's core is then the owner and the only sharer.
+//
+// The layouts. A cache level is a structure of arrays: per set a block of
+// way tags (one host line for an 8-way set), a block of LRU stamps, dirty
+// and speculative flags as two bit masks, and data in a separate pool grown
+// in fixed chunks that never move; only the set directory and the chunk
+// list hold Go pointers. Power-of-two levels index by mask, the 12288-set
+// L3 by modulo. A small way predictor keyed by low line-address bits is
+// checked before the set is scanned. Victim choice (first invalid way, else the LRU
+// way without the tx flag, else the LRU way) and set-index visiting order
+// are those of the array-of-structs level they replaced. Each TLB level is a
+// fully associative true-LRU array: a recency list linked by index and an
+// open-addressing VPN index, with a most-recent-entry check before either.
+// Per-core write sets are short slices cleared at Begin: SSP's write-set
+// buffer keeps its pages sorted (at most WSBEntries of them), so a commit
+// neither allocates nor sorts, and Core's Table 3 record is one line bitmap
+// per page. The replaced structures survive as the reference models of
+// differential tests (cachesim.TestHierarchyMatchesScanModel,
+// tlbsim.TestTLBMatchesScanModel); allocation guards pin a serial Load64
+// hit, a Store64 into the write set, Hierarchy.DropAll and TLB.Drop at zero.
 //
 // # Sharded SSP metadata journal
 //

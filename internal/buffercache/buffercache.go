@@ -7,9 +7,10 @@
 // mapping NVRAM data pages to frames, pin counts, per-shard LRU eviction
 // and a free list, with dirty lines written back to NVRAM before a frame is
 // reused. The pool is sharded by page address — one shard per core by
-// default — so the serve path takes no lock of its own (all calls already
-// arrive under cachesim's interconnect lock; sharding bounds eviction scan
-// cost and keeps hot sets of different cores from thrashing one LRU list).
+// default — so the serve path takes no lock of its own (all calls arrive
+// from inside a cachesim operation, and those run one at a time; sharding
+// bounds eviction scan cost and keeps hot sets of different cores from
+// thrashing one LRU list).
 //
 // Only the data frame pool ([vm.Layout.FramePoolBase, FramePoolEnd)) is
 // cached. Journal, log, slot-array and page-table traffic passes straight
@@ -90,10 +91,12 @@ type Cache struct {
 
 // New builds a buffer tier of cfg.Frames frames over mem, restricted to
 // [cfg.Lo, cfg.Hi). Per-core counters (hits, misses, absorbs, ...) are
-// written to sh's shard of the invoking core; since every call site holds
-// cachesim's interconnect lock, these writes are serialised even when the
-// invoking core differs from the shard owner's goroutine — the fields are
-// touched nowhere else.
+// written to sh's shard of the invoking core; since every call comes from
+// inside a cachesim operation, which runs one at a time (under its
+// interconnect lock when cores are concurrent, in the scheduler's grant
+// order otherwise), these writes are serialised even when the invoking core
+// differs from the shard owner's goroutine — the fields are touched nowhere
+// else.
 func New(cfg Config, mem *memsim.Memory, sh *stats.Sharded) *Cache {
 	if cfg.Frames <= 0 {
 		panic(fmt.Sprintf("buffercache: Frames is %d, want > 0", cfg.Frames))

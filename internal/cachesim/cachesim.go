@@ -17,19 +17,28 @@
 //   - Flush (clwb) writes a line back to memory while keeping a clean copy
 //     cached, as used by transaction commit.
 //
+// Coherence is directory-driven: the directory names, per line held in any
+// private cache, the cores holding it (sharers) and the core holding it dirty
+// (owner). Invalidations, cache injection and ownership transfers visit only
+// the cores it names. This relies on one invariant, which DebugValidate
+// checks: every valid private copy's core is a sharer, and the owner is a
+// sharer. The L3 is not inclusive — an L3 victim does not back-invalidate
+// private copies — so the directory is a structure of its own, not state in
+// the L3 lines.
+//
 // Determinism contract: coherence arbitration — ownership transfers,
-// invalidation order, shared-L3 replacement — resolves in the order
-// requests arrive under the interconnect lock. Free-running concurrent
-// cores (machine.Config.TimeWindow == 0) arrive in host order, so
-// cross-core transfer timing is host-schedule dependent; under the
-// bounded-lag window scheduler cores execute serially in simulated-time
-// order and every transfer here becomes deterministic, with no changes to
-// this package. Code here must not let host time or host scheduling
-// influence simulated timing or line contents.
+// invalidation order, shared-L3 replacement — resolves in the order requests
+// arrive. Only free-running concurrent cores (machine.Config.TimeWindow == 0
+// inside Machine.Run) arrive in host order, which makes cross-core transfer
+// timing host-schedule dependent; serially and under the bounded-lag window
+// scheduler one core executes at a time and every transfer is deterministic.
+// Code here must not let host time or host scheduling influence simulated
+// timing or line contents.
 package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/engine"
@@ -69,135 +78,274 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
-type line struct {
-	tag   uint64 // line address (pa >> LineShift); meaningful when valid
-	valid bool
-	dirty bool
-	tx    bool // speculative SSP line (set by Retag, cleared by Flush)
-	lru   uint64
-	data  [memsim.LineBytes]byte
-}
-
-// level is one cache array. Its sets materialise on touch: the directory
-// holds one slot per setChunk consecutive sets, a slot is nil until a line is
-// filled into one of its sets, and a set within it is nil until its own
-// first fill. Building a level therefore costs its directory and dropping it
-// costs what was filled. A nil set holds no valid line. Anything that visits
-// every line (FlushAll, DebugValidate) walks sets in index order — FlushAll
-// issues timed write-backs, so the order lines are visited in is part of the
+// level is one cache array, laid out as a structure of arrays. A set's ways
+// live in one block: the block's tags are contiguous (one host cache line
+// for an 8-way set), its LRU stamps likewise, its dirty and speculative (tx)
+// flags are one bit mask each, and its data sits in a separate pool. A line
+// is named by its index, block<<wbits | way; the way stride is ways rounded
+// up to a power of two.
+//
+// A way predictor of at most predMax entries, indexed by the low bits of the
+// line address, remembers where each recently found line sat; a lookup checks
+// the predicted line's tag before it scans the set. A wrong or stale
+// prediction costs one compare and is never trusted without it.
+//
+// Blocks materialise on touch: a set gets a block at its first fill, so
+// building a level costs its directory — one slot per setChunk consecutive
+// sets, holding their block numbers once any of them is filled — and
+// dropping it costs what was filled. The metadata arrays grow by append; the
+// data pool grows in chunks of dataChunkBlocks blocks that never move, so a
+// line's data pointer stays valid while other sets materialise. Only the
+// directory and the chunk list hold Go pointers. Anything that visits every
+// line (FlushAll, DebugValidate) walks sets in index order — FlushAll issues
+// timed write-backs, so the order lines are visited in is part of the
 // simulated result.
 type level struct {
-	sets int
-	ways int
-	lat  engine.Cycles
-	dir  []*[setChunk][]line
-	tick uint64
+	sets, ways int
+	pow2       bool // sets is a power of two: index by mask, not modulo
+	wbits      uint // log2 of the way stride
+	dshift     uint // log2 of the lines per data chunk
+
+	pred  []int32            // way predictor: a line index per low line-address bits
+	dir   []*[setChunk]int32 // per set: 1 + its block, 0 while never filled; nil chunk: none filled
+	owner []int32            // per block: the set it holds
+	tags  []uint64           // per line: line address + 1, 0 when invalid
+	ages  []uint64           // per line: LRU stamp
+	dirty []uint64           // per block: bit w is way w's dirty flag
+	tx    []uint64           // per block: bit w is way w's speculative flag
+	data  [][][memsim.LineBytes]byte
+	tick  uint64
 }
 
 // setChunk is the number of consecutive sets behind one directory slot: the
 // lines of one page index exactly that many consecutive sets.
-const setChunk = memsim.PageBytes / memsim.LineBytes
+const (
+	setChunkShift = memsim.PageShift - memsim.LineShift
+	setChunk      = 1 << setChunkShift
+)
 
-func newLevel(bytes, ways int, lat engine.Cycles) *level {
+// dataChunkBlocks is how many blocks' data one pool chunk holds: small, so a
+// level that touched a few sets holds little more than their lines.
+const (
+	dataChunkShift  = 3
+	dataChunkBlocks = 1 << dataChunkShift
+)
+
+// predMax bounds the way predictor: one entry per line up to that many.
+const predMax = 1024
+
+func newLevel(bytes, ways int) *level {
 	nLines := bytes / memsim.LineBytes
 	sets := nLines / ways
 	if sets == 0 {
 		sets = 1
 		ways = nLines
 	}
-	return &level{sets: sets, ways: ways, lat: lat, dir: make([]*[setChunk][]line, (sets+setChunk-1)/setChunk)}
-}
-
-// set returns lineAddr's set, nil if nothing was ever filled into it.
-func (l *level) set(lineAddr uint64) []line {
-	i := lineAddr % uint64(l.sets)
-	if c := l.dir[i/setChunk]; c != nil {
-		return c[i%setChunk]
+	if ways > 64 {
+		panic(fmt.Sprintf("cachesim: %d ways in one set; at most 64 are supported", ways))
 	}
-	return nil
+	wbits := uint(bits.Len(uint(ways - 1)))
+	return &level{
+		sets: sets, ways: ways,
+		pow2:   sets&(sets-1) == 0,
+		wbits:  wbits,
+		dshift: wbits + dataChunkShift,
+		pred:   make([]int32, min(predMax, 1<<bits.Len(uint(nLines-1)))),
+		dir:    make([]*[setChunk]int32, (sets+setChunk-1)/setChunk),
+	}
 }
 
-// fillSet is set for the fill path: it materialises the set.
-func (l *level) fillSet(lineAddr uint64) []line {
-	i := lineAddr % uint64(l.sets)
-	c := l.dir[i/setChunk]
+// block returns set's block, or -1 while the set was never filled.
+func (l *level) block(set int) int {
+	if c := l.dir[set>>setChunkShift]; c != nil {
+		return int(c[set&(setChunk-1)]) - 1
+	}
+	return -1
+}
+
+// index returns lineAddr's set.
+func (l *level) index(lineAddr uint64) int {
+	if l.pow2 {
+		return int(lineAddr & uint64(l.sets-1))
+	}
+	return int(lineAddr % uint64(l.sets))
+}
+
+// peek returns the line holding lineAddr, or -1, without touching LRU state.
+func (l *level) peek(lineAddr uint64) int {
+	key := lineAddr + 1
+	p := &l.pred[lineAddr&uint64(len(l.pred)-1)]
+	if i := int(*p); i < len(l.tags) && l.tags[i] == key {
+		return i
+	}
+	b := l.block(l.index(lineAddr))
+	if b < 0 {
+		return -1
+	}
+	base := b << l.wbits
+	for w, t := range l.tags[base : base+l.ways] {
+		if t == key {
+			*p = int32(base + w)
+			return base + w
+		}
+	}
+	return -1
+}
+
+// lookup is peek that marks a hit most recently used.
+func (l *level) lookup(lineAddr uint64) int {
+	i := l.peek(lineAddr)
+	if i >= 0 {
+		l.touch(i)
+	}
+	return i
+}
+
+func (l *level) touch(i int) {
+	l.tick++
+	l.ages[i] = l.tick
+}
+
+// victim returns the line to fill for lineAddr, materialising its set: an
+// invalid way if one exists, otherwise the LRU way among non-speculative
+// lines, otherwise the LRU way outright. Speculative (tx) lines are kept
+// cached when possible — redo-style designs must not write uncommitted data
+// back in place (DHTM keeps transactional lines pinned in the volatile
+// hierarchy).
+func (l *level) victim(lineAddr uint64) int {
+	set := l.index(lineAddr)
+	b := l.block(set)
+	if b < 0 {
+		b = l.materialise(set)
+	}
+	base := b << l.wbits
+	for w, t := range l.tags[base : base+l.ways] {
+		if t == 0 {
+			return base + w
+		}
+	}
+	ages, tx := l.ages[base:base+l.ways], l.tx[b]
+	oldest, oldestNonTx := 0, -1
+	for w, a := range ages {
+		if a < ages[oldest] {
+			oldest = w
+		}
+		if tx&(1<<uint(w)) == 0 && (oldestNonTx < 0 || a < ages[oldestNonTx]) {
+			oldestNonTx = w
+		}
+	}
+	if oldestNonTx >= 0 {
+		return base + oldestNonTx
+	}
+	return base + oldest
+}
+
+// materialise gives set a block of invalid lines and returns it.
+func (l *level) materialise(set int) int {
+	b := len(l.owner)
+	l.owner = append(l.owner, int32(set))
+	l.dirty = append(l.dirty, 0)
+	l.tx = append(l.tx, 0)
+	for w := 0; w < 1<<l.wbits; w++ {
+		l.tags = append(l.tags, 0)
+		l.ages = append(l.ages, 0)
+	}
+	if b>>dataChunkShift == len(l.data) {
+		l.data = append(l.data, make([][memsim.LineBytes]byte, dataChunkBlocks<<l.wbits))
+	}
+	c := l.dir[set>>setChunkShift]
 	if c == nil {
-		c = new([setChunk][]line)
-		l.dir[i/setChunk] = c
+		c = new([setChunk]int32)
+		l.dir[set>>setChunkShift] = c
 	}
-	if c[i%setChunk] == nil {
-		c[i%setChunk] = make([]line, l.ways)
-	}
-	return c[i%setChunk]
+	c[set&(setChunk-1)] = int32(b + 1)
+	return b
 }
 
-// lookup returns the line holding lineAddr, or nil.
-func (l *level) lookup(lineAddr uint64) *line {
-	set := l.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			l.tick++
-			set[i].lru = l.tick
-			return &set[i]
-		}
-	}
-	return nil
+// fill installs lineAddr into line i as the most recent use (the caller has
+// advanced tick).
+func (l *level) fill(i int, lineAddr uint64, data *[memsim.LineBytes]byte, dirty, tx bool) {
+	l.pred[lineAddr&uint64(len(l.pred)-1)] = int32(i)
+	l.tags[i] = lineAddr + 1
+	l.ages[i] = l.tick
+	*l.line(i) = *data
+	l.setFlags(i, dirty, tx)
 }
 
-// peek is lookup without touching LRU state.
-func (l *level) peek(lineAddr uint64) *line {
-	set := l.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return &set[i]
-		}
-	}
-	return nil
+func (l *level) line(i int) *[memsim.LineBytes]byte {
+	return &l.data[i>>l.dshift][i&(1<<l.dshift-1)]
 }
 
-// victim returns the entry to fill for lineAddr: an invalid way if one
-// exists, otherwise the LRU way among non-speculative lines, otherwise the
-// LRU way outright. Speculative (tx) lines are kept cached when possible —
-// redo-style designs must not write uncommitted data back in place (DHTM
-// keeps transactional lines pinned in the volatile hierarchy).
-func (l *level) victim(lineAddr uint64) *line {
-	set := l.fillSet(lineAddr)
-	var oldest, oldestNonTx *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if oldest == nil || set[i].lru < oldest.lru {
-			oldest = &set[i]
-		}
-		if !set[i].tx && (oldestNonTx == nil || set[i].lru < oldestNonTx.lru) {
-			oldestNonTx = &set[i]
-		}
-	}
-	if oldestNonTx != nil {
-		return oldestNonTx
-	}
-	return oldest
+func (l *level) valid(i int) bool { return l.tags[i] != 0 }
+
+func (l *level) tag(i int) uint64 { return l.tags[i] - 1 }
+
+func (l *level) invalidate(i int) { l.tags[i] = 0 }
+
+func (l *level) isDirty(i int) bool {
+	return l.dirty[i>>l.wbits]&(1<<uint(i&(1<<l.wbits-1))) != 0
 }
 
-// reset empties the level by releasing what was materialised.
+func (l *level) isTx(i int) bool {
+	return l.tx[i>>l.wbits]&(1<<uint(i&(1<<l.wbits-1))) != 0
+}
+
+func (l *level) setDirty(i int, on bool) {
+	b, m := i>>l.wbits, uint64(1)<<uint(i&(1<<l.wbits-1))
+	if on {
+		l.dirty[b] |= m
+	} else {
+		l.dirty[b] &^= m
+	}
+}
+
+func (l *level) setFlags(i int, dirty, tx bool) {
+	b, m := i>>l.wbits, uint64(1)<<uint(i&(1<<l.wbits-1))
+	l.dirty[b] &^= m
+	l.tx[b] &^= m
+	if dirty {
+		l.dirty[b] |= m
+	}
+	if tx {
+		l.tx[b] |= m
+	}
+}
+
+// merge updates a resident line in place with a fill's data, keeping any
+// dirty or tx flag it already had.
+func (l *level) merge(i int, data *[memsim.LineBytes]byte, dirty, tx bool) {
+	*l.line(i) = *data
+	l.setFlags(i, dirty || l.isDirty(i), tx || l.isTx(i))
+}
+
+// reset empties the level in time proportional to what was filled; the
+// pools keep their capacity, so refilling allocates nothing until it
+// exceeds what was filled before.
 func (l *level) reset() {
-	clear(l.dir)
+	for _, set := range l.owner {
+		l.dir[set>>setChunkShift][set&(setChunk-1)] = 0
+	}
+	l.owner, l.tags, l.ages = l.owner[:0], l.tags[:0], l.ages[:0]
+	l.dirty, l.tx = l.dirty[:0], l.tx[:0]
 	l.tick = 0
 }
 
-// valid returns the level's valid lines, sets in index order and ways in
-// order within a set (see the type comment for why the order is fixed).
-func (l *level) valid() []*line {
-	var out []*line
+// validLines returns the level's valid lines, sets in index order and ways
+// in order within a set (see the type comment for why the order is fixed).
+func (l *level) validLines() []int {
+	var out []int
 	for _, c := range l.dir {
 		if c == nil {
 			continue
 		}
-		for _, set := range c {
-			for i := range set {
-				if set[i].valid {
-					out = append(out, &set[i])
+		for _, s := range c {
+			if s == 0 {
+				continue
+			}
+			base := int(s-1) << l.wbits
+			for w := 0; w < l.ways; w++ {
+				if l.tags[base+w] != 0 {
+					out = append(out, base+w)
 				}
 			}
 		}
@@ -208,6 +356,117 @@ func (l *level) valid() []*line {
 type dirEntry struct {
 	sharers uint64 // bitmask of cores with a private copy
 	owner   int8   // core with a dirty private copy, or -1
+}
+
+// directory maps the line addresses held in some private cache to their
+// dirEntry. It is an open-addressing table with linear probing over a
+// power-of-two array kept at most half full; a deletion shifts its probe
+// chain back, so no tombstones build up. It grows with the lines touched and
+// reset clears it in place.
+type directory struct {
+	keys  []uint64 // line address + 1 per slot, 0 when empty
+	vals  []dirEntry
+	n     int
+	shift uint // 64 - log2(len(keys))
+}
+
+const dirMinSlotsLog = 6
+
+func newDirectory() directory {
+	return directory{
+		keys:  make([]uint64, 1<<dirMinSlotsLog),
+		vals:  make([]dirEntry, 1<<dirMinSlotsLog),
+		shift: 64 - dirMinSlotsLog,
+	}
+}
+
+// home is la's preferred slot (Fibonacci hashing).
+func (d *directory) home(la uint64) int { return int((la * 0x9E3779B97F4A7C15) >> d.shift) }
+
+func (d *directory) find(la uint64) int {
+	key, mask := la+1, len(d.keys)-1
+	for i := d.home(la); ; i = (i + 1) & mask {
+		switch d.keys[i] {
+		case key:
+			return i
+		case 0:
+			return -1
+		}
+	}
+}
+
+// get returns la's entry; a line no private cache holds has no sharers and
+// no owner.
+func (d *directory) get(la uint64) dirEntry {
+	if i := d.find(la); i >= 0 {
+		return d.vals[i]
+	}
+	return dirEntry{owner: -1}
+}
+
+// ref returns la's entry for update, inserting an empty one if absent. The
+// pointer is valid until the next insertion.
+func (d *directory) ref(la uint64) *dirEntry {
+	if i := d.find(la); i >= 0 {
+		return &d.vals[i]
+	}
+	if 2*(d.n+1) > len(d.keys) {
+		d.grow()
+	}
+	mask := len(d.keys) - 1
+	i := d.home(la)
+	for d.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.keys[i] = la + 1
+	d.vals[i] = dirEntry{owner: -1}
+	d.n++
+	return &d.vals[i]
+}
+
+// put stores e for la, dropping the entry when it names nobody.
+func (d *directory) put(la uint64, e dirEntry) {
+	if e.sharers == 0 && e.owner < 0 {
+		d.del(la)
+		return
+	}
+	*d.ref(la) = e
+}
+
+func (d *directory) del(la uint64) {
+	i := d.find(la)
+	if i < 0 {
+		return
+	}
+	mask := len(d.keys) - 1
+	for j := (i + 1) & mask; d.keys[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i iff i lies on its probe path,
+		// i.e. its home is no nearer to j than i is.
+		if (j-d.home(d.keys[j]-1))&mask >= (j-i)&mask {
+			d.keys[i], d.vals[i] = d.keys[j], d.vals[j]
+			i = j
+		}
+	}
+	d.keys[i] = 0
+	d.n--
+}
+
+func (d *directory) grow() {
+	keys, vals := d.keys, d.vals
+	d.keys = make([]uint64, 2*len(keys))
+	d.vals = make([]dirEntry, 2*len(vals))
+	d.shift--
+	d.n = 0
+	for i, k := range keys {
+		if k != 0 {
+			*d.ref(k - 1) = vals[i]
+		}
+	}
+}
+
+func (d *directory) reset() {
+	clear(d.keys)
+	d.n = 0
 }
 
 // Mem is the memory tier below the cache hierarchy. The hierarchy issues
@@ -231,8 +490,9 @@ type dirEntry struct {
 //     holds nothing dirty the line is already durable and it reports
 //     (at, false).
 //
-// All methods are called under the hierarchy's interconnect lock, on the
-// invoking core's goroutine.
+// All methods are called on the invoking core's goroutine, inside a
+// hierarchy operation (so under the interconnect lock whenever the
+// hierarchy takes it).
 type Mem interface {
 	// ReadLine fills buf with the line at pa and returns the completion
 	// time, charged to the fastest tier holding a valid copy.
@@ -291,16 +551,19 @@ func (d directMem) Peek(pa memsim.PAddr, buf []byte) { d.mem.Peek(pa, buf) }
 
 // Hierarchy is the full multi-core cache system in front of one Memory.
 //
-// Concurrency: one mutex serialises every operation — the software analogue
-// of the coherence interconnect, where invalidations, ownership transfers
-// and L3 fills are globally ordered anyway. The mutex is above the memory
-// system's locks in the lock order (the hierarchy calls into memsim while
-// holding it, never the reverse).
+// Concurrency: every operation runs to completion before the next starts —
+// the software analogue of the coherence interconnect, where invalidations,
+// ownership transfers and L3 fills are globally ordered anyway. Serially and
+// under the window scheduler that order is given: one core executes at a
+// time. Only while cores run on concurrent host threads (SetConcurrent, a
+// free-running Machine.Run) does each operation take the interconnect mutex.
+// The mutex is above the memory system's locks in the lock order (the
+// hierarchy calls into memsim while holding it, never the reverse).
 //
 // Memory traffic below L3 is issued per address to the memory system, which
 // routes each transfer to its interleaved channel — misses and write-backs
 // occupy only that channel's bus timeline, so simulated transfers to
-// different channels overlap even though the interconnect lock orders their
+// different channels overlap even though the interconnect orders their
 // issue. With one channel this degenerates to the historical single-bus
 // model.
 type Hierarchy struct {
@@ -308,10 +571,15 @@ type Hierarchy struct {
 	mem Mem
 	st  *stats.Stats
 
-	mu     sync.Mutex
-	l1, l2 []*level
-	l3     *level
-	dir    map[uint64]dirEntry
+	concurrent bool // take mu; flipped only while quiescent
+	mu         sync.Mutex
+	l1, l2     []*level
+	l3         *level
+	dir        directory
+
+	// fillBuf receives memory reads: a local array would escape to the heap
+	// through the Mem interface call, one allocation per L3 miss.
+	fillBuf [memsim.LineBytes]byte
 }
 
 // New builds the hierarchy described by cfg directly on top of mem (no
@@ -331,12 +599,12 @@ func NewWithMem(cfg Config, mem Mem, st *stats.Stats) *Hierarchy {
 		st:  st,
 		l1:  make([]*level, cfg.Cores),
 		l2:  make([]*level, cfg.Cores),
-		l3:  newLevel(cfg.L3Bytes, cfg.L3Ways, cfg.L3Lat),
-		dir: make(map[uint64]dirEntry),
+		l3:  newLevel(cfg.L3Bytes, cfg.L3Ways),
+		dir: newDirectory(),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		h.l1[i] = newLevel(cfg.L1Bytes, cfg.L1Ways, cfg.L1Lat)
-		h.l2[i] = newLevel(cfg.L2Bytes, cfg.L2Ways, cfg.L2Lat)
+		h.l1[i] = newLevel(cfg.L1Bytes, cfg.L1Ways)
+		h.l2[i] = newLevel(cfg.L2Bytes, cfg.L2Ways)
 	}
 	return h
 }
@@ -344,27 +612,29 @@ func NewWithMem(cfg Config, mem Mem, st *stats.Stats) *Hierarchy {
 // Cores returns the number of cores the hierarchy serves.
 func (h *Hierarchy) Cores() int { return h.cfg.Cores }
 
+// SetConcurrent tells the hierarchy whether its callers run on concurrent
+// host threads: while on, every operation takes the interconnect mutex.
+// Call only while no operation is in flight.
+func (h *Hierarchy) SetConcurrent(on bool) { h.concurrent = on }
+
+func (h *Hierarchy) lock() {
+	if h.concurrent {
+		h.mu.Lock()
+	}
+}
+
+func (h *Hierarchy) unlock() {
+	if h.concurrent {
+		h.mu.Unlock()
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Directory helpers.
 
-func (h *Hierarchy) dirGet(la uint64) dirEntry {
-	if e, ok := h.dir[la]; ok {
-		return e
-	}
-	return dirEntry{owner: -1}
-}
-
-func (h *Hierarchy) dirPut(la uint64, e dirEntry) {
-	if e.sharers == 0 && e.owner < 0 {
-		delete(h.dir, la)
-		return
-	}
-	h.dir[la] = e
-}
-
 // privatePresent reports whether core still holds la in L1 or L2.
 func (h *Hierarchy) privatePresent(core int, la uint64) bool {
-	return h.l1[core].peek(la) != nil || h.l2[core].peek(la) != nil
+	return h.l1[core].peek(la) >= 0 || h.l2[core].peek(la) >= 0
 }
 
 // dropSharerIfGone removes core from la's sharer set when the line has left
@@ -373,12 +643,12 @@ func (h *Hierarchy) dropSharerIfGone(core int, la uint64) {
 	if h.privatePresent(core, la) {
 		return
 	}
-	e := h.dirGet(la)
+	e := h.dir.get(la)
 	e.sharers &^= 1 << uint(core)
 	if e.owner == int8(core) {
 		e.owner = -1
 	}
-	h.dirPut(la, e)
+	h.dir.put(la, e)
 }
 
 // ---------------------------------------------------------------------------
@@ -386,82 +656,80 @@ func (h *Hierarchy) dropSharerIfGone(core int, la uint64) {
 
 // installL3 places data into L3 on behalf of core, evicting as needed.
 func (h *Hierarchy) installL3(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) {
-	if cur := h.l3.lookup(la); cur != nil {
-		cur.data = *data
-		cur.dirty = cur.dirty || dirty
-		cur.tx = cur.tx || tx
+	l3 := h.l3
+	if cur := l3.lookup(la); cur >= 0 {
+		l3.merge(cur, data, dirty, tx)
 		return
 	}
-	v := h.l3.victim(la)
-	if v.valid && v.dirty {
-		if v.tx {
+	v := l3.victim(la)
+	if l3.valid(v) && l3.isDirty(v) {
+		if l3.isTx(v) {
 			h.st.TxLineSpills++
 		}
-		h.mem.EvictLine(core, memsim.PAddr(v.tag)<<memsim.LineShift, v.data[:], at, stats.CatData)
+		h.mem.EvictLine(core, memsim.PAddr(l3.tag(v))<<memsim.LineShift, l3.line(v)[:], at, stats.CatData)
 	}
-	h.l3.tick++
-	*v = line{tag: la, valid: true, dirty: dirty, tx: tx, lru: h.l3.tick, data: *data}
+	l3.tick++
+	l3.fill(v, la, data, dirty, tx)
 }
 
 // installL2 places data into core's L2, spilling the victim to L3.
 func (h *Hierarchy) installL2(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) {
 	l2 := h.l2[core]
-	if cur := l2.lookup(la); cur != nil {
-		cur.data = *data
-		cur.dirty = cur.dirty || dirty
-		cur.tx = cur.tx || tx
+	if cur := l2.lookup(la); cur >= 0 {
+		l2.merge(cur, data, dirty, tx)
 		return
 	}
 	v := l2.victim(la)
-	if v.valid {
+	if l2.valid(v) {
 		h.evictPrivateVictim(core, v, at)
 	}
 	l2.tick++
-	*v = line{tag: la, valid: true, dirty: dirty, tx: tx, lru: l2.tick, data: *data}
+	l2.fill(v, la, data, dirty, tx)
 }
 
-// evictPrivateVictim handles an L2 victim: to keep L2 inclusive of L1 the
-// L1 copy is merged and invalidated, then the line spills to L3 (dirty
-// victims carry their data down; clean victims are demoted victim-cache
-// style so recently-used lines stay in the hierarchy).
-func (h *Hierarchy) evictPrivateVictim(core int, v *line, at engine.Cycles) {
-	la := v.tag
-	dirty, tx := v.dirty, v.tx
-	data := v.data
-	if l1c := h.l1[core].peek(la); l1c != nil {
-		if l1c.dirty {
-			data = l1c.data
+// evictPrivateVictim handles L2 victim v: to keep L2 inclusive of L1 the L1
+// copy is merged and invalidated, then the line spills to L3 (dirty victims
+// carry their data down; clean victims are demoted victim-cache style so
+// recently-used lines stay in the hierarchy).
+func (h *Hierarchy) evictPrivateVictim(core int, v int, at engine.Cycles) {
+	l1, l2 := h.l1[core], h.l2[core]
+	la := l2.tag(v)
+	dirty, tx := l2.isDirty(v), l2.isTx(v)
+	data := *l2.line(v)
+	if c := l1.peek(la); c >= 0 {
+		if l1.isDirty(c) {
+			data = *l1.line(c)
 			dirty = true
-			tx = tx || l1c.tx
+			tx = tx || l1.isTx(c)
 		}
-		l1c.valid = false
+		l1.invalidate(c)
 	}
-	v.valid = false
+	l2.invalidate(v)
 	h.installL3(core, la, &data, dirty, tx, at)
 	h.dropSharerIfGone(core, la)
 }
 
-// installL1 places data into core's L1, spilling the victim to L2.
-func (h *Hierarchy) installL1(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) *line {
+// installL1 places data into core's L1, spilling the victim to L2, and
+// returns the line.
+func (h *Hierarchy) installL1(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) int {
 	l1 := h.l1[core]
-	if cur := l1.lookup(la); cur != nil {
-		cur.data = *data
-		cur.dirty = cur.dirty || dirty
-		cur.tx = cur.tx || tx
+	if cur := l1.lookup(la); cur >= 0 {
+		l1.merge(cur, data, dirty, tx)
 		return cur
 	}
 	v := l1.victim(la)
-	if v.valid {
+	if l1.valid(v) {
 		// Spill to L2: dirty victims carry data down; clean victims not
 		// already in L2 are demoted too (victim caching), so lines
 		// installed directly into L1 (retags, stores) survive eviction.
-		if v.dirty || h.l2[core].peek(v.tag) == nil {
-			h.installL2(core, v.tag, &v.data, v.dirty, v.tx, at)
+		vd := l1.isDirty(v)
+		if vd || h.l2[core].peek(l1.tag(v)) < 0 {
+			h.installL2(core, l1.tag(v), l1.line(v), vd, l1.isTx(v), at)
 		}
-		v.valid = false
+		l1.invalidate(v)
 	}
 	l1.tick++
-	*v = line{tag: la, valid: true, dirty: dirty, tx: tx, lru: l1.tick, data: *data}
+	l1.fill(v, la, data, dirty, tx)
 	return v
 }
 
@@ -472,26 +740,27 @@ func (h *Hierarchy) installL1(core int, la uint64, data *[memsim.LineBytes]byte,
 // downgrading a remote owner if necessary. It returns the data and the
 // completion time. The requesting core is not yet registered as a sharer.
 func (h *Hierarchy) fetchAuthority(core int, la uint64, at engine.Cycles) ([memsim.LineBytes]byte, engine.Cycles) {
-	e := h.dirGet(la)
+	e := h.dir.get(la)
 	t := at
 	if e.owner >= 0 && int(e.owner) != core {
 		// Remote dirty copy: write it back to L3 and downgrade the owner
 		// to a clean sharer (cache-to-cache transfer).
 		o := int(e.owner)
+		l1, l2 := h.l1[o], h.l2[o]
 		var data [memsim.LineBytes]byte
 		var tx bool
 		found := false
-		if c := h.l1[o].peek(la); c != nil && c.dirty {
-			data, tx, found = c.data, c.tx, true
-			c.dirty = false
+		if c := l1.peek(la); c >= 0 && l1.isDirty(c) {
+			data, tx, found = *l1.line(c), l1.isTx(c), true
+			l1.setDirty(c, false)
 		}
-		if c := h.l2[o].peek(la); c != nil {
+		if c := l2.peek(la); c >= 0 {
 			if found {
-				c.data = data // propagate the fresher L1 value
-			} else if c.dirty {
-				data, tx, found = c.data, c.tx, true
+				*l2.line(c) = data // propagate the fresher L1 value
+			} else if l2.isDirty(c) {
+				data, tx, found = *l2.line(c), l2.isTx(c), true
 			}
-			c.dirty = false
+			l2.setDirty(c, false)
 		}
 		if !found {
 			panic(fmt.Sprintf("cachesim: directory owner %d has no dirty copy of %#x", o, la))
@@ -499,110 +768,129 @@ func (h *Hierarchy) fetchAuthority(core int, la uint64, at engine.Cycles) ([mems
 		h.installL3(core, la, &data, true, tx, t)
 		e.owner = -1
 		e.sharers |= 1 << uint(o)
-		h.dirPut(la, e)
+		h.dir.put(la, e)
 		t += h.cfg.CohLat
 	}
-	if c := h.l3.lookup(la); c != nil {
+	if c := h.l3.lookup(la); c >= 0 {
 		h.st.CacheHits[2]++
-		return c.data, t + h.cfg.L3Lat
+		return *h.l3.line(c), t + h.cfg.L3Lat
 	}
 	h.st.CacheMisses[2]++
-	var buf [memsim.LineBytes]byte
-	done := h.mem.ReadLine(core, memsim.PAddr(la)<<memsim.LineShift, buf[:], t+h.cfg.L3Lat)
-	h.installL3(core, la, &buf, false, false, done)
-	return buf, done
+	done := h.mem.ReadLine(core, memsim.PAddr(la)<<memsim.LineShift, h.fillBuf[:], t+h.cfg.L3Lat)
+	h.installL3(core, la, &h.fillBuf, false, false, done)
+	return h.fillBuf, done
 }
 
 // ---------------------------------------------------------------------------
-// Public operations.
+// Operations; the public entry points at the bottom serialise them.
 
-// Load reads len(buf) bytes at pa into buf and returns the completion time.
-// The span must stay within one cache line.
+// copyOut copies line's bytes from off into buf (off+len(buf) is within the
+// line). The 8-byte word every Core.Load64 reads is one move, not a call.
+func copyOut(buf []byte, line *[memsim.LineBytes]byte, off int) {
+	if len(buf) == 8 {
+		*(*[8]byte)(buf) = *(*[8]byte)(line[off:])
+		return
+	}
+	copy(buf, line[off:])
+}
+
+// loadLocked is Load's body.
 func (h *Hierarchy) loadLocked(core int, pa memsim.PAddr, buf []byte, at engine.Cycles) engine.Cycles {
 	la, off := uint64(pa>>memsim.LineShift), int(pa&(memsim.LineBytes-1))
 	if off+len(buf) > memsim.LineBytes {
 		panic(fmt.Sprintf("cachesim: Load of %d bytes crosses line at %#x", len(buf), pa))
 	}
-	if c := h.l1[core].lookup(la); c != nil {
+	l1 := h.l1[core]
+	if c := l1.lookup(la); c >= 0 {
 		h.st.CacheHits[0]++
-		copy(buf, c.data[off:])
+		copyOut(buf, l1.line(c), off)
 		return at + h.cfg.L1Lat
 	}
 	h.st.CacheMisses[0]++
-	if c := h.l2[core].lookup(la); c != nil {
+	l2 := h.l2[core]
+	if c := l2.lookup(la); c >= 0 {
 		h.st.CacheHits[1]++
 		// Copy the data out before installing: installL1's spill may need
 		// an L2 slot in this very set and pick c as the victim (every
 		// other way can be tx-pinned), which would clobber c in place.
-		data := c.data
+		data := *l2.line(c)
 		installed := h.installL1(core, la, &data, false, false, at)
-		copy(buf, installed.data[off:])
+		copy(buf, l1.line(installed)[off:])
 		return at + h.cfg.L2Lat
 	}
 	h.st.CacheMisses[1]++
 	data, done := h.fetchAuthority(core, la, at)
 	h.installL2(core, la, &data, false, false, done)
 	h.installL1(core, la, &data, false, false, done)
-	e := h.dirGet(la)
-	e.sharers |= 1 << uint(core)
-	h.dirPut(la, e)
+	h.dir.ref(la).sharers |= 1 << uint(core)
 	copy(buf, data[off:])
 	return done
 }
 
-// Store writes data at pa (within one line) into core's L1 with exclusive
-// ownership (write-allocate) and returns the completion time. The data
-// becomes durable only on write-back or Flush.
+// storeLocked is Store's body.
 func (h *Hierarchy) storeLocked(core int, pa memsim.PAddr, data []byte, at engine.Cycles) engine.Cycles {
 	la, off := uint64(pa>>memsim.LineShift), int(pa&(memsim.LineBytes-1))
 	if off+len(data) > memsim.LineBytes {
 		panic(fmt.Sprintf("cachesim: Store of %d bytes crosses line at %#x", len(data), pa))
 	}
-	c, done := h.exclusiveLine(core, la, at)
-	copy(c.data[off:], data)
-	c.dirty = true
+	l1 := h.l1[core]
+	c := l1.peek(la)
+	var done engine.Cycles
+	if c >= 0 && l1.isDirty(c) {
+		// A dirty copy in this core's L1 means the directory already names
+		// it owner and sole sharer (the invariant DebugValidate checks):
+		// the store is a plain L1 hit with no coherence action.
+		l1.touch(c)
+		h.st.CacheHits[0]++
+		done = at + h.cfg.L1Lat
+	} else {
+		c, done = h.exclusiveLine(core, la, at)
+		e := h.dir.ref(la)
+		e.owner = int8(core)
+		e.sharers |= 1 << uint(core)
+	}
+	line := l1.line(c)
+	if len(data) == 8 {
+		*(*[8]byte)(line[off:]) = *(*[8]byte)(data)
+	} else {
+		copy(line[off:], data)
+	}
+	l1.setDirty(c, true)
 	// Keep the same core's L2 copy value-coherent so a later clean L1
 	// eviction can never expose stale data.
-	if c2 := h.l2[core].peek(la); c2 != nil {
-		c2.data = c.data
+	if c2 := h.l2[core].peek(la); c2 >= 0 {
+		*h.l2[core].line(c2) = *line
 	}
-	e := h.dirGet(la)
-	e.owner = int8(core)
-	e.sharers |= 1 << uint(core)
-	h.dirPut(la, e)
 	return done
 }
 
 // exclusiveLine brings la into core's L1 with all other copies invalidated,
-// returning the L1 entry.
-func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (*line, engine.Cycles) {
+// returning the L1 line.
+func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (int, engine.Cycles) {
 	t := at
-	e := h.dirGet(la)
-	others := e.sharers &^ (1 << uint(core))
-	if others != 0 || (e.owner >= 0 && int(e.owner) != core) {
+	e := h.dir.get(la)
+	// The owner is a sharer, so a remote owner makes `others` non-empty too.
+	if others := e.sharers &^ (1 << uint(core)); others != 0 {
 		var data [memsim.LineBytes]byte
 		var tx bool
 		haveRemote := false
-		for o := 0; o < h.cfg.Cores; o++ {
-			if o == core {
-				continue
-			}
+		for m := others; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros64(m)
+			l1, l2 := h.l1[o], h.l2[o]
 			dirtyHere := false
-			if c := h.l1[o].peek(la); c != nil {
-				if c.dirty {
-					data, tx, dirtyHere = c.data, c.tx, true
+			if c := l1.peek(la); c >= 0 {
+				if l1.isDirty(c) {
+					data, tx, dirtyHere = *l1.line(c), l1.isTx(c), true
 				}
-				c.valid = false
+				l1.invalidate(c)
 			}
-			if c := h.l2[o].peek(la); c != nil {
-				if c.dirty && !dirtyHere {
-					data, tx, dirtyHere = c.data, c.tx, true
+			if c := l2.peek(la); c >= 0 {
+				if l2.isDirty(c) && !dirtyHere {
+					data, tx, dirtyHere = *l2.line(c), l2.isTx(c), true
 				}
-				c.valid = false
+				l2.invalidate(c)
 			}
-			if others&(1<<uint(o)) != 0 {
-				h.st.Invalidations++
-			}
+			h.st.Invalidations++
 			if dirtyHere {
 				haveRemote = true
 			}
@@ -615,23 +903,24 @@ func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (*line,
 		if e.owner >= 0 && int(e.owner) != core {
 			e.owner = -1
 		}
-		h.dirPut(la, e)
+		h.dir.put(la, e)
 		t += h.cfg.CohLat
 	}
 
-	if c := h.l1[core].lookup(la); c != nil {
+	l1, l2 := h.l1[core], h.l2[core]
+	if c := l1.lookup(la); c >= 0 {
 		h.st.CacheHits[0]++
 		return c, t + h.cfg.L1Lat
 	}
 	h.st.CacheMisses[0]++
-	if c := h.l2[core].lookup(la); c != nil {
+	if c := l2.lookup(la); c >= 0 {
 		h.st.CacheHits[1]++
 		// Copy out before installing — installL1's spill may clobber c
 		// (see Load). Re-peek afterwards to clean the surviving L2 copy.
-		data, wasDirty, wasTx := c.data, c.dirty, c.tx
+		data, wasDirty, wasTx := *l2.line(c), l2.isDirty(c), l2.isTx(c)
 		installed := h.installL1(core, la, &data, wasDirty, wasTx, t)
-		if c2 := h.l2[core].peek(la); c2 != nil {
-			c2.dirty = false // the L1 copy is now the freshest
+		if c2 := l2.peek(la); c2 >= 0 {
+			l2.setDirty(c2, false) // the L1 copy is now the freshest
 		}
 		return installed, t + h.cfg.L2Lat
 	}
@@ -642,42 +931,40 @@ func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (*line,
 	return installed, done
 }
 
-// Flush implements clwb: the most recent copy of pa's line (wherever it is)
-// is written back to memory and all cached copies become clean; cached
-// copies are retained. It reports whether a write actually happened and the
-// completion time.
+// flushLocked is Flush's body.
 func (h *Hierarchy) flushLocked(core int, pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
 	la := uint64(pa >> memsim.LineShift)
 	var data *[memsim.LineBytes]byte
-	e := h.dirGet(la)
+	e := h.dir.get(la)
 	if e.owner >= 0 {
 		o := int(e.owner)
+		l1, l2 := h.l1[o], h.l2[o]
 		// Clean both private levels; L1 data wins over a stale dirty L2
 		// copy (the L1 copy is always at least as fresh), and the fresh
 		// value is propagated downward.
-		if c := h.l1[o].peek(la); c != nil && c.dirty {
-			data = &c.data
-			c.dirty, c.tx = false, false
+		if c := l1.peek(la); c >= 0 && l1.isDirty(c) {
+			data = l1.line(c)
+			l1.setFlags(c, false, false)
 		}
-		if c := h.l2[o].peek(la); c != nil {
+		if c := l2.peek(la); c >= 0 {
 			if data != nil {
-				c.data = *data
-			} else if c.dirty {
-				data = &c.data
+				*l2.line(c) = *data
+			} else if l2.isDirty(c) {
+				data = l2.line(c)
 			}
-			c.dirty, c.tx = false, false
+			l2.setFlags(c, false, false)
 		}
 		e.owner = -1
-		h.dirPut(la, e)
+		h.dir.put(la, e)
 	}
-	if c := h.l3.peek(la); c != nil {
+	if c := h.l3.peek(la); c >= 0 {
 		if data != nil {
 			// Private copy is fresher; update L3's stale copy in place.
-			c.data = *data
-			c.dirty, c.tx = false, false
-		} else if c.dirty {
-			data = &c.data
-			c.dirty, c.tx = false, false
+			*h.l3.line(c) = *data
+			h.l3.setFlags(c, false, false)
+		} else if h.l3.isDirty(c) {
+			data = h.l3.line(c)
+			h.l3.setFlags(c, false, false)
 		}
 	}
 	if data == nil {
@@ -692,25 +979,21 @@ func (h *Hierarchy) flushLocked(core int, pa memsim.PAddr, at engine.Cycles, cat
 	return done, true
 }
 
-// MarkTx flags core's private copy of pa's line as speculative, keeping it
-// pinned against eviction where possible (see victim). The line must be
-// present (it was just stored to).
+// markTxLocked is MarkTx's body.
 func (h *Hierarchy) markTxLocked(core int, pa memsim.PAddr) {
 	la := uint64(pa >> memsim.LineShift)
-	if c := h.l1[core].peek(la); c != nil {
-		c.tx = true
-	}
-	if c := h.l2[core].peek(la); c != nil {
-		c.tx = true
+	for _, l := range [2]*level{h.l1[core], h.l2[core]} {
+		if c := l.peek(la); c >= 0 {
+			l.setFlags(c, l.isDirty(c), true)
+		}
 	}
 }
 
-// Retag implements SSP's line-level remap (Figure 4, steps 3-5): core's
-// private copy of `from` is renamed to `to` without any write-back — the
-// committed bytes of `from` stay untouched in NVRAM. Any stale cached
-// copies of `to` are discarded. The caller must have loaded `from` (the
-// committed copy) beforehand; Retag fetches it if needed. The renamed line
-// is dirty and marked speculative.
+// retagLocked is Retag's body: core's private copy of `from` is renamed to
+// `to` without any write-back — the committed bytes of `from` stay
+// untouched in NVRAM. Any stale cached copies of `to` are discarded. The
+// caller must have loaded `from` (the committed copy) beforehand; Retag
+// fetches it if needed. The renamed line is dirty and marked speculative.
 func (h *Hierarchy) retagLocked(core int, from, to memsim.PAddr, at engine.Cycles) engine.Cycles {
 	fla, tla := uint64(from>>memsim.LineShift), uint64(to>>memsim.LineShift)
 	if fla == tla {
@@ -731,204 +1014,98 @@ func (h *Hierarchy) retagLocked(core int, from, to memsim.PAddr, at engine.Cycle
 	// current bit back and reads them again).
 	var data [memsim.LineBytes]byte
 	t = h.loadLocked(core, memsim.PAddr(fla)<<memsim.LineShift, data[:], t)
-	if c := h.l1[core].peek(fla); c != nil {
-		c.valid = false
+	if c := h.l1[core].peek(fla); c >= 0 {
+		h.l1[core].invalidate(c)
 	}
 	h.dropSharerIfGone(core, fla)
 
 	// Discard stale copies of `to` everywhere (they hold a dead speculative
-	// or pre-previous-commit version; never dirty by protocol).
+	// or pre-previous-commit version; never dirty by protocol), then install
+	// the renamed line in L1.
 	h.discardLine(tla)
-
-	h.l1[core].tick++
-	v := h.l1[core].victim(tla)
-	if v.valid {
-		if v.dirty || h.l2[core].peek(v.tag) == nil {
-			h.installL2(core, v.tag, &v.data, v.dirty, v.tx, t)
-		}
-		v.valid = false
-	}
-	*v = line{tag: tla, valid: true, dirty: true, tx: true, lru: h.l1[core].tick, data: data}
-	h.dirPut(tla, dirEntry{sharers: 1 << uint(core), owner: int8(core)})
+	h.installL1(core, tla, &data, true, true, t)
+	h.dir.put(tla, dirEntry{sharers: 1 << uint(core), owner: int8(core)})
 	return t
 }
 
 // discardLine invalidates every cached copy of la without write-back.
 func (h *Hierarchy) discardLine(la uint64) {
-	for o := 0; o < h.cfg.Cores; o++ {
-		if c := h.l1[o].peek(la); c != nil {
-			c.valid = false
+	for m := h.dir.get(la).sharers; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		if c := h.l1[o].peek(la); c >= 0 {
+			h.l1[o].invalidate(c)
 		}
-		if c := h.l2[o].peek(la); c != nil {
-			c.valid = false
+		if c := h.l2[o].peek(la); c >= 0 {
+			h.l2[o].invalidate(c)
 		}
 	}
-	if c := h.l3.peek(la); c != nil {
-		c.valid = false
+	if c := h.l3.peek(la); c >= 0 {
+		h.l3.invalidate(c)
 	}
-	delete(h.dir, la)
+	h.dir.del(la)
 }
 
-// InjectLine updates every cached copy of pa's line in place with data the
-// memory controller just wrote to NVRAM (cache injection, as DMA/DDIO
-// engines do), leaving copies clean. Copies must not be dirty — the caller
-// owns the line's coherence at this point. Absent lines are not installed.
+// injectLineLocked is InjectLine's body. Copies must not be dirty — the
+// caller owns the line's coherence at this point. Absent lines are not
+// installed.
 func (h *Hierarchy) injectLineLocked(pa memsim.PAddr, data []byte) {
 	la := uint64(pa >> memsim.LineShift)
-	apply := func(c *line) {
-		if c == nil {
+	apply := func(l *level, c int) {
+		if c < 0 {
 			return
 		}
-		if c.dirty {
+		if l.isDirty(c) {
 			panic(fmt.Sprintf("cachesim: InjectLine over a dirty copy of %#x", la))
 		}
-		copy(c.data[:], data[:memsim.LineBytes])
+		copy(l.line(c)[:], data[:memsim.LineBytes])
 	}
-	for o := 0; o < h.cfg.Cores; o++ {
-		apply(h.l1[o].peek(la))
-		apply(h.l2[o].peek(la))
+	for m := h.dir.get(la).sharers; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		apply(h.l1[o], h.l1[o].peek(la))
+		apply(h.l2[o], h.l2[o].peek(la))
 	}
-	apply(h.l3.peek(la))
+	apply(h.l3, h.l3.peek(la))
 	h.mem.InjectLine(memsim.PAddr(la)<<memsim.LineShift, data)
-}
-
-// InvalidateLine drops all cached copies of pa's line without writing back;
-// used to squash speculative lines on abort.
-func (h *Hierarchy) InvalidateLine(pa memsim.PAddr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.discardLine(uint64(pa >> memsim.LineShift))
-}
-
-// WritebackInvalidate persists the freshest copy of pa's line (if dirty) and
-// drops all cached copies; used before page consolidation copies frames.
-func (h *Hierarchy) WritebackInvalidate(pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	done, wrote := h.flushLocked(0, pa, at, cat)
-	h.discardLine(uint64(pa >> memsim.LineShift))
-	return done, wrote
 }
 
 // dirtyAnywhere reports whether any cached copy of la is dirty, in the CPU
 // hierarchy or absorbed in the buffer tier below it.
 func (h *Hierarchy) dirtyAnywhere(la uint64) bool {
-	e := h.dirGet(la)
-	if e.owner >= 0 {
+	if h.dir.get(la).owner >= 0 {
 		return true
 	}
-	if c := h.l3.peek(la); c != nil && c.dirty {
+	if c := h.l3.peek(la); c >= 0 && h.l3.isDirty(c) {
 		return true
 	}
 	return h.mem.DirtyLine(memsim.PAddr(la) << memsim.LineShift)
 }
 
-// DirtyAnywhere reports whether any cached copy of pa's line is dirty
-// (test/assertion helper).
-func (h *Hierarchy) DirtyAnywhere(pa memsim.PAddr) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dirtyAnywhere(uint64(pa >> memsim.LineShift))
-}
-
-// Present reports whether core holds pa's line privately (test helper).
-func (h *Hierarchy) Present(core int, pa memsim.PAddr) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.privatePresent(core, uint64(pa>>memsim.LineShift))
-}
-
-// debugPeekLocked is DebugPeek's body; the caller holds h.mu.
+// debugPeekLocked is DebugPeek's body.
 func (h *Hierarchy) debugPeekLocked(pa memsim.PAddr, buf []byte) {
 	la := uint64(pa >> memsim.LineShift)
 	off := int(pa & (memsim.LineBytes - 1))
-	e := h.dirGet(la)
-	if e.owner >= 0 {
-		o := int(e.owner)
-		if c := h.l1[o].peek(la); c != nil && c.dirty {
-			copy(buf, c.data[off:])
-			return
-		}
-		if c := h.l2[o].peek(la); c != nil && c.dirty {
-			copy(buf, c.data[off:])
-			return
+	if o := int(h.dir.get(la).owner); o >= 0 {
+		for _, l := range [2]*level{h.l1[o], h.l2[o]} {
+			if c := l.peek(la); c >= 0 && l.isDirty(c) {
+				copy(buf, l.line(c)[off:])
+				return
+			}
 		}
 	}
-	if c := h.l3.peek(la); c != nil && c.dirty {
-		copy(buf, c.data[off:])
+	if c := h.l3.peek(la); c >= 0 && h.l3.isDirty(c) {
+		copy(buf, h.l3.line(c)[off:])
 		return
 	}
 	h.mem.Peek(pa, buf)
 }
 
-// DebugValidate checks the coherence invariant: every valid cached copy of
-// a line carries the authority value resolved by DebugPeek, and at most one
-// core holds a dirty private copy. It returns a description of the first
-// violation, or "". Test helper; its cost follows the lines cached, not the
-// hierarchy's capacity.
-func (h *Hierarchy) DebugValidate() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var auth [memsim.LineBytes]byte
-	check := func(where string, c *line) string {
-		h.debugPeekLocked(memsim.PAddr(c.tag)<<memsim.LineShift, auth[:])
-		if c.data != auth {
-			return fmt.Sprintf("%s line %#x: copy %v != authority %v (dirty=%v)", where, c.tag, c.data[0], auth[0], c.dirty)
-		}
-		return ""
-	}
-	for core := range h.l1 {
-		for _, lv := range []*level{h.l1[core], h.l2[core]} {
-			for _, c := range lv.valid() {
-				if c.dirty {
-					e := h.dirGet(c.tag)
-					if int(e.owner) != core {
-						return fmt.Sprintf("core %d holds dirty %#x but dir owner is %d", core, c.tag, e.owner)
-					}
-				}
-				if msg := check(fmt.Sprintf("core%d", core), c); msg != "" {
-					return msg
-				}
-			}
-		}
-	}
-	for _, c := range h.l3.valid() {
-		// A stale L3 copy is legal while a dirty private owner shadows it;
-		// every read path consults the owner first.
-		if e := h.dirGet(c.tag); e.owner >= 0 {
-			continue
-		}
-		if msg := check("L3", c); msg != "" {
-			return msg
-		}
-	}
-	return ""
-}
-
-// DropAll discards the entire volatile hierarchy: the moment of power loss.
-func (h *Hierarchy) DropAll() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.l1 {
-		h.l1[i].reset()
-		h.l2[i].reset()
-	}
-	h.l3.reset()
-	h.dir = make(map[uint64]dirEntry)
-}
-
-// FlushAll writes back every dirty line (orderly shutdown; test helper).
-// The write-backs are independent, so each is issued from `at` and the
-// fence waits for the slowest — the drain overlaps across memory banks and
-// channels instead of serialising line by line.
-func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// flushAllLocked is FlushAll's body.
+func (h *Hierarchy) flushAllLocked(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
 	t := at
 	flushLevel := func(l *level) {
-		for _, c := range l.valid() {
-			if c.dirty {
-				d, _ := h.flushLocked(0, memsim.PAddr(c.tag)<<memsim.LineShift, at, cat)
+		for _, c := range l.validLines() {
+			if l.isDirty(c) {
+				d, _ := h.flushLocked(0, memsim.PAddr(l.tag(c))<<memsim.LineShift, at, cat)
 				if d > t {
 					t = d
 				}
@@ -943,15 +1120,59 @@ func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles
 	return t
 }
 
+// debugValidateLocked is DebugValidate's body.
+func (h *Hierarchy) debugValidateLocked() string {
+	var auth [memsim.LineBytes]byte
+	check := func(where string, l *level, c int) string {
+		h.debugPeekLocked(memsim.PAddr(l.tag(c))<<memsim.LineShift, auth[:])
+		if d := l.line(c); *d != auth {
+			return fmt.Sprintf("%s line %#x: copy %v != authority %v (dirty=%v)", where, l.tag(c), d[0], auth[0], l.isDirty(c))
+		}
+		return ""
+	}
+	for i, k := range h.dir.keys {
+		if e := h.dir.vals[i]; k != 0 && e.owner >= 0 && e.sharers&(1<<uint(e.owner)) == 0 {
+			return fmt.Sprintf("dir owner %d of %#x is not among its sharers %#x", e.owner, k-1, e.sharers)
+		}
+	}
+	for core := range h.l1 {
+		for _, lv := range [2]*level{h.l1[core], h.l2[core]} {
+			for _, c := range lv.validLines() {
+				e := h.dir.get(lv.tag(c))
+				if e.sharers&(1<<uint(core)) == 0 {
+					return fmt.Sprintf("core %d holds %#x but dir sharers are %#x", core, lv.tag(c), e.sharers)
+				}
+				if lv.isDirty(c) && int(e.owner) != core {
+					return fmt.Sprintf("core %d holds dirty %#x but dir owner is %d", core, lv.tag(c), e.owner)
+				}
+				if msg := check(fmt.Sprintf("core%d", core), lv, c); msg != "" {
+					return msg
+				}
+			}
+		}
+	}
+	for _, c := range h.l3.validLines() {
+		// A stale L3 copy is legal while a dirty private owner shadows it;
+		// every read path consults the owner first.
+		if h.dir.get(h.l3.tag(c)).owner >= 0 {
+			continue
+		}
+		if msg := check("L3", h.l3, c); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
 // ---------------------------------------------------------------------------
-// Public entry points: each takes the interconnect lock and delegates to the
-// locked implementation above.
+// Public entry points: each runs one operation to completion, under the
+// interconnect mutex while the hierarchy is concurrent.
 
 // Load reads len(buf) bytes at pa into buf and returns the completion time.
 // The span must stay within one cache line.
 func (h *Hierarchy) Load(core int, pa memsim.PAddr, buf []byte, at engine.Cycles) engine.Cycles {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	return h.loadLocked(core, pa, buf, at)
 }
 
@@ -959,8 +1180,8 @@ func (h *Hierarchy) Load(core int, pa memsim.PAddr, buf []byte, at engine.Cycles
 // ownership (write-allocate) and returns the completion time. The data
 // becomes durable only on write-back or Flush.
 func (h *Hierarchy) Store(core int, pa memsim.PAddr, data []byte, at engine.Cycles) engine.Cycles {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	return h.storeLocked(core, pa, data, at)
 }
 
@@ -969,8 +1190,8 @@ func (h *Hierarchy) Store(core int, pa memsim.PAddr, data []byte, at engine.Cycl
 // copies are retained. It reports whether a write actually happened and the
 // completion time.
 func (h *Hierarchy) Flush(core int, pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	return h.flushLocked(core, pa, at, cat)
 }
 
@@ -978,33 +1199,100 @@ func (h *Hierarchy) Flush(core int, pa memsim.PAddr, at engine.Cycles, cat stats
 // pinned against eviction where possible (see victim). The line must be
 // present (it was just stored to).
 func (h *Hierarchy) MarkTx(core int, pa memsim.PAddr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	h.markTxLocked(core, pa)
 }
 
 // Retag implements SSP's line-level remap (Figure 4, steps 3-5); see
 // retagLocked for the protocol.
 func (h *Hierarchy) Retag(core int, from, to memsim.PAddr, at engine.Cycles) engine.Cycles {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	return h.retagLocked(core, from, to, at)
 }
 
 // InjectLine updates every cached copy of pa's line in place with data the
-// memory controller just wrote to NVRAM (cache injection), leaving copies
-// clean.
+// memory controller just wrote to NVRAM (cache injection, as DMA/DDIO
+// engines do), leaving copies clean.
 func (h *Hierarchy) InjectLine(pa memsim.PAddr, data []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	h.injectLineLocked(pa, data)
+}
+
+// InvalidateLine drops all cached copies of pa's line without writing back;
+// used to squash speculative lines on abort.
+func (h *Hierarchy) InvalidateLine(pa memsim.PAddr) {
+	h.lock()
+	defer h.unlock()
+	h.discardLine(uint64(pa >> memsim.LineShift))
+}
+
+// WritebackInvalidate persists the freshest copy of pa's line (if dirty) and
+// drops all cached copies; used before page consolidation copies frames.
+func (h *Hierarchy) WritebackInvalidate(pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
+	h.lock()
+	defer h.unlock()
+	done, wrote := h.flushLocked(0, pa, at, cat)
+	h.discardLine(uint64(pa >> memsim.LineShift))
+	return done, wrote
+}
+
+// DirtyAnywhere reports whether any cached copy of pa's line is dirty
+// (test/assertion helper).
+func (h *Hierarchy) DirtyAnywhere(pa memsim.PAddr) bool {
+	h.lock()
+	defer h.unlock()
+	return h.dirtyAnywhere(uint64(pa >> memsim.LineShift))
+}
+
+// Present reports whether core holds pa's line privately (test helper).
+func (h *Hierarchy) Present(core int, pa memsim.PAddr) bool {
+	h.lock()
+	defer h.unlock()
+	return h.privatePresent(core, uint64(pa>>memsim.LineShift))
 }
 
 // DebugPeek resolves the current value of pa's line without charging timing
 // or mutating cache state: owner's private copy, else a dirty L3 copy, else
 // durable memory. Test and assertion helper.
 func (h *Hierarchy) DebugPeek(pa memsim.PAddr, buf []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.lock()
+	defer h.unlock()
 	h.debugPeekLocked(pa, buf)
+}
+
+// DebugValidate checks the coherence invariants: every valid cached copy of
+// a line carries the authority value resolved by DebugPeek; every valid
+// private copy's core is a directory sharer of the line, and a dirty one's
+// core is its owner; every owner is a sharer. It returns a description of
+// the first violation, or "". Test helper.
+func (h *Hierarchy) DebugValidate() string {
+	h.lock()
+	defer h.unlock()
+	return h.debugValidateLocked()
+}
+
+// DropAll discards the entire volatile hierarchy: the moment of power loss.
+// Its cost follows what was cached, and it allocates nothing.
+func (h *Hierarchy) DropAll() {
+	h.lock()
+	defer h.unlock()
+	for i := range h.l1 {
+		h.l1[i].reset()
+		h.l2[i].reset()
+	}
+	h.l3.reset()
+	h.dir.reset()
+}
+
+// FlushAll writes back every dirty line (orderly shutdown; test helper).
+// The write-backs are independent, so each is issued from `at` and the
+// fence waits for the slowest — the drain overlaps across memory banks and
+// channels instead of serialising line by line.
+func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
+	h.lock()
+	defer h.unlock()
+	return h.flushAllLocked(at, cat)
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -58,8 +58,12 @@ func (s *SSP) Store(core int, va uint64, data []byte, at engine.Cycles) engine.C
 	}
 	meta, t := s.translate(core, va, at)
 
-	bm := s.wsb[core][meta.vpn]
-	if bm == 0 && len(s.wsb[core]) >= s.cfg.WSBEntries {
+	ws := &s.ws[core]
+	wi, inWS := ws.find(meta.vpn)
+	var bm uint64
+	if inWS {
+		bm = ws.bits[wi]
+	} else if len(ws.vpns) >= s.cfg.WSBEntries {
 		// Write-set buffer overflow: divert the whole transaction to the
 		// software fall-back path (§3.5) and retry this store there.
 		t = s.transitionToFallback(core, t)
@@ -91,11 +95,13 @@ func (s *SSP) Store(core int, va uint64, data []byte, at engine.Cycles) engine.C
 		} else {
 			t += s.cfg.FlipCycles
 		}
-		if bm == 0 {
+		if inWS {
+			ws.bits[wi] = bm | bit
+		} else {
 			meta.coreRef++
 			s.refTaken(meta)
+			ws.insert(wi, meta.vpn, bit)
 		}
-		s.wsb[core][meta.vpn] = bm | bit
 	}
 	curBit := (meta.current >> uint(unit)) & 1
 	target := meta.lineAddr(lineIdx, curBit) + memsim.PAddr(off&(memsim.LineBytes-1))
@@ -118,16 +124,6 @@ func (s *SSP) Load(core int, va uint64, buf []byte, at engine.Cycles) engine.Cyc
 	t = s.env.Caches.Load(core, pa, buf, t)
 	s.clock(t)
 	return t
-}
-
-// sortedWS returns the write-set pages in vpn order.
-func (s *SSP) sortedWS(core int) []int {
-	out := make([]int, 0, len(s.wsb[core]))
-	for vpn := range s.wsb[core] {
-		out = append(out, vpn)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Commit implements txn.Backend: the five-stage pipeline documented at the
@@ -156,7 +152,7 @@ func (s *SSP) commit(core int, at engine.Cycles, relaxed bool) engine.Cycles {
 	if s.fallback[core] {
 		return s.fbCommit(core, at)
 	}
-	pages := s.sortedWS(core)
+	pages := s.ws[core].vpns
 
 	// Select the journal leg: the single-shard fast path unless this is a
 	// global transaction whose write set actually spans more than one
@@ -209,7 +205,7 @@ func (s *SSP) commit(core int, at engine.Cycles, relaxed bool) engine.Cycles {
 	// consolidate in the background (off the critical path) — inline in
 	// serial mode, batched per epoch in parallel mode.
 	s.releaseWriteSet(core, pages, t)
-	clear(s.wsb[core])
+	s.ws[core].reset()
 	s.inTxn[core] = false
 	s.globalTxn[core] = false
 	s.env.StatsFor(core).Commits++
@@ -231,7 +227,7 @@ func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
 	fence := at
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
-		bm := s.wsb[core][vpn]
+		bm := s.ws[core].bitmap(vpn)
 		s.lockMeta(meta)
 		// A relaxed commit's issued-but-unfenced flushes of this page may
 		// still be in flight: a synchronous fence over it must not
@@ -239,10 +235,8 @@ func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
 		if meta.flushDone > fence {
 			fence = meta.flushDone
 		}
-		for unit := 0; unit < memsim.LinesPerPage/s.cfg.SubPageLines; unit++ {
-			if bm&(1<<uint(unit)) == 0 {
-				continue
-			}
+		for m := bm; m != 0; m &= m - 1 {
+			unit := bits.TrailingZeros64(m)
 			cur := (meta.current >> uint(unit)) & 1
 			begin, end := s.unitLines(unit)
 			for li := begin; li < end; li++ {
@@ -267,16 +261,14 @@ func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cyc
 	fence := at
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
-		bm := s.wsb[core][vpn]
+		bm := s.ws[core].bitmap(vpn)
 		s.lockMeta(meta)
 		if meta.flushDone > fence {
 			fence = meta.flushDone
 		}
 		fl := meta.flushDone
-		for unit := 0; unit < memsim.LinesPerPage/s.cfg.SubPageLines; unit++ {
-			if bm&(1<<uint(unit)) == 0 {
-				continue
-			}
+		for m := bm; m != 0; m &= m - 1 {
+			unit := bits.TrailingZeros64(m)
 			cur := (meta.current >> uint(unit)) & 1
 			begin, end := s.unitLines(unit)
 			for li := begin; li < end; li++ {
@@ -346,7 +338,7 @@ func (s *SSP) publishSlots(pubs []slotPub) {
 // cross-shard ordering fence here.
 func (s *SSP) snapshotPage(core int, vpn int) slotPub {
 	meta := s.lookupMeta(vpn)
-	bm := s.wsb[core][vpn]
+	bm := s.ws[core].bitmap(vpn)
 	s.lockMeta(meta)
 	meta.committed = (meta.committed &^ bm) | (meta.current & bm)
 	st := slotState{vpn: vpn, ppn0: meta.ppn0, ppn1: meta.ppn1, committed: meta.committed, ver: s.allocVer()}
@@ -456,14 +448,13 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 		return s.fbAbort(core, at)
 	}
 	t := at
-	for _, vpn := range s.sortedWS(core) {
+	ws := &s.ws[core]
+	for i, vpn := range ws.vpns {
 		meta := s.lookupMeta(vpn)
-		bm := s.wsb[core][vpn]
+		bm := ws.bits[i]
 		s.lockMeta(meta)
-		for unit := 0; unit < memsim.LinesPerPage/s.cfg.SubPageLines; unit++ {
-			if bm&(1<<uint(unit)) == 0 {
-				continue
-			}
+		for m := bm; m != 0; m &= m - 1 {
+			unit := bits.TrailingZeros64(m)
 			cur := (meta.current >> uint(unit)) & 1
 			begin, end := s.unitLines(unit)
 			for li := begin; li < end; li++ {
@@ -485,7 +476,7 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 			s.consolidate(meta, t)
 		}
 	}
-	clear(s.wsb[core])
+	ws.reset()
 	s.inTxn[core] = false
 	s.globalTxn[core] = false
 	s.env.StatsFor(core).Aborts++

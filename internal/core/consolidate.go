@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/stats"
-	"repro/internal/wal"
 )
 
 // consolidate merges a page's two physical frames into one (§3.4): the side
@@ -16,7 +15,7 @@ import (
 // It runs off the critical path — NVRAM bank time is charged from `at`, but
 // no core waits on it.
 //
-// Locking: in parallel mode the caller holds structMu (slot reclamation and
+// Locking: when concurrent the caller holds structMu (slot reclamation and
 // checkpoint execution need it, and it guarantees the page cannot gain a
 // first reference mid-consolidation — see translate's slow path);
 // consolidate takes the page's own lock and the target journal shard's lock
@@ -117,13 +116,12 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 	// references (§3.4, off-critical-path consolidation).
 	st := slotState{vpn: meta.vpn, ppn0: survivor, ppn1: spare, committed: 0, ver: s.allocVer()}
 	sid := meta.slot
-	payload := s.journalPayload(sid, st)
 	s.unlockMeta(meta) // re-acquired below in journalMu → pageMeta.mu order
 
 	si := s.shardOfSlot(sid)
 	s.lockShard(si)
 	tid := s.allocTID()
-	t = s.appendRecord(si, -1, wal.Record{TID: tid, Kind: recConsolidate, Payload: payload}, sid, t)
+	t = s.appendSlotRecord(si, -1, tid, recConsolidate, sid, st, t)
 	s.lockMeta(meta)
 	s.slotShadow[sid] = st
 	meta.barrier = journalRef{shard: si, mark: s.journals[si].MarkHere()}
@@ -161,9 +159,9 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 // queueConsolidation records that vpn became inactive and is a
 // consolidation candidate. Any lock context: consolMu is a leaf lock.
 func (s *SSP) queueConsolidation(vpn int) {
-	s.consolMu.Lock()
+	s.lockLeaf(&s.consolMu)
 	s.consolQ = append(s.consolQ, vpn)
-	s.consolMu.Unlock()
+	s.unlockLeaf(&s.consolMu)
 }
 
 // tickEpoch advances the commit-epoch counter and drains the batch when the
@@ -171,13 +169,13 @@ func (s *SSP) queueConsolidation(vpn int) {
 // commit or abort, fast path or fallback — with no locks held, so the
 // deferral window stays bounded even in fallback-heavy runs.
 func (s *SSP) tickEpoch(at engine.Cycles) {
-	s.consolMu.Lock()
+	s.lockLeaf(&s.consolMu)
 	s.epochOps++
 	ready := s.epochOps >= s.cfg.EpochCommits && len(s.consolQ) > 0
 	if ready {
 		s.epochOps = 0
 	}
-	s.consolMu.Unlock()
+	s.unlockLeaf(&s.consolMu)
 	if ready {
 		s.drainConsolQueue(at)
 	}
@@ -187,10 +185,10 @@ func (s *SSP) tickEpoch(at engine.Cycles) {
 // batch. The batch is sorted and deduplicated, so the drain order is a
 // function of the queue contents, not of which cores queued them.
 func (s *SSP) drainConsolQueue(at engine.Cycles) {
-	s.consolMu.Lock()
+	s.lockLeaf(&s.consolMu)
 	batch := s.consolQ
 	s.consolQ = nil
-	s.consolMu.Unlock()
+	s.unlockLeaf(&s.consolMu)
 	if len(batch) == 0 {
 		return
 	}

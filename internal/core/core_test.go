@@ -85,7 +85,7 @@ func TestAtomicUpdateFlipsBitmaps(t *testing.T) {
 	if meta.committed&(1<<3) != 0 {
 		t.Error("committed bit changed before commit")
 	}
-	if s.wsb[0][0]&(1<<3) == 0 {
+	if s.ws[0].bitmap(0)&(1<<3) == 0 {
 		t.Error("updated bit not set in write-set buffer")
 	}
 	if env.Stats.FlipBroadcasts != 1 {
@@ -103,7 +103,7 @@ func TestAtomicUpdateFlipsBitmaps(t *testing.T) {
 	if meta.current != meta.committed {
 		t.Error("current != committed after commit")
 	}
-	if s.wsb[0][0] != 0 && len(s.wsb[0]) != 0 {
+	if len(s.ws[0].vpns) != 0 {
 		t.Error("write-set buffer not cleared")
 	}
 }
@@ -483,7 +483,7 @@ func TestRecoverySkipsUnsealedBatch(t *testing.T) {
 	// Forge an unsealed batch directly in the journal: an update record
 	// with no recUpdateEnd.
 	st := slotState{vpn: 1, ppn0: mustPTE(env, 1), ppn1: s.slotShadow[1].ppn1, committed: 1, ver: s.allocVer()}
-	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recUpdate, Payload: s.journalPayload(1, st)}, 0)
+	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recUpdate, Payload: encodeJournalPayload(1, st, env.Layout.FrameIndex, s.sharded())}, 0)
 	s.journals[0].Flush(0)
 
 	s.Crash()

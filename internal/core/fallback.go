@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"repro/internal/engine"
@@ -47,14 +48,13 @@ func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 	s.fbTID[core] = tid
 	log := s.fbLogs[core]
 
-	for _, vpn := range s.sortedWS(core) {
+	ws := &s.ws[core]
+	for i, vpn := range ws.vpns {
 		meta := s.lookupMeta(vpn)
-		bm := s.wsb[core][vpn]
+		bm := ws.bits[i]
 		s.lockMeta(meta)
-		for unit := 0; unit < memsim.LinesPerPage/s.cfg.SubPageLines; unit++ {
-			if bm&(1<<uint(unit)) == 0 {
-				continue
-			}
+		for m := bm; m != 0; m &= m - 1 {
+			unit := bits.TrailingZeros64(m)
 			cur := (meta.current >> uint(unit)) & 1
 			begin, end := s.unitLines(unit)
 			for li := begin; li < end; li++ {
@@ -78,7 +78,7 @@ func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 		// fall-back transaction.
 		s.fbPages[core][vpn] = struct{}{}
 	}
-	clear(s.wsb[core])
+	ws.reset()
 	s.fallback[core] = true
 	s.clock(t)
 	return t

@@ -115,7 +115,7 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 		mask |= 1 << uint(si)
 		for _, vpn := range groups[si] {
 			pub := s.snapshotPage(core, vpn)
-			t = s.appendRecord(si, core, wal.Record{TID: tid, Kind: recPrepare, Payload: s.journalPayload(pub.sid, pub.st)}, pub.sid, t)
+			t = s.appendSlotRecord(si, core, tid, recPrepare, pub.sid, pub.st, t)
 			s.noteUpdate(pub.meta, si)
 			s.env.StatsFor(core).PrepareRecords++
 			pubs = append(pubs, pub)
@@ -229,7 +229,7 @@ func (s *SSP) relaxedGlobalCommit(core int, shards []int, pages []int, start, fe
 		mask |= 1 << uint(si)
 		for _, vpn := range groups[si] {
 			pub := s.snapshotPage(core, vpn)
-			t = s.appendRecord(si, core, wal.Record{TID: tid, Kind: recPrepare, Payload: s.journalPayload(pub.sid, pub.st)}, pub.sid, t)
+			t = s.appendSlotRecord(si, core, tid, recPrepare, pub.sid, pub.st, t)
 			s.noteUpdate(pub.meta, si)
 			s.env.StatsFor(core).PrepareRecords++
 			pubs = append(pubs, pub)

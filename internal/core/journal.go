@@ -40,15 +40,9 @@ func (s *SSP) allocVer() uint32 { return s.nextVer.Add(1) }
 // single-journal paper model skips the per-record version (see meta.go).
 func (s *SSP) sharded() bool { return len(s.journals) > 1 }
 
-// journalPayload encodes a record payload for this machine's journal
-// geometry.
-func (s *SSP) journalPayload(sid int, st slotState) []byte {
-	return encodeJournalPayload(sid, st, s.env.Layout.FrameIndex, s.sharded())
-}
-
 // appendRecord appends one slot-state record to shard si and accounts it:
 // dirty-slot marking and the per-shard/aggregate record counters. Caller
-// holds journalMu[si] in parallel mode; core routes the per-core counter
+// holds journalMu[si] when concurrent; core routes the per-core counter
 // shard (pass a negative core for background records charged to the shared
 // shard).
 func (s *SSP) appendRecord(si int, core int, rec wal.Record, sid int, at engine.Cycles) engine.Cycles {
@@ -64,24 +58,35 @@ func (s *SSP) appendRecord(si int, core int, rec wal.Record, sid int, at engine.
 	return t
 }
 
+// appendSlotRecord appends a record of kind under tid carrying slot sid's
+// state st, encoded for this machine's journal geometry, to shard si (see
+// appendRecord).
+func (s *SSP) appendSlotRecord(si, core int, tid uint32, kind uint8, sid int, st slotState, at engine.Cycles) engine.Cycles {
+	var buf [journalPayloadVerBytes]byte
+	payload := putJournalPayload(buf[:], sid, st, s.env.Layout.FrameIndex, s.sharded())
+	return s.appendRecord(si, core, wal.Record{TID: tid, Kind: kind, Payload: payload}, sid, at)
+}
+
 // appendBatch appends one transaction's update-record batch (recUpdate …
 // recUpdateEnd) for the sorted, non-empty write-set pages to shard si under
 // tid, snapshotting each page's slot state as it goes. Caller holds
-// journalMu[si] in parallel mode. Returns the pending slot publications and
-// the append completion time; the batch is NOT yet flushed.
+// journalMu[si] when concurrent. Returns the pending slot publications and
+// the append completion time; the batch is NOT yet flushed. The publications
+// live in the core's reused buffer, valid until its next commit.
 func (s *SSP) appendBatch(si, core int, pages []int, tid uint32, at engine.Cycles) ([]slotPub, engine.Cycles) {
 	t := at
-	pubs := make([]slotPub, 0, len(pages))
+	pubs := s.pubs[core][:0]
 	for i, vpn := range pages {
 		pub := s.snapshotPage(core, vpn)
 		kind := uint8(recUpdate)
 		if i == len(pages)-1 {
 			kind = recUpdateEnd
 		}
-		t = s.appendRecord(si, core, wal.Record{TID: tid, Kind: kind, Payload: s.journalPayload(pub.sid, pub.st)}, pub.sid, t)
+		t = s.appendSlotRecord(si, core, tid, kind, pub.sid, pub.st, t)
 		s.noteUpdate(pub.meta, si)
 		pubs = append(pubs, pub)
 	}
+	s.pubs[core] = pubs
 	return pubs, t
 }
 
@@ -133,7 +138,7 @@ type shardEpoch struct {
 // markUnsealed notes an append to shard si that the next flush must cover
 // with a seal. appendRecord calls it; direct Append sites (the global End)
 // must call it themselves. No-op in the
-// synchronous model. Caller holds journalMu[si] in parallel mode.
+// synchronous model. Caller holds journalMu[si] when concurrent.
 func (s *SSP) markUnsealed(si int) {
 	if s.cfg.DurabilityEpoch > 0 {
 		s.epochs[si].dirty = true
@@ -155,8 +160,8 @@ func (s *SSP) noteUpdate(meta *pageMeta, si int) {
 // flushShard makes shard si's ring durable. In relaxed-durability mode
 // every explicit flush is an epoch boundary and diverts through
 // hardenShardLocked; with DurabilityEpoch == 0 it is a plain stream flush —
-// bit-for-bit the synchronous model. Caller holds journalMu[si] in parallel
-// mode; core routes the stats shard (negative = background/shared).
+// bit-for-bit the synchronous model. Caller holds journalMu[si] when
+// concurrent; core routes the stats shard (negative = background/shared).
 func (s *SSP) flushShard(si, core int, at engine.Cycles) engine.Cycles {
 	if s.cfg.DurabilityEpoch <= 0 {
 		return s.journals[si].Flush(at)
@@ -168,7 +173,7 @@ func (s *SSP) flushShard(si, core int, at engine.Cycles) engine.Cycles {
 // simulated time) for the open epoch's in-flight data fences, append one
 // recEpochSeal record, flush the ring, then install the epoch's deferred
 // slot publications. With nothing unsealed it degenerates to a plain (and
-// usually free) flush. Caller holds journalMu[si] in parallel mode.
+// usually free) flush. Caller holds journalMu[si] when concurrent.
 func (s *SSP) hardenShardLocked(si, core int, at engine.Cycles) engine.Cycles {
 	ep := &s.epochs[si]
 	if !ep.dirty {
@@ -309,7 +314,7 @@ func (s *SSP) Sync(core int, at engine.Cycles) engine.Cycles {
 }
 
 // overHighWater reports whether shard si's ring passed the checkpoint
-// trigger (§4.1.2). Caller holds journalMu[si] in parallel mode.
+// trigger (§4.1.2). Caller holds journalMu[si] when concurrent.
 func (s *SSP) overHighWater(si int) bool {
 	return float64(s.journals[si].Used()) >= s.cfg.JournalHighWater*float64(s.journals[si].Capacity())
 }
@@ -319,7 +324,7 @@ func (s *SSP) overHighWater(si int) bool {
 // "Checkpointing"). Checkpointing is per-shard: a hot core fills only its
 // own ring and drains only its own dirty slots, so it cannot force global
 // checkpoints. Background work: bank time only. Caller holds structMu and
-// journalMu[si] in parallel mode.
+// journalMu[si] when concurrent.
 func (s *SSP) maybeCheckpointShard(si int, at engine.Cycles) {
 	if !s.overHighWater(si) {
 		return

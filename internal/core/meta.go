@@ -109,10 +109,10 @@ func DefaultConfig() Config {
 // pageMeta is one transient SSP cache entry (Figure 3): the volatile view
 // of a page that is being actively updated.
 //
-// In the machine's parallel mode mu protects every mutable field (bitmaps,
-// reference counts, frame pointers) — the fine-grained half of the SSP
-// locking scheme: cores updating different pages never serialise on each
-// other. vpn and slot are immutable after construction. The barrier mark is
+// While the cores are concurrent (a free-running Run) mu protects every
+// mutable field (bitmaps, reference counts, frame pointers) — the
+// fine-grained half of the SSP locking scheme: cores updating different
+// pages never serialise on each other. vpn and slot are immutable after construction. The barrier mark is
 // the exception: it is read and written only under the backend's structMu
 // (it is journal state, not page state).
 type pageMeta struct {
@@ -132,7 +132,7 @@ type pageMeta struct {
 	// before this page's shadow frame may host durably-flushed speculative
 	// data: the page's last lazily-journaled consolidation/release records
 	// (see consolidate.go). Commits check it before their data flushes.
-	// Protected by mu in parallel mode (it names a position in a specific
+	// Protected by mu when concurrent (it names a position in a specific
 	// shard's stream; the stream itself is touched under that shard's lock).
 	barrier journalRef
 
@@ -275,11 +275,17 @@ const (
 )
 
 func encodeJournalPayload(sid int, st slotState, frameIndex func(memsim.PAddr) int, withVer bool) []byte {
+	return putJournalPayload(make([]byte, journalPayloadVerBytes), sid, st, frameIndex, withVer)
+}
+
+// putJournalPayload is encodeJournalPayload into p (at least
+// journalPayloadVerBytes long); it returns the encoded prefix of p.
+func putJournalPayload(p []byte, sid int, st slotState, frameIndex func(memsim.PAddr) int, withVer bool) []byte {
 	n := journalPayloadBytes
 	if withVer {
 		n = journalPayloadVerBytes
 	}
-	p := make([]byte, n)
+	p = p[:n]
 	binary.LittleEndian.PutUint32(p[0:], uint32(sid))
 	vpn := invalidU32
 	p0 := invalidU32

@@ -23,8 +23,8 @@ func (s *SSP) Crash() {
 	}
 	s.freeSlots = nil
 	s.resident.Reset()
-	for c := range s.wsb {
-		s.wsb[c] = make(map[int]uint64)
+	for c := range s.ws {
+		s.ws[c].reset()
 		s.inTxn[c] = false
 		s.globalTxn[c] = false
 		s.fallback[c] = false
@@ -38,7 +38,8 @@ func (s *SSP) Crash() {
 		s.epochs[i] = shardEpoch{}
 		s.prepHolds[i].Store(0)
 	}
-	s.now.Store(0)
+	s.now = 0
+	s.sharedNow.Store(0)
 	s.consolQ = nil
 	s.epochOps = 0
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // shardEnv is testEnv with a multi-shard metadata journal.
@@ -173,7 +172,7 @@ func TestBarrierFlushChargesMax(t *testing.T) {
 	for core := 0; core <= 1; core++ {
 		si := s.shardFor(core)
 		st := slotState{vpn: core, ppn0: s.lookupMeta(core).ppn0, ppn1: s.lookupMeta(core).ppn1, ver: s.allocVer()}
-		s.appendRecord(si, -1, wal.Record{TID: s.allocTID(), Kind: recConsolidate, Payload: s.journalPayload(s.lookupMeta(core).slot, st)}, s.lookupMeta(core).slot, 0)
+		s.appendSlotRecord(si, -1, s.allocTID(), recConsolidate, s.lookupMeta(core).slot, st, 0)
 		s.lookupMeta(core).barrier = journalRef{shard: si, mark: s.journals[si].MarkHere()}
 	}
 	soloA := s.journals[0].Flush(0) // measure one shard's flush cost...
@@ -182,7 +181,7 @@ func TestBarrierFlushChargesMax(t *testing.T) {
 
 	// Re-plant shard 0's record (Reset dropped it) and time the barrier.
 	st := slotState{vpn: 0, ppn0: s.lookupMeta(0).ppn0, ppn1: s.lookupMeta(0).ppn1, ver: s.allocVer()}
-	s.appendRecord(0, -1, wal.Record{TID: s.allocTID(), Kind: recConsolidate, Payload: s.journalPayload(s.lookupMeta(0).slot, st)}, s.lookupMeta(0).slot, 0)
+	s.appendSlotRecord(0, -1, s.allocTID(), recConsolidate, s.lookupMeta(0).slot, st, 0)
 	s.lookupMeta(0).barrier = journalRef{shard: 0, mark: s.journals[0].MarkHere()}
 
 	done := s.barrierFlush(0, []int{0, 1}, 0, nil)

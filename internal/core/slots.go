@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/engine"
-	"repro/internal/wal"
 )
 
 // This file manages the persistent slot array's allocation state: fresh
@@ -89,7 +88,7 @@ func (q *quiescentSet) reset() {
 
 // refTaken and refDropped keep the quiescent index equal to the set of
 // entries with no reference. Every tlbRef/coreRef change calls one of them
-// right after the change, with the page's lock still held in parallel mode:
+// right after the change, with the page's lock still held when concurrent:
 // counts are never negative, so the entry left the set iff the sum is now 1
 // and entered it iff the sum is now 0. quiescentMu is a leaf lock below
 // pageMeta.mu.
@@ -106,10 +105,8 @@ func (s *SSP) refDropped(meta *pageMeta) {
 }
 
 func (s *SSP) setQuiescent(vpn int, on bool) {
-	if s.parallel {
-		s.quiescentMu.Lock()
-		defer s.quiescentMu.Unlock()
-	}
+	s.lockLeaf(&s.quiescentMu)
+	defer s.unlockLeaf(&s.quiescentMu)
 	if on {
 		s.quiescent.add(vpn)
 	} else {
@@ -120,10 +117,8 @@ func (s *SSP) setQuiescent(vpn int, on bool) {
 // lowestQuiescent returns the lowest quiescent VPN, -1 when every entry is
 // referenced.
 func (s *SSP) lowestQuiescent() int {
-	if s.parallel {
-		s.quiescentMu.Lock()
-		defer s.quiescentMu.Unlock()
-	}
+	s.lockLeaf(&s.quiescentMu)
+	defer s.unlockLeaf(&s.quiescentMu)
 	return s.quiescent.min()
 }
 
@@ -132,7 +127,7 @@ func (s *SSP) lowestQuiescent() int {
 // and not referenced by any TLB"; the lowest-first choice is this model's, it
 // makes the victim a function of simulated state), consolidating it first if
 // it still has committed lines on its shadow frame. The victim comes from the
-// quiescent index in O(1). Caller holds structMu in parallel mode; a
+// quiescent index in O(1). Caller holds structMu when concurrent; a
 // candidate's reference counts cannot rise while it is held (new references
 // require either a TLB hit, impossible for a page with tlbRef == 0, or the
 // structMu-guarded slow path), and releaseEntry re-checks them.
@@ -161,7 +156,7 @@ func (s *SSP) allocSlot(at engine.Cycles) int {
 
 // releaseEntry removes a consolidated, unreferenced entry from the
 // transient cache, journaling the slot release so recovery never
-// resurrects a stale association. Caller holds structMu in parallel mode.
+// resurrects a stale association. Caller holds structMu when concurrent.
 func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 	if meta.committed != 0 || meta.tlbRef != 0 || meta.coreRef != 0 {
 		panic("core: releasing a live SSP entry")
@@ -171,7 +166,7 @@ func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 	si := s.shardOfSlot(sid)
 	s.lockShard(si)
 	tid := s.allocTID()
-	s.appendRecord(si, -1, wal.Record{TID: tid, Kind: recRelease, Payload: s.journalPayload(sid, st)}, sid, at)
+	s.appendSlotRecord(si, -1, tid, recRelease, sid, st, at)
 	// Publishing before the record is durable is safe here (unlike the
 	// commit path): a release's NVRAM side effects precede its record, so a
 	// checkpoint persisting this state early is equivalent to the record

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,9 +44,12 @@ type metaChunk [metaChunkPages]atomic.Pointer[pageMeta]
 
 // SSP is the Shadow Sub-Paging backend; it implements txn.Backend.
 //
-// Concurrency (machine parallel mode, see txn.ParallelAware): locking is
-// engaged only while parallel mode is on — serial runs execute exactly the
-// unlocked deterministic paths they always did. The lock order is
+// Concurrency (see txn.ParallelAware): the host locks below are taken only
+// while cores run on concurrent host threads — a free-running Machine.Run.
+// Serial execution and the window scheduler run one core at a time, and the
+// scheduler's grant orders successive cores, so those modes take none of
+// them; parallel mode's other effect, batched consolidation, is simulated
+// behaviour and applies to every Run. The lock order is
 //
 //	structMu → journalMu[i] → pageMeta.mu → quiescentMu/residentMu/consolMu
 //	  → caches → page table → memory
@@ -118,7 +122,8 @@ type SSP struct {
 	// journal shards (see global.go).
 	inTxn     []bool
 	globalTxn []bool
-	wsb       []map[int]uint64 // write-set buffer: vpn -> updated bitmap
+	ws        []writeSet  // write-set buffers
+	pubs      [][]slotPub // per-core commit publication buffers (appendBatch)
 
 	// Software fall-back path (§3.5).
 	fallback []bool
@@ -129,14 +134,18 @@ type SSP struct {
 
 	// now tracks the latest time observed by any operation, so background
 	// work triggered from timeless callbacks (TLB evictions) has a clock.
-	// Maintained as an atomic max so parallel cores can publish times
-	// without a lock.
-	now atomic.Int64
+	// Concurrent cores publish it as an atomic max in sharedNow instead; the
+	// two are handed over when concurrency starts and ends.
+	now       engine.Cycles
+	sharedNow atomic.Int64
 
-	// Parallel-mode state. parallel is flipped only while the machine is
-	// quiescent. consolQ accumulates pages whose consolidation was deferred;
-	// epochOps counts commits since the last batch drain.
+	// Parallel-mode state, flipped only while the machine is quiescent.
+	// parallel is set for every Machine.Run; concurrent only while the
+	// cores run on concurrent host threads (free-running), the one mode that
+	// takes the locks below. consolQ accumulates pages whose consolidation
+	// was deferred; epochOps counts commits since the last batch drain.
 	parallel    bool
+	concurrent  bool
 	structMu    sync.Mutex
 	journalMu   []sync.Mutex // one per journal shard
 	quiescentMu sync.Mutex
@@ -194,13 +203,13 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	cores := env.Cores()
 	s.inTxn = make([]bool, cores)
 	s.globalTxn = make([]bool, cores)
-	s.wsb = make([]map[int]uint64, cores)
+	s.ws = make([]writeSet, cores)
+	s.pubs = make([][]slotPub, cores)
 	s.fallback = make([]bool, cores)
 	s.fbTID = make([]uint32, cores)
 	s.fbOld = make([]map[memsim.PAddr][memsim.LineBytes]byte, cores)
 	s.fbPages = make([]map[int]struct{}, cores)
 	for c := 0; c < cores; c++ {
-		s.wsb[c] = make(map[int]uint64)
 		s.fbOld[c] = make(map[memsim.PAddr][memsim.LineBytes]byte)
 		s.fbPages[c] = make(map[int]struct{})
 		s.fbLogs = append(s.fbLogs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatUndoLog))
@@ -215,51 +224,106 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 
 // SetParallel implements txn.ParallelAware. Turning parallel mode off
 // drains any consolidation work the last epoch left queued.
-func (s *SSP) SetParallel(on bool) {
+func (s *SSP) SetParallel(on, concurrent bool) {
 	if s.parallel && !on {
 		s.drainConsolQueue(s.nowCycles())
 	}
-	s.parallel = on
+	switch {
+	case concurrent && !s.concurrent:
+		s.sharedNow.Store(int64(s.now))
+	case !concurrent && s.concurrent:
+		s.now = engine.Cycles(s.sharedNow.Load())
+	}
+	s.parallel, s.concurrent = on, concurrent
 }
 
 // ---------------------------------------------------------------------------
-// Lock helpers: no-ops in serial mode, so the deterministic single-goroutine
-// paths are byte-for-byte the pre-concurrency ones.
+// Lock helpers: no-ops unless the cores are concurrent, so serial and
+// windowed execution take no host lock.
 
 func (s *SSP) lockStruct() {
-	if s.parallel {
+	if s.concurrent {
 		s.structMu.Lock()
 	}
 }
 
 func (s *SSP) unlockStruct() {
-	if s.parallel {
+	if s.concurrent {
 		s.structMu.Unlock()
 	}
 }
 
 func (s *SSP) lockMeta(m *pageMeta) {
-	if s.parallel {
+	if s.concurrent {
 		m.mu.Lock()
 	}
 }
 
 func (s *SSP) unlockMeta(m *pageMeta) {
-	if s.parallel {
+	if s.concurrent {
 		m.mu.Unlock()
 	}
 }
 
 func (s *SSP) lockShard(si int) {
-	if s.parallel {
+	if s.concurrent {
 		s.journalMu[si].Lock()
 	}
 }
 
 func (s *SSP) unlockShard(si int) {
-	if s.parallel {
+	if s.concurrent {
 		s.journalMu[si].Unlock()
 	}
+}
+
+// lockLeaf and unlockLeaf guard the leaf locks (quiescentMu, residentMu,
+// consolMu) the same way.
+func (s *SSP) lockLeaf(mu *sync.Mutex) {
+	if s.concurrent {
+		mu.Lock()
+	}
+}
+
+func (s *SSP) unlockLeaf(mu *sync.Mutex) {
+	if s.concurrent {
+		mu.Unlock()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Write-set buffers.
+
+// writeSet is one core's write-set buffer (§4.2): the pages its open
+// transaction wrote, in vpn order, each with the bitmap of sub-page units it
+// updated. It holds at most Config.WSBEntries pages, so lookups search a
+// short sorted slice; reset keeps the capacity, so a warm buffer allocates
+// nothing.
+type writeSet struct {
+	vpns []int
+	bits []uint64
+}
+
+// find returns vpn's position, or the position it would be inserted at, and
+// whether it is present.
+func (w *writeSet) find(vpn int) (int, bool) { return slices.BinarySearch(w.vpns, vpn) }
+
+// bitmap returns vpn's updated-unit bitmap, 0 when vpn is not in the set.
+func (w *writeSet) bitmap(vpn int) uint64 {
+	if i, ok := w.find(vpn); ok {
+		return w.bits[i]
+	}
+	return 0
+}
+
+// insert adds vpn with bitmap bm at position i, as returned by find.
+func (w *writeSet) insert(i, vpn int, bm uint64) {
+	w.vpns = slices.Insert(w.vpns, i, vpn)
+	w.bits = slices.Insert(w.bits, i, bm)
+}
+
+func (w *writeSet) reset() {
+	w.vpns, w.bits = w.vpns[:0], w.bits[:0]
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +344,7 @@ func (s *SSP) lookupMeta(vpn int) *pageMeta {
 }
 
 // storeMeta inserts a new, unreferenced entry and lists it as quiescent.
-// Caller holds structMu in parallel mode.
+// Caller holds structMu when concurrent.
 func (s *SSP) storeMeta(meta *pageMeta) {
 	d := &s.entries.dir[meta.vpn>>metaChunkBits]
 	c := d.Load()
@@ -294,15 +358,15 @@ func (s *SSP) storeMeta(meta *pageMeta) {
 }
 
 // deleteMeta removes an entry from the table and from the quiescent index.
-// Caller holds structMu in parallel mode.
+// Caller holds structMu when concurrent.
 func (s *SSP) deleteMeta(vpn int) {
 	s.entries.dir[vpn>>metaChunkBits].Load()[vpn&(metaChunkPages-1)].Store(nil)
 	s.entries.n--
 	s.setQuiescent(vpn, false)
 }
 
-// forEachMeta visits every entry in VPN order. Caller holds structMu in
-// parallel mode. It walks the whole directory: forensics and tests only.
+// forEachMeta visits every entry in VPN order. Caller holds structMu when
+// concurrent. It walks the whole directory: forensics and tests only.
 func (s *SSP) forEachMeta(fn func(vpn int, meta *pageMeta)) {
 	for ci := range s.entries.dir {
 		c := s.entries.dir[ci].Load()
@@ -321,7 +385,7 @@ func (s *SSP) forEachMeta(fn func(vpn int, meta *pageMeta)) {
 func (s *SSP) metaOf(vpn int) *pageMeta { return s.lookupMeta(vpn) }
 
 // entryCount returns the transient cache population. Caller holds structMu
-// in parallel mode.
+// when concurrent.
 func (s *SSP) entryCount() int { return s.entries.n }
 
 // resetEntries empties the transient cache and its quiescent index (crash,
@@ -347,16 +411,28 @@ func (s *SSP) unitLines(u int) (int, int) {
 	return u * s.cfg.SubPageLines, (u + 1) * s.cfg.SubPageLines
 }
 
+// clock raises now to at.
 func (s *SSP) clock(at engine.Cycles) {
+	if !s.concurrent {
+		if at > s.now {
+			s.now = at
+		}
+		return
+	}
 	for {
-		cur := s.now.Load()
-		if int64(at) <= cur || s.now.CompareAndSwap(cur, int64(at)) {
+		cur := s.sharedNow.Load()
+		if int64(at) <= cur || s.sharedNow.CompareAndSwap(cur, int64(at)) {
 			return
 		}
 	}
 }
 
-func (s *SSP) nowCycles() engine.Cycles { return engine.Cycles(s.now.Load()) }
+func (s *SSP) nowCycles() engine.Cycles {
+	if s.concurrent {
+		return engine.Cycles(s.sharedNow.Load())
+	}
+	return s.now
+}
 
 // translate resolves va's page metadata through core's TLB, charging the
 // page walk and the SSP-cache metadata fetch on a miss (§4.1.1). The TLB
@@ -384,7 +460,7 @@ func (s *SSP) translate(core int, va uint64, at engine.Cycles) (*pageMeta, engin
 	}
 	// The whole slow path — entry creation, TLB insertion (whose eviction
 	// hook may fire) and the reference-count increment — runs under
-	// structMu in parallel mode, so a page can never gain its first
+	// structMu when concurrent, so a page can never gain its first
 	// reference while the epoch drain (which also holds structMu) is
 	// deciding whether it is quiescent.
 	s.lockStruct()
@@ -400,8 +476,8 @@ func (s *SSP) translate(core int, va uint64, at engine.Cycles) (*pageMeta, engin
 
 // fetchMeta returns the SSP cache entry for vpn, creating one (allocating a
 // slot) on a miss, and charges the SSP-cache access latency according to
-// the L3-residency model (§4.2, Figure 9). Caller holds structMu in
-// parallel mode.
+// the L3-residency model (§4.2, Figure 9). Caller holds structMu when
+// concurrent.
 func (s *SSP) fetchMeta(vpn int, ppn memsim.PAddr, at engine.Cycles) (*pageMeta, engine.Cycles) {
 	if meta := s.lookupMeta(vpn); meta != nil {
 		s.env.Stats.SSPCacheHits++
@@ -427,10 +503,8 @@ func (s *SSP) fetchMeta(vpn int, ppn memsim.PAddr, at engine.Cycles) (*pageMeta,
 }
 
 func (s *SSP) accessLat(sid int) engine.Cycles {
-	if s.parallel {
-		s.residentMu.Lock()
-		defer s.residentMu.Unlock()
-	}
+	s.lockLeaf(&s.residentMu)
+	defer s.unlockLeaf(&s.residentMu)
 	if s.resident.Touch(sid) {
 		return s.cfg.CacheHitLat
 	}

@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -19,11 +20,10 @@ type Core struct {
 	id    int
 	inTxn bool
 
-	// Per-transaction write-set characterisation (virtual lines/pages),
-	// feeding the Table 3 statistics. The maps live as long as the core and
-	// are emptied at each Begin.
-	wsLines map[uint64]struct{}
-	wsPages map[uint64]struct{}
+	// Per-transaction write-set characterisation feeding the Table 3
+	// statistics: one entry per virtual page written, with a bitmap of its
+	// written lines. Emptied at each Begin; the slice keeps its capacity.
+	ws []wsPage
 
 	// word is Store64's and Load64's buffer. A local array would escape to
 	// the heap through the backend interface call — one allocation per
@@ -94,8 +94,36 @@ func (c *Core) begin(start func(core int, at engine.Cycles) engine.Cycles) {
 	c.op()
 	c.m.clocks[c.id] = start(c.id, c.m.clocks[c.id])
 	c.inTxn = true
-	clear(c.wsLines)
-	clear(c.wsPages)
+	c.ws = c.ws[:0]
+}
+
+// wsPage is one page of the open section's write set.
+type wsPage struct {
+	vpn   uint64
+	lines uint64 // bit i: line i of the page was written
+}
+
+// noteWrite adds va's line to the write set. Sections write few pages and
+// revisit recent ones, so a backward scan finds them.
+func (c *Core) noteWrite(va uint64) {
+	vpn, bit := va>>memsim.PageShift, uint64(1)<<(va>>memsim.LineShift&(memsim.LinesPerPage-1))
+	for i := len(c.ws) - 1; i >= 0; i-- {
+		if c.ws[i].vpn == vpn {
+			c.ws[i].lines |= bit
+			return
+		}
+	}
+	c.ws = append(c.ws, wsPage{vpn: vpn, lines: bit})
+}
+
+// recordWriteSet adds the closing section's write set to the core's Table 3
+// statistics.
+func (c *Core) recordWriteSet() {
+	lines := 0
+	for _, p := range c.ws {
+		lines += bits.OnesCount64(p.lines)
+	}
+	c.m.ws[c.id].record(lines, len(c.ws))
 }
 
 // Begin opens a failure-atomic section.
@@ -125,7 +153,7 @@ func (c *Core) Commit() {
 	c.op()
 	c.m.clocks[c.id] = c.m.backend.Commit(c.id, c.m.clocks[c.id])
 	c.inTxn = false
-	c.m.ws[c.id].record(len(c.wsLines), len(c.wsPages))
+	c.recordWriteSet()
 }
 
 // CommitRelaxed closes the section with relaxed durability: on return its
@@ -146,7 +174,7 @@ func (c *Core) CommitRelaxed() {
 	c.op()
 	c.m.clocks[c.id] = rb.CommitRelaxed(c.id, c.m.clocks[c.id])
 	c.inTxn = false
-	c.m.ws[c.id].record(len(c.wsLines), len(c.wsPages))
+	c.recordWriteSet()
 }
 
 // Sync is the durability upgrade barrier for relaxed commits: on return,
@@ -206,8 +234,7 @@ func (c *Core) StoreBytes(va uint64, data []byte) {
 		c.op()
 		if c.inTxn {
 			c.m.clocks[c.id] = c.m.backend.Store(c.id, va, data[:n], c.m.clocks[c.id])
-			c.wsLines[va>>memsim.LineShift] = struct{}{}
-			c.wsPages[va>>memsim.PageShift] = struct{}{}
+			c.noteWrite(va)
 		} else {
 			c.m.clocks[c.id] = c.m.backend.StoreNT(c.id, va, data[:n], c.m.clocks[c.id])
 		}

@@ -10,11 +10,11 @@
 // lowest (see internal/workload), while memory-bank and lock timelines are
 // shared across cores so contention is modelled.
 //
-// Machine.Run adds a concurrent mode: one goroutine per core, with shared
-// structures (memory, caches, page table, backend metadata) synchronising
-// internally and per-core state (TLBs, clocks, stats shards, write-set
-// characterisation) sharded so cores never contend on it. See Run for the
-// contract.
+// Machine.Run adds one goroutine per core. Per-core state (TLBs, clocks,
+// stats shards, write-set characterisation) is sharded so cores never
+// contend on it. Shared structures (memory, caches, backend metadata) take
+// host locks only when the cores really run at once — free-running mode; the
+// window scheduler runs one core at a time. See Run for the contract.
 package machine
 
 import (
@@ -243,11 +243,11 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	cfg.Cache.Cores = cfg.Cores
 	cfg.Layout.Cores = cfg.Cores
 	shards := stats.NewSharded(cfg.Cores)
-	// Counter routing: the cache hierarchy writes the shared shard under its
-	// interconnect lock; each memory channel writes its own channel shard
-	// under that channel's timing lock; each TLB and each core's backend
-	// execution path write that core's shard. Aggregation is an
-	// order-independent sum.
+	// Counter routing: the cache hierarchy writes the shared shard (under its
+	// interconnect lock when cores are concurrent); each memory channel
+	// writes its own channel shard (under that channel's timing lock when
+	// concurrent); each TLB and each core's backend execution path write
+	// that core's shard. Aggregation is an order-independent sum.
 	shared := shards.Shared()
 	var mem *memsim.Memory
 	if image != nil {
@@ -317,7 +317,7 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	}
 	m.heap = &pheap.Heap{EnsureMapped: func(_ pheap.Tx, first, last int) { m.ensureMapped(first, last) }}
 	for c := 0; c < cfg.Cores; c++ {
-		m.cores = append(m.cores, &Core{m: m, id: c, wsLines: map[uint64]struct{}{}, wsPages: map[uint64]struct{}{}})
+		m.cores = append(m.cores, &Core{m: m, id: c})
 	}
 	return m, nil
 }
@@ -489,8 +489,9 @@ func (m *Machine) MaxClock() engine.Cycles {
 }
 
 // Run executes fn once per core, each invocation on its own goroutine, and
-// returns when every invocation has finished. This is the machine's
-// concurrent mode: the cores genuinely execute in parallel on the host.
+// returns when every invocation has finished. With Config.TimeWindow == 0
+// (free-running mode) the cores genuinely execute in parallel on the host;
+// with TimeWindow > 0 the window scheduler grants one core at a time.
 //
 // Contract:
 //
@@ -498,8 +499,12 @@ func (m *Machine) MaxClock() engine.Cycles {
 //     Commit, Acquire, ...) are safe exactly because only core's goroutine
 //     calls them. Do not share a Core across goroutines.
 //   - Shared simulated structures (memory, caches, page table, the
-//     backend's metadata) synchronise internally; application-level
-//     isolation remains the program's job via Lock, as in the paper.
+//     backend's metadata) are safe to use from every core. In free-running
+//     mode they take host locks for it (setParallel switches them on for
+//     the Run); under the window scheduler they take none, because only the
+//     core holding the execution slot runs and each grant orders it after
+//     the previous holder. Application-level isolation remains the
+//     program's job via Lock, as in the paper.
 //   - Machine-level operations (Stats, Drain, Crash, Recover, ResetStats,
 //     MaxClock) must not be called until Run returns.
 //   - Per-core work is deterministic given fixed per-core inputs. With
@@ -552,12 +557,16 @@ func (m *Machine) WindowStats() WindowStats {
 	return m.sched.snapshot()
 }
 
-// setParallel flips concurrent mode on the machine and, when supported, the
-// backend. Called only while quiescent.
+// setParallel enters or leaves Run on the machine and, when supported, the
+// backend. The shared structures take host locks only when Run's cores are
+// concurrent, i.e. free-running. Called only while quiescent.
 func (m *Machine) setParallel(on bool) {
+	concurrent := on && m.sched == nil
 	m.parallel = on
+	m.caches.SetConcurrent(concurrent)
+	m.mem.SetConcurrent(concurrent)
 	if pa, ok := m.backend.(txn.ParallelAware); ok {
-		pa.SetParallel(on)
+		pa.SetParallel(on, concurrent)
 	}
 }
 

@@ -308,6 +308,7 @@ func TestChannelRaceStress(t *testing.T) {
 			sh := stats.NewSharded(goroutines)
 			m := New(channelConfig(goroutines, InterleaveLine), sh.Shared())
 			m.AttachChannelStats(sh.ChannelShards(goroutines))
+			m.SetConcurrent(true)
 			base := m.Config().NVRAMBase
 
 			// Each goroutine owns a distinct 64-page range for the data

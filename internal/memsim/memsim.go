@@ -43,7 +43,15 @@
 // simulated state with no changes to this package's timing code. Nothing in
 // this package may therefore consult host time or host identity (goroutine,
 // map iteration order) in a way that feeds back into timing or the durable
-// image; the per-channel locks exist for the free-running mode only.
+// image.
+//
+// # Host synchronisation
+//
+// Memory takes its locks only while SetConcurrent is on: a free-running
+// Machine.Run, whose cores call in from concurrent host threads. Serially and
+// under the window scheduler one core executes at a time, every call runs to
+// completion before the next, and the scheduler's grant orders successive
+// cores' calls; the locks would only cost.
 package memsim
 
 import (
@@ -351,12 +359,13 @@ const dataStripes = 64
 
 // Memory is the simulated hybrid memory system.
 //
-// Concurrency: the byte images are protected by address-striped locks
-// (dataMu); each channel's bank/bus timelines and traffic counters are
-// protected by that channel's own lock; the power state and write trap are
-// protected by powerMu. All of them are leaf locks — Memory never calls out
-// to another simulator structure while holding one (the power-off callback
-// fires after the locks are released).
+// Concurrency: while SetConcurrent is on, the byte images are protected by
+// address-striped locks (dataMu); each channel's bank/bus timelines and
+// traffic counters are protected by that channel's own lock; the power state
+// and write trap are protected by powerMu. All of them are leaf locks —
+// Memory never calls out to another simulator structure while holding one
+// (the power-off callback fires after the locks are released). With it off
+// (the default) no lock is taken; see the package comment.
 //
 // Counter routing: every timing counter is written to the owning channel's
 // stats shard under that channel's lock. By default all channels share the
@@ -366,6 +375,8 @@ const dataStripes = 64
 type Memory struct {
 	cfg       Config
 	nChannels int
+
+	concurrent bool // take the locks below; flipped only while quiescent
 
 	dram  region
 	nvram region
@@ -452,6 +463,23 @@ func (m *Memory) AttachChannelStats(sh []*stats.Stats) {
 	}
 }
 
+// SetConcurrent tells the memory whether its callers run on concurrent host
+// threads: while on, every access takes the striped data, channel and power
+// locks. Call only while no access is in flight.
+func (m *Memory) SetConcurrent(on bool) { m.concurrent = on }
+
+func (m *Memory) lock(mu *sync.Mutex) {
+	if m.concurrent {
+		mu.Lock()
+	}
+}
+
+func (m *Memory) unlock(mu *sync.Mutex) {
+	if m.concurrent {
+		mu.Unlock()
+	}
+}
+
 // Config returns the configuration the memory was built with.
 func (m *Memory) Config() Config { return m.cfg }
 
@@ -521,9 +549,9 @@ func (m *Memory) copyIn(pa PAddr, data []byte) {
 		}
 		r, off := m.locate(pa, n)
 		mu := m.stripe(pa)
-		mu.Lock()
+		m.lock(mu)
 		copy(r.writable(off)[off&(PageBytes-1):], data[:n])
-		mu.Unlock()
+		m.unlock(mu)
 		pa += PAddr(n)
 		data = data[n:]
 	}
@@ -538,9 +566,9 @@ func (m *Memory) copyOut(pa PAddr, buf []byte) {
 		}
 		r, off := m.locate(pa, n)
 		mu := m.stripe(pa)
-		mu.Lock()
+		m.lock(mu)
 		copy(buf[:n], r.readable(off)[off&(PageBytes-1):])
-		mu.Unlock()
+		m.unlock(mu)
 		pa += PAddr(n)
 		buf = buf[n:]
 	}
@@ -548,15 +576,15 @@ func (m *Memory) copyOut(pa PAddr, buf []byte) {
 
 // access charges timing for one memory transaction at address pa and
 // returns its completion time. It routes the address to its channel, takes
-// that channel's lock, and updates the channel's bank/bus timelines and
+// that channel's lock (when concurrent), and updates the channel's bank/bus timelines and
 // counter shard. nbytes is the byte count recorded for write accounting.
 func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteCat, nbytes int) engine.Cycles {
 	chIdx, ca := m.route(pa)
 	c := &m.chans[chIdx]
 	nv := m.IsNVRAM(pa)
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	m.lock(&c.mu)
+	defer m.unlock(&c.mu)
 
 	var banks []bank
 	var rowBytes int
@@ -663,7 +691,7 @@ func (m *Memory) WriteBytes(pa PAddr, data []byte, at engine.Cycles, cat stats.W
 	var fired, lost bool
 	var cb func()
 	if nv {
-		m.powerMu.Lock()
+		m.lock(&m.powerMu)
 		if m.trapAfter >= 0 {
 			if m.trapAfter == 0 {
 				fired = m.setPowerOffLocked()
@@ -673,7 +701,7 @@ func (m *Memory) WriteBytes(pa PAddr, data []byte, at engine.Cycles, cat stats.W
 		}
 		lost = m.powerOff
 		cb = m.onPowerOff
-		m.powerMu.Unlock()
+		m.unlock(&m.powerMu)
 	}
 	done := m.access(pa, true, at, cat, len(data))
 	if fired && cb != nil {
@@ -701,10 +729,10 @@ func (m *Memory) Poke(pa PAddr, data []byte) {
 // of power failure. Timing continues to be charged (the machine does not
 // know power failed); the caller is expected to stop the run and recover.
 func (m *Memory) PowerOff() {
-	m.powerMu.Lock()
+	m.lock(&m.powerMu)
 	fired := m.setPowerOffLocked()
 	cb := m.onPowerOff
-	m.powerMu.Unlock()
+	m.unlock(&m.powerMu)
 	if fired && cb != nil {
 		cb()
 	}
@@ -723,8 +751,8 @@ func (m *Memory) setPowerOffLocked() bool {
 
 // PoweredOff reports whether a power failure has been injected.
 func (m *Memory) PoweredOff() bool {
-	m.powerMu.Lock()
-	defer m.powerMu.Unlock()
+	m.lock(&m.powerMu)
+	defer m.unlock(&m.powerMu)
 	return m.powerOff
 }
 
@@ -732,8 +760,8 @@ func (m *Memory) PoweredOff() bool {
 // next n writes land, everything after is lost. n=0 loses the very next
 // write. Pass a negative n to disarm.
 func (m *Memory) SetWriteTrap(n int64) {
-	m.powerMu.Lock()
-	defer m.powerMu.Unlock()
+	m.lock(&m.powerMu)
+	defer m.unlock(&m.powerMu)
 	if n < 0 {
 		m.trapAfter = -1
 		return
@@ -745,17 +773,17 @@ func (m *Memory) SetWriteTrap(n int64) {
 // or explicit PowerOff). Tests use it to stop workload loops. The callback
 // runs outside the memory's locks and may inspect the memory freely.
 func (m *Memory) OnPowerOff(fn func()) {
-	m.powerMu.Lock()
+	m.lock(&m.powerMu)
 	m.onPowerOff = fn
-	m.powerMu.Unlock()
+	m.unlock(&m.powerMu)
 }
 
 // PowerOn clears the power-off state after recovery has rebuilt volatile
 // structures; durable contents are preserved.
 func (m *Memory) PowerOn() {
-	m.powerMu.Lock()
+	m.lock(&m.powerMu)
 	m.powerOff = false
-	m.powerMu.Unlock()
+	m.unlock(&m.powerMu)
 }
 
 // NVRAMImage returns a copy of the durable NVRAM contents.
@@ -831,7 +859,7 @@ func (m *Memory) ResetWear() {
 func (m *Memory) ResetTiming() {
 	for i := range m.chans {
 		c := &m.chans[i]
-		c.mu.Lock()
+		m.lock(&c.mu)
 		for j := range c.dramBanks {
 			c.dramBanks[j] = bank{}
 		}
@@ -839,6 +867,6 @@ func (m *Memory) ResetTiming() {
 			c.nvBanks[j] = bank{}
 		}
 		c.bus = wheel{}
-		c.mu.Unlock()
+		m.unlock(&c.mu)
 	}
 }

@@ -23,7 +23,7 @@ var zeroPage [PageBytes]byte
 
 type chunk struct {
 	// pages[i] is nil until the page's first write. Guarded by the page's
-	// dataMu stripe, like the bytes behind it.
+	// dataMu stripe while the memory is concurrent, like the bytes behind it.
 	pages [chunkPages]*[PageBytes]byte
 	// wear[i] counts durable line writes to the page — the media-endurance
 	// profile software wear-leveling consumes (NVRAM only). Updated
@@ -81,7 +81,8 @@ func (m *Memory) locate(pa PAddr, n int) (*region, uint64) {
 }
 
 // readable returns the page holding offset off for reading: a never-written
-// page is the shared zeroPage. The caller holds the page's dataMu stripe.
+// page is the shared zeroPage. The caller holds the page's dataMu stripe when
+// the memory is concurrent.
 func (r *region) readable(off uint64) *[PageBytes]byte {
 	page := off >> PageShift
 	if c := r.chunkOf(page); c != nil && c.pages[page&(chunkPages-1)] != nil {

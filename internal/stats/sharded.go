@@ -11,12 +11,14 @@ package stats
 //
 //   - Shard(i) is written only by the goroutine driving core i (TLB
 //     lookups, per-core backend counters). No lock is needed.
-//   - Shared() is written only while holding the lock of the structure
-//     doing the writing (the cache hierarchy's interconnect lock, the SSP
-//     backend's structural lock).
-//   - ChannelShards(n) shards are written only while holding the owning
-//     memory channel's timing lock (one shard per channel, so channels
-//     never write a counter concurrently).
+//   - Shared() is written only by the structure doing the writing while it
+//     excludes every other core: under its lock (the cache hierarchy's
+//     interconnect lock, the SSP backend's structural lock) when cores run
+//     concurrently, by the window scheduler's one-core-at-a-time grant
+//     otherwise.
+//   - ChannelShards(n) shards are written only by the owning memory
+//     channel, under its timing lock when cores run concurrently (one shard
+//     per channel, so channels never write a counter concurrently).
 //
 // Aggregate and Reset are not safe to call concurrently with simulated
 // execution; callers quiesce the machine first (join the core goroutines).

@@ -15,92 +15,183 @@ import (
 // VPN is a virtual page number (virtual address >> 12).
 type VPN uint64
 
-// node is one translation in an intrusive LRU list.
+// node is one translation, linked by index into its level's recency list.
 type node struct {
 	vpn        VPN
 	ppn        memsim.PAddr
-	prev, next *node
+	prev, next int32
 }
 
-// lruCache is an O(1) LRU map of bounded capacity.
+// nilNode ends a recency list and marks an empty index slot.
+const nilNode = int32(-1)
+
+// lruCache is one fully associative, true-LRU TLB level of fixed capacity,
+// held in arrays: the entries form a doubly linked recency list by index
+// (head most recent), and an open-addressing table maps a VPN to its entry
+// (linear probing over a power-of-two table at most half full; a removal
+// shifts its probe chain back, so no tombstones build up). Nothing is
+// allocated after construction, and clear empties the level in place.
 type lruCache struct {
-	cap  int
-	m    map[VPN]*node
-	head *node // most recent
-	tail *node // least recent
+	cap        int
+	n          int
+	head, tail int32
+	free       int32 // free list through next; used once every entry has been handed out
+	used       int32 // entries handed out since the last clear
+	nodes      []node
+	index      []int32 // entry per slot, nilNode when empty
+	shift      uint    // 64 - log2(len(index))
 }
 
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, m: make(map[VPN]*node, capacity)}
+	size, shift := 2, uint(63)
+	for size < 2*capacity {
+		size <<= 1
+		shift--
+	}
+	c := &lruCache{cap: capacity, nodes: make([]node, capacity), index: make([]int32, size), shift: shift}
+	c.clear()
+	return c
 }
 
-func (c *lruCache) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
+// home is vpn's preferred index slot (Fibonacci hashing).
+func (c *lruCache) home(vpn VPN) int {
+	return int((uint64(vpn) * 0x9E3779B97F4A7C15) >> c.shift)
+}
+
+// find returns the index slot holding vpn's entry, or -1.
+func (c *lruCache) find(vpn VPN) int {
+	mask := len(c.index) - 1
+	for i := c.home(vpn); ; i = (i + 1) & mask {
+		e := c.index[i]
+		if e == nilNode {
+			return -1
+		}
+		if c.nodes[e].vpn == vpn {
+			return i
+		}
+	}
+}
+
+// unindex empties index slot i, moving later members of its probe chain back
+// so that every entry stays reachable from its home slot.
+func (c *lruCache) unindex(i int) {
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j] != nilNode; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i iff i lies on its probe path,
+		// i.e. its home is no nearer to j than i is.
+		if (j-c.home(c.nodes[c.index[j]].vpn))&mask >= (j-i)&mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
+	}
+	c.index[i] = nilNode
+}
+
+func (c *lruCache) unlink(e int32) {
+	n := &c.nodes[e]
+	if n.prev != nilNode {
+		c.nodes[n.prev].next = n.next
 	} else {
 		c.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != nilNode {
+		c.nodes[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (c *lruCache) pushFront(n *node) {
-	n.prev, n.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = n
+func (c *lruCache) pushFront(e int32) {
+	n := &c.nodes[e]
+	n.prev, n.next = nilNode, c.head
+	if c.head != nilNode {
+		c.nodes[c.head].prev = e
+	} else {
+		c.tail = e
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
+	c.head = e
 }
 
-// get returns the node and refreshes its recency.
-func (c *lruCache) get(vpn VPN) *node {
-	n, ok := c.m[vpn]
-	if !ok {
-		return nil
+// get returns vpn's entry and refreshes its recency, or nilNode. A hit on
+// the most recent entry needs neither the index nor the list.
+func (c *lruCache) get(vpn VPN) int32 {
+	if e := c.head; e != nilNode && c.nodes[e].vpn == vpn {
+		return e
 	}
-	c.unlink(n)
-	c.pushFront(n)
-	return n
+	i := c.find(vpn)
+	if i < 0 {
+		return nilNode
+	}
+	e := c.index[i]
+	c.unlink(e)
+	c.pushFront(e)
+	return e
 }
 
-// peek returns the node without touching recency.
-func (c *lruCache) peek(vpn VPN) *node { return c.m[vpn] }
-
-// insert adds n (not present); if the cache overflows, the LRU node is
-// removed and returned.
-func (c *lruCache) insert(n *node) *node {
-	c.m[n.vpn] = n
-	c.pushFront(n)
-	if len(c.m) <= c.cap {
-		return nil
+// peek returns vpn's entry without touching recency, or nilNode.
+func (c *lruCache) peek(vpn VPN) int32 {
+	if i := c.find(vpn); i >= 0 {
+		return c.index[i]
 	}
-	victim := c.tail
-	c.unlink(victim)
-	delete(c.m, victim.vpn)
-	return victim
+	return nilNode
 }
 
-// remove deletes vpn if present, returning the node.
-func (c *lruCache) remove(vpn VPN) *node {
-	n, ok := c.m[vpn]
-	if !ok {
-		return nil
+// insert adds vpn (not present) as the most recent entry. When the level is
+// full the least recent entry makes room and is returned (ok true).
+func (c *lruCache) insert(vpn VPN, ppn memsim.PAddr) (victim node, ok bool) {
+	if c.n == c.cap {
+		victim, ok = c.nodes[c.tail], true
+		c.remove(victim.vpn)
 	}
-	c.unlink(n)
-	delete(c.m, vpn)
-	return n
+	var e int32
+	if c.free != nilNode {
+		e = c.free
+		c.free = c.nodes[e].next
+	} else {
+		e = c.used
+		c.used++
+	}
+	c.nodes[e] = node{vpn: vpn, ppn: ppn}
+	c.pushFront(e)
+	mask := len(c.index) - 1
+	i := c.home(vpn)
+	for c.index[i] != nilNode {
+		i = (i + 1) & mask
+	}
+	c.index[i] = e
+	c.n++
+	return victim, ok
+}
+
+// remove deletes vpn if present, returning its translation.
+func (c *lruCache) remove(vpn VPN) (memsim.PAddr, bool) {
+	i := c.find(vpn)
+	if i < 0 {
+		return 0, false
+	}
+	e := c.index[i]
+	c.unindex(i)
+	c.unlink(e)
+	c.nodes[e].next = c.free
+	c.free = e
+	c.n--
+	return c.nodes[e].ppn, true
 }
 
 func (c *lruCache) clear() {
-	c.m = make(map[VPN]*node, c.cap)
-	c.head, c.tail = nil, nil
+	for i := range c.index {
+		c.index[i] = nilNode
+	}
+	c.n, c.used = 0, 0
+	c.head, c.tail, c.free = nilNode, nilNode, nilNode
+}
+
+// appendResident appends the level's VPNs, most recent first.
+func (c *lruCache) appendResident(out []VPN) []VPN {
+	for e := c.head; e != nilNode; e = c.nodes[e].next {
+		out = append(out, c.nodes[e].vpn)
+	}
+	return out
 }
 
 // TLB is one core's translation hierarchy.
@@ -145,33 +236,33 @@ func (t *TLB) Size() int {
 // STLB, 0 = miss); an L2 hit promotes the entry to L1, demoting the L1
 // victim into the STLB.
 func (t *TLB) Lookup(vpn VPN) (ppn memsim.PAddr, level int, hit bool) {
-	if n := t.l1.get(vpn); n != nil {
+	if e := t.l1.get(vpn); e != nilNode {
 		t.st.TLBHits++
-		return n.ppn, 1, true
+		return t.l1.nodes[e].ppn, 1, true
 	}
 	if t.l2 != nil {
-		if n := t.l2.remove(vpn); n != nil {
+		if ppn, ok := t.l2.remove(vpn); ok {
 			t.st.TLB2Hits++
-			t.promote(n)
-			return n.ppn, 2, true
+			t.promote(vpn, ppn)
+			return ppn, 2, true
 		}
 	}
 	t.st.TLBMisses++
 	return 0, 0, false
 }
 
-// promote inserts n into L1, demoting L1's victim to the STLB; an STLB
-// overflow leaves the hierarchy.
-func (t *TLB) promote(n *node) {
-	victim := t.l1.insert(n)
-	if victim == nil {
+// promote inserts a translation into L1, demoting L1's victim to the STLB;
+// an STLB overflow leaves the hierarchy.
+func (t *TLB) promote(vpn VPN, ppn memsim.PAddr) {
+	victim, ok := t.l1.insert(vpn, ppn)
+	if !ok {
 		return
 	}
 	if t.l2 == nil {
 		t.evicted(victim.vpn)
 		return
 	}
-	if out := t.l2.insert(victim); out != nil {
+	if out, ok := t.l2.insert(victim.vpn, victim.ppn); ok {
 		t.evicted(out.vpn)
 	}
 }
@@ -186,38 +277,34 @@ func (t *TLB) evicted(vpn VPN) {
 // Contains reports whether vpn is resident in either level, without
 // touching recency or statistics.
 func (t *TLB) Contains(vpn VPN) bool {
-	if t.l1.peek(vpn) != nil {
+	if t.l1.peek(vpn) != nilNode {
 		return true
 	}
-	return t.l2 != nil && t.l2.peek(vpn) != nil
+	return t.l2 != nil && t.l2.peek(vpn) != nilNode
 }
 
 // Insert installs a translation into L1 (refreshing it in place if already
 // resident anywhere).
 func (t *TLB) Insert(vpn VPN, ppn memsim.PAddr) {
-	if n := t.l1.get(vpn); n != nil {
-		n.ppn = ppn
+	if e := t.l1.get(vpn); e != nilNode {
+		t.l1.nodes[e].ppn = ppn
 		return
 	}
 	if t.l2 != nil {
-		if n := t.l2.remove(vpn); n != nil {
-			n.ppn = ppn
-			t.promote(n)
-			return
-		}
+		t.l2.remove(vpn)
 	}
-	t.promote(&node{vpn: vpn, ppn: ppn})
+	t.promote(vpn, ppn)
 }
 
 // UpdatePPN rewrites the cached translation for vpn if resident.
 func (t *TLB) UpdatePPN(vpn VPN, ppn memsim.PAddr) {
-	if n := t.l1.peek(vpn); n != nil {
-		n.ppn = ppn
+	if e := t.l1.peek(vpn); e != nilNode {
+		t.l1.nodes[e].ppn = ppn
 		return
 	}
 	if t.l2 != nil {
-		if n := t.l2.peek(vpn); n != nil {
-			n.ppn = ppn
+		if e := t.l2.peek(vpn); e != nilNode {
+			t.l2.nodes[e].ppn = ppn
 		}
 	}
 }
@@ -225,19 +312,20 @@ func (t *TLB) UpdatePPN(vpn VPN, ppn memsim.PAddr) {
 // Invalidate removes vpn from the hierarchy, firing the eviction callback
 // if it was resident.
 func (t *TLB) Invalidate(vpn VPN) {
-	if n := t.l1.remove(vpn); n != nil {
+	if _, ok := t.l1.remove(vpn); ok {
 		t.evicted(vpn)
 		return
 	}
 	if t.l2 != nil {
-		if n := t.l2.remove(vpn); n != nil {
+		if _, ok := t.l2.remove(vpn); ok {
 			t.evicted(vpn)
 		}
 	}
 }
 
 // Drop clears the hierarchy without firing callbacks — power failure (the
-// refcounts it would maintain are volatile and vanish too).
+// refcounts it would maintain are volatile and vanish too). It allocates
+// nothing.
 func (t *TLB) Drop() {
 	t.l1.clear()
 	if t.l2 != nil {
@@ -245,16 +333,12 @@ func (t *TLB) Drop() {
 	}
 }
 
-// Resident returns the set of currently resident VPNs (test helper).
+// Resident returns the currently resident VPNs, L1 then L2, each most
+// recent first (test helper).
 func (t *TLB) Resident() []VPN {
-	var out []VPN
-	for vpn := range t.l1.m {
-		out = append(out, vpn)
-	}
+	out := t.l1.appendResident(nil)
 	if t.l2 != nil {
-		for vpn := range t.l2.m {
-			out = append(out, vpn)
-		}
+		out = t.l2.appendResident(out)
 	}
 	return out
 }

@@ -81,10 +81,11 @@ func (e *Env) Translate(core int, va uint64, at engine.Cycles) (memsim.PAddr, en
 //
 // Threading contract: by default the simulator is single-goroutine and
 // implementations need no locking. A backend that additionally implements
-// ParallelAware supports the machine's concurrent mode, where each core's
-// methods are invoked from that core's own goroutine: calls on the SAME
-// core are always serial, calls on DIFFERENT cores may overlap and the
-// implementation must synchronise its shared state.
+// ParallelAware supports Machine.Run, where each core's methods are invoked
+// from that core's own goroutine: calls on the SAME core are always serial;
+// calls on DIFFERENT cores overlap only when SetParallel says the cores are
+// concurrent, and then the implementation must synchronise its shared
+// state.
 type Backend interface {
 	// Name identifies the design ("SSP", "UNDO-LOG", "REDO-LOG").
 	Name() string
@@ -180,15 +181,19 @@ type IdleHardener interface {
 	HardenIdle(core int, at engine.Cycles) (engine.Cycles, bool)
 }
 
-// ParallelAware is implemented by backends that support concurrent
-// goroutine-per-core execution (machine.Machine.Run). SetParallel(true) is
-// called before the core goroutines start, SetParallel(false) after they
+// ParallelAware is implemented by backends that support goroutine-per-core
+// execution (machine.Machine.Run). SetParallel(true, concurrent) is called
+// before the core goroutines start, SetParallel(false, false) after they
 // join; both calls happen with no simulated work in flight.
 //
 // While parallel mode is on, a backend may reorganise how it schedules
 // background work (e.g. SSP batches commit-time page consolidation into
 // epochs instead of running it inline) as long as crash consistency and
-// the aggregate counter totals remain correct.
+// the aggregate counter totals remain correct. concurrent says whether the
+// cores also execute at the same time on concurrent host threads (a
+// free-running Run) — the only case in which calls on different cores can
+// race. Under the window scheduler one core executes at a time and the
+// scheduler's grant orders them, so the backend needs no host locks.
 type ParallelAware interface {
-	SetParallel(on bool)
+	SetParallel(on, concurrent bool)
 }

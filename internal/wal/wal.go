@@ -112,7 +112,8 @@ func (s *Stream) Append(rec Record, at engine.Cycles) engine.Cycles {
 	}
 	s.lastTID = rec.TID
 
-	buf := make([]byte, n)
+	var frame [HeaderBytes + MaxPayload + 8]byte
+	buf := frame[:n]
 	binary.LittleEndian.PutUint32(buf[0:], checksum(rec.TID, rec.Kind, rec.Payload))
 	binary.LittleEndian.PutUint32(buf[4:], rec.TID)
 	buf[8] = rec.Kind
@@ -140,7 +141,8 @@ func (s *Stream) drainFullLines(at engine.Cycles) engine.Cycles {
 		// covered portion of the line.
 		span := lineEnd - s.pendingStart
 		t = s.mem.WriteBytes(s.base+memsim.PAddr(s.pendingStart), s.pending[:span], t, s.cat)
-		s.pending = s.pending[span:]
+		// Move the rest to the front, so appends reuse the buffer.
+		s.pending = s.pending[:copy(s.pending, s.pending[span:])]
 		s.pendingStart = lineEnd
 		if s.pendingStart > s.flushedThrough {
 			s.flushedThrough = s.pendingStart

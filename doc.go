@@ -114,8 +114,20 @@
 // stripes. Every access is range-checked against
 // DRAM and NVRAM before any lock is taken, so an address past capacity
 // panics instead of reading zeros. NVRAMImage, Crash and ssp.Restore still
-// trade a flat []byte (NewFromImage skips the image's all-zero pages), and
-// bank and bus ledgers materialise at a resource's first booking.
+// trade a flat []byte (NewFromImage skips the image's all-zero pages).
+//
+// A bank's or bus's occupancy ring is sized by the simulated span it covers,
+// not by its history bound: it materialises at the resource's first booking
+// with 8 buckets and doubles whenever the epochs looked up since the last
+// reset outgrow it, up to the 512-bucket (~2M-cycle) bound. A twelve-
+// transaction crash script spans a few tens of thousands of cycles, so its
+// rings hold a few dozen buckets, where a full ring is 8 KiB. While the
+// queried epochs fit the ring no two share a slot, so every lookup answers
+// as the full ring would; at full length the ring is the full ring slot for
+// slot (memsim.TestWheelMatchesScanModel holds it to the fixed ring it
+// replaced). ResetTiming — the reboot in Machine.Recover — empties the rings
+// and the open rows in place and keeps their storage, so verification after
+// recovery books into rings that already exist.
 //
 // internal/cachesim keeps a level's set index as a directory with one slot
 // per 64 consecutive sets — the sets one page's lines index — and gives a
@@ -135,11 +147,21 @@
 // vm.FrameAlloc is a bump cursor over never-allocated frames between a hot
 // LIFO stack and a cold FIFO queue (the allocation sequence of the full
 // free list it replaced, vm.TestFrameAllocMatchesListModel), the page-table
-// mirror reaches as far as the highest mapped page, wal.Scan reads a ring
-// through a 4 KiB window and stops where parsing stops, and the wear
-// statistics visit written pages only. ssp.TestMachineAllocationBudget and
-// CI's BenchmarkMachineNew gate keep a capacity-sized make from returning:
-// ssp.New on the 192 MB Table 2 machine allocates 0.4 MiB.
+// mirror reaches as far as the highest mapped page and is rebuilt through a
+// 4 KiB window of the PTE array, wal.Scan reads a ring through a 4 KiB
+// window and stops where parsing stops, and the wear statistics visit
+// written pages only. SSP's Recover reads the slot array a page of slots at
+// a time, checks for a page claimed twice against the entry table it is
+// rebuilding, refills the free-slot list inside its capacity and reserves
+// every live frame in one FrameAlloc.Rebuild under one lock; it is also the
+// only page-table rebuild of an SSP recovery (Machine rebuilds the mirror
+// itself only for the logging designs). DebugValidate visits lines through
+// a callback and formats a message only for the violation it reports.
+// ssp.TestMachineAllocationBudget and CI's BenchmarkMachineNew gate keep a
+// capacity-sized make from returning: ssp.New on the 192 MB Table 2 machine
+// allocates 0.4 MiB. crashsweep.TestTrapPointAllocationBudget holds a trap
+// point's run, recovery and verification on the sweep's machine to 64 KiB of
+// heap on every backend.
 //
 // # SSP cache: victim policy and constant-time metadata
 //

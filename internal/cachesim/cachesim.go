@@ -330,10 +330,11 @@ func (l *level) reset() {
 	l.tick = 0
 }
 
-// validLines returns the level's valid lines, sets in index order and ways
-// in order within a set (see the type comment for why the order is fixed).
-func (l *level) validLines() []int {
-	var out []int
+// eachValid calls fn on the level's valid lines, sets in index order and
+// ways in order within a set (see the type comment for why the order is
+// fixed), until fn returns false; it reports whether every call returned
+// true. fn may change a line's flags and data, not which lines are valid.
+func (l *level) eachValid(fn func(c int) bool) bool {
 	for _, c := range l.dir {
 		if c == nil {
 			continue
@@ -344,13 +345,13 @@ func (l *level) validLines() []int {
 			}
 			base := int(s-1) << l.wbits
 			for w := 0; w < l.ways; w++ {
-				if l.tags[base+w] != 0 {
-					out = append(out, base+w)
+				if l.tags[base+w] != 0 && !fn(base+w) {
+					return false
 				}
 			}
 		}
 	}
-	return out
+	return true
 }
 
 type dirEntry struct {
@@ -577,8 +578,8 @@ type Hierarchy struct {
 	l3         *level
 	dir        directory
 
-	// fillBuf receives memory reads: a local array would escape to the heap
-	// through the Mem interface call, one allocation per L3 miss.
+	// fillBuf receives memory reads, an L3 miss's or DebugValidate's: a local
+	// array would escape to the heap through the Mem interface call.
 	fillBuf [memsim.LineBytes]byte
 }
 
@@ -1103,14 +1104,15 @@ func (h *Hierarchy) debugPeekLocked(pa memsim.PAddr, buf []byte) {
 func (h *Hierarchy) flushAllLocked(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
 	t := at
 	flushLevel := func(l *level) {
-		for _, c := range l.validLines() {
+		l.eachValid(func(c int) bool {
 			if l.isDirty(c) {
 				d, _ := h.flushLocked(0, memsim.PAddr(l.tag(c))<<memsim.LineShift, at, cat)
 				if d > t {
 					t = d
 				}
 			}
-		}
+			return true
+		})
 	}
 	for i := range h.l1 {
 		flushLevel(h.l1[i])
@@ -1120,15 +1122,24 @@ func (h *Hierarchy) flushAllLocked(at engine.Cycles, cat stats.WriteCat) engine.
 	return t
 }
 
-// debugValidateLocked is DebugValidate's body.
+// debugValidateLocked is DebugValidate's body. It formats a message only for
+// the violation it reports.
 func (h *Hierarchy) debugValidateLocked() string {
-	var auth [memsim.LineBytes]byte
-	check := func(where string, l *level, c int) string {
+	auth := &h.fillBuf
+	msg := ""
+	// check compares line c of l, held by core (-1: the L3), with the
+	// authority value.
+	check := func(core int, l *level, c int) bool {
 		h.debugPeekLocked(memsim.PAddr(l.tag(c))<<memsim.LineShift, auth[:])
-		if d := l.line(c); *d != auth {
-			return fmt.Sprintf("%s line %#x: copy %v != authority %v (dirty=%v)", where, l.tag(c), d[0], auth[0], l.isDirty(c))
+		if d := l.line(c); *d != *auth {
+			where := "L3"
+			if core >= 0 {
+				where = fmt.Sprintf("core%d", core)
+			}
+			msg = fmt.Sprintf("%s line %#x: copy %v != authority %v (dirty=%v)", where, l.tag(c), d[0], auth[0], l.isDirty(c))
+			return false
 		}
-		return ""
+		return true
 	}
 	for i, k := range h.dir.keys {
 		if e := h.dir.vals[i]; k != 0 && e.owner >= 0 && e.sharers&(1<<uint(e.owner)) == 0 {
@@ -1137,31 +1148,29 @@ func (h *Hierarchy) debugValidateLocked() string {
 	}
 	for core := range h.l1 {
 		for _, lv := range [2]*level{h.l1[core], h.l2[core]} {
-			for _, c := range lv.validLines() {
+			ok := lv.eachValid(func(c int) bool {
 				e := h.dir.get(lv.tag(c))
-				if e.sharers&(1<<uint(core)) == 0 {
-					return fmt.Sprintf("core %d holds %#x but dir sharers are %#x", core, lv.tag(c), e.sharers)
+				switch {
+				case e.sharers&(1<<uint(core)) == 0:
+					msg = fmt.Sprintf("core %d holds %#x but dir sharers are %#x", core, lv.tag(c), e.sharers)
+					return false
+				case lv.isDirty(c) && int(e.owner) != core:
+					msg = fmt.Sprintf("core %d holds dirty %#x but dir owner is %d", core, lv.tag(c), e.owner)
+					return false
 				}
-				if lv.isDirty(c) && int(e.owner) != core {
-					return fmt.Sprintf("core %d holds dirty %#x but dir owner is %d", core, lv.tag(c), e.owner)
-				}
-				if msg := check(fmt.Sprintf("core%d", core), lv, c); msg != "" {
-					return msg
-				}
+				return check(core, lv, c)
+			})
+			if !ok {
+				return msg
 			}
 		}
 	}
-	for _, c := range h.l3.validLines() {
+	h.l3.eachValid(func(c int) bool {
 		// A stale L3 copy is legal while a dirty private owner shadows it;
 		// every read path consults the owner first.
-		if h.dir.get(h.l3.tag(c)).owner >= 0 {
-			continue
-		}
-		if msg := check("L3", h.l3, c); msg != "" {
-			return msg
-		}
-	}
-	return ""
+		return h.dir.get(h.l3.tag(c)).owner >= 0 || check(-1, h.l3, c)
+	})
+	return msg
 }
 
 // ---------------------------------------------------------------------------

@@ -355,8 +355,16 @@ func TestSlotEncodingRoundTrip(t *testing.T) {
 		{vpn: -1, ppn1: frames[1]},
 		{vpn: 42, ppn0: frames[0], ppn1: frames[1], committed: 0xDEADBEEF},
 	}
+	var line [slotBytes]byte
+	for i := range line {
+		line[i] = 0xA5 // whatever the buffer held before is overwritten
+	}
 	for _, st := range cases {
-		got := decodeSlot(encodeSlot(st, env.Layout.FrameIndex), env.Layout.FrameAddr)
+		encodeSlot(&line, st, env.Layout.FrameIndex)
+		if line[slotBytes-1] != 0 {
+			t.Errorf("slot line tail not cleared: %x", line)
+		}
+		got := decodeSlot(line[:], env.Layout.FrameAddr)
 		if got.vpn != st.vpn || got.ppn1 != st.ppn1 || got.committed != st.committed {
 			t.Errorf("slot round trip: %+v -> %+v", st, got)
 		}

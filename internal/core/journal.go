@@ -389,8 +389,10 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 		}
 	}
 	sort.Ints(sids)
+	var line [slotBytes]byte
 	for _, sid := range sids {
-		t = s.env.Mem.WriteLine(s.slotAddr(sid), encodeSlot(s.slotSnapshot(sid), s.env.Layout.FrameIndex), t, stats.CatCheckpoint)
+		encodeSlot(&line, s.slotSnapshot(sid), s.env.Layout.FrameIndex)
+		t = s.env.Mem.WriteLine(s.slotAddr(sid), line[:], t, stats.CatCheckpoint)
 	}
 	s.journals[si].Reset()
 	clear(dirty)

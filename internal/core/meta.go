@@ -200,8 +200,9 @@ type slotState struct {
 //	+16 u64 committed bitmap
 const slotBytes = memsim.LineBytes
 
-func encodeSlot(st slotState, frameIndex func(memsim.PAddr) int) []byte {
-	buf := make([]byte, slotBytes)
+// encodeSlot writes st's slot line into buf.
+func encodeSlot(buf *[slotBytes]byte, st slotState, frameIndex func(memsim.PAddr) int) {
+	*buf = [slotBytes]byte{}
 	vpn := invalidU32
 	p0 := invalidU32
 	if st.vpn >= 0 {
@@ -213,7 +214,6 @@ func encodeSlot(st slotState, frameIndex func(memsim.PAddr) int) []byte {
 	binary.LittleEndian.PutUint32(buf[8:], uint32(frameIndex(st.ppn1)))
 	binary.LittleEndian.PutUint32(buf[12:], st.ver)
 	binary.LittleEndian.PutUint64(buf[16:], st.committed)
-	return buf
 }
 
 func decodeSlot(buf []byte, frameAddr func(int) memsim.PAddr) slotState {

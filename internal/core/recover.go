@@ -21,7 +21,7 @@ func (s *SSP) Crash() {
 		s.slotOwner[i] = nil
 		s.slotBarrier[i] = journalRef{}
 	}
-	s.freeSlots = nil
+	s.freeSlots = s.freeSlots[:0]
 	s.resident.Reset()
 	for c := range s.ws {
 		s.ws[c].reset()
@@ -69,14 +69,16 @@ func (s *SSP) Recover() error {
 	s.env.Stats.Recoveries++
 
 	// 1. Load the persistent slot array (including each slot's checkpointed
-	// update version).
-	buf := make([]byte, slotBytes)
+	// update version), a page of slots at a time.
+	var page [memsim.PageBytes]byte
 	var maxVer uint32
-	for sid := range s.slotShadow {
-		s.env.Mem.Peek(s.slotAddr(sid), buf)
-		s.slotShadow[sid] = decodeSlot(buf, s.env.Layout.FrameAddr)
-		if s.slotShadow[sid].ver > maxVer {
-			maxVer = s.slotShadow[sid].ver
+	for first := 0; first < len(s.slotShadow); first += len(page) / slotBytes {
+		n := min(len(page)/slotBytes, len(s.slotShadow)-first)
+		s.env.Mem.Peek(s.slotAddr(first), page[:n*slotBytes])
+		for i := 0; i < n; i++ {
+			st := decodeSlot(page[i*slotBytes:], s.env.Layout.FrameAddr)
+			s.slotShadow[first+i] = st
+			maxVer = max(maxVer, st.ver)
 		}
 	}
 
@@ -190,8 +192,7 @@ func (s *SSP) Recover() error {
 	// build the transient SSP cache: current := committed, refcounts zero.
 	s.env.PT.Rebuild()
 	s.resetEntries()
-	s.freeSlots = nil
-	seenVPN := make(map[int]int)
+	s.freeSlots = s.freeSlots[:0]
 	for sid := len(s.slotShadow) - 1; sid >= 0; sid-- {
 		st := s.slotShadow[sid]
 		s.slotOwner[sid] = nil
@@ -200,10 +201,11 @@ func (s *SSP) Recover() error {
 			s.freeSlots = append(s.freeSlots, sid)
 			continue
 		}
-		if prev, dup := seenVPN[st.vpn]; dup {
-			return fmt.Errorf("core: slots %d and %d both claim vpn %d", prev, sid, st.vpn)
+		// The entry table being rebuilt holds the slot that claimed vpn
+		// first.
+		if prev := s.lookupMeta(st.vpn); prev != nil {
+			return fmt.Errorf("core: slots %d and %d both claim vpn %d", prev.slot, sid, st.vpn)
 		}
-		seenVPN[st.vpn] = sid
 		if cur, ok := s.env.PT.Lookup(st.vpn); !ok || cur != st.ppn0 {
 			// The consolidation's PTE write was lost; the journal record is
 			// authoritative.
@@ -224,13 +226,7 @@ func (s *SSP) Recover() error {
 
 	// 5. Rebuild the frame allocator: every PTE-mapped frame plus every
 	// slot's spare is live.
-	s.env.Frames.Reset()
-	for _, m := range s.env.PT.Mapped() {
-		s.env.Frames.Reserve(m.Frame)
-	}
-	for _, st := range s.slotShadow {
-		s.env.Frames.Reserve(st.ppn1)
-	}
+	s.env.Frames.Rebuild(s.env.PT, len(s.slotShadow), func(sid int) memsim.PAddr { return s.slotShadow[sid].ppn1 })
 
 	if s.nextTID.Load() < maxTID {
 		s.nextTID.Store(maxTID)

@@ -13,15 +13,15 @@ import (
 // format assigns every slot its spare frame and writes the initial slot
 // array (machine initialisation; no timing).
 func (s *SSP) format() {
+	var line [slotBytes]byte
+	s.freeSlots = make([]int, len(s.slotShadow))
 	for sid := range s.slotShadow {
 		spare := s.env.Frames.Alloc()
 		s.slotShadow[sid] = slotState{vpn: -1, ppn1: spare}
-		s.env.Mem.Poke(s.slotAddr(sid), encodeSlot(s.slotShadow[sid], s.env.Layout.FrameIndex))
-		s.freeSlots = append(s.freeSlots, sid)
-	}
-	// Reverse so slot 0 is handed out first.
-	for i, j := 0, len(s.freeSlots)-1; i < j; i, j = i+1, j-1 {
-		s.freeSlots[i], s.freeSlots[j] = s.freeSlots[j], s.freeSlots[i]
+		encodeSlot(&line, s.slotShadow[sid], s.env.Layout.FrameIndex)
+		s.env.Mem.Poke(s.slotAddr(sid), line[:])
+		// Listed in reverse, so slot 0 is handed out first.
+		s.freeSlots[len(s.freeSlots)-1-sid] = sid
 	}
 }
 

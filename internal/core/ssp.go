@@ -389,10 +389,15 @@ func (s *SSP) metaOf(vpn int) *pageMeta { return s.lookupMeta(vpn) }
 func (s *SSP) entryCount() int { return s.entries.n }
 
 // resetEntries empties the transient cache and its quiescent index (crash,
-// recovery); the chunks go back to the collector.
+// recovery). Chunks are cleared in place, so the rebuild that follows a
+// recovery allocates none. Quiescent-only.
 func (s *SSP) resetEntries() {
 	for i := range s.entries.dir {
-		s.entries.dir[i].Store(nil)
+		if c := s.entries.dir[i].Load(); c != nil {
+			for j := range c {
+				c[j].Store(nil)
+			}
+		}
 	}
 	s.entries.n = 0
 	s.quiescent.reset()

@@ -245,6 +245,29 @@ func TestIndicesRebuiltByRecover(t *testing.T) {
 	}
 }
 
+// Recovery checks for two slots claiming one page against the entry table it
+// is rebuilding, and still names both slots.
+func TestRecoverRejectsDuplicateVPN(t *testing.T) {
+	env, s := testEnv(t, 1)
+	mapPage(env, 0)
+	now := s.Begin(0, 0)
+	now = s.Store(0, va(0, 3), []byte{1}, now)
+	s.Commit(0, now)
+	owner := s.metaOf(0)
+	const forged = 5
+	if owner == nil || owner.slot == forged {
+		t.Fatalf("vpn 0 is not in a slot other than %d: %+v", forged, owner)
+	}
+	var line [slotBytes]byte
+	encodeSlot(&line, slotState{vpn: 0, ppn0: owner.ppn0, ppn1: s.slotShadow[forged].ppn1}, env.Layout.FrameIndex)
+	env.Mem.Poke(s.slotAddr(forged), line[:])
+	s.Crash()
+	want := fmt.Sprintf("core: slots %d and %d both claim vpn 0", forged, owner.slot)
+	if err := s.Recover(); err == nil || err.Error() != want {
+		t.Fatalf("Recover of a forged slot array returned %v, want %q", err, want)
+	}
+}
+
 // panicOf returns the value fn panicked with, nil if it returned.
 func panicOf(fn func()) (v any) {
 	defer func() { v = recover() }()

@@ -9,6 +9,8 @@ package crashsweep
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/ssp"
@@ -331,31 +333,46 @@ func Verify(m *ssp.Machine, committed, boundary map[uint64]uint64) error {
 func verify(m *ssp.Machine, committed, boundary map[uint64]uint64) error {
 	c := m.Core(0)
 	if boundary != nil {
-		applied := false
-		for va, v := range boundary {
-			applied = c.Load64(va) == v
-			break
-		}
-		expect := map[uint64]uint64{}
-		for va, v := range committed {
-			expect[va] = v
-		}
+		applied := boundaryApplied(c, boundary)
+		expect := make(map[uint64]uint64, len(committed)+len(boundary))
+		maps.Copy(expect, committed)
 		if applied {
-			for va, v := range boundary {
-				expect[va] = v
-			}
+			maps.Copy(expect, boundary)
 		}
-		for va, want := range expect {
-			if got := c.Load64(va); got != want {
+		for _, va := range sortedAddrs(expect) {
+			if got, want := c.Load64(va), expect[va]; got != want {
 				return fmt.Errorf("boundary txn torn (applied=%v): %#x got %d want %d", applied, va, got, want)
 			}
 		}
 		return nil
 	}
-	for va, want := range committed {
-		if got := c.Load64(va); got != want {
+	for _, va := range sortedAddrs(committed) {
+		if got, want := c.Load64(va), committed[va]; got != want {
 			return fmt.Errorf("addr %#x: got %d want %d", va, got, want)
 		}
 	}
 	return nil
+}
+
+// sortedAddrs returns the addresses of an expectation map in ascending
+// order: the oracles read in that order, so the loads they issue, the cache
+// state their coherence checks see and the address a failure names are a
+// function of the trap point alone, never of Go's map iteration order.
+func sortedAddrs(vals map[uint64]uint64) []uint64 {
+	vas := make([]uint64, 0, len(vals))
+	for va := range vals {
+		vas = append(vas, va)
+	}
+	slices.Sort(vas)
+	return vas
+}
+
+// boundaryApplied probes whether a boundary transaction's writes landed: it
+// reads the transaction's lowest address. An empty write set never applied.
+func boundaryApplied(c *ssp.Core, boundary map[uint64]uint64) bool {
+	if len(boundary) == 0 {
+		return false
+	}
+	va := sortedAddrs(boundary)[0]
+	return c.Load64(va) == boundary[va]
 }

@@ -248,11 +248,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err := Verify(m, committed, nil); err != nil {
 		t.Fatalf("clean run failed verification: %v", err)
 	}
-	var va uint64
-	for a := range committed {
-		va = a
-		break
-	}
+	va := sortedAddrs(committed)[0]
 	c := m.Core(0)
 	c.Begin()
 	c.Store64(va, 0xDEAD)

@@ -13,6 +13,7 @@ package crashsweep
 import (
 	"fmt"
 	"io"
+	"maps"
 
 	"repro/ssp"
 )
@@ -95,29 +96,25 @@ func VerifyWindowed(m *ssp.Machine, committed map[uint64]uint64, boundaries []ma
 
 func verifyWindowed(m *ssp.Machine, committed map[uint64]uint64, boundaries []map[uint64]uint64) error {
 	c := m.Core(0)
-	expect := map[uint64]uint64{}
-	for va, v := range committed {
-		expect[va] = v
-	}
+	expect := make(map[uint64]uint64, len(committed))
+	maps.Copy(expect, committed)
 	for id, b := range boundaries {
 		if b == nil {
 			continue
 		}
-		applied := false
-		for va, v := range b {
-			applied = c.Load64(va) == v
-			break
-		}
-		for va, v := range b {
+		applied := boundaryApplied(c, b)
+		for _, va := range sortedAddrs(b) {
 			if applied {
-				expect[va] = v
-			} else if want, wasCommitted := expect[va]; wasCommitted && c.Load64(va) != want {
-				return fmt.Errorf("core %d boundary txn torn (applied=false): %#x got %d want committed %d", id, va, c.Load64(va), want)
+				expect[va] = b[va]
+			} else if want, wasCommitted := expect[va]; wasCommitted {
+				if got := c.Load64(va); got != want {
+					return fmt.Errorf("core %d boundary txn torn (applied=false): %#x got %d want committed %d", id, va, got, want)
+				}
 			}
 		}
 	}
-	for va, want := range expect {
-		if got := c.Load64(va); got != want {
+	for _, va := range sortedAddrs(expect) {
+		if got, want := c.Load64(va), expect[va]; got != want {
 			return fmt.Errorf("addr %#x: got %d want %d", va, got, want)
 		}
 	}

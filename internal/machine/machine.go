@@ -224,19 +224,23 @@ func Restore(cfg Config, image []byte) (*Machine, error) {
 	if !vm.IsFormatted(m.mem, m.layout) {
 		return nil, fmt.Errorf("machine: image is not a formatted persistent heap")
 	}
-	m.pt.Rebuild()
-	if cfg.Backend != SSP {
-		// The logging designs keep no frame metadata beyond the page
-		// table; SSP's Recover rebuilds the allocator itself.
-		m.frames.Reset()
-		for _, e := range m.pt.Mapped() {
-			m.frames.Reserve(e.Frame)
-		}
-	}
-	if err := m.backend.Recover(); err != nil {
+	if err := m.recoverBackend(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// recoverBackend runs the backend's recovery against the durable image. The
+// logging designs keep no frame metadata beyond the page table, so their
+// page-table mirror and frame allocator are rebuilt here first. SSP's Recover
+// rebuilds both itself, once its slot decode, journal replay and fall-back
+// rollback — none of which reads a PTE — have run.
+func (m *Machine) recoverBackend() error {
+	if m.cfg.Backend != SSP {
+		m.pt.Rebuild()
+		m.frames.Rebuild(m.pt, 0, nil)
+	}
+	return m.backend.Recover()
 }
 
 func build(cfg Config, image []byte) (*Machine, error) {
@@ -615,16 +619,7 @@ func (m *Machine) Recover() error {
 	m.dropVolatile()
 	m.mem.PowerOn()
 	m.mem.ResetTiming()
-	m.pt.Rebuild()
-	if m.cfg.Backend != SSP {
-		// The logging designs keep no frame metadata beyond the page
-		// table; SSP's Recover rebuilds the allocator itself.
-		m.frames.Reset()
-		for _, e := range m.pt.Mapped() {
-			m.frames.Reserve(e.Frame)
-		}
-	}
-	return m.backend.Recover()
+	return m.recoverBackend()
 }
 
 // Lock is a simulated mutex: acquisition serialises critical sections in

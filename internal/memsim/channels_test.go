@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -113,12 +114,36 @@ func TestChannelPolicies(t *testing.T) {
 	}
 }
 
-// checkWheel verifies a wheel's structural invariants: every bucket's
-// booked time is non-negative and its overhang past the bucket span never
-// exceeds one access latency (the carry the reserve loop handles).
+// checkWheel verifies a wheel's structural invariants: the ring's length is
+// a power of two within its bounds and, short of the full length, covers the
+// window of queried epochs, which holds every bucket, each at its own slot;
+// every bucket's booked time is non-negative and its overhang past the
+// bucket span never exceeds one access latency (the carry the reserve loop
+// handles).
 func checkWheel(w *wheel, maxLatency engine.Cycles) error {
-	for i := range w.buckets() {
-		s := &w.b[i]
+	n := len(w.b)
+	if n == 0 {
+		return nil
+	}
+	if n&(n-1) != 0 || n < wheelMinBuckets || n > wheelBuckets || w.mask != int64(n-1) {
+		return fmt.Errorf("ring length %d, mask %#x", n, w.mask)
+	}
+	if n == wheelBuckets && (w.lo != 0 || w.span != math.MaxInt64) {
+		return fmt.Errorf("full ring with the window [%d, %d+%d)", w.lo, w.lo, w.span)
+	}
+	if n < wheelBuckets && w.span > int64(n) {
+		return fmt.Errorf("ring of %d buckets under a window of %d epochs from %d", n, w.span, w.lo)
+	}
+	for i, s := range w.b {
+		if s == (wbucket{}) {
+			continue
+		}
+		if s.epoch&int64(n-1) != int64(i) {
+			return fmt.Errorf("bucket of epoch %d at slot %d of %d", s.epoch, i, n)
+		}
+		if n < wheelBuckets && (s.epoch < w.lo || s.epoch >= w.lo+w.span) {
+			return fmt.Errorf("bucket of epoch %d outside the window [%d, %d+%d)", s.epoch, w.lo, w.lo, w.span)
+		}
 		if s.used < 0 {
 			return fmt.Errorf("bucket %d booked negative time %d", i, s.used)
 		}
@@ -132,8 +157,8 @@ func checkWheel(w *wheel, maxLatency engine.Cycles) error {
 // wheelFrontier returns the latest booked completion across the wheel.
 func wheelFrontier(w *wheel) engine.Cycles {
 	var mx engine.Cycles
-	for i := range w.buckets() {
-		if e := engine.Cycles(w.b[i].epoch)*wheelSpan + w.b[i].used; w.b[i].used > 0 && e > mx {
+	for _, s := range w.b {
+		if e := engine.Cycles(s.epoch)*wheelSpan + s.used; s.used > 0 && e > mx {
 			mx = e
 		}
 	}

@@ -57,6 +57,7 @@ package memsim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -192,8 +193,9 @@ func DefaultConfig() Config {
 // cores only wait on real overlap, and stale history errs toward optimism
 // instead of dragging clocks forward.
 const (
-	wheelSpan    = 4096 // cycles per bucket
-	wheelBuckets = 512  // history span: ~2M cycles (~0.57 ms at 3.7 GHz)
+	wheelSpan       = 4096 // cycles per bucket
+	wheelBuckets    = 512  // history span: ~2M cycles (~0.57 ms at 3.7 GHz)
+	wheelMinBuckets = 8    // a ring's first length
 )
 
 // wbucket is one wheel bucket: the busy cycles booked in the simulated-time
@@ -205,18 +207,82 @@ type wbucket struct {
 	used  engine.Cycles
 }
 
-// wheel is the occupancy ledger of one shared resource. Its buckets
-// materialise at the first booking, so a bank no access reaches costs
-// nothing to build or to reset.
+// wheel is the occupancy ledger of one shared resource: a ring of buckets,
+// bucket epoch e at slot e mod len(b). The history bound is wheelBuckets, but
+// the ring is only as long as the simulated span it has been asked about: its
+// length is the smallest power of two (at least wheelMinBuckets, at most
+// wheelBuckets) covering every epoch looked up since the last reset, the
+// window [lo, lo+span). A bank no access reaches costs nothing, and a short
+// run books a few buckets instead of wheelBuckets.
+//
+// The short ring answers every lookup exactly as the full one would. While
+// the queried epochs fit in a window no wider than the ring, no two of them
+// share a slot, so each slot holds its own epoch's bucket or an empty one —
+// and so does the full ring at epoch mod wheelBuckets, because it has seen
+// the same epochs. Growth moves every bucket to its slot in the longer ring;
+// at wheelBuckets the ring is the full one, slot for slot, and its window
+// covers every epoch. reset empties the ring in place and keeps its length.
 type wheel struct {
-	b *[wheelBuckets]wbucket
+	b        []wbucket
+	mask     int64 // len(b) - 1
+	lo, span int64 // epochs queried since the last reset: [lo, lo+span)
 }
 
-func (w *wheel) buckets() *[wheelBuckets]wbucket {
-	if w.b == nil {
-		w.b = new([wheelBuckets]wbucket)
+// at returns epoch idx's slot, first growing the ring when idx widens the
+// queried window past its length. A lookup inside the window costs one
+// compare.
+func (w *wheel) at(idx int64) *wbucket {
+	if uint64(idx-w.lo) >= uint64(w.span) {
+		w.widen(idx)
 	}
-	return w.b
+	return &w.b[idx&w.mask]
+}
+
+func (w *wheel) widen(idx int64) {
+	lo, hi := idx, idx+1
+	if w.span > 0 {
+		lo, hi = min(w.lo, idx), max(w.lo+w.span, idx+1)
+	}
+	n := max(len(w.b), wheelMinBuckets)
+	for int64(n) < hi-lo && n < wheelBuckets {
+		n *= 2
+	}
+	if n == wheelBuckets {
+		lo, hi = 0, math.MaxInt64 // the full ring: every epoch has its slot
+	}
+	w.lo, w.span = lo, hi-lo
+	if n == len(w.b) {
+		return
+	}
+	b := make([]wbucket, n)
+	for _, s := range w.b {
+		if s != (wbucket{}) {
+			b[s.epoch&int64(n-1)] = s
+		}
+	}
+	w.b, w.mask = b, int64(n-1)
+}
+
+// peek returns epoch idx's bucket if the ring holds it, without widening the
+// window: an epoch outside it was never booked, so its slot holds another
+// epoch or an empty bucket.
+func (w *wheel) peek(idx int64) *wbucket {
+	if len(w.b) == 0 {
+		return nil
+	}
+	if s := &w.b[idx&w.mask]; s.epoch == idx {
+		return s
+	}
+	return nil
+}
+
+// reset empties the ring (a reboot) and keeps its storage; a full ring's
+// window stays every epoch.
+func (w *wheel) reset() {
+	clear(w.b)
+	if len(w.b) < wheelBuckets {
+		w.lo, w.span = 0, 0
+	}
 }
 
 // reserveFIFO books dur busy cycles at the earliest position at or after
@@ -227,7 +293,6 @@ func (w *wheel) buckets() *[wheelBuckets]wbucket {
 // frontier are not reusable. Used for banks, whose traffic is chains of
 // dependent accesses.
 func (w *wheel) reserveFIFO(at, dur engine.Cycles) engine.Cycles {
-	b := w.buckets()
 	if at < 0 {
 		at = 0
 	}
@@ -235,14 +300,14 @@ func (w *wheel) reserveFIFO(at, dur engine.Cycles) engine.Cycles {
 	start := at
 	// A previous bucket's bookings may overhang into this one.
 	if p := idx - 1; p >= 0 {
-		if s := &b[p%wheelBuckets]; s.epoch == p {
+		if s := w.peek(p); s != nil {
 			if e := engine.Cycles(p)*wheelSpan + s.used; e > start {
 				start = e
 			}
 		}
 	}
 	for {
-		s := &b[idx%wheelBuckets]
+		s := w.at(idx)
 		if s.epoch < idx {
 			s.epoch, s.used = idx, 0 // recycle a stale bucket
 		}
@@ -270,10 +335,9 @@ func (w *wheel) reserveFIFO(at, dur engine.Cycles) engine.Cycles {
 // stamp every covered bucket, or reserveFIFO's one-bucket lookback would
 // admit overlapping accesses issued a few windows later.
 func (w *wheel) bookFrontier(start, dur engine.Cycles) {
-	b := w.buckets()
 	end := start + dur
 	for idx := int64(start) / wheelSpan; engine.Cycles(idx)*wheelSpan < end; idx++ {
-		s := &b[idx%wheelBuckets]
+		s := w.at(idx)
 		if s.epoch < idx {
 			s.epoch, s.used = idx, 0
 		}
@@ -294,14 +358,13 @@ func (w *wheel) bookFrontier(start, dur engine.Cycles) {
 // wheel exists to decouple; what matters is the bandwidth cap, reached at
 // span/dur transfers per window.
 func (w *wheel) reserveCapacity(at, dur engine.Cycles) engine.Cycles {
-	b := w.buckets()
 	if at < 0 {
 		at = 0
 	}
 	idx := int64(at) / wheelSpan
 	start := engine.Cycles(-1)
 	for dur > 0 {
-		s := &b[idx%wheelBuckets]
+		s := w.at(idx)
 		if s.epoch < idx {
 			s.epoch, s.used = idx, 0
 		}
@@ -855,18 +918,20 @@ func (m *Memory) ResetWear() {
 }
 
 // ResetTiming clears bank/bus timelines and open-row state on every channel
-// (a reboot); durable contents and statistics are untouched.
+// (a reboot); durable contents and statistics are untouched. The rings keep
+// their storage, so replaying the same traffic allocates nothing.
 func (m *Memory) ResetTiming() {
 	for i := range m.chans {
 		c := &m.chans[i]
 		m.lock(&c.mu)
-		for j := range c.dramBanks {
-			c.dramBanks[j] = bank{}
+		for _, banks := range [2][]bank{c.dramBanks, c.nvBanks} {
+			for j := range banks {
+				b := &banks[j]
+				b.tl.reset()
+				b.openRow, b.hasOpen = 0, false
+			}
 		}
-		for j := range c.nvBanks {
-			c.nvBanks[j] = bank{}
-		}
-		c.bus = wheel{}
+		c.bus.reset()
 		m.unlock(&c.mu)
 	}
 }

@@ -76,12 +76,12 @@ func panics(fn func()) (p bool) {
 	return false
 }
 
-// Randomised differential test: Alloc, Free, FreeCold, Reserve and Reset in
-// any interleaving — including recovery's Reset-then-Reserve rebuild, frees
+// Randomised differential test: Alloc, Free, FreeCold, reserve and Rebuild
+// in any interleaving — including recovery's Rebuild from a page table, frees
 // of reserved frames that leave a frame listed twice, and runs into an
 // exhausted pool — give the allocation sequence of the reference model.
 func TestFrameAllocMatchesListModel(t *testing.T) {
-	_, l, _ := testEnv(t)
+	mem, l, _ := testEnv(t)
 	for seed := uint64(1); seed <= 30; seed++ {
 		l.Frames = 8 + int(seed)*3 // small pools reach the cold queue and exhaustion
 		rng := engine.NewRNG(seed)
@@ -126,29 +126,31 @@ func TestFrameAllocMatchesListModel(t *testing.T) {
 			case op < 97:
 				pa := l.FrameAddr(rng.Intn(l.Frames))
 				if ref.used[l.FrameIndex(pa)] {
-					if !panics(func() { fa.Reserve(pa) }) {
+					if !panics(func() { fa.reserve(pa) }) {
 						t.Fatalf("seed %d step %d: reserving an in-use frame did not panic", seed, step)
 					}
 					continue
 				}
 				trace = append(trace, fmt.Sprintf("reserve(%d)", l.FrameIndex(pa)))
-				fa.Reserve(pa)
+				fa.reserve(pa)
 				ref.reserve(pa)
 				held = append(held, pa)
 			default:
-				trace = append(trace, "reset")
-				fa.Reset()
+				// Recovery's rebuild: everything free but what the page
+				// table maps.
+				trace = append(trace, "rebuild")
 				ref.reset()
 				held = held[:0]
-				// Recovery's rebuild: reserve what the page table maps.
+				pt := NewPageTable(mem, l)
 				for i := rng.Intn(l.Frames / 2); i > 0; i-- {
 					pa := l.FrameAddr(rng.Intn(l.Frames))
 					if !ref.used[l.FrameIndex(pa)] {
-						fa.Reserve(pa)
+						pt.SetMirror(len(held), pa)
 						ref.reserve(pa)
 						held = append(held, pa)
 					}
 				}
+				fa.Rebuild(pt, 0, nil)
 			}
 			if got, want := fa.InUse(), ref.inUse(); got != want || fa.FreeCount() != l.Frames-want {
 				t.Fatalf("seed %d step %d: InUse %d FreeCount %d, the list model has %d in use of %d", seed, step, got, fa.FreeCount(), want, l.Frames)

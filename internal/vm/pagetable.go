@@ -86,15 +86,19 @@ func (pt *PageTable) SetMirror(vpn int, pa memsim.PAddr) {
 	pt.setMirror(vpn, pa)
 }
 
-// Rebuild reloads the mirror from the durable PTE array.
+// Rebuild reloads the mirror from the durable PTE array, reading it through
+// a one-page window.
 func (pt *PageTable) Rebuild() {
-	buf := make([]byte, pt.layout.Cfg.MaxHeapPages*8)
-	pt.mem.Peek(pt.layout.PageTableBase, buf)
+	var win [memsim.PageBytes]byte
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	clear(pt.mirror)
-	for vpn := 0; vpn < len(buf)/8; vpn++ {
-		pt.setMirror(vpn, memsim.PAddr(binary.LittleEndian.Uint64(buf[vpn*8:])))
+	for first := 0; first < pt.layout.Cfg.MaxHeapPages; first += len(win) / 8 {
+		n := min(len(win)/8, pt.layout.Cfg.MaxHeapPages-first)
+		pt.mem.Peek(pt.layout.PTEAddr(first), win[:n*8])
+		for i := 0; i < n; i++ {
+			pt.setMirror(first+i, memsim.PAddr(binary.LittleEndian.Uint64(win[i*8:])))
+		}
 	}
 }
 
@@ -121,15 +125,15 @@ func (pt *PageTable) Mapped() [](struct {
 }
 
 // FrameAlloc hands out physical frames from the pool. Allocation state is
-// volatile: recovery rebuilds it by scanning the page table and SSP slots
-// (frames lost between mapping and commit leak until then).
+// volatile: recovery rebuilds it (Rebuild) from the page table and the SSP
+// slots' spares (frames lost between mapping and commit leak until then).
 //
 // The free pool is one conceptual stack, top first: the hot frames (Free,
 // last in first out), then the frames no one has taken yet in ascending
 // index order, then the cold frames (FreeCold, first in first out). The
 // middle part is a cursor rather than a list, so neither building nor
 // resetting the allocator, nor anything it does, walks the pool. A frame a
-// Reserve took, or one that is listed twice, is still in the stack; Alloc
+// rebuild reserved, or one that is listed twice, is still in the stack; Alloc
 // skips an entry whose frame is in use when it surfaces.
 type FrameAlloc struct {
 	layout Layout
@@ -227,11 +231,9 @@ func (fa *FrameAlloc) FreeCold(pa memsim.PAddr) {
 	fa.cold = append(fa.cold, idx)
 }
 
-// Reserve marks a frame used during recovery rebuilds; reserving an
-// already-used frame is an error.
-func (fa *FrameAlloc) Reserve(pa memsim.PAddr) {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
+// reserve marks a free frame used; reserving an already-used frame is an
+// error. The caller holds mu.
+func (fa *FrameAlloc) reserve(pa memsim.PAddr) {
 	idx := fa.layout.FrameIndex(pa)
 	if fa.isUsed(idx) {
 		panic(fmt.Sprintf("vm: frame %#x reserved twice", pa))
@@ -239,14 +241,30 @@ func (fa *FrameAlloc) Reserve(pa memsim.PAddr) {
 	fa.take(idx)
 }
 
-// Reset returns the allocator to the all-free state, then the caller
-// re-reserves live frames (recovery).
-func (fa *FrameAlloc) Reset() {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
+// reset returns the allocator to the all-free state. The caller holds mu.
+func (fa *FrameAlloc) reset() {
 	fa.hot, fa.next = fa.hot[:0], 0
 	fa.cold, fa.coldHead = fa.cold[:0], 0
 	fa.used, fa.inUse = fa.used[:0], 0
+}
+
+// Rebuild is recovery's rebuild of the allocation state, which is volatile:
+// every frame is free again except those pt maps and spare(i) for each
+// i < spares, all reserved under one lock. A frame reserved twice panics.
+func (fa *FrameAlloc) Rebuild(pt *PageTable, spares int, spare func(i int) memsim.PAddr) {
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	pt.mu.RLock()
+	defer pt.mu.RUnlock()
+	fa.reset()
+	for _, pa := range pt.mirror {
+		if pa != 0 {
+			fa.reserve(pa)
+		}
+	}
+	for i := 0; i < spares; i++ {
+		fa.reserve(spare(i))
+	}
 }
 
 // InUse returns the number of allocated frames.

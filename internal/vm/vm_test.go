@@ -128,6 +128,66 @@ func TestPageTableRebuildFromDurable(t *testing.T) {
 	}
 }
 
+// Rebuild reads the PTE array a page at a time: entries on either side of a
+// window boundary and in a short last window all come back, and a second
+// rebuild of a grown mirror allocates nothing.
+func TestPageTableRebuildAcrossWindows(t *testing.T) {
+	mem, _, _ := testEnv(t)
+	lcfg := DefaultLayoutConfig(2)
+	lcfg.MaxHeapPages = 1300
+	l := NewLayout(mem.Config(), lcfg)
+	pt := NewPageTable(mem, l)
+	vpns := []int{0, 511, 512, 1023, 1024, 1299}
+	for i, vpn := range vpns {
+		pt.Set(vpn, l.FrameAddr(i+1), 0)
+	}
+	pt2 := NewPageTable(mem, l)
+	pt2.Rebuild()
+	for i, vpn := range vpns {
+		if pa, ok := pt2.Lookup(vpn); !ok || pa != l.FrameAddr(i+1) {
+			t.Errorf("rebuild gave vpn %d -> %#x, %v; want %#x", vpn, pa, ok, l.FrameAddr(i+1))
+		}
+	}
+	if n := len(pt2.Mapped()); n != len(vpns) {
+		t.Errorf("rebuild mapped %d pages, want %d", n, len(vpns))
+	}
+	if n := testing.AllocsPerRun(5, pt2.Rebuild); n != 0 {
+		t.Errorf("a repeated Rebuild allocated %.1f times", n)
+	}
+}
+
+// FrameAlloc.Rebuild reserves what a reset and one reserve per mapped or
+// spare frame would: the two allocators hand out the same frames from then
+// on.
+func TestFrameAllocRebuild(t *testing.T) {
+	mem, l, _ := testEnv(t)
+	pt := NewPageTable(mem, l)
+	for vpn, idx := range []int{7, 3, 12} {
+		pt.Set(vpn*5, l.FrameAddr(idx), 0)
+	}
+	spares := []int{0, 9, 4}
+	got, want := NewFrameAlloc(l), NewFrameAlloc(l)
+	got.Alloc()
+	got.Rebuild(pt, len(spares), func(i int) memsim.PAddr { return l.FrameAddr(spares[i]) })
+	for _, m := range pt.Mapped() {
+		want.reserve(m.Frame)
+	}
+	for _, idx := range spares {
+		want.reserve(l.FrameAddr(idx))
+	}
+	if got.InUse() != want.InUse() {
+		t.Fatalf("Rebuild left %d frames in use, reserve %d", got.InUse(), want.InUse())
+	}
+	for i := 0; i < 20; i++ {
+		if g, w := got.Alloc(), want.Alloc(); g != w {
+			t.Fatalf("allocation %d after Rebuild: frame %d, after reserve %d", i, l.FrameIndex(g), l.FrameIndex(w))
+		}
+	}
+	if !panics(func() { got.Rebuild(pt, 2, func(int) memsim.PAddr { return l.FrameAddr(7) }) }) {
+		t.Error("a spare frame the page table maps was reserved twice without a panic")
+	}
+}
+
 func TestPageTableSetMirrorIsVolatile(t *testing.T) {
 	mem, l, _ := testEnv(t)
 	pt := NewPageTable(mem, l)
@@ -182,7 +242,7 @@ func TestFrameAllocReserveAndReset(t *testing.T) {
 	_, l, _ := testEnv(t)
 	fa := NewFrameAlloc(l)
 	pa := l.FrameAddr(5)
-	fa.Reserve(pa)
+	fa.reserve(pa)
 	// Alloc must never hand out the reserved frame.
 	seen := map[memsim.PAddr]bool{}
 	for i := 0; i < l.Frames-1; i++ {
@@ -195,7 +255,7 @@ func TestFrameAllocReserveAndReset(t *testing.T) {
 		}
 		seen[f] = true
 	}
-	fa.Reset()
+	fa.reset()
 	if fa.InUse() != 0 || fa.FreeCount() != l.Frames {
 		t.Error("reset did not clear state")
 	}

@@ -104,7 +104,7 @@ var experimentTable = []experiment{
 		section("Recovery effort vs journal capacity (§4.1.2 checkpointing)")
 		fmt.Println(experiments.RenderRecovery(experiments.RecoveryEffort(sc)))
 	}},
-	{"parallel", "concurrent engine vs 1-core serial", func(sc experiments.Scale, fl benchFlags) {
+	{"parallel", "goroutine-per-core engine vs 1-core serial", func(sc experiments.Scale, fl benchFlags) {
 		section(fmt.Sprintf("Concurrent engine — %d goroutine-backed cores vs 1-core serial", fl.cores))
 		fmt.Println(experiments.RenderParallel(experiments.ParallelScaling(sc, workload.Memcached, fl.cores)))
 		fmt.Println(experiments.RenderParallel(experiments.ParallelScaling(sc, workload.Vacation, fl.cores)))

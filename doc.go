@@ -12,12 +12,11 @@
 //
 // # Concurrency contract
 //
-// Outside ssp.Machine.Run every call runs on the caller's goroutine and the
-// simulation is bit-for-bit deterministic, as in the original
-// single-goroutine model. Machine.Run(fn) invokes fn once per Core, each
-// invocation on its own goroutine: free-running (TimeWindow 0), the
-// simulated cores genuinely execute in parallel on the host; under the
-// window scheduler below, one at a time. The rules:
+// Two execution modes. Outside ssp.Machine.Run every call runs on the
+// caller's goroutine and the simulation is bit-for-bit deterministic, as in
+// the original single-goroutine model. Machine.Run(fn) invokes fn once per
+// Core, each invocation on its own goroutine, and the window scheduler below
+// lets one execute at a time. The rules:
 //
 //   - One goroutine per Core: a Core handle (Begin/Store64/Load64/Commit,
 //     plus Heap/Arena allocation through it) belongs to the goroutine Run
@@ -26,25 +25,22 @@
 //     ResetStats, MaxClock, Restore) are not safe during a Run; call them
 //     only before it starts or after it returns.
 //   - Locks (ssp.Lock via Core.Acquire/Release) provide application-level
-//     isolation, as in the paper; in concurrent mode they are backed by a
-//     host mutex so simulated and host mutual exclusion coincide.
-//   - Concurrent allocation goes through per-core arenas
+//     isolation, as in the paper; inside Run the scheduler queues waiters
+//     and hands the lock over in simulated-time order.
+//   - Allocation inside Run goes through per-core arenas
 //     (Machine.NewArena), never the shared Heap.
-//   - Per-core results are deterministic for fixed seeds; aggregate
-//     statistics are order-independent sums over per-core shards, while
-//     cross-core timing (bank contention, lock hand-off order) depends on
-//     the host schedule — unless the window scheduler below is on, which
-//     makes the whole run, cross-core timing included, reproducible.
+//   - The whole run, cross-core timing included, is reproducible from its
+//     seed; aggregate statistics are order-independent sums over per-core
+//     shards.
 //
 // # Deterministic bounded-lag window scheduler
 //
-// ssp.Config.TimeWindow (cycles; 0, the default, keeps the free-running
-// mode above bit-for-bit) runs Machine.Run under a conservative bounded-lag
-// scheduler (internal/machine/winsched.go): cores advance in lockstep
-// windows of W simulated cycles, and within each window exactly one core
-// executes at a time — always the ready core with the smallest
-// (clock, core index) — so every shared-hardware arbitration the
-// free-running mode resolves in host order (memory bank and bus wheels,
+// Every Machine.Run goes through a conservative bounded-lag scheduler
+// (internal/machine/winsched.go) with window W = ssp.Config.TimeWindow
+// cycles (0, the default, selects 4096): cores advance in lockstep windows
+// of W simulated cycles, and within each window exactly one core executes
+// at a time — always the ready core with the smallest (clock, core index)
+// — so every shared-hardware arbitration (memory bank and bus wheels,
 // row-buffer transitions, cache ownership transfers, lock hand-off, epoch
 // hardening) resolves in simulated-time order with a deterministic
 // core-index tie-break. Two runs with the same seed and core count then
@@ -53,40 +49,48 @@
 // for a core to park: a lock wait (release hands the lock to the waiter
 // with the smallest resume clock, not to whichever goroutine the host
 // wakes) and a host-side block (Core.BlockExternal). No backend parks
-// through it — nothing below the Core API waits on another core. The price
-// is host parallelism: execution is serialised, so wall-clock gains from
-// extra host cores disappear while SIMULATED speedup curves are unaffected
-// (conservative windows only fix the interleaving). Machine.WindowStats
-// reports windows/grants/barrier stalls (deterministic) plus the host-side
-// barrier-wait share used to pick the default W — at small scale W=4096
-// keeps the barrier-wait share near the serialisation floor while bounding
-// cross-core lag, and is the recommended setting. The server path's
+// through it — nothing below the Core API waits on another core. Execution
+// is serialised, so extra host cores add no wall-clock speed, while
+// SIMULATED speedup curves are unaffected (conservative windows only fix
+// the interleaving). Machine.WindowStats reports windows/grants/barrier
+// stalls (deterministic) plus the host-side barrier-wait share used to pick
+// the default W — at small scale W=4096 keeps the barrier-wait share near
+// the serialisation floor while bounding cross-core lag. The server path's
 // host-channel waits (Core.BlockExternal) remain live but host-dependent;
-// everything inside the simulated machine is covered. The windowed
-// crash class (crashsweep.TestTrapSweepWindowed) trap-sweeps a windowed
-// 4-core machine with journal sharding and durability epochs composed,
-// proving window barriers cannot reorder durability points.
-// `sspbench -exp scale` sweeps window size × cores (1-16) and reports
-// speedup, barrier-wait share and per-shard journal pressure; CI gates the
-// windowed 8-core BenchmarkScaleSmoke at ±5%.
+// everything inside the simulated machine is covered. The windowed crash
+// class (crashsweep.TestTrapSweepWindowed) trap-sweeps a windowed 4-core
+// machine with journal sharding and durability epochs composed, proving
+// window barriers cannot reorder durability points. `sspbench -exp scale`
+// sweeps window size × cores (1-16) and reports speedup, barrier-wait share
+// and per-shard journal pressure.
+//
+// Run used to have a second, free-running mode (TimeWindow 0): one host
+// thread per core, no scheduler, cross-core timing in host order, and host
+// locks in the caches, memory, SSP metadata, page table, frame allocator
+// and REDO engine. It was at most 1.22× faster in wall-clock on any 8-core
+// `-exp scale` cell (and slower on memcached), made five CI smokes
+// host-dependent, and gave the one outlier simulated answer (8-core
+// vacation). It was deleted with its locks; the five smokes
+// (BenchmarkParallelSmoke, CrossShardSmoke, RelaxedSmoke, ServeSmoke,
+// CacheSmoke) were re-recorded once as deterministic metrics, and CI gates
+// them, like the 8-core BenchmarkScaleSmoke, at ±5%.
 //
 // # Multi-channel memory model
 //
 // The memory system supports multiple independent channels
 // (ssp.Config.Channels, default 1 = the paper's single-bus Table 2 model;
-// internals in internal/memsim). Each channel owns a slice of the banks, a
-// data-bus bandwidth ledger and its own timing lock; addresses interleave
-// across channels per ssp.Config.Interleave — InterleaveLine (consecutive
-// 64-byte lines rotate channels; default) or InterleavePage (a 4 KiB page
-// stays on one channel). Channel and bank selectors are swizzled with
-// higher address bits (permutation-based interleaving), so power-of-2
-// strided regions such as the per-core logs spread across banks instead of
-// aliasing onto one. Per-channel traffic and bus-occupancy counters land in
-// stats.Stats (ChannelLines, ChannelBusyCycles), one stats shard per
-// channel.
+// internals in internal/memsim). Each channel owns a slice of the banks and a
+// data-bus bandwidth ledger; addresses interleave across channels per
+// ssp.Config.Interleave — InterleaveLine (consecutive 64-byte lines rotate
+// channels; default) or InterleavePage (a 4 KiB page stays on one channel).
+// Channel and bank selectors are swizzled with higher address bits
+// (permutation-based interleaving), so power-of-2 strided regions such as the
+// per-core logs spread across banks instead of aliasing onto one. Per-channel
+// traffic and bus-occupancy counters land in stats.Stats (ChannelLines,
+// ChannelBusyCycles), one stats shard per channel.
 //
 // Bank and bus occupancy is tracked in time-bucketed ledgers rather than
-// "busy until" scalars, so concurrent cores queue only when their simulated
+// "busy until" scalars, so cores queue only when their simulated
 // windows genuinely overlap on the same resource; shared structures with a
 // serial protocol — REDO's single write-back engine, cache-coherence
 // ownership transfers — remain serialised in simulated time by design. The
@@ -104,17 +108,13 @@
 // recovering it cost what the run touched; a capacity only bounds.
 //
 // internal/memsim keeps DRAM and NVRAM bytes behind a two-level directory
-// (region.go): one slot per MiB of address space, a slot's chunk of 256
-// page pointers and per-page wear counters allocated when something in that
-// MiB is first written, and a page's 4 KiB when that page is. A page never
-// written reads as zeros from one shared page that is only ever copied out
-// of. A page materialises under the same address-striped data lock that
-// guards its bytes (when the memory takes locks at all, see below); a chunk
-// is published by compare-and-swap, since its pages belong to different
-// stripes. Every access is range-checked against
-// DRAM and NVRAM before any lock is taken, so an address past capacity
-// panics instead of reading zeros. NVRAMImage, Crash and ssp.Restore still
-// trade a flat []byte (NewFromImage skips the image's all-zero pages).
+// (region.go): one slot per MiB of address space, a slot's chunk of 256 page
+// pointers and per-page wear counters allocated when something in that MiB is
+// first written, and a page's 4 KiB when that page is. A page never written
+// reads as zeros from one shared page that is only ever copied out of. Every
+// access is range-checked against DRAM and NVRAM first, so an address past
+// capacity panics instead of reading zeros. NVRAMImage, Crash and ssp.Restore
+// still trade a flat []byte (NewFromImage skips the image's all-zero pages).
 //
 // A bank's or bus's occupancy ring is sized by the simulated span it covers,
 // not by its history bound: it materialises at the resource's first booking
@@ -153,7 +153,7 @@
 // written pages only. SSP's Recover reads the slot array a page of slots at
 // a time, checks for a page claimed twice against the entry table it is
 // rebuilding, refills the free-slot list inside its capacity and reserves
-// every live frame in one FrameAlloc.Rebuild under one lock; it is also the
+// every live frame in one FrameAlloc.Rebuild; it is also the
 // only page-table rebuild of an SSP recovery (Machine rebuilds the mirror
 // itself only for the logging designs). DebugValidate visits lines through
 // a callback and formats a message only for the violation it reports.
@@ -177,24 +177,21 @@
 //
 //   - The entry table (ssp.go, metaTable) is indexed by VPN, which is dense
 //     from zero: a directory with one slot per 256 heap pages, sized from
-//     the layout, a chunk allocated at the first store into it, directory
-//     slots and entries published atomically. lookupMeta is two loads and
-//     takes no lock in any mode; stores and deletes happen under structMu.
-//     Invariant: the population counter equals the entries present.
+//     the layout, a chunk allocated at the first store into it. lookupMeta
+//     is two loads. Invariant: the population counter equals the entries
+//     present.
 //   - The quiescent index (slots.go, quiescentSet) is a bitmap over VPN
 //     with one summary level, grown to the highest VPN added; the victim is
 //     find-first-set. Invariant: it holds exactly the VPNs of entries with
 //     tlbRef == 0 && coreRef == 0. Every change of either count updates it
-//     before the page's lock is released (refTaken, refDropped), as do
-//     entry insertion, deletion, Crash and Recover's rebuild.
+//     (refTaken, refDropped), as do entry insertion, deletion, Crash and
+//     Recover's rebuild.
 //   - The L3-residency model (meta.go, lruSet) is a doubly linked list
 //     threaded through an array indexed by slot id, most recently touched
 //     first: a miss on a full set evicts the tail. Invariant: the list
 //     holds each resident slot once, at most ResidentEntries of them.
 //
-// In free-running mode the quiescent index has one leaf lock, quiescentMu,
-// beside residentMu below the page lock: structMu → journalMu[i] →
-// pageMeta.mu → quiescentMu/residentMu/consolMu. SSP.DebugCheckFrames
+// SSP.DebugCheckFrames
 // checks all three invariants against a full scan of the table, and
 // internal/core's differential tests hold the structures to the scan, sort
 // and min-tick search they replaced (sspcache_test.go), which remain there
@@ -203,22 +200,31 @@
 //
 // # Host synchronisation and the hit path
 //
-// Which mode takes which host locks. Only a free-running Machine.Run
-// (TimeWindow 0) executes cores at the same time on host threads, so only
-// it synchronises the simulated hardware: cachesim's interconnect mutex,
-// memsim's address-striped data locks, per-channel timing locks and power
-// lock, and SSP's structMu / journalMu[i] / pageMeta.mu and leaf locks, plus
-// the atomic max behind SSP's background clock. Serial execution and the
-// window scheduler take none of them. The scheduler runs exactly one core at
-// a time and hands the execution slot on through its own mutex and a
-// channel, so everything the previous holder wrote happens before the next
-// holder runs — the same ordering the locks would give, at no cost per
-// access. Machine.setParallel switches the caches, the memory and the
-// backend (txn.ParallelAware's concurrent flag) together while the machine
-// is quiescent; SSP's other parallel-mode behaviour, batched consolidation,
-// is simulated and applies to every Run. Go's race detector gates both
-// sides: TestParallelLocalGlobalStress for the locks, the Windowed tests
-// (run repeatedly under -race in CI) for the grant.
+// No host locks below ssp.Machine. The simulated hardware (cachesim,
+// memsim, buffercache, vm) and the backends (internal/core,
+// internal/logging) take no host lock and use no atomics: serial execution
+// runs one core, and the window scheduler runs exactly one core at a time
+// and hands the execution slot on through its own mutex and a channel, so
+// everything the previous holder wrote happens before the next holder runs.
+// The scheduler's mutex and the server's queues are the only host
+// synchronisation left. Go's race detector checks the claim: every Run test
+// goes through the grant, and CI repeats the Windowed and Parallel tests
+// under -race. SSP's parallel-mode behaviour, batched consolidation, is
+// simulated and applies to every Run (txn.ParallelAware).
+//
+// The protocol's lock order, for an implementation whose cores run at the
+// same time (hardware, or a simulator that gives each core a host thread):
+// structural state (entry-table mutation, the free-slot list, slot
+// allocation and eviction, consolidation scheduling, checkpoint execution)
+// → each journal shard's stream, dirty-slot set and epoch, taken in
+// ascending shard index (a global commit takes every participant shard and
+// the coordinator, and draws its TID while holding them all, so every
+// stream stays TID-monotonic) → each page's bitmaps, reference counts and
+// frame pointers → the leaf state (quiescent index, residency list,
+// consolidation queue) → caches → page table → memory. A page's slot-shadow
+// snapshot and its update version are taken under the page's lock; the
+// coherence interconnect orders every cache operation; each memory channel
+// orders its own bank and bus bookings.
 //
 // The directory decides who is probed. cachesim's directory holds, for every
 // line some private cache holds, the sharer mask and the dirty owner, in an
@@ -256,10 +262,9 @@
 // (ssp.Config.JournalShards, default 1 = the paper's single shared journal,
 // max MaxJournalShards). Core i appends its commit batches to shard
 // i mod JournalShards — an independent NVRAM ring with its own buffered
-// tail line — under that shard's lock only; transaction IDs come from one
-// global atomic allocator (drawn under the destination shard's lock, so
-// every stream stays TID-monotonic), and slot-shadow mutation happens at
-// per-page granularity under each page's own lock. Checkpointing is
+// tail line; transaction IDs come from one global allocator (a commit
+// appends before any other core runs, so every stream stays
+// TID-monotonic). Checkpointing is
 // per-shard: a hot core fills and drains only its own ring. Recovery is a
 // TID-merge — every shard is scanned and batch-validated independently
 // (torn tails and batches without a durable End drop per shard, exactly as
@@ -290,11 +295,7 @@
 // global transaction whose end record its ring still holds before
 // truncating, so prepares orphaned by the truncation are superseded by the
 // slot array (recovery treats such version-superseded prepares as
-// checkpointed remnants, not torn transactions). Locking adds one rule to the
-// contract above: a global commit takes every involved shard's journalMu in
-// ascending shard index (the full order is still structMu → journalMu[i] →
-// pageMeta.mu, with the journalMu tier internally ordered by index), so
-// global and single-shard commits can never deadlock. Applications must
+// checkpointed remnants, not torn transactions). Applications must
 // acquire the Locks of every structure a global section touches, in one
 // consistent order — ascending shard/core index in the bundled workloads.
 // Single-arena transactions (plain Begin, or BeginGlobal whose write set
@@ -429,8 +430,9 @@
 // cuts max/mean frame-write skew from ~24 to ~5-8 for under 3% of data
 // writes spent on rotation copies. 0 (default) disables rotation.
 //
-// The aggregate-vs-serial equivalence and race-freedom are enforced by
-// `go test -race ./internal/machine -run TestParallel` and the workload
+// The aggregate-vs-serial equivalence and the scheduler's ordering are
+// enforced by `go test -race ./internal/machine -run TestParallel` and the
+// workload
 // smoke tests; the benchmark entry points are
 // `go run ./cmd/sspbench -exp parallel -cores 4` (now with per-core
 // commit-barrier wait shares from Stats.CommitBarrierWait),

@@ -79,9 +79,9 @@ type shard struct {
 	tick   uint64
 }
 
-// Cache is the buffer tier. It has no locks of its own: every method is
-// invoked under cachesim's interconnect mutex, on the invoking core's
-// goroutine (see the stats.Sharded ownership note on New).
+// Cache is the buffer tier. It takes no host lock: every method is invoked
+// inside a cachesim operation, on the invoking core's goroutine (see the
+// stats.Sharded ownership note on New).
 type Cache struct {
 	mem    *memsim.Memory
 	st     *stats.Sharded
@@ -92,9 +92,8 @@ type Cache struct {
 // New builds a buffer tier of cfg.Frames frames over mem, restricted to
 // [cfg.Lo, cfg.Hi). Per-core counters (hits, misses, absorbs, ...) are
 // written to sh's shard of the invoking core; since every call comes from
-// inside a cachesim operation, which runs one at a time (under its
-// interconnect lock when cores are concurrent, in the scheduler's grant
-// order otherwise), these writes are serialised even when the invoking core
+// inside a cachesim operation, which runs one at a time in the scheduler's
+// grant order, these writes are serialised even when the invoking core
 // differs from the shard owner's goroutine — the fields are touched nowhere
 // else.
 func New(cfg Config, mem *memsim.Memory, sh *stats.Sharded) *Cache {

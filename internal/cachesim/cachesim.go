@@ -28,10 +28,8 @@
 //
 // Determinism contract: coherence arbitration — ownership transfers,
 // invalidation order, shared-L3 replacement — resolves in the order requests
-// arrive. Only free-running concurrent cores (machine.Config.TimeWindow == 0
-// inside Machine.Run) arrive in host order, which makes cross-core transfer
-// timing host-schedule dependent; serially and under the bounded-lag window
-// scheduler one core executes at a time and every transfer is deterministic.
+// arrive. Serially and under the bounded-lag window scheduler one core
+// executes at a time, so that order and every transfer are deterministic.
 // Code here must not let host time or host scheduling influence simulated
 // timing or line contents.
 package cachesim
@@ -39,7 +37,6 @@ package cachesim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -492,8 +489,7 @@ func (d *directory) reset() {
 //     (at, false).
 //
 // All methods are called on the invoking core's goroutine, inside a
-// hierarchy operation (so under the interconnect lock whenever the
-// hierarchy takes it).
+// hierarchy operation.
 type Mem interface {
 	// ReadLine fills buf with the line at pa and returns the completion
 	// time, charged to the fastest tier holding a valid copy.
@@ -519,7 +515,7 @@ type Mem interface {
 
 // directMem couples the hierarchy straight to memsim with no buffer tier —
 // the paper's bare-NVRAM model. Every method is a transparent forward;
-// HardenLine reports no buffered state so flushLocked's no-dirty-copy path
+// HardenLine reports no buffered state so Flush's no-dirty-copy path
 // is byte-identical to the historical one.
 type directMem struct {
 	mem *memsim.Memory
@@ -556,10 +552,7 @@ func (d directMem) Peek(pa memsim.PAddr, buf []byte) { d.mem.Peek(pa, buf) }
 // the software analogue of the coherence interconnect, where invalidations,
 // ownership transfers and L3 fills are globally ordered anyway. Serially and
 // under the window scheduler that order is given: one core executes at a
-// time. Only while cores run on concurrent host threads (SetConcurrent, a
-// free-running Machine.Run) does each operation take the interconnect mutex.
-// The mutex is above the memory system's locks in the lock order (the
-// hierarchy calls into memsim while holding it, never the reverse).
+// time, so the hierarchy takes no host lock.
 //
 // Memory traffic below L3 is issued per address to the memory system, which
 // routes each transfer to its interleaved channel — misses and write-backs
@@ -572,11 +565,9 @@ type Hierarchy struct {
 	mem Mem
 	st  *stats.Stats
 
-	concurrent bool // take mu; flipped only while quiescent
-	mu         sync.Mutex
-	l1, l2     []*level
-	l3         *level
-	dir        directory
+	l1, l2 []*level
+	l3     *level
+	dir    directory
 
 	// fillBuf receives memory reads, an L3 miss's or DebugValidate's: a local
 	// array would escape to the heap through the Mem interface call.
@@ -612,23 +603,6 @@ func NewWithMem(cfg Config, mem Mem, st *stats.Stats) *Hierarchy {
 
 // Cores returns the number of cores the hierarchy serves.
 func (h *Hierarchy) Cores() int { return h.cfg.Cores }
-
-// SetConcurrent tells the hierarchy whether its callers run on concurrent
-// host threads: while on, every operation takes the interconnect mutex.
-// Call only while no operation is in flight.
-func (h *Hierarchy) SetConcurrent(on bool) { h.concurrent = on }
-
-func (h *Hierarchy) lock() {
-	if h.concurrent {
-		h.mu.Lock()
-	}
-}
-
-func (h *Hierarchy) unlock() {
-	if h.concurrent {
-		h.mu.Unlock()
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Directory helpers.
@@ -795,8 +769,9 @@ func copyOut(buf []byte, line *[memsim.LineBytes]byte, off int) {
 	copy(buf, line[off:])
 }
 
-// loadLocked is Load's body.
-func (h *Hierarchy) loadLocked(core int, pa memsim.PAddr, buf []byte, at engine.Cycles) engine.Cycles {
+// Load reads len(buf) bytes at pa into buf and returns the completion time.
+// The span must stay within one cache line.
+func (h *Hierarchy) Load(core int, pa memsim.PAddr, buf []byte, at engine.Cycles) engine.Cycles {
 	la, off := uint64(pa>>memsim.LineShift), int(pa&(memsim.LineBytes-1))
 	if off+len(buf) > memsim.LineBytes {
 		panic(fmt.Sprintf("cachesim: Load of %d bytes crosses line at %#x", len(buf), pa))
@@ -828,8 +803,10 @@ func (h *Hierarchy) loadLocked(core int, pa memsim.PAddr, buf []byte, at engine.
 	return done
 }
 
-// storeLocked is Store's body.
-func (h *Hierarchy) storeLocked(core int, pa memsim.PAddr, data []byte, at engine.Cycles) engine.Cycles {
+// Store writes data at pa (within one line) into core's L1 with exclusive
+// ownership (write-allocate) and returns the completion time. The data
+// becomes durable only on write-back or Flush.
+func (h *Hierarchy) Store(core int, pa memsim.PAddr, data []byte, at engine.Cycles) engine.Cycles {
 	la, off := uint64(pa>>memsim.LineShift), int(pa&(memsim.LineBytes-1))
 	if off+len(data) > memsim.LineBytes {
 		panic(fmt.Sprintf("cachesim: Store of %d bytes crosses line at %#x", len(data), pa))
@@ -932,8 +909,11 @@ func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (int, e
 	return installed, done
 }
 
-// flushLocked is Flush's body.
-func (h *Hierarchy) flushLocked(core int, pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
+// Flush implements clwb: the most recent copy of pa's line (wherever it is)
+// is written back to memory and all cached copies become clean; cached
+// copies are retained. It reports whether a write actually happened and the
+// completion time.
+func (h *Hierarchy) Flush(core int, pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
 	la := uint64(pa >> memsim.LineShift)
 	var data *[memsim.LineBytes]byte
 	e := h.dir.get(la)
@@ -980,8 +960,10 @@ func (h *Hierarchy) flushLocked(core int, pa memsim.PAddr, at engine.Cycles, cat
 	return done, true
 }
 
-// markTxLocked is MarkTx's body.
-func (h *Hierarchy) markTxLocked(core int, pa memsim.PAddr) {
+// MarkTx flags core's private copy of pa's line as speculative, keeping it
+// pinned against eviction where possible (see victim). The line must be
+// present (it was just stored to).
+func (h *Hierarchy) MarkTx(core int, pa memsim.PAddr) {
 	la := uint64(pa >> memsim.LineShift)
 	for _, l := range [2]*level{h.l1[core], h.l2[core]} {
 		if c := l.peek(la); c >= 0 {
@@ -990,12 +972,13 @@ func (h *Hierarchy) markTxLocked(core int, pa memsim.PAddr) {
 	}
 }
 
-// retagLocked is Retag's body: core's private copy of `from` is renamed to
-// `to` without any write-back — the committed bytes of `from` stay
-// untouched in NVRAM. Any stale cached copies of `to` are discarded. The
-// caller must have loaded `from` (the committed copy) beforehand; Retag
-// fetches it if needed. The renamed line is dirty and marked speculative.
-func (h *Hierarchy) retagLocked(core int, from, to memsim.PAddr, at engine.Cycles) engine.Cycles {
+// Retag implements SSP's line-level remap (Figure 4, steps 3-5): core's
+// private copy of `from` is renamed to `to` without any write-back — the
+// committed bytes of `from` stay untouched in NVRAM. Any stale cached copies
+// of `to` are discarded. The caller must have loaded `from` (the committed
+// copy) beforehand; Retag fetches it if needed. The renamed line is dirty and
+// marked speculative.
+func (h *Hierarchy) Retag(core int, from, to memsim.PAddr, at engine.Cycles) engine.Cycles {
 	fla, tla := uint64(from>>memsim.LineShift), uint64(to>>memsim.LineShift)
 	if fla == tla {
 		panic("cachesim: Retag to the same line")
@@ -1006,7 +989,7 @@ func (h *Hierarchy) retagLocked(core int, from, to memsim.PAddr, at engine.Cycle
 	// rename cannot lose it (§3.2's "already been flushed" precondition).
 	t := at
 	if h.dirtyAnywhere(fla) {
-		t, _ = h.flushLocked(core, from, t, stats.CatData)
+		t, _ = h.Flush(core, from, t, stats.CatData)
 	}
 
 	// Fetch the committed line (shared) into this core's L1; only the L1
@@ -1014,7 +997,7 @@ func (h *Hierarchy) retagLocked(core int, from, to memsim.PAddr, at engine.Cycle
 	// other cores remain valid for the `from` address (an abort flips the
 	// current bit back and reads them again).
 	var data [memsim.LineBytes]byte
-	t = h.loadLocked(core, memsim.PAddr(fla)<<memsim.LineShift, data[:], t)
+	t = h.Load(core, memsim.PAddr(fla)<<memsim.LineShift, data[:], t)
 	if c := h.l1[core].peek(fla); c >= 0 {
 		h.l1[core].invalidate(c)
 	}
@@ -1046,10 +1029,11 @@ func (h *Hierarchy) discardLine(la uint64) {
 	h.dir.del(la)
 }
 
-// injectLineLocked is InjectLine's body. Copies must not be dirty — the
-// caller owns the line's coherence at this point. Absent lines are not
-// installed.
-func (h *Hierarchy) injectLineLocked(pa memsim.PAddr, data []byte) {
+// InjectLine updates every cached copy of pa's line in place with data the
+// memory controller just wrote to NVRAM (cache injection, as DMA/DDIO
+// engines do), leaving copies clean. Copies must not be dirty — the caller
+// owns the line's coherence at this point. Absent lines are not installed.
+func (h *Hierarchy) InjectLine(pa memsim.PAddr, data []byte) {
 	la := uint64(pa >> memsim.LineShift)
 	apply := func(l *level, c int) {
 		if c < 0 {
@@ -1081,8 +1065,10 @@ func (h *Hierarchy) dirtyAnywhere(la uint64) bool {
 	return h.mem.DirtyLine(memsim.PAddr(la) << memsim.LineShift)
 }
 
-// debugPeekLocked is DebugPeek's body.
-func (h *Hierarchy) debugPeekLocked(pa memsim.PAddr, buf []byte) {
+// DebugPeek resolves the current value of pa's line without charging timing
+// or mutating cache state: owner's private copy, else a dirty L3 copy, else
+// durable memory. Test and assertion helper.
+func (h *Hierarchy) DebugPeek(pa memsim.PAddr, buf []byte) {
 	la := uint64(pa >> memsim.LineShift)
 	off := int(pa & (memsim.LineBytes - 1))
 	if o := int(h.dir.get(la).owner); o >= 0 {
@@ -1100,13 +1086,16 @@ func (h *Hierarchy) debugPeekLocked(pa memsim.PAddr, buf []byte) {
 	h.mem.Peek(pa, buf)
 }
 
-// flushAllLocked is FlushAll's body.
-func (h *Hierarchy) flushAllLocked(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
+// FlushAll writes back every dirty line (orderly shutdown; test helper).
+// The write-backs are independent, so each is issued from `at` and the
+// fence waits for the slowest — the drain overlaps across memory banks and
+// channels instead of serialising line by line.
+func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
 	t := at
 	flushLevel := func(l *level) {
 		l.eachValid(func(c int) bool {
 			if l.isDirty(c) {
-				d, _ := h.flushLocked(0, memsim.PAddr(l.tag(c))<<memsim.LineShift, at, cat)
+				d, _ := h.Flush(0, memsim.PAddr(l.tag(c))<<memsim.LineShift, at, cat)
 				if d > t {
 					t = d
 				}
@@ -1122,15 +1111,19 @@ func (h *Hierarchy) flushAllLocked(at engine.Cycles, cat stats.WriteCat) engine.
 	return t
 }
 
-// debugValidateLocked is DebugValidate's body. It formats a message only for
+// DebugValidate checks the coherence invariants: every valid cached copy of
+// a line carries the authority value resolved by DebugPeek; every valid
+// private copy's core is a directory sharer of the line, and a dirty one's
+// core is its owner; every owner is a sharer. It returns a description of
+// the first violation, or "". Test helper. It formats a message only for
 // the violation it reports.
-func (h *Hierarchy) debugValidateLocked() string {
+func (h *Hierarchy) DebugValidate() string {
 	auth := &h.fillBuf
 	msg := ""
 	// check compares line c of l, held by core (-1: the L3), with the
 	// authority value.
 	check := func(core int, l *level, c int) bool {
-		h.debugPeekLocked(memsim.PAddr(l.tag(c))<<memsim.LineShift, auth[:])
+		h.DebugPeek(memsim.PAddr(l.tag(c))<<memsim.LineShift, auth[:])
 		if d := l.line(c); *d != *auth {
 			where := "L3"
 			if core >= 0 {
@@ -1174,76 +1167,18 @@ func (h *Hierarchy) debugValidateLocked() string {
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points: each runs one operation to completion, under the
-// interconnect mutex while the hierarchy is concurrent.
-
-// Load reads len(buf) bytes at pa into buf and returns the completion time.
-// The span must stay within one cache line.
-func (h *Hierarchy) Load(core int, pa memsim.PAddr, buf []byte, at engine.Cycles) engine.Cycles {
-	h.lock()
-	defer h.unlock()
-	return h.loadLocked(core, pa, buf, at)
-}
-
-// Store writes data at pa (within one line) into core's L1 with exclusive
-// ownership (write-allocate) and returns the completion time. The data
-// becomes durable only on write-back or Flush.
-func (h *Hierarchy) Store(core int, pa memsim.PAddr, data []byte, at engine.Cycles) engine.Cycles {
-	h.lock()
-	defer h.unlock()
-	return h.storeLocked(core, pa, data, at)
-}
-
-// Flush implements clwb: the most recent copy of pa's line (wherever it is)
-// is written back to memory and all cached copies become clean; cached
-// copies are retained. It reports whether a write actually happened and the
-// completion time.
-func (h *Hierarchy) Flush(core int, pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
-	h.lock()
-	defer h.unlock()
-	return h.flushLocked(core, pa, at, cat)
-}
-
-// MarkTx flags core's private copy of pa's line as speculative, keeping it
-// pinned against eviction where possible (see victim). The line must be
-// present (it was just stored to).
-func (h *Hierarchy) MarkTx(core int, pa memsim.PAddr) {
-	h.lock()
-	defer h.unlock()
-	h.markTxLocked(core, pa)
-}
-
-// Retag implements SSP's line-level remap (Figure 4, steps 3-5); see
-// retagLocked for the protocol.
-func (h *Hierarchy) Retag(core int, from, to memsim.PAddr, at engine.Cycles) engine.Cycles {
-	h.lock()
-	defer h.unlock()
-	return h.retagLocked(core, from, to, at)
-}
-
-// InjectLine updates every cached copy of pa's line in place with data the
-// memory controller just wrote to NVRAM (cache injection, as DMA/DDIO
-// engines do), leaving copies clean.
-func (h *Hierarchy) InjectLine(pa memsim.PAddr, data []byte) {
-	h.lock()
-	defer h.unlock()
-	h.injectLineLocked(pa, data)
-}
+// Line invalidation, test helpers and whole-hierarchy operations.
 
 // InvalidateLine drops all cached copies of pa's line without writing back;
 // used to squash speculative lines on abort.
 func (h *Hierarchy) InvalidateLine(pa memsim.PAddr) {
-	h.lock()
-	defer h.unlock()
 	h.discardLine(uint64(pa >> memsim.LineShift))
 }
 
 // WritebackInvalidate persists the freshest copy of pa's line (if dirty) and
 // drops all cached copies; used before page consolidation copies frames.
 func (h *Hierarchy) WritebackInvalidate(pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
-	h.lock()
-	defer h.unlock()
-	done, wrote := h.flushLocked(0, pa, at, cat)
+	done, wrote := h.Flush(0, pa, at, cat)
 	h.discardLine(uint64(pa >> memsim.LineShift))
 	return done, wrote
 }
@@ -1251,57 +1186,21 @@ func (h *Hierarchy) WritebackInvalidate(pa memsim.PAddr, at engine.Cycles, cat s
 // DirtyAnywhere reports whether any cached copy of pa's line is dirty
 // (test/assertion helper).
 func (h *Hierarchy) DirtyAnywhere(pa memsim.PAddr) bool {
-	h.lock()
-	defer h.unlock()
 	return h.dirtyAnywhere(uint64(pa >> memsim.LineShift))
 }
 
 // Present reports whether core holds pa's line privately (test helper).
 func (h *Hierarchy) Present(core int, pa memsim.PAddr) bool {
-	h.lock()
-	defer h.unlock()
 	return h.privatePresent(core, uint64(pa>>memsim.LineShift))
-}
-
-// DebugPeek resolves the current value of pa's line without charging timing
-// or mutating cache state: owner's private copy, else a dirty L3 copy, else
-// durable memory. Test and assertion helper.
-func (h *Hierarchy) DebugPeek(pa memsim.PAddr, buf []byte) {
-	h.lock()
-	defer h.unlock()
-	h.debugPeekLocked(pa, buf)
-}
-
-// DebugValidate checks the coherence invariants: every valid cached copy of
-// a line carries the authority value resolved by DebugPeek; every valid
-// private copy's core is a directory sharer of the line, and a dirty one's
-// core is its owner; every owner is a sharer. It returns a description of
-// the first violation, or "". Test helper.
-func (h *Hierarchy) DebugValidate() string {
-	h.lock()
-	defer h.unlock()
-	return h.debugValidateLocked()
 }
 
 // DropAll discards the entire volatile hierarchy: the moment of power loss.
 // Its cost follows what was cached, and it allocates nothing.
 func (h *Hierarchy) DropAll() {
-	h.lock()
-	defer h.unlock()
 	for i := range h.l1 {
 		h.l1[i].reset()
 		h.l2[i].reset()
 	}
 	h.l3.reset()
 	h.dir.reset()
-}
-
-// FlushAll writes back every dirty line (orderly shutdown; test helper).
-// The write-backs are independent, so each is issued from `at` and the
-// fence waits for the slowest — the drain overlaps across memory banks and
-// channels instead of serialising line by line.
-func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles {
-	h.lock()
-	defer h.unlock()
-	return h.flushAllLocked(at, cat)
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -947,26 +946,6 @@ func TestDebugValidateAllocatesOnlyToReport(t *testing.T) {
 	h.l1[0].line(c)[0] ^= 0xFF
 	if msg, want := h.DebugValidate(), fmt.Sprintf("core0 line %#x: copy ", la); !strings.HasPrefix(msg, want) {
 		t.Errorf("stale private copy reported as %q, want prefix %q", msg, want)
-	}
-}
-
-// Outside a free-running run nothing else can call into the hierarchy, so
-// it takes no lock: a Load completes while the interconnect mutex is held.
-func TestSerialLoadTakesNoLock(t *testing.T) {
-	h, mem, _ := testSetup(1)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		buf := make([]byte, 8)
-		h.Load(0, nv(mem, 0), buf, 0)
-		h.Store(0, nv(mem, 0), buf, 0)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a serial Load waited for the interconnect mutex")
 	}
 }
 

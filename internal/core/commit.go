@@ -75,8 +75,6 @@ func (s *SSP) Store(core int, va uint64, data []byte, at engine.Cycles) engine.C
 	unit := s.unitOf(lineIdx)
 	bit := uint64(1) << uint(unit)
 
-	s.lockMeta(meta)
-	defer s.unlockMeta(meta)
 	firstTouch := bm&bit == 0
 	if firstTouch {
 		// First write to this unit in the transaction: remap every line of
@@ -117,10 +115,8 @@ func (s *SSP) Load(core int, va uint64, buf []byte, at engine.Cycles) engine.Cyc
 	off := int(va & (memsim.PageBytes - 1))
 	lineIdx := off / memsim.LineBytes
 	unit := s.unitOf(lineIdx)
-	s.lockMeta(meta)
 	curBit := (meta.current >> uint(unit)) & 1
 	pa := meta.lineAddr(lineIdx, curBit) + memsim.PAddr(off&(memsim.LineBytes-1))
-	s.unlockMeta(meta)
 	t = s.env.Caches.Load(core, pa, buf, t)
 	s.clock(t)
 	return t
@@ -228,7 +224,6 @@ func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
 		bm := s.ws[core].bitmap(vpn)
-		s.lockMeta(meta)
 		// A relaxed commit's issued-but-unfenced flushes of this page may
 		// still be in flight: a synchronous fence over it must not
 		// under-wait them.
@@ -244,7 +239,6 @@ func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
 				fence = engine.MaxCycles(fence, done)
 			}
 		}
-		s.unlockMeta(meta)
 	}
 	s.env.StatsFor(core).CommitBarrierWait += uint64(fence - at)
 	return fence
@@ -262,7 +256,6 @@ func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cyc
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
 		bm := s.ws[core].bitmap(vpn)
-		s.lockMeta(meta)
 		if meta.flushDone > fence {
 			fence = meta.flushDone
 		}
@@ -282,7 +275,6 @@ func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cyc
 			}
 		}
 		meta.flushDone = fl
-		s.unlockMeta(meta)
 	}
 	return fence
 }
@@ -292,11 +284,9 @@ func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cyc
 func (s *SSP) releaseWriteSet(core int, pages []int, at engine.Cycles) {
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
-		s.lockMeta(meta)
 		meta.coreRef--
 		s.refDropped(meta)
 		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-		s.unlockMeta(meta)
 		if !inactive {
 			continue
 		}
@@ -308,70 +298,58 @@ func (s *SSP) releaseWriteSet(core int, pages []int, at engine.Cycles) {
 	}
 }
 
-// publishSlots is stage 4: install the new slot-shadow states now that
-// their journal records are durable. A checkpoint running concurrently on
-// another shard snapshots slotShadow and writes it to the persistent slot
-// array, and must never persist state whose journal records a crash could
-// still lose. The version guard keeps a commit from clobbering a newer
-// state another core published for a shared page meanwhile.
+// publishSlots is stage 4: install the new slot-shadow states now that their
+// journal records are durable. A later checkpoint of any shard writes
+// slotShadow to the persistent slot array, and must never persist state whose
+// journal records a crash could still lose. The version guard keeps a commit
+// from clobbering a newer state another core published for a shared page
+// meanwhile.
 func (s *SSP) publishSlots(pubs []slotPub) {
 	for _, p := range pubs {
-		s.lockMeta(p.meta)
 		if p.st.ver > s.slotShadow[p.sid].ver {
 			s.slotShadow[p.sid] = p.st
 		}
-		s.unlockMeta(p.meta)
 	}
 }
 
 // snapshotPage commits page vpn's speculative bits into its committed
-// bitmap and snapshots the slot state (with a fresh update version) under
-// the page's lock — the per-page half of stage 3, shared by both protocols.
+// bitmap and snapshots the slot state (with a fresh update version) — the
+// per-page half of stage 3, shared by both protocols.
 //
-// Note on shared pages: if another core's open transaction on this page
-// committed its bits just before us (under this page lock) but its shard
-// flush is still in flight, our snapshot carries those bits with a newer
-// version. That is safe under the machine's crash model — power failure is
-// injected only in serial execution (where a commit runs to completion
-// before the next begins) or at quiescence (where every flush has landed) —
-// but a hardware realisation with per-controller journals would need a
-// cross-shard ordering fence here.
+// Note on shared pages: if another core's transaction on this page
+// committed its bits just before us but its shard flush is still in flight
+// in simulated time, our snapshot carries those bits with a newer version.
+// That is safe under the machine's crash model — a commit runs to
+// completion before any other core executes, so power failure never lands
+// between another core's snapshot and its flush — but a hardware
+// realisation with per-controller journals would need a cross-shard
+// ordering fence here.
 func (s *SSP) snapshotPage(core int, vpn int) slotPub {
 	meta := s.lookupMeta(vpn)
 	bm := s.ws[core].bitmap(vpn)
-	s.lockMeta(meta)
 	meta.committed = (meta.committed &^ bm) | (meta.current & bm)
 	st := slotState{vpn: vpn, ppn0: meta.ppn0, ppn1: meta.ppn1, committed: meta.committed, ver: s.allocVer()}
 	sid := meta.slot
-	s.unlockMeta(meta)
 	return slotPub{meta: meta, sid: sid, st: st}
 }
 
 // localCommit is the single-shard fast path: one record batch (recUpdate…
-// recUpdateEnd) appended to the committing core's shard under that shard's
-// lock only, then a shard flush makes the transaction durable and the slot
-// states are published — still under the shard lock, so a concurrent
-// checkpoint cannot truncate the records before their states reach
-// slotShadow. The slot-shadow snapshot (and its update version) is taken
-// under each page's own lock, so commits on other shards — even to other
-// pages of the same slot array — proceed concurrently.
+// recUpdateEnd) appended to the committing core's shard, then a shard flush
+// makes the transaction durable and the slot states are published before
+// any checkpoint can truncate the records.
 //
 // The batch cannot overlap the data fence: its flush hardens the
 // UpdateEnd seal — the commit point — so everything runs from fence.
 func (s *SSP) localCommit(core int, pages []int, fence engine.Cycles) engine.Cycles {
 	si := s.shardFor(core)
-	s.lockShard(si)
 	pubs, t := s.appendBatch(si, core, pages, s.allocTID(), fence)
 	t = s.flushShard(si, core, t)
 	s.publishSlots(pubs)
-	needCkpt := s.overHighWater(si)
-	s.unlockShard(si)
-	if needCkpt && s.parallel {
+	if s.parallel {
 		// Serial mode checkpoints after stage 5's consolidations (Commit's
-		// tail); parallel mode drains here, re-acquiring structMu → shard
-		// lock in order (drainShardCheckpoint rechecks the trigger under
-		// the locks).
-		s.drainShardCheckpoint(si, t)
+		// tail); parallel mode checkpoints here. Only shard si is
+		// checkpointed, so one hot core cannot force global checkpoints.
+		s.maybeCheckpointShard(si, t)
 	}
 	return t
 }
@@ -406,19 +384,15 @@ func (s *SSP) barrierFlush(core int, pages []int, at engine.Cycles, dest func(me
 	var flushed [stats.MaxJournalShards]bool
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
-		s.lockMeta(meta)
 		ref := meta.barrier
 		upd := meta.lastUpdate
-		s.unlockMeta(meta)
 		if !flushed[ref.shard] {
-			s.lockShard(ref.shard)
 			if !s.journals[ref.shard].Durable(ref.mark) {
 				if done := s.flushShard(ref.shard, core, at); done > fence {
 					fence = done
 				}
 				flushed[ref.shard] = true
 			}
-			s.unlockShard(ref.shard)
 		}
 		if s.cfg.DurabilityEpoch <= 0 || flushed[upd.shard] {
 			continue
@@ -426,14 +400,12 @@ func (s *SSP) barrierFlush(core int, pages []int, at engine.Cycles, dest func(me
 		if dest != nil && dest(meta) == upd.shard {
 			continue
 		}
-		s.lockShard(upd.shard)
 		if !s.journals[upd.shard].Durable(upd.mark) {
-			if done := s.hardenShardLocked(upd.shard, core, at); done > fence {
+			if done := s.hardenShard(upd.shard, core, at); done > fence {
 				fence = done
 			}
 			flushed[upd.shard] = true
 		}
-		s.unlockShard(upd.shard)
 	}
 	return fence
 }
@@ -452,7 +424,6 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 	for i, vpn := range ws.vpns {
 		meta := s.lookupMeta(vpn)
 		bm := ws.bits[i]
-		s.lockMeta(meta)
 		for m := bm; m != 0; m &= m - 1 {
 			unit := bits.TrailingZeros64(m)
 			cur := (meta.current >> uint(unit)) & 1
@@ -466,7 +437,6 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 		meta.coreRef--
 		s.refDropped(meta)
 		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-		s.unlockMeta(meta)
 		if !inactive {
 			continue
 		}
@@ -494,10 +464,8 @@ func (s *SSP) StoreNT(core int, va uint64, data []byte, at engine.Cycles) engine
 	meta, t := s.translate(core, va, at)
 	off := int(va & (memsim.PageBytes - 1))
 	lineIdx := off / memsim.LineBytes
-	s.lockMeta(meta)
 	curBit := (meta.current >> uint(s.unitOf(lineIdx))) & 1
 	pa := meta.lineAddr(lineIdx, curBit) + memsim.PAddr(off&(memsim.LineBytes-1))
-	s.unlockMeta(meta)
 	t = s.env.Caches.Store(core, pa, data, t)
 	s.clock(t)
 	return t
@@ -510,10 +478,10 @@ func (s *SSP) StoreNT(core int, va uint64, data []byte, at engine.Cycles) engine
 // quiescent machine is always fully durable (after the consolidation
 // drain, whose records the hardening must cover).
 func (s *SSP) Drain(at engine.Cycles) engine.Cycles {
-	t := engine.MaxCycles(at, s.nowCycles())
+	t := engine.MaxCycles(at, s.now)
 	if s.parallel {
 		s.drainConsolQueue(t)
-		t = engine.MaxCycles(t, s.nowCycles())
+		t = engine.MaxCycles(t, s.now)
 	}
 	if s.cfg.DurabilityEpoch > 0 {
 		t = s.hardenAllShards(-1, t)

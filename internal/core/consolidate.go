@@ -14,12 +14,6 @@ import (
 // journaled atomically, and the page table is repointed at the survivor.
 // It runs off the critical path — NVRAM bank time is charged from `at`, but
 // no core waits on it.
-//
-// Locking: when concurrent the caller holds structMu (slot reclamation and
-// checkpoint execution need it, and it guarantees the page cannot gain a
-// first reference mid-consolidation — see translate's slow path);
-// consolidate takes the page's own lock and the target journal shard's lock
-// itself, in structMu → journalMu → pageMeta.mu order.
 func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 	// Relaxed-durability guard: the flip record below carries the page's
 	// CUMULATIVE state — frames holding every prior transaction's effects —
@@ -30,7 +24,6 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 	// tearing it across its other pages. Same-shard updates are safe: the
 	// ring prefix seals them with the flip or drops them both.
 	at = s.hardenPageUpdates(meta, s.shardOfSlot(meta.slot), at)
-	s.lockMeta(meta)
 	if meta.tlbRef != 0 || meta.coreRef != 0 {
 		panic("core: consolidating an active page")
 	}
@@ -38,7 +31,6 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 		panic("core: current != committed outside transactions")
 	}
 	if meta.committed == 0 {
-		s.unlockMeta(meta)
 		return // already consolidated
 	}
 	s.env.Stats.Consolidations++
@@ -116,18 +108,14 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 	// references (§3.4, off-critical-path consolidation).
 	st := slotState{vpn: meta.vpn, ppn0: survivor, ppn1: spare, committed: 0, ver: s.allocVer()}
 	sid := meta.slot
-	s.unlockMeta(meta) // re-acquired below in journalMu → pageMeta.mu order
 
 	si := s.shardOfSlot(sid)
-	s.lockShard(si)
 	tid := s.allocTID()
 	t = s.appendSlotRecord(si, -1, tid, recConsolidate, sid, st, t)
-	s.lockMeta(meta)
 	s.slotShadow[sid] = st
 	meta.barrier = journalRef{shard: si, mark: s.journals[si].MarkHere()}
 	meta.ppn0, meta.ppn1 = survivor, spare
 	meta.committed, meta.current = 0, 0
-	s.unlockMeta(meta)
 	if len(retired) > 0 {
 		// The flip record must be durable before the retired frames are
 		// recycled: a crash after a new owner overwrites them would
@@ -135,7 +123,6 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 		t = s.flushShard(si, -1, t)
 	}
 	s.maybeCheckpointShard(si, t)
-	s.unlockShard(si)
 	for _, pa := range retired {
 		s.env.Frames.FreeCold(pa)
 	}
@@ -149,7 +136,8 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 
 // ---------------------------------------------------------------------------
 // Parallel-mode epoch batching. Commit-time consolidation would otherwise
-// funnel every core through the journal lock at every commit; instead,
+// charge a journal record to every commit that leaves a page inactive;
+// instead,
 // pages that become inactive are queued, and one core drains the whole
 // batch every EpochCommits commits. The deferral window is bounded, and a
 // page re-referenced before its batch runs simply skips consolidation —
@@ -157,26 +145,19 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 // an epoch bound instead of a memory-pressure trigger.
 
 // queueConsolidation records that vpn became inactive and is a
-// consolidation candidate. Any lock context: consolMu is a leaf lock.
+// consolidation candidate.
 func (s *SSP) queueConsolidation(vpn int) {
-	s.lockLeaf(&s.consolMu)
 	s.consolQ = append(s.consolQ, vpn)
-	s.unlockLeaf(&s.consolMu)
 }
 
 // tickEpoch advances the commit-epoch counter and drains the batch when the
 // epoch closes. Called at the end of every parallel-mode transaction —
-// commit or abort, fast path or fallback — with no locks held, so the
-// deferral window stays bounded even in fallback-heavy runs.
+// commit or abort, fast path or fallback — so the deferral window stays
+// bounded even in fallback-heavy runs.
 func (s *SSP) tickEpoch(at engine.Cycles) {
-	s.lockLeaf(&s.consolMu)
 	s.epochOps++
-	ready := s.epochOps >= s.cfg.EpochCommits && len(s.consolQ) > 0
-	if ready {
+	if s.epochOps >= s.cfg.EpochCommits && len(s.consolQ) > 0 {
 		s.epochOps = 0
-	}
-	s.unlockLeaf(&s.consolMu)
-	if ready {
 		s.drainConsolQueue(at)
 	}
 }
@@ -185,16 +166,13 @@ func (s *SSP) tickEpoch(at engine.Cycles) {
 // batch. The batch is sorted and deduplicated, so the drain order is a
 // function of the queue contents, not of which cores queued them.
 func (s *SSP) drainConsolQueue(at engine.Cycles) {
-	s.lockLeaf(&s.consolMu)
 	batch := s.consolQ
 	s.consolQ = nil
-	s.unlockLeaf(&s.consolMu)
 	if len(batch) == 0 {
 		return
 	}
 	sort.Ints(batch)
-	s.lockStruct()
-	t := engine.MaxCycles(at, s.nowCycles())
+	t := engine.MaxCycles(at, s.now)
 	prev := -1
 	for _, vpn := range batch {
 		if vpn == prev {
@@ -205,14 +183,11 @@ func (s *SSP) drainConsolQueue(at engine.Cycles) {
 		if meta == nil {
 			continue // released in the meantime
 		}
-		s.lockMeta(meta)
 		quiescent := meta.tlbRef == 0 && meta.coreRef == 0 && meta.committed != 0
-		s.unlockMeta(meta)
 		if !quiescent {
 			continue // re-referenced; a later epoch will requeue it
 		}
 		s.consolidate(meta, t)
-		t = engine.MaxCycles(t, s.nowCycles())
+		t = engine.MaxCycles(t, s.now)
 	}
-	s.unlockStruct()
 }

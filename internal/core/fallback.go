@@ -38,9 +38,8 @@ func decodeFBPayload(p []byte) (memsim.PAddr, []byte) {
 // transitionToFallback converts the open SSP transaction on core into a
 // software-undo transaction: every speculative unit is undo-logged
 // (committed image) and rewritten in place at its committed location, the
-// current bits flip back, and the shadow lines are squashed. Called with no
-// page locks held; the TID comes from the structMu-guarded allocator, the
-// log itself is per-core.
+// current bits flip back, and the shadow lines are squashed. The log is
+// per-core.
 func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 	s.env.StatsFor(core).FallbackTxns++
 	t := at
@@ -52,7 +51,6 @@ func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 	for i, vpn := range ws.vpns {
 		meta := s.lookupMeta(vpn)
 		bm := ws.bits[i]
-		s.lockMeta(meta)
 		for m := bm; m != 0; m &= m - 1 {
 			unit := bits.TrailingZeros64(m)
 			cur := (meta.current >> uint(unit)) & 1
@@ -73,7 +71,6 @@ func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 			meta.current ^= 1 << uint(unit)
 			s.env.StatsFor(core).FlipBroadcasts++
 		}
-		s.unlockMeta(meta)
 		// The page stays pinned against consolidation for the rest of the
 		// fall-back transaction.
 		s.fbPages[core][vpn] = struct{}{}
@@ -90,7 +87,6 @@ func (s *SSP) fbStore(core int, va uint64, data []byte, at engine.Cycles) engine
 	meta, t := s.translate(core, va, at)
 	off := int(va & (memsim.PageBytes - 1))
 	lineIdx := off / memsim.LineBytes
-	s.lockMeta(meta)
 	curBit := (meta.current >> uint(s.unitOf(lineIdx))) & 1
 	pa := meta.lineAddr(lineIdx, curBit) + memsim.PAddr(off&(memsim.LineBytes-1))
 	la := memsim.LineAddr(pa)
@@ -109,7 +105,6 @@ func (s *SSP) fbStore(core int, va uint64, data []byte, at engine.Cycles) engine
 		s.fbPages[core][meta.vpn] = struct{}{}
 	}
 	t = s.env.Caches.Store(core, pa, data, t)
-	s.unlockMeta(meta)
 	s.clock(t)
 	return t
 }
@@ -187,13 +182,11 @@ func (s *SSP) finishFallback(core int, at engine.Cycles) {
 	sort.Ints(pages)
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
-		s.lockMeta(meta)
 		if meta.coreRef > 0 {
 			meta.coreRef--
 			s.refDropped(meta)
 		}
 		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-		s.unlockMeta(meta)
 		if !inactive {
 			continue
 		}

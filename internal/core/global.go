@@ -39,11 +39,8 @@ import (
 // the per-slot update version still guards replay against states that a
 // participant shard's checkpoint already advanced past.
 //
-// Locking: all involved shard locks (participants + coordinator) are taken
-// in ascending shard order before the TID draw and held through the end
-// flush, so every stream stays TID-monotonic and global commits cannot
-// deadlock against each other or against single-shard commits (which take
-// exactly one of these locks).
+// The TID is drawn once the participants are known and the whole commit
+// runs before any other core executes, so every stream stays TID-monotonic.
 
 // BeginGlobal implements txn.GlobalBackend: Begin, plus marking the section
 // as a cross-shard transaction. On a single-shard machine — or when the
@@ -57,7 +54,7 @@ func (s *SSP) BeginGlobal(core int, at engine.Cycles) engine.Cycles {
 
 // participantShards returns the sorted distinct journal shards owning the
 // write-set pages' slots. Slot assignment is immutable while the pages are
-// core-referenced, so no locks are needed.
+// core-referenced.
 func (s *SSP) participantShards(pages []int) []int {
 	seen := map[int]bool{}
 	var shards []int
@@ -92,19 +89,11 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 		groups[si] = append(groups[si], vpn)
 	}
 
-	// Lock every involved shard in ascending order, then draw the TID.
-	locked := shards
-	if !slices.Contains(locked, coord) {
-		locked = append(append([]int{}, shards...), coord)
-		sort.Ints(locked)
-	}
-	for _, si := range locked {
-		s.lockShard(si)
-	}
+	involved := involvedShards(shards, coord)
 	tid := s.allocTID()
 
 	// Phase 1: prepare records appended into every participant shard first
-	// (ascending shard order, under the already-held locks), then the
+	// (ascending shard order), then the
 	// per-shard flushes issued concurrently in simulated time. The shards
 	// are independent rings in distinct NVRAM regions, so the fence charges
 	// the max — not the sum — of the shard flush completions; the old
@@ -148,8 +137,8 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 	s.env.StatsFor(core).GlobalCommits++
 
 	// Publish only now that the whole distributed batch is durable, then
-	// note which rings passed their high-water mark while locked. The
-	// coordinator also remembers this transaction's slots: its end record
+	// note which rings passed their high-water mark. The coordinator also
+	// remembers this transaction's slots: its end record
 	// is what keeps the participant-shard prepares applicable, so a
 	// coordinator checkpoint must persist these slots before truncating it
 	// (see checkpointShard).
@@ -157,27 +146,32 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 	for _, p := range pubs {
 		s.pendingGlobalSlots[coord][p.sid] = struct{}{}
 	}
-	var need []int
-	for _, si := range locked {
-		if s.overHighWater(si) {
-			need = append(need, si)
-		}
-	}
-	for i := len(locked) - 1; i >= 0; i-- {
-		s.unlockShard(locked[i])
-	}
-	if len(need) > 0 && s.parallel {
-		// Same re-acquisition dance as the fast path: structMu → shard
-		// lock, rechecking the trigger under the locks.
-		s.lockStruct()
-		for _, si := range need {
-			s.lockShard(si)
-			s.maybeCheckpointShard(si, t)
-			s.unlockShard(si)
-		}
-		s.unlockStruct()
-	}
+	s.checkpointOverHighWater(involved, t)
 	return t
+}
+
+// involvedShards returns the participant shards plus the coordinator,
+// ascending.
+func involvedShards(shards []int, coord int) []int {
+	if slices.Contains(shards, coord) {
+		return shards
+	}
+	involved := append(append([]int{}, shards...), coord)
+	sort.Ints(involved)
+	return involved
+}
+
+// checkpointOverHighWater checkpoints, in parallel mode, every involved
+// shard whose ring passed its high-water mark during a global commit (serial
+// mode checkpoints after stage 5's consolidations, at Commit's tail). A
+// checkpoint writes the slot array and empties only its own ring, so one
+// shard's checkpoint never moves another past or below its mark.
+func (s *SSP) checkpointOverHighWater(involved []int, t engine.Cycles) {
+	if s.parallel {
+		for _, si := range involved {
+			s.maybeCheckpointShard(si, t)
+		}
+	}
 }
 
 // relaxedGlobalCommit is CommitRelaxed's cross-shard journal leg. Phase 1
@@ -210,14 +204,7 @@ func (s *SSP) relaxedGlobalCommit(core int, shards []int, pages []int, start, fe
 		groups[si] = append(groups[si], vpn)
 	}
 
-	locked := shards
-	if !slices.Contains(locked, coord) {
-		locked = append(append([]int{}, shards...), coord)
-		sort.Ints(locked)
-	}
-	for _, si := range locked {
-		s.lockShard(si)
-	}
+	involved := involvedShards(shards, coord)
 	tid := s.allocTID()
 
 	// Phase 1: prepares into every participant, then the eager per-shard
@@ -265,7 +252,7 @@ func (s *SSP) relaxedGlobalCommit(core int, shards []int, pages []int, start, fe
 	ep.pubs = append(ep.pubs, pubs...)
 	for _, si := range shards {
 		if si != coord {
-			s.prepHolds[si].Add(1)
+			s.prepHolds[si]++
 			ep.holds = append(ep.holds, si)
 		}
 	}
@@ -277,26 +264,9 @@ func (s *SSP) relaxedGlobalCommit(core int, shards []int, pages []int, start, fe
 		s.pendingGlobalSlots[coord][p.sid] = struct{}{}
 	}
 	if start >= ep.openAt+s.cfg.DurabilityEpoch {
-		t = s.hardenShardLocked(coord, core, t)
+		t = s.hardenShard(coord, core, t)
 	}
 
-	var need []int
-	for _, si := range locked {
-		if s.overHighWater(si) {
-			need = append(need, si)
-		}
-	}
-	for i := len(locked) - 1; i >= 0; i-- {
-		s.unlockShard(locked[i])
-	}
-	if len(need) > 0 && s.parallel {
-		s.lockStruct()
-		for _, si := range need {
-			s.lockShard(si)
-			s.maybeCheckpointShard(si, t)
-			s.unlockShard(si)
-		}
-		s.unlockStruct()
-	}
+	s.checkpointOverHighWater(involved, t)
 	return t
 }

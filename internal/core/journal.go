@@ -25,26 +25,28 @@ func (s *SSP) shardFor(core int) int { return core % len(s.journals) }
 // deterministically.
 func (s *SSP) shardOfSlot(sid int) int { return sid % len(s.journals) }
 
-// allocTID draws the next transaction ID. Callers appending to a journal
-// shard must hold that shard's lock across the draw and the append — a
-// global commit holds every involved shard's lock — so each shard's stream
-// stays TID-monotonic; the fall-back path needs no lock (a fall-back log
-// only ever receives its own core's records).
-func (s *SSP) allocTID() uint32 { return s.nextTID.Add(1) }
+// allocTID draws the next transaction ID. A caller appends to the journal
+// shard before any other core runs, so each shard's stream stays
+// TID-monotonic.
+func (s *SSP) allocTID() uint32 {
+	s.nextTID++
+	return s.nextTID
+}
 
-// allocVer draws the next slot update version; call under the owning
-// page's lock (or with the slot otherwise quiescent under structMu).
-func (s *SSP) allocVer() uint32 { return s.nextVer.Add(1) }
+// allocVer draws the next slot update version.
+func (s *SSP) allocVer() uint32 {
+	s.nextVer++
+	return s.nextVer
+}
 
 // sharded reports whether the journal runs with more than one shard; the
 // single-journal paper model skips the per-record version (see meta.go).
 func (s *SSP) sharded() bool { return len(s.journals) > 1 }
 
 // appendRecord appends one slot-state record to shard si and accounts it:
-// dirty-slot marking and the per-shard/aggregate record counters. Caller
-// holds journalMu[si] when concurrent; core routes the per-core counter
-// shard (pass a negative core for background records charged to the shared
-// shard).
+// dirty-slot marking and the per-shard/aggregate record counters. core routes
+// the per-core counter shard (pass a negative core for background records
+// charged to the shared shard).
 func (s *SSP) appendRecord(si int, core int, rec wal.Record, sid int, at engine.Cycles) engine.Cycles {
 	t := s.journals[si].Append(rec, at)
 	s.markUnsealed(si)
@@ -69,10 +71,10 @@ func (s *SSP) appendSlotRecord(si, core int, tid uint32, kind uint8, sid int, st
 
 // appendBatch appends one transaction's update-record batch (recUpdate …
 // recUpdateEnd) for the sorted, non-empty write-set pages to shard si under
-// tid, snapshotting each page's slot state as it goes. Caller holds
-// journalMu[si] when concurrent. Returns the pending slot publications and
-// the append completion time; the batch is NOT yet flushed. The publications
-// live in the core's reused buffer, valid until its next commit.
+// tid, snapshotting each page's slot state as it goes. Returns the pending
+// slot publications and the append completion time; the batch is NOT yet
+// flushed. The publications live in the core's reused buffer, valid until its
+// next commit.
 func (s *SSP) appendBatch(si, core int, pages []int, tid uint32, at engine.Cycles) ([]slotPub, engine.Cycles) {
 	t := at
 	pubs := s.pubs[core][:0]
@@ -90,18 +92,6 @@ func (s *SSP) appendBatch(si, core int, pages []int, tid uint32, at engine.Cycle
 	return pubs, t
 }
 
-// drainShardCheckpoint is the parallel-mode commit tail: re-acquire
-// structMu → journalMu[si] in lock order and re-check the high-water
-// trigger under the locks. Only shard si is checkpointed, so one hot core
-// cannot force global checkpoints.
-func (s *SSP) drainShardCheckpoint(si int, at engine.Cycles) {
-	s.lockStruct()
-	s.lockShard(si)
-	s.maybeCheckpointShard(si, at)
-	s.unlockShard(si)
-	s.unlockStruct()
-}
-
 // ---------------------------------------------------------------------------
 // Relaxed-durability epoch engine (Config.DurabilityEpoch > 0). A relaxed
 // commit (CommitRelaxed) buffers its journal batch without flushing and
@@ -117,13 +107,6 @@ func (s *SSP) drainShardCheckpoint(si int, at engine.Cycles) {
 // ONLY positions recovery may cut replay at — durable bytes past a shard's
 // last seal can only be incidental full-line drains of an epoch that never
 // hardened, and are treated as absent (recover.go).
-//
-// Locking: a shard's epoch state (shardEpoch) sits with the rest of the
-// shard's journal state under journalMu[si] — hardening takes no lock the
-// corresponding synchronous flush would not have taken, so the established
-// structMu → journalMu[i] → pageMeta.mu order is unchanged (the deferred
-// publications take page locks under the shard lock, exactly like
-// localCommit's publish-after-flush).
 
 // shardEpoch is one journal shard's open relaxed-durability epoch.
 type shardEpoch struct {
@@ -137,8 +120,7 @@ type shardEpoch struct {
 
 // markUnsealed notes an append to shard si that the next flush must cover
 // with a seal. appendRecord calls it; direct Append sites (the global End)
-// must call it themselves. No-op in the
-// synchronous model. Caller holds journalMu[si] when concurrent.
+// must call it themselves. No-op in the synchronous model.
 func (s *SSP) markUnsealed(si int) {
 	if s.cfg.DurabilityEpoch > 0 {
 		s.epochs[si].dirty = true
@@ -147,34 +129,32 @@ func (s *SSP) markUnsealed(si int) {
 
 // noteUpdate records the page's most recent update/prepare-record position
 // (pageMeta.lastUpdate) for the relaxed-durability cross-shard barrier.
-// No-op in the synchronous model. Caller holds journalMu[si].
+// No-op in the synchronous model.
 func (s *SSP) noteUpdate(meta *pageMeta, si int) {
 	if s.cfg.DurabilityEpoch <= 0 {
 		return
 	}
-	s.lockMeta(meta)
 	meta.lastUpdate = journalRef{shard: si, mark: s.journals[si].MarkHere()}
-	s.unlockMeta(meta)
 }
 
 // flushShard makes shard si's ring durable. In relaxed-durability mode
 // every explicit flush is an epoch boundary and diverts through
-// hardenShardLocked; with DurabilityEpoch == 0 it is a plain stream flush —
-// bit-for-bit the synchronous model. Caller holds journalMu[si] when
-// concurrent; core routes the stats shard (negative = background/shared).
+// hardenShard; with DurabilityEpoch == 0 it is a plain stream flush —
+// bit-for-bit the synchronous model. core routes the stats shard (negative
+// = background/shared).
 func (s *SSP) flushShard(si, core int, at engine.Cycles) engine.Cycles {
 	if s.cfg.DurabilityEpoch <= 0 {
 		return s.journals[si].Flush(at)
 	}
-	return s.hardenShardLocked(si, core, at)
+	return s.hardenShard(si, core, at)
 }
 
-// hardenShardLocked seals and flushes shard si's unsealed records: wait (in
+// hardenShard seals and flushes shard si's unsealed records: wait (in
 // simulated time) for the open epoch's in-flight data fences, append one
 // recEpochSeal record, flush the ring, then install the epoch's deferred
 // slot publications. With nothing unsealed it degenerates to a plain (and
-// usually free) flush. Caller holds journalMu[si] when concurrent.
-func (s *SSP) hardenShardLocked(si, core int, at engine.Cycles) engine.Cycles {
+// usually free) flush.
+func (s *SSP) hardenShard(si, core int, at engine.Cycles) engine.Cycles {
 	ep := &s.epochs[si]
 	if !ep.dirty {
 		return s.journals[si].Flush(at)
@@ -199,7 +179,7 @@ func (s *SSP) hardenShardLocked(si, core int, at engine.Cycles) engine.Cycles {
 	}
 	s.publishSlots(ep.pubs)
 	for _, h := range ep.holds {
-		s.prepHolds[h].Add(-1)
+		s.prepHolds[h]--
 	}
 	*ep = shardEpoch{}
 	return t
@@ -213,7 +193,6 @@ func (s *SSP) hardenShardLocked(si, core int, at engine.Cycles) engine.Cycles {
 // un-hardened age is bounded by DurabilityEpoch under any commit cadence.
 func (s *SSP) relaxedLocalCommit(core int, pages []int, start, fence engine.Cycles) engine.Cycles {
 	si := s.shardFor(core)
-	s.lockShard(si)
 	tid := s.allocTID()
 	pubs, t := s.appendBatch(si, core, pages, tid, start)
 	ep := &s.epochs[si]
@@ -227,12 +206,10 @@ func (s *SSP) relaxedLocalCommit(core int, pages []int, start, fence engine.Cycl
 	ep.pubs = append(ep.pubs, pubs...)
 	s.env.StatsFor(core).RelaxedCommits++
 	if start >= ep.openAt+s.cfg.DurabilityEpoch {
-		t = s.hardenShardLocked(si, core, t)
+		t = s.hardenShard(si, core, t)
 	}
-	needCkpt := s.overHighWater(si)
-	s.unlockShard(si)
-	if needCkpt && s.parallel {
-		s.drainShardCheckpoint(si, t)
+	if s.parallel {
+		s.maybeCheckpointShard(si, t)
 	}
 	return t
 }
@@ -241,24 +218,18 @@ func (s *SSP) relaxedLocalCommit(core int, pages []int, start, fence engine.Cycl
 // update/prepare record, unless that shard IS dest — the shard about to
 // receive a new record carrying the page's cumulative state (consolidation;
 // barrierFlush runs the commit-path equivalent inline). No-op in the
-// synchronous model and when the position is already durable. Takes the
-// page lock briefly, then the shard lock — separate acquisitions, inside
-// the established order.
+// synchronous model and when the position is already durable.
 func (s *SSP) hardenPageUpdates(meta *pageMeta, dest int, at engine.Cycles) engine.Cycles {
 	if s.cfg.DurabilityEpoch <= 0 {
 		return at
 	}
-	s.lockMeta(meta)
 	upd := meta.lastUpdate
-	s.unlockMeta(meta)
 	if upd.shard == dest {
 		return at
 	}
-	s.lockShard(upd.shard)
 	if !s.journals[upd.shard].Durable(upd.mark) {
-		at = s.hardenShardLocked(upd.shard, -1, at)
+		at = s.hardenShard(upd.shard, -1, at)
 	}
-	s.unlockShard(upd.shard)
 	return at
 }
 
@@ -274,13 +245,10 @@ func (s *SSP) HardenIdle(core int, at engine.Cycles) (engine.Cycles, bool) {
 		return at, false
 	}
 	si := s.shardFor(core)
-	s.lockShard(si)
 	if !s.epochs[si].dirty {
-		s.unlockShard(si)
 		return at, false
 	}
-	t := s.hardenShardLocked(si, core, at)
-	s.unlockShard(si)
+	t := s.hardenShard(si, core, at)
 	s.clock(t)
 	return t, true
 }
@@ -291,11 +259,9 @@ func (s *SSP) HardenIdle(core int, at engine.Cycles) (engine.Cycles, bool) {
 func (s *SSP) hardenAllShards(core int, at engine.Cycles) engine.Cycles {
 	t := at
 	for si := range s.journals {
-		s.lockShard(si)
-		if done := s.hardenShardLocked(si, core, at); done > t {
+		if done := s.hardenShard(si, core, at); done > t {
 			t = done
 		}
-		s.unlockShard(si)
 	}
 	return t
 }
@@ -314,7 +280,7 @@ func (s *SSP) Sync(core int, at engine.Cycles) engine.Cycles {
 }
 
 // overHighWater reports whether shard si's ring passed the checkpoint
-// trigger (§4.1.2). Caller holds journalMu[si] when concurrent.
+// trigger (§4.1.2).
 func (s *SSP) overHighWater(si int) bool {
 	return float64(s.journals[si].Used()) >= s.cfg.JournalHighWater*float64(s.journals[si].Capacity())
 }
@@ -323,8 +289,7 @@ func (s *SSP) overHighWater(si int) bool {
 // array and truncates the ring once it passes its high-water mark (§4.1.2
 // "Checkpointing"). Checkpointing is per-shard: a hot core fills only its
 // own ring and drains only its own dirty slots, so it cannot force global
-// checkpoints. Background work: bank time only. Caller holds structMu and
-// journalMu[si] when concurrent.
+// checkpoints. Background work: bank time only.
 func (s *SSP) maybeCheckpointShard(si int, at engine.Cycles) {
 	if !s.overHighWater(si) {
 		return
@@ -355,9 +320,8 @@ func (s *SSP) maybeCheckpointAll(at engine.Cycles) {
 // every such transaction's slots (pendingGlobalSlots, recorded at global
 // publish time): the slot array then supersedes the orphaned prepares via
 // the version guard, exactly as it supersedes this shard's own truncated
-// records. Reading another shard's slot is safe here — slotSnapshot takes
-// only the owning page's lock (journalMu → pageMeta.mu order), and
-// slotShadow never holds state whose journal records are not yet durable.
+// records. Reading another shard's slot is safe here — slotShadow never
+// holds state whose journal records are not yet durable.
 func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	// Relaxed-durability legs. A participant shard whose prepare records
 	// still await their coordinator End's hardening must not truncate
@@ -367,10 +331,10 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	// states published, so the dirty-slot persistence below captures them
 	// and the truncation orphans nothing.
 	if s.cfg.DurabilityEpoch > 0 {
-		if s.prepHolds[si].Load() > 0 {
+		if s.prepHolds[si] > 0 {
 			return
 		}
-		at = s.hardenShardLocked(si, -1, at)
+		at = s.hardenShard(si, -1, at)
 	}
 	dirty := s.dirtySlots[si]
 	pending := s.pendingGlobalSlots[si]
@@ -391,7 +355,7 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	sort.Ints(sids)
 	var line [slotBytes]byte
 	for _, sid := range sids {
-		encodeSlot(&line, s.slotSnapshot(sid), s.env.Layout.FrameIndex)
+		encodeSlot(&line, s.slotShadow[sid], s.env.Layout.FrameIndex)
 		t = s.env.Mem.WriteLine(s.slotAddr(sid), line[:], t, stats.CatCheckpoint)
 	}
 	s.journals[si].Reset()
@@ -400,19 +364,6 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	s.env.Stats.Checkpoints++
 	s.env.Stats.JournalShardCheckpoints[si]++
 	s.clock(t)
-}
-
-// slotSnapshot reads slotShadow[sid] consistently: under the owning page's
-// lock when the slot is owned (commits on other shards update it under
-// that lock), directly otherwise (unowned slots change only under structMu,
-// which the checkpoint caller holds).
-func (s *SSP) slotSnapshot(sid int) slotState {
-	if owner := s.slotOwner[sid]; owner != nil {
-		s.lockMeta(owner)
-		defer s.unlockMeta(owner)
-		return s.slotShadow[sid]
-	}
-	return s.slotShadow[sid]
 }
 
 // JournalShardPressure describes one metadata-journal shard's state at a

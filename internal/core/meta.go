@@ -15,7 +15,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -107,16 +106,9 @@ func DefaultConfig() Config {
 }
 
 // pageMeta is one transient SSP cache entry (Figure 3): the volatile view
-// of a page that is being actively updated.
-//
-// While the cores are concurrent (a free-running Run) mu protects every
-// mutable field (bitmaps, reference counts, frame pointers) — the
-// fine-grained half of the SSP locking scheme: cores updating different
-// pages never serialise on each other. vpn and slot are immutable after construction. The barrier mark is
-// the exception: it is read and written only under the backend's structMu
-// (it is journal state, not page state).
+// of a page that is being actively updated. vpn and slot are immutable
+// after construction.
 type pageMeta struct {
-	mu   sync.Mutex
 	vpn  int
 	slot int // persistent slot index (SID)
 
@@ -132,8 +124,6 @@ type pageMeta struct {
 	// before this page's shadow frame may host durably-flushed speculative
 	// data: the page's last lazily-journaled consolidation/release records
 	// (see consolidate.go). Commits check it before their data flushes.
-	// Protected by mu when concurrent (it names a position in a specific
-	// shard's stream; the stream itself is touched under that shard's lock).
 	barrier journalRef
 
 	// flushDone is the latest completion cycle of the issued-but-unfenced
@@ -177,8 +167,8 @@ func (m *pageMeta) lineAddr(idx int, bit uint64) memsim.PAddr {
 // would contain after applying every journaled update.
 //
 // ver is the slot's update version: a globally monotonic sequence number
-// assigned under the owning page's lock at every snapshot of the slot
-// (commit, consolidation, release). With a single journal it is redundant —
+// assigned at every snapshot of the slot (commit, consolidation,
+// release). With a single journal it is redundant —
 // stream order is update order — but with sharded journals a slot's records
 // spread across streams that checkpoint independently, so recovery orders a
 // record against the checkpointed slot array by comparing versions: a

@@ -36,10 +36,9 @@ func (s *SSP) Crash() {
 		s.journals[i].Reset()
 		s.pendingGlobalSlots[i] = make(map[int]struct{})
 		s.epochs[i] = shardEpoch{}
-		s.prepHolds[i].Store(0)
+		s.prepHolds[i] = 0
 	}
 	s.now = 0
-	s.sharedNow.Store(0)
 	s.consolQ = nil
 	s.epochOps = 0
 }
@@ -228,12 +227,8 @@ func (s *SSP) Recover() error {
 	// slot's spare is live.
 	s.env.Frames.Rebuild(s.env.PT, len(s.slotShadow), func(sid int) memsim.PAddr { return s.slotShadow[sid].ppn1 })
 
-	if s.nextTID.Load() < maxTID {
-		s.nextTID.Store(maxTID)
-	}
-	if s.nextVer.Load() < maxVer {
-		s.nextVer.Store(maxVer)
-	}
+	s.nextTID = max(s.nextTID, maxTID)
+	s.nextVer = max(s.nextVer, maxVer)
 	for i := range s.journals {
 		s.journals[i].Reset()
 		s.journals[i].SetTIDFloor(maxTID)
@@ -306,8 +301,8 @@ func (s *SSP) validShardRecords(recs []wal.Record, endTIDs, droppedGlobal map[ui
 			// collected in the caller's first pass.
 		case recEpochSeal:
 			// Epoch boundary marker: no slot state, and never inside a batch
-			// (seals are appended under the same shard lock as the batches
-			// they follow). Nothing to emit.
+			// (a batch is appended whole before any seal can follow it).
+			// Nothing to emit.
 		default:
 			return nil, fmt.Errorf("core: unknown journal record kind %d", r.Kind)
 		}

@@ -88,10 +88,8 @@ func (q *quiescentSet) reset() {
 
 // refTaken and refDropped keep the quiescent index equal to the set of
 // entries with no reference. Every tlbRef/coreRef change calls one of them
-// right after the change, with the page's lock still held when concurrent:
-// counts are never negative, so the entry left the set iff the sum is now 1
-// and entered it iff the sum is now 0. quiescentMu is a leaf lock below
-// pageMeta.mu.
+// right after the change: counts are never negative, so the entry left the
+// set iff the sum is now 1 and entered it iff the sum is now 0.
 func (s *SSP) refTaken(meta *pageMeta) {
 	if meta.tlbRef+meta.coreRef == 1 {
 		s.setQuiescent(meta.vpn, false)
@@ -105,8 +103,6 @@ func (s *SSP) refDropped(meta *pageMeta) {
 }
 
 func (s *SSP) setQuiescent(vpn int, on bool) {
-	s.lockLeaf(&s.quiescentMu)
-	defer s.unlockLeaf(&s.quiescentMu)
 	if on {
 		s.quiescent.add(vpn)
 	} else {
@@ -117,8 +113,6 @@ func (s *SSP) setQuiescent(vpn int, on bool) {
 // lowestQuiescent returns the lowest quiescent VPN, -1 when every entry is
 // referenced.
 func (s *SSP) lowestQuiescent() int {
-	s.lockLeaf(&s.quiescentMu)
-	defer s.unlockLeaf(&s.quiescentMu)
 	return s.quiescent.min()
 }
 
@@ -127,10 +121,7 @@ func (s *SSP) lowestQuiescent() int {
 // and not referenced by any TLB"; the lowest-first choice is this model's, it
 // makes the victim a function of simulated state), consolidating it first if
 // it still has committed lines on its shadow frame. The victim comes from the
-// quiescent index in O(1). Caller holds structMu when concurrent; a
-// candidate's reference counts cannot rise while it is held (new references
-// require either a TLB hit, impossible for a page with tlbRef == 0, or the
-// structMu-guarded slow path), and releaseEntry re-checks them.
+// quiescent index in O(1); releaseEntry re-checks its reference counts.
 func (s *SSP) allocSlot(at engine.Cycles) int {
 	if len(s.freeSlots) > 0 {
 		sid := s.freeSlots[len(s.freeSlots)-1]
@@ -142,13 +133,10 @@ func (s *SSP) allocSlot(at engine.Cycles) int {
 		panic("core: SSP cache exhausted with every entry referenced; raise Config.Entries")
 	}
 	meta := s.lookupMeta(victim)
-	s.lockMeta(meta)
-	committed := meta.committed
-	s.unlockMeta(meta)
-	if committed != 0 {
-		s.consolidate(meta, engine.MaxCycles(at, s.nowCycles()))
+	if meta.committed != 0 {
+		s.consolidate(meta, engine.MaxCycles(at, s.now))
 	}
-	s.releaseEntry(meta, engine.MaxCycles(at, s.nowCycles()))
+	s.releaseEntry(meta, engine.MaxCycles(at, s.now))
 	sid := s.freeSlots[len(s.freeSlots)-1]
 	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 	return sid
@@ -156,7 +144,7 @@ func (s *SSP) allocSlot(at engine.Cycles) int {
 
 // releaseEntry removes a consolidated, unreferenced entry from the
 // transient cache, journaling the slot release so recovery never
-// resurrects a stale association. Caller holds structMu when concurrent.
+// resurrects a stale association.
 func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 	if meta.committed != 0 || meta.tlbRef != 0 || meta.coreRef != 0 {
 		panic("core: releasing a live SSP entry")
@@ -164,7 +152,6 @@ func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 	sid := meta.slot
 	st := slotState{vpn: -1, ppn1: meta.ppn1, ver: s.allocVer()}
 	si := s.shardOfSlot(sid)
-	s.lockShard(si)
 	tid := s.allocTID()
 	s.appendSlotRecord(si, -1, tid, recRelease, sid, st, at)
 	// Publishing before the record is durable is safe here (unlike the
@@ -176,7 +163,6 @@ func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 	// its first commit flushes this shard before its data flushes.
 	s.slotBarrier[sid] = journalRef{shard: si, mark: s.journals[si].MarkHere()}
 	s.maybeCheckpointShard(si, at)
-	s.unlockShard(si)
 	s.slotOwner[sid] = nil
 	s.deleteMeta(meta.vpn)
 	s.freeSlots = append(s.freeSlots, sid)
@@ -185,23 +171,20 @@ func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 // onTLBEvict is the extended-TLB eviction hook: it drops the page's TLB
 // reference count and triggers eager consolidation when the page becomes
 // inactive (§3.4). In parallel mode consolidation is deferred to the
-// epoch batch instead of running inline (the hook fires inside translate,
-// where the journal lock must not be taken).
+// epoch batch instead of running inline, like every parallel-mode
+// consolidation.
 func (s *SSP) onTLBEvict(core int, vpn int) {
 	meta := s.lookupMeta(vpn)
 	if meta == nil {
 		panic("core: TLB evicted a page without an SSP entry")
 	}
 	_ = core
-	s.lockMeta(meta)
 	meta.tlbRef--
 	if meta.tlbRef < 0 {
-		s.unlockMeta(meta)
 		panic("core: negative TLB refcount")
 	}
 	s.refDropped(meta)
 	inactive := meta.tlbRef == 0 && meta.coreRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-	s.unlockMeta(meta)
 	if !inactive {
 		return
 	}
@@ -209,5 +192,5 @@ func (s *SSP) onTLBEvict(core int, vpn int) {
 		s.queueConsolidation(vpn)
 		return
 	}
-	s.consolidate(meta, s.nowCycles())
+	s.consolidate(meta, s.now)
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -15,8 +13,8 @@ import (
 	"repro/internal/wal"
 )
 
-// This file holds the SSP type itself: configuration wiring, the locking
-// primitives, the transient-cache entry table, and address translation. The
+// This file holds the SSP type itself: configuration wiring, the
+// transient-cache entry table, and address translation. The
 // rest of the mechanism is split by concern — the transaction pipeline in
 // commit.go (with the cross-shard two-phase protocol in global.go), journal
 // shard append/checkpoint logic in journal.go, slot allocation and eviction
@@ -26,12 +24,10 @@ import (
 // metaTable is the transient SSP cache's entry table, indexed by VPN (heap
 // VPNs are dense from zero). The directory has one slot per metaChunkPages
 // consecutive heap pages and is sized once from the layout; a chunk is
-// allocated when the first entry is stored into it. Directory slots and
-// entries are published atomically, so a lookup is two loads and takes no
-// lock in any mode. Stores, deletes and reset happen only under structMu (or
-// on a quiescent machine), so n needs no lock of its own.
+// allocated when the first entry is stored into it, so a lookup is two
+// loads.
 type metaTable struct {
-	dir []atomic.Pointer[metaChunk]
+	dir []*metaChunk
 	n   int // entries present
 }
 
@@ -40,40 +36,20 @@ const (
 	metaChunkPages = 1 << metaChunkBits
 )
 
-type metaChunk [metaChunkPages]atomic.Pointer[pageMeta]
+type metaChunk [metaChunkPages]*pageMeta
 
 // SSP is the Shadow Sub-Paging backend; it implements txn.Backend.
 //
-// Concurrency (see txn.ParallelAware): the host locks below are taken only
-// while cores run on concurrent host threads — a free-running Machine.Run.
-// Serial execution and the window scheduler run one core at a time, and the
-// scheduler's grant orders successive cores, so those modes take none of
-// them; parallel mode's other effect, batched consolidation, is simulated
-// behaviour and applies to every Run. The lock order is
-//
-//	structMu → journalMu[i] → pageMeta.mu → quiescentMu/residentMu/consolMu
-//	  → caches → page table → memory
-//
-// structMu protects everything "structural": entry-table mutation, the
-// free-slot list, slot allocation/eviction, consolidation scheduling and
-// checkpoint execution. The metadata journal is sharded: each shard's
-// stream, dirty-slot set and high-water trigger are protected by that
-// shard's journalMu, so commits on different shards never serialise on a
-// journal lock (nor, with the shards in distinct NVRAM regions, on a
-// journal bank in simulated time). A single-shard commit takes exactly one
-// journalMu; a cross-shard (global) commit takes every participant shard's
-// journalMu plus the coordinator's, always in ascending shard order, so two
-// global commits — or a global and any set of local commits — can never
-// deadlock. TID allocation is a plain atomic; a TID destined for a shard is
-// drawn while holding that shard's lock (for a global commit: all involved
-// shards' locks) so each stream still sees non-decreasing TIDs. Slot-shadow
-// mutation is per-page: slotShadow[sid] is written under the owning
-// pageMeta's mutex, with a per-slot update version (allocated under the
-// same lock) ordering the slot's records across shards for recovery. Each
-// pageMeta's mutex protects that page's bitmaps and reference counts, so
-// stores to different pages proceed concurrently. Commit-time page
-// consolidation, which would otherwise funnel every core through structMu
-// at commit, is deferred to a batched epoch drain (see consolidate.go).
+// SSP takes no host lock: serial execution and Machine.Run's window
+// scheduler run one core at a time (see txn.Backend). Inside Run, parallel
+// mode batches commit-time page consolidation (see consolidate.go); that is
+// simulated behaviour, not synchronisation. The metadata journal is sharded,
+// so commits on different shards never serialise on one journal bank in
+// simulated time. TIDs come from one counter and a commit appends before
+// any other core runs, so each stream sees increasing TIDs; a per-slot
+// update version orders the slot's records across shards for recovery.
+// doc.go records the lock order a concurrent implementation of this
+// protocol would need.
 type SSP struct {
 	env *txn.Env
 	cfg Config
@@ -82,39 +58,35 @@ type SSP struct {
 	resident *lruSet
 
 	// nextTID allocates journal and fall-back transaction IDs; nextVer
-	// allocates slot update versions (bumped under the owning page's lock,
-	// so per-slot versions are snapshot-ordered — see slotState.ver).
-	nextTID atomic.Uint32
-	nextVer atomic.Uint32
+	// allocates slot update versions, so per-slot versions are
+	// snapshot-ordered (see slotState.ver).
+	nextTID uint32
+	nextVer uint32
 
 	entries     metaTable    // by vpn; the transient SSP cache
-	quiescent   quiescentSet // vpns of unreferenced entries; quiescentMu (slots.go)
+	quiescent   quiescentSet // vpns of unreferenced entries (slots.go)
 	slotShadow  []slotState  // journal-consistent view of the slot array
-	slotOwner   []*pageMeta  // owning cache entry per slot (nil = unowned); structMu
-	slotBarrier []journalRef // pending release-record barrier per slot; structMu
+	slotOwner   []*pageMeta  // owning cache entry per slot (nil = unowned)
+	slotBarrier []journalRef // pending release-record barrier per slot
 	freeSlots   []int
 
 	dirtySlots []map[int]struct{} // per journal shard: slots needing a checkpoint write
 
 	// epochs holds each journal shard's open relaxed-durability epoch
-	// (Config.DurabilityEpoch > 0; zero-valued and untouched otherwise).
-	// Guarded by the shard's journalMu, like the shard's stream — see the
-	// epoch engine in journal.go. prepHolds counts, per shard, the relaxed
-	// global transactions whose prepare records sit in that shard's ring
-	// while their coordinator End is still in another shard's open epoch;
-	// a held shard defers checkpoints (see relaxedGlobalCommit). Atomic
-	// because the coordinator's harden releases holds on other shards while
-	// holding only its own shard's lock.
+	// (Config.DurabilityEpoch > 0; zero-valued and untouched otherwise) —
+	// see the epoch engine in journal.go. prepHolds counts, per shard, the
+	// relaxed global transactions whose prepare records sit in that shard's
+	// ring while their coordinator End is still in another shard's open
+	// epoch; a held shard defers checkpoints (see relaxedGlobalCommit).
 	epochs    []shardEpoch
-	prepHolds []atomic.Int32
+	prepHolds []int32
 
 	// pendingGlobalSlots tracks, per coordinator shard, the slots of global
 	// transactions whose end record lives in that shard's ring while their
 	// prepare records sit in OTHER shards' rings. A coordinator checkpoint
 	// must persist these slots to the slot array before truncating the end
 	// records away, or a crash would find orphaned prepares and roll back a
-	// committed transaction (see checkpointShard). Mutated under the
-	// coordinator shard's journalMu.
+	// committed transaction (see checkpointShard).
 	pendingGlobalSlots []map[int]struct{}
 
 	// Per-core transaction state. globalTxn marks sections opened with
@@ -134,25 +106,15 @@ type SSP struct {
 
 	// now tracks the latest time observed by any operation, so background
 	// work triggered from timeless callbacks (TLB evictions) has a clock.
-	// Concurrent cores publish it as an atomic max in sharedNow instead; the
-	// two are handed over when concurrency starts and ends.
-	now       engine.Cycles
-	sharedNow atomic.Int64
+	now engine.Cycles
 
-	// Parallel-mode state, flipped only while the machine is quiescent.
-	// parallel is set for every Machine.Run; concurrent only while the
-	// cores run on concurrent host threads (free-running), the one mode that
-	// takes the locks below. consolQ accumulates pages whose consolidation
-	// was deferred; epochOps counts commits since the last batch drain.
-	parallel    bool
-	concurrent  bool
-	structMu    sync.Mutex
-	journalMu   []sync.Mutex // one per journal shard
-	quiescentMu sync.Mutex
-	residentMu  sync.Mutex
-	consolMu    sync.Mutex
-	consolQ     []int
-	epochOps    int
+	// Parallel-mode state: parallel is set for every Machine.Run, flipped
+	// only while the machine is quiescent. consolQ accumulates pages whose
+	// consolidation was deferred; epochOps counts commits since the last
+	// batch drain.
+	parallel bool
+	consolQ  []int
+	epochOps int
 }
 
 var _ txn.Backend = (*SSP)(nil)
@@ -193,13 +155,12 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 		s.dirtySlots = append(s.dirtySlots, make(map[int]struct{}))
 		s.pendingGlobalSlots = append(s.pendingGlobalSlots, make(map[int]struct{}))
 	}
-	s.journalMu = make([]sync.Mutex, len(s.journals))
 	s.epochs = make([]shardEpoch, len(s.journals))
-	s.prepHolds = make([]atomic.Int32, len(s.journals))
+	s.prepHolds = make([]int32, len(s.journals))
 	if s.cfg.DurabilityEpoch < 0 {
 		s.cfg.DurabilityEpoch = 0
 	}
-	s.entries.dir = make([]atomic.Pointer[metaChunk], (env.Layout.Cfg.MaxHeapPages+metaChunkPages-1)/metaChunkPages)
+	s.entries.dir = make([]*metaChunk, (env.Layout.Cfg.MaxHeapPages+metaChunkPages-1)/metaChunkPages)
 	cores := env.Cores()
 	s.inTxn = make([]bool, cores)
 	s.globalTxn = make([]bool, cores)
@@ -224,71 +185,11 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 
 // SetParallel implements txn.ParallelAware. Turning parallel mode off
 // drains any consolidation work the last epoch left queued.
-func (s *SSP) SetParallel(on, concurrent bool) {
+func (s *SSP) SetParallel(on bool) {
 	if s.parallel && !on {
-		s.drainConsolQueue(s.nowCycles())
+		s.drainConsolQueue(s.now)
 	}
-	switch {
-	case concurrent && !s.concurrent:
-		s.sharedNow.Store(int64(s.now))
-	case !concurrent && s.concurrent:
-		s.now = engine.Cycles(s.sharedNow.Load())
-	}
-	s.parallel, s.concurrent = on, concurrent
-}
-
-// ---------------------------------------------------------------------------
-// Lock helpers: no-ops unless the cores are concurrent, so serial and
-// windowed execution take no host lock.
-
-func (s *SSP) lockStruct() {
-	if s.concurrent {
-		s.structMu.Lock()
-	}
-}
-
-func (s *SSP) unlockStruct() {
-	if s.concurrent {
-		s.structMu.Unlock()
-	}
-}
-
-func (s *SSP) lockMeta(m *pageMeta) {
-	if s.concurrent {
-		m.mu.Lock()
-	}
-}
-
-func (s *SSP) unlockMeta(m *pageMeta) {
-	if s.concurrent {
-		m.mu.Unlock()
-	}
-}
-
-func (s *SSP) lockShard(si int) {
-	if s.concurrent {
-		s.journalMu[si].Lock()
-	}
-}
-
-func (s *SSP) unlockShard(si int) {
-	if s.concurrent {
-		s.journalMu[si].Unlock()
-	}
-}
-
-// lockLeaf and unlockLeaf guard the leaf locks (quiescentMu, residentMu,
-// consolMu) the same way.
-func (s *SSP) lockLeaf(mu *sync.Mutex) {
-	if s.concurrent {
-		mu.Lock()
-	}
-}
-
-func (s *SSP) unlockLeaf(mu *sync.Mutex) {
-	if s.concurrent {
-		mu.Unlock()
-	}
+	s.parallel = on
 }
 
 // ---------------------------------------------------------------------------
@@ -329,52 +230,47 @@ func (w *writeSet) reset() {
 // ---------------------------------------------------------------------------
 // Transient-cache entry table access.
 
-// lookupMeta returns vpn's transient cache entry, or nil: two atomic loads,
-// no lock in any mode. A vpn outside the layout's heap has no entry.
+// lookupMeta returns vpn's transient cache entry, or nil: two loads. A vpn
+// outside the layout's heap has no entry.
 func (s *SSP) lookupMeta(vpn int) *pageMeta {
 	ci := vpn >> metaChunkBits
 	if uint(ci) >= uint(len(s.entries.dir)) {
 		return nil
 	}
-	c := s.entries.dir[ci].Load()
+	c := s.entries.dir[ci]
 	if c == nil {
 		return nil
 	}
-	return c[vpn&(metaChunkPages-1)].Load()
+	return c[vpn&(metaChunkPages-1)]
 }
 
 // storeMeta inserts a new, unreferenced entry and lists it as quiescent.
-// Caller holds structMu when concurrent.
 func (s *SSP) storeMeta(meta *pageMeta) {
 	d := &s.entries.dir[meta.vpn>>metaChunkBits]
-	c := d.Load()
-	if c == nil {
-		c = new(metaChunk)
-		d.Store(c)
+	if *d == nil {
+		*d = new(metaChunk)
 	}
-	c[meta.vpn&(metaChunkPages-1)].Store(meta)
+	(*d)[meta.vpn&(metaChunkPages-1)] = meta
 	s.entries.n++
 	s.setQuiescent(meta.vpn, true)
 }
 
 // deleteMeta removes an entry from the table and from the quiescent index.
-// Caller holds structMu when concurrent.
 func (s *SSP) deleteMeta(vpn int) {
-	s.entries.dir[vpn>>metaChunkBits].Load()[vpn&(metaChunkPages-1)].Store(nil)
+	s.entries.dir[vpn>>metaChunkBits][vpn&(metaChunkPages-1)] = nil
 	s.entries.n--
 	s.setQuiescent(vpn, false)
 }
 
-// forEachMeta visits every entry in VPN order. Caller holds structMu when
-// concurrent. It walks the whole directory: forensics and tests only.
+// forEachMeta visits every entry in VPN order. It walks the whole
+// directory: forensics and tests only.
 func (s *SSP) forEachMeta(fn func(vpn int, meta *pageMeta)) {
-	for ci := range s.entries.dir {
-		c := s.entries.dir[ci].Load()
+	for ci, c := range s.entries.dir {
 		if c == nil {
 			continue
 		}
-		for i := range c {
-			if meta := c[i].Load(); meta != nil {
+		for i, meta := range c {
+			if meta != nil {
 				fn(ci<<metaChunkBits+i, meta)
 			}
 		}
@@ -384,19 +280,16 @@ func (s *SSP) forEachMeta(fn func(vpn int, meta *pageMeta)) {
 // metaOf is lookupMeta for tests and forensics.
 func (s *SSP) metaOf(vpn int) *pageMeta { return s.lookupMeta(vpn) }
 
-// entryCount returns the transient cache population. Caller holds structMu
-// when concurrent.
+// entryCount returns the transient cache population.
 func (s *SSP) entryCount() int { return s.entries.n }
 
 // resetEntries empties the transient cache and its quiescent index (crash,
 // recovery). Chunks are cleared in place, so the rebuild that follows a
 // recovery allocates none. Quiescent-only.
 func (s *SSP) resetEntries() {
-	for i := range s.entries.dir {
-		if c := s.entries.dir[i].Load(); c != nil {
-			for j := range c {
-				c[j].Store(nil)
-			}
+	for _, c := range s.entries.dir {
+		if c != nil {
+			*c = metaChunk{}
 		}
 	}
 	s.entries.n = 0
@@ -418,25 +311,9 @@ func (s *SSP) unitLines(u int) (int, int) {
 
 // clock raises now to at.
 func (s *SSP) clock(at engine.Cycles) {
-	if !s.concurrent {
-		if at > s.now {
-			s.now = at
-		}
-		return
+	if at > s.now {
+		s.now = at
 	}
-	for {
-		cur := s.sharedNow.Load()
-		if int64(at) <= cur || s.sharedNow.CompareAndSwap(cur, int64(at)) {
-			return
-		}
-	}
-}
-
-func (s *SSP) nowCycles() engine.Cycles {
-	if s.concurrent {
-		return engine.Cycles(s.sharedNow.Load())
-	}
-	return s.now
 }
 
 // translate resolves va's page metadata through core's TLB, charging the
@@ -463,26 +340,16 @@ func (s *SSP) translate(core int, va uint64, at engine.Cycles) (*pageMeta, engin
 	if !ok {
 		panic("core: access to unmapped persistent page")
 	}
-	// The whole slow path — entry creation, TLB insertion (whose eviction
-	// hook may fire) and the reference-count increment — runs under
-	// structMu when concurrent, so a page can never gain its first
-	// reference while the epoch drain (which also holds structMu) is
-	// deciding whether it is quiescent.
-	s.lockStruct()
 	meta, t := s.fetchMeta(vpn, ppn, t)
 	s.env.TLBs[core].Insert(tlbsim.VPN(vpn), ppn)
-	s.lockMeta(meta)
 	meta.tlbRef++
 	s.refTaken(meta)
-	s.unlockMeta(meta)
-	s.unlockStruct()
 	return meta, t
 }
 
 // fetchMeta returns the SSP cache entry for vpn, creating one (allocating a
 // slot) on a miss, and charges the SSP-cache access latency according to
-// the L3-residency model (§4.2, Figure 9). Caller holds structMu when
-// concurrent.
+// the L3-residency model (§4.2, Figure 9).
 func (s *SSP) fetchMeta(vpn int, ppn memsim.PAddr, at engine.Cycles) (*pageMeta, engine.Cycles) {
 	if meta := s.lookupMeta(vpn); meta != nil {
 		s.env.Stats.SSPCacheHits++
@@ -508,8 +375,6 @@ func (s *SSP) fetchMeta(vpn int, ppn memsim.PAddr, at engine.Cycles) (*pageMeta,
 }
 
 func (s *SSP) accessLat(sid int) engine.Cycles {
-	s.lockLeaf(&s.residentMu)
-	defer s.unlockLeaf(&s.residentMu)
 	if s.resident.Touch(sid) {
 		return s.cfg.CacheHitLat
 	}

@@ -1,7 +1,7 @@
 // The windowed sweep class: the same trap-sweep contract, but with the
-// script running concurrently on a multi-core machine under the
-// deterministic bounded-lag window scheduler (Config.TimeWindow > 0).
-// Determinism is what makes a concurrent trap sweep well-defined at all:
+// script running on every core of a multi-core machine under Machine.Run's
+// deterministic bounded-lag window scheduler. Determinism is what makes a
+// multi-core trap sweep well-defined at all:
 // every re-run of the script produces the same durable NVRAM write stream
 // in the same order, so "power failure after write k" names the same cut
 // point in every run — and the sweep then proves that window barriers and
@@ -121,15 +121,12 @@ func verifyWindowed(m *ssp.Machine, committed map[uint64]uint64, boundaries []ma
 	return nil
 }
 
-// SweepWindowedScript runs one script's full trap sweep over a windowed
-// multi-core machine (cfg.TimeWindow must be > 0 — the sweep relies on the
-// deterministic write stream): a reference run counts the durable NVRAM
-// writes, then the script re-runs concurrently once per trap point with
-// recovery and per-core all-or-nothing verification.
+// SweepWindowedScript runs one script's full trap sweep over a multi-core
+// machine (the sweep relies on the window scheduler's deterministic write
+// stream): a reference run counts the durable NVRAM writes, then the script
+// re-runs under Machine.Run once per trap point with recovery and per-core
+// all-or-nothing verification.
 func SweepWindowedScript(cfg ssp.Config, sc Script, verbose bool, log io.Writer) (points, failures int) {
-	if cfg.TimeWindow <= 0 {
-		panic("crashsweep: windowed sweep needs Config.TimeWindow > 0 (free-running trap points are not reproducible)")
-	}
 	ref := ssp.MustNew(cfg)
 	setup := ref.Stats().NVRAMWriteLines
 	runWindowed(ref, sc)

@@ -97,13 +97,8 @@ func RenderParallel(rows []ParallelRow) string {
 		fmt.Fprintf(&b, "\n%s metadata-journal pressure (parallel window):\n  %s\n",
 			r.Backend.String(), JournalPressureLine(r.Parallel.Result))
 	}
-	if rows[0].Parallel.TimeWindow == 0 {
-		b.WriteString("\nnote: per-core timing and occupancy above are host-schedule dependent in\n" +
-			"free-running mode; set Config.TimeWindow > 0 (e.g. 4096) for byte-identical repeats.\n")
-	} else {
-		ws := rows[0].Parallel.WindowSched
-		fmt.Fprintf(&b, "\ndeterministic window scheduler: W=%d cycles, %d windows, %d grants, %d barrier stalls\n",
-			ws.Window, ws.Windows, ws.Grants, ws.BarrierStalls)
-	}
+	ws := rows[0].Parallel.WindowSched
+	fmt.Fprintf(&b, "\ndeterministic window scheduler: W=%d cycles, %d windows, %d grants, %d barrier stalls\n",
+		ws.Window, ws.Windows, ws.Grants, ws.BarrierStalls)
 	return b.String()
 }

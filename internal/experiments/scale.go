@@ -10,23 +10,21 @@ import (
 
 // This file is the scale-out experiment (beyond the paper): committed
 // throughput from 1 to 16 cores under the deterministic bounded-lag window
-// scheduler, swept against the window size W. Window 0 is the free-running
-// concurrent engine (fast on the host, host-schedule dependent timing);
-// W > 0 serialises cores onto one execution slot in simulated-time order,
-// making every repeat byte-identical. The sweep reports the simulated
+// scheduler, swept against the window size W. The scheduler serialises
+// cores onto one execution slot in simulated-time order, making every
+// repeat byte-identical. The sweep reports the simulated
 // speedup curve (which W does not change — conservative windows only order
 // the interleaving), the scheduler's host-side barrier-wait share (which
 // picks the default W), and the per-shard journal pressure that explains
 // where the speedup curve flattens.
 
-// ScaleWindows returns the swept window sizes in cycles; 0 is the
-// free-running baseline.
-func ScaleWindows() []int { return []int{0, 1024, 4096, 16384} }
+// ScaleWindows returns the swept window sizes in cycles.
+func ScaleWindows() []int { return []int{1024, 4096, 16384} }
 
 // ScalePoint is one (window, cores) cell of the sweep for one workload.
 type ScalePoint struct {
 	Kind     workload.Kind
-	Window   int // scheduler window in cycles; 0 = free-running
+	Window   int // scheduler window in cycles
 	Cores    int
 	Serial   workload.Result         // 1-core serial baseline (shared by all cells)
 	Parallel workload.ParallelResult // cores-goroutine run at this window
@@ -72,8 +70,8 @@ func ScaleSweep(sc Scale, kind workload.Kind, windows, coresList []int) []ScaleP
 
 // RenderScale formats the sweep: the committed-TPS/speedup grid (window
 // rows × core columns), the scheduler's barrier-wait share per cell (the
-// host price of determinism, used to pick the default W), and each
-// windowed cell's journal pressure.
+// host price of determinism, used to pick the default W), and the journal
+// pressure at the largest core count.
 func RenderScale(points []ScalePoint) string {
 	if len(points) == 0 {
 		return ""
@@ -98,23 +96,15 @@ func RenderScale(points []ScalePoint) string {
 			if !ok {
 				continue
 			}
-			if w == 0 {
-				fmt.Fprintf(&b, "  W=free  x %2dcore: wall %6.1fms (free-running; repeats not byte-identical)\n",
-					c, float64(pt.Parallel.Wall.Microseconds())/1000)
-				continue
-			}
 			ws := pt.Parallel.WindowSched
 			fmt.Fprintf(&b, "  W=%-5d x %2dcore: wall %6.1fms, barrier-wait %5.1f%% of host core-time, %d windows, %d grants, %d stalls\n",
 				w, c, float64(pt.Parallel.Wall.Microseconds())/1000,
 				100*ws.BarrierShare(c, pt.Parallel.Wall), ws.Windows, ws.Grants, ws.BarrierStalls)
 		}
 	}
-	b.WriteString("\njournal pressure (windowed cells, largest core count):\n")
+	b.WriteString("\njournal pressure (largest core count):\n")
 	maxCores := coresList[len(coresList)-1]
 	for _, w := range rowKeys {
-		if w == 0 {
-			continue
-		}
 		pt, ok := cellOf(w, maxCores)
 		if !ok {
 			continue

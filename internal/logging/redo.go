@@ -1,9 +1,6 @@
 package logging
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/stats"
@@ -35,20 +32,13 @@ func DefaultRedoConfig() RedoConfig { return RedoConfig{QueueLines: 64, WriteBac
 // in-flight line write-backs and the engine's own simulated clock.
 //
 // pending holds completion times of in-flight background write-backs,
-// oldest first; mu serialises the engine. reserved counts lines that passed
-// queue admission but are not yet enqueued; a commit that would overrun
-// QueueLines counting reservations waits on cond until the reserving
-// commits enqueue, so concurrent commits cannot jointly overrun the queue
-// between admission and enqueue.
+// oldest first.
 type redoEngine struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  []engine.Cycles
-	clock    engine.Cycles
-	reserved int
+	pending []engine.Cycles
+	clock   engine.Cycles
 }
 
-// reap removes completed write-backs from the queue head. Caller holds mu.
+// reap removes completed write-backs from the queue head.
 func (e *redoEngine) reap(now engine.Cycles) {
 	i := 0
 	for i < len(e.pending) && e.pending[i] <= now {
@@ -59,18 +49,16 @@ func (e *redoEngine) reap(now engine.Cycles) {
 
 // Redo is the REDO-LOG baseline (DHTM-style hardware redo logging).
 //
-// Parallel mode: logs and write sets are per-core, the TID counter is
-// atomic, and each background write-back engine (pending queue and clock)
-// is serialised by its own mutex. The default single engine is the DHTM
-// design — one engine at the memory controller — so commits contending on
-// it is the modelled behaviour, not an artefact; RedoConfig.WriteBackEngines
-// ablates that choice.
+// Logs and write sets are per-core. The default single background
+// write-back engine is the DHTM design — one engine at the memory
+// controller — so commits contending on it is the modelled behaviour, not
+// an artefact; RedoConfig.WriteBackEngines ablates that choice.
 type Redo struct {
 	env *txn.Env
 	cfg RedoConfig
 
 	logs []*wal.Stream
-	next atomic.Uint32
+	next uint32
 
 	inTxn []bool
 	tid   []uint32
@@ -89,11 +77,9 @@ func NewRedo(env *txn.Env, cfg RedoConfig) *Redo {
 	}
 	r := &Redo{env: env, cfg: cfg}
 	for i := 0; i < cfg.WriteBackEngines; i++ {
-		e := &redoEngine{}
-		e.cond = sync.NewCond(&e.mu)
-		r.engines = append(r.engines, e)
+		r.engines = append(r.engines, &redoEngine{})
 	}
-	r.next.Store(1)
+	r.next = 1
 	for c := 0; c < env.Cores(); c++ {
 		r.logs = append(r.logs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatRedoLog))
 		r.wset = append(r.wset, make(map[memsim.PAddr]struct{}))
@@ -117,7 +103,8 @@ func (r *Redo) Begin(core int, at engine.Cycles) engine.Cycles {
 		panic("redo: nested transaction")
 	}
 	r.inTxn[core] = true
-	r.tid[core] = r.next.Add(1) - 1
+	r.tid[core] = r.next
+	r.next++
 	return at + r.env.BarrierCycles
 }
 
@@ -156,16 +143,8 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 	eng := r.engineFor(core)
 
 	// Queue admission: wait until this core's engine has room for the
-	// write set. If space reserved by concurrent commits would overrun the
-	// queue, wait (host-side) for those commits to enqueue first — their
-	// completion times then appear in pending, and the simulated-time stall
-	// below sees them, exactly as in the serial model.
-	eng.mu.Lock()
+	// write set.
 	eng.reap(t)
-	for len(eng.pending)+eng.reserved+len(lines) > r.cfg.QueueLines && eng.reserved > 0 {
-		eng.cond.Wait()
-		eng.reap(t)
-	}
 	if len(eng.pending)+len(lines) > r.cfg.QueueLines && len(eng.pending) > 0 {
 		need := len(eng.pending) + len(lines) - r.cfg.QueueLines
 		if need > len(eng.pending) {
@@ -179,8 +158,6 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 		// persistence wait, charged to the shared barrier-wait counter.
 		r.env.StatsFor(core).CommitBarrierWait += uint64(t - stallFrom)
 	}
-	eng.reserved += len(lines)
-	eng.mu.Unlock()
 
 	// Persist the redo log: predicted final state of each modified line.
 	log := r.logs[core]
@@ -197,8 +174,6 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 	// Background: write the data back in place, overlapping subsequent
 	// execution. Functionally the lines become durable now (write order is
 	// preserved); only the core's clock ignores the latency.
-	eng.mu.Lock()
-	eng.reserved -= len(lines)
 	bg := engine.MaxCycles(t, eng.clock)
 	for _, la := range lines {
 		done, _ := r.env.Caches.Flush(core, la, bg, stats.CatData)
@@ -206,8 +181,6 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 		eng.pending = append(eng.pending, done)
 	}
 	eng.clock = bg
-	eng.cond.Broadcast()
-	eng.mu.Unlock()
 
 	// The log can be reused: write-backs are durably ordered after the log
 	// records, so any crash either replays this transaction from the log
@@ -251,7 +224,6 @@ func (r *Redo) Crash() {
 	for _, e := range r.engines {
 		e.pending = nil
 		e.clock = 0
-		e.reserved = 0
 	}
 }
 
@@ -284,8 +256,8 @@ func (r *Redo) Recover() error {
 		}
 		r.env.Stats.RecoveredTxns++
 	}
-	if maxTID >= r.next.Load() {
-		r.next.Store(maxTID + 1)
+	if maxTID >= r.next {
+		r.next = maxTID + 1
 	}
 	for c := range r.logs {
 		r.logs[c].SetTIDFloor(maxTID)
@@ -297,10 +269,8 @@ func (r *Redo) Recover() error {
 func (r *Redo) Drain(at engine.Cycles) engine.Cycles {
 	t := at
 	for _, e := range r.engines {
-		e.mu.Lock()
 		t = engine.MaxCycles(t, e.clock)
 		e.pending = nil
-		e.mu.Unlock()
 	}
 	return t
 }

@@ -1,8 +1,6 @@
 package logging
 
 import (
-	"sync/atomic"
-
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/stats"
@@ -13,14 +11,12 @@ import (
 // Undo is the UNDO-LOG baseline: hardware undo logging with in-place data
 // updates. Each first store to a line persists the old value before the
 // store may proceed (the store "will be blocked until the log entry reaches
-// persistent memory"); repeated updates to a logged line are free.
-// Undo supports the machine's parallel mode with no extra locking: all log
-// state is per-core, the TID counter is atomic, and the hardware structures
-// it drives (caches, memory, TLBs per core) synchronise themselves.
+// persistent memory"); repeated updates to a logged line are free. All log
+// state is per-core.
 type Undo struct {
 	env  *txn.Env
 	logs []*wal.Stream
-	next atomic.Uint32
+	next uint32
 
 	inTxn []bool
 	tid   []uint32
@@ -32,7 +28,7 @@ type Undo struct {
 // NewUndo builds the baseline over env.
 func NewUndo(env *txn.Env) *Undo {
 	u := &Undo{env: env}
-	u.next.Store(1)
+	u.next = 1
 	for c := 0; c < env.Cores(); c++ {
 		u.logs = append(u.logs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatUndoLog))
 		u.old = append(u.old, make(map[memsim.PAddr][memsim.LineBytes]byte))
@@ -51,7 +47,8 @@ func (u *Undo) Begin(core int, at engine.Cycles) engine.Cycles {
 		panic("undo: nested transaction")
 	}
 	u.inTxn[core] = true
-	u.tid[core] = u.next.Add(1) - 1
+	u.tid[core] = u.next
+	u.next++
 	return at + u.env.BarrierCycles
 }
 
@@ -172,8 +169,8 @@ func (u *Undo) Recover() error {
 		}
 		u.env.Stats.RolledBackTxns++
 	}
-	if maxTID >= u.next.Load() {
-		u.next.Store(maxTID + 1)
+	if maxTID >= u.next {
+		u.next = maxTID + 1
 	}
 	for c := range u.logs {
 		u.logs[c].SetTIDFloor(maxTID)

@@ -61,24 +61,23 @@ func (c *Core) op() {
 
 // tick is the window scheduler's op-boundary hook: once the core's clock
 // reaches the current window's end it yields the execution slot (see
-// winsched.go). Free-running and serial execution pay one nil check. The
-// unsynchronised windowEnd read is ordered by the grant that let this core
-// run — windowEnd only changes while no core holds the slot.
+// winsched.go). Serial execution pays one flag check. The unsynchronised
+// windowEnd read is ordered by the grant that let this core run — windowEnd
+// only changes while no core holds the slot.
 func (c *Core) tick() {
-	if s := c.m.sched; s != nil && s.active && c.m.clocks[c.id] >= s.windowEnd {
+	if s := c.m.sched; s.active && c.m.clocks[c.id] >= s.windowEnd {
 		s.yield(c.id)
 	}
 }
 
 // BlockExternal runs wait() with the core marked as blocked on a host-side
-// event — a channel receive, a timer — so a windowed Run's lockstep
-// barrier does not hold every other core hostage to an event that may
-// never come (the network server's worker queues). Simulated time does not
-// advance while blocked. Outside windowed mode it just runs wait().
-// Determinism is forfeited for the run: external wake-ups arrive in host
-// order.
+// event — a channel receive, a timer — so Run's lockstep barrier does not
+// hold every other core hostage to an event that may never come (the
+// network server's worker queues). Simulated time does not advance while
+// blocked. Outside Run it just runs wait(). Determinism is forfeited for
+// the run: external wake-ups arrive in host order.
 func (c *Core) BlockExternal(wait func()) {
-	if s := c.m.sched; s != nil && s.active {
+	if s := c.m.sched; s.active {
 		s.external(c.id, wait)
 		return
 	}
@@ -276,18 +275,13 @@ func (c *Core) Load64(va uint64) uint64 {
 }
 
 // Acquire takes the lock, advancing the clock past the current holder and
-// charging the hand-off cost. In free-running concurrent mode the
-// acquisition also takes the lock's host mutex, so the critical section is
-// exclusive in host time exactly as it is in simulated time; in windowed
-// mode the scheduler queues the core and the releaser hands the lock over
-// in deterministic (clock, core-index) order. Release must run on the same
-// goroutine.
+// charging the hand-off cost. Inside Run the scheduler queues the core and
+// the releaser hands the lock over in deterministic (clock, core-index)
+// order. Release must run on the same goroutine.
 func (c *Core) Acquire(l *Lock) {
-	if s := c.m.sched; s != nil && s.active {
+	if s := c.m.sched; s.active {
 		c.tick()
 		s.lockAcquire(c.id, l)
-	} else if c.m.parallel {
-		l.mu.Lock()
 	}
 	t := engine.MaxCycles(c.m.clocks[c.id], l.freeAt) + c.m.cfg.LockCycles
 	c.m.clocks[c.id] = t
@@ -295,12 +289,9 @@ func (c *Core) Acquire(l *Lock) {
 
 // Release frees the lock at the core's current time.
 func (c *Core) Release(l *Lock) {
-	if s := c.m.sched; s != nil && s.active {
+	if s := c.m.sched; s.active {
 		s.lockRelease(c.id, l)
 		return
 	}
 	l.freeAt = c.m.clocks[c.id]
-	if c.m.parallel {
-		l.mu.Unlock()
-	}
 }

@@ -10,11 +10,12 @@
 // lowest (see internal/workload), while memory-bank and lock timelines are
 // shared across cores so contention is modelled.
 //
-// Machine.Run adds one goroutine per core. Per-core state (TLBs, clocks,
-// stats shards, write-set characterisation) is sharded so cores never
-// contend on it. Shared structures (memory, caches, backend metadata) take
-// host locks only when the cores really run at once — free-running mode; the
-// window scheduler runs one core at a time. See Run for the contract.
+// Machine.Run adds one goroutine per core under the window scheduler
+// (winsched.go), which lets one core execute at a time in simulated-time
+// order. Per-core state (TLBs, clocks, stats shards, write-set
+// characterisation) is sharded per core; the shared structures (memory,
+// caches, backend metadata) take no host lock, because the scheduler's grant
+// orders each core after the previous slot holder. See Run for the contract.
 package machine
 
 import (
@@ -90,14 +91,17 @@ type Config struct {
 	// LockCycles is the hand-off cost of the simulated lock.
 	LockCycles engine.Cycles
 
-	// TimeWindow, in cycles, enables the deterministic bounded-lag window
-	// scheduler for Run: cores advance in lockstep windows of this many
-	// simulated cycles, execution within a window is serialised in
-	// min-(clock, core-index) order, and two runs with the same inputs
-	// produce byte-identical Stats (see winsched.go). 0 (default) is the
-	// free-running concurrent mode, bit-for-bit the historical behaviour.
+	// TimeWindow is the window of Run's deterministic bounded-lag scheduler,
+	// in cycles: cores advance in lockstep windows of this many simulated
+	// cycles, execution within a window is serialised in min-(clock,
+	// core-index) order, and two runs with the same inputs produce
+	// byte-identical Stats (see winsched.go). 0 selects DefaultTimeWindow.
 	TimeWindow engine.Cycles
 }
+
+// DefaultTimeWindow is the scheduler window Run uses when Config.TimeWindow
+// is 0: the window every windowed test, smoke and benchmark workload runs.
+const DefaultTimeWindow engine.Cycles = 4096
 
 // DefaultConfig returns the paper's system parameters for the given design
 // and core count.
@@ -131,8 +135,8 @@ func DefaultConfig(backend BackendKind, cores int) Config {
 //
 // Execution modes: by default every call runs on the caller's goroutine and
 // the machine is fully deterministic (the historical single-goroutine
-// model). Run switches to concurrent mode — one goroutine per Core — for
-// its duration; see Run for the exact contract.
+// model). Run hands each Core its own goroutine for its duration, under the
+// window scheduler; see Run for the exact contract.
 type Machine struct {
 	cfg    Config
 	shards *stats.Sharded
@@ -152,14 +156,8 @@ type Machine struct {
 	cores  []*Core
 	ws     []WriteSetStats // per-core shards; aggregated by WriteSet
 
-	// parallel is true while Run's core goroutines execute. It is written
-	// only while the machine is quiescent (before the goroutines start and
-	// after they join), so reads from the core goroutines are race-free.
-	parallel bool
-	mapMu    sync.Mutex // serialises ensureMapped's check-then-map
-
-	// sched is the deterministic window scheduler, non-nil exactly when
-	// Config.TimeWindow > 0. It is armed for the duration of each Run.
+	// sched is the deterministic window scheduler, armed (sched.active) for
+	// the duration of each Run.
 	sched *winSched
 }
 
@@ -247,11 +245,10 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	cfg.Cache.Cores = cfg.Cores
 	cfg.Layout.Cores = cfg.Cores
 	shards := stats.NewSharded(cfg.Cores)
-	// Counter routing: the cache hierarchy writes the shared shard (under its
-	// interconnect lock when cores are concurrent); each memory channel
-	// writes its own channel shard (under that channel's timing lock when
-	// concurrent); each TLB and each core's backend execution path write
-	// that core's shard. Aggregation is an order-independent sum.
+	// Counter routing: the cache hierarchy writes the shared shard; each
+	// memory channel writes its own channel shard; each TLB and each core's
+	// backend execution path write that core's shard. Aggregation is an
+	// order-independent sum.
 	shared := shards.Shared()
 	var mem *memsim.Memory
 	if image != nil {
@@ -306,9 +303,10 @@ func build(cfg Config, image []byte) (*Machine, error) {
 		BarrierCycles: cfg.BarrierCycles,
 		STLBCycles:    cfg.STLBLat,
 	}
-	if cfg.TimeWindow > 0 {
-		m.sched = newWinSched(m, cfg.TimeWindow)
+	if m.cfg.TimeWindow <= 0 {
+		m.cfg.TimeWindow = DefaultTimeWindow
 	}
+	m.sched = newWinSched(m, m.cfg.TimeWindow)
 	switch cfg.Backend {
 	case SSP:
 		m.backend = core.NewSSP(m.env, cfg.SSP, image == nil)
@@ -338,15 +336,13 @@ func (m *Machine) format() {
 }
 
 // ensureMapped maps heap VPNs [first,last] to fresh frames with durable
-// PTE writes; already-mapped pages are untouched. mapMu makes the
-// check-then-map atomic; in concurrent mode the PTE write is timed from
-// cycle zero instead of core 0's (racing) clock — the bank timeline orders
-// it after in-flight traffic either way.
+// PTE writes; already-mapped pages are untouched. Inside Run the PTE write
+// is timed from cycle zero rather than core 0's clock, which another core
+// may be ahead or behind of — the bank timeline orders it after in-flight
+// traffic either way.
 func (m *Machine) ensureMapped(first, last int) {
-	m.mapMu.Lock()
-	defer m.mapMu.Unlock()
 	var at engine.Cycles
-	if !m.parallel {
+	if !m.sched.active {
 		at = m.clocks[0]
 	}
 	for vpn := first; vpn <= last; vpn++ {
@@ -493,9 +489,8 @@ func (m *Machine) MaxClock() engine.Cycles {
 }
 
 // Run executes fn once per core, each invocation on its own goroutine, and
-// returns when every invocation has finished. With Config.TimeWindow == 0
-// (free-running mode) the cores genuinely execute in parallel on the host;
-// with TimeWindow > 0 the window scheduler grants one core at a time.
+// returns when every invocation has finished. The window scheduler grants
+// one core at a time (see winsched.go).
 //
 // Contract:
 //
@@ -503,74 +498,51 @@ func (m *Machine) MaxClock() engine.Cycles {
 //     Commit, Acquire, ...) are safe exactly because only core's goroutine
 //     calls them. Do not share a Core across goroutines.
 //   - Shared simulated structures (memory, caches, page table, the
-//     backend's metadata) are safe to use from every core. In free-running
-//     mode they take host locks for it (setParallel switches them on for
-//     the Run); under the window scheduler they take none, because only the
-//     core holding the execution slot runs and each grant orders it after
-//     the previous holder. Application-level isolation remains the
-//     program's job via Lock, as in the paper.
+//     backend's metadata) are safe to use from every core without host
+//     locks: only the core holding the execution slot runs, and each grant
+//     orders it after the previous holder. Application-level isolation
+//     remains the program's job via Lock, as in the paper.
 //   - Machine-level operations (Stats, Drain, Crash, Recover, ResetStats,
 //     MaxClock) must not be called until Run returns.
-//   - Per-core work is deterministic given fixed per-core inputs. With
-//     Config.TimeWindow == 0 (free-running mode), cross-core timing (bank
-//     contention, lock hand-off order) depends on the host schedule, and
-//     aggregate counters are order-independent sums. With TimeWindow > 0
-//     the window scheduler serialises cross-core interleaving in simulated
-//     time (see winsched.go) and the ENTIRE run — Stats included — is
-//     deterministic, unless a core blocks on a host-side event via
-//     BlockExternal (the server path).
+//   - The scheduler serialises cross-core interleaving in simulated time,
+//     so the ENTIRE run — Stats included — is deterministic, unless a core
+//     blocks on a host-side event via BlockExternal (the server path).
 //
 // Serial execution outside Run is unchanged and remains bit-for-bit
 // deterministic.
 func (m *Machine) Run(fn func(c *Core)) {
-	if m.parallel {
+	if m.sched.active {
 		panic("machine: nested Run")
 	}
-	if m.sched != nil {
-		m.sched.start()
-	}
+	m.sched.start()
 	m.setParallel(true)
 	var wg sync.WaitGroup
 	for _, c := range m.cores {
 		wg.Add(1)
 		go func(c *Core) {
 			defer wg.Done()
-			if m.sched != nil {
-				m.sched.enter(c.id)
-				defer m.sched.exit(c.id)
-			}
+			m.sched.enter(c.id)
+			defer m.sched.exit(c.id)
 			fn(c)
 		}(c)
 	}
 	wg.Wait()
 	m.setParallel(false)
-	if m.sched != nil {
-		m.sched.stop()
-	}
+	m.sched.stop()
 }
 
 // WindowStats returns the window scheduler's activity during the most
-// recent Run — zero-valued when Config.TimeWindow == 0. Quiescent-only,
-// like Stats. The counters are deterministic; HostWait is host time (the
-// barrier's wall-clock cost) and is reported here, outside Stats, so
-// byte-identity of Stats across same-seed runs holds exactly.
-func (m *Machine) WindowStats() WindowStats {
-	if m.sched == nil {
-		return WindowStats{}
-	}
-	return m.sched.snapshot()
-}
+// recent Run. Quiescent-only, like Stats. The counters are deterministic;
+// HostWait is host time (the barrier's wall-clock cost) and is reported
+// here, outside Stats, so byte-identity of Stats across same-seed runs holds
+// exactly.
+func (m *Machine) WindowStats() WindowStats { return m.sched.snapshot() }
 
-// setParallel enters or leaves Run on the machine and, when supported, the
-// backend. The shared structures take host locks only when Run's cores are
-// concurrent, i.e. free-running. Called only while quiescent.
+// setParallel tells the backend, when it cares, that Run is entered or
+// left. Called only while quiescent.
 func (m *Machine) setParallel(on bool) {
-	concurrent := on && m.sched == nil
-	m.parallel = on
-	m.caches.SetConcurrent(concurrent)
-	m.mem.SetConcurrent(concurrent)
 	if pa, ok := m.backend.(txn.ParallelAware); ok {
-		pa.SetParallel(on, concurrent)
+		pa.SetParallel(on)
 	}
 }
 
@@ -623,19 +595,15 @@ func (m *Machine) Recover() error {
 }
 
 // Lock is a simulated mutex: acquisition serialises critical sections in
-// simulated time without spinning. In free-running
-// concurrent mode the simulated hand-off is backed by a real mutex held
-// between Acquire and Release, so host-level mutual exclusion matches the
-// simulated one. In windowed mode (Config.TimeWindow > 0) the scheduler
-// manages the queue instead and hands the lock to the waiting core with
-// the lowest (clock, core-index) pair — a deterministic grant order, where
-// a host mutex would wake waiters in host order.
+// simulated time without spinning. Inside Run the scheduler manages its
+// queue and hands the lock to the waiting core with the lowest (clock,
+// core-index) pair — a deterministic grant order, where a host mutex would
+// wake waiters in host order.
 type Lock struct {
-	mu     sync.Mutex
 	freeAt engine.Cycles
 
-	// Windowed-mode state, guarded by the scheduler's mutex: the holding
-	// core (-1 free) and the parked waiters.
+	// Run-time state, guarded by the scheduler's mutex: the holding core
+	// (-1 free) and the parked waiters.
 	holder int
 	q      []int
 }

@@ -15,16 +15,19 @@ import (
 // The parallel stress test: N goroutine-backed cores × M transactions per
 // backend, over disjoint per-core page ranges (the sharded contract), with
 // occasional aborts. Each core's input stream is a fixed function of
-// (seed, core), so per-core outcomes are deterministic regardless of
-// host scheduling; the test then asserts that
+// (seed, core), so per-core outcomes match a serial run of the same
+// streams; the test asserts that
 //
 //   - every durable value matches the serial reference run,
 //   - order-independent aggregate statistics (commits, aborts, write-set
 //     characterisation) match the serial run exactly,
 //   - the cache-coherence and SSP frame-ownership invariants hold, and
-//   - the machine still crash-recovers cleanly after the concurrent run.
+//   - the machine still crash-recovers cleanly after the goroutine-per-core
+//     run.
 //
-// Run it under -race: it is the concurrency gate for the whole engine.
+// Run it under -race: the window scheduler's grants are the only ordering
+// between the core goroutines, and the race detector checks they order
+// every access to the shared simulated hardware.
 
 const (
 	stressCores    = 4
@@ -85,7 +88,7 @@ func TestParallelStressMatchesSerial(t *testing.T) {
 			refStats := *ref.Stats()
 			refWS := *ref.WriteSet()
 
-			// Concurrent run.
+			// Goroutine-per-core run.
 			m := stressMachine(b)
 			final := make([]map[uint64]uint64, stressCores)
 			for i := range final {
@@ -123,7 +126,7 @@ func TestParallelStressMatchesSerial(t *testing.T) {
 					ws.Txns, ws.TotalLines, ws.TotalPages, refWS.Txns, refWS.TotalLines, refWS.TotalPages)
 			}
 
-			// Hardware invariants hold after the concurrent run.
+			// Hardware invariants hold after the goroutine-per-core run.
 			if msg := m.DebugValidateCaches(); msg != "" {
 				t.Fatalf("cache invariant violated: %s", msg)
 			}
@@ -133,7 +136,8 @@ func TestParallelStressMatchesSerial(t *testing.T) {
 				}
 			}
 
-			// The image the concurrent run left behind still recovers.
+			// The image the goroutine-per-core run left behind still
+			// recovers.
 			if err := recycle(m); err != nil {
 				t.Fatalf("post-parallel recovery: %v", err)
 			}
@@ -152,9 +156,8 @@ func TestParallelStressMatchesSerial(t *testing.T) {
 // the channel counters must account for every memory transfer, every channel
 // must carry traffic, and order-independent aggregates must still match a
 // serial run on the same multi-channel machine. (The simulated-time speedup
-// of multi-channel runs is asserted deterministically in memsim's
-// TestChannelBandwidthScaling and demonstrated by `sspbench -exp channels`;
-// cross-core timing here depends on the host schedule.)
+// of multi-channel runs is asserted in memsim's TestChannelBandwidthScaling
+// and demonstrated by `sspbench -exp channels`.)
 func TestParallelMultiChannel(t *testing.T) {
 	txns := 200
 	if testing.Short() {
@@ -215,8 +218,7 @@ func TestParallelMultiChannel(t *testing.T) {
 // sharded metadata journal: every shard must carry records, aggregates must
 // match a serial run on the same configuration, durable values must match
 // the serial reference, the frame invariant must hold, and the multi-shard
-// image must crash-recover via the TID-merge path. Run under -race: the
-// commit path takes only its shard's lock plus page locks here.
+// image must crash-recover via the TID-merge path.
 func TestParallelJournalShards(t *testing.T) {
 	txns := 300
 	if testing.Short() {
@@ -293,15 +295,15 @@ func recycle(m *Machine) error {
 	return m.Recover()
 }
 
-// TestParallelCrossShardCommits stresses concurrent global and local
+// TestParallelCrossShardCommits stresses interleaved global and local
 // commits under -race: 4 goroutine-backed cores over 4 journal shards share
 // a pool of pages, each guarded by a Lock. Roughly a quarter of every
 // core's transactions are global — BeginGlobal sections writing 2-3 shared
 // pages whose locks are acquired in ascending page order (the same total
 // order everywhere, so no deadlock) — and the rest are single-page locals.
 // Expected values are recorded in per-page maps mutated only while holding
-// that page's lock, so the final durable state is well-defined despite the
-// racy schedule. The test then checks the two-phase counters moved, the
+// that page's lock, so the final durable state is well-defined whatever the
+// interleaving. The test then checks the two-phase counters moved, the
 // frame invariant holds, and the multi-shard image still crash-recovers to
 // exactly the expected values.
 func TestParallelCrossShardCommits(t *testing.T) {
@@ -574,9 +576,9 @@ func TestWindowedStressByteIdentical(t *testing.T) {
 }
 
 // TestParallelLocalGlobalStress stresses the commit path under -race: 4
-// goroutine-backed free-running cores over 2 journal shards (two cores
-// share each ring) run concurrent local and multi-shard global commits on
-// lock-guarded shared pages. Data, the frame invariant and crash recovery
+// goroutine-backed cores over 2 journal shards (two cores share each ring)
+// run interleaved local and multi-shard global commits on lock-guarded
+// shared pages. Data, the frame invariant and crash recovery
 // are audited afterwards.
 func TestParallelLocalGlobalStress(t *testing.T) {
 	txns := 250

@@ -8,10 +8,9 @@ import (
 	"repro/internal/engine"
 )
 
-// This file is the deterministic bounded-lag window scheduler
-// (Config.TimeWindow > 0): the machinery that makes a multi-core Run
-// reproducible. Free-running mode (TimeWindow == 0) never constructs it and
-// is bit-for-bit the historical behaviour.
+// This file is the deterministic bounded-lag window scheduler of every
+// Machine.Run (window Config.TimeWindow): the machinery that makes a
+// multi-core Run reproducible.
 //
 // Model. Cores advance in lockstep windows of W simulated cycles. Within a
 // window exactly ONE core executes at a time: the scheduler owns a single
@@ -64,7 +63,7 @@ const (
 // is host time and reported only — it never feeds back into scheduling or
 // Stats.
 type WindowStats struct {
-	Window  engine.Cycles // configured W (0 = free-running, all else zero)
+	Window  engine.Cycles // the scheduler's window W
 	Windows uint64        // lockstep window advances
 	Grants  uint64        // execution-slot hand-offs
 	// BarrierStalls counts op-boundary yields forced by the window barrier
@@ -86,13 +85,13 @@ func (w WindowStats) BarrierShare(cores int, wall time.Duration) float64 {
 	return float64(w.HostWait) / (float64(cores) * float64(wall))
 }
 
-// winSched is the scheduler instance; one per Machine when TimeWindow > 0.
+// winSched is the scheduler instance; one per Machine.
 type winSched struct {
 	m *Machine
 	w engine.Cycles
 
 	mu        sync.Mutex
-	active    bool          // inside a windowed Run
+	active    bool          // inside a Run
 	pending   int           // cores that have not reached enter() yet
 	running   int           // core holding the slot, -1 when none
 	windowEnd engine.Cycles // exclusive upper bound of the current window
@@ -145,7 +144,7 @@ func (s *winSched) stop() {
 	s.active = false
 	for i, st := range s.state {
 		if st != schedDone {
-			panic(fmt.Sprintf("machine: windowed Run finished with core %d in scheduler state %d", i, st))
+			panic(fmt.Sprintf("machine: Run finished with core %d in scheduler state %d", i, st))
 		}
 	}
 }
@@ -250,7 +249,7 @@ func (s *winSched) grantLocked(id int) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock integration (Core.Acquire/Release in windowed mode). The lock's
+// Lock integration (Core.Acquire/Release inside Run). The lock's
 // queue and holder are guarded by the scheduler's mutex; host-level mutual
 // exclusion needs no separate mutex because only one core executes at a
 // time.

@@ -3,7 +3,6 @@ package memsim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -319,76 +318,5 @@ func TestWheelLongDurations(t *testing.T) {
 	// The spanned buckets are now full: the next slot lands past them.
 	if slot := w.reserveCapacity(0, 1); slot < 3*wheelSpan {
 		t.Errorf("slot %d landed inside a fully booked span", slot)
-	}
-}
-
-// Race stress: concurrent writers over disjoint channels (never share a
-// timing lock) and over all channels (contend on every lock). Run under
-// -race; also verifies durable contents after the storm.
-func TestChannelRaceStress(t *testing.T) {
-	for _, mode := range []string{"disjoint", "shared"} {
-		t.Run(mode, func(t *testing.T) {
-			const goroutines = 4
-			const opsPer = 400
-			sh := stats.NewSharded(goroutines)
-			m := New(channelConfig(goroutines, InterleaveLine), sh.Shared())
-			m.AttachChannelStats(sh.ChannelShards(goroutines))
-			m.SetConcurrent(true)
-			base := m.Config().NVRAMBase
-
-			// Each goroutine owns a distinct 64-page range for the data
-			// bytes; in disjoint mode it additionally restricts itself to
-			// the lines of that range served by "its" channel, so no two
-			// goroutines ever touch the same channel's timing lock.
-			lines := make([][]PAddr, goroutines)
-			for g := 0; g < goroutines; g++ {
-				region := base + PAddr(g)*PageBytes*64
-				for li := 0; li < 1024; li++ {
-					pa := region + PAddr(li)*LineBytes
-					if mode != "disjoint" || m.ChannelOf(pa) == g {
-						lines[g] = append(lines[g], pa)
-					}
-				}
-				if len(lines[g]) == 0 {
-					t.Fatalf("goroutine %d has no lines on channel %d", g, g)
-				}
-			}
-
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := engine.NewRNG(uint64(g) + 1)
-					buf := make([]byte, LineBytes)
-					for i := range buf {
-						buf[i] = byte(g + 1)
-					}
-					for i := 0; i < opsPer; i++ {
-						pa := lines[g][rng.Intn(len(lines[g]))]
-						if mode == "disjoint" {
-							if got := m.ChannelOf(pa); got != g {
-								t.Errorf("disjoint address %#x routed to channel %d, want %d", pa, got, g)
-								return
-							}
-						}
-						m.WriteLine(pa, buf, engine.Cycles(i), stats.CatData)
-						out := make([]byte, LineBytes)
-						m.ReadLine(pa, out, engine.Cycles(i))
-						if out[0] != byte(g+1) {
-							t.Errorf("goroutine %d read back %#x from %#x", g, out[0], pa)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-
-			st := sh.Aggregate()
-			want := uint64(goroutines * opsPer * 2)
-			if got := st.NVRAMReadLines + st.NVRAMWriteLines; got != want {
-				t.Errorf("transfer count %d, want %d", got, want)
-			}
-		})
 	}
 }

@@ -7,21 +7,21 @@
 // # Channels
 //
 // Config.Channels splits the memory system into independent channels, each
-// with its own banks, its own data-bus occupancy timeline and its own timing
-// lock. Addresses map to channels by the Config.Interleave policy —
-// cacheline-granular (consecutive 64-byte lines rotate channels, spreading
-// even single-page traffic) or page-granular (a 4 KiB page lives entirely on
-// one channel, preserving page-level locality). The address→(channel,
-// channel-local address) mapping is a bijection, and within a channel the
-// local address stream preserves row-buffer locality: a sequential walk of
-// physical memory is a sequential walk of every channel.
+// with its own banks and its own data-bus occupancy timeline. Addresses map
+// to channels by the Config.Interleave policy — cacheline-granular
+// (consecutive 64-byte lines rotate channels, spreading even single-page
+// traffic) or page-granular (a 4 KiB page lives entirely on one channel,
+// preserving page-level locality). The address→(channel, channel-local
+// address) mapping is a bijection, and within a channel the local address
+// stream preserves row-buffer locality: a sequential walk of physical memory
+// is a sequential walk of every channel.
 //
-// Concurrent cores therefore only contend — in host locks and in simulated
-// bus time — when they genuinely hit the same channel. Channel and bank
-// selectors are swizzled with higher address bits (permutation-based
-// interleaving) so power-of-2-strided regions such as the per-core logs do
-// not alias onto a single bank and serialise every core. One channel keeps
-// the single shared bus of the paper's model.
+// Cores therefore only contend in simulated bus time when they genuinely
+// hit the same channel. Channel and bank selectors are swizzled with higher
+// address bits (permutation-based interleaving) so power-of-2-strided
+// regions such as the per-core logs do not alias onto a single bank and
+// serialise every core. One channel keeps the single shared bus of the
+// paper's model.
 //
 // Besides timing, the package owns the *durable* byte image of NVRAM: a
 // write becomes durable only when it reaches this package. The cache
@@ -34,32 +34,25 @@
 // # Determinism contract under the window scheduler
 //
 // The bank wheels, bus ledgers and row-buffer state in this package update
-// in ARRIVAL order: with free-running concurrent cores
-// (machine.Config.TimeWindow == 0) that order is the host schedule, so
-// cross-core timing is approximate and run-to-run variable. The bounded-lag
-// window scheduler (internal/machine/winsched.go) serialises core execution
-// in simulated-time order, which makes every arbitration here — bank
-// queueing, bus occupancy, row hits vs misses — a pure function of
-// simulated state with no changes to this package's timing code. Nothing in
-// this package may therefore consult host time or host identity (goroutine,
-// map iteration order) in a way that feeds back into timing or the durable
-// image.
+// in ARRIVAL order. The bounded-lag window scheduler
+// (internal/machine/winsched.go) serialises core execution in
+// simulated-time order, which makes every arbitration here — bank queueing,
+// bus occupancy, row hits vs misses — a pure function of simulated state.
+// Nothing in this package may therefore consult host time or host identity
+// (goroutine, map iteration order) in a way that feeds back into timing or
+// the durable image.
 //
 // # Host synchronisation
 //
-// Memory takes its locks only while SetConcurrent is on: a free-running
-// Machine.Run, whose cores call in from concurrent host threads. Serially and
-// under the window scheduler one core executes at a time, every call runs to
-// completion before the next, and the scheduler's grant orders successive
-// cores' calls; the locks would only cost.
+// Memory takes no host lock: serially and under the window scheduler one
+// core executes at a time, every call runs to completion before the next,
+// and the scheduler's grant orders successive cores' calls.
 package memsim
 
 import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -406,58 +399,37 @@ type bank struct {
 }
 
 // channel is one independent memory channel: its own banks, its own bus
-// occupancy ledger, its own lock and its own counter shard.
+// occupancy ledger and its own counter shard.
 type channel struct {
-	mu        sync.Mutex
 	dramBanks []bank
 	nvBanks   []bank
 	bus       wheel
 	st        *stats.Stats
 }
 
-// dataStripes is the number of address-striped locks protecting the byte
-// images. Striping is page-granular: concurrent cores touching different
-// pages never contend on a data lock.
-const dataStripes = 64
-
 // Memory is the simulated hybrid memory system.
 //
-// Concurrency: while SetConcurrent is on, the byte images are protected by
-// address-striped locks (dataMu); each channel's bank/bus timelines and
-// traffic counters are protected by that channel's own lock; the power state
-// and write trap are protected by powerMu. All of them are leaf locks —
-// Memory never calls out to another simulator structure while holding one
-// (the power-off callback fires after the locks are released). With it off
-// (the default) no lock is taken; see the package comment.
-//
 // Counter routing: every timing counter is written to the owning channel's
-// stats shard under that channel's lock. By default all channels share the
-// Stats passed to New (fine for single-goroutine use); concurrent callers
-// attach one shard per channel via AttachChannelStats so channels never
-// write a counter concurrently.
+// stats shard. By default all channels share the Stats passed to New; a
+// machine attaches one shard per channel via AttachChannelStats, so
+// per-channel counts can be reported apart.
 type Memory struct {
 	cfg       Config
 	nChannels int
 
-	concurrent bool // take the locks below; flipped only while quiescent
-
 	dram  region
 	nvram region
-
-	dataMu [dataStripes]sync.Mutex
 
 	chans     []channel
 	busCycles engine.Cycles
 
-	powerMu    sync.Mutex
 	powerOff   bool
 	trapAfter  int64 // remaining NVRAM writes before power-off; <0 disabled
 	onPowerOff func()
 }
 
 // New allocates a memory system per cfg, with zeroed contents. All channels
-// initially write their counters to st; concurrent multi-channel use must
-// AttachChannelStats first.
+// initially write their counters to st (see AttachChannelStats).
 func New(cfg Config, st *stats.Stats) *Memory {
 	if cfg.FreqGHz <= 0 {
 		panic("memsim: FreqGHz must be positive")
@@ -515,31 +487,13 @@ func NewFromImage(cfg Config, st *stats.Stats, img []byte) (*Memory, error) {
 }
 
 // AttachChannelStats routes each channel's counters to its own shard
-// (sh[i] for channel i). Required before concurrent use with more than one
-// channel; must be called while the memory is quiescent.
+// (sh[i] for channel i).
 func (m *Memory) AttachChannelStats(sh []*stats.Stats) {
 	if len(sh) != m.nChannels {
 		panic(fmt.Sprintf("memsim: AttachChannelStats got %d shards for %d channels", len(sh), m.nChannels))
 	}
 	for i := range m.chans {
 		m.chans[i].st = sh[i]
-	}
-}
-
-// SetConcurrent tells the memory whether its callers run on concurrent host
-// threads: while on, every access takes the striped data, channel and power
-// locks. Call only while no access is in flight.
-func (m *Memory) SetConcurrent(on bool) { m.concurrent = on }
-
-func (m *Memory) lock(mu *sync.Mutex) {
-	if m.concurrent {
-		mu.Lock()
-	}
-}
-
-func (m *Memory) unlock(mu *sync.Mutex) {
-	if m.concurrent {
-		mu.Unlock()
 	}
 }
 
@@ -598,12 +552,7 @@ func (m *Memory) ChannelOf(pa PAddr) int {
 	return ch
 }
 
-func (m *Memory) stripe(pa PAddr) *sync.Mutex {
-	return &m.dataMu[(uint64(pa)>>PageShift)%dataStripes]
-}
-
-// copyIn copies data into the byte image under the address-striped locks,
-// chunking at page boundaries so every chunk is covered by one stripe.
+// copyIn copies data into the byte image, chunking at page boundaries.
 func (m *Memory) copyIn(pa PAddr, data []byte) {
 	for len(data) > 0 {
 		n := PageBytes - int(pa&(PageBytes-1))
@@ -611,16 +560,13 @@ func (m *Memory) copyIn(pa PAddr, data []byte) {
 			n = len(data)
 		}
 		r, off := m.locate(pa, n)
-		mu := m.stripe(pa)
-		m.lock(mu)
 		copy(r.writable(off)[off&(PageBytes-1):], data[:n])
-		m.unlock(mu)
 		pa += PAddr(n)
 		data = data[n:]
 	}
 }
 
-// copyOut copies bytes out of the image under the striped locks.
+// copyOut copies bytes out of the image.
 func (m *Memory) copyOut(pa PAddr, buf []byte) {
 	for len(buf) > 0 {
 		n := PageBytes - int(pa&(PageBytes-1))
@@ -628,26 +574,20 @@ func (m *Memory) copyOut(pa PAddr, buf []byte) {
 			n = len(buf)
 		}
 		r, off := m.locate(pa, n)
-		mu := m.stripe(pa)
-		m.lock(mu)
 		copy(buf[:n], r.readable(off)[off&(PageBytes-1):])
-		m.unlock(mu)
 		pa += PAddr(n)
 		buf = buf[n:]
 	}
 }
 
 // access charges timing for one memory transaction at address pa and
-// returns its completion time. It routes the address to its channel, takes
-// that channel's lock (when concurrent), and updates the channel's bank/bus timelines and
-// counter shard. nbytes is the byte count recorded for write accounting.
+// returns its completion time. It routes the address to its channel and
+// updates the channel's bank/bus timelines and counter shard. nbytes is the
+// byte count recorded for write accounting.
 func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteCat, nbytes int) engine.Cycles {
 	chIdx, ca := m.route(pa)
 	c := &m.chans[chIdx]
 	nv := m.IsNVRAM(pa)
-
-	m.lock(&c.mu)
-	defer m.unlock(&c.mu)
 
 	var banks []bank
 	var rowBytes int
@@ -659,7 +599,7 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 			lat = m.cfg.NVRAMWrite
 			c.st.NVRAMWriteLines++ // line count maintained here; bytes by caller category
 			c.st.NVRAMWriteBytes[cat] += uint64(nbytes)
-			atomic.AddUint64(m.wearOf(pa), 1)
+			*m.wearOf(pa)++
 		} else {
 			lat = m.cfg.NVRAMRead
 			c.st.NVRAMReadLines++
@@ -752,23 +692,19 @@ func (m *Memory) WriteBytes(pa PAddr, data []byte, at engine.Cycles, cat stats.W
 	}
 	nv := m.IsNVRAM(pa)
 	var fired, lost bool
-	var cb func()
 	if nv {
-		m.lock(&m.powerMu)
 		if m.trapAfter >= 0 {
 			if m.trapAfter == 0 {
-				fired = m.setPowerOffLocked()
+				fired = m.setPowerOff()
 			} else {
 				m.trapAfter--
 			}
 		}
 		lost = m.powerOff
-		cb = m.onPowerOff
-		m.unlock(&m.powerMu)
 	}
 	done := m.access(pa, true, at, cat, len(data))
-	if fired && cb != nil {
-		cb()
+	if fired && m.onPowerOff != nil {
+		m.onPowerOff()
 	}
 	if !lost {
 		m.copyIn(pa, data)
@@ -792,18 +728,14 @@ func (m *Memory) Poke(pa PAddr, data []byte) {
 // of power failure. Timing continues to be charged (the machine does not
 // know power failed); the caller is expected to stop the run and recover.
 func (m *Memory) PowerOff() {
-	m.lock(&m.powerMu)
-	fired := m.setPowerOffLocked()
-	cb := m.onPowerOff
-	m.unlock(&m.powerMu)
-	if fired && cb != nil {
-		cb()
+	if m.setPowerOff() && m.onPowerOff != nil {
+		m.onPowerOff()
 	}
 }
 
-// setPowerOffLocked flips the power state; it reports whether this call was
-// the one that cut power (the callback fires once, outside the lock).
-func (m *Memory) setPowerOffLocked() bool {
+// setPowerOff flips the power state; it reports whether this call was the
+// one that cut power (the callback fires once).
+func (m *Memory) setPowerOff() bool {
 	if m.powerOff {
 		return false
 	}
@@ -813,18 +745,12 @@ func (m *Memory) setPowerOffLocked() bool {
 }
 
 // PoweredOff reports whether a power failure has been injected.
-func (m *Memory) PoweredOff() bool {
-	m.lock(&m.powerMu)
-	defer m.unlock(&m.powerMu)
-	return m.powerOff
-}
+func (m *Memory) PoweredOff() bool { return m.powerOff }
 
 // SetWriteTrap arms a power failure after n more durable NVRAM writes: the
 // next n writes land, everything after is lost. n=0 loses the very next
 // write. Pass a negative n to disarm.
 func (m *Memory) SetWriteTrap(n int64) {
-	m.lock(&m.powerMu)
-	defer m.unlock(&m.powerMu)
 	if n < 0 {
 		m.trapAfter = -1
 		return
@@ -834,26 +760,18 @@ func (m *Memory) SetWriteTrap(n int64) {
 
 // OnPowerOff registers a callback invoked once when power fails (armed trap
 // or explicit PowerOff). Tests use it to stop workload loops. The callback
-// runs outside the memory's locks and may inspect the memory freely.
-func (m *Memory) OnPowerOff(fn func()) {
-	m.lock(&m.powerMu)
-	m.onPowerOff = fn
-	m.unlock(&m.powerMu)
-}
+// may inspect the memory freely.
+func (m *Memory) OnPowerOff(fn func()) { m.onPowerOff = fn }
 
 // PowerOn clears the power-off state after recovery has rebuilt volatile
 // structures; durable contents are preserved.
-func (m *Memory) PowerOn() {
-	m.lock(&m.powerMu)
-	m.powerOff = false
-	m.unlock(&m.powerMu)
-}
+func (m *Memory) PowerOn() { m.powerOff = false }
 
 // NVRAMImage returns a copy of the durable NVRAM contents.
 func (m *Memory) NVRAMImage() []byte {
 	img := make([]byte, m.cfg.NVRAMBytes)
 	for ci := range m.nvram.dir {
-		if m.nvram.dir[ci].Load() == nil {
+		if m.nvram.dir[ci] == nil {
 			continue // nothing in this chunk was written: img already reads zero
 		}
 		lo := ci * chunkPages * PageBytes
@@ -865,14 +783,14 @@ func (m *Memory) NVRAMImage() []byte {
 
 // PageWrites returns how many durable line writes the NVRAM page containing
 // pa has absorbed since construction (or the last ResetWear) — the page's
-// media wear. Safe to call concurrently with simulated execution.
+// media wear.
 func (m *Memory) PageWrites(pa PAddr) uint64 {
 	if !m.IsNVRAM(pa) {
 		return 0
 	}
 	page := uint64(pa-m.cfg.NVRAMBase) >> PageShift
 	if c := m.nvram.chunkOf(page); c != nil {
-		return atomic.LoadUint64(&c.wear[page&(chunkPages-1)])
+		return c.wear[page&(chunkPages-1)]
 	}
 	return 0
 }
@@ -895,7 +813,7 @@ func (m *Memory) WornPages(base PAddr, pages int) []uint64 {
 		next := min(end, (page>>chunkShift+1)<<chunkShift) // first page of the next chunk
 		if c := m.nvram.chunkOf(page); c != nil {
 			for ; page < next; page++ {
-				if w := atomic.LoadUint64(&c.wear[page&(chunkPages-1)]); w != 0 {
+				if w := c.wear[page&(chunkPages-1)]; w != 0 {
 					out = append(out, w)
 				}
 			}
@@ -908,11 +826,9 @@ func (m *Memory) WornPages(base PAddr, pages int) []uint64 {
 // ResetWear zeroes the per-page write counters (after warm-up, with
 // measurement-window statistics).
 func (m *Memory) ResetWear() {
-	for ci := range m.nvram.dir {
-		if c := m.nvram.dir[ci].Load(); c != nil {
-			for i := range c.wear {
-				atomic.StoreUint64(&c.wear[i], 0)
-			}
+	for _, c := range m.nvram.dir {
+		if c != nil {
+			clear(c.wear[:])
 		}
 	}
 }
@@ -923,7 +839,6 @@ func (m *Memory) ResetWear() {
 func (m *Memory) ResetTiming() {
 	for i := range m.chans {
 		c := &m.chans[i]
-		m.lock(&c.mu)
 		for _, banks := range [2][]bank{c.dramBanks, c.nvBanks} {
 			for j := range banks {
 				b := &banks[j]
@@ -932,6 +847,5 @@ func (m *Memory) ResetTiming() {
 			}
 		}
 		c.bus.reset()
-		m.unlock(&c.mu)
 	}
 }

@@ -1,9 +1,6 @@
 package memsim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Byte images materialise on touch: a region is a directory of chunks, a
 // chunk holds chunkPages page pointers and wear counters, and a page's 4 KiB
@@ -22,14 +19,10 @@ const (
 var zeroPage [PageBytes]byte
 
 type chunk struct {
-	// pages[i] is nil until the page's first write. Guarded by the page's
-	// dataMu stripe while the memory is concurrent, like the bytes behind it.
+	// pages[i] is nil until the page's first write.
 	pages [chunkPages]*[PageBytes]byte
 	// wear[i] counts durable line writes to the page — the media-endurance
-	// profile software wear-leveling consumes (NVRAM only). Updated
-	// atomically: with line-granular interleaving one page's lines hit
-	// different channels, so a page's counter can be bumped under different
-	// channel locks at once.
+	// profile software wear-leveling consumes (NVRAM only).
 	wear [chunkPages]uint64
 }
 
@@ -37,37 +30,34 @@ type chunk struct {
 type region struct {
 	base PAddr
 	size uint64
-	// dir[i] covers pages [i<<chunkShift, (i+1)<<chunkShift). Slots are
-	// published by compare-and-swap because the pages of one chunk belong to
-	// different dataMu stripes.
-	dir []atomic.Pointer[chunk]
+	// dir[i] covers pages [i<<chunkShift, (i+1)<<chunkShift).
+	dir []*chunk
 }
 
 func newRegion(base PAddr, size uint64) region {
 	pages := (size + PageBytes - 1) / PageBytes
-	return region{base: base, size: size, dir: make([]atomic.Pointer[chunk], (pages+chunkPages-1)/chunkPages)}
+	return region{base: base, size: size, dir: make([]*chunk, (pages+chunkPages-1)/chunkPages)}
 }
 
 // chunkOf returns the chunk holding the region's page-th page, or nil if
 // nothing in it was touched yet.
 func (r *region) chunkOf(page uint64) *chunk {
-	return r.dir[page>>chunkShift].Load()
+	return r.dir[page>>chunkShift]
 }
 
 // touchChunk is chunkOf that materialises the chunk.
 func (r *region) touchChunk(page uint64) *chunk {
 	slot := &r.dir[page>>chunkShift]
-	if c := slot.Load(); c != nil {
-		return c
+	if *slot == nil {
+		*slot = new(chunk)
 	}
-	slot.CompareAndSwap(nil, new(chunk))
-	return slot.Load()
+	return *slot
 }
 
 // locate returns the region holding [pa, pa+n) and the span's offset in it.
-// It panics unless the span lies wholly inside DRAM or NVRAM, and runs before
-// any lock is taken: nothing behind it bounds an access any more, and an
-// access past capacity must never quietly read the zero page.
+// It panics unless the span lies wholly inside DRAM or NVRAM: nothing behind
+// it bounds an access any more, and an access past capacity must never
+// quietly read the zero page.
 func (m *Memory) locate(pa PAddr, n int) (*region, uint64) {
 	r := &m.dram
 	if pa >= m.cfg.NVRAMBase {
@@ -81,8 +71,7 @@ func (m *Memory) locate(pa PAddr, n int) (*region, uint64) {
 }
 
 // readable returns the page holding offset off for reading: a never-written
-// page is the shared zeroPage. The caller holds the page's dataMu stripe when
-// the memory is concurrent.
+// page is the shared zeroPage.
 func (r *region) readable(off uint64) *[PageBytes]byte {
 	page := off >> PageShift
 	if c := r.chunkOf(page); c != nil && c.pages[page&(chunkPages-1)] != nil {

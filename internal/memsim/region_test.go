@@ -194,7 +194,7 @@ func TestNewFromImageSkipsZeroPages(t *testing.T) {
 	}
 	pages := 0
 	for i := range mem.nvram.dir {
-		if c := mem.nvram.dir[i].Load(); c != nil {
+		if c := mem.nvram.dir[i]; c != nil {
 			for _, pg := range c.pages {
 				if pg != nil {
 					pages++

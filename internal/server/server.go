@@ -174,13 +174,12 @@ func New(cfg Config) (*Server, error) {
 
 	go func() {
 		m.Run(func(c *ssp.Core) {
-			// Queue receives wrap in Core.BlockExternal: under a windowed
-			// machine (Machine.TimeWindow > 0) a worker blocked on its host
-			// channel must not hold the lockstep window open for the other
-			// cores. Request ARRIVAL stays host-ordered either way — a
-			// network server cannot be deterministic — but the windowed
-			// scheduler still bounds cross-core clock lag while requests
-			// execute. With TimeWindow == 0, BlockExternal is a plain call.
+			// Queue receives wrap in Core.BlockExternal: a worker blocked
+			// on its host channel must not hold the scheduler's lockstep
+			// window open for the other cores. Request ARRIVAL stays
+			// host-ordered — a network server cannot be deterministic — but
+			// the scheduler still bounds cross-core clock lag while
+			// requests execute.
 			w := s.workers[c.ID()]
 			if !cfg.Relaxed {
 				for {

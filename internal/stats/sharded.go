@@ -1,24 +1,21 @@
 package stats
 
 // Sharded splits one logical counter set across per-core shards plus one
-// shared shard, so concurrently executing cores never write the same
-// counters. Every field of Stats is a sum (or a max that commutes), so the
-// aggregate is order-independent: it does not matter which core performed
-// an increment or in which interleaving — the aggregated totals are the
-// same as a serial run performing the same work.
+// shared shard and one shard per memory channel, so per-core and per-channel
+// rows can be reported apart. Every field of Stats is a sum (or a max that
+// commutes), so the aggregate is order-independent: it does not matter which
+// core performed an increment or in which interleaving — the aggregated
+// totals are the same as a serial run performing the same work.
 //
 // Shard ownership contract:
 //
 //   - Shard(i) is written only by the goroutine driving core i (TLB
 //     lookups, per-core backend counters). No lock is needed.
-//   - Shared() is written only by the structure doing the writing while it
-//     excludes every other core: under its lock (the cache hierarchy's
-//     interconnect lock, the SSP backend's structural lock) when cores run
-//     concurrently, by the window scheduler's one-core-at-a-time grant
-//     otherwise.
+//   - Shared() is written by the shared structures (the cache hierarchy,
+//     the SSP backend's background work) on whichever core holds the
+//     window scheduler's execution slot — one core at a time.
 //   - ChannelShards(n) shards are written only by the owning memory
-//     channel, under its timing lock when cores run concurrently (one shard
-//     per channel, so channels never write a counter concurrently).
+//     channel, likewise inside the execution slot.
 //
 // Aggregate and Reset are not safe to call concurrently with simulated
 // execution; callers quiesce the machine first (join the core goroutines).

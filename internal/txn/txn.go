@@ -29,14 +29,12 @@ type Env struct {
 	Layout vm.Layout
 	Stats  *stats.Stats
 
-	// PerCore optionally holds one private counter shard per core. When a
-	// machine runs its cores on concurrent goroutines, counters updated on
-	// a core's execution path (commits, log records, flips) go to the
-	// core's shard via StatsFor so no lock is needed; counters updated
-	// under a shared structure's lock stay on Stats. Aggregation is
-	// order-independent (see stats.Sharded). Nil in single-goroutine
-	// setups: StatsFor then falls back to Stats and behaviour is exactly
-	// the pre-sharding one.
+	// PerCore optionally holds one private counter shard per core:
+	// counters updated on a core's execution path (commits, log records,
+	// flips) go to the core's shard via StatsFor, so per-core reporting can
+	// tell cores apart; counters of shared structures stay on Stats.
+	// Aggregation is order-independent (see stats.Sharded). Nil in
+	// single-core setups: StatsFor then falls back to Stats.
 	PerCore []*stats.Stats
 
 	// BarrierCycles is the cost of a full memory barrier
@@ -79,13 +77,11 @@ func (e *Env) Translate(core int, va uint64, at engine.Cycles) (memsim.PAddr, en
 // Backend is a failure-atomicity mechanism under evaluation. All timing
 // methods take the core's current clock and return its new value.
 //
-// Threading contract: by default the simulator is single-goroutine and
-// implementations need no locking. A backend that additionally implements
-// ParallelAware supports Machine.Run, where each core's methods are invoked
-// from that core's own goroutine: calls on the SAME core are always serial;
-// calls on DIFFERENT cores overlap only when SetParallel says the cores are
-// concurrent, and then the implementation must synchronise its shared
-// state.
+// Threading contract: implementations need no locking. Inside
+// Machine.Run each core's methods are invoked from that core's own
+// goroutine, but the window scheduler lets one core execute at a time and
+// its grant orders each call after the previous core's, so no two calls
+// ever overlap.
 type Backend interface {
 	// Name identifies the design ("SSP", "UNDO-LOG", "REDO-LOG").
 	Name() string
@@ -181,19 +177,16 @@ type IdleHardener interface {
 	HardenIdle(core int, at engine.Cycles) (engine.Cycles, bool)
 }
 
-// ParallelAware is implemented by backends that support goroutine-per-core
-// execution (machine.Machine.Run). SetParallel(true, concurrent) is called
-// before the core goroutines start, SetParallel(false, false) after they
-// join; both calls happen with no simulated work in flight.
+// ParallelAware is implemented by backends that schedule background work
+// differently inside goroutine-per-core execution (machine.Machine.Run).
+// SetParallel(true) is called before the core goroutines start,
+// SetParallel(false) after they join; both calls happen with no simulated
+// work in flight.
 //
 // While parallel mode is on, a backend may reorganise how it schedules
 // background work (e.g. SSP batches commit-time page consolidation into
 // epochs instead of running it inline) as long as crash consistency and
-// the aggregate counter totals remain correct. concurrent says whether the
-// cores also execute at the same time on concurrent host threads (a
-// free-running Run) — the only case in which calls on different cores can
-// race. Under the window scheduler one core executes at a time and the
-// scheduler's grant orders them, so the backend needs no host locks.
+// the aggregate counter totals remain correct.
 type ParallelAware interface {
-	SetParallel(on, concurrent bool)
+	SetParallel(on bool)
 }

@@ -3,7 +3,6 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -18,7 +17,6 @@ type PageTable struct {
 	mem    *memsim.Memory
 	layout Layout
 
-	mu     sync.RWMutex
 	mirror []memsim.PAddr // 0 = unmapped; reaches as far as the highest VPN ever mapped
 }
 
@@ -29,8 +27,7 @@ func NewPageTable(mem *memsim.Memory, l Layout) *PageTable {
 	return &PageTable{mem: mem, layout: l}
 }
 
-// setMirror records vpn -> pa in the mirror, growing it to reach vpn. The
-// caller holds mu.
+// setMirror records vpn -> pa in the mirror, growing it to reach vpn.
 func (pt *PageTable) setMirror(vpn int, pa memsim.PAddr) {
 	if vpn < 0 || vpn >= pt.layout.Cfg.MaxHeapPages {
 		panic(fmt.Sprintf("vm: out-of-range vpn %d", vpn))
@@ -47,8 +44,6 @@ func (pt *PageTable) setMirror(vpn int, pa memsim.PAddr) {
 // Lookup returns the frame mapped at vpn, if any. No timing is charged;
 // Walk is the timed variant used on TLB misses.
 func (pt *PageTable) Lookup(vpn int) (memsim.PAddr, bool) {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
 	if vpn < 0 || vpn >= len(pt.mirror) {
 		return 0, false
 	}
@@ -81,8 +76,6 @@ func (pt *PageTable) Set(vpn int, pa memsim.PAddr, at engine.Cycles) engine.Cycl
 // SetMirror updates only the volatile mirror; recovery uses it when the
 // durable repair is journaled separately.
 func (pt *PageTable) SetMirror(vpn int, pa memsim.PAddr) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
 	pt.setMirror(vpn, pa)
 }
 
@@ -90,8 +83,6 @@ func (pt *PageTable) SetMirror(vpn int, pa memsim.PAddr) {
 // a one-page window.
 func (pt *PageTable) Rebuild() {
 	var win [memsim.PageBytes]byte
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
 	clear(pt.mirror)
 	for first := 0; first < pt.layout.Cfg.MaxHeapPages; first += len(win) / 8 {
 		n := min(len(win)/8, pt.layout.Cfg.MaxHeapPages-first)
@@ -111,8 +102,6 @@ func (pt *PageTable) Mapped() [](struct {
 		VPN   int
 		Frame memsim.PAddr
 	})
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
 	for vpn, pa := range pt.mirror {
 		if pa != 0 {
 			out = append(out, struct {
@@ -138,7 +127,6 @@ func (pt *PageTable) Mapped() [](struct {
 type FrameAlloc struct {
 	layout Layout
 
-	mu       sync.Mutex
 	hot      []int
 	next     int // frames [next, layout.Frames) were never handed out
 	cold     []int
@@ -194,8 +182,6 @@ func (fa *FrameAlloc) release(pa memsim.PAddr) int {
 // Alloc returns a free frame's base address. It panics when the pool is
 // exhausted (simulated machines are sized for their workloads).
 func (fa *FrameAlloc) Alloc() memsim.PAddr {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
 	for {
 		idx, ok := fa.pop()
 		if !ok {
@@ -210,8 +196,6 @@ func (fa *FrameAlloc) Alloc() memsim.PAddr {
 
 // Free returns a frame to the pool.
 func (fa *FrameAlloc) Free(pa memsim.PAddr) {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
 	fa.hot = append(fa.hot, fa.release(pa))
 }
 
@@ -221,8 +205,6 @@ func (fa *FrameAlloc) Free(pa memsim.PAddr) {
 // Alloc's pick and the same physical frame would keep soaking up the hot
 // page's writes.
 func (fa *FrameAlloc) FreeCold(pa memsim.PAddr) {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
 	idx := fa.release(pa)
 	if fa.coldHead > len(fa.cold)/2 { // drop the consumed prefix
 		fa.cold = fa.cold[:copy(fa.cold, fa.cold[fa.coldHead:])]
@@ -232,7 +214,7 @@ func (fa *FrameAlloc) FreeCold(pa memsim.PAddr) {
 }
 
 // reserve marks a free frame used; reserving an already-used frame is an
-// error. The caller holds mu.
+// error.
 func (fa *FrameAlloc) reserve(pa memsim.PAddr) {
 	idx := fa.layout.FrameIndex(pa)
 	if fa.isUsed(idx) {
@@ -241,7 +223,7 @@ func (fa *FrameAlloc) reserve(pa memsim.PAddr) {
 	fa.take(idx)
 }
 
-// reset returns the allocator to the all-free state. The caller holds mu.
+// reset returns the allocator to the all-free state.
 func (fa *FrameAlloc) reset() {
 	fa.hot, fa.next = fa.hot[:0], 0
 	fa.cold, fa.coldHead = fa.cold[:0], 0
@@ -250,12 +232,8 @@ func (fa *FrameAlloc) reset() {
 
 // Rebuild is recovery's rebuild of the allocation state, which is volatile:
 // every frame is free again except those pt maps and spare(i) for each
-// i < spares, all reserved under one lock. A frame reserved twice panics.
+// i < spares. A frame reserved twice panics.
 func (fa *FrameAlloc) Rebuild(pt *PageTable, spares int, spare func(i int) memsim.PAddr) {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
 	fa.reset()
 	for _, pa := range pt.mirror {
 		if pa != 0 {
@@ -269,8 +247,6 @@ func (fa *FrameAlloc) Rebuild(pt *PageTable, spares int, spare func(i int) memsi
 
 // InUse returns the number of allocated frames.
 func (fa *FrameAlloc) InUse() int {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
 	return fa.inUse
 }
 

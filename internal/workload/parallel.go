@@ -38,13 +38,9 @@ type ParallelResult struct {
 	PerCore []CoreResult
 	Wall    time.Duration
 
-	// TimeWindow is the machine's deterministic-scheduler window size and
-	// WindowSched the scheduler's activity during the measured Run — both
-	// zero in free-running mode (Machine.TimeWindow == 0). When TimeWindow
-	// > 0 the whole Result, Stats and histograms included, is byte-identical
-	// across same-seed runs; at 0, cross-core timing and occupancy lines are
-	// host-schedule dependent.
-	TimeWindow  ssp.Cycles
+	// WindowSched is the window scheduler's activity during the measured
+	// Run, its window included. The whole Result, Stats and histograms
+	// included, is byte-identical across same-seed runs.
 	WindowSched ssp.WindowStats
 }
 
@@ -98,7 +94,6 @@ func RunParallel(p Params) ParallelResult {
 			Journal:   m.JournalPressure(),
 		},
 		Wall:        wall,
-		TimeWindow:  ssp.Cycles(p.Machine.TimeWindow),
 		WindowSched: m.WindowStats(),
 	}
 	if elapsed > 0 {

@@ -93,8 +93,8 @@ func (p ServeParams) Defaults() ServeParams {
 	return p
 }
 
-// RunServe executes the serve workload concurrently (one goroutine per
-// core via Machine.Run) and returns aggregate plus per-core measurements,
+// RunServe executes the serve workload with one goroutine per core via
+// Machine.Run and returns aggregate plus per-core measurements,
 // with Result.AckHist and the latency percentiles populated.
 func RunServe(p ServeParams) ParallelResult {
 	p = p.Defaults()
@@ -236,7 +236,6 @@ func RunServe(p ServeParams) ParallelResult {
 			OfferedTPS:  p.OfferedTPS,
 		},
 		Wall:        wall,
-		TimeWindow:  ssp.Cycles(p.Machine.TimeWindow),
 		WindowSched: m.WindowStats(),
 	}
 	if elapsed > 0 {

@@ -27,8 +27,8 @@
 // A Machine supports two execution modes. Outside Machine.Run, every call
 // runs on the caller's goroutine (the historical single-goroutine model;
 // fully deterministic). Machine.Run(fn) executes fn once per Core, each on
-// its own goroutine, so the simulated cores genuinely run in parallel on
-// the host:
+// its own goroutine, under a deterministic bounded-lag window scheduler
+// that lets one core execute at a time in simulated-time order:
 //
 //	m := ssp.MustNew(ssp.Config{Backend: ssp.SSP, Cores: 4})
 //	m.Run(func(c *ssp.Core) {
@@ -37,15 +37,12 @@
 //
 // The contract is one goroutine per Core: a Core handle must only be used
 // by the goroutine Run hands it to. Shared machine structures (memory,
-// caches, page table, backend metadata) synchronise internally; isolation
+// caches, page table, backend metadata) need no synchronisation; isolation
 // of application data remains the program's job via Lock, exactly as in
 // the paper. Machine-level calls (Stats, Drain, Crash, Recover, Restore)
-// must not overlap a Run. Per-core results are deterministic for fixed
-// per-core inputs; with Config.TimeWindow == 0 cross-core timing depends
-// on the host schedule (aggregate statistics are order-independent sums of
-// per-core shards), while Config.TimeWindow > 0 runs the deterministic
-// bounded-lag window scheduler and the whole run — Stats included — is
-// byte-identical across same-seed executions.
+// must not overlap a Run. The whole run — Stats included — is
+// byte-identical across same-seed executions, unless a core waits on a
+// host-side event (Core.BlockExternal, the network server).
 //
 // Allocation in concurrent code goes through per-core Arenas (Machine.
 // NewArena) rather than the shared Heap, so no two cores ever issue
@@ -114,7 +111,7 @@ type Stats = stats.Stats
 type WriteSetStats = machine.WriteSetStats
 
 // WindowStats is the deterministic window scheduler's per-Run activity
-// report (Config.TimeWindow; see Machine.WindowStats).
+// report (see Machine.WindowStats).
 type WindowStats = machine.WindowStats
 
 // Cycles is simulated time in core clock cycles (3.7 GHz by default).
@@ -207,18 +204,17 @@ type Config struct {
 	// 0 = the paper's synchronous model, bit-for-bit; Core.Commit is always
 	// synchronous regardless.
 	DurabilityEpoch int
-	// TimeWindow, in cycles, enables the deterministic bounded-lag window
-	// scheduler for Machine.Run: cores advance in lockstep windows of this
-	// many simulated cycles and execution within a window is serialised in
+	// TimeWindow, in cycles, is the window of Machine.Run's deterministic
+	// bounded-lag scheduler: cores advance in lockstep windows of this many
+	// simulated cycles and execution within a window is serialised in
 	// min-(clock, core-index) order, so all shared-hardware arbitration —
 	// memory bank and bus occupancy, row-buffer transitions, cache
-	// ownership transfers, lock hand-off, epoch hardening — is
-	// resolved in simulated-time order and two runs with the same seed and
-	// core count produce byte-identical Stats (see Machine.WindowStats for
-	// the scheduler's own counters). The host-parallelism of Run is
-	// forfeited — a windowed run uses one host core — while simulated
-	// speedup curves are unaffected; 4096 is a good default window.
-	// 0 (default) is the free-running concurrent mode, bit-for-bit.
+	// ownership transfers, lock hand-off, epoch hardening — is resolved in
+	// simulated-time order and two runs with the same seed and core count
+	// produce byte-identical Stats (see Machine.WindowStats for the
+	// scheduler's own counters). A Run uses one host core at a time; the
+	// window only bounds how far one core's bookings run ahead of the
+	// laggard's clock. 0 (default) selects 4096 cycles.
 	TimeWindow int
 	// DRAMCacheFrames interposes a pager-style DRAM buffer cache of this
 	// many 4 KiB frames between the CPU cache hierarchy and the NVRAM data
@@ -254,8 +250,8 @@ type Config struct {
 	// serialisation — `sspbench -exp ablate`).
 	RedoWriteBackEngines int
 
-	// ConsolEpochCommits is the concurrent-mode consolidation epoch length:
-	// during Machine.Run, SSP batches page consolidation and drains the
+	// ConsolEpochCommits is Machine.Run's consolidation epoch length:
+	// during Run, SSP batches page consolidation and drains the
 	// batch every N commits instead of consolidating inline at each commit
 	// (which would serialise all cores on the metadata journal). Serial
 	// execution ignores it. Default 32.
@@ -396,7 +392,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ssp: SubPageLines is %d, want 1 or 4 (0 selects the default, 1)", c.SubPageLines)
 	}
 	if c.TimeWindow < 0 {
-		return fmt.Errorf("ssp: TimeWindow is %d cycles, want >= 0 (0 selects free-running concurrent mode)", c.TimeWindow)
+		return fmt.Errorf("ssp: TimeWindow is %d cycles, want >= 0 (0 selects the default, 4096)", c.TimeWindow)
 	}
 	if c.DurabilityEpoch < 0 {
 		return fmt.Errorf("ssp: DurabilityEpoch is %d cycles, want >= 0 (0 keeps every commit synchronous)", c.DurabilityEpoch)
@@ -462,8 +458,8 @@ func Restore(cfg Config, image []byte) (*Machine, error) {
 // ConfigUsed returns the Config the machine was built with.
 func (m *Machine) ConfigUsed() Config { return m.cfg }
 
-// Run executes fn once per core, each on its own goroutine, and returns
-// when all of them finish — the machine's concurrent mode. See the package
+// Run executes fn once per core, each on its own goroutine under the window
+// scheduler, and returns when all of them finish. See the package
 // comment for the full contract (one goroutine per Core, no machine-level
 // calls until Run returns).
 func (m *Machine) Run(fn func(c *Core)) { m.Machine.Run(fn) }

@@ -1,14 +1,16 @@
-// Command sspcrash is the crash-recovery fuzzer: it runs randomized
-// transaction scripts against every failure-atomicity design, injects a
-// power failure after every possible NVRAM write, recovers, and verifies
-// the all-or-nothing contract. The machinery lives in internal/crashsweep,
-// where a short-mode trap sweep also runs under `go test` in CI; this tool
-// runs it at fuzzing scale.
+// Command sspcrash is the crash-recovery fuzzer: for every row of the
+// crash class table (internal/crashsweep.Classes) and every
+// failure-atomicity design, it generates scripts from fresh seeds, injects
+// a power failure after every possible NVRAM write, recovers, and checks
+// the recovered state against the class's commit contract. The in-tree
+// tests sweep the same table on fixed seeds; this tool runs it at fuzzing
+// scale. A failure line names class, backend, script seed and trap index;
+// the class name is also the test (TestTrapSweep<class>) that sweeps it.
 //
 // Usage:
 //
-//	sspcrash -scripts 20 -txns 15
-//	sspcrash -backend SSP -seed 7 -v
+//	sspcrash -scripts 20
+//	sspcrash -backend SSP -seed 7 -txns 15
 package main
 
 import (
@@ -21,11 +23,10 @@ import (
 )
 
 func main() {
-	scripts := flag.Int("scripts", 10, "random scripts per backend")
-	txns := flag.Int("txns", 12, "transactions per script")
+	scripts := flag.Int("scripts", 10, "random scripts per class and backend")
+	txns := flag.Int("txns", 0, "transactions per script (0: each class's own length)")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	backendFlag := flag.String("backend", "", "restrict to one backend (SSP | UNDO-LOG | REDO-LOG)")
-	verbose := flag.Bool("v", false, "log every trap point")
 	flag.Parse()
 
 	backends := ssp.Backends()
@@ -43,14 +44,22 @@ func main() {
 	}
 
 	total, failures := 0, 0
-	for _, b := range backends {
-		for s := 0; s < *scripts; s++ {
-			scriptSeed := *seed + uint64(s)*1000003
-			n, bad := crashsweep.SweepScript(b, scriptSeed, *txns, *verbose, os.Stdout)
-			total += n
-			failures += bad
-			fmt.Printf("%-9s script %2d (seed %#x): %4d trap points, %d violations\n",
-				b, s, scriptSeed, n, bad)
+	for _, cl := range crashsweep.Classes {
+		n := cl.Txns
+		if *txns > 0 {
+			n = *txns
+		}
+		cfg := cl.Config
+		for _, b := range backends {
+			cfg.Backend = b
+			for s := 0; s < *scripts; s++ {
+				sc := cl.Script(*seed+uint64(s)*1000003, n)
+				sc.Class = cl.Name
+				points, bad := crashsweep.Sweep(cfg, sc, os.Stdout)
+				total += points
+				failures += bad
+				fmt.Printf("%-21s %-9s script seed %#x: %4d trap points, %d violations\n", cl.Name, b, sc.Seed, points, bad)
+			}
 		}
 	}
 	fmt.Printf("\n%d trap points checked, %d violations\n", total, failures)

@@ -57,8 +57,8 @@
 // the default W — at small scale W=4096 keeps the barrier-wait share near
 // the serialisation floor while bounding cross-core lag. The server path's
 // host-channel waits (Core.BlockExternal) remain live but host-dependent;
-// everything inside the simulated machine is covered. The windowed crash
-// class (crashsweep.TestTrapSweepWindowed) trap-sweeps a windowed 4-core
+// everything inside the simulated machine is covered. The Windowed row of
+// the crash class table (see "Crash oracle") trap-sweeps a windowed 4-core
 // machine with journal sharding and durability epochs composed, proving
 // window barriers cannot reorder durability points. `sspbench -exp scale`
 // sweeps window size × cores (1-16) and reports speedup, barrier-wait share
@@ -140,7 +140,7 @@
 // write-backs, so the visiting order is part of the simulated result
 // (cachesim.TestFlushAllOrderGolden pins it to the values of the eagerly
 // allocated array). DebugValidate costs what is cached, which is what lets
-// every crashsweep oracle run it after each recovery and again after its
+// the crash oracle run it after each recovery and again after its
 // verification reads.
 //
 // The same rule holds for what build and Recover walk above the hardware:
@@ -272,8 +272,8 @@
 // and a per-slot update version (persisted in both the slot array and each
 // journal record) keeps a record left in one shard's ring from regressing a
 // slot that another shard's checkpoint already advanced. The cross-shard
-// crash semantics are enforced by the internal/crashsweep trap sweep on a
-// multi-core multi-shard machine.
+// crash semantics are enforced by the JournalShards, CrossShard and
+// CrossShardCheckpoints rows of the crash class table (see "Crash oracle").
 //
 // # Cross-shard (global) transactions
 //
@@ -338,9 +338,9 @@
 // barrier: hardens every shard and waits), when a synchronous Commit or a
 // checkpoint needs the shard flushed anyway, or at Machine.Drain.
 //
-// The crash contract, enforced per trap point by the
-// internal/crashsweep relaxed sweeps (TestTrapSweepRelaxed,
-// TestTrapSweepCrossRelaxed): a crash loses at most the open epochs —
+// The crash contract, enforced per trap point by the Relaxed and
+// CrossRelaxed rows of the crash class table (see "Crash oracle"): a
+// crash loses at most the open epochs —
 // every acknowledged-but-unhardened transaction disappears WHOLE (epoch
 // seals are the only replay cut points in recovery: each shard's records
 // past its last durable seal drop before the TID merge, so an epoch is
@@ -400,9 +400,8 @@
 // fills charge genuine DRAM bank/bus occupancy while the NVRAM banks stay
 // idle. Only the data frame pool is buffered — journal, log, slot-array
 // and page-table traffic is the durability mechanism itself and always
-// passes through. Crash semantics (trap-swept by
-// crashsweep.TestTrapSweepBuffered, alone and composed with
-// DurabilityEpoch): a dirty buffered line exists
+// passes through. Crash semantics (trap-swept by the Buffered/plain and
+// Buffered/epoch rows of the crash class table): a dirty buffered line exists
 // only for legally-volatile data (absorbed victim write-backs), commit
 // flushes write through, and a commit fence covering a line whose only
 // dirty copy was absorbed hardens it first — committed data is never
@@ -429,6 +428,68 @@
 // mix and reports the write-distribution skew: at small scale rotation
 // cuts max/mean frame-write skew from ~24 to ~5-8 for under 3% of data
 // writes spent on rotation copies. 0 (default) disables rotation.
+//
+// # Crash oracle
+//
+// internal/crashsweep checks every backend's failure-atomicity contract
+// against one executable model. A Script is data: transactions (txn i
+// stores i+1 to its write set on core i mod Cores), BeginGlobal and Sync
+// marks, and three run choices — synchronous or relaxed commits, a
+// non-transactional spray before every transaction, and serial
+// round-robin or concurrent execution (Machine.Run, each core's pages
+// shifted apart). One runner executes it and records, per transaction,
+// whether and in what order it was acknowledged or was in flight on its
+// core at power-off, plus the sync floor: the acknowledgements made before
+// a Sync that completed on live power. The trap sweep re-runs the script
+// once per NVRAM write k with power failing after write k (a prefix cut of
+// the issue-ordered write stream), recovers, and one checker decides
+// whether the recovered memory is a legal state:
+//
+//  1. Presence. Synchronous acknowledgements and relaxed ones behind the
+//     floor are present; transactions that never started are absent. The
+//     rest are uncertain — the in-flight boundary, and relaxed
+//     acknowledgements past the floor — and each is present iff its
+//     witness, the lowest address no later-started transaction writes,
+//     holds its value. An uncertain transaction without a witness fails.
+//  2. Legality. On each journal shard (core c commits to shard c mod
+//     JournalShards), lost relaxed acknowledgements are a suffix of that
+//     shard's acknowledgement order: a crash loses at most the open epochs
+//     and never resurrects a later commit.
+//  3. Image. The present transactions' stores, applied in start order over
+//     zeroed memory, give the one legal value of every address the script
+//     writes, so a lost transaction's fresh addresses must read zero.
+//  4. Compare. Every such address is read in ascending order, between two
+//     runs of the cache coherence checker; a failure names the lowest
+//     wrong address.
+//
+// Coverage is the class table, crashsweep.Classes. Every row runs on SSP,
+// UNDO-LOG and REDO-LOG, and its name is the test that sweeps it
+// (TestTrapSweep<name>/<backend>): AllBackends (one core);
+// JournalShards/2 and /3 (commits round-robin over journal shards, which
+// recovery TID-merges); CrossShard (two-phase global commits: cuts between
+// participant prepares and around the coordinator End);
+// CrossShardCheckpoints (1 KiB rings: checkpoints truncate a coordinator's
+// End records while participants still hold the prepares);
+// CommitKnobs/local (the one-core synchronous commit on its own seed) and
+// CommitKnobs/epoch (synchronous commits with a durability epoch: a seal
+// precedes every flush); Buffered/plain and Buffered/epoch (16 DRAM buffer
+// frames behind a 32 KiB L2 and a 64 KiB L3, churned by the spray);
+// Relaxed/local, Relaxed/short-epoch and Relaxed/shards (CommitRelaxed and
+// epoch hardening; the short epoch hardens inline); CrossRelaxed (relaxed
+// global commits, the End deferred into the coordinator's open epoch); and
+// Windowed (per-core loops under the window scheduler with shards and an
+// epoch). A new knob is a new row, never a new oracle. `go run
+// ./cmd/sspcrash` sweeps the same table on fresh seeds, and a failure line
+// names class, backend, script seed and trap index. The benchmark's
+// crashsweep.RunScript and Verify are thin wrappers over the same runner
+// and checker.
+//
+// REDO-LOG recovery replays only the log that holds the highest TID, and
+// TIDs are drawn at commit. A commit writes its data back in place before
+// it returns and commits run one at a time, so only the last commit whose
+// log reached NVRAM can have write-backs left to redo; another core's
+// committed log is stale (a ring Reset is volatile), and replaying it would
+// regress lines a later commit overwrote.
 //
 // The aggregate-vs-serial equivalence and the scheduler's ordering are
 // enforced by `go test -race ./internal/machine -run TestParallel` and the

@@ -2,172 +2,109 @@ package crashsweep
 
 import (
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/ssp"
 )
 
-// TestTrapSweepAllBackends runs the cmd/sspcrash trap-sweep machinery at CI
-// scale: for every backend, a few random scripts, a power failure injected
-// after every durable NVRAM write, recovery, and all-or-nothing
-// verification. The full-scale fuzzing run stays in the binary
-// (`sspcrash -scripts 20`); this keeps the crash-recovery contract under
-// `go test`.
-func TestTrapSweepAllBackends(t *testing.T) {
-	scripts, txns := 3, 10
+// Each TestTrapSweep<family> sweeps the rows of Classes whose name starts
+// with that family: every row on every backend, one subtest per row (when
+// the name has a "/") and per backend, every seed of the row (the first
+// only under -short). The full-scale fuzzing run stays in the binary
+// (`sspcrash -scripts 20`).
+func TestTrapSweepAllBackends(t *testing.T)           { sweepFamily(t, "AllBackends") }
+func TestTrapSweepJournalShards(t *testing.T)         { sweepFamily(t, "JournalShards") }
+func TestTrapSweepCrossShard(t *testing.T)            { sweepFamily(t, "CrossShard") }
+func TestTrapSweepCrossShardCheckpoints(t *testing.T) { sweepFamily(t, "CrossShardCheckpoints") }
+func TestTrapSweepCommitKnobs(t *testing.T)           { sweepFamily(t, "CommitKnobs") }
+func TestTrapSweepBuffered(t *testing.T)              { sweepFamily(t, "Buffered") }
+func TestTrapSweepRelaxed(t *testing.T)               { sweepFamily(t, "Relaxed") }
+func TestTrapSweepCrossRelaxed(t *testing.T)          { sweepFamily(t, "CrossRelaxed") }
+func TestTrapSweepWindowed(t *testing.T)              { sweepFamily(t, "Windowed") }
+
+// drives is, per family, what the SSP reference run of every seed must
+// drive for the sweep to cover the mechanism the class is named after.
+var drives = map[string]struct {
+	what string
+	ok   func(st *ssp.Stats) bool
+}{
+	"CrossShard": {"global commits", func(st *ssp.Stats) bool { return st.GlobalCommits > 0 }},
+	"CrossShardCheckpoints": {"checkpoints and global commits", func(st *ssp.Stats) bool {
+		return st.Checkpoints > 0 && st.GlobalCommits > 0
+	}},
+	"Buffered": {"DRAM absorbs and write-backs", func(st *ssp.Stats) bool {
+		return st.DRAMCacheAbsorbed > 0 && st.DRAMCacheWriteBacks > 0
+	}},
+	"Relaxed": {"relaxed commits and hardened epochs", func(st *ssp.Stats) bool {
+		return st.RelaxedCommits > 0 && st.HardenedEpochs > 0
+	}},
+	"CrossRelaxed": {"global commits spanning shards and hardened epochs", func(st *ssp.Stats) bool {
+		return st.GlobalCommits > 0 && st.HardenedEpochs > 0 && st.PrepareRecords >= 2*st.GlobalCommits
+	}},
+}
+
+func sweepFamily(t *testing.T, family string) {
+	t.Parallel()
+	n := 0
+	for _, cl := range Classes {
+		fam, row, _ := strings.Cut(cl.Name, "/")
+		if fam != family {
+			continue
+		}
+		n++
+		if row == "" {
+			sweepClass(t, cl, family)
+		} else {
+			t.Run(row, func(t *testing.T) { sweepClass(t, cl, family) })
+		}
+	}
+	if n == 0 {
+		t.Fatalf("no class in family %q", family)
+	}
+}
+
+func sweepClass(t *testing.T, cl Class, family string) {
+	seeds := cl.Seeds
 	if testing.Short() {
-		scripts, txns = 1, 6
+		seeds = seeds[:1]
 	}
 	for _, b := range ssp.Backends() {
-		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			total := 0
-			for s := 0; s < scripts; s++ {
-				seed := 0xC4A5 + uint64(s)*1000003
-				points, bad := SweepScript(b, seed, txns, false, os.Stderr)
-				if bad != 0 {
-					t.Fatalf("script %d (seed %#x): %d of %d trap points violated the all-or-nothing contract", s, seed, bad, points)
+			t.Parallel()
+			cfg := cl.Config
+			cfg.Backend = b
+			for _, seed := range seeds {
+				sc := cl.Script(seed, cl.Txns)
+				sc.Class = cl.Name
+				if need, ok := drives[family]; ok && b == ssp.SSP {
+					m := ssp.MustNew(cfg)
+					run(m, sc)
+					m.Drain()
+					if !need.ok(m.Stats()) {
+						t.Fatalf("seed %#x: the reference run drives no %s; the sweep needs them", seed, need.what)
+					}
 				}
-				total += points
+				points, bad := Sweep(cfg, sc, os.Stderr)
+				if bad != 0 {
+					t.Fatalf("seed %#x: %d of %d trap points violated the contract", seed, bad, points)
+				}
+				if points == 0 {
+					t.Fatalf("seed %#x: the sweep checked no trap points", seed)
+				}
+				t.Logf("%s %v seed %#x: %d trap points", cl.Name, b, seed, points)
 			}
-			if total == 0 {
-				t.Fatal("sweep checked no trap points")
-			}
-			t.Logf("%d trap points checked", total)
 		})
 	}
-}
-
-// TestTrapSweepJournalShards runs the trap sweep on a multi-core machine
-// with per-core SSP journal shards: transactions round-robin across three
-// cores, so consecutive commit batches land in three different journal
-// rings and the sweep injects power failures at every point between one
-// shard's UpdateEnd and another shard's — recovery must TID-merge the
-// shards back into a consistent slot array with the all-or-nothing
-// contract intact.
-func TestTrapSweepJournalShards(t *testing.T) {
-	scripts, txns := 2, 10
-	if testing.Short() {
-		scripts, txns = 1, 6
-	}
-	for _, shards := range []int{2, 3} {
-		cores := shards
-		total := 0
-		for s := 0; s < scripts; s++ {
-			seed := 0x5A4D + uint64(shards)*31 + uint64(s)*1000003
-			cfg := ShardedConfig(ssp.SSP, cores, shards)
-			points, bad := SweepConfig(cfg, seed, txns, false, os.Stderr)
-			if bad != 0 {
-				t.Fatalf("%d shards, script %d (seed %#x): %d of %d trap points violated the all-or-nothing contract",
-					shards, s, seed, bad, points)
-			}
-			total += points
-		}
-		if total == 0 {
-			t.Fatalf("%d-shard sweep checked no trap points", shards)
-		}
-		t.Logf("%d shards: %d trap points checked", shards, total)
-	}
-}
-
-// TestTrapSweepCrossShard runs the trap sweep on a 4-core, 4-shard machine
-// with cross-shard (global) transactions: roughly half of each script's
-// transactions open with BeginGlobal and span 2-4 pages whose slots belong
-// to different journal shards, so their commits run the two-phase protocol
-// — prepare records flushed into every participant shard, then the
-// coordinator end record. The sweep cuts the durable write stream at every
-// point: between one participant's prepare flush and the next, immediately
-// before and after the coordinator end, and between the publication-time
-// writes that follow. Recovery must make every global transaction
-// all-or-nothing across all of its shards: rolled back everywhere when the
-// end record is missing, redone everywhere when it is durable — without
-// disturbing interleaved single-shard commits.
-func TestTrapSweepCrossShard(t *testing.T) {
-	scripts, txns := 2, 10
-	if testing.Short() {
-		scripts, txns = 1, 6
-	}
-	const cores, shards = 4, 4
-	total := 0
-	for s := 0; s < scripts; s++ {
-		seed := 0x6C0B + uint64(s)*1000003
-		cfg := ShardedConfig(ssp.SSP, cores, shards)
-		sc := MakeCrossScript(seed, txns)
-		globals := 0
-		for i := range sc.Txns {
-			if sc.global(i) {
-				globals++
-			}
-		}
-		if globals == 0 {
-			t.Fatalf("script %d has no global transactions", s)
-		}
-		// The sweep is only meaningful if the script genuinely drives the
-		// two-phase path on this machine (global write sets spanning shards).
-		ref := ssp.MustNew(cfg)
-		RunScript(ref, sc)
-		ref.Drain()
-		if ref.Stats().GlobalCommits == 0 {
-			t.Fatalf("script %d (seed %#x) committed no cross-shard transactions", s, seed)
-		}
-		points, bad := SweepScriptConfig(cfg, sc, false, os.Stderr)
-		if bad != 0 {
-			t.Fatalf("script %d (seed %#x): %d of %d trap points violated the all-or-nothing contract",
-				s, seed, bad, points)
-		}
-		total += points
-	}
-	if total == 0 {
-		t.Fatal("cross-shard sweep checked no trap points")
-	}
-	t.Logf("%d trap points checked", total)
-}
-
-// TestTrapSweepCrossShardCheckpoints is the checkpoint-interleaved class of
-// cross-shard crash points: with tiny 1 KiB journal rings the script's
-// commits push shards past their high-water mark mid-run, so trap points
-// fall between a coordinator shard's checkpoint (which truncates global end
-// records) and the participant shards that still hold the matching prepare
-// records. A committed global transaction must survive — the coordinator
-// checkpoint persists its participant slots before the end record goes
-// away. (This sweep class is what catches end-record truncation bugs the
-// plain sweep above cannot: there the rings never fill.)
-func TestTrapSweepCrossShardCheckpoints(t *testing.T) {
-	scripts, txns := 2, 30
-	if testing.Short() {
-		scripts, txns = 1, 30
-	}
-	const cores, shards = 4, 4
-	total := 0
-	for s := 0; s < scripts; s++ {
-		seed := 0xCC99 + uint64(s)*1000003
-		cfg := ShardedConfig(ssp.SSP, cores, shards)
-		cfg.JournalKB = 1 // high-water after ~16 records: checkpoints mid-script
-		sc := MakeCrossScript(seed, txns)
-		ref := ssp.MustNew(cfg)
-		RunScript(ref, sc)
-		ref.Drain()
-		if st := ref.Stats(); st.Checkpoints == 0 || st.GlobalCommits == 0 {
-			t.Fatalf("script %d (seed %#x) drove %d checkpoints / %d global commits; the sweep needs both",
-				s, seed, st.Checkpoints, st.GlobalCommits)
-		}
-		points, bad := SweepScriptConfig(cfg, sc, false, os.Stderr)
-		if bad != 0 {
-			t.Fatalf("script %d (seed %#x): %d of %d trap points violated the all-or-nothing contract",
-				s, seed, bad, points)
-		}
-		total += points
-	}
-	t.Logf("%d checkpoint-interleaved trap points checked", total)
 }
 
 // TestCrossScriptExercisesTwoPhase asserts the cross script actually drives
 // the two-phase protocol on the sharded machine (otherwise the sweep above
 // would vacuously pass sweeping only fast-path commits).
 func TestCrossScriptExercisesTwoPhase(t *testing.T) {
-	cfg := ShardedConfig(ssp.SSP, 4, 4)
-	m := ssp.MustNew(cfg)
-	RunScript(m, MakeCrossScript(0xBEE5, 12))
+	m := ssp.MustNew(machine(4, 4, 0))
+	RunScript(m, makeCrossScript(0xBEE5, 12))
 	m.Drain()
 	st := m.Stats()
 	if st.GlobalCommits == 0 {
@@ -179,60 +116,38 @@ func TestCrossScriptExercisesTwoPhase(t *testing.T) {
 	}
 }
 
-// TestTrapSweepBuffered is the DRAM-buffer-tier crash class: the script
-// runs with 16 buffer frames in front of a 64 KiB L3 while a
-// non-transactional spray keeps the tier churning, so trap points fall
-// inside every buffer window — after a dirty absorb (the absorbed line is
-// DRAM-only and legally lost), between a frame eviction's write-backs, and
-// around the commit fence's write-throughs. Committed transactions must
-// survive every cut with the tier in the path; a second class stacks a
-// DurabilityEpoch on top.
-func TestTrapSweepBuffered(t *testing.T) {
-	scripts, txns := 1, 10 // the spray makes each sweep ~8x a plain script's
-	if testing.Short() {
-		scripts, txns = 1, 6
+// TestWindowedRunDeterministic double-checks the concurrent sweep's
+// foundation directly: two reference runs of the same script on the same
+// config produce the same durable NVRAM write count (the trap-point space)
+// and the same final stats.
+func TestWindowedRunDeterministic(t *testing.T) {
+	cfg := machine(4, 2, 50000)
+	sc := mode(false, true)(0xD37, 12)
+	once := func() (uint64, ssp.Stats) {
+		m := ssp.MustNew(cfg)
+		run(m, sc)
+		m.Drain()
+		return m.Stats().NVRAMWriteLines, *m.Stats()
 	}
-	epoch := BufferedConfig(ssp.SSP)
-	epoch.DurabilityEpoch = 30000
-	classes := []struct {
-		name string
-		cfg  ssp.Config
-		seed uint64
-	}{
-		{"plain", BufferedConfig(ssp.SSP), 0xB0F1},
-		{"epoch", epoch, 0xB0F3},
+	w1, st1 := once()
+	w2, st2 := once()
+	if w1 != w2 {
+		t.Fatalf("durable write streams diverged: %d vs %d lines", w1, w2)
 	}
-	for _, cl := range classes {
-		cl := cl
-		t.Run(cl.name, func(t *testing.T) {
-			total := 0
-			for s := 0; s < scripts; s++ {
-				seed := cl.seed + uint64(s)*1000003
-				sc := MakeScript(seed, txns)
-				// The sweep is only meaningful if the run genuinely drives
-				// the buffer windows: dirty absorbs and frame-eviction
-				// write-backs must both occur.
-				ref := ssp.MustNew(cl.cfg)
-				RunScriptBuffered(ref, sc)
-				ref.Drain()
-				st := ref.Stats()
-				if st.DRAMCacheAbsorbed == 0 || st.DRAMCacheWriteBacks == 0 {
-					t.Fatalf("script %d (seed %#x) drove %d absorbs / %d write-backs; the sweep needs both",
-						s, seed, st.DRAMCacheAbsorbed, st.DRAMCacheWriteBacks)
-				}
-				points, bad := SweepBufferedScript(cl.cfg, sc, false, os.Stderr)
-				if bad != 0 {
-					t.Fatalf("script %d (seed %#x): %d of %d trap points violated the all-or-nothing contract",
-						s, seed, bad, points)
-				}
-				total += points
-			}
-			if total == 0 {
-				t.Fatal("buffered sweep checked no trap points")
-			}
-			t.Logf("%s: %d trap points checked", cl.name, total)
-		})
+	if st1 != st2 {
+		t.Fatalf("stats diverged between same-seed windowed runs:\n%+v\nvs\n%+v", st1, st2)
 	}
+}
+
+// sortedAddrs returns the addresses of an expectation map in ascending
+// order.
+func sortedAddrs(vals map[uint64]uint64) []uint64 {
+	vas := make([]uint64, 0, len(vals))
+	for va := range vals {
+		vas = append(vas, va)
+	}
+	slices.Sort(vas)
+	return vas
 }
 
 // TestVerifyCatchesCorruption guards the verifier itself: a machine whose
@@ -256,182 +171,4 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err := Verify(m, committed, nil); err == nil {
 		t.Fatal("verifier accepted corrupted state")
 	}
-}
-
-// TestTrapSweepRelaxed trap-sweeps the relaxed-durability commit mode
-// (CommitRelaxed + epoch hardening): power failure after every durable
-// NVRAM write, recovery with the epoch cut, and the relaxed contract
-// verified — every transaction atomic, losses a per-shard suffix of the
-// acknowledgment order (at most the open epoch, never torn), everything
-// behind a completed Sync durable, and nothing invented. Classes cover the
-// single-core machine, a short epoch (inline age-bound hardens dominate)
-// and journal shards.
-func TestTrapSweepRelaxed(t *testing.T) {
-	txns := 12
-	if testing.Short() {
-		txns = 8
-	}
-	classes := []struct {
-		name  string
-		cfg   ssp.Config
-		epoch int
-		seed  uint64
-	}{
-		{"local", Config(ssp.SSP), 30000, 0x3E1A},
-		{"short-epoch", Config(ssp.SSP), 4000, 0x3E1B},
-		{"shards", ShardedConfig(ssp.SSP, 3, 3), 30000, 0x3E1C},
-	}
-	for _, cl := range classes {
-		cl := cl
-		t.Run(cl.name, func(t *testing.T) {
-			cfg := cl.cfg
-			cfg.DurabilityEpoch = cl.epoch
-			sc := MakeRelaxedScript(cl.seed, txns, false)
-
-			// The sweep is only meaningful if the script drives the relaxed
-			// machinery, and an uncrashed run must lose nothing: after Drain
-			// every acknowledged transaction is durable.
-			ref := ssp.MustNew(cfg)
-			out := RunScriptRelaxed(ref, sc)
-			ref.Drain()
-			if st := ref.Stats(); st.RelaxedCommits == 0 || st.HardenedEpochs == 0 {
-				t.Fatalf("reference run drove %d relaxed commits / %d hardened epochs; the sweep needs both",
-					st.RelaxedCommits, st.HardenedEpochs)
-			}
-			out.SyncFloor = len(sc.Txns) - 1 // Drain = Sync over everything
-			if err := VerifyRelaxed(ref, cfg, sc, out); err != nil {
-				t.Fatalf("uncrashed reference run: %v", err)
-			}
-
-			points, bad := SweepRelaxedScript(cfg, sc, false, os.Stderr)
-			if bad != 0 {
-				t.Fatalf("%s (seed %#x): %d of %d trap points violated the relaxed contract",
-					cl.name, cl.seed, bad, points)
-			}
-			if points == 0 {
-				t.Fatalf("%s sweep checked no trap points", cl.name)
-			}
-			t.Logf("%s: %d trap points checked", cl.name, points)
-		})
-	}
-}
-
-// TestTrapSweepCrossRelaxed is the cross-shard relaxed class: global
-// transactions committed with CommitRelaxed leave their participant
-// prepares eagerly sealed but defer the coordinator End record into the
-// coordinator shard's OPEN epoch. The sweep therefore cuts the write
-// stream between a participant's durable prepare seal and the coordinator
-// epoch's harden — recovery must treat the durably-prepared transaction as
-// absent on EVERY shard (the end TIDs are collected from the cut record
-// lists), and a later Sync or age-bound harden must flip it to durable on
-// every shard at once.
-func TestTrapSweepCrossRelaxed(t *testing.T) {
-	txns := 12
-	if testing.Short() {
-		txns = 8
-	}
-	const cores, shards = 4, 4
-	cfg := ShardedConfig(ssp.SSP, cores, shards)
-	cfg.DurabilityEpoch = 30000
-	total := 0
-	for s := 0; s < 2; s++ {
-		seed := 0x3E2A + uint64(s)*1000003
-		sc := MakeRelaxedScript(seed, txns, true)
-		ref := ssp.MustNew(cfg)
-		RunScriptRelaxed(ref, sc)
-		ref.Drain()
-		st := ref.Stats()
-		if st.GlobalCommits == 0 || st.HardenedEpochs == 0 {
-			t.Fatalf("script %d (seed %#x) drove %d global commits / %d hardened epochs; the sweep needs both",
-				s, seed, st.GlobalCommits, st.HardenedEpochs)
-		}
-		if st.PrepareRecords < 2*st.GlobalCommits {
-			t.Fatalf("prepare records %d < 2x global commits %d: global write sets did not span shards",
-				st.PrepareRecords, st.GlobalCommits)
-		}
-		points, bad := SweepRelaxedScript(cfg, sc, false, os.Stderr)
-		if bad != 0 {
-			t.Fatalf("script %d (seed %#x): %d of %d trap points violated the relaxed contract",
-				s, seed, bad, points)
-		}
-		total += points
-	}
-	if total == 0 {
-		t.Fatal("cross-relaxed sweep checked no trap points")
-	}
-	t.Logf("%d trap points checked", total)
-}
-
-// TestTrapSweepCommitKnobs sweeps the synchronous commit path across the
-// configuration knobs that shape it, each class on its own seed: one core,
-// journal shards, cross-shard commits, epoch seals inside every journal
-// leg (DurabilityEpoch with synchronous commits), and the
-// checkpoint-interleaved tiny-ring class.
-func TestTrapSweepCommitKnobs(t *testing.T) {
-	txns := 10
-	if testing.Short() {
-		txns = 6
-	}
-	classes := []struct {
-		name  string
-		cfg   ssp.Config
-		cross bool
-		seed  uint64
-	}{
-		{"local", Config(ssp.SSP), false, 0xEA60},
-		{"shards", ShardedConfig(ssp.SSP, 3, 3), false, 0xEA61},
-		{"cross", ShardedConfig(ssp.SSP, 4, 4), true, 0xEA62},
-	}
-	for _, cl := range classes {
-		cl := cl
-		t.Run(cl.name, func(t *testing.T) {
-			var points, bad int
-			if cl.cross {
-				points, bad = SweepCrossConfig(cl.cfg, cl.seed, txns, false, os.Stderr)
-			} else {
-				points, bad = SweepConfig(cl.cfg, cl.seed, txns, false, os.Stderr)
-			}
-			if bad != 0 {
-				t.Fatalf("%s (seed %#x): %d of %d trap points violated the all-or-nothing contract", cl.name, cl.seed, bad, points)
-			}
-			if points == 0 {
-				t.Fatalf("%s sweep checked no trap points", cl.name)
-			}
-			t.Logf("%s: %d trap points checked", cl.name, points)
-		})
-	}
-	t.Run("epoch", func(t *testing.T) {
-		// DurabilityEpoch on with SYNCHRONOUS commits: Commit stays
-		// synchronous regardless, but every explicit flush now appends an
-		// epoch-seal record first, adding trap points inside each commit's
-		// journal leg. The strict contract still applies: everything
-		// committed survives every cut.
-		cfg := ShardedConfig(ssp.SSP, 3, 3)
-		cfg.DurabilityEpoch = 30000
-		points, bad := SweepConfig(cfg, 0xEA63, txns, false, os.Stderr)
-		if bad != 0 {
-			t.Fatalf("epoch (seed 0xEA63): %d of %d trap points violated the all-or-nothing contract", bad, points)
-		}
-		if points == 0 {
-			t.Fatal("epoch sweep checked no trap points")
-		}
-		t.Logf("epoch: %d trap points checked", points)
-	})
-	t.Run("checkpoints", func(t *testing.T) {
-		cfg := ShardedConfig(ssp.SSP, 4, 4)
-		cfg.JournalKB = 1 // high-water after ~16 records: checkpoints mid-script
-		seed := uint64(0xCCEA)
-		sc := MakeCrossScript(seed, 30)
-		ref := ssp.MustNew(cfg)
-		RunScript(ref, sc)
-		ref.Drain()
-		if st := ref.Stats(); st.Checkpoints == 0 || st.GlobalCommits == 0 {
-			t.Fatalf("script drove %d checkpoints / %d global commits; the sweep needs both", st.Checkpoints, st.GlobalCommits)
-		}
-		points, bad := SweepScriptConfig(cfg, sc, false, os.Stderr)
-		if bad != 0 {
-			t.Fatalf("(seed %#x): %d of %d trap points violated the all-or-nothing contract", seed, bad, points)
-		}
-		t.Logf("checkpoints: %d trap points checked", points)
-	})
 }

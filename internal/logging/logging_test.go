@@ -190,6 +190,32 @@ func TestRedoRecoveryReplaysCommitted(t *testing.T) {
 	}
 }
 
+// A committed log on another core is stale once a later commit has
+// written back over its lines: recovery replays only the last commit's log.
+// Core 0 begins first but commits last, so TIDs must follow commit order,
+// not begin order.
+func TestRedoRecoverySkipsStaleLogs(t *testing.T) {
+	env := testEnv(t, 2)
+	r := NewRedo(env, DefaultRedoConfig())
+	mapPage(env, 0)
+	r.Begin(0, 0)
+	r.Begin(1, 0)
+	r.Store(1, va(0, 0), []byte{0x11}, 0)
+	r.Commit(1, 0)
+	r.Store(0, va(0, 0), []byte{0x22}, 0)
+	r.Commit(0, 0)
+	env.Caches.DropAll()
+	r.Crash()
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var buf [1]byte
+	env.Mem.Peek(mustFrame(env, 0), buf[:])
+	if buf[0] != 0x22 {
+		t.Errorf("recovery regressed the line to %#x, want the last commit's 0x22", buf[0])
+	}
+}
+
 func TestRedoQueueStalls(t *testing.T) {
 	env := testEnv(t, 1)
 	r := NewRedo(env, RedoConfig{QueueLines: 2})

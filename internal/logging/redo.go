@@ -58,10 +58,9 @@ type Redo struct {
 	cfg RedoConfig
 
 	logs []*wal.Stream
-	next uint32
+	next uint32 // the next commit's TID: drawn at commit, so TID order is commit order
 
 	inTxn []bool
-	tid   []uint32
 	wset  []map[memsim.PAddr]struct{} // speculative lines of the open txn
 
 	engines []*redoEngine
@@ -85,7 +84,6 @@ func NewRedo(env *txn.Env, cfg RedoConfig) *Redo {
 		r.wset = append(r.wset, make(map[memsim.PAddr]struct{}))
 	}
 	r.inTxn = make([]bool, env.Cores())
-	r.tid = make([]uint32, env.Cores())
 	return r
 }
 
@@ -103,8 +101,6 @@ func (r *Redo) Begin(core int, at engine.Cycles) engine.Cycles {
 		panic("redo: nested transaction")
 	}
 	r.inTxn[core] = true
-	r.tid[core] = r.next
-	r.next++
 	return at + r.env.BarrierCycles
 }
 
@@ -161,12 +157,14 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 
 	// Persist the redo log: predicted final state of each modified line.
 	log := r.logs[core]
+	tid := r.next
+	r.next++
 	for _, la := range lines {
 		var img [memsim.LineBytes]byte
 		r.env.Caches.DebugPeek(la, img[:]) // controller sees the final value
-		t = log.Append(wal.Record{TID: r.tid[core], Kind: kindData, Payload: encodeDataPayload(la, img[:])}, t)
+		t = log.Append(wal.Record{TID: tid, Kind: kindData, Payload: encodeDataPayload(la, img[:])}, t)
 	}
-	t = log.Append(wal.Record{TID: r.tid[core], Kind: kindCommit}, t)
+	t = log.Append(wal.Record{TID: tid, Kind: kindCommit}, t)
 	t = log.Flush(t)
 	r.env.StatsFor(core).NVRAMWriteBytes[stats.CatCommitRecord] += wal.HeaderBytes
 	r.env.StatsFor(core).NVRAMWriteBytes[stats.CatRedoLog] -= wal.HeaderBytes
@@ -227,22 +225,36 @@ func (r *Redo) Crash() {
 	}
 }
 
-// Recover implements txn.Backend: replay the log of every transaction whose
-// commit record is durable; discard the rest (their in-place data never
-// left the volatile caches).
+// Recover implements txn.Backend: replay the log of the last transaction
+// whose commit record is durable; discard the rest (their in-place data
+// never left the volatile caches).
+//
+// A commit writes its data back in place before it returns, and commits
+// run one at a time, so only the last commit whose log reached NVRAM — the
+// log holding the highest TID, since TIDs are drawn at commit — can have
+// write-backs left to redo. Another core's committed log is stale: a
+// Reset truncates a ring only in volatile state, and a later commit may
+// have overwritten the same lines in place, which a replay would regress.
 func (r *Redo) Recover() error {
 	r.env.Stats.Recoveries++
 	var maxTID uint32
+	last := -1 // the core whose log holds maxTID
+	logs := make([][]wal.Record, len(r.logs))
 	for c := range r.logs {
-		recs := wal.Scan(r.env.Mem, r.env.Layout.LogBase[c], r.env.Layout.Cfg.LogBytes)
-		if m := wal.MaxTID(recs); m > maxTID {
-			maxTID = m
+		logs[c] = wal.Scan(r.env.Mem, r.env.Layout.LogBase[c], r.env.Layout.Cfg.LogBytes)
+		if m := wal.MaxTID(logs[c]); len(logs[c]) > 0 && (last < 0 || m > maxTID) {
+			maxTID, last = m, c
 		}
+	}
+	for c, recs := range logs {
 		if len(recs) == 0 {
 			continue
 		}
 		if recs[len(recs)-1].Kind != kindCommit {
 			r.env.Stats.RolledBackTxns++
+			continue
+		}
+		if c != last {
 			continue
 		}
 		for _, rec := range recs {

@@ -238,23 +238,32 @@
 // all: the copy's core is then the owner and the only sharer.
 //
 // The layouts. A cache level is a structure of arrays: per set a block of
-// way tags (one host line for an 8-way set), a block of LRU stamps, dirty
-// and speculative flags as two bit masks, and data in a separate pool grown
-// in fixed chunks that never move; only the set directory and the chunk
-// list hold Go pointers. Power-of-two levels index by mask, the 12288-set
-// L3 by modulo. A small way predictor keyed by low line-address bits is
-// checked before the set is scanned. Victim choice (first invalid way, else the LRU
-// way without the tx flag, else the LRU way) and set-index visiting order
-// are those of the array-of-structs level they replaced. Each TLB level is a
-// fully associative true-LRU array: a recency list linked by index and an
-// open-addressing VPN index, with a most-recent-entry check before either.
+// way tags (one host line for an 8-way set), one small record — the ways'
+// recency order as a nibble permutation in one word (at most 16 ways), and
+// valid, dirty and speculative (tx) way masks — and data in a separate pool
+// grown in fixed chunks that never move; only the set directory and the
+// chunk list hold Go pointers. Power-of-two levels index by mask, the
+// 12288-set L3 by modulo. A small way predictor keyed by low line-address
+// bits is checked before the set is scanned. Victim choice (first invalid
+// way, else the LRU way without the tx flag, else the LRU way) is a few bit
+// operations on the record, and it and set-index visiting order are those of
+// the array-of-structs level with per-line LRU stamps they replaced. The miss
+// path probes each level at most once per line: a probe's answer (the line,
+// or its absence) is handed to the installs and spills below, the loaded L1
+// line to Retag, and an L2 victim whose private copies were just invalidated
+// leaves the directory without another probe
+// (cachesim.TestMissPathScanCounts counts the set scans of each kind of
+// miss). Each TLB level is a fully associative true-LRU array: a recency
+// list linked by index and an open-addressing VPN index, with a
+// most-recent-entry check before either.
 // Per-core write sets are short slices cleared at Begin: SSP's write-set
 // buffer keeps its pages sorted (at most WSBEntries of them), so a commit
 // neither allocates nor sorts, and Core's Table 3 record is one line bitmap
 // per page. The replaced structures survive as the reference models of
 // differential tests (cachesim.TestHierarchyMatchesScanModel,
 // tlbsim.TestTLBMatchesScanModel); allocation guards pin a serial Load64
-// hit, a Store64 into the write set, Hierarchy.DropAll and TLB.Drop at zero.
+// hit, a Store64 into the write set, every kind of cache miss, Retag, Flush,
+// WritebackInvalidate, InjectLine, Hierarchy.DropAll and TLB.Drop at zero.
 //
 // # Sharded SSP metadata journal
 //

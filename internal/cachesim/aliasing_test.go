@@ -14,7 +14,9 @@ import (
 // tx-pinned (the victim policy skips speculative lines), clobbering the
 // source before the copy. With page-frame-aligned SSP traffic, every page's
 // line-0 maps to the same few sets, so red-black-tree workloads hit this
-// reliably at scale (found via the Figure 5b reproduction run).
+// reliably at scale (found via the Figure 5b reproduction run). The same
+// eviction also dropped the core from the loaded line's sharers while L1
+// took the line, so the load must leave the directory naming it.
 func TestLoadL2HitSpillAliasingRegression(t *testing.T) {
 	st := &stats.Stats{}
 	mcfg := memsim.DefaultConfig()
@@ -37,35 +39,61 @@ func TestLoadL2HitSpillAliasingRegression(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		mem.Poke(la(i), []byte{val(i)})
 	}
-
-	// Target line T: load it so it sits in L1+L2, then push it out of L1
-	// (but not L2) with other loads.
+	const target, renamed = 0, 4 // line T, and the line T's L1 copy is renamed to
 	buf := make([]byte, 1)
-	h.Load(0, la(0), buf, 0)
 
-	// Create tx-pinned dirty lines via Retag (committed pairs 8..11 remap
-	// to 4..7): they fill L1 and spill into L2, pinning its ways.
-	for i := 0; i < 3; i++ {
-		h.Retag(0, la(8+i), la(4+i), 0)
-		h.Store(0, la(4+i), []byte{0xAA}, 0)
+	// Pin three L2 ways: stored lines marked speculative, as a redo-style
+	// backend does. L1 ends holding the third and the second.
+	for i := 1; i <= 3; i++ {
+		h.Store(0, la(i), []byte{0xAA}, 0)
+		h.MarkTx(0, la(i))
+	}
+	// T takes the fourth L2 way and an L1 way; a retag renames its L1 copy,
+	// leaving T in L2 only and an L1 line that L2 does not hold. A hit on
+	// the other L1 line makes the renamed one L1's victim.
+	h.Load(0, la(target), buf, 0)
+	h.Retag(0, la(target), la(renamed), 0)
+	h.Load(0, la(3), buf, 0)
+
+	l1, l2 := h.l1[0], h.l2[0]
+	tl := uint64(la(target) >> memsim.LineShift)
+	rl := uint64(la(renamed) >> memsim.LineShift)
+	c2 := l2.peek(tl)
+	switch {
+	case c2 < 0:
+		t.Fatal("precondition: T is not in L2")
+	case l1.peek(tl) >= 0:
+		t.Fatal("precondition: T is in L1")
+	case l1.victim(tl) != l1.peek(rl) || l2.peek(rl) >= 0:
+		t.Fatal("precondition: L1's victim is not the renamed line, which L2 does not hold")
+	case l2.victim(rl) != c2:
+		t.Fatal("precondition: the spill into L2 does not pick T's way")
 	}
 
-	// Now T is (at most) in L2 with the other ways tx-pinned. The L2-hit
-	// load must still return T's value, and keep returning it.
-	h.Load(0, la(0), buf, 0)
-	if buf[0] != val(0) {
-		t.Fatalf("L2-hit load returned %#x, want %#x (source clobbered by spill)", buf[0], val(0))
+	// The L2-hit load must return T's value, leave the hierarchy coherent,
+	// and keep returning it.
+	h.Load(0, la(target), buf, 0)
+	if buf[0] != val(target) {
+		t.Fatalf("L2-hit load returned %#x, want %#x (source clobbered by spill)", buf[0], val(target))
 	}
-	h.Load(0, la(0), buf, 0)
-	if buf[0] != val(0) {
-		t.Fatalf("reload returned %#x, want %#x", buf[0], val(0))
+	if msg := h.DebugValidate(); msg != "" {
+		t.Fatalf("coherence violation after the L2-hit load: %s", msg)
 	}
-	// The tx lines must still carry their speculative data.
-	for i := 0; i < 3; i++ {
-		h.Load(0, la(4+i), buf, 0)
+	h.Load(0, la(target), buf, 0)
+	if buf[0] != val(target) {
+		t.Fatalf("reload returned %#x, want %#x", buf[0], val(target))
+	}
+	// The tx lines must still carry their speculative data, and the renamed
+	// line T's.
+	for i := 1; i <= 3; i++ {
+		h.Load(0, la(i), buf, 0)
 		if buf[0] != 0xAA {
 			t.Fatalf("speculative line %d lost: %#x", i, buf[0])
 		}
+	}
+	h.Load(0, la(renamed), buf, 0)
+	if buf[0] != val(target) {
+		t.Fatalf("renamed line reads %#x, want %#x", buf[0], val(target))
 	}
 	if msg := h.DebugValidate(); msg != "" {
 		t.Fatalf("coherence violation: %s", msg)

@@ -77,10 +77,18 @@ func DefaultConfig(cores int) Config {
 
 // level is one cache array, laid out as a structure of arrays. A set's ways
 // live in one block: the block's tags are contiguous (one host cache line
-// for an 8-way set), its LRU stamps likewise, its dirty and speculative (tx)
-// flags are one bit mask each, and its data sits in a separate pool. A line
-// is named by its index, block<<wbits | way; the way stride is ways rounded
-// up to a power of two.
+// for an 8-way set), its data sits in a separate pool, and everything else
+// about the set is one small record — its recency order, and its valid,
+// dirty and speculative (tx) ways as one bit mask each. A line is named by
+// its index, block<<wbits | way; the way stride is ways rounded up to a
+// power of two.
+//
+// The recency order is a permutation of the ways, one nibble per way, the
+// most recent use in the low nibble; a hit or fill moves its way to the
+// front and invalidation leaves the order alone. Among the valid ways of a
+// set it is the order of their last uses, which is all victim choice reads:
+// the first invalid way, else the least recent way without the tx flag,
+// else the least recent way. At most 16 ways fit.
 //
 // A way predictor of at most predMax entries, indexed by the low bits of the
 // line address, remembers where each recently found line sat; a lookup checks
@@ -99,20 +107,37 @@ func DefaultConfig(cores int) Config {
 // simulated result.
 type level struct {
 	sets, ways int
-	pow2       bool // sets is a power of two: index by mask, not modulo
-	wbits      uint // log2 of the way stride
-	dshift     uint // log2 of the lines per data chunk
+	pow2       bool   // sets is a power of two: index by mask, not modulo
+	wbits      uint   // log2 of the way stride
+	dshift     uint   // log2 of the lines per data chunk
+	wmask      uint64 // a line index's way bits
+	lruShift   uint   // 4 × (ways-1): where the least recent way sits in an order
+	allWays    uint16 // a way mask with every way set
 
-	pred  []int32            // way predictor: a line index per low line-address bits
-	dir   []*[setChunk]int32 // per set: 1 + its block, 0 while never filled; nil chunk: none filled
-	owner []int32            // per block: the set it holds
-	tags  []uint64           // per line: line address + 1, 0 when invalid
-	ages  []uint64           // per line: LRU stamp
-	dirty []uint64           // per block: bit w is way w's dirty flag
-	tx    []uint64           // per block: bit w is way w's speculative flag
-	data  [][][memsim.LineBytes]byte
-	tick  uint64
+	pred []int32            // way predictor: a line index per low line-address bits
+	dir  []*[setChunk]int32 // per set: 1 + its block, 0 while never filled; nil chunk: none filled
+	blks []block            // per block: its set, recency order and way masks
+	tags []uint64           // per line: line address + 1, 0 when invalid
+	data [][][memsim.LineBytes]byte
+
+	// scans counts the probes that searched a set's ways because the way
+	// predictor missed. Only tests read it.
+	scans int
 }
+
+// block is one materialised set's state beside its tags and data.
+type block struct {
+	order            uint64 // recency: nibble k holds the way used k-th most recently
+	valid, dirty, tx uint16 // bit w is way w's flag
+	set              int32  // the set this block holds
+}
+
+// identityOrder is a fresh block's recency order. Nibbles past the level's
+// ways are never read or moved.
+const identityOrder = 0xFEDCBA9876543210
+
+// maxWays is the most ways one set can have: one nibble each in a uint64.
+const maxWays = 16
 
 // setChunk is the number of consecutive sets behind one directory slot: the
 // lines of one page index exactly that many consecutive sets.
@@ -138,17 +163,20 @@ func newLevel(bytes, ways int) *level {
 		sets = 1
 		ways = nLines
 	}
-	if ways > 64 {
-		panic(fmt.Sprintf("cachesim: %d ways in one set; at most 64 are supported", ways))
+	if ways > maxWays {
+		panic(fmt.Sprintf("cachesim: %d ways in one set; at most %d are supported", ways, maxWays))
 	}
 	wbits := uint(bits.Len(uint(ways - 1)))
 	return &level{
 		sets: sets, ways: ways,
-		pow2:   sets&(sets-1) == 0,
-		wbits:  wbits,
-		dshift: wbits + dataChunkShift,
-		pred:   make([]int32, min(predMax, 1<<bits.Len(uint(nLines-1)))),
-		dir:    make([]*[setChunk]int32, (sets+setChunk-1)/setChunk),
+		pow2:     sets&(sets-1) == 0,
+		wbits:    wbits,
+		wmask:    1<<wbits - 1,
+		dshift:   wbits + dataChunkShift,
+		lruShift: 4 * uint(ways-1),
+		allWays:  uint16(1<<ways - 1),
+		pred:     make([]int32, min(predMax, 1<<bits.Len(uint(nLines-1)))),
+		dir:      make([]*[setChunk]int32, (sets+setChunk-1)/setChunk),
 	}
 }
 
@@ -168,7 +196,7 @@ func (l *level) index(lineAddr uint64) int {
 	return int(lineAddr % uint64(l.sets))
 }
 
-// peek returns the line holding lineAddr, or -1, without touching LRU state.
+// peek returns the line holding lineAddr, or -1, without touching recency.
 func (l *level) peek(lineAddr uint64) int {
 	key := lineAddr + 1
 	p := &l.pred[lineAddr&uint64(len(l.pred)-1)]
@@ -179,6 +207,7 @@ func (l *level) peek(lineAddr uint64) int {
 	if b < 0 {
 		return -1
 	}
+	l.scans++
 	base := b << l.wbits
 	for w, t := range l.tags[base : base+l.ways] {
 		if t == key {
@@ -192,15 +221,46 @@ func (l *level) peek(lineAddr uint64) int {
 // lookup is peek that marks a hit most recently used.
 func (l *level) lookup(lineAddr uint64) int {
 	i := l.peek(lineAddr)
-	if i >= 0 {
+	if i >= 0 && !l.recent(i) {
 		l.touch(i)
 	}
 	return i
 }
 
+// holds reports whether line i, a probe's earlier answer (-1: absent), still
+// holds lineAddr.
+func (l *level) holds(i int, lineAddr uint64) bool {
+	return i >= 0 && l.tags[i] == lineAddr+1
+}
+
+// way returns line i's block and its way's bit.
+func (l *level) way(i int) (*block, uint16) {
+	return &l.blks[i>>l.wbits], uint16(1) << (uint64(i) & l.wmask)
+}
+
+// recent reports whether line i is its set's most recent use. Most hits
+// are, and skip touch.
+func (l *level) recent(i int) bool {
+	return l.blks[i>>l.wbits].order&0xF == uint64(i)&l.wmask
+}
+
+// touch makes line i its set's most recent use.
 func (l *level) touch(i int) {
-	l.tick++
-	l.ages[i] = l.tick
+	b := &l.blks[i>>l.wbits]
+	b.order = toFront(b.order, uint64(i)&l.wmask)
+}
+
+// toFront moves way w to the front of a recency order; the ways ahead of it
+// move back one place. It has no branch: w at the front stays there.
+func toFront(order, w uint64) uint64 {
+	// The high bit of each zero nibble of x marks where w sits; the lowest
+	// is its place in the order (nibbles past the level's ways never hold a
+	// way below them).
+	const lo = 0x7777777777777777
+	x := order ^ w*0x1111111111111111
+	at := (bits.TrailingZeros64(^((x&lo + lo) | x | lo)) - 3) & 63
+	ahead := uint64(1)<<at - 1 // the nibbles ahead of w
+	return order&^(ahead<<4|0xF) | (order&ahead)<<4 | w
 }
 
 // victim returns the line to fill for lineAddr, materialising its set: an
@@ -215,37 +275,26 @@ func (l *level) victim(lineAddr uint64) int {
 	if b < 0 {
 		b = l.materialise(set)
 	}
-	base := b << l.wbits
-	for w, t := range l.tags[base : base+l.ways] {
-		if t == 0 {
-			return base + w
+	blk, base := &l.blks[b], b<<l.wbits
+	if free := l.allWays &^ blk.valid; free != 0 {
+		return base + bits.TrailingZeros16(free)
+	}
+	if blk.tx != 0 {
+		for s := int(l.lruShift); s >= 0; s -= 4 {
+			if w := blk.order >> uint(s) & 0xF; blk.tx&(1<<w) == 0 {
+				return base + int(w)
+			}
 		}
 	}
-	ages, tx := l.ages[base:base+l.ways], l.tx[b]
-	oldest, oldestNonTx := 0, -1
-	for w, a := range ages {
-		if a < ages[oldest] {
-			oldest = w
-		}
-		if tx&(1<<uint(w)) == 0 && (oldestNonTx < 0 || a < ages[oldestNonTx]) {
-			oldestNonTx = w
-		}
-	}
-	if oldestNonTx >= 0 {
-		return base + oldestNonTx
-	}
-	return base + oldest
+	return base + int(blk.order>>l.lruShift&0xF)
 }
 
 // materialise gives set a block of invalid lines and returns it.
 func (l *level) materialise(set int) int {
-	b := len(l.owner)
-	l.owner = append(l.owner, int32(set))
-	l.dirty = append(l.dirty, 0)
-	l.tx = append(l.tx, 0)
+	b := len(l.blks)
+	l.blks = append(l.blks, block{order: identityOrder, set: int32(set)})
 	for w := 0; w < 1<<l.wbits; w++ {
 		l.tags = append(l.tags, 0)
-		l.ages = append(l.ages, 0)
 	}
 	if b>>dataChunkShift == len(l.data) {
 		l.data = append(l.data, make([][memsim.LineBytes]byte, dataChunkBlocks<<l.wbits))
@@ -259,14 +308,17 @@ func (l *level) materialise(set int) int {
 	return b
 }
 
-// fill installs lineAddr into line i as the most recent use (the caller has
-// advanced tick).
+// fill installs lineAddr into line i (a victim) as its set's most recent use.
 func (l *level) fill(i int, lineAddr uint64, data *[memsim.LineBytes]byte, dirty, tx bool) {
 	l.pred[lineAddr&uint64(len(l.pred)-1)] = int32(i)
 	l.tags[i] = lineAddr + 1
-	l.ages[i] = l.tick
-	*l.line(i) = *data
-	l.setFlags(i, dirty, tx)
+	if d := l.line(i); d != data {
+		*d = *data
+	}
+	b, m := l.way(i)
+	b.valid |= m
+	b.setFlags(m, dirty, tx)
+	l.touch(i)
 }
 
 func (l *level) line(i int) *[memsim.LineBytes]byte {
@@ -277,41 +329,55 @@ func (l *level) valid(i int) bool { return l.tags[i] != 0 }
 
 func (l *level) tag(i int) uint64 { return l.tags[i] - 1 }
 
-func (l *level) invalidate(i int) { l.tags[i] = 0 }
+func (l *level) invalidate(i int) {
+	l.tags[i] = 0
+	b, m := l.way(i)
+	b.valid &^= m
+}
 
 func (l *level) isDirty(i int) bool {
-	return l.dirty[i>>l.wbits]&(1<<uint(i&(1<<l.wbits-1))) != 0
+	b, m := l.way(i)
+	return b.dirty&m != 0
 }
 
 func (l *level) isTx(i int) bool {
-	return l.tx[i>>l.wbits]&(1<<uint(i&(1<<l.wbits-1))) != 0
+	b, m := l.way(i)
+	return b.tx&m != 0
 }
 
 func (l *level) setDirty(i int, on bool) {
-	b, m := i>>l.wbits, uint64(1)<<uint(i&(1<<l.wbits-1))
+	b, m := l.way(i)
 	if on {
-		l.dirty[b] |= m
+		b.dirty |= m
 	} else {
-		l.dirty[b] &^= m
+		b.dirty &^= m
 	}
 }
 
 func (l *level) setFlags(i int, dirty, tx bool) {
-	b, m := i>>l.wbits, uint64(1)<<uint(i&(1<<l.wbits-1))
-	l.dirty[b] &^= m
-	l.tx[b] &^= m
+	b, m := l.way(i)
+	b.setFlags(m, dirty, tx)
+}
+
+func (b *block) setFlags(m uint16, dirty, tx bool) {
+	b.dirty &^= m
+	b.tx &^= m
 	if dirty {
-		l.dirty[b] |= m
+		b.dirty |= m
 	}
 	if tx {
-		l.tx[b] |= m
+		b.tx |= m
 	}
 }
 
 // merge updates a resident line in place with a fill's data, keeping any
-// dirty or tx flag it already had.
+// dirty or tx flag it already had. A clean fill's data is the resident
+// copy's already — no dirty copy shadows a line that is cached clean — so
+// only a dirty fill's data is copied.
 func (l *level) merge(i int, data *[memsim.LineBytes]byte, dirty, tx bool) {
-	*l.line(i) = *data
+	if dirty {
+		*l.line(i) = *data
+	}
 	l.setFlags(i, dirty || l.isDirty(i), tx || l.isTx(i))
 }
 
@@ -319,12 +385,10 @@ func (l *level) merge(i int, data *[memsim.LineBytes]byte, dirty, tx bool) {
 // pools keep their capacity, so refilling allocates nothing until it
 // exceeds what was filled before.
 func (l *level) reset() {
-	for _, set := range l.owner {
-		l.dir[set>>setChunkShift][set&(setChunk-1)] = 0
+	for _, b := range l.blks {
+		l.dir[b.set>>setChunkShift][b.set&(setChunk-1)] = 0
 	}
-	l.owner, l.tags, l.ages = l.owner[:0], l.tags[:0], l.ages[:0]
-	l.dirty, l.tx = l.dirty[:0], l.tx[:0]
-	l.tick = 0
+	l.blks, l.tags = l.blks[:0], l.tags[:0]
 }
 
 // eachValid calls fn on the level's valid lines, sets in index order and
@@ -341,8 +405,8 @@ func (l *level) eachValid(fn func(c int) bool) bool {
 				continue
 			}
 			base := int(s-1) << l.wbits
-			for w := 0; w < l.ways; w++ {
-				if l.tags[base+w] != 0 && !fn(base+w) {
+			for m := l.blks[s-1].valid; m != 0; m &= m - 1 {
+				if !fn(base + bits.TrailingZeros16(m)) {
 					return false
 				}
 			}
@@ -432,10 +496,40 @@ func (d *directory) put(la uint64, e dirEntry) {
 }
 
 func (d *directory) del(la uint64) {
+	if i := d.find(la); i >= 0 {
+		d.delAt(i)
+	}
+}
+
+// take removes la's entry and returns it.
+func (d *directory) take(la uint64) dirEntry {
+	i := d.find(la)
+	if i < 0 {
+		return dirEntry{owner: -1}
+	}
+	e := d.vals[i]
+	d.delAt(i)
+	return e
+}
+
+// drop removes core from la's sharers, and as its owner.
+func (d *directory) drop(la uint64, core int) {
 	i := d.find(la)
 	if i < 0 {
 		return
 	}
+	e := &d.vals[i]
+	e.sharers &^= 1 << uint(core)
+	if e.owner == int8(core) {
+		e.owner = -1
+	}
+	if e.sharers == 0 && e.owner < 0 {
+		d.delAt(i)
+	}
+}
+
+// delAt deletes the entry in slot i.
+func (d *directory) delAt(i int) {
 	mask := len(d.keys) - 1
 	for j := (i + 1) & mask; d.keys[j] != 0; j = (j + 1) & mask {
 		// The entry at j may fill the hole at i iff i lies on its probe path,
@@ -605,36 +699,26 @@ func NewWithMem(cfg Config, mem Mem, st *stats.Stats) *Hierarchy {
 func (h *Hierarchy) Cores() int { return h.cfg.Cores }
 
 // ---------------------------------------------------------------------------
-// Directory helpers.
+// Fill/evict plumbing. Every operation probes each level at most once per
+// line and passes what it found down: an install is told the line's slot in
+// its level, or that the level does not hold it, and never looks it up again.
+
+// unprobed stands in for a line's slot in a level no probe has asked yet.
+const unprobed = -2
 
 // privatePresent reports whether core still holds la in L1 or L2.
 func (h *Hierarchy) privatePresent(core int, la uint64) bool {
 	return h.l1[core].peek(la) >= 0 || h.l2[core].peek(la) >= 0
 }
 
-// dropSharerIfGone removes core from la's sharer set when the line has left
-// both private levels.
-func (h *Hierarchy) dropSharerIfGone(core int, la uint64) {
-	if h.privatePresent(core, la) {
-		return
-	}
-	e := h.dir.get(la)
-	e.sharers &^= 1 << uint(core)
-	if e.owner == int8(core) {
-		e.owner = -1
-	}
-	h.dir.put(la, e)
-}
-
-// ---------------------------------------------------------------------------
-// Fill/evict plumbing.
-
-// installL3 places data into L3 on behalf of core, evicting as needed.
-func (h *Hierarchy) installL3(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) {
+// installL3 places data into L3 on behalf of core, evicting as needed, and
+// returns the line. c3 is la's L3 line, or -1 when L3 does not hold it.
+func (h *Hierarchy) installL3(core int, la uint64, c3 int, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) int {
 	l3 := h.l3
-	if cur := l3.lookup(la); cur >= 0 {
-		l3.merge(cur, data, dirty, tx)
-		return
+	if c3 >= 0 {
+		l3.touch(c3)
+		l3.merge(c3, data, dirty, tx)
+		return c3
 	}
 	v := l3.victim(la)
 	if l3.valid(v) && l3.isDirty(v) {
@@ -643,67 +727,65 @@ func (h *Hierarchy) installL3(core int, la uint64, data *[memsim.LineBytes]byte,
 		}
 		h.mem.EvictLine(core, memsim.PAddr(l3.tag(v))<<memsim.LineShift, l3.line(v)[:], at, stats.CatData)
 	}
-	l3.tick++
 	l3.fill(v, la, data, dirty, tx)
+	return v
 }
 
-// installL2 places data into core's L2, spilling the victim to L3.
-func (h *Hierarchy) installL2(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) {
+// installL2 places data into core's L2, spilling the victim to L3, and
+// returns the line. c2 is la's L2 line, or -1 when L2 does not hold it.
+func (h *Hierarchy) installL2(core int, la uint64, c2 int, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) int {
 	l2 := h.l2[core]
-	if cur := l2.lookup(la); cur >= 0 {
-		l2.merge(cur, data, dirty, tx)
-		return
+	if c2 >= 0 {
+		l2.touch(c2)
+		l2.merge(c2, data, dirty, tx)
+		return c2
 	}
 	v := l2.victim(la)
 	if l2.valid(v) {
 		h.evictPrivateVictim(core, v, at)
 	}
-	l2.tick++
 	l2.fill(v, la, data, dirty, tx)
+	return v
 }
 
 // evictPrivateVictim handles L2 victim v: to keep L2 inclusive of L1 the L1
 // copy is merged and invalidated, then the line spills to L3 (dirty victims
 // carry their data down; clean victims are demoted victim-cache style so
-// recently-used lines stay in the hierarchy).
+// recently-used lines stay in the hierarchy). Both private copies are gone
+// after it, so core leaves the line's sharers without another probe.
 func (h *Hierarchy) evictPrivateVictim(core int, v int, at engine.Cycles) {
 	l1, l2 := h.l1[core], h.l2[core]
 	la := l2.tag(v)
-	dirty, tx := l2.isDirty(v), l2.isTx(v)
-	data := *l2.line(v)
+	data, dirty, tx := l2.line(v), l2.isDirty(v), l2.isTx(v)
 	if c := l1.peek(la); c >= 0 {
 		if l1.isDirty(c) {
-			data = *l1.line(c)
+			data = l1.line(c)
 			dirty = true
 			tx = tx || l1.isTx(c)
 		}
 		l1.invalidate(c)
 	}
 	l2.invalidate(v)
-	h.installL3(core, la, &data, dirty, tx, at)
-	h.dropSharerIfGone(core, la)
+	h.installL3(core, la, h.l3.peek(la), data, dirty, tx, at)
+	h.dir.drop(la, core)
 }
 
-// installL1 places data into core's L1, spilling the victim to L2, and
-// returns the line.
+// installL1 places data into core's L1, which does not hold la, spilling
+// the victim to L2, and returns the line. data must not be an L2 or L3 line:
+// the spill may evict and refill it.
 func (h *Hierarchy) installL1(core int, la uint64, data *[memsim.LineBytes]byte, dirty, tx bool, at engine.Cycles) int {
 	l1 := h.l1[core]
-	if cur := l1.lookup(la); cur >= 0 {
-		l1.merge(cur, data, dirty, tx)
-		return cur
-	}
 	v := l1.victim(la)
 	if l1.valid(v) {
 		// Spill to L2: dirty victims carry data down; clean victims not
 		// already in L2 are demoted too (victim caching), so lines
 		// installed directly into L1 (retags, stores) survive eviction.
-		vd := l1.isDirty(v)
-		if vd || h.l2[core].peek(l1.tag(v)) < 0 {
-			h.installL2(core, l1.tag(v), l1.line(v), vd, l1.isTx(v), at)
+		vla, vd := l1.tag(v), l1.isDirty(v)
+		if c2 := h.l2[core].peek(vla); vd || c2 < 0 {
+			h.installL2(core, vla, c2, l1.line(v), vd, l1.isTx(v), at)
 		}
 		l1.invalidate(v)
 	}
-	l1.tick++
 	l1.fill(v, la, data, dirty, tx)
 	return v
 }
@@ -711,53 +793,60 @@ func (h *Hierarchy) installL1(core int, la uint64, data *[memsim.LineBytes]byte,
 // ---------------------------------------------------------------------------
 // The value authority chain: owner's private copy > dirty L3 copy > memory.
 
-// fetchAuthority obtains the current data for la on behalf of core,
-// downgrading a remote owner if necessary. It returns the data and the
-// completion time. The requesting core is not yet registered as a sharer.
-func (h *Hierarchy) fetchAuthority(core int, la uint64, at engine.Cycles) ([memsim.LineBytes]byte, engine.Cycles) {
+// downgradeOwner writes a remote owner's dirty copy of la back to L3 on
+// behalf of core and leaves the owner a clean sharer (cache-to-cache
+// transfer). c3 is la's L3 line or -1. It returns la's L3 line and the time
+// the data is there.
+func (h *Hierarchy) downgradeOwner(core int, la uint64, c3 int, at engine.Cycles) (int, engine.Cycles) {
 	e := h.dir.get(la)
-	t := at
-	if e.owner >= 0 && int(e.owner) != core {
-		// Remote dirty copy: write it back to L3 and downgrade the owner
-		// to a clean sharer (cache-to-cache transfer).
-		o := int(e.owner)
-		l1, l2 := h.l1[o], h.l2[o]
-		var data [memsim.LineBytes]byte
-		var tx bool
-		found := false
-		if c := l1.peek(la); c >= 0 && l1.isDirty(c) {
-			data, tx, found = *l1.line(c), l1.isTx(c), true
-			l1.setDirty(c, false)
-		}
-		if c := l2.peek(la); c >= 0 {
-			if found {
-				*l2.line(c) = data // propagate the fresher L1 value
-			} else if l2.isDirty(c) {
-				data, tx, found = *l2.line(c), l2.isTx(c), true
-			}
-			l2.setDirty(c, false)
-		}
-		if !found {
-			panic(fmt.Sprintf("cachesim: directory owner %d has no dirty copy of %#x", o, la))
-		}
-		h.installL3(core, la, &data, true, tx, t)
-		e.owner = -1
-		e.sharers |= 1 << uint(o)
-		h.dir.put(la, e)
-		t += h.cfg.CohLat
+	if e.owner < 0 || int(e.owner) == core {
+		return c3, at
 	}
-	if c := h.l3.lookup(la); c >= 0 {
+	o := int(e.owner)
+	l1, l2 := h.l1[o], h.l2[o]
+	var src *[memsim.LineBytes]byte
+	var tx bool
+	if c := l1.peek(la); c >= 0 && l1.isDirty(c) {
+		src, tx = l1.line(c), l1.isTx(c)
+		l1.setDirty(c, false)
+	}
+	if c := l2.peek(la); c >= 0 {
+		if src != nil {
+			*l2.line(c) = *src // propagate the fresher L1 value
+		} else if l2.isDirty(c) {
+			src, tx = l2.line(c), l2.isTx(c)
+		}
+		l2.setDirty(c, false)
+	}
+	if src == nil {
+		panic(fmt.Sprintf("cachesim: directory owner %d has no dirty copy of %#x", o, la))
+	}
+	c3 = h.installL3(core, la, c3, src, true, tx, at)
+	e.owner = -1
+	e.sharers |= 1 << uint(o)
+	h.dir.put(la, e)
+	return c3, at + h.cfg.CohLat
+}
+
+// fetch obtains la's data from L3 line c3, or from memory into L3 when c3 is
+// -1, on behalf of core; no private cache may hold a fresher copy. It
+// returns the data, staged in fillBuf (the installs that follow may evict
+// the L3 line), and the completion time.
+func (h *Hierarchy) fetch(core int, la uint64, c3 int, at engine.Cycles) (*[memsim.LineBytes]byte, engine.Cycles) {
+	if c3 >= 0 {
+		h.l3.touch(c3)
 		h.st.CacheHits[2]++
-		return *h.l3.line(c), t + h.cfg.L3Lat
+		h.fillBuf = *h.l3.line(c3)
+		return &h.fillBuf, at + h.cfg.L3Lat
 	}
 	h.st.CacheMisses[2]++
-	done := h.mem.ReadLine(core, memsim.PAddr(la)<<memsim.LineShift, h.fillBuf[:], t+h.cfg.L3Lat)
-	h.installL3(core, la, &h.fillBuf, false, false, done)
-	return h.fillBuf, done
+	done := h.mem.ReadLine(core, memsim.PAddr(la)<<memsim.LineShift, h.fillBuf[:], at+h.cfg.L3Lat)
+	h.installL3(core, la, -1, &h.fillBuf, false, false, done)
+	return &h.fillBuf, done
 }
 
 // ---------------------------------------------------------------------------
-// Operations; the public entry points at the bottom serialise them.
+// Operations.
 
 // copyOut copies line's bytes from off into buf (off+len(buf) is within the
 // line). The 8-byte word every Core.Load64 reads is one move, not a call.
@@ -782,25 +871,44 @@ func (h *Hierarchy) Load(core int, pa memsim.PAddr, buf []byte, at engine.Cycles
 		copyOut(buf, l1.line(c), off)
 		return at + h.cfg.L1Lat
 	}
+	c, _, done := h.loadMiss(core, la, unprobed, at)
+	copyOut(buf, l1.line(c), off)
+	return done
+}
+
+// loadMiss brings la into core's L1 after an L1 miss, for reading. It
+// returns la's L1 line, its L2 line (-1: none) and the completion time. c3
+// is unprobed from a caller that knows nothing below L2, or la's L3 line
+// (-1: none) from one that has also made sure no remote owner is left.
+func (h *Hierarchy) loadMiss(core int, la uint64, c3 int, at engine.Cycles) (c1, c2 int, done engine.Cycles) {
 	h.st.CacheMisses[0]++
 	l2 := h.l2[core]
-	if c := l2.lookup(la); c >= 0 {
+	if c2 = l2.lookup(la); c2 >= 0 {
 		h.st.CacheHits[1]++
 		// Copy the data out before installing: installL1's spill may need
-		// an L2 slot in this very set and pick c as the victim (every
-		// other way can be tx-pinned), which would clobber c in place.
-		data := *l2.line(c)
-		installed := h.installL1(core, la, &data, false, false, at)
-		copy(buf, l1.line(installed)[off:])
-		return at + h.cfg.L2Lat
+		// an L2 slot in this very set and pick c2 as the victim (every
+		// other way can be tx-pinned), which would clobber c2 in place and
+		// drop core from la's sharers while L1 takes the line.
+		data := *l2.line(c2)
+		c1 = h.installL1(core, la, &data, false, false, at)
+		if !l2.holds(c2, la) {
+			h.dir.ref(la).sharers |= 1 << uint(core)
+			c2 = -1
+		}
+		return c1, c2, at + h.cfg.L2Lat
 	}
 	h.st.CacheMisses[1]++
-	data, done := h.fetchAuthority(core, la, at)
-	h.installL2(core, la, &data, false, false, done)
-	h.installL1(core, la, &data, false, false, done)
+	if c3 == unprobed {
+		c3, at = h.downgradeOwner(core, la, h.l3.peek(la), at)
+	}
+	data, done := h.fetch(core, la, c3, at)
+	c2 = h.installL2(core, la, -1, data, false, false, done)
+	c1 = h.installL1(core, la, data, false, false, done)
 	h.dir.ref(la).sharers |= 1 << uint(core)
-	copy(buf, data[off:])
-	return done
+	if !l2.holds(c2, la) {
+		c2 = -1
+	}
+	return c1, c2, done
 }
 
 // Store writes data at pa (within one line) into core's L1 with exclusive
@@ -811,18 +919,20 @@ func (h *Hierarchy) Store(core int, pa memsim.PAddr, data []byte, at engine.Cycl
 	if off+len(data) > memsim.LineBytes {
 		panic(fmt.Sprintf("cachesim: Store of %d bytes crosses line at %#x", len(data), pa))
 	}
-	l1 := h.l1[core]
-	c := l1.peek(la)
+	l1, l2 := h.l1[core], h.l2[core]
+	c, c2 := l1.peek(la), unprobed
 	var done engine.Cycles
 	if c >= 0 && l1.isDirty(c) {
 		// A dirty copy in this core's L1 means the directory already names
 		// it owner and sole sharer (the invariant DebugValidate checks):
 		// the store is a plain L1 hit with no coherence action.
-		l1.touch(c)
+		if !l1.recent(c) {
+			l1.touch(c)
+		}
 		h.st.CacheHits[0]++
 		done = at + h.cfg.L1Lat
 	} else {
-		c, done = h.exclusiveLine(core, la, at)
+		c, c2, done = h.exclusiveLine(core, la, c, at)
 		e := h.dir.ref(la)
 		e.owner = int8(core)
 		e.sharers |= 1 << uint(core)
@@ -836,46 +946,48 @@ func (h *Hierarchy) Store(core int, pa memsim.PAddr, data []byte, at engine.Cycl
 	l1.setDirty(c, true)
 	// Keep the same core's L2 copy value-coherent so a later clean L1
 	// eviction can never expose stale data.
-	if c2 := h.l2[core].peek(la); c2 >= 0 {
-		*h.l2[core].line(c2) = *line
+	if c2 == unprobed {
+		c2 = l2.peek(la)
+	}
+	if c2 >= 0 {
+		*l2.line(c2) = *line
 	}
 	return done
 }
 
-// exclusiveLine brings la into core's L1 with all other copies invalidated,
-// returning the L1 line.
-func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (int, engine.Cycles) {
+// exclusiveLine brings la into core's L1 with all other copies invalidated.
+// c1 is la's L1 line or -1. It returns la's L1 line, its L2 line (-1: none;
+// unprobed after an L1 hit) and the completion time.
+func (h *Hierarchy) exclusiveLine(core int, la uint64, c1 int, at engine.Cycles) (int, int, engine.Cycles) {
 	t := at
+	c3 := unprobed
 	e := h.dir.get(la)
 	// The owner is a sharer, so a remote owner makes `others` non-empty too.
 	if others := e.sharers &^ (1 << uint(core)); others != 0 {
-		var data [memsim.LineBytes]byte
+		var src *[memsim.LineBytes]byte
 		var tx bool
-		haveRemote := false
 		for m := others; m != 0; m &= m - 1 {
 			o := bits.TrailingZeros64(m)
 			l1, l2 := h.l1[o], h.l2[o]
 			dirtyHere := false
 			if c := l1.peek(la); c >= 0 {
 				if l1.isDirty(c) {
-					data, tx, dirtyHere = *l1.line(c), l1.isTx(c), true
+					src, tx, dirtyHere = l1.line(c), l1.isTx(c), true
 				}
 				l1.invalidate(c)
 			}
 			if c := l2.peek(la); c >= 0 {
 				if l2.isDirty(c) && !dirtyHere {
-					data, tx, dirtyHere = *l2.line(c), l2.isTx(c), true
+					src, tx = l2.line(c), l2.isTx(c)
 				}
 				l2.invalidate(c)
 			}
 			h.st.Invalidations++
-			if dirtyHere {
-				haveRemote = true
-			}
 		}
-		if haveRemote {
-			// The remote dirty value moves into L3 so the fill below sees it.
-			h.installL3(core, la, &data, true, tx, t)
+		if src != nil {
+			// The remote dirty value moves into L3 so the fill below sees
+			// it; invalidation left its bytes in place.
+			c3 = h.installL3(core, la, h.l3.peek(la), src, true, tx, t)
 		}
 		e.sharers &= 1 << uint(core)
 		if e.owner >= 0 && int(e.owner) != core {
@@ -886,27 +998,36 @@ func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (int, e
 	}
 
 	l1, l2 := h.l1[core], h.l2[core]
-	if c := l1.lookup(la); c >= 0 {
+	if c1 >= 0 {
+		l1.touch(c1)
 		h.st.CacheHits[0]++
-		return c, t + h.cfg.L1Lat
+		return c1, unprobed, t + h.cfg.L1Lat
 	}
 	h.st.CacheMisses[0]++
-	if c := l2.lookup(la); c >= 0 {
+	if c2 := l2.lookup(la); c2 >= 0 {
 		h.st.CacheHits[1]++
-		// Copy out before installing — installL1's spill may clobber c
-		// (see Load). Re-peek afterwards to clean the surviving L2 copy.
-		data, wasDirty, wasTx := *l2.line(c), l2.isDirty(c), l2.isTx(c)
-		installed := h.installL1(core, la, &data, wasDirty, wasTx, t)
-		if c2 := l2.peek(la); c2 >= 0 {
-			l2.setDirty(c2, false) // the L1 copy is now the freshest
+		// Copy out before installing — installL1's spill may clobber c2
+		// (see loadMiss). The surviving L2 copy is cleaned.
+		data, wasDirty, wasTx := *l2.line(c2), l2.isDirty(c2), l2.isTx(c2)
+		c1 = h.installL1(core, la, &data, wasDirty, wasTx, t)
+		if !l2.holds(c2, la) {
+			return c1, -1, t + h.cfg.L2Lat
 		}
-		return installed, t + h.cfg.L2Lat
+		l2.setDirty(c2, false) // the L1 copy is now the freshest
+		return c1, c2, t + h.cfg.L2Lat
 	}
 	h.st.CacheMisses[1]++
-	data, done := h.fetchAuthority(core, la, t)
-	h.installL2(core, la, &data, false, false, done)
-	installed := h.installL1(core, la, &data, false, false, done)
-	return installed, done
+	// Any remote owner's value went to L3 above.
+	if c3 == unprobed {
+		c3 = h.l3.peek(la)
+	}
+	data, done := h.fetch(core, la, c3, t)
+	c2 := h.installL2(core, la, -1, data, false, false, done)
+	c1 = h.installL1(core, la, data, false, false, done)
+	if !l2.holds(c2, la) {
+		c2 = -1
+	}
+	return c1, c2, done
 }
 
 // Flush implements clwb: the most recent copy of pa's line (wherever it is)
@@ -915,11 +1036,15 @@ func (h *Hierarchy) exclusiveLine(core int, la uint64, at engine.Cycles) (int, e
 // completion time.
 func (h *Hierarchy) Flush(core int, pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
 	la := uint64(pa >> memsim.LineShift)
+	return h.flush(core, la, h.l3.peek(la), at, cat)
+}
+
+// flush is Flush of la, whose L3 line is c3 (-1: none).
+func (h *Hierarchy) flush(core int, la uint64, c3 int, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
 	var data *[memsim.LineBytes]byte
-	e := h.dir.get(la)
-	if e.owner >= 0 {
-		o := int(e.owner)
-		l1, l2 := h.l1[o], h.l2[o]
+	if i := h.dir.find(la); i >= 0 && h.dir.vals[i].owner >= 0 {
+		e := &h.dir.vals[i]
+		l1, l2 := h.l1[e.owner], h.l2[e.owner]
 		// Clean both private levels; L1 data wins over a stale dirty L2
 		// copy (the L1 copy is always at least as fresh), and the fresh
 		// value is propagated downward.
@@ -936,28 +1061,35 @@ func (h *Hierarchy) Flush(core int, pa memsim.PAddr, at engine.Cycles, cat stats
 			l2.setFlags(c, false, false)
 		}
 		e.owner = -1
-		h.dir.put(la, e)
-	}
-	if c := h.l3.peek(la); c >= 0 {
-		if data != nil {
-			// Private copy is fresher; update L3's stale copy in place.
-			*h.l3.line(c) = *data
-			h.l3.setFlags(c, false, false)
-		} else if h.l3.isDirty(c) {
-			data = h.l3.line(c)
-			h.l3.setFlags(c, false, false)
+		if e.sharers == 0 {
+			h.dir.delAt(i)
 		}
 	}
+	if c3 >= 0 {
+		if data != nil {
+			// Private copy is fresher; update L3's stale copy in place.
+			*h.l3.line(c3) = *data
+			h.l3.setFlags(c3, false, false)
+		} else if h.l3.isDirty(c3) {
+			data = h.l3.line(c3)
+			h.l3.setFlags(c3, false, false)
+		}
+	}
+	return h.persist(core, la, data, at, cat)
+}
+
+// persist writes data, the freshest dirty copy of la, through to memory. With
+// no dirty CPU copy (data nil), a buffer tier below may still hold a dirty
+// absorbed copy; it is hardened so the caller's fence covers it.
+func (h *Hierarchy) persist(core int, la uint64, data *[memsim.LineBytes]byte, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
+	pa := memsim.PAddr(la) << memsim.LineShift
 	if data == nil {
-		// No dirty CPU copy. A buffer tier below may still hold a dirty
-		// absorbed copy; harden it so the caller's fence covers it.
-		if done, wrote := h.mem.HardenLine(core, memsim.PAddr(la)<<memsim.LineShift, at, cat); wrote {
+		if done, wrote := h.mem.HardenLine(core, pa, at, cat); wrote {
 			return done, true
 		}
 		return at + h.cfg.L1Lat, false
 	}
-	done := h.mem.PersistLine(core, memsim.PAddr(la)<<memsim.LineShift, data[:], at, cat)
-	return done, true
+	return h.mem.PersistLine(core, pa, data[:], at, cat), true
 }
 
 // MarkTx flags core's private copy of pa's line as speculative, keeping it
@@ -987,46 +1119,70 @@ func (h *Hierarchy) Retag(core int, from, to memsim.PAddr, at engine.Cycles) eng
 	// A dirty non-speculative `from` copy holds data newer than NVRAM's
 	// committed bytes (a non-transactional store); persist it first so the
 	// rename cannot lose it (§3.2's "already been flushed" precondition).
+	// After it `from` has no owner, and one L3 probe of `from` serves this
+	// check, the flush and the fetch.
+	c3 := h.l3.peek(fla)
 	t := at
-	if h.dirtyAnywhere(fla) {
-		t, _ = h.Flush(core, from, t, stats.CatData)
+	if h.dir.get(fla).owner >= 0 || c3 >= 0 && h.l3.isDirty(c3) || h.mem.DirtyLine(memsim.PAddr(fla)<<memsim.LineShift) {
+		t, _ = h.flush(core, fla, c3, t, stats.CatData)
 	}
 
 	// Fetch the committed line (shared) into this core's L1; only the L1
 	// copy is renamed — clean copies of the committed data in L2/L3 and in
 	// other cores remain valid for the `from` address (an abort flips the
 	// current bit back and reads them again).
-	var data [memsim.LineBytes]byte
-	t = h.Load(core, memsim.PAddr(fla)<<memsim.LineShift, data[:], t)
-	if c := h.l1[core].peek(fla); c >= 0 {
-		h.l1[core].invalidate(c)
+	l1, l2 := h.l1[core], h.l2[core]
+	c1, c2 := l1.lookup(fla), unprobed
+	if c1 >= 0 {
+		h.st.CacheHits[0]++
+		t += h.cfg.L1Lat
+	} else {
+		c1, c2, t = h.loadMiss(core, fla, c3, t)
 	}
-	h.dropSharerIfGone(core, fla)
+	l1.invalidate(c1)
+	if c2 == unprobed {
+		c2 = l2.peek(fla)
+	}
+	if c2 < 0 {
+		h.dir.drop(fla, core)
+	}
 
 	// Discard stale copies of `to` everywhere (they hold a dead speculative
 	// or pre-previous-commit version; never dirty by protocol), then install
-	// the renamed line in L1.
-	h.discardLine(tla)
-	h.installL1(core, tla, &data, true, true, t)
-	h.dir.put(tla, dirEntry{sharers: 1 << uint(core), owner: int8(core)})
+	// the renamed line in L1. c1's bytes stay in place until a fill reuses
+	// it, and the install's spill only fills lower levels.
+	e := h.dir.ref(tla)
+	stale := *e
+	*e = dirEntry{sharers: 1 << uint(core), owner: int8(core)}
+	h.discardLine(tla, stale)
+	h.installL1(core, tla, l1.line(c1), true, true, t)
 	return t
 }
 
-// discardLine invalidates every cached copy of la without write-back.
-func (h *Hierarchy) discardLine(la uint64) {
-	for m := h.dir.get(la).sharers; m != 0; m &= m - 1 {
+// discardLine invalidates every cached copy of la, whose directory entry
+// was e, without write-back; the caller updates the directory. It returns
+// the freshest dirty copy — the owner's L1 copy, else its L2 copy, else a
+// dirty L3 copy — or nil; the bytes stay in place until the next fill.
+func (h *Hierarchy) discardLine(la uint64, e dirEntry) *[memsim.LineBytes]byte {
+	var dirty *[memsim.LineBytes]byte
+	for m := e.sharers; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros64(m)
-		if c := h.l1[o].peek(la); c >= 0 {
-			h.l1[o].invalidate(c)
-		}
-		if c := h.l2[o].peek(la); c >= 0 {
-			h.l2[o].invalidate(c)
+		for _, l := range [2]*level{h.l1[o], h.l2[o]} {
+			if c := l.peek(la); c >= 0 {
+				if dirty == nil && o == int(e.owner) && l.isDirty(c) {
+					dirty = l.line(c)
+				}
+				l.invalidate(c)
+			}
 		}
 	}
 	if c := h.l3.peek(la); c >= 0 {
+		if dirty == nil && h.l3.isDirty(c) {
+			dirty = h.l3.line(c)
+		}
 		h.l3.invalidate(c)
 	}
-	h.dir.del(la)
+	return dirty
 }
 
 // InjectLine updates every cached copy of pa's line in place with data the
@@ -1172,15 +1328,15 @@ func (h *Hierarchy) DebugValidate() string {
 // InvalidateLine drops all cached copies of pa's line without writing back;
 // used to squash speculative lines on abort.
 func (h *Hierarchy) InvalidateLine(pa memsim.PAddr) {
-	h.discardLine(uint64(pa >> memsim.LineShift))
+	la := uint64(pa >> memsim.LineShift)
+	h.discardLine(la, h.dir.take(la))
 }
 
 // WritebackInvalidate persists the freshest copy of pa's line (if dirty) and
 // drops all cached copies; used before page consolidation copies frames.
 func (h *Hierarchy) WritebackInvalidate(pa memsim.PAddr, at engine.Cycles, cat stats.WriteCat) (engine.Cycles, bool) {
-	done, wrote := h.Flush(0, pa, at, cat)
-	h.discardLine(uint64(pa >> memsim.LineShift))
-	return done, wrote
+	la := uint64(pa >> memsim.LineShift)
+	return h.persist(0, la, h.discardLine(la, h.dir.take(la)), at, cat)
 }
 
 // DirtyAnywhere reports whether any cached copy of pa's line is dirty

@@ -11,8 +11,9 @@ import (
 	"repro/internal/stats"
 )
 
-// The reference model: the array-of-structs cache sets, map directory and
-// probe-every-core coherence the structure-of-arrays levels and the
+// The reference model: the array-of-structs cache sets with per-line LRU
+// stamps, map directory and probe-every-core coherence the
+// structure-of-arrays levels, their recency permutations and the
 // sharer-guided directory replaced. It is kept only to hold them to it
 // (TestHierarchyMatchesScanModel).
 
@@ -319,6 +320,11 @@ func (h *refHierarchy) loadLocked(core int, pa memsim.PAddr, buf []byte, at engi
 		h.st.CacheHits[1]++
 		data := c.data
 		installed := h.installL1(core, la, &data, false, false, at)
+		// The spill may have evicted la's own L2 way and dropped core from
+		// its sharers while L1 takes the line: register it again.
+		e := h.dirGet(la)
+		e.sharers |= 1 << uint(core)
+		h.dirPut(la, e)
 		copy(buf, installed.data[off:])
 		return at + h.cfg.L2Lat
 	}
@@ -705,18 +711,28 @@ func (r *recordingMem) PersistLine(core int, pa memsim.PAddr, data []byte, at en
 	return r.Mem.PersistLine(core, pa, data, at, cat)
 }
 
-// lineState is one valid line as both models can describe it.
+// lineState is one valid line as both models can describe it. rank is the
+// number of valid lines in its set used more recently: the recency state
+// victim choice reads.
 type lineState struct {
 	tag       uint64
 	dirty, tx bool
-	lru       uint64
+	rank      int
 	data      [memsim.LineBytes]byte
 }
 
 func (l *level) state() []lineState {
 	var out []lineState
 	l.eachValid(func(c int) bool {
-		out = append(out, lineState{l.tag(c), l.isDirty(c), l.isTx(c), l.ages[c], *l.line(c)})
+		// The valid ways ahead of c's in its set's recency order.
+		b := l.blks[c>>l.wbits]
+		rank := 0
+		for o := b.order; o&0xF != uint64(c)&l.wmask; o >>= 4 {
+			if b.valid&(1<<(o&0xF)) != 0 {
+				rank++
+			}
+		}
+		out = append(out, lineState{l.tag(c), l.isDirty(c), l.isTx(c), rank, *l.line(c)})
 		return true
 	})
 	return out
@@ -724,8 +740,24 @@ func (l *level) state() []lineState {
 
 func (l *refLevel) state() []lineState {
 	var out []lineState
-	for _, c := range l.valid() {
-		out = append(out, lineState{c.tag, c.dirty, c.tx, c.lru, c.data})
+	for _, ch := range l.dir {
+		if ch == nil {
+			continue
+		}
+		for _, set := range ch {
+			for _, c := range set {
+				if !c.valid {
+					continue
+				}
+				rank := 0
+				for _, d := range set {
+					if d.valid && d.lru > c.lru {
+						rank++
+					}
+				}
+				out = append(out, lineState{c.tag, c.dirty, c.tx, rank, c.data})
+			}
+		}
 	}
 	return out
 }
@@ -737,7 +769,7 @@ func (l *refLevel) state() []lineState {
 // demotion, tx pinning and cross-core transfers happen all the time. After
 // every operation the two must agree on the returned values, the counters,
 // the calls made into memory, every line's resolved value, and the contents,
-// flags and LRU stamps of every level in set-index order; the hierarchy's
+// flags and recency ranks of every level in set-index order; the hierarchy's
 // own invariant check must pass.
 func TestHierarchyMatchesScanModel(t *testing.T) {
 	shapes := []Config{
@@ -748,8 +780,11 @@ func TestHierarchyMatchesScanModel(t *testing.T) {
 		// Three ways (a padded way stride), a fully associative L1.
 		{Cores: 4, L1Bytes: 192, L1Ways: 8, L1Lat: 4, L2Bytes: 384, L2Ways: 3, L2Lat: 6, L3Bytes: 1536, L3Ways: 3, L3Lat: 27, CohLat: 20},
 	}
+	// Seeds 10, 11 and 19 drive an L2-hit Load whose L1 spill evicts the
+	// loaded line's own L2 way.
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 19}
 	for si, cfg := range shapes {
-		for seed := uint64(1); seed <= 8; seed++ {
+		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("shape%d/seed%d", si, seed), func(t *testing.T) {
 				matchScanModel(t, cfg, seed, 3000)
 			})

@@ -12,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/workload"
 	"repro/ssp"
+	"repro/ssp/pds"
 )
 
 // benchScale keeps every experiment in benchmark-friendly territory;
@@ -436,7 +437,51 @@ func BenchmarkMachineNew(b *testing.B) {
 	}
 }
 
-// machineSink keeps BenchmarkMachineNew's machines reachable.
+// BenchmarkCrashRestore is the host cost of a power cycle through an image:
+// Crash of the paper's Table 2 machine (192 MB of NVRAM, SSP) holding a
+// 2 000-key B-tree, and Restore from that image; building the machine and
+// the tree is left out. The bytes one power cycle allocates
+// (CrashRestore_192MB_allocMB, in MiB) are gated in CI beside
+// MachineNew_192MB_allocMB: an image costs the pages the run wrote, not the
+// NVRAM capacity.
+func BenchmarkCrashRestore(b *testing.B) {
+	b.Run("192MB", func(b *testing.B) {
+		const keys = 2000
+		cfg := ssp.Config{Backend: ssp.SSP, Cores: 1, NVRAMMB: 192, DRAMMB: 4, MaxHeapPages: 36 << 10}
+		b.ReportAllocs()
+		var alloc uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := ssp.MustNew(cfg)
+			c := m.Core(0)
+			c.Begin()
+			bt := pds.CreateBTree(c, m.Heap())
+			m.SetRoot(c, 0, bt.Head())
+			c.Commit()
+			for k := uint64(0); k < keys; k++ {
+				c.Begin()
+				bt.Insert(c, k*7919%keys, k)
+				c.Commit()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+			m2, err := ssp.Restore(cfg, m.Crash())
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				b.Fatal(err)
+			}
+			alloc += after.TotalAlloc - before.TotalAlloc
+			machineSink = m2
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(alloc)/float64(b.N)/(1<<20), "CrashRestore_192MB_allocMB")
+	})
+}
+
+// machineSink keeps BenchmarkMachineNew's and BenchmarkCrashRestore's
+// machines reachable.
 var machineSink *ssp.Machine
 
 func itoa(v int) string {

@@ -113,8 +113,21 @@
 // first written, and a page's 4 KiB when that page is. A page never written
 // reads as zeros from one shared page that is only ever copied out of. Every
 // access is range-checked against DRAM and NVRAM first, so an address past
-// capacity panics instead of reading zeros. NVRAMImage, Crash and ssp.Restore
-// still trade a flat []byte (NewFromImage skips the image's all-zero pages).
+// capacity panics instead of reading zeros.
+//
+// A power failure's image is as sparse as the memory it came from:
+// NVRAMImage (behind Machine.Crash) walks the directory and copies each
+// written NVRAM page, in page order, into one memsim.Image (ssp.Image) with
+// the capacity it was taken from; NewFromImage (behind ssp.Restore) checks
+// the capacity against the Config and installs copies of those pages, with
+// no scan of the rest. Both cost the pages the run wrote: Crash + Restore of
+// the Table 2 machine (192 MB of NVRAM) holding a 2 000-key B-tree allocate
+// 0.2–0.8 MiB. The image shares no storage with either machine, so the
+// crashed one may still Recover in place and one image may be restored any
+// number of times. Image.Bytes and memsim.ImageFromBytes convert to and from
+// a flat copy, for tests. Restore boots with zero wear counters
+// (Memory.PageWrites), where in-place Recover keeps them: the image holds
+// contents, not wear.
 //
 // A bank's or bus's occupancy ring is sized by the simulated span it covers,
 // not by its history bound: it materialises at the resource's first booking

@@ -221,7 +221,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("baseline restore failed: %v", err)
 				}
-				m3, err := build(testConfig(b, 1), img)
+				m3, err := build(testConfig(b, 1), &img)
 				if err != nil {
 					t.Fatalf("build from image: %v", err)
 				}

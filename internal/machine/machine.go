@@ -213,9 +213,11 @@ func New(cfg Config) *Machine {
 }
 
 // Restore boots a machine from a previous machine's durable NVRAM image
-// (post-crash) and runs the backend's recovery.
-func Restore(cfg Config, image []byte) (*Machine, error) {
-	m, err := build(cfg, image)
+// (post-crash) and runs the backend's recovery. The image's pages are
+// copied, so the same image can be restored again; wear counters start at
+// zero.
+func Restore(cfg Config, image memsim.Image) (*Machine, error) {
+	m, err := build(cfg, &image)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +243,7 @@ func (m *Machine) recoverBackend() error {
 	return m.backend.Recover()
 }
 
-func build(cfg Config, image []byte) (*Machine, error) {
+func build(cfg Config, image *memsim.Image) (*Machine, error) {
 	cfg.Cache.Cores = cfg.Cores
 	cfg.Layout.Cores = cfg.Cores
 	shards := stats.NewSharded(cfg.Cores)
@@ -253,7 +255,7 @@ func build(cfg Config, image []byte) (*Machine, error) {
 	var mem *memsim.Memory
 	if image != nil {
 		var err error
-		mem, err = memsim.NewFromImage(cfg.Mem, shared, image)
+		mem, err = memsim.NewFromImage(cfg.Mem, shared, *image)
 		if err != nil {
 			return nil, err
 		}
@@ -559,8 +561,10 @@ func (m *Machine) Drain() {
 // Crash simulates a power failure: all volatile state (caches, TLBs,
 // backend buffers) vanishes; the durable NVRAM image survives. The machine
 // itself becomes unusable; continue via Restore(cfg, image) or in place via
-// Recover.
-func (m *Machine) Crash() []byte {
+// Recover. The image holds a copy of each NVRAM page the run wrote (see
+// memsim.Image), so its cost follows what the run touched, and it shares
+// nothing with the machine.
+func (m *Machine) Crash() memsim.Image {
 	m.mem.PowerOff()
 	m.dropVolatile()
 	return m.mem.NVRAMImage()

@@ -50,7 +50,6 @@
 package memsim
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -466,26 +465,6 @@ func New(cfg Config, st *stats.Stats) *Memory {
 	return m
 }
 
-// NewFromImage is like New but installs img as the initial NVRAM contents —
-// this is how a post-crash machine boots from a previous machine's durable
-// state. The image is copied. The image length must match cfg.NVRAMBytes
-// exactly; a mismatched image (from a machine with a different memory
-// Config) is rejected with a descriptive error rather than corrupting the
-// address space.
-func NewFromImage(cfg Config, st *stats.Stats, img []byte) (*Memory, error) {
-	if uint64(len(img)) != cfg.NVRAMBytes {
-		return nil, fmt.Errorf("memsim: NVRAM image is %d bytes but Config.NVRAMBytes is %d; the image must come from a machine with the same memory capacities", len(img), cfg.NVRAMBytes)
-	}
-	m := New(cfg, st)
-	for off := 0; off < len(img); off += PageBytes {
-		pg := img[off:min(off+PageBytes, len(img))]
-		if !bytes.Equal(pg, zeroPage[:len(pg)]) {
-			m.copyIn(cfg.NVRAMBase+PAddr(off), pg)
-		}
-	}
-	return m, nil
-}
-
 // AttachChannelStats routes each channel's counters to its own shard
 // (sh[i] for channel i).
 func (m *Memory) AttachChannelStats(sh []*stats.Stats) {
@@ -766,20 +745,6 @@ func (m *Memory) OnPowerOff(fn func()) { m.onPowerOff = fn }
 // PowerOn clears the power-off state after recovery has rebuilt volatile
 // structures; durable contents are preserved.
 func (m *Memory) PowerOn() { m.powerOff = false }
-
-// NVRAMImage returns a copy of the durable NVRAM contents.
-func (m *Memory) NVRAMImage() []byte {
-	img := make([]byte, m.cfg.NVRAMBytes)
-	for ci := range m.nvram.dir {
-		if m.nvram.dir[ci] == nil {
-			continue // nothing in this chunk was written: img already reads zero
-		}
-		lo := ci * chunkPages * PageBytes
-		hi := min(lo+chunkPages*PageBytes, len(img))
-		m.copyOut(m.cfg.NVRAMBase+PAddr(lo), img[lo:hi])
-	}
-	return img
-}
 
 // PageWrites returns how many durable line writes the NVRAM page containing
 // pa has absorbed since construction (or the last ResetWear) — the page's

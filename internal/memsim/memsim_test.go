@@ -284,11 +284,11 @@ func TestNewFromImageLengthMismatch(t *testing.T) {
 	cfg := testConfig()
 	st := &stats.Stats{}
 	for _, n := range []int{0, int(cfg.NVRAMBytes) - 1, int(cfg.NVRAMBytes) + PageBytes} {
-		if _, err := NewFromImage(cfg, st, make([]byte, n)); err == nil {
+		if _, err := NewFromImage(cfg, st, ImageFromBytes(make([]byte, n))); err == nil {
 			t.Errorf("image of %d bytes accepted for NVRAMBytes=%d", n, cfg.NVRAMBytes)
 		}
 	}
-	if _, err := NewFromImage(cfg, st, make([]byte, cfg.NVRAMBytes)); err != nil {
+	if _, err := NewFromImage(cfg, st, ImageFromBytes(make([]byte, cfg.NVRAMBytes))); err != nil {
 		t.Errorf("exact-size image rejected: %v", err)
 	}
 }

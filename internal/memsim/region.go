@@ -54,6 +54,21 @@ func (r *region) touchChunk(page uint64) *chunk {
 	return *slot
 }
 
+// eachPage calls fn with the number and contents of every materialised page,
+// in ascending page order.
+func (r *region) eachPage(fn func(page uint64, pg *[PageBytes]byte)) {
+	for ci, c := range r.dir {
+		if c == nil {
+			continue
+		}
+		for i, pg := range c.pages[:] {
+			if pg != nil {
+				fn(uint64(ci)<<chunkShift|uint64(i), pg)
+			}
+		}
+	}
+}
+
 // locate returns the region holding [pa, pa+n) and the span's offset in it.
 // It panics unless the span lies wholly inside DRAM or NVRAM: nothing behind
 // it bounds an access any more, and an access past capacity must never

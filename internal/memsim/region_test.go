@@ -68,7 +68,8 @@ func sparseTestConfig() Config {
 // timed and untimed writes and reads, spans that straddle pages, writes of
 // all-zero data (which must materialise nothing wrong and read back as
 // zeros), an armed write trap, PowerOff/PowerOn, and a reboot through
-// NVRAMImage + NewFromImage.
+// NVRAMImage + NewFromImage, half of them by way of the image's flat bytes
+// (Image.Bytes + ImageFromBytes).
 func TestSparseBackingMatchesFlatModel(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		cfg := sparseTestConfig()
@@ -150,10 +151,13 @@ func TestSparseBackingMatchesFlatModel(t *testing.T) {
 				model.off = false
 			default:
 				img := mem.NVRAMImage()
-				if !bytes.Equal(img, model.nvram) {
+				if !bytes.Equal(img.Bytes(), model.nvram) {
 					t.Fatalf("seed %d step %d: NVRAMImage differs from the flat model", seed, step)
 				}
 				if rng.Intn(3) == 0 { // reboot: DRAM, power state and trap start over
+					if rng.Intn(2) == 0 {
+						img = ImageFromBytes(img.Bytes())
+					}
 					var err error
 					if mem, err = NewFromImage(cfg, &stats.Stats{}, img); err != nil {
 						t.Fatal(err)
@@ -169,7 +173,7 @@ func TestSparseBackingMatchesFlatModel(t *testing.T) {
 		whole := make([]byte, cfg.DRAMBytes)
 		mem.Peek(0, whole)
 		compare(-1, "final DRAM Peek", 0, whole)
-		if !bytes.Equal(mem.NVRAMImage(), model.nvram) {
+		if !bytes.Equal(mem.NVRAMImage().Bytes(), model.nvram) {
 			t.Fatalf("seed %d: final NVRAMImage differs from the flat model", seed)
 		}
 	}
@@ -178,32 +182,68 @@ func TestSparseBackingMatchesFlatModel(t *testing.T) {
 	}
 }
 
-// An image page that is all zeros costs NewFromImage nothing; every other
-// page comes back byte for byte.
-func TestNewFromImageSkipsZeroPages(t *testing.T) {
+// A flat page that is all zeros costs ImageFromBytes, and the Memory booted
+// from its image, nothing; every other page comes back byte for byte.
+func TestImageFromBytesSkipsZeroPages(t *testing.T) {
 	cfg := sparseTestConfig()
-	img := make([]byte, cfg.NVRAMBytes)
-	img[3*PageBytes+17] = 1
-	img[len(img)-1] = 2
+	flat := make([]byte, cfg.NVRAMBytes)
+	flat[3*PageBytes+17] = 1
+	flat[len(flat)-1] = 2
+	img := ImageFromBytes(flat)
+	if len(img.pages) != 2 {
+		t.Fatalf("ImageFromBytes kept %d pages of a range with 2 non-zero pages", len(img.pages))
+	}
 	mem, err := NewFromImage(cfg, &stats.Stats{}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mem.NVRAMImage(), img) {
+	if !bytes.Equal(mem.NVRAMImage().Bytes(), flat) {
 		t.Fatal("image did not survive NewFromImage")
 	}
 	pages := 0
-	for i := range mem.nvram.dir {
-		if c := mem.nvram.dir[i]; c != nil {
-			for _, pg := range c.pages {
-				if pg != nil {
-					pages++
-				}
-			}
-		}
-	}
+	mem.nvram.eachPage(func(uint64, *[PageBytes]byte) { pages++ })
 	if pages != 2 {
 		t.Fatalf("NewFromImage materialised %d pages for an image with 2 non-zero pages", pages)
+	}
+}
+
+// One image restores twice to identical NVRAM, and it shares storage with
+// none of the three memories: writes to the crashed memory and to the first
+// restored one show up neither in the image nor in the second restore.
+func TestImageRestoresTwiceWithoutAliasing(t *testing.T) {
+	cfg := sparseTestConfig()
+	mem := New(cfg, &stats.Stats{})
+	base := cfg.NVRAMBase
+	for _, pa := range []PAddr{base, base + 3*PageBytes + 64, base + PAddr(cfg.NVRAMBytes) - LineBytes} {
+		mem.WriteLine(pa, line(0x5a), 0, stats.CatData)
+	}
+	mem.PowerOff()
+	img := mem.NVRAMImage()
+	want := img.Bytes()
+
+	first, err := NewFromImage(cfg, &stats.Stats{}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The crashed memory recovers in place; both write a page the image
+	// holds and one it does not.
+	for _, m := range []*Memory{mem, first} {
+		m.PowerOn()
+		m.WriteLine(base, line(0xee), 0, stats.CatData)
+		m.WriteLine(base+9*PageBytes, line(0xee), 0, stats.CatData)
+	}
+	if !bytes.Equal(img.Bytes(), want) {
+		t.Fatal("a write to a memory reached the image it was taken from or booted from")
+	}
+	second, err := NewFromImage(cfg, &stats.Stats{}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second.NVRAMImage().Bytes(), want) {
+		t.Fatal("the second restore of one image differs from the image")
+	}
+	if bytes.Equal(first.NVRAMImage().Bytes(), want) {
+		t.Fatal("the first restore did not take its own writes")
 	}
 }
 

@@ -31,8 +31,8 @@ func TestMachineAllocationBudget(t *testing.T) {
 		}
 
 		// Power fails on a write trap inside the last commit and the machine
-		// recovers in place, as the trap sweeps do. (Crash is left out: it
-		// returns the NVRAM image as one flat slice by contract.)
+		// recovers in place, as the trap sweeps do. (Crash + Restore has its
+		// own budget: TestCrashRestoreFollowsTouchedState.)
 		got := allocated(func() {
 			m = MustNew(cfg)
 			m.Heap().EnsureMapped(nil, 1, 5)

@@ -42,7 +42,7 @@ func TestConfigValidation(t *testing.T) {
 			} else if m != nil {
 				t.Fatal("New returned a machine alongside the error")
 			}
-			if _, err := Restore(tc.cfg, make([]byte, 1<<20)); err == nil {
+			if _, err := Restore(tc.cfg, Image{}); err == nil {
 				t.Fatalf("Restore accepted %+v", tc.cfg)
 			}
 		})

@@ -117,6 +117,12 @@ type WindowStats = machine.WindowStats
 // Cycles is simulated time in core clock cycles (3.7 GHz by default).
 type Cycles = engine.Cycles
 
+// Image is the durable NVRAM contents a crashed machine leaves behind
+// (Machine.Crash), the input of Restore. It holds a copy of each NVRAM page
+// the run wrote, so its size follows what the run touched rather than
+// Config.NVRAMMB, and it shares no storage with any machine.
+type Image = memsim.Image
+
 // Interleave selects the address→channel mapping of the multi-channel
 // memory model (Config.Channels).
 type Interleave = memsim.Interleave
@@ -443,8 +449,11 @@ func MustNew(cfg Config) *Machine {
 }
 
 // Restore boots a machine from a crashed machine's NVRAM image and runs
-// recovery. The configuration must match the image's.
-func Restore(cfg Config, image []byte) (*Machine, error) {
+// recovery. The configuration must match the image's. Restore copies the
+// image's pages, so one image may be restored more than once; the restored
+// machine's NVRAM wear counters start at zero, where in-place Recover keeps
+// them.
+func Restore(cfg Config, image Image) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package ssp
 
 import (
 	"testing"
+
+	"repro/internal/memsim"
 )
 
 func TestConfigDefaultsApply(t *testing.T) {
@@ -89,7 +91,7 @@ func TestBackendsList(t *testing.T) {
 
 func TestRestoreRejectsUnformattedImage(t *testing.T) {
 	cfg := Config{Backend: SSP, NVRAMMB: 32, MaxHeapPages: 128}
-	blank := make([]byte, 32<<20)
+	blank := memsim.ImageFromBytes(make([]byte, 32<<20))
 	if _, err := Restore(cfg, blank); err == nil {
 		t.Error("Restore accepted a blank image")
 	}

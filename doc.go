@@ -80,9 +80,8 @@
 // The memory system supports multiple independent channels
 // (ssp.Config.Channels, default 1 = the paper's single-bus Table 2 model;
 // internals in internal/memsim). Each channel owns a slice of the banks and a
-// data-bus bandwidth ledger; addresses interleave across channels per
-// ssp.Config.Interleave — InterleaveLine (consecutive 64-byte lines rotate
-// channels; default) or InterleavePage (a 4 KiB page stays on one channel).
+// data-bus bandwidth ledger; addresses interleave across channels every
+// cache line (consecutive 64-byte lines rotate channels).
 // Channel and bank selectors are swizzled with higher address bits
 // (permutation-based interleaving), so power-of-2 strided regions such as the
 // per-core logs spread across banks instead of aliasing onto one. Per-channel
@@ -223,7 +222,7 @@
 // synchronisation left. Go's race detector checks the claim: every Run test
 // goes through the grant, and CI repeats the Windowed and Parallel tests
 // under -race. SSP's parallel-mode behaviour, batched consolidation, is
-// simulated and applies to every Run (txn.ParallelAware).
+// simulated and applies to every Run (core.SSP.SetParallel).
 //
 // The protocol's lock order, for an implementation whose cores run at the
 // same time (hardware, or a simulator that gives each core a host thread):

@@ -128,8 +128,18 @@ func (s *SSP) Commit(core int, at engine.Cycles) engine.Cycles {
 	return s.commit(core, at, false)
 }
 
-// CommitRelaxed implements txn.RelaxedBackend: the same pipeline with the
-// durability point deferred. Stage 1 (the metadata barrier, extended with
+// CommitRelaxed closes the open section exactly like Commit — on return the
+// section is ACKNOWLEDGED and its writes are visible — but defers its
+// durability point: the section becomes durable within
+// Config.DurabilityEpoch cycles, or earlier at a Sync, a Drain, or any
+// synchronous flush of its metadata shard, and a crash before that point
+// loses it ATOMICALLY — entirely present or entirely absent afterwards,
+// never torn, and never reordered against a later durable section on the
+// same shard. The logging designs have no relaxed mode: the machine
+// commits them synchronously.
+//
+// It is the same pipeline as Commit with the durability point deferred.
+// Stage 1 (the metadata barrier, extended with
 // the epoch leg — see barrierFlush) still runs synchronously; stage 2
 // issues the data flushes without fencing on them; stages 3-4 buffer the
 // journal batch into the shard's open epoch and defer publication until

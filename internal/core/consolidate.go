@@ -139,10 +139,15 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 // charge a journal record to every commit that leaves a page inactive;
 // instead,
 // pages that become inactive are queued, and one core drains the whole
-// batch every EpochCommits commits. The deferral window is bounded, and a
+// batch every epochCommits commits. The deferral window is bounded, and a
 // page re-referenced before its batch runs simply skips consolidation —
 // exactly the LazyConsolidation semantics the paper sketches in §3.4, with
 // an epoch bound instead of a memory-pressure trigger.
+
+// epochCommits is the parallel-mode consolidation epoch length: pages whose
+// consolidation was deferred are drained in one batch every epochCommits
+// commits (per backend, not per core). Serial runs consolidate inline.
+const epochCommits = 32
 
 // queueConsolidation records that vpn became inactive and is a
 // consolidation candidate.
@@ -156,7 +161,7 @@ func (s *SSP) queueConsolidation(vpn int) {
 // bounded even in fallback-heavy runs.
 func (s *SSP) tickEpoch(at engine.Cycles) {
 	s.epochOps++
-	if s.epochOps >= s.cfg.EpochCommits && len(s.consolQ) > 0 {
+	if s.epochOps >= epochCommits && len(s.consolQ) > 0 {
 		s.epochOps = 0
 		s.drainConsolQueue(at)
 	}

@@ -42,10 +42,15 @@ import (
 // The TID is drawn once the participants are known and the whole commit
 // runs before any other core executes, so every stream stays TID-monotonic.
 
-// BeginGlobal implements txn.GlobalBackend: Begin, plus marking the section
-// as a cross-shard transaction. On a single-shard machine — or when the
-// write set turns out to fit one shard — the commit degrades to the exact
-// single-shard fast path, so the flag costs nothing.
+// BeginGlobal opens a failure-atomic section exactly like Begin, but marks
+// it as one whose write set may span pages owned by multiple metadata
+// journal shards: Commit then guarantees all-or-nothing atomicity across
+// every shard the section touched, with two-phase prepare/end records over
+// the participant shards. On a single-shard machine — or when the write set
+// turns out to fit one shard — the commit degrades to the exact
+// single-shard fast path, so the flag costs nothing. The logging designs
+// have no counterpart: their per-core logs are atomic for any write set, so
+// the machine opens a plain Begin on them.
 func (s *SSP) BeginGlobal(core int, at engine.Cycles) engine.Cycles {
 	t := s.Begin(core, at)
 	s.globalTxn[core] = true

@@ -233,13 +233,15 @@ func (s *SSP) hardenPageUpdates(meta *pageMeta, dest int, at engine.Cycles) engi
 	return at
 }
 
-// HardenIdle implements txn.IdleHardener: it hardens the calling core's
-// own metadata shard's open epoch, if one is open, and reports whether a
-// harden ran. relaxedLocalCommit bills the epoch age bound to the NEXT
-// committer crossing it, so a shard whose cores all go quiet would hold
-// its last acknowledged epoch volatile until a Sync or Drain; a serving
-// loop's idle path calls this instead. No age check here: an idle core's
-// clock is frozen, so the caller decides "idle long enough" in host time.
+// HardenIdle is the idle-path extension of the relaxed mode: it hardens the
+// calling core's own metadata shard's open epoch, if one is open, and
+// reports whether a harden ran. relaxedLocalCommit bills the epoch age bound
+// to the NEXT committer crossing it, so a shard whose cores all go quiet
+// would hold its last acknowledged epoch volatile until a Sync or Drain —
+// unbounded in host time; a serving loop's idle path calls this instead.
+// No age check here: an idle core's clock is frozen, so the caller decides
+// "idle long enough" in host time. A no-op, reporting false, with the
+// relaxed mode off and on a shard with nothing unsealed.
 func (s *SSP) HardenIdle(core int, at engine.Cycles) (engine.Cycles, bool) {
 	if s.cfg.DurabilityEpoch <= 0 {
 		return at, false
@@ -266,10 +268,10 @@ func (s *SSP) hardenAllShards(core int, at engine.Cycles) engine.Cycles {
 	return t
 }
 
-// Sync implements txn.RelaxedBackend's durability upgrade barrier: on
-// return, every commit acknowledged before the call — relaxed or not — is
-// durable. With DurabilityEpoch == 0 everything already is, and Sync is
-// free.
+// Sync is the relaxed mode's durability upgrade barrier: on return, every
+// commit acknowledged before the call — relaxed or not — is durable. With
+// DurabilityEpoch == 0 everything already is, and Sync is free: CommitRelaxed
+// is then bit-for-bit Commit, so the relaxed mode disabled costs nothing.
 func (s *SSP) Sync(core int, at engine.Cycles) engine.Cycles {
 	if s.cfg.DurabilityEpoch <= 0 {
 		return at

@@ -66,11 +66,6 @@ type Config struct {
 	FlipViaShootdown bool
 	// ShootdownCycles is the cost of one TLB shootdown (OS trap + IPIs).
 	ShootdownCycles engine.Cycles
-	// EpochCommits is the parallel-mode consolidation epoch length: pages
-	// whose consolidation was deferred during an epoch are drained in one
-	// batch every EpochCommits commits (per backend, not per core). Serial
-	// runs consolidate inline and ignore this.
-	EpochCommits int
 	// WearRotateWrites, when positive, retires hot physical frames at
 	// consolidation time (SoftWear-style software wear-leveling): a frame
 	// whose cumulative NVRAM write count (memsim.Memory.PageWrites) has
@@ -101,7 +96,6 @@ func DefaultConfig() Config {
 		JournalHighWater: 0.75,
 		SubPageLines:     1,
 		ShootdownCycles:  4000, // trap + IPI round trip, per [1,48]
-		EpochCommits:     32,
 	}
 }
 

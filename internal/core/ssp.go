@@ -118,9 +118,6 @@ type SSP struct {
 }
 
 var _ txn.Backend = (*SSP)(nil)
-var _ txn.ParallelAware = (*SSP)(nil)
-var _ txn.GlobalBackend = (*SSP)(nil)
-var _ txn.RelaxedBackend = (*SSP)(nil)
 
 // NewSSP builds the SSP backend over env. When fresh is true the persistent
 // slot array is formatted (every slot assigned its spare frame up front,
@@ -138,9 +135,6 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	}
 	if memsim.LinesPerPage%cfg.SubPageLines != 0 {
 		panic("core: SubPageLines must divide 64")
-	}
-	if cfg.EpochCommits <= 0 {
-		cfg.EpochCommits = DefaultConfig().EpochCommits
 	}
 	s := &SSP{
 		env:         env,
@@ -183,8 +177,12 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	return s
 }
 
-// SetParallel implements txn.ParallelAware. Turning parallel mode off
-// drains any consolidation work the last epoch left queued.
+// SetParallel switches parallel mode, which Machine.Run turns on before the
+// core goroutines start and off after they join; both calls happen with no
+// simulated work in flight. While it is on, commit-time page consolidation
+// is batched into epochs instead of running inline (see consolidate.go);
+// crash consistency and the aggregate counter totals are unchanged. Turning
+// it off drains any consolidation work the last epoch left queued.
 func (s *SSP) SetParallel(on bool) {
 	if s.parallel && !on {
 		s.drainConsolQueue(s.now)
@@ -459,15 +457,4 @@ func (s *SSP) checkIndices() string {
 		return fmt.Sprintf("entry table holds %d entries, entryCount() = %d", entries, s.entryCount())
 	}
 	return s.resident.check()
-}
-
-// DebugPage exposes a page's SSP state for tests and forensics: the two
-// frames and the current/committed bitmaps. ok is false when the page has
-// no SSP cache entry.
-func (s *SSP) DebugPage(vpn int) (ppn0, ppn1 memsim.PAddr, current, committed uint64, ok bool) {
-	meta := s.lookupMeta(vpn)
-	if meta == nil {
-		return 0, 0, 0, 0, false
-	}
-	return meta.ppn0, meta.ppn1, meta.current, meta.committed, true
 }

@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -306,11 +305,4 @@ func RenderFig7b(rows []Fig7Row) string {
 		})
 	}
 	return stats.Table(header, body)
-}
-
-// ---------------------------------------------------------------------------
-
-// Render joins rendered sections.
-func Render(sections ...string) string {
-	return strings.Join(sections, "\n")
 }

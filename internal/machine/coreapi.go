@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
-	"repro/internal/txn"
 )
 
 // Core is a simulated core's programming interface: the ISA extension of
@@ -132,13 +131,13 @@ func (c *Core) Begin() { c.begin(c.m.backend.Begin) }
 // multiple arenas/journal shards — a cross-shard "global" transaction.
 // Commit then guarantees all-or-nothing durability across every shard the
 // section touched (SSP appends two-phase prepare/end records; see
-// internal/core). On backends without a distributed-commit protocol, or
-// when the machine runs a single metadata shard, it behaves exactly like
-// Begin. Isolation remains the program's job: acquire every involved
-// structure's Lock (in a consistent order) around the section.
+// core.SSP.BeginGlobal). On the logging designs, or when the machine runs a
+// single metadata shard, it behaves exactly like Begin. Isolation remains
+// the program's job: acquire every involved structure's Lock (in a
+// consistent order) around the section.
 func (c *Core) BeginGlobal() {
-	if gb, ok := c.m.backend.(txn.GlobalBackend); ok {
-		c.begin(gb.BeginGlobal)
+	if s := c.m.ssp; s != nil {
+		c.begin(s.BeginGlobal)
 		return
 	}
 	c.begin(c.m.backend.Begin)
@@ -159,33 +158,34 @@ func (c *Core) Commit() {
 // writes are acknowledged and visible, and they become durable within the
 // backend's epoch bound (ssp.Config.DurabilityEpoch) — or at the next
 // Sync/Drain, whichever is first. A crash before then loses the section
-// atomically, never partially. On backends without the relaxed mode — or
-// with DurabilityEpoch = 0 — this is exactly Commit.
+// atomically, never partially (see core.SSP.CommitRelaxed). On the logging
+// designs — or with DurabilityEpoch = 0 — this is exactly Commit.
 func (c *Core) CommitRelaxed() {
 	if !c.inTxn {
 		panic("machine: Commit outside transaction")
 	}
-	rb, ok := c.m.backend.(txn.RelaxedBackend)
-	if !ok {
+	s := c.m.ssp
+	if s == nil {
 		c.Commit()
 		return
 	}
 	c.op()
-	c.m.clocks[c.id] = rb.CommitRelaxed(c.id, c.m.clocks[c.id])
+	c.m.clocks[c.id] = s.CommitRelaxed(c.id, c.m.clocks[c.id])
 	c.inTxn = false
 	c.recordWriteSet()
 }
 
 // Sync is the durability upgrade barrier for relaxed commits: on return,
 // every section this machine acknowledged before the call — relaxed or not
-// — is durable. A no-op on backends without the relaxed mode.
+// — is durable. On SSP it costs one operation plus the hardens it runs; on
+// the logging designs, which persist at every commit, it is free.
 func (c *Core) Sync() {
-	rb, ok := c.m.backend.(txn.RelaxedBackend)
-	if !ok {
+	s := c.m.ssp
+	if s == nil {
 		return
 	}
 	c.op()
-	c.m.clocks[c.id] = rb.Sync(c.id, c.m.clocks[c.id])
+	c.m.clocks[c.id] = s.Sync(c.id, c.m.clocks[c.id])
 }
 
 // HardenIdle hardens this core's own metadata shard's open
@@ -194,14 +194,14 @@ func (c *Core) Sync() {
 // quiet can leave acknowledged-but-volatile sections pending until the
 // next Sync or Drain; serving loops call HardenIdle from their idle path
 // instead (judging "idle" in host time — an idle core's simulated clock
-// is frozen). A no-op, returning false, on backends without the relaxed
-// mode and when the shard has nothing unsealed.
+// is frozen). A no-op, returning false, on the logging designs and when
+// the shard has nothing unsealed (see core.SSP.HardenIdle).
 func (c *Core) HardenIdle() bool {
-	ih, ok := c.m.backend.(txn.IdleHardener)
-	if !ok {
+	s := c.m.ssp
+	if s == nil {
 		return false
 	}
-	done, hardened := ih.HardenIdle(c.id, c.m.clocks[c.id])
+	done, hardened := s.HardenIdle(c.id, c.m.clocks[c.id])
 	if !hardened {
 		return false // free: an idle poll that finds nothing charges nothing
 	}

@@ -150,6 +150,7 @@ type Machine struct {
 	env    *txn.Env
 
 	backend txn.Backend
+	ssp     *core.SSP // the backend when it is SSP; nil on the logging designs
 	heap    *pheap.Heap
 
 	clocks []engine.Cycles
@@ -311,7 +312,8 @@ func build(cfg Config, image *memsim.Image) (*Machine, error) {
 	m.sched = newWinSched(m, m.cfg.TimeWindow)
 	switch cfg.Backend {
 	case SSP:
-		m.backend = core.NewSSP(m.env, cfg.SSP, image == nil)
+		m.ssp = core.NewSSP(m.env, cfg.SSP, image == nil)
+		m.backend = m.ssp
 	case UndoLog:
 		m.backend = logging.NewUndo(m.env)
 	case RedoLog:
@@ -441,26 +443,6 @@ func (m *Machine) Mem() *memsim.Memory { return m.mem }
 // Channels returns the memory system's effective channel count.
 func (m *Machine) Channels() int { return m.mem.Channels() }
 
-// ChannelUtilization converts the aggregated per-channel bus-occupancy
-// counters into utilization fractions of the given elapsed window (one entry
-// per channel), clamped to [0,1] — the counters charge every transfer, so a
-// degenerate window (a straggler core admitted past the occupancy wheel's
-// horizon) could otherwise nudge past 1. Quiescent-only, like Stats.
-func (m *Machine) ChannelUtilization(elapsed engine.Cycles) []float64 {
-	st := m.shards.Aggregate()
-	out := make([]float64, m.mem.Channels())
-	if elapsed <= 0 {
-		return out
-	}
-	for i := range out {
-		out[i] = float64(st.ChannelBusyCycles[i]) / float64(elapsed)
-		if out[i] > 1 {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // JournalShardPressure re-exports the SSP backend's per-shard journal
 // state (fill, records, checkpoints).
 type JournalShardPressure = core.JournalShardPressure
@@ -469,10 +451,10 @@ type JournalShardPressure = core.JournalShardPressure
 // entry per configured shard (nil for the logging backends, which have no
 // metadata journal). Quiescent-only, like Stats.
 func (m *Machine) JournalPressure() []JournalShardPressure {
-	if s, ok := m.backend.(*core.SSP); ok {
-		return s.JournalPressure()
+	if m.ssp == nil {
+		return nil
 	}
-	return nil
+	return m.ssp.JournalPressure()
 }
 
 // DebugValidateCaches runs the cache hierarchy's coherence invariant check
@@ -540,11 +522,12 @@ func (m *Machine) Run(fn func(c *Core)) {
 // exactly.
 func (m *Machine) WindowStats() WindowStats { return m.sched.snapshot() }
 
-// setParallel tells the backend, when it cares, that Run is entered or
-// left. Called only while quiescent.
+// setParallel tells SSP that Run is entered or left (see
+// core.SSP.SetParallel); the logging designs schedule no background work
+// differently. Called only while quiescent.
 func (m *Machine) setParallel(on bool) {
-	if pa, ok := m.backend.(txn.ParallelAware); ok {
-		pa.SetParallel(on)
+	if m.ssp != nil {
+		m.ssp.SetParallel(on)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/memsim"
 	"repro/internal/pheap"
 	"repro/internal/stats"
 )
@@ -166,7 +165,6 @@ func TestParallelMultiChannel(t *testing.T) {
 	channelCfg := func(b BackendKind, channels int) Config {
 		cfg := testConfig(b, stressCores)
 		cfg.Mem.Channels = channels
-		cfg.Mem.Interleave = memsim.InterleaveLine
 		return cfg
 	}
 	runParallel := func(cfg Config) *Machine {

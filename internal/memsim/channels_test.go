@@ -9,105 +9,75 @@ import (
 	"repro/internal/stats"
 )
 
-func channelConfig(channels int, iv Interleave) Config {
+func channelConfig(channels int) Config {
 	cfg := testConfig()
 	cfg.Channels = channels
-	cfg.Interleave = iv
 	return cfg
 }
 
-// unroute inverts route() for the given policy — the test's independent
-// model of the mapping (including the permutation swizzle).
-func unroute(iv Interleave, channels int, ch int, ca PAddr) PAddr {
+// unroute inverts route() — the test's independent model of the mapping
+// (including the permutation swizzle).
+func unroute(channels int, ch int, ca PAddr) PAddr {
 	n := uint64(channels)
-	unrot := func(q uint64) uint64 {
-		// Invert ch = (r + swizzle(q)) % n for the unit index r.
-		return (uint64(ch) + n - swizzle(q)%n) % n
-	}
-	switch iv {
-	case InterleavePage:
-		q := uint64(ca >> PageShift)
-		return PAddr(q*n+unrot(q))<<PageShift | (ca & (PageBytes - 1))
-	default:
-		q := uint64(ca >> LineShift)
-		return PAddr(q*n+unrot(q))<<LineShift | (ca & (LineBytes - 1))
-	}
+	q := uint64(ca >> LineShift)
+	// Invert ch = (r + swizzle(q)) % n for the line index r within group q.
+	r := (uint64(ch) + n - swizzle(q)%n) % n
+	return PAddr(q*n+r)<<LineShift | (ca & (LineBytes - 1))
 }
 
 // The address→(channel, channel-local address) mapping must be a bijection
-// for every policy and channel count: invertible, and no two addresses
-// collide on the same (channel, local) pair.
+// for every channel count: invertible, and no two addresses collide on the
+// same (channel, local) pair.
 func TestChannelRouteBijection(t *testing.T) {
-	for _, iv := range []Interleave{InterleaveLine, InterleavePage} {
-		for _, channels := range []int{1, 2, 3, 4, 8, 16} {
-			t.Run(fmt.Sprintf("%s/%d", iv, channels), func(t *testing.T) {
-				m := New(channelConfig(channels, iv), &stats.Stats{})
-				seen := make(map[[2]uint64]PAddr)
-				base := m.Config().NVRAMBase
-				rng := engine.NewRNG(uint64(channels)*31 + uint64(iv))
-				for i := 0; i < 4096; i++ {
-					var pa PAddr
-					switch {
-					case i < 2048: // dense sequential lines from NVRAM base
-						pa = base + PAddr(i)*LineBytes
-					case i < 3072: // dense DRAM lines
-						pa = PAddr(i-2048) * LineBytes
-					default: // random NVRAM bytes (not line-aligned)
-						pa = base + PAddr(rng.Uint64n(m.Config().NVRAMBytes))
-					}
-					ch, ca := m.route(pa)
-					if ch < 0 || ch >= channels {
-						t.Fatalf("route(%#x) channel %d out of range", pa, ch)
-					}
-					if got := unroute(iv, channels, ch, ca); got != pa {
-						t.Fatalf("route(%#x) = (%d, %#x) does not invert: got %#x", pa, ch, ca, got)
-					}
-					key := [2]uint64{uint64(ch), uint64(ca)}
-					if prev, dup := seen[key]; dup && prev != pa {
-						t.Fatalf("collision: %#x and %#x both map to (%d, %#x)", prev, pa, ch, ca)
-					}
-					seen[key] = pa
+	for _, channels := range []int{1, 2, 3, 4, 8, 16} {
+		t.Run(fmt.Sprintf("line/%d", channels), func(t *testing.T) {
+			m := New(channelConfig(channels), &stats.Stats{})
+			seen := make(map[[2]uint64]PAddr)
+			base := m.Config().NVRAMBase
+			rng := engine.NewRNG(uint64(channels) * 31)
+			for i := 0; i < 4096; i++ {
+				var pa PAddr
+				switch {
+				case i < 2048: // dense sequential lines from NVRAM base
+					pa = base + PAddr(i)*LineBytes
+				case i < 3072: // dense DRAM lines
+					pa = PAddr(i-2048) * LineBytes
+				default: // random NVRAM bytes (not line-aligned)
+					pa = base + PAddr(rng.Uint64n(m.Config().NVRAMBytes))
 				}
-			})
-		}
+				ch, ca := m.route(pa)
+				if ch < 0 || ch >= channels {
+					t.Fatalf("route(%#x) channel %d out of range", pa, ch)
+				}
+				if got := unroute(channels, ch, ca); got != pa {
+					t.Fatalf("route(%#x) = (%d, %#x) does not invert: got %#x", pa, ch, ca, got)
+				}
+				key := [2]uint64{uint64(ch), uint64(ca)}
+				if prev, dup := seen[key]; dup && prev != pa {
+					t.Fatalf("collision: %#x and %#x both map to (%d, %#x)", prev, pa, ch, ca)
+				}
+				seen[key] = pa
+			}
+		})
 	}
 }
 
 func TestChannelPolicies(t *testing.T) {
-	mLine := New(channelConfig(4, InterleaveLine), &stats.Stats{})
-	base := mLine.Config().NVRAMBase
-	// Line policy: every group of 4 consecutive lines covers all 4 channels
-	// (a per-group permutation); bytes within a line stay together.
+	m := New(channelConfig(4), &stats.Stats{})
+	base := m.Config().NVRAMBase
+	// Every group of 4 consecutive lines covers all 4 channels (a per-group
+	// permutation); bytes within a line stay together.
 	for g := 0; g < 8; g++ {
 		seen := map[int]bool{}
 		for i := 0; i < 4; i++ {
 			pa := base + PAddr(4*g+i)*LineBytes
-			ch := mLine.ChannelOf(pa)
+			ch := m.ChannelOf(pa)
 			if seen[ch] {
-				t.Errorf("line policy: group %d maps two lines to channel %d", g, ch)
+				t.Errorf("group %d maps two lines to channel %d", g, ch)
 			}
 			seen[ch] = true
-			if mLine.ChannelOf(pa+63) != ch {
-				t.Errorf("line policy split a cache line at %#x", pa)
-			}
-		}
-	}
-	// Page policy: a page's 64 lines share one channel; every group of 4
-	// consecutive pages covers all 4 channels.
-	mPage := New(channelConfig(4, InterleavePage), &stats.Stats{})
-	for g := 0; g < 4; g++ {
-		seen := map[int]bool{}
-		for p := 0; p < 4; p++ {
-			page := base + PAddr(4*g+p)*PageBytes
-			want := mPage.ChannelOf(page)
-			if seen[want] {
-				t.Errorf("page policy: group %d maps two pages to channel %d", g, want)
-			}
-			seen[want] = true
-			for li := 0; li < LinesPerPage; li++ {
-				if got := mPage.ChannelOf(page + PAddr(li)*LineBytes); got != want {
-					t.Fatalf("page policy: page %d line %d strayed to channel %d (page on %d)", p, li, got, want)
-				}
+			if m.ChannelOf(pa+63) != ch {
+				t.Errorf("split a cache line at %#x", pa)
 			}
 		}
 	}
@@ -170,7 +140,7 @@ func wheelFrontier(w *wheel) engine.Cycles {
 // the concurrent-mode pattern the wheel exists for. Completion must never
 // precede issue.
 func TestChannelTimelinesMonotonic(t *testing.T) {
-	m := New(channelConfig(4, InterleaveLine), &stats.Stats{})
+	m := New(channelConfig(4), &stats.Stats{})
 	cfg := m.Config()
 	maxLat := engine.NSToCycles(cfg.NVRAMWrite, cfg.FreqGHz)
 	base := cfg.NVRAMBase
@@ -225,7 +195,7 @@ func TestChannelTimelinesMonotonic(t *testing.T) {
 func TestChannelBandwidthScaling(t *testing.T) {
 	const writes = 1024
 	makespan := func(channels int) engine.Cycles {
-		cfg := channelConfig(channels, InterleaveLine)
+		cfg := channelConfig(channels)
 		cfg.NVRAMBanks = 512
 		cfg.NVRAMBytes = 4 << 20
 		m := New(cfg, &stats.Stats{})
@@ -254,7 +224,7 @@ func TestChannelBandwidthScaling(t *testing.T) {
 // traffic must actually spread across channels.
 func TestChannelCounters(t *testing.T) {
 	sh := stats.NewSharded(1)
-	m := New(channelConfig(4, InterleaveLine), sh.Shared())
+	m := New(channelConfig(4), sh.Shared())
 	m.AttachChannelStats(sh.ChannelShards(4))
 	base := m.Config().NVRAMBase
 	buf := make([]byte, LineBytes)

@@ -7,14 +7,13 @@
 // # Channels
 //
 // Config.Channels splits the memory system into independent channels, each
-// with its own banks and its own data-bus occupancy timeline. Addresses map
-// to channels by the Config.Interleave policy — cacheline-granular
-// (consecutive 64-byte lines rotate channels, spreading even single-page
-// traffic) or page-granular (a 4 KiB page lives entirely on one channel,
-// preserving page-level locality). The address→(channel, channel-local
-// address) mapping is a bijection, and within a channel the local address
-// stream preserves row-buffer locality: a sequential walk of physical memory
-// is a sequential walk of every channel.
+// with its own banks and its own data-bus occupancy timeline. Addresses are
+// interleaved across channels at cacheline granularity: consecutive 64-byte
+// lines rotate channels, so even single-page traffic spreads over all of
+// them. The address→(channel, channel-local address) mapping is a bijection,
+// and within a channel the local address stream preserves row-buffer
+// locality: a sequential walk of physical memory is a sequential walk of
+// every channel.
 //
 // Cores therefore only contend in simulated bus time when they genuinely
 // hit the same channel. Channel and bank selectors are swizzled with higher
@@ -82,34 +81,6 @@ func PageAddr(pa PAddr) PAddr { return pa &^ (PageBytes - 1) }
 // LineIndex returns the index of pa's cache line within its page (0..63).
 func LineIndex(pa PAddr) int { return int(pa>>LineShift) & (LinesPerPage - 1) }
 
-// Interleave selects the address→channel mapping policy.
-type Interleave int
-
-// Interleaving policies.
-const (
-	// InterleaveLine rotates channels every cache line: line i goes to
-	// channel i mod Channels. Maximum bandwidth spreading — even a single
-	// hot page uses every channel.
-	InterleaveLine Interleave = iota
-	// InterleavePage rotates channels every 4 KiB page: a page's 64 lines
-	// all live on one channel. Preserves page-granular locality (SSP's
-	// consolidation copies stay on one channel) at the cost of per-page
-	// bandwidth.
-	InterleavePage
-)
-
-// String returns the policy name used in reports.
-func (iv Interleave) String() string {
-	switch iv {
-	case InterleaveLine:
-		return "line"
-	case InterleavePage:
-		return "page"
-	default:
-		return fmt.Sprintf("Interleave(%d)", int(iv))
-	}
-}
-
 // Config describes the memory system. The zero value is not usable; use
 // DefaultConfig.
 type Config struct {
@@ -135,9 +106,6 @@ type Config struct {
 	// max MaxChannels). The configured bank counts are divided across the
 	// channels.
 	Channels int
-	// Interleave is the address→channel mapping policy (default
-	// InterleaveLine); ignored with one channel.
-	Interleave Interleave
 }
 
 // DefaultConfig returns the paper's Table 2 memory parameters, with
@@ -162,7 +130,6 @@ func DefaultConfig() Config {
 		RowHitFrac: 0.6,
 		BusNS:      4,
 		Channels:   1,
-		Interleave: InterleaveLine,
 	}
 }
 
@@ -503,26 +470,20 @@ func swizzle(q uint64) uint64 {
 	return (q * 0x9E3779B97F4A7C15) >> 33
 }
 
-// route maps a physical address to (channel index, channel-local address)
-// under the configured interleaving policy. The mapping is a bijection: the
-// channel-local stream of each channel is dense, so row-buffer locality is
-// preserved per channel, and within one interleave group the n units map to
-// n distinct channels (the swizzle only rotates each group).
+// route maps a physical address to (channel index, channel-local address):
+// line i goes to channel i mod n, rotated per group of n lines by the
+// swizzle. The mapping is a bijection: the channel-local stream of each
+// channel is dense, so row-buffer locality is preserved per channel, and
+// within one group of n lines the lines map to n distinct channels (the
+// swizzle only rotates each group).
 func (m *Memory) route(pa PAddr) (int, PAddr) {
 	n := uint64(m.nChannels)
 	if n == 1 {
 		return 0, pa
 	}
-	switch m.cfg.Interleave {
-	case InterleavePage:
-		pfn := uint64(pa >> PageShift)
-		ch := (pfn%n + swizzle(pfn/n)) % n
-		return int(ch), PAddr(pfn/n)<<PageShift | (pa & (PageBytes - 1))
-	default: // InterleaveLine
-		la := uint64(pa >> LineShift)
-		ch := (la%n + swizzle(la/n)) % n
-		return int(ch), PAddr(la/n)<<LineShift | (pa & (LineBytes - 1))
-	}
+	la := uint64(pa >> LineShift)
+	ch := (la%n + swizzle(la/n)) % n
+	return int(ch), PAddr(la/n)<<LineShift | (pa & (LineBytes - 1))
 }
 
 // ChannelOf returns the channel index serving pa.

@@ -206,7 +206,7 @@ func TestWheelSizedBySpan(t *testing.T) {
 // ResetTiming clears the rings in place: replaying the same traffic after it
 // returns the same completion times and allocates nothing.
 func TestResetTimingReplayAllocatesNothing(t *testing.T) {
-	m := New(channelConfig(2, InterleaveLine), &stats.Stats{})
+	m := New(channelConfig(2), &stats.Stats{})
 	base := m.Config().NVRAMBase
 	buf := make([]byte, LineBytes)
 	done := make([]engine.Cycles, 0, 600)

@@ -1,13 +1,21 @@
 // Package txn defines the contract between the simulated machine and the
 // failure-atomicity mechanisms it evaluates: the shared hardware environment
-// (Env) and the Backend interface implemented by SSP (internal/core) and the
-// two hardware-logging baselines (internal/logging).
+// (Env) and the one Backend interface implemented by SSP (internal/core) and
+// the two hardware-logging baselines (internal/logging).
 //
 // The programming model mirrors the paper's ISA extension (§3.1):
 // Begin/Commit bracket a failure-atomic section (ATOMIC_BEGIN/ATOMIC_END,
 // full memory barriers) and Store is an ATOMIC_STORE whose effects persist
 // all-or-nothing. Isolation is the application's job (locks), exactly as in
 // the paper.
+//
+// SSP's extensions beyond that contract — cross-shard sections
+// (BeginGlobal), relaxed durability (CommitRelaxed, Sync, HardenIdle) and
+// parallel-mode consolidation batching (SetParallel) — have one
+// implementer, so they are methods of *core.SSP that internal/machine calls
+// directly rather than interfaces here. The logging designs need none of
+// them: their per-core logs are atomic for any write set and persist at
+// every commit.
 package txn
 
 import (
@@ -121,72 +129,4 @@ type Backend interface {
 	// write-backs) — an orderly shutdown, used before comparing durable
 	// state in tests and at the end of measurement runs.
 	Drain(at engine.Cycles) engine.Cycles
-}
-
-// GlobalBackend is implemented by backends with a distributed-commit
-// protocol for cross-shard (multi-arena) transactions. BeginGlobal opens a
-// failure-atomic section exactly like Begin, but marks it as one whose
-// write set may span structures owned by multiple metadata shards; the
-// backend's Commit then guarantees all-or-nothing atomicity across every
-// shard the section touched (for SSP: two-phase prepare/end records over
-// the participant journal shards). Drivers fall back to plain Begin on
-// backends without the interface — the logging designs are per-core-log
-// atomic for any write set, so the distinction only exists where commit
-// metadata is sharded.
-type GlobalBackend interface {
-	BeginGlobal(core int, at engine.Cycles) engine.Cycles
-}
-
-// RelaxedBackend is implemented by backends offering an epoch-batched
-// relaxed-durability commit mode alongside the synchronous Commit.
-//
-// CommitRelaxed closes the open section exactly like Commit — on return
-// the section is ACKNOWLEDGED and its writes are visible — but its
-// durability point is deferred: the backend guarantees the section becomes
-// durable within its configured epoch bound (for SSP:
-// Config.DurabilityEpoch cycles, or earlier at a Sync, a Drain, or any
-// synchronous flush of the section's metadata shard), and that a crash
-// before that point loses relaxed sections ATOMICALLY — each one entirely
-// present or entirely absent afterwards, never torn, and never reordered
-// against a later durable section on the same metadata stream.
-//
-// Sync is the durability upgrade barrier: on return every section
-// acknowledged before the call — relaxed or not — is durable. With the
-// relaxed mode disabled (DurabilityEpoch = 0) CommitRelaxed must be
-// bit-for-bit Commit and Sync free.
-//
-// Drivers fall back to Commit (and a no-op Sync) on backends without the
-// interface — the logging baselines persist at commit unconditionally.
-type RelaxedBackend interface {
-	CommitRelaxed(core int, at engine.Cycles) engine.Cycles
-	Sync(core int, at engine.Cycles) engine.Cycles
-}
-
-// IdleHardener is the optional idle-path extension of RelaxedBackend. The
-// relaxed epoch age bound is enforced by committers: the commit whose
-// timestamp crosses the bound pays the harden. A shard whose cores all go
-// quiet therefore holds its last acknowledged-but-volatile epoch open
-// until the next Sync or Drain — unbounded in host time. HardenIdle closes
-// that gap: it hardens the calling core's own metadata shard's open epoch,
-// if any, and reports whether a harden ran. Serving loops call it when a
-// core has been idle long enough that no imminent commit will pick up the
-// bill (the caller judges "long enough" in host time; simulated time does
-// not advance on an idle core). A no-op on backends without the relaxed
-// mode and on shards with nothing unsealed.
-type IdleHardener interface {
-	HardenIdle(core int, at engine.Cycles) (engine.Cycles, bool)
-}
-
-// ParallelAware is implemented by backends that schedule background work
-// differently inside goroutine-per-core execution (machine.Machine.Run).
-// SetParallel(true) is called before the core goroutines start,
-// SetParallel(false) after they join; both calls happen with no simulated
-// work in flight.
-//
-// While parallel mode is on, a backend may reorganise how it schedules
-// background work (e.g. SSP batches commit-time page consolidation into
-// epochs instead of running it inline) as long as crash consistency and
-// the aggregate counter totals remain correct.
-type ParallelAware interface {
-	SetParallel(on bool)
 }

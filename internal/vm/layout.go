@@ -86,13 +86,27 @@ func pageAlign(pa memsim.PAddr) memsim.PAddr {
 
 // NewLayout computes the region map for the given memory and layout
 // configuration. It panics if NVRAM is too small to hold the metadata plus
-// at least one frame.
+// at least one frame; CheckLayout reports that case as an error.
 func NewLayout(mcfg memsim.Config, cfg LayoutConfig) Layout {
+	l, err := layout(mcfg, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// CheckLayout returns the error NewLayout would panic with, or nil.
+func CheckLayout(mcfg memsim.Config, cfg LayoutConfig) error {
+	_, err := layout(mcfg, cfg)
+	return err
+}
+
+func layout(mcfg memsim.Config, cfg LayoutConfig) (Layout, error) {
 	if cfg.JournalShards <= 0 {
 		cfg.JournalShards = 1
 	}
 	if cfg.JournalShards > MaxJournalShards {
-		panic(fmt.Sprintf("vm: JournalShards %d exceeds MaxJournalShards %d", cfg.JournalShards, MaxJournalShards))
+		return Layout{}, fmt.Errorf("vm: JournalShards %d exceeds MaxJournalShards %d", cfg.JournalShards, MaxJournalShards)
 	}
 	l := Layout{Cfg: cfg}
 	p := mcfg.NVRAMBase
@@ -115,11 +129,12 @@ func NewLayout(mcfg memsim.Config, cfg LayoutConfig) Layout {
 	l.FramePoolBase = pageAlign(p)
 	end := mcfg.NVRAMBase + memsim.PAddr(mcfg.NVRAMBytes)
 	if l.FramePoolBase >= end {
-		panic("vm: NVRAM too small for metadata regions")
+		return Layout{}, fmt.Errorf("vm: NVRAM too small for metadata regions: they need %d KiB of %d KiB",
+			(l.FramePoolBase-mcfg.NVRAMBase)>>10, mcfg.NVRAMBytes>>10)
 	}
 	l.Frames = int((end - l.FramePoolBase) / memsim.PageBytes)
 	l.FramePoolEnd = l.FramePoolBase + memsim.PAddr(l.Frames)*memsim.PageBytes
-	return l
+	return l, nil
 }
 
 // FrameIndex converts a frame base address into its pool index.

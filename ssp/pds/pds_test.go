@@ -15,7 +15,6 @@ func newMachine(b ssp.Backend) *ssp.Machine {
 		DRAMMB:       2,
 		MaxHeapPages: 6144,
 		JournalKB:    64,
-		LogKB:        64,
 	})
 }
 

@@ -52,16 +52,26 @@ func TestRelaxedCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRelaxedDisabledIsSynchronous pins the DurabilityEpoch = 0 contract:
-// CommitRelaxed is bit-for-bit Commit (same clock, same traffic, same
-// journal activity) and Sync is free.
+// TestRelaxedDisabledIsSynchronous pins the DurabilityEpoch = 0 contract on
+// every backend: BeginGlobal is Begin and CommitRelaxed is Commit bit for
+// bit (same clock, same traffic, same journal activity). HardenIdle finds
+// nothing to harden and charges nothing; Sync charges one operation on SSP
+// and nothing on the logging designs, which persist at every commit.
 func TestRelaxedDisabledIsSynchronous(t *testing.T) {
-	run := func(relaxed bool) (Cycles, uint64, uint64, uint64) {
-		m := MustNew(Config{Backend: SSP, Cores: 1})
+	type outcome struct {
+		clock                 Cycles
+		writes, recs, relaxed uint64
+	}
+	run := func(b Backend, global, relaxed bool) outcome {
+		m := MustNew(Config{Backend: b, Cores: 1})
 		c := m.Core(0)
 		m.Heap().EnsureMapped(nil, 1, 2)
 		for i := 0; i < 32; i++ {
-			c.Begin()
+			if global {
+				c.BeginGlobal()
+			} else {
+				c.Begin()
+			}
 			c.Store64(HeapBase+PageBytes+uint64(i%16)*64, uint64(i))
 			if relaxed {
 				c.CommitRelaxed()
@@ -69,18 +79,40 @@ func TestRelaxedDisabledIsSynchronous(t *testing.T) {
 				c.Commit()
 			}
 		}
-		c.Sync()
 		m.Drain()
 		st := m.Stats()
-		return c.Now(), st.NVRAMWriteLines, st.JournalRecords, st.RelaxedCommits
+		return outcome{c.Now(), st.NVRAMWriteLines, st.JournalRecords, st.RelaxedCommits}
 	}
-	syncClock, syncWrites, syncRecs, _ := run(false)
-	relClock, relWrites, relRecs, relaxedCommits := run(true)
-	if syncClock != relClock || syncWrites != relWrites || syncRecs != relRecs {
-		t.Fatalf("DurabilityEpoch=0 diverged: clock %d vs %d, writes %d vs %d, records %d vs %d",
-			syncClock, relClock, syncWrites, relWrites, syncRecs, relRecs)
-	}
-	if relaxedCommits != 0 {
-		t.Fatalf("RelaxedCommits = %d with the mode disabled", relaxedCommits)
+	for _, b := range Backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			want := run(b, false, false)
+			for _, v := range []struct {
+				name            string
+				global, relaxed bool
+			}{{"BeginGlobal", true, false}, {"CommitRelaxed", false, true}} {
+				if got := run(b, v.global, v.relaxed); got != want {
+					t.Errorf("%s diverged from Begin/Commit: clock %d vs %d, writes %d vs %d, records %d vs %d, relaxed commits %d",
+						v.name, got.clock, want.clock, got.writes, want.writes, got.recs, want.recs, got.relaxed)
+				}
+			}
+
+			m := MustNew(Config{Backend: b, Cores: 1})
+			c := m.Core(0)
+			before := c.Now()
+			if c.HardenIdle() {
+				t.Error("HardenIdle hardened an epoch with the relaxed mode off")
+			}
+			if c.Now() != before {
+				t.Errorf("HardenIdle moved the clock %d -> %d", before, c.Now())
+			}
+			var syncCost Cycles
+			if b == SSP {
+				syncCost = m.Config().OpCycles
+			}
+			c.Sync()
+			if got := c.Now() - before; got != syncCost {
+				t.Errorf("Sync cost %d cycles, want %d", got, syncCost)
+			}
+		})
 	}
 }

@@ -123,17 +123,6 @@ type Cycles = engine.Cycles
 // Config.NVRAMMB, and it shares no storage with any machine.
 type Image = memsim.Image
 
-// Interleave selects the address→channel mapping of the multi-channel
-// memory model (Config.Channels).
-type Interleave = memsim.Interleave
-
-// Interleaving policies: cacheline-granular (consecutive 64-byte lines
-// rotate channels) and page-granular (a 4 KiB page lives on one channel).
-const (
-	InterleaveLine = memsim.InterleaveLine
-	InterleavePage = memsim.InterleavePage
-)
-
 // MaxChannels is the largest supported Config.Channels.
 const MaxChannels = memsim.MaxChannels
 
@@ -157,24 +146,22 @@ type Config struct {
 	Backend Backend
 	Cores   int // default 1
 
-	// Memory latencies in nanoseconds (Table 2: DRAM 50/50, NVRAM 50/200).
+	// NVRAM latencies in nanoseconds (Table 2: 50/200).
 	NVRAMReadNS  float64
 	NVRAMWriteNS float64
-	DRAMNS       float64
 
 	// Multi-channel memory model (beyond the paper's single-channel
-	// Table 2). Channels splits memory into independent interleaved
-	// channels, each with its own banks and data-bus timeline, so
-	// concurrent cores only contend on memory they genuinely share.
-	Channels   int        // independent memory channels (default 1, max 16)
-	Interleave Interleave // address→channel policy (default InterleaveLine)
+	// Table 2). Channels splits memory into independent channels,
+	// interleaved every cache line, each with its own banks and data-bus
+	// timeline, so concurrent cores only contend on memory they genuinely
+	// share.
+	Channels int // independent memory channels (default 1, max 16)
 
 	// Capacities.
 	NVRAMMB      int // simulated NVRAM size (default 128)
 	DRAMMB       int // simulated DRAM size (default 32)
 	MaxHeapPages int // persistent heap limit in 4 KiB pages
 	JournalKB    int // SSP metadata journal region, per shard
-	LogKB        int // per-core undo/redo log region
 	TLBEntries   int // per-core L1 DTLB entries (default 64)
 	STLBEntries  int // per-core L2 STLB entries (default 1024; -1 disables)
 	L2KB         int // per-core L2 capacity in KiB (default 256; min 32)
@@ -191,7 +178,6 @@ type Config struct {
 	JournalShards int
 
 	// SSP mechanism knobs.
-	SSPCacheEntries int    // transient SSP cache capacity (default N·T+O)
 	SSPCacheLatency Cycles // SSP cache access latency in cycles (Figure 9)
 	SSPResident     int    // L3-resident SSP cache entries
 	SubPageLines    int    // persistence granularity in lines (§4.3; 1 or 4)
@@ -255,13 +241,6 @@ type Config struct {
 	// REDO-LOG's parallel speedup near 1x; per-core engines ablate that
 	// serialisation — `sspbench -exp ablate`).
 	RedoWriteBackEngines int
-
-	// ConsolEpochCommits is Machine.Run's consolidation epoch length:
-	// during Run, SSP batches page consolidation and drains the
-	// batch every N commits instead of consolidating inline at each commit
-	// (which would serialise all cores on the metadata journal). Serial
-	// execution ignores it. Default 32.
-	ConsolEpochCommits int
 }
 
 // apply converts the public Config into the internal machine config.
@@ -274,16 +253,11 @@ func (c Config) apply() machine.Config {
 	if c.Channels > 0 {
 		mc.Mem.Channels = c.Channels
 	}
-	mc.Mem.Interleave = c.Interleave
 	if c.NVRAMReadNS > 0 {
 		mc.Mem.NVRAMRead = c.NVRAMReadNS
 	}
 	if c.NVRAMWriteNS > 0 {
 		mc.Mem.NVRAMWrite = c.NVRAMWriteNS
-	}
-	if c.DRAMNS > 0 {
-		mc.Mem.DRAMRead = c.DRAMNS
-		mc.Mem.DRAMWrite = c.DRAMNS
 	}
 	if c.NVRAMMB > 0 {
 		mc.Mem.NVRAMBytes = uint64(c.NVRAMMB) << 20
@@ -299,9 +273,6 @@ func (c Config) apply() machine.Config {
 	}
 	if c.JournalShards > 0 {
 		mc.Layout.JournalShards = c.JournalShards
-	}
-	if c.LogKB > 0 {
-		mc.Layout.LogBytes = c.LogKB << 10
 	}
 	if c.L2KB > 0 {
 		mc.Cache.L2Bytes = c.L2KB << 10
@@ -322,19 +293,11 @@ func (c Config) apply() machine.Config {
 		mc.SSP.Entries = cores*(mc.TLBEntries+mc.STLBEntries) + 64
 		mc.Layout.SSPSlots = mc.SSP.Entries
 	}
-	if c.SSPCacheEntries > 0 {
-		mc.SSP.Entries = c.SSPCacheEntries
-		if mc.Layout.SSPSlots < c.SSPCacheEntries {
-			mc.Layout.SSPSlots = c.SSPCacheEntries
-		}
-	}
 	if c.SSPCacheLatency > 0 {
 		mc.SSP.CacheHitLat = c.SSPCacheLatency
 	}
 	if c.SSPResident > 0 {
 		mc.SSP.ResidentEntries = c.SSPResident
-	} else if c.SSPCacheEntries > 0 {
-		mc.SSP.ResidentEntries = c.SSPCacheEntries
 	}
 	if c.SubPageLines > 0 {
 		mc.SSP.SubPageLines = c.SubPageLines
@@ -360,9 +323,6 @@ func (c Config) apply() machine.Config {
 	if c.RedoWriteBackEngines > 0 {
 		mc.Redo.WriteBackEngines = c.RedoWriteBackEngines
 	}
-	if c.ConsolEpochCommits > 0 {
-		mc.SSP.EpochCommits = c.ConsolEpochCommits
-	}
 	return mc
 }
 
@@ -372,10 +332,14 @@ type Machine struct {
 	cfg Config
 }
 
-// Validate checks every Config field against its legal range. New and
-// Restore call it; the zero value of any field is always legal (it selects
-// the default).
+// Validate checks every Config field against its legal range, and that the
+// NVRAM holds the metadata regions the configuration sizes. New and Restore
+// call it; the zero value of any field is always legal (it selects the
+// default).
 func (c Config) Validate() error {
+	if c.Backend < SSP || c.Backend > RedoLog {
+		return fmt.Errorf("ssp: Backend is %d, want SSP, UndoLog or RedoLog", int(c.Backend))
+	}
 	if c.Cores < 0 {
 		return fmt.Errorf("ssp: Cores is %d, want >= 0 (0 selects the default, 1)", c.Cores)
 	}
@@ -391,8 +355,24 @@ func (c Config) Validate() error {
 	if c.NVRAMWriteNS < 0 {
 		return fmt.Errorf("ssp: NVRAMWriteNS is %v, want >= 0 (0 selects the Table 2 default)", c.NVRAMWriteNS)
 	}
-	if c.DRAMNS < 0 {
-		return fmt.Errorf("ssp: DRAMNS is %v, want >= 0 (0 selects the Table 2 default)", c.DRAMNS)
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"NVRAMMB", int64(c.NVRAMMB)},
+		{"DRAMMB", int64(c.DRAMMB)},
+		{"MaxHeapPages", int64(c.MaxHeapPages)},
+		{"JournalKB", int64(c.JournalKB)},
+		{"TLBEntries", int64(c.TLBEntries)},
+		{"SSPCacheLatency", int64(c.SSPCacheLatency)},
+		{"SSPResident", int64(c.SSPResident)},
+		{"WSBEntries", int64(c.WSBEntries)},
+		{"RedoQueueLines", int64(c.RedoQueueLines)},
+		{"RedoWriteBackEngines", int64(c.RedoWriteBackEngines)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("ssp: %s is %d, want >= 0 (0 selects the default)", f.name, f.v)
+		}
 	}
 	if c.SubPageLines != 0 && c.SubPageLines != 1 && c.SubPageLines != 4 {
 		return fmt.Errorf("ssp: SubPageLines is %d, want 1 or 4 (0 selects the default, 1)", c.SubPageLines)
@@ -424,6 +404,11 @@ func (c Config) Validate() error {
 	}
 	if c.WearRotateWrites < 0 {
 		return fmt.Errorf("ssp: WearRotateWrites is %d, want >= 0 (0 disables wear rotation)", c.WearRotateWrites)
+	}
+	mc := c.apply()
+	if err := vm.CheckLayout(mc.Mem, mc.Layout); err != nil {
+		return fmt.Errorf("ssp: NVRAMMB (%d MiB) cannot hold the metadata regions sized by Cores (%d), TLBEntries, STLBEntries, MaxHeapPages, JournalKB and JournalShards: %v",
+			mc.Mem.NVRAMBytes>>20, mc.Cores, err)
 	}
 	return nil
 }

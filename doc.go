@@ -119,7 +119,12 @@
 // written NVRAM page, in page order, into one memsim.Image (ssp.Image) with
 // the capacity it was taken from; NewFromImage (behind ssp.Restore) checks
 // the capacity against the Config and installs copies of those pages, with
-// no scan of the rest. Both cost the pages the run wrote: Crash + Restore of
+// no scan of the rest. Restore then checks the superblock: vm.Format records
+// the backend and every layout field that places a region (Cores,
+// MaxHeapPages, SSPSlots, JournalBytes, JournalShards, LogBytes) beside the
+// magic, and an image formatted under another layout is refused with an
+// error naming the first field that differs, before recovery parses it.
+// Both cost the pages the run wrote: Crash + Restore of
 // the Table 2 machine (192 MB of NVRAM) holding a 2 000-key B-tree allocate
 // 0.2–0.8 MiB. The image shares no storage with either machine, so the
 // crashed one may still Recover in place and one image may be restored any
@@ -162,16 +167,40 @@
 // mirror reaches as far as the highest mapped page and is rebuilt through a
 // 4 KiB window of the PTE array, wal.Scan reads a ring through a 4 KiB
 // window and stops where parsing stops, and the wear statistics visit
-// written pages only. SSP's Recover reads the slot array a page of slots at
-// a time, checks for a page claimed twice against the entry table it is
-// rebuilding, refills the free-slot list inside its capacity and reserves
-// every live frame in one FrameAlloc.Rebuild; it is also the
-// only page-table rebuild of an SSP recovery (Machine rebuilds the mirror
-// itself only for the logging designs). DebugValidate visits lines through
-// a callback and formats a message only for the violation it reports.
+// written pages only. DebugValidate visits lines through a callback and
+// formats a message only for the violation it reports.
+//
+// SSP's cache is sized N·T+O (§4.1.2; 1152 entries on one core, 4416 on
+// four), and a persistent slot plus a spare frame come with every entry,
+// but a run hands out a few dozen. So the slot array is formatted lazily:
+// core.NewSSP reserves the spare frames [0, N·T+O) in one
+// FrameAlloc.ReserveRange step (frame i is slot i's spare, and the heap's
+// first frame comes right after them, as after the eager format it
+// replaced) and writes no slot line. Only a checkpoint writes one; a line
+// NVRAM never held reads as zeros, which no encoded slot is, and means the
+// formatted state — free, holding spare frame i, version 0. The slot tables
+// grow to the highest slot handed out, and the free slots are a stack of
+// freed ones above a cursor over the never-used ones, which hands slots out
+// in the order the full free list did: slot 0 first, then the most
+// recently freed. Recover decodes only the slot lines NVRAM holds (a page
+// memsim.Memory.Written denies costs one check, an all-zero line one
+// compare), grows the tables to the slots those lines and the journal name,
+// rebuilds only those, and reserves the formatted slots' spares as one
+// range after FrameAlloc.Rebuild; it is also the only page-table rebuild of
+// an SSP recovery (Machine rebuilds the mirror itself only for the logging
+// designs). Crash clears the tables and maps in place, at the cost of the
+// slots used. crashsweep.TestSlotArrayMatchesEagerFormat holds every image
+// to the same slot states, hand-out order and allocator free set as the
+// image with the eager format's line in every slot line it lacks. Each TLB
+// level grows its entry array as translations are first inserted, up to
+// its capacity, and its Drop empties the index slots of the entries it
+// holds, not the whole table.
+//
 // ssp.TestMachineAllocationBudget and CI's BenchmarkMachineNew gate keep a
-// capacity-sized make from returning: ssp.New on the 192 MB Table 2 machine
-// allocates 0.4 MiB. crashsweep.TestTrapPointAllocationBudget holds a trap
+// capacity-sized make from returning: ssp.New allocates 0.1 MiB on the
+// 192 MB Table 2 machine and on the sweeps' 32 MB one, and
+// crashsweep.TestMachineNewAllocationBudget holds the latter to 128 KiB on
+// every backend. crashsweep.TestTrapPointAllocationBudget holds a trap
 // point's run, recovery and verification on the sweep's machine to 64 KiB of
 // heap on every backend.
 //

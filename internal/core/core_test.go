@@ -59,7 +59,7 @@ func sizedEnv(tb testing.TB, z envSize, cfg Config) (*txn.Env, *SSP) {
 	for c := 0; c < z.cores; c++ {
 		env.TLBs = append(env.TLBs, tlbsim.New(z.tlb, st))
 	}
-	vm.Format(mem, layout)
+	vm.Format(mem, layout, 0)
 	return env, NewSSP(env, cfg, true)
 }
 
@@ -490,7 +490,7 @@ func TestRecoverySkipsUnsealedBatch(t *testing.T) {
 
 	// Forge an unsealed batch directly in the journal: an update record
 	// with no recUpdateEnd.
-	st := slotState{vpn: 1, ppn0: mustPTE(env, 1), ppn1: s.slotShadow[1].ppn1, committed: 1, ver: s.allocVer()}
+	st := slotState{vpn: 1, ppn0: mustPTE(env, 1), ppn1: s.shadowOf(1).ppn1, committed: 1, ver: s.allocVer()}
 	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recUpdate, Payload: encodeJournalPayload(1, st, env.Layout.FrameIndex, s.sharded())}, 0)
 	s.journals[0].Flush(0)
 
@@ -503,7 +503,7 @@ func TestRecoverySkipsUnsealedBatch(t *testing.T) {
 	if env.Stats.RolledBackTxns == 0 {
 		t.Error("unsealed batch not counted as rolled back")
 	}
-	if s.slotShadow[1].vpn == 1 {
+	if s.shadowOf(1).vpn == 1 {
 		t.Error("unsealed update applied during recovery")
 	}
 }

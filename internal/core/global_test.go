@@ -263,7 +263,7 @@ func TestGlobalVersionGuardAfterParticipantCheckpoint(t *testing.T) {
 
 	metaQ := s.metaOf(1)
 	wantCommitted := metaQ.committed
-	wantVer := s.slotShadow[metaQ.slot].ver
+	wantVer := s.shadowOf(metaQ.slot).ver
 
 	// Checkpoint shard 0: the persistent slot array now carries Q's newest
 	// state (and P's); shard 0's ring truncates. Shard 1 still durably
@@ -273,12 +273,12 @@ func TestGlobalVersionGuardAfterParticipantCheckpoint(t *testing.T) {
 	crashRecover(t, env, s)
 
 	sid := s.metaOf(1).slot
-	if s.slotShadow[sid].committed != wantCommitted {
+	if s.shadowOf(sid).committed != wantCommitted {
 		t.Errorf("recovered Q committed bitmap %#x, want %#x (stale global prepare regressed the checkpoint)",
-			s.slotShadow[sid].committed, wantCommitted)
+			s.shadowOf(sid).committed, wantCommitted)
 	}
-	if s.slotShadow[sid].ver != wantVer {
-		t.Errorf("recovered Q slot version %d, want %d", s.slotShadow[sid].ver, wantVer)
+	if s.shadowOf(sid).ver != wantVer {
+		t.Errorf("recovered Q slot version %d, want %d", s.shadowOf(sid).ver, wantVer)
 	}
 	var buf [1]byte
 	for _, c := range []struct {

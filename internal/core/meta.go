@@ -182,6 +182,11 @@ type slotState struct {
 //	+8  u32 ppn1 frame index (the spare; always valid)
 //	+12 u32 update version (checkpointed slotState.ver)
 //	+16 u64 committed bitmap
+//
+// Only a checkpoint writes a line. A line never written reads as all zeros,
+// which no encoded slot is (a free slot's vpn is invalidU32, a used slot's
+// two frames differ), and means the formatted state: slot sid free, holding
+// spare frame sid, version 0 (slots.go).
 const slotBytes = memsim.LineBytes
 
 // encodeSlot writes st's slot line into buf.

@@ -12,34 +12,34 @@ import (
 // transient SSP cache, write-set buffers, journal buffers, residency model.
 // The durable slot array, journal shards and fall-back logs survive in
 // NVRAM.
+//
+// Everything is cleared in place, at the cost of what the run used: the
+// slot tables shrink to nothing (Recover regrows them to the slots NVRAM
+// and the journal name) and the maps keep their storage.
 func (s *SSP) Crash() {
 	s.resetEntries()
 	for i := range s.dirtySlots {
-		s.dirtySlots[i] = make(map[int]struct{})
+		clear(s.dirtySlots[i])
 	}
-	for i := range s.slotOwner {
-		s.slotOwner[i] = nil
-		s.slotBarrier[i] = journalRef{}
-	}
-	s.freeSlots = s.freeSlots[:0]
+	s.resetSlots()
 	s.resident.Reset()
 	for c := range s.ws {
 		s.ws[c].reset()
 		s.inTxn[c] = false
 		s.globalTxn[c] = false
 		s.fallback[c] = false
-		s.fbOld[c] = make(map[memsim.PAddr][memsim.LineBytes]byte)
-		s.fbPages[c] = make(map[int]struct{})
+		clear(s.fbOld[c])
+		clear(s.fbPages[c])
 		s.fbLogs[c].Reset()
 	}
 	for i := range s.journals {
 		s.journals[i].Reset()
-		s.pendingGlobalSlots[i] = make(map[int]struct{})
+		clear(s.pendingGlobalSlots[i])
 		s.epochs[i] = shardEpoch{}
 		s.prepHolds[i] = 0
 	}
 	s.now = 0
-	s.consolQ = nil
+	s.consolQ = s.consolQ[:0]
 	s.epochOps = 0
 }
 
@@ -68,14 +68,28 @@ func (s *SSP) Recover() error {
 	s.env.Stats.Recoveries++
 
 	// 1. Load the persistent slot array (including each slot's checkpointed
-	// update version), a page of slots at a time.
+	// update version), a page of slots at a time. Only the lines NVRAM holds
+	// are decoded: a page never written and an all-zero line hold formatted
+	// slots (slots.go; no encoded slot is all zeros: a free one has vpn
+	// invalidU32, a used one two distinct frames).
+	s.resetSlots()
 	var page [memsim.PageBytes]byte
 	var maxVer uint32
-	for first := 0; first < len(s.slotShadow); first += len(page) / slotBytes {
-		n := min(len(page)/slotBytes, len(s.slotShadow)-first)
+	const perPage = len(page) / slotBytes
+	for first := 0; first < s.cfg.Entries; first += perPage {
+		if !s.env.Mem.Written(s.slotAddr(first)) {
+			continue
+		}
+		n := min(perPage, s.cfg.Entries-first)
 		s.env.Mem.Peek(s.slotAddr(first), page[:n*slotBytes])
 		for i := 0; i < n; i++ {
-			st := decodeSlot(page[i*slotBytes:], s.env.Layout.FrameAddr)
+			line := page[i*slotBytes : (i+1)*slotBytes]
+			if [slotBytes]byte(line) == [slotBytes]byte{} {
+				continue
+			}
+			st := decodeSlot(line, s.env.Layout.FrameAddr)
+			s.slotDecodes++
+			s.growSlots(first + i + 1)
 			s.slotShadow[first+i] = st
 			maxVer = max(maxVer, st.ver)
 		}
@@ -155,13 +169,17 @@ func (s *SSP) Recover() error {
 	s.env.Stats.RolledBackTxns += uint64(len(droppedGlobal))
 	for _, r := range wal.Merge(valid) {
 		sid, st := decodeJournalPayload(r.Payload, s.env.Layout.FrameAddr)
+		if sid >= s.cfg.Entries {
+			return fmt.Errorf("core: journal record names slot %d of %d", sid, s.cfg.Entries)
+		}
 		// With sharded journals a record must be newer than the slot's
 		// checkpointed state to apply; with the single paper-model journal
 		// the stream order is the update order (records carry no version)
 		// and every surviving record applies, exactly as before sharding.
-		if s.sharded() && st.ver <= s.slotShadow[sid].ver {
+		if s.sharded() && st.ver <= s.shadowOf(sid).ver {
 			continue // the slot already holds this update (or a newer one)
 		}
+		s.growSlots(sid + 1)
 		s.slotShadow[sid] = st
 		s.env.Stats.ReplayedRecords++
 	}
@@ -189,13 +207,12 @@ func (s *SSP) Recover() error {
 
 	// 4. Rebuild the page table mirror, repair consolidation flips, and
 	// build the transient SSP cache: current := committed, refcounts zero.
+	// Only the tables' slots are visited: the ones past them are formatted,
+	// free and handed out after the stack.
 	s.env.PT.Rebuild()
 	s.resetEntries()
-	s.freeSlots = s.freeSlots[:0]
 	for sid := len(s.slotShadow) - 1; sid >= 0; sid-- {
 		st := s.slotShadow[sid]
-		s.slotOwner[sid] = nil
-		s.slotBarrier[sid] = journalRef{}
 		if st.vpn < 0 {
 			s.freeSlots = append(s.freeSlots, sid)
 			continue
@@ -224,8 +241,9 @@ func (s *SSP) Recover() error {
 	}
 
 	// 5. Rebuild the frame allocator: every PTE-mapped frame plus every
-	// slot's spare is live.
+	// slot's spare is live; the formatted slots' spares are one range.
 	s.env.Frames.Rebuild(s.env.PT, len(s.slotShadow), func(sid int) memsim.PAddr { return s.slotShadow[sid].ppn1 })
+	s.env.Frames.ReserveRange(len(s.slotShadow), s.cfg.Entries)
 
 	s.nextTID = max(s.nextTID, maxTID)
 	s.nextVer = max(s.nextVer, maxVer)
@@ -292,7 +310,7 @@ func (s *SSP) validShardRecords(recs []wal.Record, endTIDs, droppedGlobal map[ui
 				// not evidence of a torn transaction. Only a prepare the
 				// slot array does not supersede marks a genuine rollback.
 				sid, st := decodeJournalPayload(r.Payload, s.env.Layout.FrameAddr)
-				if st.ver > s.slotShadow[sid].ver {
+				if st.ver > s.shadowOf(sid).ver {
 					droppedGlobal[r.TID] = true
 				}
 			}

@@ -73,7 +73,7 @@ func TestCrossShardCheckpointDoesNotRegress(t *testing.T) {
 
 	meta := s.metaOf(0)
 	wantCommitted := meta.committed
-	wantVer := s.slotShadow[meta.slot].ver
+	wantVer := s.shadowOf(meta.slot).ver
 	if env.Stats.JournalShardRecords[0] != 1 || env.Stats.JournalShardRecords[1] != 1 {
 		t.Fatalf("records not split across shards: %d/%d",
 			env.Stats.JournalShardRecords[0], env.Stats.JournalShardRecords[1])
@@ -86,12 +86,12 @@ func TestCrossShardCheckpointDoesNotRegress(t *testing.T) {
 	crashRecover(t, env, s)
 
 	sid := s.metaOf(0).slot
-	if s.slotShadow[sid].committed != wantCommitted {
+	if s.shadowOf(sid).committed != wantCommitted {
 		t.Errorf("recovered committed bitmap %#x, want %#x (stale shard-1 record regressed the checkpoint)",
-			s.slotShadow[sid].committed, wantCommitted)
+			s.shadowOf(sid).committed, wantCommitted)
 	}
-	if s.slotShadow[sid].ver != wantVer {
-		t.Errorf("recovered slot version %d, want %d", s.slotShadow[sid].ver, wantVer)
+	if s.shadowOf(sid).ver != wantVer {
+		t.Errorf("recovered slot version %d, want %d", s.shadowOf(sid).ver, wantVer)
 	}
 	// Both committed lines are intact.
 	var buf [1]byte
@@ -129,7 +129,7 @@ func TestShardRecoveryMergesTIDOrder(t *testing.T) {
 	want := map[int]pageState{}
 	for vpn := 0; vpn < 4; vpn++ {
 		m := s.metaOf(vpn)
-		want[vpn] = pageState{committed: m.committed, ver: s.slotShadow[m.slot].ver}
+		want[vpn] = pageState{committed: m.committed, ver: s.shadowOf(m.slot).ver}
 	}
 
 	crashRecover(t, env, s)
@@ -139,7 +139,7 @@ func TestShardRecoveryMergesTIDOrder(t *testing.T) {
 		if m == nil {
 			t.Fatalf("page %d lost its slot after recovery", vpn)
 		}
-		got := pageState{committed: s.slotShadow[m.slot].committed, ver: s.slotShadow[m.slot].ver}
+		got := pageState{committed: s.shadowOf(m.slot).committed, ver: s.shadowOf(m.slot).ver}
 		if got != want[vpn] {
 			t.Errorf("page %d: recovered %+v, want %+v", vpn, got, want[vpn])
 		}

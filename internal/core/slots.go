@@ -6,23 +6,75 @@ import (
 	"repro/internal/engine"
 )
 
-// This file manages the persistent slot array's allocation state: fresh
-// formatting, free-slot handout, eviction of quiescent entries, and the
-// release records that keep recovery from resurrecting stale associations.
+// This file manages the persistent slot array's allocation state: free-slot
+// handout, eviction of quiescent entries, and the release records that keep
+// recovery from resurrecting stale associations.
+//
+// The slot array is formatted lazily (§4.1.2 "Free Space Management" assigns
+// every slot its spare frame up front). NewSSP reserves frames
+// [0, Entries) in one FrameAlloc step, frame sid being slot sid's spare, and
+// writes no slot line: a line NVRAM never held means exactly the formatted
+// state (formatted), and recovery decodes only the lines it holds. The slot
+// tables reach as far as the highest slot handed out; every slot from
+// len(slotShadow) up is in the formatted state, and those slots are handed
+// out in ascending order after every freed one.
 
-// format assigns every slot its spare frame and writes the initial slot
-// array (machine initialisation; no timing).
-func (s *SSP) format() {
-	var line [slotBytes]byte
-	s.freeSlots = make([]int, len(s.slotShadow))
-	for sid := range s.slotShadow {
-		spare := s.env.Frames.Alloc()
-		s.slotShadow[sid] = slotState{vpn: -1, ppn1: spare}
-		encodeSlot(&line, s.slotShadow[sid], s.env.Layout.FrameIndex)
-		s.env.Mem.Poke(s.slotAddr(sid), line[:])
-		// Listed in reverse, so slot 0 is handed out first.
-		s.freeSlots[len(s.freeSlots)-1-sid] = sid
+// formatted is slot sid's state until its first journal record or
+// checkpoint: free, holding the spare frame NewSSP reserved for it.
+func (s *SSP) formatted(sid int) slotState {
+	return slotState{vpn: -1, ppn1: s.env.Layout.FrameAddr(sid)}
+}
+
+// shadowOf returns slot sid's journal-consistent state, tables or not.
+func (s *SSP) shadowOf(sid int) slotState {
+	if sid < len(s.slotShadow) {
+		return s.slotShadow[sid]
 	}
+	return s.formatted(sid)
+}
+
+// growSlots extends the slot tables to n slots, each new one formatted.
+func (s *SSP) growSlots(n int) {
+	for sid := len(s.slotShadow); sid < n; sid++ {
+		s.slotShadow = append(s.slotShadow, s.formatted(sid))
+		s.slotOwner = append(s.slotOwner, nil)
+		s.slotBarrier = append(s.slotBarrier, journalRef{})
+	}
+}
+
+// resetSlots empties the slot tables and the free-slot stack (power loss,
+// recovery), at the cost of the slots handed out.
+func (s *SSP) resetSlots() {
+	clear(s.slotOwner)
+	s.slotShadow, s.slotOwner, s.slotBarrier = s.slotShadow[:0], s.slotOwner[:0], s.slotBarrier[:0]
+	s.freeSlots = s.freeSlots[:0]
+}
+
+// takeFreeSlot hands out the most recently freed slot, else the lowest slot
+// never handed out; ok is false when every slot is taken.
+func (s *SSP) takeFreeSlot() (sid int, ok bool) {
+	if n := len(s.freeSlots); n > 0 {
+		sid = s.freeSlots[n-1]
+		s.freeSlots = s.freeSlots[:n-1]
+		return sid, true
+	}
+	if sid = len(s.slotShadow); sid < s.cfg.Entries {
+		s.growSlots(sid + 1)
+		return sid, true
+	}
+	return 0, false
+}
+
+// freeOrder lists the free slots in the order takeFreeSlot hands them out.
+func (s *SSP) freeOrder() []int {
+	out := make([]int, 0, len(s.freeSlots)+s.cfg.Entries-len(s.slotShadow))
+	for i := len(s.freeSlots) - 1; i >= 0; i-- {
+		out = append(out, s.freeSlots[i])
+	}
+	for sid := len(s.slotShadow); sid < s.cfg.Entries; sid++ {
+		out = append(out, sid)
+	}
+	return out
 }
 
 // quiescentSet is the ordered set of VPNs whose SSP cache entry is quiescent
@@ -123,9 +175,7 @@ func (s *SSP) lowestQuiescent() int {
 // it still has committed lines on its shadow frame. The victim comes from the
 // quiescent index in O(1); releaseEntry re-checks its reference counts.
 func (s *SSP) allocSlot(at engine.Cycles) int {
-	if len(s.freeSlots) > 0 {
-		sid := s.freeSlots[len(s.freeSlots)-1]
-		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+	if sid, ok := s.takeFreeSlot(); ok {
 		return sid
 	}
 	victim := s.lowestQuiescent()
@@ -137,8 +187,7 @@ func (s *SSP) allocSlot(at engine.Cycles) int {
 		s.consolidate(meta, engine.MaxCycles(at, s.now))
 	}
 	s.releaseEntry(meta, engine.MaxCycles(at, s.now))
-	sid := s.freeSlots[len(s.freeSlots)-1]
-	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+	sid, _ := s.takeFreeSlot()
 	return sid
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -63,12 +64,19 @@ type SSP struct {
 	nextTID uint32
 	nextVer uint32
 
-	entries     metaTable    // by vpn; the transient SSP cache
-	quiescent   quiescentSet // vpns of unreferenced entries (slots.go)
+	entries   metaTable    // by vpn; the transient SSP cache
+	quiescent quiescentSet // vpns of unreferenced entries (slots.go)
+
+	// The slot tables reach the highest slot handed out; every slot past
+	// them is formatted (slots.go). freeSlots is the stack of free slots
+	// below len(slotShadow), the next one handed out on top.
 	slotShadow  []slotState  // journal-consistent view of the slot array
 	slotOwner   []*pageMeta  // owning cache entry per slot (nil = unowned)
 	slotBarrier []journalRef // pending release-record barrier per slot
 	freeSlots   []int
+
+	// slotDecodes counts the slot lines recovery has decoded (tests).
+	slotDecodes int
 
 	dirtySlots []map[int]struct{} // per journal shard: slots needing a checkpoint write
 
@@ -120,9 +128,10 @@ type SSP struct {
 var _ txn.Backend = (*SSP)(nil)
 
 // NewSSP builds the SSP backend over env. When fresh is true the persistent
-// slot array is formatted (every slot assigned its spare frame up front,
-// §4.1.2 "Free Space Management"); otherwise the caller runs Recover to
-// parse the existing image.
+// slot array is formatted: every slot is assigned its spare frame up front
+// (§4.1.2 "Free Space Management"), the frames reserved in one step and no
+// slot line written (slots.go). Otherwise the caller runs Recover to parse
+// the existing image.
 func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	if cfg.Entries <= 0 {
 		cfg = DefaultConfig()
@@ -137,12 +146,9 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 		panic("core: SubPageLines must divide 64")
 	}
 	s := &SSP{
-		env:         env,
-		cfg:         cfg,
-		resident:    newLRUSet(cfg.ResidentEntries),
-		slotShadow:  make([]slotState, cfg.Entries),
-		slotOwner:   make([]*pageMeta, cfg.Entries),
-		slotBarrier: make([]journalRef, cfg.Entries),
+		env:      env,
+		cfg:      cfg,
+		resident: newLRUSet(cfg.ResidentEntries),
 	}
 	for _, base := range env.Layout.JournalBase {
 		s.journals = append(s.journals, wal.NewStream(env.Mem, base, env.Layout.Cfg.JournalBytes, stats.CatMetaJournal))
@@ -172,7 +178,7 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 		env.TLBs[c].OnEvict = func(vpn tlbsim.VPN) { s.onTLBEvict(core, int(vpn)) }
 	}
 	if fresh {
-		s.format()
+		env.Frames.ReserveRange(0, cfg.Entries)
 	}
 	return s
 }
@@ -413,8 +419,8 @@ func (s *SSP) DebugCheckFrames() string {
 	if msg != "" {
 		return msg
 	}
-	for _, sid := range s.freeSlots {
-		if msg := claim(s.slotShadow[sid].ppn1, fmt.Sprintf("freeslot%d", sid)); msg != "" {
+	for _, sid := range s.freeOrder() {
+		if msg := claim(s.shadowOf(sid).ppn1, fmt.Sprintf("freeslot%d", sid)); msg != "" {
 			return msg
 		}
 	}
@@ -427,6 +433,37 @@ func (s *SSP) DebugCheckFrames() string {
 		}
 	}
 	return s.checkIndices()
+}
+
+// DebugSlotDump describes the slot array as the machine holds it: every
+// slot's journal-consistent state in slot order, the order the free slots
+// will be handed out in, and the frames the allocator holds in use. Tests
+// compare two recoveries with it. Quiescent-machine helper.
+func (s *SSP) DebugSlotDump() string {
+	var b strings.Builder
+	for sid := 0; sid < s.cfg.Entries; sid++ {
+		fmt.Fprintf(&b, "slot %d: %+v\n", sid, s.shadowOf(sid))
+	}
+	fmt.Fprintf(&b, "free order: %s\nframes in use: %s\n", runs(s.freeOrder()), runs(s.env.Frames.DebugUsed()))
+	return b.String()
+}
+
+// runs formats ids with each run of consecutive ascending values as "a-b".
+func runs(ids []int) string {
+	var b strings.Builder
+	for i := 0; i < len(ids); {
+		j := i
+		for j+1 < len(ids) && ids[j+1] == ids[j]+1 {
+			j++
+		}
+		if j > i {
+			fmt.Fprintf(&b, "%d-%d ", ids[i], ids[j])
+		} else {
+			fmt.Fprintf(&b, "%d ", ids[i])
+		}
+		i = j + 1
+	}
+	return b.String()
 }
 
 // checkIndices compares the structures the metadata path reads in O(1) with

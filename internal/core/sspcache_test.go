@@ -142,7 +142,7 @@ func TestEvictionMatchesScanModel(t *testing.T) {
 
 		access := func(step, core, vpn int, store bool) {
 			victim, before := -1, s.entryCount()
-			if s.lookupMeta(vpn) == nil && len(s.freeSlots) == 0 {
+			if s.lookupMeta(vpn) == nil && len(s.freeOrder()) == 0 {
 				victim = scanVictim(s)
 				if got := s.quiescent.min(); got != victim {
 					t.Fatalf("seed %d step %d: quiescent index names vpn %d, the full scan %d", seed, step, got, victim)
@@ -224,7 +224,7 @@ func TestIndicesRebuiltByRecover(t *testing.T) {
 	if msg := s.DebugCheckFrames(); msg != "" {
 		t.Fatal(msg)
 	}
-	held := s.cfg.Entries - len(s.freeSlots)
+	held := s.cfg.Entries - len(s.freeOrder())
 	if held == 0 || s.entryCount() != held || s.quiescent.count() != held {
 		t.Errorf("after recovery: %d slots hold a page, %d entries, %d quiescent", held, s.entryCount(), s.quiescent.count())
 	}
@@ -259,7 +259,7 @@ func TestRecoverRejectsDuplicateVPN(t *testing.T) {
 		t.Fatalf("vpn 0 is not in a slot other than %d: %+v", forged, owner)
 	}
 	var line [slotBytes]byte
-	encodeSlot(&line, slotState{vpn: 0, ppn0: owner.ppn0, ppn1: s.slotShadow[forged].ppn1}, env.Layout.FrameIndex)
+	encodeSlot(&line, slotState{vpn: 0, ppn0: owner.ppn0, ppn1: s.shadowOf(forged).ppn1}, env.Layout.FrameIndex)
 	env.Mem.Poke(s.slotAddr(forged), line[:])
 	s.Crash()
 	want := fmt.Sprintf("core: slots %d and %d both claim vpn 0", forged, owner.slot)

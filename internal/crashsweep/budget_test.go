@@ -18,6 +18,30 @@ func scriptWrites(cfg ssp.Config, sc Script) int64 {
 	return int64(m.Stats().NVRAMWriteLines - setup)
 }
 
+// Building the sweep's machine costs what a fresh machine holds, not its
+// capacities: no eagerly formatted SSP slot array, no TLB entry array sized
+// to the STLB's reach. ssp.New(Config(b)) allocates at most 128 KiB on
+// every backend; with both built to capacity SSP's build allocated 301 KiB
+// and the logging designs' 129 KiB.
+func TestMachineNewAllocationBudget(t *testing.T) {
+	const budget, builds = 128 << 10, 16
+	for _, b := range ssp.Backends() {
+		cfg := Config(b)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < builds; i++ {
+			ssp.MustNew(cfg)
+		}
+		runtime.ReadMemStats(&ms)
+		mean := (ms.TotalAlloc - before) / builds
+		t.Logf("%v: New allocates %.1f KiB", b, float64(mean)/1024)
+		if mean > budget {
+			t.Errorf("%v: New allocates %.1f KiB, over the %d KiB budget", b, float64(mean)/1024, budget>>10)
+		}
+	}
+}
+
 // A trap point pays for what its script touched: the heap bytes its run,
 // recovery and verification allocate on the sweep's machine stay within a
 // budget that a capacity-sized structure — a full-history occupancy ring

@@ -37,7 +37,7 @@ func testEnv(t *testing.T, cores int) *txn.Env {
 	for c := 0; c < cores; c++ {
 		env.TLBs = append(env.TLBs, tlbsim.New(64, st))
 	}
-	vm.Format(mem, layout)
+	vm.Format(mem, layout, 0)
 	return env
 }
 

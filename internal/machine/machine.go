@@ -222,8 +222,10 @@ func Restore(cfg Config, image memsim.Image) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !vm.IsFormatted(m.mem, m.layout) {
-		return nil, fmt.Errorf("machine: image is not a formatted persistent heap")
+	// Recovery parses the image under the layout cfg gives; the superblock
+	// says whether that is the layout it was formatted under.
+	if err := vm.CheckFormat(m.mem, m.layout, int(cfg.Backend)); err != nil {
+		return nil, err
 	}
 	if err := m.recoverBackend(); err != nil {
 		return nil, err
@@ -331,7 +333,7 @@ func build(cfg Config, image *memsim.Image) (*Machine, error) {
 // format initialises the persistent image: superblock, heap page zero, and
 // allocator metadata (via a bootstrap transaction on core 0).
 func (m *Machine) format() {
-	vm.Format(m.mem, m.layout)
+	vm.Format(m.mem, m.layout, int(m.cfg.Backend))
 	m.ensureMapped(0, 0)
 	c := m.Core(0)
 	c.Begin()

@@ -658,6 +658,14 @@ func (m *Memory) Peek(pa PAddr, buf []byte) {
 	m.copyOut(pa, buf)
 }
 
+// Written reports whether anything was ever written to the page holding pa;
+// a page that was not reads as zeros. Recovery skips such pages of a region
+// whose all-zero contents have a meaning of their own (SSP's slot array).
+func (m *Memory) Written(pa PAddr) bool {
+	r, off := m.locate(pa, 1)
+	return r.readable(off) != &zeroPage
+}
+
 // Poke sets durable bytes without timing; used only for initialisation
 // (formatting persistent regions) and tests. It ignores PowerOff.
 func (m *Memory) Poke(pa PAddr, data []byte) {

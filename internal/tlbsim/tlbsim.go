@@ -29,15 +29,16 @@ const nilNode = int32(-1)
 // held in arrays: the entries form a doubly linked recency list by index
 // (head most recent), and an open-addressing table maps a VPN to its entry
 // (linear probing over a power-of-two table at most half full; a removal
-// shifts its probe chain back, so no tombstones build up). Nothing is
-// allocated after construction, and clear empties the level in place.
+// shifts its probe chain back, so no tombstones build up). The entry array
+// grows as entries are first inserted, up to the capacity, and keeps its
+// storage across clear, which empties the level at the cost of the entries
+// it holds.
 type lruCache struct {
 	cap        int
 	n          int
 	head, tail int32
-	free       int32 // free list through next; used once every entry has been handed out
-	used       int32 // entries handed out since the last clear
-	nodes      []node
+	free       int32   // removed entries, linked through next; insert reuses them before growing nodes
+	nodes      []node  // the entries handed out since the last clear
 	index      []int32 // entry per slot, nilNode when empty
 	shift      uint    // 64 - log2(len(index))
 }
@@ -48,8 +49,10 @@ func newLRUCache(capacity int) *lruCache {
 		size <<= 1
 		shift--
 	}
-	c := &lruCache{cap: capacity, nodes: make([]node, capacity), index: make([]int32, size), shift: shift}
-	c.clear()
+	c := &lruCache{cap: capacity, index: make([]int32, size), shift: shift, head: nilNode, tail: nilNode, free: nilNode}
+	for i := range c.index {
+		c.index[i] = nilNode
+	}
 	return c
 }
 
@@ -147,11 +150,11 @@ func (c *lruCache) insert(vpn VPN, ppn memsim.PAddr) (victim node, ok bool) {
 	if c.free != nilNode {
 		e = c.free
 		c.free = c.nodes[e].next
+		c.nodes[e] = node{vpn: vpn, ppn: ppn}
 	} else {
-		e = c.used
-		c.used++
+		e = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{vpn: vpn, ppn: ppn})
 	}
-	c.nodes[e] = node{vpn: vpn, ppn: ppn}
 	c.pushFront(e)
 	mask := len(c.index) - 1
 	i := c.home(vpn)
@@ -178,11 +181,20 @@ func (c *lruCache) remove(vpn VPN) (memsim.PAddr, bool) {
 	return c.nodes[e].ppn, true
 }
 
+// clear empties the level. Each held entry's index slot is found by
+// walking from its home slot to the slot naming it: slots emptied earlier in
+// the walk may lie on the way, but none lies beyond it.
 func (c *lruCache) clear() {
-	for i := range c.index {
+	mask := len(c.index) - 1
+	for e := c.head; e != nilNode; e = c.nodes[e].next {
+		i := c.home(c.nodes[e].vpn)
+		for c.index[i] != e {
+			i = (i + 1) & mask
+		}
 		c.index[i] = nilNode
 	}
-	c.n, c.used = 0, 0
+	c.nodes = c.nodes[:0]
+	c.n = 0
 	c.head, c.tail, c.free = nilNode, nilNode, nilNode
 }
 

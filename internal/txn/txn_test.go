@@ -36,7 +36,7 @@ func testEnv(t *testing.T, cores int) *Env {
 	for c := 0; c < cores; c++ {
 		env.TLBs = append(env.TLBs, tlbsim.NewTwoLevel(4, 8, st))
 	}
-	vm.Format(mem, layout)
+	vm.Format(mem, layout, 0)
 	return env
 }
 

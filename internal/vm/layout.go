@@ -4,7 +4,7 @@
 //
 // NVRAM layout (all regions page-aligned):
 //
-//	+0                superblock (magic, root table)
+//	+0                superblock (magic, format record, root table)
 //	+4 KiB            page table: MaxHeapPages PTEs of 8 bytes
 //	...               persistent SSP slot array (SSPSlots × 64 B)
 //	...               SSP metadata journal rings (JournalShards × JournalBytes)
@@ -30,6 +30,7 @@ const HeapBase = 0x10_0000_0000
 // Superblock field offsets (bytes from SuperblockBase).
 const (
 	SBMagicOff    = 0
+	SBFormatOff   = 8   // the format record: one u32 per formatField
 	SBRootsOff    = 256 // RootSlots × 8 bytes
 	RootSlots     = 64
 	SBMagic       = 0x5353505f4d333231 // "SSP_M321"
@@ -180,16 +181,55 @@ func VPNOf(va uint64) int {
 // VAOf converts a virtual page number back to the page's base address.
 func VAOf(vpn int) uint64 { return HeapBase + uint64(vpn)<<memsim.PageShift }
 
-// Format initialises a fresh superblock (magic + zero roots) in mem.
-func Format(mem *memsim.Memory, l Layout) {
-	var buf [8]byte
+// formatField is one u32 of the superblock's format record.
+type formatField struct {
+	name string
+	v    uint32
+}
+
+// formatFields lists what Format records after the magic: the backend and
+// every layout field that places a region, in the order CheckFormat compares
+// them. Recovery reads an image under the layout its configuration gives, so
+// an image formatted under another one must be refused before it is parsed.
+func formatFields(l Layout, backend int) [7]formatField {
+	return [...]formatField{
+		{"Backend", uint32(backend)},
+		{"Cores", uint32(l.Cfg.Cores)},
+		{"MaxHeapPages", uint32(l.Cfg.MaxHeapPages)},
+		{"SSPSlots", uint32(l.Cfg.SSPSlots)},
+		{"JournalBytes", uint32(l.Cfg.JournalBytes)},
+		{"JournalShards", uint32(l.Cfg.JournalShards)},
+		{"LogBytes", uint32(l.Cfg.LogBytes)},
+	}
+}
+
+// superblockHead is the magic and the format record.
+const superblockHead = SBFormatOff + 4*7
+
+// Format initialises a fresh superblock in mem: the magic, the format record
+// of backend (an opaque tag of the caller's) and l, and zero roots.
+func Format(mem *memsim.Memory, l Layout, backend int) {
+	var buf [superblockHead]byte
 	binary.LittleEndian.PutUint64(buf[:], SBMagic)
+	for i, f := range formatFields(l, backend) {
+		binary.LittleEndian.PutUint32(buf[SBFormatOff+4*i:], f.v)
+	}
 	mem.Poke(l.SuperblockBase+SBMagicOff, buf[:])
 }
 
-// IsFormatted reports whether mem carries a formatted superblock.
-func IsFormatted(mem *memsim.Memory, l Layout) bool {
-	var buf [8]byte
+// CheckFormat returns nil when mem carries a superblock Format wrote for
+// backend and l, and otherwise an error naming what differs: no superblock
+// at all, or the first recorded field whose value is not the one given.
+func CheckFormat(mem *memsim.Memory, l Layout, backend int) error {
+	var buf [superblockHead]byte
 	mem.Peek(l.SuperblockBase+SBMagicOff, buf[:])
-	return binary.LittleEndian.Uint64(buf[:]) == SBMagic
+	if binary.LittleEndian.Uint64(buf[:]) != SBMagic {
+		return fmt.Errorf("vm: image is not a formatted persistent heap")
+	}
+	for i, f := range formatFields(l, backend) {
+		if got := binary.LittleEndian.Uint32(buf[SBFormatOff+4*i:]); got != f.v {
+			return fmt.Errorf("vm: image was formatted with %s %d, the configuration gives %d", f.name, got, f.v)
+		}
+	}
+	return nil
 }

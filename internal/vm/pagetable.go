@@ -223,6 +223,46 @@ func (fa *FrameAlloc) reserve(pa memsim.PAddr) {
 	fa.take(idx)
 }
 
+// ReserveRange marks the free frames of pool indices [lo, hi) used, in one
+// step: no per-frame Alloc, and when the range starts at the never-allocated
+// cursor the cursor moves past it, so the next Alloc hands out frame hi. SSP
+// reserves its cache's spare frames this way (frame i is slot i's spare
+// until the slot's first journaled state says otherwise). Reserving a used
+// frame panics, as in Rebuild.
+func (fa *FrameAlloc) ReserveRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if lo < 0 || hi > fa.layout.Frames {
+		panic(fmt.Sprintf("vm: frame range [%d, %d) outside the pool of %d frames; raise Config.NVRAMBytes", lo, hi, fa.layout.Frames))
+	}
+	if hi > len(fa.used) {
+		fa.used = append(fa.used, make([]bool, hi-len(fa.used))...)
+	}
+	for idx := lo; idx < hi; idx++ {
+		if fa.used[idx] {
+			panic(fmt.Sprintf("vm: frame %#x reserved twice", fa.layout.FrameAddr(idx)))
+		}
+		fa.used[idx] = true
+	}
+	fa.inUse += hi - lo
+	if fa.next == lo {
+		fa.next = hi
+	}
+}
+
+// DebugUsed returns the pool index of every frame in use, ascending
+// (tests compare two allocators' states with it).
+func (fa *FrameAlloc) DebugUsed() []int {
+	var out []int
+	for idx, u := range fa.used {
+		if u {
+			out = append(out, idx)
+		}
+	}
+	return out
+}
+
 // reset returns the allocator to the all-free state.
 func (fa *FrameAlloc) reset() {
 	fa.hot, fa.next = fa.hot[:0], 0

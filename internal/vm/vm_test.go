@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/memsim"
@@ -73,12 +74,20 @@ func TestVPNHelpers(t *testing.T) {
 
 func TestFormatAndDetect(t *testing.T) {
 	mem, l, _ := testEnv(t)
-	if IsFormatted(mem, l) {
+	if CheckFormat(mem, l, 0) == nil {
 		t.Fatal("fresh memory reported formatted")
 	}
-	Format(mem, l)
-	if !IsFormatted(mem, l) {
-		t.Fatal("formatted memory not detected")
+	Format(mem, l, 0)
+	if err := CheckFormat(mem, l, 0); err != nil {
+		t.Fatalf("formatted memory not detected: %v", err)
+	}
+	if err := CheckFormat(mem, l, 1); err == nil || !strings.Contains(err.Error(), "Backend 0") {
+		t.Errorf("another backend's image: %v, want an error naming Backend", err)
+	}
+	other := l
+	other.Cfg.SSPSlots++
+	if err := CheckFormat(mem, other, 0); err == nil || !strings.Contains(err.Error(), "SSPSlots") {
+		t.Errorf("another layout's image: %v, want an error naming SSPSlots", err)
 	}
 }
 

@@ -24,6 +24,11 @@ var configRejects = []struct {
 	{"negative nvram read", Config{NVRAMReadNS: -50}, "NVRAMReadNS"},
 	{"negative nvram write", Config{NVRAMWriteNS: -0.5}, "NVRAMWriteNS"},
 	{"negative nvram", Config{NVRAMMB: -1}, "NVRAMMB"},
+	{"ssp spares over nvram", Config{Backend: SSP, NVRAMMB: 4}, "NVRAMMB"},
+	{"ssp spares over nvram, one core", Config{NVRAMMB: 1}, "NVRAMMB"},
+	{"tlb reach spares over nvram", Config{NVRAMMB: 8, TLBEntries: 4096}, "NVRAMMB"},
+	{"cores' spares over nvram", Config{NVRAMMB: 8, Cores: 16}, "NVRAMMB"},
+	{"stlb reach spares over nvram", Config{NVRAMMB: 32, STLBEntries: 1 << 16}, "NVRAMMB"},
 	{"negative dram", Config{DRAMMB: -1}, "DRAMMB"},
 	{"negative max heap pages", Config{MaxHeapPages: -1}, "MaxHeapPages"},
 	{"heap over nvram", Config{MaxHeapPages: 1 << 24}, "MaxHeapPages"},
@@ -103,10 +108,22 @@ func TestConfigValidationAccepts(t *testing.T) {
 		{SubPageLines: 4},
 		{DurabilityEpoch: 1 << 20},
 		{TimeWindow: 4096},
+		{Backend: UndoLog, NVRAMMB: 2}, // no spare frames to reserve
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate rejected legal config %+v: %v", cfg, err)
 		}
+	}
+	// The smallest machines each backend accepts build and commit.
+	for _, cfg := range []Config{{Backend: UndoLog, NVRAMMB: 1}, {Backend: SSP, NVRAMMB: 6}} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+		c := m.Core(0)
+		c.Begin()
+		c.Store64(m.Heap().Alloc(c, 64), 1)
+		c.Commit()
 	}
 }
 

@@ -2,8 +2,10 @@ package ssp_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/crashsweep"
 	"repro/ssp"
 	"repro/ssp/pds"
 )
@@ -53,5 +55,42 @@ func TestCrashRestoreFollowsTouchedState(t *testing.T) {
 				t.Fatalf("%v: key %d reads (%d, %v) after restore, want %d", b, k*7919%keys, v, ok, k)
 			}
 		}
+	}
+}
+
+// Restore parses an image under the layout its Config gives, so it must
+// refuse an image formatted under another: the superblock records the
+// backend and the layout fields, and the error names the first that differs.
+func TestRestoreRejectsMismatchedConfig(t *testing.T) {
+	cfg := crashsweep.Config(ssp.SSP)
+	m := ssp.MustNew(cfg)
+	crashsweep.RunScript(m, crashsweep.MakeScript(1000003, 12))
+	img := m.Crash()
+	for _, tc := range []struct {
+		name  string
+		set   func(*ssp.Config)
+		field string // must appear in the error text
+	}{
+		{"TLBEntries", func(c *ssp.Config) { c.TLBEntries = 128 }, "SSPSlots"},
+		{"Cores", func(c *ssp.Config) { c.Cores = 2 }, "Cores"},
+		{"MaxHeapPages", func(c *ssp.Config) { c.MaxHeapPages = 1024 }, "MaxHeapPages"},
+		{"STLBEntries", func(c *ssp.Config) { c.STLBEntries = 256 }, "SSPSlots"},
+		{"JournalKB", func(c *ssp.Config) { c.JournalKB = 128 }, "JournalBytes"},
+		{"Backend", func(c *ssp.Config) { c.Backend = ssp.UndoLog }, "Backend"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			other := cfg
+			tc.set(&other)
+			m2, err := ssp.Restore(other, img)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Restore under %+v returned %v, want an error naming %s", other, err, tc.field)
+			}
+			if m2 != nil {
+				t.Fatal("Restore returned a machine alongside the error")
+			}
+		})
+	}
+	if _, err := ssp.Restore(cfg, img); err != nil {
+		t.Fatalf("Restore under the image's own config: %v", err)
 	}
 }

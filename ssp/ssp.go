@@ -410,6 +410,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ssp: NVRAMMB (%d MiB) cannot hold the metadata regions sized by Cores (%d), TLBEntries, STLBEntries, MaxHeapPages, JournalKB and JournalShards: %v",
 			mc.Mem.NVRAMBytes>>20, mc.Cores, err)
 	}
+	// SSP reserves one spare frame per SSP cache entry before the heap's
+	// first page is mapped (core.NewSSP).
+	if frames := vm.NewLayout(mc.Mem, mc.Layout).Frames; c.Backend == SSP && frames <= mc.SSP.Entries {
+		return fmt.Errorf("ssp: NVRAMMB (%d MiB) leaves %d frames beside the metadata regions; SSP needs the N·T+O = %d spare frames of its cache (Cores × (TLBEntries + STLBEntries) + 64) and the heap's first page",
+			mc.Mem.NVRAMBytes>>20, frames, mc.SSP.Entries)
+	}
 	return nil
 }
 

@@ -438,46 +438,76 @@ func BenchmarkMachineNew(b *testing.B) {
 }
 
 // BenchmarkCrashRestore is the host cost of a power cycle through an image:
-// Crash of the paper's Table 2 machine (192 MB of NVRAM, SSP) holding a
-// 2 000-key B-tree, and Restore from that image; building the machine and
-// the tree is left out. The bytes one power cycle allocates
-// (CrashRestore_192MB_allocMB, in MiB) are gated in CI beside
-// MachineNew_192MB_allocMB: an image costs the pages the run wrote, not the
-// NVRAM capacity.
+// Crash of the paper's Table 2 machine (192 MB of NVRAM, SSP) and Restore
+// from that image, with the machine holding a 2 000-key B-tree (192MB) or a
+// 4 MiB pds.Array with every data page written (Array4MB); building the
+// machine and filling it is left out. The bytes one power cycle allocates
+// (CrashRestore_<case>_allocMB, in MiB) are gated in CI beside
+// MachineNew_192MB_allocMB: an image costs a pointer per page the run wrote,
+// not the NVRAM capacity and not a copy of the pages.
 func BenchmarkCrashRestore(b *testing.B) {
-	b.Run("192MB", func(b *testing.B) {
-		const keys = 2000
-		cfg := ssp.Config{Backend: ssp.SSP, Cores: 1, NVRAMMB: 192, DRAMMB: 4, MaxHeapPages: 36 << 10}
-		b.ReportAllocs()
-		var alloc uint64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			m := ssp.MustNew(cfg)
-			c := m.Core(0)
-			c.Begin()
-			bt := pds.CreateBTree(c, m.Heap())
-			m.SetRoot(c, 0, bt.Head())
-			c.Commit()
-			for k := uint64(0); k < keys; k++ {
-				c.Begin()
-				bt.Insert(c, k*7919%keys, k)
-				c.Commit()
+	cfg := ssp.Config{Backend: ssp.SSP, Cores: 1, NVRAMMB: 192, DRAMMB: 4, MaxHeapPages: 36 << 10}
+	for _, w := range []struct {
+		name string
+		fill func(m *ssp.Machine)
+	}{{"192MB", fillBTree}, {"Array4MB", fillArray}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var alloc uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := ssp.MustNew(cfg)
+				w.fill(m)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				m2, err := ssp.Restore(cfg, m.Crash())
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					b.Fatal(err)
+				}
+				alloc += after.TotalAlloc - before.TotalAlloc
+				machineSink = m2
+				b.StartTimer()
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.StartTimer()
-			m2, err := ssp.Restore(cfg, m.Crash())
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				b.Fatal(err)
-			}
-			alloc += after.TotalAlloc - before.TotalAlloc
-			machineSink = m2
-			b.StartTimer()
+			b.ReportMetric(float64(alloc)/float64(b.N)/(1<<20), "CrashRestore_"+w.name+"_allocMB")
+		})
+	}
+}
+
+// fillBTree inserts 2 000 keys into a B-tree rooted at slot 0.
+func fillBTree(m *ssp.Machine) {
+	const keys = 2000
+	c := m.Core(0)
+	c.Begin()
+	bt := pds.CreateBTree(c, m.Heap())
+	m.SetRoot(c, 0, bt.Head())
+	c.Commit()
+	for k := uint64(0); k < keys; k++ {
+		c.Begin()
+		bt.Insert(c, k*7919%keys, k)
+		c.Commit()
+	}
+}
+
+// fillArray creates a 4 MiB array rooted at slot 0 and writes one element of
+// each of its 1 024 data pages, eight pages per transaction.
+func fillArray(m *ssp.Machine) {
+	const elems, perPage, pagesPerTxn = 4 << 20 / 8, ssp.PageBytes / 8, 8
+	c := m.Core(0)
+	c.Begin()
+	a := pds.CreateArray(c, m.Heap(), elems)
+	m.SetRoot(c, 0, a.Head())
+	c.Commit()
+	for i := 0; i < elems; i += perPage * pagesPerTxn {
+		c.Begin()
+		for j := i; j < min(elems, i+perPage*pagesPerTxn); j += perPage {
+			a.Set(c, j, uint64(j)+1)
 		}
-		b.ReportMetric(float64(alloc)/float64(b.N)/(1<<20), "CrashRestore_192MB_allocMB")
-	})
+		c.Commit()
+	}
+	m.Drain()
 }
 
 // machineSink keeps BenchmarkMachineNew's and BenchmarkCrashRestore's

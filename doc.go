@@ -114,24 +114,38 @@
 // access is range-checked against DRAM and NVRAM first, so an address past
 // capacity panics instead of reading zeros.
 //
-// A power failure's image is as sparse as the memory it came from:
-// NVRAMImage (behind Machine.Crash) walks the directory and copies each
-// written NVRAM page, in page order, into one memsim.Image (ssp.Image) with
-// the capacity it was taken from; NewFromImage (behind ssp.Restore) checks
-// the capacity against the Config and installs copies of those pages, with
-// no scan of the rest. Restore then checks the superblock: vm.Format records
-// the backend and every layout field that places a region (Cores,
-// MaxHeapPages, SSPSlots, JournalBytes, JournalShards, LogBytes) beside the
-// magic, and an image formatted under another layout is refused with an
-// error naming the first field that differs, before recovery parses it.
-// Both cost the pages the run wrote: Crash + Restore of
-// the Table 2 machine (192 MB of NVRAM) holding a 2 000-key B-tree allocate
-// 0.2–0.8 MiB. The image shares no storage with either machine, so the
-// crashed one may still Recover in place and one image may be restored any
-// number of times. Image.Bytes and memsim.ImageFromBytes convert to and from
-// a flat copy, for tests. Restore boots with zero wear counters
+// A power failure's image is as sparse as the memory it came from, and it
+// holds the pages by reference. NVRAM pages are shared copy-on-write: each
+// chunk keeps one bit per page that marks it shared, and the first write
+// through a Memory to a shared page copies it into a fresh 4 KiB buffer and
+// clears the bit — the only page copy a power cycle leaves. NVRAMImage
+// (behind Machine.Crash) walks the directory and hands its page pointers, in
+// page order, to one immutable memsim.Image (ssp.Image) with the capacity it
+// was taken from, marking them shared; NewFromImage (behind ssp.Restore)
+// checks the capacity against the Config and installs the image's pointers
+// marked shared, with no scan of the rest. This is the paper's own move
+// turned on the simulator: remap instead of copy. Restore then checks the
+// superblock: vm.Format records the backend and every layout field that
+// places a region (Cores, MaxHeapPages, SSPSlots, JournalBytes,
+// JournalShards, LogBytes) beside the magic, and an image formatted under
+// another layout is refused with an error naming the first field that
+// differs, before recovery parses it.
+// Crash costs a pointer per page the run wrote, and Restore that plus
+// recovery: Crash + Restore of the Table 2 machine (192 MB of NVRAM) holding
+// a 2 000-key B-tree allocate 0.12 MiB, and holding a 4 MiB array 0.8 MiB,
+// nearly all of it SSP recovery's per-slot state. No write through one
+// Memory is ever visible in the image or in another Memory, so the crashed
+// one may still Recover in place and one image may be restored any number of
+// times, from any goroutine. Image.Bytes and memsim.ImageFromBytes convert
+// to and from a flat copy, for tests. Restore boots with zero wear counters
 // (Memory.PageWrites), where in-place Recover keeps them: the image holds
 // contents, not wear.
+//
+// Recovery reads durable state that may be corrupt, so a page-table entry
+// that is not a frame base in the pool, or a frame mapped twice (by two VPNs,
+// or by a VPN and an SSP spare), is an error of ssp.Restore and
+// Machine.Recover that names the VPNs and the value, not a panic
+// (vm.FrameAlloc.Rebuild).
 //
 // A bank's or bus's occupancy ring is sized by the simulated span it covers,
 // not by its history bound: it materialises at the resource's first booking

@@ -242,8 +242,9 @@ func (s *SSP) Recover() error {
 
 	// 5. Rebuild the frame allocator: every PTE-mapped frame plus every
 	// slot's spare is live; the formatted slots' spares are one range.
-	s.env.Frames.Rebuild(s.env.PT, len(s.slotShadow), func(sid int) memsim.PAddr { return s.slotShadow[sid].ppn1 })
-	s.env.Frames.ReserveRange(len(s.slotShadow), s.cfg.Entries)
+	if err := s.env.Frames.Rebuild(s.env.PT, len(s.slotShadow), s.cfg.Entries, func(sid int) memsim.PAddr { return s.slotShadow[sid].ppn1 }); err != nil {
+		return err
+	}
 
 	s.nextTID = max(s.nextTID, maxTID)
 	s.nextVer = max(s.nextVer, maxVer)

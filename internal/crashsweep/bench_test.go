@@ -62,3 +62,31 @@ func BenchmarkTrapPoint(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRestore is the host cost of booting a machine from a crash image,
+// per backend: the sweep's machine runs MakeScript(1000003, 12) and crashes
+// once, and each iteration restores that one image — what a restore per
+// in-flight subset of a cut, or per corrupt image of a fuzz input, pays.
+//
+//	go test -run '^$' -bench Restore -benchmem ./internal/crashsweep
+func BenchmarkRestore(b *testing.B) {
+	for _, backend := range ssp.Backends() {
+		b.Run(backend.String(), func(b *testing.B) {
+			cfg := Config(backend)
+			m := ssp.MustNew(cfg)
+			RunScript(m, MakeScript(1000003, 12))
+			img := m.Crash()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if restoreSink, err = ssp.Restore(cfg, img); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// restoreSink keeps BenchmarkRestore's machines reachable.
+var restoreSink *ssp.Machine

@@ -215,8 +215,9 @@ func New(cfg Config) *Machine {
 
 // Restore boots a machine from a previous machine's durable NVRAM image
 // (post-crash) and runs the backend's recovery. The image's pages are
-// copied, so the same image can be restored again; wear counters start at
-// zero.
+// installed shared copy-on-write, not copied, so the same image can be
+// restored again; wear counters start at zero. Recovery of a corrupt image
+// returns an error.
 func Restore(cfg Config, image memsim.Image) (*Machine, error) {
 	m, err := build(cfg, &image)
 	if err != nil {
@@ -241,7 +242,9 @@ func Restore(cfg Config, image memsim.Image) (*Machine, error) {
 func (m *Machine) recoverBackend() error {
 	if m.cfg.Backend != SSP {
 		m.pt.Rebuild()
-		m.frames.Rebuild(m.pt, 0, nil)
+		if err := m.frames.Rebuild(m.pt, 0, 0, nil); err != nil {
+			return err
+		}
 	}
 	return m.backend.Recover()
 }
@@ -546,9 +549,11 @@ func (m *Machine) Drain() {
 // Crash simulates a power failure: all volatile state (caches, TLBs,
 // backend buffers) vanishes; the durable NVRAM image survives. The machine
 // itself becomes unusable; continue via Restore(cfg, image) or in place via
-// Recover. The image holds a copy of each NVRAM page the run wrote (see
-// memsim.Image), so its cost follows what the run touched, and it shares
-// nothing with the machine.
+// Recover. The image holds each NVRAM page the run wrote by reference,
+// shared copy-on-write with the machine (see memsim.Image): Crash is a walk
+// that copies page pointers, its cost follows what the run touched, and the
+// machine's later writes copy a page before changing it, so they never reach
+// the image.
 func (m *Machine) Crash() memsim.Image {
 	m.mem.PowerOff()
 	m.dropVolatile()
@@ -575,7 +580,8 @@ func (m *Machine) dropVolatile() {
 
 // Recover performs in-place crash recovery after Crash (or after a write
 // trap fired): volatile state is dropped, power restored, and the backend's
-// recovery runs against the surviving image.
+// recovery runs against the surviving image. A corrupt image — a page-table
+// entry that is not a frame base, a frame mapped twice — is an error.
 func (m *Machine) Recover() error {
 	m.dropVolatile()
 	m.mem.PowerOn()

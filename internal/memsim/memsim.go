@@ -500,7 +500,11 @@ func (m *Memory) copyIn(pa PAddr, data []byte) {
 			n = len(data)
 		}
 		r, off := m.locate(pa, n)
-		copy(r.writable(off)[off&(PageBytes-1):], data[:n])
+		pg := r.owned(off)
+		if pg == nil {
+			pg = r.own(off)
+		}
+		copy(pg[off&(PageBytes-1):], data[:n])
 		pa += PAddr(n)
 		data = data[n:]
 	}

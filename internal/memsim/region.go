@@ -8,6 +8,11 @@ import "fmt"
 // costs a directory of one pointer per MiB of capacity, and everything that
 // walks a region (NVRAMImage, ResetWear, WornPages) walks what was
 // touched.
+//
+// NVRAM pages are shared copy-on-write between a Memory, the images taken of
+// it and every Memory booted from one of them: a shared page is read-only to
+// all of them, and the first write through a Memory gives that Memory its
+// own copy.
 const (
 	chunkShift = 8
 	chunkPages = 1 << chunkShift // 1 MiB of address space per directory slot
@@ -15,12 +20,15 @@ const (
 
 // zeroPage is what a never-written page reads as. It is shared by every
 // Memory in the process, so it is only ever copied out of: readable hands it
-// out, writable never does.
+// out, owned and own never do.
 var zeroPage [PageBytes]byte
 
 type chunk struct {
 	// pages[i] is nil until the page's first write.
 	pages [chunkPages]*[PageBytes]byte
+	// shared has bit i set while pages[i] may also be held by an Image: the
+	// page must be copied before this Memory writes it.
+	shared [chunkPages / 64]uint64
 	// wear[i] counts durable line writes to the page — the media-endurance
 	// profile software wear-leveling consumes (NVRAM only).
 	wear [chunkPages]uint64
@@ -69,6 +77,27 @@ func (r *region) eachPage(fn func(page uint64, pg *[PageBytes]byte)) {
 	}
 }
 
+// share installs pg as the region's page-th page, marked shared.
+func (r *region) share(page uint64, pg *[PageBytes]byte) {
+	c, i := r.touchChunk(page), page&(chunkPages-1)
+	c.pages[i] = pg
+	c.shared[i/64] |= 1 << (i % 64)
+}
+
+// shareAll marks every materialised page shared.
+func (r *region) shareAll() {
+	for _, c := range r.dir {
+		if c == nil {
+			continue
+		}
+		for i, pg := range c.pages[:] {
+			if pg != nil {
+				c.shared[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+}
+
 // locate returns the region holding [pa, pa+n) and the span's offset in it.
 // It panics unless the span lies wholly inside DRAM or NVRAM: nothing behind
 // it bounds an access any more, and an access past capacity must never
@@ -95,14 +124,31 @@ func (r *region) readable(off uint64) *[PageBytes]byte {
 	return &zeroPage
 }
 
-// writable is readable for a store: it materialises the page.
-func (r *region) writable(off uint64) *[PageBytes]byte {
+// owned is readable for a store: the page holding offset off if this Memory
+// may write it in place, nil if it must own it first (a page never written,
+// or one shared with an image). It inlines, so a store to a page the Memory
+// owns pays one bit test more than a load.
+func (r *region) owned(off uint64) *[PageBytes]byte {
 	page := off >> PageShift
-	slot := &r.touchChunk(page).pages[page&(chunkPages-1)]
-	if *slot == nil {
-		*slot = new([PageBytes]byte)
+	c, i := r.dir[page>>chunkShift], page&(chunkPages-1)
+	if c == nil || c.shared[i/64]&(1<<(i%64)) != 0 {
+		return nil
 	}
-	return *slot
+	return c.pages[i]
+}
+
+// own gives the page holding offset off a buffer of this Memory's own and
+// returns it: zeros for a page never written, a copy of a shared one.
+func (r *region) own(off uint64) *[PageBytes]byte {
+	page := off >> PageShift
+	c, i := r.touchChunk(page), page&(chunkPages-1)
+	pg := new([PageBytes]byte)
+	if c.pages[i] != nil {
+		*pg = *c.pages[i]
+	}
+	c.pages[i] = pg
+	c.shared[i/64] &^= 1 << (i % 64)
+	return pg
 }
 
 // wearOf returns the wear counter of the NVRAM page containing pa (which

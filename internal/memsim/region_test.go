@@ -207,9 +207,11 @@ func TestImageFromBytesSkipsZeroPages(t *testing.T) {
 	}
 }
 
-// One image restores twice to identical NVRAM, and it shares storage with
-// none of the three memories: writes to the crashed memory and to the first
-// restored one show up neither in the image nor in the second restore.
+// One image restores twice to identical NVRAM, and no write through any of
+// the three memories that share its pages shows up elsewhere: writes to the
+// crashed memory and to the first restored one show up neither in the image
+// nor in the second restore, also when the crashed memory writes again after
+// the second restore took its pages.
 func TestImageRestoresTwiceWithoutAliasing(t *testing.T) {
 	cfg := sparseTestConfig()
 	mem := New(cfg, &stats.Stats{})
@@ -244,6 +246,17 @@ func TestImageRestoresTwiceWithoutAliasing(t *testing.T) {
 	}
 	if bytes.Equal(first.NVRAMImage().Bytes(), want) {
 		t.Fatal("the first restore did not take its own writes")
+	}
+	// The crashed memory writes pages it already copied once and pages it
+	// has not, after the second restore installed the image's pages.
+	for _, pa := range []PAddr{base, base + 3*PageBytes, base + PAddr(cfg.NVRAMBytes) - LineBytes} {
+		mem.WriteLine(pa, line(0x77), 0, stats.CatData)
+	}
+	if !bytes.Equal(img.Bytes(), want) {
+		t.Fatal("a write to the crashed memory after a restore reached the image")
+	}
+	if !bytes.Equal(second.NVRAMImage().Bytes(), want) {
+		t.Fatal("a write to the crashed memory after a restore reached the restored memory")
 	}
 }
 

@@ -150,7 +150,9 @@ func TestFrameAllocMatchesListModel(t *testing.T) {
 						held = append(held, pa)
 					}
 				}
-				fa.Rebuild(pt, 0, nil)
+				if err := fa.Rebuild(pt, 0, 0, nil); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
 			}
 			if got, want := fa.InUse(), ref.inUse(); got != want || fa.FreeCount() != l.Frames-want {
 				t.Fatalf("seed %d step %d: InUse %d FreeCount %d, the list model has %d in use of %d", seed, step, got, fa.FreeCount(), want, l.Frames)

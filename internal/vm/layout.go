@@ -138,9 +138,14 @@ func layout(mcfg memsim.Config, cfg LayoutConfig) (Layout, error) {
 	return l, nil
 }
 
+// isFrameBase reports whether pa is the base address of a frame in the pool.
+func (l *Layout) isFrameBase(pa memsim.PAddr) bool {
+	return pa >= l.FramePoolBase && pa < l.FramePoolEnd && pa%memsim.PageBytes == 0
+}
+
 // FrameIndex converts a frame base address into its pool index.
 func (l *Layout) FrameIndex(pa memsim.PAddr) int {
-	if pa < l.FramePoolBase || pa >= l.FramePoolEnd || pa%memsim.PageBytes != 0 {
+	if !l.isFrameBase(pa) {
 		panic(fmt.Sprintf("vm: %#x is not a frame base", pa))
 	}
 	return int((pa - l.FramePoolBase) / memsim.PageBytes)

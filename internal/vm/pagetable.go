@@ -236,12 +236,24 @@ func (fa *FrameAlloc) ReserveRange(lo, hi int) {
 	if lo < 0 || hi > fa.layout.Frames {
 		panic(fmt.Sprintf("vm: frame range [%d, %d) outside the pool of %d frames; raise Config.NVRAMBytes", lo, hi, fa.layout.Frames))
 	}
+	if idx := fa.reserveRange(lo, hi); idx >= 0 {
+		panic(fmt.Sprintf("vm: frame %#x reserved twice", fa.layout.FrameAddr(idx)))
+	}
+}
+
+// reserveRange is ReserveRange of a range inside the pool. It returns -1, or
+// the first frame of the range that was already used, leaving the frames
+// before it marked.
+func (fa *FrameAlloc) reserveRange(lo, hi int) int {
+	if lo >= hi {
+		return -1
+	}
 	if hi > len(fa.used) {
 		fa.used = append(fa.used, make([]bool, hi-len(fa.used))...)
 	}
 	for idx := lo; idx < hi; idx++ {
 		if fa.used[idx] {
-			panic(fmt.Sprintf("vm: frame %#x reserved twice", fa.layout.FrameAddr(idx)))
+			return idx
 		}
 		fa.used[idx] = true
 	}
@@ -249,6 +261,7 @@ func (fa *FrameAlloc) ReserveRange(lo, hi int) {
 	if fa.next == lo {
 		fa.next = hi
 	}
+	return -1
 }
 
 // DebugUsed returns the pool index of every frame in use, ascending
@@ -271,18 +284,56 @@ func (fa *FrameAlloc) reset() {
 }
 
 // Rebuild is recovery's rebuild of the allocation state, which is volatile:
-// every frame is free again except those pt maps and spare(i) for each
-// i < spares. A frame reserved twice panics.
-func (fa *FrameAlloc) Rebuild(pt *PageTable, spares int, spare func(i int) memsim.PAddr) {
+// every frame is free again except those pt maps, spare(i) for each
+// i < spares, and pool frames [spares, formatted) — the spares of the SSP
+// slots recovery decoded no state for, frame i for slot i — reserved in one
+// range step. What it reads is durable and may be corrupt, so where
+// the internal reserve steps panic Rebuild returns an error naming the
+// claimants and the value: a PTE that is not a frame base in the pool, and a
+// frame claimed twice (by two VPNs, or by a VPN and a spare).
+func (fa *FrameAlloc) Rebuild(pt *PageTable, spares, formatted int, spare func(i int) memsim.PAddr) error {
 	fa.reset()
-	for _, pa := range pt.mirror {
-		if pa != 0 {
+	// claimant names what already holds frame pa; only an error pays the
+	// scan.
+	claimant := func(pa memsim.PAddr) string {
+		for vpn, m := range pt.mirror {
+			if m == pa {
+				return fmt.Sprintf("vpn %d", vpn)
+			}
+		}
+		for i := 0; i < spares; i++ {
+			if spare(i) == pa {
+				return fmt.Sprintf("slot %d's spare", i)
+			}
+		}
+		return "the spare of a slot with no state"
+	}
+	for vpn, pa := range pt.mirror {
+		switch {
+		case pa == 0:
+		case !fa.layout.isFrameBase(pa):
+			return fmt.Errorf("vm: vpn %d maps %#x, which is not a frame base in the pool", vpn, pa)
+		case fa.isUsed(fa.layout.FrameIndex(pa)):
+			return fmt.Errorf("vm: frame %#x is mapped by %s and by vpn %d", pa, claimant(pa), vpn)
+		default:
 			fa.reserve(pa)
 		}
 	}
 	for i := 0; i < spares; i++ {
-		fa.reserve(spare(i))
+		switch pa := spare(i); {
+		case !fa.layout.isFrameBase(pa):
+			return fmt.Errorf("vm: slot %d's spare %#x is not a frame base in the pool", i, pa)
+		case fa.isUsed(fa.layout.FrameIndex(pa)):
+			return fmt.Errorf("vm: frame %#x is %s and slot %d's spare", pa, claimant(pa), i)
+		default:
+			fa.reserve(pa)
+		}
 	}
+	if idx := fa.reserveRange(spares, formatted); idx >= 0 {
+		pa := fa.layout.FrameAddr(idx)
+		return fmt.Errorf("vm: frame %#x is %s and slot %d's spare", pa, claimant(pa), idx)
+	}
+	return nil
 }
 
 // InUse returns the number of allocated frames.

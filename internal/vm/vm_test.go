@@ -166,24 +166,28 @@ func TestPageTableRebuildAcrossWindows(t *testing.T) {
 }
 
 // FrameAlloc.Rebuild reserves what a reset and one reserve per mapped or
-// spare frame would: the two allocators hand out the same frames from then
-// on.
+// spare frame, then one ReserveRange of the formatted slots' spares, would:
+// the two allocators hand out the same frames from then on.
 func TestFrameAllocRebuild(t *testing.T) {
 	mem, l, _ := testEnv(t)
 	pt := NewPageTable(mem, l)
-	for vpn, idx := range []int{7, 3, 12} {
+	for vpn, idx := range []int{7, 13, 12} {
 		pt.Set(vpn*5, l.FrameAddr(idx), 0)
 	}
-	spares := []int{0, 9, 4}
+	spares := []int{0, 9, 14}
+	const formatted = 6
 	got, want := NewFrameAlloc(l), NewFrameAlloc(l)
 	got.Alloc()
-	got.Rebuild(pt, len(spares), func(i int) memsim.PAddr { return l.FrameAddr(spares[i]) })
+	if err := got.Rebuild(pt, len(spares), formatted, func(i int) memsim.PAddr { return l.FrameAddr(spares[i]) }); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range pt.Mapped() {
 		want.reserve(m.Frame)
 	}
 	for _, idx := range spares {
 		want.reserve(l.FrameAddr(idx))
 	}
+	want.ReserveRange(len(spares), formatted)
 	if got.InUse() != want.InUse() {
 		t.Fatalf("Rebuild left %d frames in use, reserve %d", got.InUse(), want.InUse())
 	}
@@ -192,8 +196,39 @@ func TestFrameAllocRebuild(t *testing.T) {
 			t.Fatalf("allocation %d after Rebuild: frame %d, after reserve %d", i, l.FrameIndex(g), l.FrameIndex(w))
 		}
 	}
-	if !panics(func() { got.Rebuild(pt, 2, func(int) memsim.PAddr { return l.FrameAddr(7) }) }) {
-		t.Error("a spare frame the page table maps was reserved twice without a panic")
+}
+
+// A corrupt page table is an error of Rebuild, never a panic: a PTE that is
+// not a frame base in the pool, and a frame claimed twice — by two VPNs, by
+// a VPN and a decoded slot's spare, or by a VPN and a formatted slot's spare.
+// The error names the claimants and the value.
+func TestFrameAllocRebuildRejectsCorruptPageTable(t *testing.T) {
+	mem, l, _ := testEnv(t)
+	spare := func(i int) memsim.PAddr { return l.FrameAddr(20 + i) }
+	for _, tc := range []struct {
+		name string
+		ptes map[int]memsim.PAddr
+		want string
+	}{
+		{"below the pool", map[int]memsim.PAddr{3: l.FrameAddr(2) - l.FramePoolBase}, "vpn 3 maps"},
+		{"past the pool", map[int]memsim.PAddr{3: l.FramePoolEnd}, "vpn 3 maps"},
+		{"not page aligned", map[int]memsim.PAddr{3: l.FrameAddr(2) + 8}, "not a frame base"},
+		{"two VPNs", map[int]memsim.PAddr{3: l.FrameAddr(2), 9: l.FrameAddr(2)}, "mapped by vpn 3 and by vpn 9"},
+		{"a decoded spare", map[int]memsim.PAddr{3: l.FrameAddr(21)}, "is vpn 3 and slot 1's spare"},
+		{"a formatted spare", map[int]memsim.PAddr{3: l.FrameAddr(2)}, "is vpn 3 and slot 2's spare"},
+	} {
+		pt := NewPageTable(mem, l)
+		for vpn, pa := range tc.ptes {
+			pt.SetMirror(vpn, pa)
+		}
+		spares, formatted := 2, 2
+		if tc.name == "a formatted spare" {
+			formatted = 4
+		}
+		err := NewFrameAlloc(l).Rebuild(pt, spares, formatted, spare)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Rebuild returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

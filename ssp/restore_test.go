@@ -94,3 +94,68 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Fatalf("Restore under the image's own config: %v", err)
 	}
 }
+
+// arrayMachine is the paper's Table 2 machine (192 MB of NVRAM) on backend b
+// holding a 4 MiB pds.Array with one element of every data page written, so
+// that its image holds at least 1 024 written frames.
+func arrayMachine(b ssp.Backend) (ssp.Config, *ssp.Machine) {
+	const elems, perPage, pagesPerTxn = 4 << 20 / 8, ssp.PageBytes / 8, 8
+	cfg := ssp.Config{Backend: b, Cores: 1, NVRAMMB: 192, DRAMMB: 4, MaxHeapPages: 36 << 10}
+	m := ssp.MustNew(cfg)
+	c := m.Core(0)
+	c.Begin()
+	a := pds.CreateArray(c, m.Heap(), elems)
+	m.SetRoot(c, 0, a.Head())
+	c.Commit()
+	for i := 0; i < elems; i += perPage * pagesPerTxn {
+		c.Begin()
+		for j := i; j < min(elems, i+perPage*pagesPerTxn); j += perPage {
+			a.Set(c, j, uint64(j)+1)
+		}
+		c.Commit()
+	}
+	m.Drain()
+	return cfg, m
+}
+
+// A power cycle hands NVRAM pages over by reference: Crash allocates at most
+// 64 bytes per page its image holds, and Restore at most a quarter of the
+// image's page bytes, on the Table 2 machine holding a 4 MiB array. Either
+// one copying the pages, as both did, allocates at least the image's page
+// bytes. Restore's own cost is recovery's: the logging designs' allocates a
+// fortieth of the page bytes, SSP's a fifth, as it rebuilds a page's
+// metadata, its slot-table entries and its journal records for each of the
+// ~1 000 slots the array holds.
+func TestCrashRestoreSharesPages(t *testing.T) {
+	for _, b := range ssp.Backends() {
+		cfg, m := arrayMachine(b)
+		var before, crashed, restored runtime.MemStats
+		runtime.ReadMemStats(&before)
+		img := m.Crash()
+		runtime.ReadMemStats(&crashed)
+		m2, err := ssp.Restore(cfg, img)
+		runtime.ReadMemStats(&restored)
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		pages := uint64(img.Pages())
+		if pages < 1024 {
+			t.Fatalf("%v: the image holds %d pages, want at least 1024", b, pages)
+		}
+		crash, restore := crashed.TotalAlloc-before.TotalAlloc, restored.TotalAlloc-crashed.TotalAlloc
+		t.Logf("%v: %d pages; Crash allocated %d B (%.1f B/page), Restore %.1f KiB", b, pages, crash, float64(crash)/float64(pages), float64(restore)/1024)
+		if crash > 64*pages {
+			t.Errorf("%v: Crash allocated %d B for an image of %d pages, budget 64 B per page", b, crash, pages)
+		}
+		if restore > pages*ssp.PageBytes/4 {
+			t.Errorf("%v: Restore allocated %.1f KiB for an image of %d pages, budget a quarter of its %d KiB", b, float64(restore)/1024, pages, pages*ssp.PageBytes>>10)
+		}
+		c2 := m2.Core(0)
+		a := pds.OpenArray(m2.Heap(), m2.Root(c2, 0))
+		for _, j := range []int{0, ssp.PageBytes / 8, a.Len(c2) - ssp.PageBytes/8} {
+			if v := a.Get(c2, j); v != uint64(j)+1 {
+				t.Fatalf("%v: element %d reads %d after restore, want %d", b, j, v, j+1)
+			}
+		}
+	}
+}

@@ -118,9 +118,11 @@ type WindowStats = machine.WindowStats
 type Cycles = engine.Cycles
 
 // Image is the durable NVRAM contents a crashed machine leaves behind
-// (Machine.Crash), the input of Restore. It holds a copy of each NVRAM page
-// the run wrote, so its size follows what the run touched rather than
-// Config.NVRAMMB, and it shares no storage with any machine.
+// (Machine.Crash), the input of Restore. It is immutable and holds each NVRAM
+// page the run wrote by reference, shared copy-on-write with the crashed
+// machine and with every machine restored from it, so its cost follows what
+// the run touched rather than Config.NVRAMMB, and no write through any of
+// those machines ever shows in the image or in another machine.
 type Image = memsim.Image
 
 // MaxChannels is the largest supported Config.Channels.
@@ -440,10 +442,14 @@ func MustNew(cfg Config) *Machine {
 }
 
 // Restore boots a machine from a crashed machine's NVRAM image and runs
-// recovery. The configuration must match the image's. Restore copies the
-// image's pages, so one image may be restored more than once; the restored
-// machine's NVRAM wear counters start at zero, where in-place Recover keeps
-// them.
+// recovery. The configuration must match the image's. Restore installs the
+// image's pages shared rather than copying them — the restored machine
+// copies a page on its first write to it — so it costs a pointer per page
+// plus recovery, and one image may be restored any number of times, from any
+// goroutine. A corrupt image is an error, not a panic: recovery refuses, for
+// instance, a page-table entry that is not a frame base or a frame mapped
+// twice. The restored machine's NVRAM wear counters start at zero, where
+// in-place Recover keeps them.
 func Restore(cfg Config, image Image) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

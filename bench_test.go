@@ -1,438 +1,63 @@
-// Benchmarks regenerating the paper's evaluation (one per table/figure).
-// Each benchmark runs the corresponding experiment at a fixed small scale
-// and reports the paper's headline metrics via b.ReportMetric, so
-// `go test -bench=. -benchmem` prints the whole evaluation. The sspbench
-// command runs the same experiments at larger scales with full rendering.
+// Host benchmarks: the wall-clock nanoseconds and heap bytes the simulator
+// spends on one transaction, one machine build and one power cycle. The
+// simulated figures are TestPaperFigures' (paper_test.go); the repository
+// benchmark (benchmark/) owns end-to-end host performance.
 package repro_test
 
 import (
-	"runtime"
+	"strconv"
 	"testing"
 
-	"repro/internal/experiments"
-	"repro/internal/workload"
 	"repro/ssp"
 	"repro/ssp/pds"
 )
 
-// benchScale keeps every experiment in benchmark-friendly territory;
-// `sspbench -scale full` runs the same experiments at reproduction size.
-// The shrunken STLB preserves TLB-pressure effects (consolidation) at small
-// sizes.
-func benchScale() experiments.Scale {
-	return experiments.Scale{Ops: 1200, Keys: 8192, Elems: 1 << 17, Items: 4096, Tuples: 4096, Seed: 0xE0, STLB: 128}
-}
-
-func BenchmarkTable3_Characterisation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3(benchScale())
-		for _, r := range rows {
-			b.ReportMetric(r.AvgLines, r.Kind.String()+"_lines/txn")
-		}
-	}
-}
-
-func BenchmarkFig5a_MicroTPS_1Thread(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig5(benchScale(), 1)
-		for _, r := range rows {
-			b.ReportMetric(r.TPS[ssp.SSP], r.Kind.String()+"_SSP/UNDO")
-		}
-	}
-}
-
-func BenchmarkFig5b_MicroTPS_4Threads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig5(benchScale(), 4)
-		for _, r := range rows {
-			b.ReportMetric(r.TPS[ssp.SSP], r.Kind.String()+"_SSP/UNDO")
-		}
-	}
-}
-
-func BenchmarkFig6_LoggingWrites(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig6(benchScale(), 1)
-		for _, r := range rows {
-			b.ReportMetric(r.Norm[ssp.SSP], r.Kind.String()+"_SSP/UNDO")
-		}
-	}
-}
-
-func BenchmarkFig7a_NVRAMWrites(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig7(benchScale(), 1)
-		for _, r := range rows {
-			b.ReportMetric(r.Norm[ssp.SSP], r.Kind.String()+"_SSP/UNDO")
-		}
-	}
-}
-
-func BenchmarkFig7b_SSPWriteBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig7(benchScale(), 1)
-		for _, r := range rows {
-			b.ReportMetric(r.ConsolidationPct, r.Kind.String()+"_consol%")
-		}
-	}
-}
-
-func BenchmarkFig8_NVRAMLatencySweep(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 600
-	for i := 0; i < b.N; i++ {
-		points := experiments.Fig8(sc)
-		for _, pt := range points {
-			if pt.Kind == workload.BTreeRand {
-				b.ReportMetric(pt.TPS[ssp.SSP]/1e3, "BTree_SSP_kTPS_x"+itoa(pt.Multiple))
-			}
-		}
-	}
-}
-
-func BenchmarkFig9_SSPCacheLatencySweep(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 600
-	for i := 0; i < b.N; i++ {
-		points := experiments.Fig9(sc)
-		for _, pt := range points {
-			if pt.Kind == workload.SPS {
-				b.ReportMetric(pt.Speedup, "SPS_speedup_lat"+itoa(pt.Latency))
-			}
-		}
-	}
-}
-
-func BenchmarkTable4_RealWorkloadSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table45(benchScale())
-		for _, r := range rows {
-			b.ReportMetric(r.SpeedupOver[ssp.UndoLog], r.Kind.String()+"_vsUNDO_%")
-			b.ReportMetric(r.SpeedupOver[ssp.RedoLog], r.Kind.String()+"_vsREDO_%")
-		}
-	}
-}
-
-func BenchmarkTable5_RealWorkloadWriteSaving(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table45(benchScale())
-		for _, r := range rows {
-			b.ReportMetric(r.SavingOver[ssp.UndoLog], r.Kind.String()+"_vsUNDO_%")
-			b.ReportMetric(r.SavingOver[ssp.RedoLog], r.Kind.String()+"_vsREDO_%")
-		}
-	}
-}
-
-func BenchmarkAblation_SubPageGranularity(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 600
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblateSubPage(sc)
-		for _, r := range rows {
-			b.ReportMetric(r.TPS, r.Kind.String()+"_"+r.Name+"_TPS")
-		}
-	}
-}
-
-func BenchmarkAblation_ConsolidationPolicy(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 600
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblateConsolidationPolicy(sc)
-		for _, r := range rows {
-			b.ReportMetric(r.TPS, r.Kind.String()+"_"+r.Name+"_TPS")
-		}
-	}
-}
-
-func BenchmarkRecoveryEffort(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 400
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RecoveryEffort(sc)
-		for _, r := range rows {
-			b.ReportMetric(float64(r.ReplayedRecords), "replayed_j"+itoa(r.JournalKB))
-		}
-	}
-}
-
-// BenchmarkParallelSmoke is the CI bench-regression gate (see cmd/benchjson
-// and .github/workflows/ci.yml): SSP on the sharded memcached workload, 4
-// goroutine-backed cores over a 4-channel interleaved memory with a 4-shard
-// metadata journal (the optimized configuration), reporting committed
-// transactions per simulated second for the parallel run, the 1-core serial
-// baseline, and the resulting speedup. The run is windowed like every
-// Machine.Run, so SSP_cTPS is deterministic; CI fails when it drops more
-// than 5% below the checked-in baseline (ci/bench_baseline.json).
-func BenchmarkParallelSmoke(b *testing.B) {
-	params := func(clients int) workload.Params {
-		p := workload.Params{
-			Kind:    workload.Memcached,
-			Backend: ssp.SSP,
-			Clients: clients,
-			Ops:     4000,
-			Items:   4096,
-			Seed:    0xE0,
-		}
-		p.Machine.Channels = 4
-		p.Machine.JournalShards = 4
-		return p
-	}
-	for i := 0; i < b.N; i++ {
-		serial := workload.Run(params(1))
-		par := workload.RunParallel(params(4))
-		sTPS := experiments.CommittedTPS(serial.Cycles, serial)
-		pTPS := experiments.CommittedTPS(par.Cycles, par.Result)
-		b.ReportMetric(pTPS, "SSP_cTPS")
-		b.ReportMetric(sTPS, "SSP_serial_cTPS")
-		if sTPS > 0 {
-			b.ReportMetric(pTPS/sTPS, "SSP_speedup")
-		}
-		// Tracked (not gated): the 4-core data-flush fence cost.
-		b.ReportMetric(float64(par.Stats.CommitBarrierWait), "SSP_barrierwait_cycles")
-	}
-}
-
-// BenchmarkScaleSmoke is the deterministic-scheduler CI gate (see
-// cmd/benchjson and .github/workflows/ci.yml): SSP on the sharded memcached
-// workload with 8 goroutine-backed cores under the bounded-lag window
-// scheduler (TimeWindow 4096, 4 channels, 4 journal shards). Because the
-// windowed run is a pure function of simulated
-// state, every reported metric is exactly reproducible — CI gates
-// Scale_cTPS at ±5%, which only a behavioural change can trip.
-func BenchmarkScaleSmoke(b *testing.B) {
-	params := func(clients int) workload.Params {
-		p := workload.Params{
-			Kind:    workload.Memcached,
-			Backend: ssp.SSP,
-			Clients: clients,
-			Ops:     4000,
-			Items:   4096,
-			Seed:    0xE0,
-		}
-		p.Machine.Channels = 4
-		p.Machine.JournalShards = 4
-		p.Machine.TimeWindow = 4096
-		return p
-	}
-	for i := 0; i < b.N; i++ {
-		serial := workload.Run(params(1))
-		par := workload.RunParallel(params(8))
-		sTPS := experiments.CommittedTPS(serial.Cycles, serial)
-		pTPS := experiments.CommittedTPS(par.Cycles, par.Result)
-		b.ReportMetric(pTPS, "Scale_cTPS")
-		if sTPS > 0 {
-			b.ReportMetric(pTPS/sTPS, "Scale_speedup")
-		}
-		// Tracked (not gated): the scheduler's deterministic activity.
-		b.ReportMetric(float64(par.WindowSched.Windows), "Scale_windows")
-	}
-}
-
-// BenchmarkCrossShardSmoke is the distributed-commit companion of the
-// parallel smoke, gated in CI via cmd/benchjson: the 2-core memcached
-// cross-shard mix at a 50% global fraction over 4 journal shards — the
-// configuration where PR 4 measured parallel speedup collapsing to 0.55x.
-// The batched prepare fan-out (concurrent participant-shard flushes
-// overlapping the data fence) is what moves it.
-func BenchmarkCrossShardSmoke(b *testing.B) {
-	params := func(clients int) workload.Params {
-		p := workload.Params{
-			Kind:    workload.MemcachedCross,
-			Backend: ssp.SSP,
-			Clients: clients,
-			Ops:     4000,
-			Items:   4096,
-			Seed:    0xE0,
-		}
-		p.CrossPct = 50
-		p.Machine.Channels = 4
-		p.Machine.JournalShards = 4
-		return p
-	}
-	for i := 0; i < b.N; i++ {
-		base := workload.RunParallel(params(1))
-		par := workload.RunParallel(params(2))
-		bTPS := experiments.CommittedTPS(base.Cycles, base.Result)
-		pTPS := experiments.CommittedTPS(par.Cycles, par.Result)
-		b.ReportMetric(pTPS, "SSPCross_cTPS")
-		if bTPS > 0 {
-			b.ReportMetric(pTPS/bTPS, "SSPCross_speedup_50pct")
-		}
-		b.ReportMetric(float64(par.Stats.CommitBarrierWait), "SSPCross_barrierwait_cycles")
-	}
-}
-
-// BenchmarkRelaxedSmoke records the epoch-batched relaxed-durability
-// trajectory for BENCH_6.json: the 4-core single-shard memcached mix
-// synchronous versus relaxed with a 100k-cycle epoch (~10 transactions per
-// seal at this mix's commit rate). Committed (acknowledgment-window) TPS is
-// the relaxed mode's headline; durable TPS includes the closing drain that
-// hardens the tail epochs, so the two bracket the durability lag. Reported
-// rather than gated, except the sanity ratio: the barrier share must
-// collapse once commits stop waiting for their journal flush.
-func BenchmarkRelaxedSmoke(b *testing.B) {
-	params := func(epoch int) workload.Params {
-		p := workload.Params{
-			Kind:    workload.Memcached,
-			Backend: ssp.SSP,
-			Clients: 4,
-			Ops:     4000,
-			Items:   4096,
-			Seed:    0xE0,
-		}
-		p.Machine.Channels = 4
-		p.Machine.JournalShards = 1
-		p.Machine.DurabilityEpoch = epoch
-		p.Relaxed = epoch > 0
-		return p
-	}
-	const epoch = 100000
-	for i := 0; i < b.N; i++ {
-		sync := workload.RunParallel(params(0))
-		rel := workload.RunParallel(params(epoch))
-		b.ReportMetric(sync.CommittedTPS, "Relaxed_sync_cTPS")
-		b.ReportMetric(rel.CommittedTPS, "Relaxed_ack_cTPS")
-		b.ReportMetric(rel.TPS, "Relaxed_durable_TPS")
-		if sync.CommittedTPS > 0 {
-			b.ReportMetric(rel.CommittedTPS/sync.CommittedTPS, "Relaxed_ack_speedup")
-		}
-		b.ReportMetric(100*experiments.BarrierWaitShare(sync, 4), "Relaxed_sync_barrier_pct")
-		b.ReportMetric(100*experiments.BarrierWaitShare(rel, 4), "Relaxed_epoch_barrier_pct")
-		b.ReportMetric(float64(rel.Stats.RelaxedCommits), "Relaxed_commits")
-		b.ReportMetric(float64(rel.Stats.HardenedEpochs), "Relaxed_hardened_epochs")
-		b.ReportMetric(experiments.MeanHardenLag(rel.Stats), "Relaxed_harden_lag_cycles")
-	}
-}
-
-// BenchmarkServeSmoke is the serve-layer CI gate (see cmd/benchjson and
-// .github/workflows/ci.yml): the open-loop sharded-kv service on 4 cores
-// over the fence-floor machine (1 journal shard, 4 channels) at YCSB-style
-// skew. A closed-loop probe sets Serve_cTPS (capacity, gated
-// higher-is-better); sync and relaxed then serve the same 50%-of-capacity
-// offered load (comfortably below the queueing knee, where the p99 is
-// stable enough to gate), and the sync tail is gated lower-is-better as
-// Serve_p99 (`-gate BenchmarkServeSmoke/Serve_p99:min`). Deriving the rate
-// from the probe keeps the gated percentile self-normalizing: a machine
-// that probes faster also offers itself proportionally more load. The
-// relaxed row's tail and harden lag are reported alongside, un-gated, to
-// record the latency/staleness split at equal load.
-func BenchmarkServeSmoke(b *testing.B) {
-	params := func(rate float64, relaxed bool) workload.ServeParams {
-		p := workload.ServeParams{
-			Backend:    ssp.SSP,
-			Clients:    4,
-			Ops:        12000,
-			Items:      4096,
-			Skew:       0.99,
-			OfferedTPS: rate,
-			Relaxed:    relaxed,
-			Seed:       0xE0,
-		}
-		p.Machine.Channels = 4
-		p.Machine.JournalShards = 1
-		if relaxed {
-			p.Machine.DurabilityEpoch = 100000
-		}
-		return p
-	}
-	for i := 0; i < b.N; i++ {
-		probe := workload.RunServe(params(0, false))
-		rate := probe.CommittedTPS * 0.5
-		sync := workload.RunServe(params(rate, false))
-		rel := workload.RunServe(params(rate, true))
-		b.ReportMetric(probe.CommittedTPS, "Serve_cTPS")
-		b.ReportMetric(float64(sync.LatencyP50), "Serve_p50")
-		b.ReportMetric(float64(sync.LatencyP99), "Serve_p99")
-		b.ReportMetric(float64(sync.LatencyP999), "Serve_p999")
-		b.ReportMetric(float64(rel.LatencyP99), "Serve_relaxed_p99")
-		b.ReportMetric(float64(rel.LatencyP999), "Serve_relaxed_p999")
-		b.ReportMetric(experiments.MeanHardenLag(rel.Stats), "Serve_harden_lag_cycles")
-		if rel.LatencyP99 > 0 {
-			b.ReportMetric(float64(sync.LatencyP99)/float64(rel.LatencyP99), "Serve_sync_over_relaxed_p99")
-		}
-	}
-}
-
-// BenchmarkCacheSmoke is the DRAM-buffer-tier CI gate (see cmd/benchjson
-// and .github/workflows/ci.yml): the cache experiment's serve mix — 4 cores,
-// Zipfian keys, GET-path recency stamps, a 256 KiB L3 so the working set
-// reaches memory — run bare and with a 1024-frame buffer tier. The cached
-// run's committed TPS is the gated metric (Cache_cTPS); the bare row doubles
-// as a sentinel that DRAMCacheFrames = 0 still models the bare-NVRAM machine
-// (its numbers must track the historical serve figures at this mix). Hit
-// rate, both runs' NVRAM data-write lines, and the speedup ride along
-// un-gated.
-func BenchmarkCacheSmoke(b *testing.B) {
-	params := func(frames int) workload.ServeParams {
-		return workload.ServeParams{
-			Backend:    ssp.SSP,
-			Clients:    4,
-			Ops:        8000,
-			Items:      4096,
-			Skew:       0.99,
-			ReadPct:    70,
-			TouchOnGet: true,
-			Seed:       0xE0,
-			Machine:    ssp.Config{L3KB: 256, DRAMCacheFrames: frames},
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		bare := workload.RunServe(params(0))
-		cached := workload.RunServe(params(1024))
-		b.ReportMetric(cached.CommittedTPS, "Cache_cTPS")
-		b.ReportMetric(bare.CommittedTPS, "Cache_bare_cTPS")
-		if r := cached.Stats.DRAMCacheReads; r > 0 {
-			b.ReportMetric(100*float64(cached.Stats.DRAMCacheHits)/float64(r), "Cache_hit_pct")
-		}
-		b.ReportMetric(float64(experiments.DataWriteLines(bare.Stats)), "Cache_bare_dataWr_lines")
-		b.ReportMetric(float64(experiments.DataWriteLines(cached.Stats)), "Cache_dataWr_lines")
-		if bare.CommittedTPS > 0 {
-			b.ReportMetric(cached.CommittedTPS/bare.CommittedTPS, "Cache_speedup")
-		}
-	}
-}
-
-// BenchmarkTxnPath measures the raw per-transaction cost of each design on
-// a minimal two-store transaction (the mechanism overhead itself).
+// BenchmarkTxnPath is the host cost of a minimal two-store transaction on
+// each design; TestPaperFigures holds the first one's simulated cycles.
 func BenchmarkTxnPath(b *testing.B) {
 	for _, backend := range ssp.Backends() {
 		b.Run(backend.String(), func(b *testing.B) {
-			m := ssp.MustNew(ssp.Config{Backend: backend, Cores: 1})
-			c := m.Core(0)
-			m.Heap().EnsureMapped(nil, 1, 2)
+			c := txnPathMachine(backend).Core(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				page := ssp.HeapBase + uint64(1+(i&1))*ssp.PageBytes
-				c.Begin()
-				c.Store64(page+uint64(i%32)*64, uint64(i))
-				c.Store64(page+uint64(32+i%32)*64, uint64(i)) // second line, same page
-				c.Commit()
+				txnPathTxn(c, i)
 			}
-			b.ReportMetric(float64(m.MaxClock())/float64(b.N), "simcycles/txn")
 		})
 	}
+}
+
+// txnPathMachine returns a 1-core machine of backend with heap pages 1 and 2
+// mapped.
+func txnPathMachine(backend ssp.Backend) *ssp.Machine {
+	m := ssp.MustNew(ssp.Config{Backend: backend, Cores: 1})
+	m.Heap().EnsureMapped(nil, 1, 2)
+	return m
+}
+
+// txnPathTxn commits transaction i of the path: two stores to two lines of
+// one of the two mapped pages.
+func txnPathTxn(c *ssp.Core, i int) {
+	page := ssp.HeapBase + uint64(1+(i&1))*ssp.PageBytes
+	c.Begin()
+	c.Store64(page+uint64(i%32)*64, uint64(i))
+	c.Store64(page+uint64(32+i%32)*64, uint64(i)) // second line, same page
+	c.Commit()
 }
 
 // BenchmarkMachineNew is the host cost of building a machine — what every
 // trap point of a crash sweep and every cell of an experiment grid pays
 // first: ssp.New with the SSP backend at the sweeps' 32 MB and at the paper's
-// Table 2 machine's 192 MB of NVRAM. The bytes one build allocates
-// (MachineNew_<size>_allocMB, in MiB) are gated in CI at both sizes (see
-// cmd/benchjson and .github/workflows/ci.yml): construction stays
-// proportional to what a run touches, not to the configured capacity.
+// Table 2 machine's 192 MB of NVRAM. The allocation budgets are
+// ssp.TestMachineAllocationBudget and
+// crashsweep.TestMachineNewAllocationBudget.
 func BenchmarkMachineNew(b *testing.B) {
 	for _, mb := range []int{32, 192} {
-		b.Run(itoa(mb)+"MB", func(b *testing.B) {
+		b.Run(strconv.Itoa(mb)+"MB", func(b *testing.B) {
 			cfg := ssp.Config{Backend: ssp.SSP, Cores: 1, NVRAMMB: mb, DRAMMB: 4, MaxHeapPages: 36 << 10}
 			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				machineSink = ssp.MustNew(cfg)
 			}
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/(1<<20), "MachineNew_"+itoa(mb)+"MB_allocMB")
 		})
 	}
 }
@@ -441,10 +66,8 @@ func BenchmarkMachineNew(b *testing.B) {
 // Crash of the paper's Table 2 machine (192 MB of NVRAM, SSP) and Restore
 // from that image, with the machine holding a 2 000-key B-tree (192MB) or a
 // 4 MiB pds.Array with every data page written (Array4MB); building the
-// machine and filling it is left out. The bytes one power cycle allocates
-// (CrashRestore_<case>_allocMB, in MiB) are gated in CI beside
-// MachineNew_192MB_allocMB: an image costs a pointer per page the run wrote,
-// not the NVRAM capacity and not a copy of the pages.
+// machine and filling it is left out. The allocation budgets are
+// ssp.TestCrashRestoreFollowsTouchedState and ssp.TestCrashRestoreSharesPages.
 func BenchmarkCrashRestore(b *testing.B) {
 	cfg := ssp.Config{Backend: ssp.SSP, Cores: 1, NVRAMMB: 192, DRAMMB: 4, MaxHeapPages: 36 << 10}
 	for _, w := range []struct {
@@ -453,25 +76,17 @@ func BenchmarkCrashRestore(b *testing.B) {
 	}{{"192MB", fillBTree}, {"Array4MB", fillArray}} {
 		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var alloc uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := ssp.MustNew(cfg)
 				w.fill(m)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
 				b.StartTimer()
 				m2, err := ssp.Restore(cfg, m.Crash())
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
 				if err != nil {
 					b.Fatal(err)
 				}
-				alloc += after.TotalAlloc - before.TotalAlloc
 				machineSink = m2
-				b.StartTimer()
 			}
-			b.ReportMetric(float64(alloc)/float64(b.N)/(1<<20), "CrashRestore_"+w.name+"_allocMB")
 		})
 	}
 }
@@ -513,17 +128,3 @@ func fillArray(m *ssp.Machine) {
 // machineSink keeps BenchmarkMachineNew's and BenchmarkCrashRestore's
 // machines reachable.
 var machineSink *ssp.Machine
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

@@ -71,9 +71,9 @@
 // `-exp scale` cell (and slower on memcached), made five CI smokes
 // host-dependent, and gave the one outlier simulated answer (8-core
 // vacation). It was deleted with its locks; the five smokes
-// (BenchmarkParallelSmoke, CrossShardSmoke, RelaxedSmoke, ServeSmoke,
-// CacheSmoke) were re-recorded once as deterministic metrics, and CI gates
-// them, like the 8-core BenchmarkScaleSmoke, at ±5%.
+// (ParallelSmoke, CrossShardSmoke, RelaxedSmoke, ServeSmoke, CacheSmoke)
+// were re-recorded once as deterministic metrics, and TestPaperFigures
+// holds them, like the 8-core ScaleSmoke, at exact equality.
 //
 // # Multi-channel memory model
 //
@@ -141,11 +141,11 @@
 // (Memory.PageWrites), where in-place Recover keeps them: the image holds
 // contents, not wear.
 //
-// Recovery reads durable state that may be corrupt, so a page-table entry
-// that is not a frame base in the pool, or a frame mapped twice (by two VPNs,
-// or by a VPN and an SSP spare), is an error of ssp.Restore and
-// Machine.Recover that names the VPNs and the value, not a panic
-// (vm.FrameAlloc.Rebuild).
+// Recovery reads durable state that may be corrupt: a page-table entry that
+// is not a frame base in the pool, a frame mapped twice (by two VPNs, or by
+// a VPN and an SSP spare, vm.FrameAlloc.Rebuild), and an SSP slot line or
+// journal record naming a VPN or frame outside the heap or the pool are
+// errors of ssp.Restore and Machine.Recover naming the value, not panics.
 //
 // A bank's or bus's occupancy ring is sized by the simulated span it covers,
 // not by its history bound: it materialises at the resource's first booking
@@ -210,13 +210,11 @@
 // its capacity, and its Drop empties the index slots of the entries it
 // holds, not the whole table.
 //
-// ssp.TestMachineAllocationBudget and CI's BenchmarkMachineNew gate keep a
-// capacity-sized make from returning: ssp.New allocates 0.1 MiB on the
-// 192 MB Table 2 machine and on the sweeps' 32 MB one, and
-// crashsweep.TestMachineNewAllocationBudget holds the latter to 128 KiB on
-// every backend. crashsweep.TestTrapPointAllocationBudget holds a trap
-// point's run, recovery and verification on the sweep's machine to 64 KiB of
-// heap on every backend.
+// ssp.New allocates 0.1 MiB on every backend; ssp.TestMachineAllocationBudget
+// holds it to 0.6 MiB on the 192 MB Table 2 machine and
+// crashsweep.TestMachineNewAllocationBudget to 128 KiB on the sweeps' 32 MB
+// one. crashsweep.TestTrapPointAllocationBudget holds a trap point's run,
+// recovery and verification on the sweep's machine to 64 KiB of heap.
 //
 // # SSP cache: victim policy and constant-time metadata
 //
@@ -426,7 +424,7 @@
 // at a mean harden lag of roughly the epoch length.
 // `sspbench -exp epoch` sweeps epoch length × cores and reports the
 // committed-vs-durable TPS spread; BENCH_6.json records the trajectory and
-// CI gates BenchmarkRelaxedSmoke/Relaxed_ack_cTPS.
+// TestPaperFigures holds RelaxedSmoke's Relaxed_ack_cTPS exactly.
 //
 // # Network KV front end and open-loop serve latency
 //
@@ -575,8 +573,8 @@
 // `go run ./cmd/sspbench -exp wear -cores 4` (the DRAM buffer tier and
 // wear-leveling sweeps above).
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation:
+// TestPaperFigures (paper_test.go) holds every table and figure of the
+// paper's evaluation to ci/bench_baseline.json, exactly, and prints them:
 //
-//	go test -bench=. -benchmem .
+//	go test -v -run TestPaperFigures .
 package repro

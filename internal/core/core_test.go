@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -342,9 +344,9 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 	// The persistent slot array must now carry the page's state.
 	var slotBuf [slotBytes]byte
 	env.Mem.Peek(s.slotAddr(s.metaOf(0).slot), slotBuf[:])
-	st := decodeSlot(slotBuf[:], env.Layout.FrameAddr)
-	if st.vpn != 0 {
-		t.Errorf("checkpointed slot vpn = %d", st.vpn)
+	st, err := slotLine.get(0, slotBuf[:], &env.Layout)
+	if err != nil || st.vpn != 0 {
+		t.Errorf("checkpointed slot vpn = %d (%v)", st.vpn, err)
 	}
 }
 
@@ -353,24 +355,29 @@ func TestSlotEncodingRoundTrip(t *testing.T) {
 	frames := []memsim.PAddr{env.Layout.FrameAddr(3), env.Layout.FrameAddr(7)}
 	cases := []slotState{
 		{vpn: -1, ppn1: frames[1]},
-		{vpn: 42, ppn0: frames[0], ppn1: frames[1], committed: 0xDEADBEEF},
-	}
-	var line [slotBytes]byte
-	for i := range line {
-		line[i] = 0xA5 // whatever the buffer held before is overwritten
+		{vpn: 42, ppn0: frames[0], ppn1: frames[1], committed: 0xDEADBEEF, ver: 9},
 	}
 	for _, st := range cases {
-		encodeSlot(&line, st, env.Layout.FrameIndex)
-		if line[slotBytes-1] != 0 {
-			t.Errorf("slot line tail not cleared: %x", line)
+		var line [slotBytes]byte
+		slotLine.put(line[:], st, &env.Layout)
+		if [slotBytes - 20]byte(line[20:]) != [slotBytes - 20]byte{} {
+			t.Errorf("slot line tail written: %x", line)
 		}
-		got := decodeSlot(line[:], env.Layout.FrameAddr)
-		if got.vpn != st.vpn || got.ppn1 != st.ppn1 || got.committed != st.committed {
-			t.Errorf("slot round trip: %+v -> %+v", st, got)
+		got, err := slotLine.get(0, line[:], &env.Layout)
+		if err != nil || got.vpn != st.vpn || got.ppn1 != st.ppn1 || got.committed != st.committed || got.ver != st.ver {
+			t.Errorf("slot round trip: %+v -> %+v (%v)", st, got, err)
 		}
 		if st.vpn >= 0 && got.ppn0 != st.ppn0 {
 			t.Errorf("ppn0 lost: %+v -> %+v", st, got)
 		}
+	}
+	// A corrupt line is an error naming the slot and the value, not a panic.
+	var line [slotBytes]byte
+	slotLine.put(line[:], cases[1], &env.Layout)
+	binary.LittleEndian.PutUint32(line[8:], uint32(env.Layout.Frames))
+	want := fmt.Sprintf("core: slot 5 names frame index %d of %d", env.Layout.Frames, env.Layout.Frames)
+	if _, err := slotLine.get(5, line[:], &env.Layout); err == nil || err.Error() != want {
+		t.Errorf("decoding a spare frame past the pool returned %v, want %q", err, want)
 	}
 }
 
@@ -378,17 +385,17 @@ func TestJournalPayloadRoundTrip(t *testing.T) {
 	env, _ := testEnv(t, 1)
 	st := slotState{vpn: 9, ppn0: env.Layout.FrameAddr(1), ppn1: env.Layout.FrameAddr(2), committed: 0x55, ver: 7}
 	// The paper-model 24-byte record (no version)...
-	sid, got := decodeJournalPayload(encodeJournalPayload(13, st, env.Layout.FrameIndex, false), env.Layout.FrameAddr)
-	if sid != 13 || got.vpn != 9 || got.ppn0 != st.ppn0 || got.ppn1 != st.ppn1 || got.committed != 0x55 {
-		t.Errorf("journal payload round trip: %+v (sid %d)", got, sid)
+	sid, got, err := decodeJournalPayload(putJournalPayload(make([]byte, journalPayloadVerBytes), 13, st, &env.Layout, false), &env.Layout)
+	if err != nil || sid != 13 || got.vpn != 9 || got.ppn0 != st.ppn0 || got.ppn1 != st.ppn1 || got.committed != 0x55 {
+		t.Errorf("journal payload round trip: %+v (sid %d, %v)", got, sid, err)
 	}
 	if got.ver != 0 {
 		t.Errorf("version leaked into the unsharded payload: %d", got.ver)
 	}
 	// ...and the sharded 28-byte record carrying the slot update version.
-	sid, got = decodeJournalPayload(encodeJournalPayload(13, st, env.Layout.FrameIndex, true), env.Layout.FrameAddr)
-	if sid != 13 || got.vpn != 9 || got.committed != 0x55 || got.ver != 7 {
-		t.Errorf("versioned journal payload round trip: %+v (sid %d)", got, sid)
+	sid, got, err = decodeJournalPayload(putJournalPayload(make([]byte, journalPayloadVerBytes), 13, st, &env.Layout, true), &env.Layout)
+	if err != nil || sid != 13 || got.vpn != 9 || got.committed != 0x55 || got.ver != 7 {
+		t.Errorf("versioned journal payload round trip: %+v (sid %d, %v)", got, sid, err)
 	}
 }
 
@@ -491,7 +498,7 @@ func TestRecoverySkipsUnsealedBatch(t *testing.T) {
 	// Forge an unsealed batch directly in the journal: an update record
 	// with no recUpdateEnd.
 	st := slotState{vpn: 1, ppn0: mustPTE(env, 1), ppn1: s.shadowOf(1).ppn1, committed: 1, ver: s.allocVer()}
-	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recUpdate, Payload: encodeJournalPayload(1, st, env.Layout.FrameIndex, s.sharded())}, 0)
+	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recUpdate, Payload: putJournalPayload(make([]byte, journalPayloadVerBytes), 1, st, &env.Layout, s.sharded())}, 0)
 	s.journals[0].Flush(0)
 
 	s.Crash()

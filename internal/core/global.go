@@ -134,7 +134,7 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 	}
 
 	// Phase 2: the coordinator end record is the commit point.
-	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: encodeGlobalEndPayload(mask)}, t)
+	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: globalEndPayload(mask)}, t)
 	s.markUnsealed(coord)
 	t = s.flushShard(coord, core, t)
 	s.env.StatsFor(core).JournalRecords++
@@ -239,7 +239,7 @@ func (s *SSP) relaxedGlobalCommit(core int, shards []int, pages []int, start, fe
 	// epoch's fence absorbs both the data flushes and the prepare seals, so
 	// the eventual harden — the real commit point — lands after every piece
 	// of the transaction is durable in simulated time too.
-	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: encodeGlobalEndPayload(mask)}, t)
+	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: globalEndPayload(mask)}, t)
 	s.markUnsealed(coord)
 	s.env.StatsFor(core).JournalRecords++
 	s.env.Stats.JournalShardRecords[coord]++

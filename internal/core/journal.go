@@ -65,7 +65,7 @@ func (s *SSP) appendRecord(si int, core int, rec wal.Record, sid int, at engine.
 // appendRecord).
 func (s *SSP) appendSlotRecord(si, core int, tid uint32, kind uint8, sid int, st slotState, at engine.Cycles) engine.Cycles {
 	var buf [journalPayloadVerBytes]byte
-	payload := putJournalPayload(buf[:], sid, st, s.env.Layout.FrameIndex, s.sharded())
+	payload := putJournalPayload(buf[:], sid, st, &s.env.Layout, s.sharded())
 	return s.appendRecord(si, core, wal.Record{TID: tid, Kind: kind, Payload: payload}, sid, at)
 }
 
@@ -357,7 +357,7 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 	sort.Ints(sids)
 	var line [slotBytes]byte
 	for _, sid := range sids {
-		encodeSlot(&line, s.slotShadow[sid], s.env.Layout.FrameIndex)
+		slotLine.put(line[:], s.slotShadow[sid], &s.env.Layout)
 		t = s.env.Mem.WriteLine(s.slotAddr(sid), line[:], t, stats.CatCheckpoint)
 	}
 	s.journals[si].Reset()

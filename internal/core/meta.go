@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
+	"repro/internal/vm"
 	"repro/internal/wal"
 )
 
@@ -125,7 +126,6 @@ type pageMeta struct {
 	// zero unless a relaxed commit ran. A synchronous commit fence takes
 	// the max over its write-set pages; the value is monotone, so a commit
 	// can only over-wait (never under-wait) on another core's flushes.
-	// Protected by mu.
 	flushDone engine.Cycles
 
 	// lastUpdate names the journal position of this page's most recent
@@ -137,7 +137,7 @@ type pageMeta struct {
 	// that produced it — reviving the earlier transaction on this page only
 	// and tearing it across its other pages. Records bound for the same
 	// shard need no barrier: ring order seals them together or drops them
-	// together. Protected by mu.
+	// together.
 	lastUpdate journalRef
 }
 
@@ -189,33 +189,58 @@ type slotState struct {
 // spare frame sid, version 0 (slots.go).
 const slotBytes = memsim.LineBytes
 
-// encodeSlot writes st's slot line into buf.
-func encodeSlot(buf *[slotBytes]byte, st slotState, frameIndex func(memsim.PAddr) int) {
-	*buf = [slotBytes]byte{}
-	vpn := invalidU32
-	p0 := invalidU32
+// slotCodec holds the byte offsets of a slotState's fields in one of its
+// two encodings: the slot line (slotLine) and a journal record's payload
+// after its u32 slot id (journalPayload). The version is encoded only where
+// the buffer reaches past its offset: always in a slot line, in a record
+// only with sharded journals.
+type slotCodec struct{ vpn, p0, p1, ver, committed int }
+
+var (
+	slotLine       = slotCodec{vpn: 0, p0: 4, p1: 8, ver: 12, committed: 16}
+	journalPayload = slotCodec{vpn: 4, p0: 8, p1: 12, committed: 16, ver: 24}
+)
+
+// put encodes st into p.
+func (c *slotCodec) put(p []byte, st slotState, l *vm.Layout) {
+	vpn, p0 := invalidU32, invalidU32
 	if st.vpn >= 0 {
-		vpn = uint32(st.vpn)
-		p0 = uint32(frameIndex(st.ppn0))
+		vpn, p0 = uint32(st.vpn), uint32(l.FrameIndex(st.ppn0))
 	}
-	binary.LittleEndian.PutUint32(buf[0:], vpn)
-	binary.LittleEndian.PutUint32(buf[4:], p0)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(frameIndex(st.ppn1)))
-	binary.LittleEndian.PutUint32(buf[12:], st.ver)
-	binary.LittleEndian.PutUint64(buf[16:], st.committed)
+	binary.LittleEndian.PutUint32(p[c.vpn:], vpn)
+	binary.LittleEndian.PutUint32(p[c.p0:], p0)
+	binary.LittleEndian.PutUint32(p[c.p1:], uint32(l.FrameIndex(st.ppn1)))
+	binary.LittleEndian.PutUint64(p[c.committed:], st.committed)
+	if c.ver < len(p) {
+		binary.LittleEndian.PutUint32(p[c.ver:], st.ver)
+	}
 }
 
-func decodeSlot(buf []byte, frameAddr func(int) memsim.PAddr) slotState {
-	vpn := binary.LittleEndian.Uint32(buf[0:])
-	p0 := binary.LittleEndian.Uint32(buf[4:])
-	p1 := binary.LittleEndian.Uint32(buf[8:])
-	st := slotState{vpn: -1, ppn1: frameAddr(int(p1)), ver: binary.LittleEndian.Uint32(buf[12:])}
-	if vpn != invalidU32 {
-		st.vpn = int(vpn)
-		st.ppn0 = frameAddr(int(p0))
-		st.committed = binary.LittleEndian.Uint64(buf[16:])
+// get decodes slot sid's state from p. A state naming a vpn outside the
+// heap or a frame outside the pool — a corrupt image — is an error.
+func (c *slotCodec) get(sid int, p []byte, l *vm.Layout) (slotState, error) {
+	vpn := binary.LittleEndian.Uint32(p[c.vpn:])
+	p0 := binary.LittleEndian.Uint32(p[c.p0:])
+	p1 := binary.LittleEndian.Uint32(p[c.p1:])
+	used := vpn != invalidU32
+	switch {
+	case used && int(vpn) >= l.Cfg.MaxHeapPages:
+		return slotState{}, fmt.Errorf("core: slot %d names vpn %d of %d", sid, vpn, l.Cfg.MaxHeapPages)
+	case used && int(p0) >= l.Frames:
+		return slotState{}, fmt.Errorf("core: slot %d names frame index %d of %d", sid, p0, l.Frames)
+	case int(p1) >= l.Frames:
+		return slotState{}, fmt.Errorf("core: slot %d names frame index %d of %d", sid, p1, l.Frames)
 	}
-	return st
+	st := slotState{vpn: -1, ppn1: l.FrameAddr(int(p1))}
+	if c.ver < len(p) {
+		st.ver = binary.LittleEndian.Uint32(p[c.ver:])
+	}
+	if used {
+		st.vpn = int(vpn)
+		st.ppn0 = l.FrameAddr(int(p0))
+		st.committed = binary.LittleEndian.Uint64(p[c.committed:])
+	}
+	return st, nil
 }
 
 // Journal record kinds (§3.3 / §4.1.2). Update records commit in batches:
@@ -263,64 +288,32 @@ const (
 	journalPayloadVerBytes = 28
 )
 
-func encodeJournalPayload(sid int, st slotState, frameIndex func(memsim.PAddr) int, withVer bool) []byte {
-	return putJournalPayload(make([]byte, journalPayloadVerBytes), sid, st, frameIndex, withVer)
-}
-
-// putJournalPayload is encodeJournalPayload into p (at least
-// journalPayloadVerBytes long); it returns the encoded prefix of p.
-func putJournalPayload(p []byte, sid int, st slotState, frameIndex func(memsim.PAddr) int, withVer bool) []byte {
-	n := journalPayloadBytes
+// putJournalPayload encodes slot sid's state st into p (at least
+// journalPayloadVerBytes long), with the version when withVer; it returns
+// the encoded prefix of p.
+func putJournalPayload(p []byte, sid int, st slotState, l *vm.Layout, withVer bool) []byte {
+	p = p[:journalPayloadBytes]
 	if withVer {
-		n = journalPayloadVerBytes
+		p = p[:journalPayloadVerBytes]
 	}
-	p = p[:n]
-	binary.LittleEndian.PutUint32(p[0:], uint32(sid))
-	vpn := invalidU32
-	p0 := invalidU32
-	if st.vpn >= 0 {
-		vpn = uint32(st.vpn)
-		p0 = uint32(frameIndex(st.ppn0))
-	}
-	binary.LittleEndian.PutUint32(p[4:], vpn)
-	binary.LittleEndian.PutUint32(p[8:], p0)
-	binary.LittleEndian.PutUint32(p[12:], uint32(frameIndex(st.ppn1)))
-	binary.LittleEndian.PutUint64(p[16:], st.committed)
-	if withVer {
-		binary.LittleEndian.PutUint32(p[24:], st.ver)
-	}
+	binary.LittleEndian.PutUint32(p, uint32(sid))
+	journalPayload.put(p, st, l)
 	return p
 }
 
-// Global-end record payload: u32 participant-shard bitmask. The mask is
-// diagnostic (recovery keys on the TID alone); it keeps torn coordinator
-// records detectable by length as well as checksum.
-const globalEndPayloadBytes = 4
+// globalEndPayload is a global-end record's payload: the u32
+// participant-shard bitmask. The mask is diagnostic (recovery keys on the TID
+// alone); it keeps torn coordinator records detectable by length as well as
+// checksum.
+func globalEndPayload(mask uint32) []byte { return binary.LittleEndian.AppendUint32(nil, mask) }
 
-func encodeGlobalEndPayload(mask uint32) []byte {
-	p := make([]byte, globalEndPayloadBytes)
-	binary.LittleEndian.PutUint32(p, mask)
-	return p
-}
-
-func decodeJournalPayload(p []byte, frameAddr func(int) memsim.PAddr) (sid int, st slotState) {
+func decodeJournalPayload(p []byte, l *vm.Layout) (sid int, st slotState, err error) {
 	if len(p) != journalPayloadBytes && len(p) != journalPayloadVerBytes {
-		panic(fmt.Sprintf("core: bad journal payload length %d", len(p)))
+		return 0, st, fmt.Errorf("core: bad journal payload length %d", len(p))
 	}
-	sid = int(binary.LittleEndian.Uint32(p[0:]))
-	vpn := binary.LittleEndian.Uint32(p[4:])
-	p0 := binary.LittleEndian.Uint32(p[8:])
-	p1 := binary.LittleEndian.Uint32(p[12:])
-	st = slotState{vpn: -1, ppn1: frameAddr(int(p1))}
-	if len(p) == journalPayloadVerBytes {
-		st.ver = binary.LittleEndian.Uint32(p[24:])
-	}
-	if vpn != invalidU32 {
-		st.vpn = int(vpn)
-		st.ppn0 = frameAddr(int(p0))
-		st.committed = binary.LittleEndian.Uint64(p[16:])
-	}
-	return sid, st
+	sid = int(binary.LittleEndian.Uint32(p))
+	st, err = journalPayload.get(sid, p, l)
+	return sid, st, err
 }
 
 // lruSet models which SSP cache entries currently sit in the L3-resident

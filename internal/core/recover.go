@@ -87,7 +87,10 @@ func (s *SSP) Recover() error {
 			if [slotBytes]byte(line) == [slotBytes]byte{} {
 				continue
 			}
-			st := decodeSlot(line, s.env.Layout.FrameAddr)
+			st, err := slotLine.get(first+i, line, &s.env.Layout)
+			if err != nil {
+				return err
+			}
 			s.slotDecodes++
 			s.growSlots(first + i + 1)
 			s.slotShadow[first+i] = st
@@ -111,10 +114,8 @@ func (s *SSP) Recover() error {
 			// everything the epoch cut below discards — must stay below the
 			// next allocation, so this scan covers every record, applied or
 			// not.
-			if len(r.Payload) == journalPayloadBytes || len(r.Payload) == journalPayloadVerBytes {
-				if _, st := decodeJournalPayload(r.Payload, s.env.Layout.FrameAddr); st.ver > maxVer {
-					maxVer = st.ver
-				}
+			if _, st, err := decodeJournalPayload(r.Payload, &s.env.Layout); err == nil && st.ver > maxVer {
+				maxVer = st.ver
 			}
 		}
 	}
@@ -168,7 +169,10 @@ func (s *SSP) Recover() error {
 	s.env.Stats.RecoveredTxns += uint64(len(endTIDs))
 	s.env.Stats.RolledBackTxns += uint64(len(droppedGlobal))
 	for _, r := range wal.Merge(valid) {
-		sid, st := decodeJournalPayload(r.Payload, s.env.Layout.FrameAddr)
+		sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
+		if err != nil {
+			return err
+		}
 		if sid >= s.cfg.Entries {
 			return fmt.Errorf("core: journal record names slot %d of %d", sid, s.cfg.Entries)
 		}
@@ -310,7 +314,10 @@ func (s *SSP) validShardRecords(recs []wal.Record, endTIDs, droppedGlobal map[ui
 				// truncated (checkpointShard persisted its slots first) —
 				// not evidence of a torn transaction. Only a prepare the
 				// slot array does not supersede marks a genuine rollback.
-				sid, st := decodeJournalPayload(r.Payload, s.env.Layout.FrameAddr)
+				sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
+				if err != nil {
+					return nil, err
+				}
 				if st.ver > s.shadowOf(sid).ver {
 					droppedGlobal[r.TID] = true
 				}

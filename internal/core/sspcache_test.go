@@ -259,7 +259,7 @@ func TestRecoverRejectsDuplicateVPN(t *testing.T) {
 		t.Fatalf("vpn 0 is not in a slot other than %d: %+v", forged, owner)
 	}
 	var line [slotBytes]byte
-	encodeSlot(&line, slotState{vpn: 0, ppn0: owner.ppn0, ppn1: s.shadowOf(forged).ppn1}, env.Layout.FrameIndex)
+	slotLine.put(line[:], slotState{vpn: 0, ppn0: owner.ppn0, ppn1: s.shadowOf(forged).ppn1}, &env.Layout)
 	env.Mem.Poke(s.slotAddr(forged), line[:])
 	s.Crash()
 	want := fmt.Sprintf("core: slots %d and %d both claim vpn 0", forged, owner.slot)

@@ -20,7 +20,7 @@ import (
 )
 
 // Scale selects run sizes. Small keeps every experiment under seconds
-// (tests, `go test -bench`); Full is the documented reproduction scale.
+// (tests, TestPaperFigures); Full is the documented reproduction scale.
 type Scale struct {
 	Ops    int
 	Keys   uint64

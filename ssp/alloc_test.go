@@ -18,16 +18,19 @@ func allocated(fn func()) uint64 {
 // Building and power-cycling a machine costs what the run touched, not what
 // was configured: on the paper's Table 2 machine (192 MB of NVRAM, 12 MB L3;
 // the sizes the benchmark's tree/sps/serve workloads use) New allocates under
-// 8 MiB and New + a dozen transactions + power failure + in-place recovery
-// under 16 MiB, on every backend. An eager make of a capacity-sized array
-// (the NVRAM bytes are 192 MiB, the L3 lines 17 MiB) cannot hide in that.
+// 0.6 MiB (0.1 MiB measured) and New + a dozen transactions + power failure +
+// in-place recovery under 16 MiB, on every backend. An eager make of a
+// capacity-sized array (the NVRAM bytes are 192 MiB, the L3 lines 17 MiB) or
+// an eagerly formatted SSP slot array (0.4 MiB) cannot hide in that.
 func TestMachineAllocationBudget(t *testing.T) {
 	const MiB = 1 << 20
 	for _, b := range Backends() {
 		cfg := Config{Backend: b, Cores: 1, NVRAMMB: 192, DRAMMB: 4, MaxHeapPages: 36 << 10}
 		var m *Machine
-		if got := allocated(func() { m = MustNew(cfg) }); got > 8*MiB {
-			t.Errorf("%v: New allocated %.1f MiB, budget 8 MiB", b, float64(got)/MiB)
+		if got := allocated(func() { m = MustNew(cfg) }); got > 6*MiB/10 {
+			t.Errorf("%v: New allocated %.2f MiB, budget 0.6 MiB", b, float64(got)/MiB)
+		} else {
+			t.Logf("%v: New allocated %.2f MiB", b, float64(got)/MiB)
 		}
 
 		// Power fails on a write trap inside the last commit and the machine

@@ -13,8 +13,9 @@ import (
 // Crash and Restore cost what the run wrote, not the configured capacity: on
 // the paper's Table 2 machine (192 MB of NVRAM) holding a 2 000-key B-tree,
 // the power failure and the boot of a new machine from its image allocate
-// under 8 MiB together, on every backend. A capacity-sized image (192 MiB)
-// cannot hide in that.
+// under 1.12 MiB together (0.04–0.12 MiB measured), on every backend. A
+// capacity-sized image (192 MiB) or a copy of every written page cannot hide
+// in that.
 func TestCrashRestoreFollowsTouchedState(t *testing.T) {
 	const MiB = 1 << 20
 	const keys = 2000
@@ -39,8 +40,8 @@ func TestCrashRestoreFollowsTouchedState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 8*MiB {
-			t.Errorf("%v: Crash + Restore allocated %.1f MiB, budget 8 MiB", b, float64(got)/MiB)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 112*MiB/100 {
+			t.Errorf("%v: Crash + Restore allocated %.2f MiB, budget 1.12 MiB", b, float64(got)/MiB)
 		} else {
 			t.Logf("%v: Crash + Restore allocated %.2f MiB", b, float64(got)/MiB)
 		}

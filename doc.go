@@ -49,7 +49,14 @@
 // for a core to park: a lock wait (release hands the lock to the waiter
 // with the smallest resume clock, not to whichever goroutine the host
 // wakes) and a host-side block (Core.BlockExternal). No backend parks
-// through it — nothing below the Core API waits on another core. Execution
+// through it — nothing below the Core API waits on another core. Each
+// core's fn runs as a coroutine (iter.Pull): a drive loop resumes the
+// chosen core, and a park switches back to it, so a hand-off is two
+// goroutine switches on one host thread, not a channel send that wakes a
+// sleeping thread. A BlockExternal wait runs on a helper goroutine of the
+// core, which on its return makes the core ready and drives the loop
+// itself if no goroutine is driving; a panic in one core's fn ends the Run
+// with a panic naming the core. Execution
 // is serialised, so extra host cores add no wall-clock speed, while
 // SIMULATED speedup curves are unaffected (conservative windows only fix
 // the interleaving). Machine.WindowStats reports windows/grants/barrier

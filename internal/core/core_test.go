@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -512,6 +513,27 @@ func TestRecoverySkipsUnsealedBatch(t *testing.T) {
 	}
 	if s.shadowOf(1).vpn == 1 {
 		t.Error("unsealed update applied during recovery")
+	}
+}
+
+// TestRecoveryRejectsBadGlobalEndLength: a checksum-valid recGlobalEnd
+// record whose payload is not the 4-byte participant mask is a recovery
+// error naming the length, never a commit point for its TID.
+func TestRecoveryRejectsBadGlobalEndLength(t *testing.T) {
+	env, s := testEnv(t, 1)
+	mapPage(env, 0)
+	s.Begin(0, 0)
+	s.Store(0, va(0, 0), []byte{1}, 0)
+	s.Commit(0, 0)
+	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recGlobalEnd, Payload: []byte{1, 0, 0}}, 0)
+	s.journals[0].Flush(0)
+
+	s.Crash()
+	env.Caches.DropAll()
+	env.TLBs[0].Drop()
+	err := s.Recover()
+	if err == nil || !strings.Contains(err.Error(), "global-end payload length 3") {
+		t.Fatalf("Recover of a 3-byte global-end record returned %v, want a length error", err)
 	}
 }
 

@@ -304,8 +304,11 @@ func putJournalPayload(p []byte, sid int, st slotState, l *vm.Layout, withVer bo
 // globalEndPayload is a global-end record's payload: the u32
 // participant-shard bitmask. The mask is diagnostic (recovery keys on the TID
 // alone); it keeps torn coordinator records detectable by length as well as
-// checksum.
+// checksum: Recover rejects a global-end payload of any length but
+// globalEndPayloadBytes.
 func globalEndPayload(mask uint32) []byte { return binary.LittleEndian.AppendUint32(nil, mask) }
+
+const globalEndPayloadBytes = 4
 
 func decodeJournalPayload(p []byte, l *vm.Layout) (sid int, st slotState, err error) {
 	if len(p) != journalPayloadBytes && len(p) != journalPayloadVerBytes {

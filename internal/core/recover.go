@@ -151,6 +151,10 @@ func (s *SSP) Recover() error {
 	for _, recs := range raw {
 		for _, r := range recs {
 			if r.Kind == recGlobalEnd {
+				if len(r.Payload) != globalEndPayloadBytes {
+					return fmt.Errorf("core: bad global-end payload length %d for TID %d, want %d",
+						len(r.Payload), r.TID, globalEndPayloadBytes)
+				}
 				endTIDs[r.TID] = true
 			}
 		}

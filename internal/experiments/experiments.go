@@ -45,7 +45,7 @@ func SmallScale() Scale {
 // the paper's batching argument assumes); the SPS array exceeds it, making
 // SPS the consolidation-heavy outlier. The measured record of the SPS cliff
 // and of the tree working-set cliff just past TLB reach (Keys=131072) is
-// gone; ROADMAP item 2's regime map rebuilds it.
+// gone; ROADMAP item 4's regime map rebuilds it.
 func FullScale() Scale {
 	return Scale{Ops: 20000, Keys: 65536, Elems: 1 << 20, Items: 16384, Tuples: 16384, Seed: 0xE0}
 }

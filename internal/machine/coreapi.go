@@ -61,8 +61,8 @@ func (c *Core) op() {
 // tick is the window scheduler's op-boundary hook: once the core's clock
 // reaches the current window's end it yields the execution slot (see
 // winsched.go). Serial execution pays one flag check. The unsynchronised
-// windowEnd read is ordered by the grant that let this core run — windowEnd
-// only changes while no core holds the slot.
+// windowEnd read is ordered by the coroutine switch that resumed this core —
+// windowEnd only changes in the drive loop, while no core holds the slot.
 func (c *Core) tick() {
 	if s := c.m.sched; s.active && c.m.clocks[c.id] >= s.windowEnd {
 		s.yield(c.id)
@@ -73,8 +73,11 @@ func (c *Core) tick() {
 // event — a channel receive, a timer — so Run's lockstep barrier does not
 // hold every other core hostage to an event that may never come (the
 // network server's worker queues). Simulated time does not advance while
-// blocked. Outside Run it just runs wait(). Determinism is forfeited for
-// the run: external wake-ups arrive in host order.
+// blocked. Inside Run, wait runs on a helper goroutine of the core while the
+// core's coroutine is parked, so wait must not touch the Core; variables it
+// assigns are visible to the core once BlockExternal returns. Outside Run it
+// just runs wait(). Determinism is forfeited for the run: external wake-ups
+// arrive in host order.
 func (c *Core) BlockExternal(wait func()) {
 	if s := c.m.sched; s.active {
 		s.external(c.id, wait)

@@ -10,9 +10,9 @@
 // lowest (see internal/workload), while memory-bank and lock timelines are
 // shared across cores so contention is modelled.
 //
-// Machine.Run adds one goroutine per core under the window scheduler
-// (winsched.go), which lets one core execute at a time in simulated-time
-// order. Per-core state (TLBs, clocks, stats shards, write-set
+// Machine.Run adds one goroutine per core, a coroutine of the window
+// scheduler (winsched.go), which lets one core execute at a time in
+// simulated-time order. Per-core state (TLBs, clocks, stats shards, write-set
 // characterisation) is sharded per core; the shared structures (memory,
 // caches, backend metadata) take no host lock, because the scheduler's grant
 // orders each core after the previous slot holder. See Run for the contract.
@@ -21,7 +21,6 @@ package machine
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/buffercache"
 	"repro/internal/cachesim"
@@ -477,9 +476,9 @@ func (m *Machine) MaxClock() engine.Cycles {
 	return mx
 }
 
-// Run executes fn once per core, each invocation on its own goroutine, and
-// returns when every invocation has finished. The window scheduler grants
-// one core at a time (see winsched.go).
+// Run executes fn once per core, each invocation on its own goroutine as a
+// coroutine of the window scheduler, and returns when every invocation has
+// finished. The scheduler resumes one core at a time (see winsched.go).
 //
 // Contract:
 //
@@ -496,6 +495,11 @@ func (m *Machine) MaxClock() engine.Cycles {
 //   - The scheduler serialises cross-core interleaving in simulated time,
 //     so the ENTIRE run — Stats included — is deterministic, unless a core
 //     blocks on a host-side event via BlockExternal (the server path).
+//   - A panic in fn ends the Run: Run panics with the value and the
+//     panicking core's stack. The other cores are abandoned where they
+//     parked, and the machine must not be used again. fn must not call
+//     runtime.Goexit (t.FailNow): it would end whichever goroutine drives
+//     the scheduler at the time.
 //
 // Serial execution outside Run is unchanged and remains bit-for-bit
 // deterministic.
@@ -503,21 +507,12 @@ func (m *Machine) Run(fn func(c *Core)) {
 	if m.sched.active {
 		panic("machine: nested Run")
 	}
-	m.sched.start()
 	m.setParallel(true)
-	var wg sync.WaitGroup
-	for _, c := range m.cores {
-		wg.Add(1)
-		go func(c *Core) {
-			defer wg.Done()
-			m.sched.enter(c.id)
-			defer m.sched.exit(c.id)
-			fn(c)
-		}(c)
-	}
-	wg.Wait()
+	fault := m.sched.run(fn)
 	m.setParallel(false)
-	m.sched.stop()
+	if fault != "" {
+		panic(fault)
+	}
 }
 
 // WindowStats returns the window scheduler's activity during the most
@@ -597,8 +592,8 @@ func (m *Machine) Recover() error {
 type Lock struct {
 	freeAt engine.Cycles
 
-	// Run-time state, guarded by the scheduler's mutex: the holding core
-	// (-1 free) and the parked waiters.
+	// Run-time state, touched only by the core holding the execution slot:
+	// the holding core (-1 free) and the parked waiters.
 	holder int
 	q      []int
 }

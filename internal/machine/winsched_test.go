@@ -2,7 +2,10 @@ package machine
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -119,5 +122,189 @@ func TestWindowStats(t *testing.T) {
 	})
 	if got := def.WindowStats(); got.Window != DefaultTimeWindow || got.Grants == 0 {
 		t.Fatalf("TimeWindow 0 machine reported %+v, want window %d and grants", got, DefaultTimeWindow)
+	}
+}
+
+// TestWindowHandoffAllocatesNothing guards the slot hand-off's host cost: a
+// park and a grant are coroutine switches that allocate nothing, so a Run
+// whose cores cross ten times more windows allocates no more than a short
+// one.
+func TestWindowHandoffAllocatesNothing(t *testing.T) {
+	m := New(winConfig(4, 512))
+	run := func(windows int) func() {
+		return func() {
+			m.Run(func(c *Core) {
+				for i := 0; i < windows; i++ {
+					c.Compute(512)
+				}
+			})
+		}
+	}
+	short := testing.AllocsPerRun(5, run(50))
+	shortGrants := m.WindowStats().Grants
+	long := testing.AllocsPerRun(5, run(500))
+	longGrants := m.WindowStats().Grants
+	if longGrants < 9*shortGrants {
+		t.Fatalf("grants %d (long) vs %d (short): the long run should hand off ~10x more", longGrants, shortGrants)
+	}
+	if long > short {
+		t.Fatalf("a Run with %d grants allocated %.0f times, one with %d grants %.0f: the hand-off allocates",
+			longGrants, long, shortGrants, short)
+	}
+}
+
+// runWithin runs m.Run(fn) and fails the test if it does not return in time
+// (a lost wake-up parks every core for good). It returns what Run panicked
+// with, or nil.
+func runWithin(t *testing.T, m *Machine, fn func(c *Core)) (panicked any) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		m.Run(fn)
+	}()
+	select {
+	case p := <-done:
+		return p
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return")
+		return nil
+	}
+}
+
+// TestWindowedAllCoresExternal parks every core on a host event at once and
+// releases them from a foreign goroutine in reverse core order, several
+// rounds over: with no core left to drive, each release's helper goroutine
+// must pick the scheduling up, and every core must finish.
+func TestWindowedAllCoresExternal(t *testing.T) {
+	const cores, rounds = 4, 5
+	m := New(winConfig(cores, 512))
+	m.Heap().EnsureMapped(nil, 1, cores)
+	var gates [cores]chan struct{}
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	var waiting atomic.Int32
+	go func() {
+		for r := 0; r < rounds; r++ {
+			for waiting.Load() != cores {
+				time.Sleep(100 * time.Microsecond)
+			}
+			waiting.Store(0)
+			for i := cores - 1; i >= 0; i-- {
+				gates[i] <- struct{}{}
+			}
+		}
+	}()
+	var finished [cores]int
+	if p := runWithin(t, m, func(c *Core) {
+		wait := func() {
+			waiting.Add(1)
+			<-gates[c.ID()]
+		}
+		for r := 0; r < rounds; r++ {
+			c.Begin()
+			c.Store64(heapVA(1+c.ID(), 0), uint64(r))
+			c.Commit()
+			c.Compute(engine.Cycles(700 + 90*c.ID()))
+			c.BlockExternal(wait)
+		}
+		finished[c.ID()] = rounds
+	}); p != nil {
+		t.Fatalf("Run panicked: %v", p)
+	}
+	for i, n := range finished {
+		if n != rounds {
+			t.Fatalf("core %d did not finish", i)
+		}
+	}
+}
+
+// TestWindowedLockWaitersWithExternalCores mixes the two parks: core 0
+// blocks on a host event while holding a Lock that core 1 queues on, and
+// cores 2 and 3 block on host events too, so for a while no core is ready
+// and only a foreign goroutine's releases can restart the Run.
+func TestWindowedLockWaitersWithExternalCores(t *testing.T) {
+	const cores, rounds = 4, 5
+	m := New(winConfig(cores, 512))
+	l := m.NewLock()
+	var gates [cores]chan struct{}
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	var waiting atomic.Int32
+	go func() {
+		for r := 0; r < rounds; r++ {
+			for waiting.Load() != cores-1 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			waiting.Store(0)
+			gates[3] <- struct{}{}
+			gates[2] <- struct{}{}
+			time.Sleep(time.Millisecond)
+			gates[0] <- struct{}{}
+		}
+	}()
+	var order []int
+	if p := runWithin(t, m, func(c *Core) {
+		wait := func() {
+			waiting.Add(1)
+			<-gates[c.ID()]
+		}
+		for r := 0; r < rounds; r++ {
+			switch c.ID() {
+			case 0:
+				c.Acquire(l)
+				order = append(order, 0)
+				c.BlockExternal(wait)
+				c.Compute(200)
+				c.Release(l)
+			case 1:
+				c.Compute(100)
+				c.Acquire(l)
+				order = append(order, 1)
+				c.Release(l)
+			default:
+				c.BlockExternal(wait)
+			}
+			c.Compute(1000)
+		}
+	}); p != nil {
+		t.Fatalf("Run panicked: %v", p)
+	}
+	if len(order) != 2*rounds {
+		t.Fatalf("lock acquisitions %v, want %d", order, 2*rounds)
+	}
+}
+
+// TestRunPropagatesCorePanic: a panic in one core's fn ends the Run with a
+// panic naming the core and the value, instead of leaving Run waiting on
+// cores that can no longer be scheduled — whether Run's goroutine or a
+// helper goroutine is driving, and with other cores queued on a Lock the
+// panicking core holds.
+func TestRunPropagatesCorePanic(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		external bool
+	}{{"driven by Run", false}, {"driven by a helper", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(winConfig(4, 512))
+			l := m.NewLock()
+			p := runWithin(t, m, func(c *Core) {
+				if tc.external {
+					c.BlockExternal(func() { time.Sleep(time.Millisecond) })
+				}
+				c.Acquire(l)
+				if c.ID() == 2 {
+					panic("boom")
+				}
+				c.Compute(600)
+				c.Release(l)
+			})
+			msg, _ := p.(string)
+			if !strings.Contains(msg, "core 2") || !strings.Contains(msg, "boom") {
+				t.Fatalf("Run panicked with %v, want core 2's boom", p)
+			}
+		})
 	}
 }

@@ -179,13 +179,15 @@ func New(cfg Config) (*Server, error) {
 			// window open for the other cores. Request ARRIVAL stays
 			// host-ordered — a network server cannot be deterministic — but
 			// the scheduler still bounds cross-core clock lag while
-			// requests execute.
+			// requests execute. Each loop builds its wait closure once:
+			// it runs on the core's helper goroutine, so it escapes.
 			w := s.workers[c.ID()]
+			var req request
+			var ok bool
 			if !cfg.Relaxed {
+				recv := func() { req, ok = <-w.queue }
 				for {
-					var req request
-					var ok bool
-					c.BlockExternal(func() { req, ok = <-w.queue })
+					c.BlockExternal(recv)
 					if !ok {
 						return
 					}
@@ -200,16 +202,17 @@ func New(cfg Config) (*Server, error) {
 			// rearms while there is something left to harden.
 			idle := time.NewTimer(idleHardenAfter)
 			defer idle.Stop()
+			var timedOut bool
+			recv := func() {
+				select {
+				case req, ok = <-w.queue:
+					timedOut = false
+				case <-idle.C:
+					timedOut = true
+				}
+			}
 			for {
-				var req request
-				var ok, timedOut bool
-				c.BlockExternal(func() {
-					select {
-					case req, ok = <-w.queue:
-					case <-idle.C:
-						timedOut = true
-					}
-				})
+				c.BlockExternal(recv)
 				if timedOut {
 					if c.HardenIdle() {
 						s.idleHardens.Add(1)

@@ -56,23 +56,23 @@ var experimentTable = []experiment{
 	}},
 	{"fig5a", "microbenchmark TPS, 1 thread (normalised to UNDO-LOG)", func(sc experiments.Scale, fl benchFlags) {
 		section("Figure 5a — microbenchmark TPS, 1 thread (normalised to UNDO-LOG)")
-		fmt.Println(experiments.RenderFig5(experiments.Fig5(sc, 1), 1))
+		fmt.Println(experiments.RenderFig5(experiments.Micro(sc, 1), 1))
 	}},
 	{"fig5b", "microbenchmark TPS, 4 threads (normalised to UNDO-LOG)", func(sc experiments.Scale, fl benchFlags) {
 		section("Figure 5b — microbenchmark TPS, 4 threads (normalised to UNDO-LOG)")
-		fmt.Println(experiments.RenderFig5(experiments.Fig5(sc, 4), 4))
+		fmt.Println(experiments.RenderFig5(experiments.Micro(sc, 4), 4))
 	}},
 	{"fig6", "logging writes (normalised to UNDO-LOG)", func(sc experiments.Scale, fl benchFlags) {
 		section("Figure 6 — logging writes (normalised to UNDO-LOG, lower is better)")
-		fmt.Println(experiments.RenderFig6(experiments.Fig6(sc, 1)))
+		fmt.Println(experiments.RenderFig6(experiments.Micro(sc, 1)))
 	}},
 	{"fig7a", "total NVRAM writes (normalised to UNDO-LOG)", func(sc experiments.Scale, fl benchFlags) {
 		section("Figure 7a — NVRAM writes (normalised to UNDO-LOG, lower is better)")
-		fmt.Println(experiments.RenderFig7a(experiments.Fig7(sc, 1)))
+		fmt.Println(experiments.RenderFig7a(experiments.Micro(sc, 1)))
 	}},
 	{"fig7b", "breakdown of SSP's NVRAM writes", func(sc experiments.Scale, fl benchFlags) {
 		section("Figure 7b — breakdown of NVRAM writes for SSP")
-		fmt.Println(experiments.RenderFig7b(experiments.Fig7(sc, 1)))
+		fmt.Println(experiments.RenderFig7b(experiments.Micro(sc, 1)))
 	}},
 	{"fig8", "sensitivity to NVRAM latency", func(sc experiments.Scale, fl benchFlags) {
 		section("Figure 8 — sensitivity to NVRAM latency")

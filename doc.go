@@ -418,8 +418,10 @@
 // Sync survives. Cross-shard (BeginGlobal) relaxed commits keep two-phase
 // atomicity: prepares flush eagerly into participant shards, the
 // coordinator End buffers in the coordinator's open epoch, and recovery
-// treats prepares whose End sits in a lost epoch as absent — participant
-// checkpoints stall (prepHolds) until the coordinator epoch hardens.
+// treats prepares whose End sits in a lost epoch as absent. A participant
+// shard's checkpoint first hardens every coordinator epoch that holds it
+// (shardEpoch.holds), so its truncation never strands prepares whose End
+// could still harden.
 // Stats counters: RelaxedCommits, EpochSeals, HardenedEpochs,
 // EpochHardenLag (mean ack-to-durable lag = lag/hardened), and after a
 // recovery DroppedEpochRecords/LostEpochTxns, with survivors +
@@ -545,7 +547,10 @@
 // frames behind a 32 KiB L2 and a 64 KiB L3, churned by the spray);
 // Relaxed/local, Relaxed/short-epoch and Relaxed/shards (CommitRelaxed and
 // epoch hardening; the short epoch hardens inline); CrossRelaxed (relaxed
-// global commits, the End deferred into the coordinator's open epoch); and
+// global commits, the End deferred into the coordinator's open epoch);
+// CrossRelaxedCheckpoints (the same on 1 KiB rings under the window
+// scheduler: participant checkpoints harden the holding coordinator
+// epochs); and
 // Windowed (per-core loops under the window scheduler with shards and an
 // epoch). A new knob is a new row, never a new oracle. `go run
 // ./cmd/sspcrash` sweeps the same table on fresh seeds, and a failure line

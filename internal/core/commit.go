@@ -29,6 +29,12 @@ import (
 // prepare records and their flushes — may overlap the data fence in
 // simulated time (charged from start); a batch's commit point (the
 // UpdateEnd-carrying flush, the coordinator End) must wait for fence.
+//
+// The durability mode is a parameter of stages 2-4, not a second pipeline:
+// a relaxed commit (CommitRelaxed) issues its data flushes without waiting
+// for them and hands its journal batch, fence and publications to the
+// shard's open epoch (joinEpoch, journal.go) instead of flushing; the
+// epoch's harden is its commit point.
 
 // slotPub is one page's pending slot-shadow publication: the state
 // snapshotted while journaling, installed once the batch is durable.
@@ -138,15 +144,12 @@ func (s *SSP) Commit(core int, at engine.Cycles) engine.Cycles {
 // same shard. The logging designs have no relaxed mode: the machine
 // commits them synchronously.
 //
-// It is the same pipeline as Commit with the durability point deferred.
-// Stage 1 (the metadata barrier, extended with
-// the epoch leg — see barrierFlush) still runs synchronously; stage 2
-// issues the data flushes without fencing on them; stages 3-4 buffer the
-// journal batch into the shard's open epoch and defer publication until
-// the epoch hardens. The call returns — and the transaction is
-// ACKNOWLEDGED — as soon as the batch is buffered; durability follows
-// within Config.DurabilityEpoch cycles (or at Sync/Drain/checkpoint,
-// whichever is first). With DurabilityEpoch == 0 this is Commit exactly.
+// It is the same pipeline as Commit in relaxed mode: stage 1 (the metadata
+// barrier, extended with the epoch leg — see barrierFlush) still runs
+// synchronously; stage 2 issues the data flushes without fencing on them;
+// stages 3-4 buffer the journal batch into the shard's open epoch and defer
+// publication until the epoch hardens, acknowledging as soon as the batch
+// is buffered. With DurabilityEpoch == 0 this is Commit exactly.
 func (s *SSP) CommitRelaxed(core int, at engine.Cycles) engine.Cycles {
 	return s.commit(core, at, s.cfg.DurabilityEpoch > 0)
 }
@@ -182,93 +185,73 @@ func (s *SSP) commit(core int, at engine.Cycles, relaxed bool) engine.Cycles {
 		return s.shardFor(core)
 	}
 
-	// Stage 1: metadata barrier.
+	// Stage 1: metadata barrier. Stage 2: data persistence — a relaxed
+	// commit issues the clwbs without fencing on them; the fence moves into
+	// the shard epoch, paid at hardening. Stages 3-4: journal batch and
+	// publication, deferred to the epoch's harden in relaxed mode (an empty
+	// write set has nothing to journal and commits synchronously).
+	relaxed = relaxed && len(pages) > 0
 	start := s.barrierFlush(core, pages, at, dest)
-
-	var t engine.Cycles
-	if relaxed && len(pages) > 0 {
-		// Stage 2 issues the clwbs but does not fence; the fence moves into
-		// the shard epoch, paid at hardening. Stages 3-4 buffer the batch
-		// (journal.go relaxedLocalCommit / global.go relaxedGlobalCommit).
-		fence := s.flushDataAsync(core, pages, start)
-		if globalShards != nil {
-			t = s.relaxedGlobalCommit(core, globalShards, pages, start, fence)
-		} else {
-			t = s.relaxedLocalCommit(core, pages, start, fence)
-		}
-	} else {
-		// Stage 2: data persistence; stages 3-4: journal batch +
-		// publication (an empty write set has nothing to journal).
-		t = s.flushData(core, pages, start)
-		if globalShards != nil {
-			t = s.globalCommit(core, globalShards, pages, start, t)
-		} else if len(pages) > 0 {
-			t = s.localCommit(core, pages, t)
-		}
+	t := s.flushData(core, pages, start, relaxed)
+	if globalShards != nil {
+		t = s.globalCommit(core, globalShards, pages, start, t, relaxed)
+	} else if len(pages) > 0 {
+		t = s.localCommit(core, pages, start, t, relaxed)
 	}
 
 	// Stage 5: release core references; pages that became inactive
 	// consolidate in the background (off the critical path) — inline in
 	// serial mode, batched per epoch in parallel mode.
-	s.releaseWriteSet(core, pages, t)
-	s.ws[core].reset()
-	s.inTxn[core] = false
-	s.globalTxn[core] = false
-	s.env.StatsFor(core).Commits++
-	if s.parallel {
-		s.tickEpoch(t)
-	} else {
+	for _, vpn := range pages {
+		meta := s.lookupMeta(vpn)
+		meta.coreRef--
+		s.refDropped(meta)
+		s.maybeConsolidate(meta, t)
+	}
+	if !s.parallel {
 		s.maybeCheckpointAll(t)
 	}
-	end := t + s.env.BarrierCycles
+	end := s.endTxn(core, t, true)
 	s.clock(end)
 	return end
 }
 
-// flushData is stage 2: clwb every write-set line; the fence waits for the
-// slowest flush (bank-level parallelism applies). The fence wait is
-// surfaced as Stats.CommitBarrierWait — the commit-critical-path cycles the
-// core spent blocked on its data-flush barrier.
-func (s *SSP) flushData(core int, pages []int, at engine.Cycles) engine.Cycles {
-	fence := at
-	for _, vpn := range pages {
-		meta := s.lookupMeta(vpn)
-		bm := s.ws[core].bitmap(vpn)
-		// A relaxed commit's issued-but-unfenced flushes of this page may
-		// still be in flight: a synchronous fence over it must not
-		// under-wait them.
-		if meta.flushDone > fence {
-			fence = meta.flushDone
-		}
-		for m := bm; m != 0; m &= m - 1 {
-			unit := bits.TrailingZeros64(m)
-			cur := (meta.current >> uint(unit)) & 1
-			begin, end := s.unitLines(unit)
-			for li := begin; li < end; li++ {
-				done, _ := s.env.Caches.Flush(core, meta.lineAddr(li, cur), at, stats.CatData)
-				fence = engine.MaxCycles(fence, done)
-			}
-		}
+// endTxn is the closing step every transaction shares — commit or abort,
+// fast path or fall-back: clear the core's transaction state, count the
+// outcome, tick the parallel-mode consolidation epoch and raise the clock
+// to t. It returns t plus the closing barrier.
+func (s *SSP) endTxn(core int, t engine.Cycles, committed bool) engine.Cycles {
+	s.ws[core].reset()
+	s.inTxn[core] = false
+	s.globalTxn[core] = false
+	s.fallback[core] = false
+	if committed {
+		s.env.StatsFor(core).Commits++
+	} else {
+		s.env.StatsFor(core).Aborts++
 	}
-	s.env.StatsFor(core).CommitBarrierWait += uint64(fence - at)
-	return fence
+	if s.parallel {
+		s.tickEpoch(t)
+	}
+	s.clock(t)
+	return t + s.env.BarrierCycles
 }
 
-// flushDataAsync is stage 2 of a relaxed commit: issue every write-set
-// line's clwb but do not fence — the core proceeds as soon as the flushes
-// are in flight. The max completion is returned for the shard epoch's
-// fence (hardening pays the wait instead of the committer, so no
-// CommitBarrierWait is charged) and recorded in each page's flushDone
-// high-water, so any later synchronous fence over the page over-waits
+// flushData is stage 2: clwb every write-set line; the fence is the slowest
+// flush (bank-level parallelism applies). A synchronous commit waits for
+// it, surfaced as Stats.CommitBarrierWait — the commit-critical-path cycles
+// the core spent blocked on its data-flush barrier. A relaxed commit does
+// not wait: the fence goes to the shard epoch (hardening pays it instead of
+// the committer) and into each page's flushDone high-water. Either fence
+// covers a page's flushDone — a relaxed commit's issued-but-unfenced
+// flushes may still be in flight — so a fence over the page over-waits
 // rather than under-waits.
-func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cycles {
+func (s *SSP) flushData(core int, pages []int, at engine.Cycles, relaxed bool) engine.Cycles {
 	fence := at
 	for _, vpn := range pages {
 		meta := s.lookupMeta(vpn)
 		bm := s.ws[core].bitmap(vpn)
-		if meta.flushDone > fence {
-			fence = meta.flushDone
-		}
+		fence = engine.MaxCycles(fence, meta.flushDone)
 		fl := meta.flushDone
 		for m := bm; m != 0; m &= m - 1 {
 			unit := bits.TrailingZeros64(m)
@@ -276,35 +259,32 @@ func (s *SSP) flushDataAsync(core int, pages []int, at engine.Cycles) engine.Cyc
 			begin, end := s.unitLines(unit)
 			for li := begin; li < end; li++ {
 				done, _ := s.env.Caches.Flush(core, meta.lineAddr(li, cur), at, stats.CatData)
-				if done > fence {
-					fence = done
-				}
-				if done > fl {
-					fl = done
-				}
+				fence = engine.MaxCycles(fence, done)
+				fl = engine.MaxCycles(fl, done)
 			}
 		}
-		meta.flushDone = fl
+		if relaxed {
+			meta.flushDone = fl
+		}
+	}
+	if !relaxed {
+		s.env.StatsFor(core).CommitBarrierWait += uint64(fence - at)
 	}
 	return fence
 }
 
-// releaseWriteSet is stage 5's reference drop: pages whose last reference
-// went away are queued (parallel) or consolidated inline (serial).
-func (s *SSP) releaseWriteSet(core int, pages []int, at engine.Cycles) {
-	for _, vpn := range pages {
-		meta := s.lookupMeta(vpn)
-		meta.coreRef--
-		s.refDropped(meta)
-		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-		if !inactive {
-			continue
-		}
-		if s.parallel {
-			s.queueConsolidation(vpn)
-		} else {
-			s.consolidate(meta, at)
-		}
+// maybeConsolidate consolidates a page that has just become inactive — no
+// core or TLB reference left and committed lines on its shadow frame —
+// inline in serial mode, queued for the epoch batch in parallel mode (see
+// consolidate.go). LazyConsolidation leaves it to slot eviction.
+func (s *SSP) maybeConsolidate(meta *pageMeta, at engine.Cycles) {
+	if meta.coreRef != 0 || meta.tlbRef != 0 || meta.committed == 0 || s.cfg.LazyConsolidation {
+		return
+	}
+	if s.parallel {
+		s.queueConsolidation(meta.vpn)
+	} else {
+		s.consolidate(meta, at)
 	}
 }
 
@@ -344,17 +324,25 @@ func (s *SSP) snapshotPage(core int, vpn int) slotPub {
 }
 
 // localCommit is the single-shard fast path: one record batch (recUpdate…
-// recUpdateEnd) appended to the committing core's shard, then a shard flush
-// makes the transaction durable and the slot states are published before
-// any checkpoint can truncate the records.
-//
-// The batch cannot overlap the data fence: its flush hardens the
-// UpdateEnd seal — the commit point — so everything runs from fence.
-func (s *SSP) localCommit(core int, pages []int, fence engine.Cycles) engine.Cycles {
+// recUpdateEnd) appended to the committing core's shard. Synchronously, a
+// shard flush then makes the transaction durable and the slot states are
+// published before any checkpoint can truncate the records; the batch
+// cannot overlap the data fence — its flush hardens the UpdateEnd seal, the
+// commit point — so everything runs from fence. A relaxed commit appends
+// from start and returns at the buffered-append completion: the batch joins
+// the shard's open epoch (joinEpoch), whose harden installs its slot states.
+func (s *SSP) localCommit(core int, pages []int, start, fence engine.Cycles, relaxed bool) engine.Cycles {
 	si := s.shardFor(core)
-	pubs, t := s.appendBatch(si, core, pages, s.allocTID(), fence)
-	t = s.flushShard(si, core, t)
-	s.publishSlots(pubs)
+	if !relaxed {
+		start = fence
+	}
+	pubs, t := s.appendBatch(si, core, pages, s.allocTID(), start)
+	if relaxed {
+		t = s.joinEpoch(si, core, start, fence, pubs, nil, t)
+	} else {
+		t = s.flushShard(si, core, t)
+		s.publishSlots(pubs)
+	}
 	if s.parallel {
 		// Serial mode checkpoints after stage 5's consolidations (Commit's
 		// tail); parallel mode checkpoints here. Only shard si is
@@ -429,7 +417,6 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 	if s.fallback[core] {
 		return s.fbAbort(core, at)
 	}
-	t := at
 	ws := &s.ws[core]
 	for i, vpn := range ws.vpns {
 		meta := s.lookupMeta(vpn)
@@ -446,25 +433,9 @@ func (s *SSP) Abort(core int, at engine.Cycles) engine.Cycles {
 		}
 		meta.coreRef--
 		s.refDropped(meta)
-		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-		if !inactive {
-			continue
-		}
-		if s.parallel {
-			s.queueConsolidation(vpn)
-		} else {
-			s.consolidate(meta, t)
-		}
+		s.maybeConsolidate(meta, at)
 	}
-	ws.reset()
-	s.inTxn[core] = false
-	s.globalTxn[core] = false
-	s.env.StatsFor(core).Aborts++
-	if s.parallel {
-		s.tickEpoch(t)
-	}
-	s.clock(t)
-	return t + s.env.BarrierCycles
+	return s.endTxn(core, at, false)
 }
 
 // StoreNT implements txn.Backend: a plain store to the current location;

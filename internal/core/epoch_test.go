@@ -12,13 +12,13 @@ import (
 
 // TestSyncCommitWaitsForRelaxedFlushes pins the under-wait rule of the
 // synchronous data fence: a relaxed commit issues its data flushes without
-// fencing on them (flushDataAsync) and records their completion in the
-// page's flushDone. A synchronous Commit on the same page from a core whose
-// clock is far behind must not return before those flushes land, or its
-// commit point would precede durable data its committed bitmap covers. The
-// Sync in between hardens the relaxed epoch first, so neither the second
-// commit's metadata barrier nor its shard harden waits on the relaxed
-// fence: flushData's flushDone check is the only wait left.
+// fencing on them (flushData in relaxed mode) and records their completion
+// in the page's flushDone. A synchronous Commit on the same page from a
+// core whose clock is far behind must not return before those flushes
+// land, or its commit point would precede durable data its committed
+// bitmap covers. The Sync in between hardens the relaxed epoch first, so
+// neither the second commit's metadata barrier nor its shard harden waits
+// on the relaxed fence: flushData's flushDone check is the only wait left.
 func TestSyncCommitWaitsForRelaxedFlushes(t *testing.T) {
 	env, s := testEnv(t, 2)
 	s.cfg.DurabilityEpoch = 1 << 30 // only the explicit Sync hardens

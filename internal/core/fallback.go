@@ -137,12 +137,7 @@ func (s *SSP) fbCommit(core int, at engine.Cycles) engine.Cycles {
 	s.env.StatsFor(core).NVRAMWriteBytes[stats.CatUndoLog] -= wal.HeaderBytes
 	log.Reset()
 	s.finishFallback(core, t)
-	s.env.StatsFor(core).Commits++
-	if s.parallel {
-		s.tickEpoch(t)
-	}
-	s.clock(t)
-	return t + s.env.BarrierCycles
+	return s.endTxn(core, t, true)
 }
 
 // fbAbort restores the logged images in cache and truncates the log.
@@ -154,12 +149,7 @@ func (s *SSP) fbAbort(core int, at engine.Cycles) engine.Cycles {
 	}
 	s.fbLogs[core].Reset()
 	s.finishFallback(core, t)
-	s.env.StatsFor(core).Aborts++
-	if s.parallel {
-		s.tickEpoch(t)
-	}
-	s.clock(t)
-	return t + s.env.BarrierCycles
+	return s.endTxn(core, t, false)
 }
 
 // sortedFBLines returns the fall-back transaction's logged line addresses
@@ -173,7 +163,8 @@ func (s *SSP) sortedFBLines(core int) []memsim.PAddr {
 	return out
 }
 
-// finishFallback unpins the transaction's pages and clears per-core state.
+// finishFallback unpins the transaction's pages and clears the fall-back
+// log state; endTxn closes the transaction.
 func (s *SSP) finishFallback(core int, at engine.Cycles) {
 	pages := make([]int, 0, len(s.fbPages[core]))
 	for vpn := range s.fbPages[core] {
@@ -186,19 +177,8 @@ func (s *SSP) finishFallback(core int, at engine.Cycles) {
 			meta.coreRef--
 			s.refDropped(meta)
 		}
-		inactive := meta.coreRef == 0 && meta.tlbRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-		if !inactive {
-			continue
-		}
-		if s.parallel {
-			s.queueConsolidation(vpn)
-		} else {
-			s.consolidate(meta, at)
-		}
+		s.maybeConsolidate(meta, at)
 	}
 	clear(s.fbOld[core])
 	clear(s.fbPages[core])
-	s.fallback[core] = false
-	s.inTxn[core] = false
-	s.globalTxn[core] = false
 }

@@ -76,13 +76,30 @@ func (s *SSP) participantShards(pages []int) []int {
 
 // globalCommit is the two-phase journal leg of a cross-shard commit over
 // the participant shards (ascending).
-func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence engine.Cycles) engine.Cycles {
-	// Prepare records carry no commit point, so their appends and flushes
-	// overlap the data-flush fence in simulated time: the controller may
-	// issue them while the write-set clwbs are still in flight, because
-	// only the coordinator End — which waits for both — orders the
-	// transaction. (Recovery of prepares without a durable End rolls back,
-	// so a crash in the overlap window is the ordinary phase-1 crash.)
+//
+// Phase 1 is the same in both durability modes: the prepare records are
+// appended and their participant shards flushed (hardening any open epochs
+// there along the way). Prepares carry no commit point, so there is nothing
+// to relax, and their appends and flushes overlap the data-flush fence in
+// simulated time: the controller may issue them while the write-set clwbs
+// are still in flight, because only the coordinator End — which waits for
+// both — orders the transaction. (Recovery of prepares without a durable
+// End rolls back, so a crash in the overlap window is the ordinary phase-1
+// crash.) Sealing them eagerly keeps the wall-order invariant "coordinator
+// End durable ⇒ its prepares durable" in relaxed mode too.
+//
+// Phase 2 appends the coordinator End record — the commit point.
+// Synchronously it is flushed and the slots published. A relaxed commit
+// buffers it into the coordinator's open epoch instead (joinEpoch), and the
+// whole distributed batch's slot publication waits for that epoch to
+// harden. A crash before the harden finds durable prepares with no durable
+// End and rolls the transaction back on every shard (acknowledged-but-lost);
+// a crash after redoes all of them — never a tear. Until the End hardens, a
+// participant shard must not truncate its prepares (with their
+// pre-transaction slot states, publication being still pending) while the
+// End could yet harden: the epoch's holds name the participants, and
+// checkpointShard honours them.
+func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence engine.Cycles, relaxed bool) engine.Cycles {
 	t := start
 	coord := s.shardFor(core)
 
@@ -94,15 +111,13 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 		groups[si] = append(groups[si], vpn)
 	}
 
-	involved := involvedShards(shards, coord)
 	tid := s.allocTID()
 
 	// Phase 1: prepare records appended into every participant shard first
-	// (ascending shard order), then the
-	// per-shard flushes issued concurrently in simulated time. The shards
-	// are independent rings in distinct NVRAM regions, so the fence charges
-	// the max — not the sum — of the shard flush completions; the old
-	// serialised fan-out was a modelling artefact, not hardware.
+	// (ascending shard order), then the per-shard flushes issued
+	// concurrently in simulated time. The shards are independent rings in
+	// distinct NVRAM regions, so the fence charges the max — not the sum —
+	// of the shard flush completions.
 	var mask uint32
 	pubs := make([]slotPub, 0, len(pages))
 	for _, si := range shards {
@@ -121,37 +136,57 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 			prepDone = done
 		}
 	}
-	// The commit point waits for both legs: every prepare durable AND
-	// every write-set line's data flush landed.
-	t = engine.MaxCycles(prepDone, fence)
-	// flushData charged the full fence wait to CommitBarrierWait, but the
-	// part hidden under the concurrently running prepare leg never blocked
-	// the core — only the fence tail past prepDone does. Refund the
-	// overlap so the counter keeps meaning "cycles blocked on the data
-	// barrier".
-	if hidden := min(fence, prepDone) - start; hidden > 0 {
-		s.env.StatsFor(core).CommitBarrierWait -= uint64(hidden)
+
+	if relaxed {
+		// The acknowledgement waits only for the buffered End append; the
+		// epoch's fence absorbs both the data flushes and the prepare
+		// seals, so the eventual harden — the real commit point — lands
+		// after every piece of the transaction is durable in simulated
+		// time too.
+		fence = engine.MaxCycles(fence, prepDone)
+	} else {
+		// The commit point waits for both legs: every prepare durable AND
+		// every write-set line's data flush landed. flushData charged the
+		// full fence wait to CommitBarrierWait, but the part hidden under
+		// the concurrently running prepare leg never blocked the core —
+		// only the fence tail past prepDone does. Refund the overlap so the
+		// counter keeps meaning "cycles blocked on the data barrier".
+		t = engine.MaxCycles(prepDone, fence)
+		if hidden := min(fence, prepDone) - start; hidden > 0 {
+			s.env.StatsFor(core).CommitBarrierWait -= uint64(hidden)
+		}
 	}
 
 	// Phase 2: the coordinator end record is the commit point.
 	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: globalEndPayload(mask)}, t)
 	s.markUnsealed(coord)
-	t = s.flushShard(coord, core, t)
 	s.env.StatsFor(core).JournalRecords++
 	s.env.Stats.JournalShardRecords[coord]++
 	s.env.StatsFor(core).GlobalCommits++
-
-	// Publish only now that the whole distributed batch is durable, then
-	// note which rings passed their high-water mark. The coordinator also
-	// remembers this transaction's slots: its end record
-	// is what keeps the participant-shard prepares applicable, so a
+	// The coordinator remembers this transaction's slots: its end record is
+	// what keeps the participant-shard prepares applicable, so a
 	// coordinator checkpoint must persist these slots before truncating it
 	// (see checkpointShard).
-	s.publishSlots(pubs)
 	for _, p := range pubs {
 		s.pendingGlobalSlots[coord][p.sid] = struct{}{}
 	}
-	s.checkpointOverHighWater(involved, t)
+	if relaxed {
+		t = s.joinEpoch(coord, core, start, fence, pubs, shards, t)
+	} else {
+		// Publish only now that the whole distributed batch is durable.
+		t = s.flushShard(coord, core, t)
+		s.publishSlots(pubs)
+	}
+	if s.parallel {
+		// Checkpoint every involved shard whose ring passed its high-water
+		// mark (serial mode checkpoints after stage 5's consolidations, at
+		// Commit's tail). A checkpoint writes the slot array and empties
+		// only its own ring, so one shard's checkpoint never moves another
+		// past or below its mark.
+		for _, si := range involvedShards(shards, coord) {
+			s.maybeCheckpointShard(si, t)
+		}
+	}
 	return t
 }
 
@@ -164,114 +199,4 @@ func involvedShards(shards []int, coord int) []int {
 	involved := append(append([]int{}, shards...), coord)
 	sort.Ints(involved)
 	return involved
-}
-
-// checkpointOverHighWater checkpoints, in parallel mode, every involved
-// shard whose ring passed its high-water mark during a global commit (serial
-// mode checkpoints after stage 5's consolidations, at Commit's tail). A
-// checkpoint writes the slot array and empties only its own ring, so one
-// shard's checkpoint never moves another past or below its mark.
-func (s *SSP) checkpointOverHighWater(involved []int, t engine.Cycles) {
-	if s.parallel {
-		for _, si := range involved {
-			s.maybeCheckpointShard(si, t)
-		}
-	}
-}
-
-// relaxedGlobalCommit is CommitRelaxed's cross-shard journal leg. Phase 1
-// is EAGER: the prepare records are appended and their participant shards
-// sealed and flushed immediately (hardening any open epochs there along the
-// way) — prepares carry no commit point, so there is nothing to relax, and
-// eager sealing keeps the wall-order invariant "coordinator End durable ⇒
-// its prepares durable" without any cross-shard hardening dependency.
-// Phase 2 is DEFERRED: the coordinator End record — the commit point — is
-// buffered into the coordinator's open epoch without a flush, and the whole
-// distributed batch's slot publication waits for that epoch to harden. A
-// crash before the harden finds durable prepares with no durable End and
-// rolls the transaction back on every shard (the ordinary phase-1 crash,
-// acknowledged-but-lost); a crash after redoes all of them — never a tear.
-//
-// The deferral leaves one cross-shard obligation: until the End hardens, a
-// PARTICIPANT shard must not checkpoint — its prepares would be truncated
-// away (with their pre-transaction slot states, publication being still
-// pending) while the End could yet harden, leaving a half-applied global
-// transaction for recovery. Each participant therefore takes a prepHold,
-// released when the coordinator's epoch hardens; checkpointShard defers
-// while holds are outstanding (the high-water trigger simply refires).
-func (s *SSP) relaxedGlobalCommit(core int, shards []int, pages []int, start, fence engine.Cycles) engine.Cycles {
-	t := start
-	coord := s.shardFor(core)
-
-	groups := make(map[int][]int, len(shards))
-	for _, vpn := range pages {
-		si := s.shardOfSlot(s.lookupMeta(vpn).slot)
-		groups[si] = append(groups[si], vpn)
-	}
-
-	involved := involvedShards(shards, coord)
-	tid := s.allocTID()
-
-	// Phase 1: prepares into every participant, then the eager per-shard
-	// seals issued concurrently in simulated time (max, not sum — the same
-	// rule as the synchronous protocol's prepare fan-out).
-	var mask uint32
-	pubs := make([]slotPub, 0, len(pages))
-	for _, si := range shards {
-		mask |= 1 << uint(si)
-		for _, vpn := range groups[si] {
-			pub := s.snapshotPage(core, vpn)
-			t = s.appendSlotRecord(si, core, tid, recPrepare, pub.sid, pub.st, t)
-			s.noteUpdate(pub.meta, si)
-			s.env.StatsFor(core).PrepareRecords++
-			pubs = append(pubs, pub)
-		}
-	}
-	prepDone := t
-	for _, si := range shards {
-		if done := s.flushShard(si, core, t); done > prepDone {
-			prepDone = done
-		}
-	}
-
-	// Phase 2, deferred: buffer the End record into the coordinator's open
-	// epoch. The acknowledgement waits only for the buffered append; the
-	// epoch's fence absorbs both the data flushes and the prepare seals, so
-	// the eventual harden — the real commit point — lands after every piece
-	// of the transaction is durable in simulated time too.
-	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: globalEndPayload(mask)}, t)
-	s.markUnsealed(coord)
-	s.env.StatsFor(core).JournalRecords++
-	s.env.Stats.JournalShardRecords[coord]++
-	s.env.StatsFor(core).GlobalCommits++
-	s.env.StatsFor(core).RelaxedCommits++
-
-	ep := &s.epochs[coord]
-	if !ep.open {
-		ep.open = true
-		ep.openAt = start
-	}
-	if f := engine.MaxCycles(fence, prepDone); f > ep.fence {
-		ep.fence = f
-	}
-	ep.pubs = append(ep.pubs, pubs...)
-	for _, si := range shards {
-		if si != coord {
-			s.prepHolds[si]++
-			ep.holds = append(ep.holds, si)
-		}
-	}
-	// The coordinator's ring holds (or will hold, once hardened) the End
-	// that keeps the other shards' prepares applicable: its checkpoint must
-	// persist these slots before truncating it, exactly as in the
-	// synchronous protocol.
-	for _, p := range pubs {
-		s.pendingGlobalSlots[coord][p.sid] = struct{}{}
-	}
-	if start >= ep.openAt+s.cfg.DurabilityEpoch {
-		t = s.hardenShard(coord, core, t)
-	}
-
-	s.checkpointOverHighWater(involved, t)
-	return t
 }

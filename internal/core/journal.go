@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -115,7 +116,7 @@ type shardEpoch struct {
 	fence  engine.Cycles // max in-flight data-flush completion of the members
 	pubs   []slotPub     // member publications deferred until the seal
 	dirty  bool          // any record appended since the last seal
-	holds  []int         // participant shards' prepHolds to release at the seal
+	holds  []int         // participant shards of members' global Ends (checkpointShard)
 }
 
 // markUnsealed notes an append to shard si that the next flush must cover
@@ -178,38 +179,35 @@ func (s *SSP) hardenShard(si, core int, at engine.Cycles) engine.Cycles {
 		st.EpochHardenLag += uint64(t - ep.openAt)
 	}
 	s.publishSlots(ep.pubs)
-	for _, h := range ep.holds {
-		s.prepHolds[h]--
-	}
 	*ep = shardEpoch{}
 	return t
 }
 
-// relaxedLocalCommit is the single-shard journal leg of CommitRelaxed:
-// append the batch and return at the buffered-append completion — no flush,
-// no publication yet. The batch joins the shard's open epoch; hardening
-// installs its slot states. The committer whose buffering time crosses the
+// joinEpoch adds a relaxed commit, buffered from start with its records
+// appended by t, to shard si's open epoch: the epoch opens at the first
+// member's start, its fence covers the member's in-flight flushes, and its
+// harden installs pubs. A global commit's coordinator epoch also holds its
+// participant shards (every shard in participants but si) until the harden
+// (see checkpointShard). The committer whose buffering time crosses the
 // epoch's age bound pays the (amortised) harden itself, so an epoch's
 // un-hardened age is bounded by DurabilityEpoch under any commit cadence.
-func (s *SSP) relaxedLocalCommit(core int, pages []int, start, fence engine.Cycles) engine.Cycles {
-	si := s.shardFor(core)
-	tid := s.allocTID()
-	pubs, t := s.appendBatch(si, core, pages, tid, start)
+// Returns the commit's acknowledgement time.
+func (s *SSP) joinEpoch(si, core int, start, fence engine.Cycles, pubs []slotPub, participants []int, t engine.Cycles) engine.Cycles {
 	ep := &s.epochs[si]
 	if !ep.open {
 		ep.open = true
 		ep.openAt = start
 	}
-	if fence > ep.fence {
-		ep.fence = fence
-	}
+	ep.fence = engine.MaxCycles(ep.fence, fence)
 	ep.pubs = append(ep.pubs, pubs...)
+	for _, p := range participants {
+		if p != si {
+			ep.holds = append(ep.holds, p)
+		}
+	}
 	s.env.StatsFor(core).RelaxedCommits++
 	if start >= ep.openAt+s.cfg.DurabilityEpoch {
 		t = s.hardenShard(si, core, t)
-	}
-	if s.parallel {
-		s.maybeCheckpointShard(si, t)
 	}
 	return t
 }
@@ -235,7 +233,7 @@ func (s *SSP) hardenPageUpdates(meta *pageMeta, dest int, at engine.Cycles) engi
 
 // HardenIdle is the idle-path extension of the relaxed mode: it hardens the
 // calling core's own metadata shard's open epoch, if one is open, and
-// reports whether a harden ran. relaxedLocalCommit bills the epoch age bound
+// reports whether a harden ran. joinEpoch bills the epoch age bound
 // to the NEXT committer crossing it, so a shard whose cores all go quiet
 // would hold its last acknowledged epoch volatile until a Sync or Drain —
 // unbounded in host time; a serving loop's idle path calls this instead.
@@ -325,18 +323,23 @@ func (s *SSP) maybeCheckpointAll(at engine.Cycles) {
 // records. Reading another shard's slot is safe here — slotShadow never
 // holds state whose journal records are not yet durable.
 func (s *SSP) checkpointShard(si int, at engine.Cycles) {
-	// Relaxed-durability legs. A participant shard whose prepare records
-	// still await their coordinator End's hardening must not truncate
-	// (relaxedGlobalCommit's prepHold) — defer; the high-water trigger
-	// refires once the hold clears. Otherwise harden this shard's own open
-	// epoch first: the members' records become durable and their slot
-	// states published, so the dirty-slot persistence below captures them
-	// and the truncation orphans nothing.
+	// Relaxed-durability legs. Harden first every open epoch that holds
+	// this shard: it buffers the End of a global transaction whose prepare
+	// records sit in this ring, and truncating them while that End could
+	// still harden would leave recovery a half-applied transaction. The
+	// holders' hardens are independent rings, issued concurrently (max, not
+	// sum, as in hardenAllShards). Then harden this shard's own open epoch:
+	// the members' records become durable and their slot states published,
+	// so the dirty-slot persistence below captures them and the truncation
+	// orphans nothing.
 	if s.cfg.DurabilityEpoch > 0 {
-		if s.prepHolds[si] > 0 {
-			return
+		t := at
+		for hi := range s.epochs {
+			if slices.Contains(s.epochs[hi].holds, si) {
+				t = engine.MaxCycles(t, s.hardenShard(hi, -1, at))
+			}
 		}
-		at = s.hardenShard(si, -1, at)
+		at = s.hardenShard(si, -1, t)
 	}
 	dirty := s.dirtySlots[si]
 	pending := s.pendingGlobalSlots[si]

@@ -122,7 +122,7 @@ type pageMeta struct {
 	barrier journalRef
 
 	// flushDone is the latest completion cycle of the issued-but-unfenced
-	// data flushes relaxed commits left against this page (flushDataAsync);
+	// data flushes relaxed commits left against this page (flushData);
 	// zero unless a relaxed commit ran. A synchronous commit fence takes
 	// the max over its write-set pages; the value is monotone, so a commit
 	// can only over-wait (never under-wait) on another core's flushes.

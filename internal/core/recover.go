@@ -36,7 +36,6 @@ func (s *SSP) Crash() {
 		s.journals[i].Reset()
 		clear(s.pendingGlobalSlots[i])
 		s.epochs[i] = shardEpoch{}
-		s.prepHolds[i] = 0
 	}
 	s.now = 0
 	s.consolQ = s.consolQ[:0]

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/engine"
+	"repro/internal/tlbsim"
 )
 
 // This file manages the persistent slot array's allocation state: free-slot
@@ -219,27 +220,17 @@ func (s *SSP) releaseEntry(meta *pageMeta, at engine.Cycles) {
 
 // onTLBEvict is the extended-TLB eviction hook: it drops the page's TLB
 // reference count and triggers eager consolidation when the page becomes
-// inactive (§3.4). In parallel mode consolidation is deferred to the
-// epoch batch instead of running inline, like every parallel-mode
-// consolidation.
-func (s *SSP) onTLBEvict(core int, vpn int) {
-	meta := s.lookupMeta(vpn)
+// inactive (§3.4) — deferred to the epoch batch in parallel mode, like
+// every parallel-mode consolidation.
+func (s *SSP) onTLBEvict(vpn tlbsim.VPN) {
+	meta := s.lookupMeta(int(vpn))
 	if meta == nil {
 		panic("core: TLB evicted a page without an SSP entry")
 	}
-	_ = core
 	meta.tlbRef--
 	if meta.tlbRef < 0 {
 		panic("core: negative TLB refcount")
 	}
 	s.refDropped(meta)
-	inactive := meta.tlbRef == 0 && meta.coreRef == 0 && meta.committed != 0 && !s.cfg.LazyConsolidation
-	if !inactive {
-		return
-	}
-	if s.parallel {
-		s.queueConsolidation(vpn)
-		return
-	}
-	s.consolidate(meta, s.now)
+	s.maybeConsolidate(meta, s.now)
 }

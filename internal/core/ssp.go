@@ -82,12 +82,8 @@ type SSP struct {
 
 	// epochs holds each journal shard's open relaxed-durability epoch
 	// (Config.DurabilityEpoch > 0; zero-valued and untouched otherwise) —
-	// see the epoch engine in journal.go. prepHolds counts, per shard, the
-	// relaxed global transactions whose prepare records sit in that shard's
-	// ring while their coordinator End is still in another shard's open
-	// epoch; a held shard defers checkpoints (see relaxedGlobalCommit).
-	epochs    []shardEpoch
-	prepHolds []int32
+	// see the epoch engine in journal.go.
+	epochs []shardEpoch
 
 	// pendingGlobalSlots tracks, per coordinator shard, the slots of global
 	// transactions whose end record lives in that shard's ring while their
@@ -156,7 +152,6 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 		s.pendingGlobalSlots = append(s.pendingGlobalSlots, make(map[int]struct{}))
 	}
 	s.epochs = make([]shardEpoch, len(s.journals))
-	s.prepHolds = make([]int32, len(s.journals))
 	if s.cfg.DurabilityEpoch < 0 {
 		s.cfg.DurabilityEpoch = 0
 	}
@@ -174,8 +169,7 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 		s.fbOld[c] = make(map[memsim.PAddr][memsim.LineBytes]byte)
 		s.fbPages[c] = make(map[int]struct{})
 		s.fbLogs = append(s.fbLogs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatUndoLog))
-		core := c
-		env.TLBs[c].OnEvict = func(vpn tlbsim.VPN) { s.onTLBEvict(core, int(vpn)) }
+		env.TLBs[c].OnEvict = s.onTLBEvict
 	}
 	if fresh {
 		env.Frames.ReserveRange(0, cfg.Entries)

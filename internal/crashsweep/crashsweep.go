@@ -416,10 +416,12 @@ var Classes = []Class{
 	{"CommitKnobs/epoch", machine(3, 3, 30000), MakeScript, 10, []uint64{0xEA63}},
 	{"Buffered/plain", with(machine(1, 0, 0), buffered), mode(true, false), 10, []uint64{0xB0F1}},
 	{"Buffered/epoch", with(machine(1, 0, 30000), buffered), mode(true, false), 10, []uint64{0xB0F3}},
-	{"Relaxed/local", machine(1, 0, 30000), relaxed(false), 12, []uint64{0x3E1A}},
-	{"Relaxed/short-epoch", machine(1, 0, 4000), relaxed(false), 12, []uint64{0x3E1B}},
-	{"Relaxed/shards", machine(3, 3, 30000), relaxed(false), 12, []uint64{0x3E1C}},
-	{"CrossRelaxed", machine(4, 4, 30000), relaxed(true), 12, []uint64{0x3E2A, 0xF806D}},
+	{"Relaxed/local", machine(1, 0, 30000), relaxed(false, false), 12, []uint64{0x3E1A}},
+	{"Relaxed/short-epoch", machine(1, 0, 4000), relaxed(false, false), 12, []uint64{0x3E1B}},
+	{"Relaxed/shards", machine(3, 3, 30000), relaxed(false, false), 12, []uint64{0x3E1C}},
+	{"CrossRelaxed", machine(4, 4, 30000), relaxed(true, false), 12, []uint64{0x3E2A, 0xF806D}},
+	{"CrossRelaxedCheckpoints", with(machine(4, 4, 30000), func(c *ssp.Config) { c.JournalKB = 1 }),
+		relaxed(true, true), 60, []uint64{2}},
 	{"Windowed", machine(4, 2, 50000), mode(false, true), 10, []uint64{0x3D0A, 0xF7F4D}},
 }
 
@@ -445,6 +447,10 @@ func mode(spray, concurrent bool) func(uint64, int) Script {
 	}
 }
 
-func relaxed(cross bool) func(uint64, int) Script {
-	return func(seed uint64, txns int) Script { return makeRelaxedScript(seed, txns, cross) }
+func relaxed(cross, concurrent bool) func(uint64, int) Script {
+	return func(seed uint64, txns int) Script {
+		sc := makeRelaxedScript(seed, txns, cross)
+		sc.Concurrent = concurrent
+		return sc
+	}
 }

@@ -14,15 +14,16 @@ import (
 // the name has a "/") and per backend, every seed of the row (the first
 // only under -short). The full-scale fuzzing run stays in the binary
 // (`sspcrash -scripts 20`).
-func TestTrapSweepAllBackends(t *testing.T)           { sweepFamily(t, "AllBackends") }
-func TestTrapSweepJournalShards(t *testing.T)         { sweepFamily(t, "JournalShards") }
-func TestTrapSweepCrossShard(t *testing.T)            { sweepFamily(t, "CrossShard") }
-func TestTrapSweepCrossShardCheckpoints(t *testing.T) { sweepFamily(t, "CrossShardCheckpoints") }
-func TestTrapSweepCommitKnobs(t *testing.T)           { sweepFamily(t, "CommitKnobs") }
-func TestTrapSweepBuffered(t *testing.T)              { sweepFamily(t, "Buffered") }
-func TestTrapSweepRelaxed(t *testing.T)               { sweepFamily(t, "Relaxed") }
-func TestTrapSweepCrossRelaxed(t *testing.T)          { sweepFamily(t, "CrossRelaxed") }
-func TestTrapSweepWindowed(t *testing.T)              { sweepFamily(t, "Windowed") }
+func TestTrapSweepAllBackends(t *testing.T)             { sweepFamily(t, "AllBackends") }
+func TestTrapSweepJournalShards(t *testing.T)           { sweepFamily(t, "JournalShards") }
+func TestTrapSweepCrossShard(t *testing.T)              { sweepFamily(t, "CrossShard") }
+func TestTrapSweepCrossShardCheckpoints(t *testing.T)   { sweepFamily(t, "CrossShardCheckpoints") }
+func TestTrapSweepCommitKnobs(t *testing.T)             { sweepFamily(t, "CommitKnobs") }
+func TestTrapSweepBuffered(t *testing.T)                { sweepFamily(t, "Buffered") }
+func TestTrapSweepRelaxed(t *testing.T)                 { sweepFamily(t, "Relaxed") }
+func TestTrapSweepCrossRelaxed(t *testing.T)            { sweepFamily(t, "CrossRelaxed") }
+func TestTrapSweepCrossRelaxedCheckpoints(t *testing.T) { sweepFamily(t, "CrossRelaxedCheckpoints") }
+func TestTrapSweepWindowed(t *testing.T)                { sweepFamily(t, "Windowed") }
 
 // drives is, per family, what the SSP reference run of every seed must
 // drive for the sweep to cover the mechanism the class is named after.
@@ -42,6 +43,9 @@ var drives = map[string]struct {
 	}},
 	"CrossRelaxed": {"global commits spanning shards and hardened epochs", func(st *ssp.Stats) bool {
 		return st.GlobalCommits > 0 && st.HardenedEpochs > 0 && st.PrepareRecords >= 2*st.GlobalCommits
+	}},
+	"CrossRelaxedCheckpoints": {"checkpoints, global commits and hardened epochs", func(st *ssp.Stats) bool {
+		return st.Checkpoints > 0 && st.GlobalCommits > 0 && st.HardenedEpochs > 0
 	}},
 }
 

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -130,169 +131,90 @@ func RenderTable3(rows []Table3Row) string {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 5 — microbenchmark throughput (normalised to UNDO-LOG).
+// Figures 5-7 — the seven microbenchmarks on the three designs.
 
-// Fig5Row is one workload's normalised TPS.
-type Fig5Row struct {
-	Kind workload.Kind
-	TPS  map[ssp.Backend]float64 // normalised to UNDO-LOG
-	Raw  map[ssp.Backend]float64 // absolute TPS
-}
+// MicroRow is one microbenchmark's measurements, normalised to UNDO-LOG:
+// throughput (Figure 5), logging writes (Figure 6), total NVRAM writes
+// (Figure 7a) and SSP's write breakdown (Figure 7b).
+type MicroRow struct {
+	Kind    workload.Kind
+	TPS     map[ssp.Backend]float64 // transactions per second
+	Logging map[ssp.Backend]float64 // non-data ("logging") write bytes
+	Writes  map[ssp.Backend]float64 // total NVRAM write bytes
 
-// Fig5 runs the seven microbenchmarks with the given client count
-// (Figure 5a: 1 thread, Figure 5b: 4 threads).
-func Fig5(sc Scale, clients int) []Fig5Row {
-	var rows []Fig5Row
-	for _, k := range workload.Micro() {
-		row := runAll(sc, k, clients, nil)
-		base := row.Results[ssp.UndoLog].TPS
-		r := Fig5Row{Kind: k, TPS: map[ssp.Backend]float64{}, Raw: map[ssp.Backend]float64{}}
-		for _, b := range ssp.Backends() {
-			r.Raw[b] = row.Results[b].TPS
-			r.TPS[b] = row.Results[b].TPS / base
-		}
-		rows = append(rows, r)
-	}
-	return rows
-}
-
-// RenderFig5 formats the normalised-TPS series.
-func RenderFig5(rows []Fig5Row, clients int) string {
-	header := []string{fmt.Sprintf("Workload (%d thread)", clients), "UNDO-LOG", "REDO-LOG", "SSP"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Kind.String(),
-			fmt.Sprintf("%.2f", r.TPS[ssp.UndoLog]),
-			fmt.Sprintf("%.2f", r.TPS[ssp.RedoLog]),
-			fmt.Sprintf("%.2f", r.TPS[ssp.SSP]),
-		})
-	}
-	body = append(body, geomeanRow("geomean", rows, func(r Fig5Row, b ssp.Backend) float64 { return r.TPS[b] }))
-	return stats.Table(header, body)
-}
-
-func geomeanRow[T any](label string, rows []T, get func(T, ssp.Backend) float64) []string {
-	out := []string{label}
-	for _, b := range ssp.Backends() {
-		prod := 1.0
-		for _, r := range rows {
-			prod *= get(r, b)
-		}
-		out = append(out, fmt.Sprintf("%.2f", pow(prod, 1.0/float64(len(rows)))))
-	}
-	return out
-}
-
-func pow(x, e float64) float64 {
-	// Tiny stdlib-free helper via math? math is stdlib; keep it simple.
-	return mathPow(x, e)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 6 — logging writes (normalised to UNDO-LOG, lower is better).
-
-// Fig6Row is one workload's normalised non-data ("logging") write bytes.
-type Fig6Row struct {
-	Kind  workload.Kind
-	Bytes map[ssp.Backend]uint64
-	Norm  map[ssp.Backend]float64
-}
-
-// Fig6 measures logging writes for the seven microbenchmarks.
-func Fig6(sc Scale, clients int) []Fig6Row {
-	var rows []Fig6Row
-	for _, k := range workload.Micro() {
-		row := runAll(sc, k, clients, nil)
-		r := Fig6Row{Kind: k, Bytes: map[ssp.Backend]uint64{}, Norm: map[ssp.Backend]float64{}}
-		for _, b := range ssp.Backends() {
-			st := row.Results[b].Stats
-			r.Bytes[b] = st.LoggingBytes()
-		}
-		base := float64(r.Bytes[ssp.UndoLog])
-		for _, b := range ssp.Backends() {
-			r.Norm[b] = float64(r.Bytes[b]) / base
-		}
-		rows = append(rows, r)
-	}
-	return rows
-}
-
-// RenderFig6 formats the logging-writes series.
-func RenderFig6(rows []Fig6Row) string {
-	header := []string{"Workload", "UNDO-LOG", "REDO-LOG", "SSP"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Kind.String(),
-			fmt.Sprintf("%.2f", r.Norm[ssp.UndoLog]),
-			fmt.Sprintf("%.2f", r.Norm[ssp.RedoLog]),
-			fmt.Sprintf("%.2f", r.Norm[ssp.SSP]),
-		})
-	}
-	body = append(body, geomeanRow("geomean", rows, func(r Fig6Row, b ssp.Backend) float64 { return r.Norm[b] }))
-	return stats.Table(header, body)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7 — NVRAM writes and SSP breakdown.
-
-// Fig7Row carries total normalised NVRAM write bytes plus SSP's breakdown.
-type Fig7Row struct {
-	Kind workload.Kind
-	Norm map[ssp.Backend]float64 // total write bytes normalised to UNDO
-
-	// SSP write breakdown in percent (Figure 7b).
+	// SSP write breakdown in percent.
 	DataPct, JournalPct, ConsolidationPct, CheckpointPct float64
 }
 
-// Fig7 measures total NVRAM writes (7a) and SSP's breakdown (7b).
-func Fig7(sc Scale, clients int) []Fig7Row {
-	var rows []Fig7Row
+// Micro runs the seven microbenchmarks with the given client count on every
+// design (Figure 5a: 1 thread, Figure 5b: 4 threads; Figures 6 and 7 read
+// the 1-thread rows).
+func Micro(sc Scale, clients int) []MicroRow {
+	var rows []MicroRow
 	for _, k := range workload.Micro() {
 		row := runAll(sc, k, clients, nil)
-		r := Fig7Row{Kind: k, Norm: map[ssp.Backend]float64{}}
-		base := func() float64 {
-			st := row.Results[ssp.UndoLog].Stats
-			return float64(st.TotalWriteBytes())
-		}()
+		undo := row.Results[ssp.UndoLog]
+		r := MicroRow{Kind: k, TPS: map[ssp.Backend]float64{}, Logging: map[ssp.Backend]float64{}, Writes: map[ssp.Backend]float64{}}
 		for _, b := range ssp.Backends() {
-			st := row.Results[b].Stats
-			r.Norm[b] = float64(st.TotalWriteBytes()) / base
+			res := row.Results[b]
+			r.TPS[b] = res.TPS / undo.TPS
+			r.Logging[b] = float64(res.Stats.LoggingBytes()) / float64(undo.Stats.LoggingBytes())
+			r.Writes[b] = float64(res.Stats.TotalWriteBytes()) / float64(undo.Stats.TotalWriteBytes())
 		}
 		st := row.Results[ssp.SSP].Stats
 		total := float64(st.TotalWriteBytes())
-		data := float64(st.WriteBytes(stats.CatData))
-		journal := float64(st.WriteBytes(stats.CatMetaJournal) + st.WriteBytes(stats.CatControl) + st.WriteBytes(stats.CatUndoLog) + st.WriteBytes(stats.CatCommitRecord))
-		consol := float64(st.WriteBytes(stats.CatConsolidation))
-		ckpt := float64(st.WriteBytes(stats.CatCheckpoint))
-		r.DataPct = 100 * data / total
-		r.JournalPct = 100 * journal / total
-		r.ConsolidationPct = 100 * consol / total
-		r.CheckpointPct = 100 * ckpt / total
+		journal := st.WriteBytes(stats.CatMetaJournal) + st.WriteBytes(stats.CatControl) + st.WriteBytes(stats.CatUndoLog) + st.WriteBytes(stats.CatCommitRecord)
+		r.DataPct = 100 * float64(st.WriteBytes(stats.CatData)) / total
+		r.JournalPct = 100 * float64(journal) / total
+		r.ConsolidationPct = 100 * float64(st.WriteBytes(stats.CatConsolidation)) / total
+		r.CheckpointPct = 100 * float64(st.WriteBytes(stats.CatCheckpoint)) / total
 		rows = append(rows, r)
 	}
 	return rows
 }
 
-// RenderFig7a formats the total-writes series.
-func RenderFig7a(rows []Fig7Row) string {
-	header := []string{"Workload", "UNDO-LOG", "REDO-LOG", "SSP"}
+// renderNormalised formats one normalised-to-UNDO-LOG series of rows with a
+// geometric-mean row.
+func renderNormalised(first string, rows []MicroRow, get func(MicroRow) map[ssp.Backend]float64) string {
+	header := []string{first, "UNDO-LOG", "REDO-LOG", "SSP"}
 	var body [][]string
 	for _, r := range rows {
+		v := get(r)
 		body = append(body, []string{
 			r.Kind.String(),
-			fmt.Sprintf("%.2f", r.Norm[ssp.UndoLog]),
-			fmt.Sprintf("%.2f", r.Norm[ssp.RedoLog]),
-			fmt.Sprintf("%.2f", r.Norm[ssp.SSP]),
+			fmt.Sprintf("%.2f", v[ssp.UndoLog]),
+			fmt.Sprintf("%.2f", v[ssp.RedoLog]),
+			fmt.Sprintf("%.2f", v[ssp.SSP]),
 		})
 	}
-	body = append(body, geomeanRow("geomean", rows, func(r Fig7Row, b ssp.Backend) float64 { return r.Norm[b] }))
-	return stats.Table(header, body)
+	mean := []string{"geomean"}
+	for _, b := range ssp.Backends() {
+		prod := 1.0
+		for _, r := range rows {
+			prod *= get(r)[b]
+		}
+		mean = append(mean, fmt.Sprintf("%.2f", math.Pow(prod, 1.0/float64(len(rows)))))
+	}
+	return stats.Table(header, append(body, mean))
+}
+
+// RenderFig5 formats the normalised-TPS series.
+func RenderFig5(rows []MicroRow, clients int) string {
+	return renderNormalised(fmt.Sprintf("Workload (%d thread)", clients), rows, func(r MicroRow) map[ssp.Backend]float64 { return r.TPS })
+}
+
+// RenderFig6 formats the logging-writes series.
+func RenderFig6(rows []MicroRow) string {
+	return renderNormalised("Workload", rows, func(r MicroRow) map[ssp.Backend]float64 { return r.Logging })
+}
+
+// RenderFig7a formats the total-writes series.
+func RenderFig7a(rows []MicroRow) string {
+	return renderNormalised("Workload", rows, func(r MicroRow) map[ssp.Backend]float64 { return r.Writes })
 }
 
 // RenderFig7b formats SSP's write breakdown.
-func RenderFig7b(rows []Fig7Row) string {
+func RenderFig7b(rows []MicroRow) string {
 	header := []string{"Workload", "Data%", "Journaling%", "Consolidation%", "Checkpointing%"}
 	var body [][]string
 	for _, r := range rows {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -16,6 +17,10 @@ func tinyScale() Scale {
 	// shrunken STLB keeps prefill fast.
 	return Scale{Ops: 600, Keys: 4096, Elems: 1 << 17, Items: 2048, Tuples: 2048, Seed: 0xE0, STLB: 128}
 }
+
+// tinyMicro is the 1-thread microbenchmark run the Figure 5, 6 and 7 tests
+// share.
+var tinyMicro = sync.OnceValue(func() []MicroRow { return Micro(tinyScale(), 1) })
 
 func TestTable3ShapesMatchPaper(t *testing.T) {
 	rows := Table3(tinyScale())
@@ -48,7 +53,7 @@ func TestTable3ShapesMatchPaper(t *testing.T) {
 }
 
 func TestFig5ShapeOneThread(t *testing.T) {
-	rows := Fig5(tinyScale(), 1)
+	rows := tinyMicro()
 	if len(rows) != 7 {
 		t.Fatalf("expected 7 microbenchmarks")
 	}
@@ -70,28 +75,28 @@ func TestFig5ShapeOneThread(t *testing.T) {
 }
 
 func TestFig6SSPNearlyEliminatesLoggingWrites(t *testing.T) {
-	rows := Fig6(tinyScale(), 1)
+	rows := tinyMicro()
 	for _, r := range rows {
 		if r.Kind == workload.SPS {
 			continue // consolidation-dominated, discussed in Fig 7b
 		}
-		if r.Norm[ssp.SSP] >= r.Norm[ssp.RedoLog] {
+		if r.Logging[ssp.SSP] >= r.Logging[ssp.RedoLog] {
 			t.Errorf("%s: SSP logging (%.2f) not below REDO (%.2f)",
-				r.Kind, r.Norm[ssp.SSP], r.Norm[ssp.RedoLog])
+				r.Kind, r.Logging[ssp.SSP], r.Logging[ssp.RedoLog])
 		}
-		if r.Norm[ssp.SSP] > 0.6 {
-			t.Errorf("%s: SSP logging %.2f of UNDO, want well below", r.Kind, r.Norm[ssp.SSP])
+		if r.Logging[ssp.SSP] > 0.6 {
+			t.Errorf("%s: SSP logging %.2f of UNDO, want well below", r.Kind, r.Logging[ssp.SSP])
 		}
 	}
 	_ = RenderFig6(rows)
 }
 
 func TestFig7ShapesMatchPaper(t *testing.T) {
-	rows := Fig7(tinyScale(), 1)
+	rows := tinyMicro()
 	var sspSum, redoSum float64
 	for _, r := range rows {
-		sspSum += r.Norm[ssp.SSP]
-		redoSum += r.Norm[ssp.RedoLog]
+		sspSum += r.Writes[ssp.SSP]
+		redoSum += r.Writes[ssp.RedoLog]
 		// Breakdown sums to ~100%.
 		total := r.DataPct + r.JournalPct + r.ConsolidationPct + r.CheckpointPct
 		if total < 99 || total > 101 {

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/workload"
 	"repro/ssp"
 )
-
-func mathPow(x, e float64) float64 { return math.Pow(x, e) }
 
 // ---------------------------------------------------------------------------
 // Figure 8 — sensitivity to NVRAM latency (×1..×9 of DRAM latency).
@@ -142,12 +139,11 @@ func Table45(sc Scale) []Table45Row {
 		row := runAll(sc, k, 4, nil)
 		r := Table45Row{Kind: k, SpeedupOver: map[ssp.Backend]float64{}, SavingOver: map[ssp.Backend]float64{}}
 		sspRes := row.Results[ssp.SSP]
-		sspW := func() float64 { st := sspRes.Stats; return float64(st.TotalWriteBytes()) }()
+		sspW := float64(sspRes.Stats.TotalWriteBytes())
 		for _, b := range []ssp.Backend{ssp.UndoLog, ssp.RedoLog} {
 			base := row.Results[b]
 			r.SpeedupOver[b] = 100 * (sspRes.TPS/base.TPS - 1)
-			baseW := func() float64 { st := base.Stats; return float64(st.TotalWriteBytes()) }()
-			r.SavingOver[b] = 100 * (1 - sspW/baseW)
+			r.SavingOver[b] = 100 * (1 - sspW/float64(base.Stats.TotalWriteBytes()))
 		}
 		rows = append(rows, r)
 	}

@@ -42,3 +42,26 @@ func TestParallelSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestRelaxedCrossShardCheckpointsKeepUp runs relaxed cross-shard commits
+// on the default 64 KiB journal with two coordinators whose epochs keep
+// overlapping. A participant shard that holds prepares of a buffered
+// coordinator End must still checkpoint when it passes its high-water mark
+// (it hardens the holding epochs first); deferring instead let the holds
+// pile up until the ring overflowed.
+func TestRelaxedCrossShardCheckpointsKeepUp(t *testing.T) {
+	for _, b := range backendsUnderTest() {
+		p := Params{Kind: MemcachedCross, Backend: b, Clients: 2, Ops: 4000, Items: 4096, Seed: 0xE0, CrossPct: 50, Relaxed: true}
+		p.Machine.JournalShards = 4
+		p.Machine.Channels = 4
+		p.Machine.DurabilityEpoch = 30000
+		res := RunParallel(p)
+		if res.Stats.Commits == 0 {
+			t.Fatalf("%v: no commits", b)
+		}
+		if b == ssp.SSP && (res.Stats.Checkpoints == 0 || res.Stats.GlobalCommits == 0 || res.Stats.HardenedEpochs == 0) {
+			t.Fatalf("%v: the run drives no checkpoints, global commits or hardened epochs: %d, %d, %d",
+				b, res.Stats.Checkpoints, res.Stats.GlobalCommits, res.Stats.HardenedEpochs)
+		}
+	}
+}

@@ -67,25 +67,17 @@ var paperRows = []struct {
 			f.put("BenchmarkTable3_Characterisation", r.Kind.String()+"_lines/txn", r.AvgLines)
 		}
 	}},
-	{"Fig5a", func(f figures) {
-		for _, r := range experiments.Fig5(paperScale(), 1) {
+	{"Fig5a-7", func(f figures) {
+		for _, r := range experiments.Micro(paperScale(), 1) {
 			f.put("BenchmarkFig5a_MicroTPS_1Thread", r.Kind.String()+"_SSP/UNDO", r.TPS[ssp.SSP])
+			f.put("BenchmarkFig6_LoggingWrites", r.Kind.String()+"_SSP/UNDO", r.Logging[ssp.SSP])
+			f.put("BenchmarkFig7a_NVRAMWrites", r.Kind.String()+"_SSP/UNDO", r.Writes[ssp.SSP])
+			f.put("BenchmarkFig7b_SSPWriteBreakdown", r.Kind.String()+"_consol%", r.ConsolidationPct)
 		}
 	}},
 	{"Fig5b", func(f figures) {
-		for _, r := range experiments.Fig5(paperScale(), 4) {
+		for _, r := range experiments.Micro(paperScale(), 4) {
 			f.put("BenchmarkFig5b_MicroTPS_4Threads", r.Kind.String()+"_SSP/UNDO", r.TPS[ssp.SSP])
-		}
-	}},
-	{"Fig6", func(f figures) {
-		for _, r := range experiments.Fig6(paperScale(), 1) {
-			f.put("BenchmarkFig6_LoggingWrites", r.Kind.String()+"_SSP/UNDO", r.Norm[ssp.SSP])
-		}
-	}},
-	{"Fig7", func(f figures) {
-		for _, r := range experiments.Fig7(paperScale(), 1) {
-			f.put("BenchmarkFig7a_NVRAMWrites", r.Kind.String()+"_SSP/UNDO", r.Norm[ssp.SSP])
-			f.put("BenchmarkFig7b_SSPWriteBreakdown", r.Kind.String()+"_consol%", r.ConsolidationPct)
 		}
 	}},
 	{"Fig8", func(f figures) {
@@ -194,6 +186,27 @@ var paperRows = []struct {
 		f.put(b, "Relaxed_commits", float64(rel.Stats.RelaxedCommits))
 		f.put(b, "Relaxed_hardened_epochs", float64(rel.Stats.HardenedEpochs))
 		f.put(b, "Relaxed_harden_lag_cycles", experiments.MeanHardenLag(rel.Stats))
+	}},
+	// The 4-core memcached cross-shard mix at a 50% global fraction over 4
+	// journal shards, relaxed with a 100k-cycle epoch: coordinator epochs
+	// buffer global Ends and hold their participant shards, whose
+	// checkpoints harden the holders first.
+	{"CrossRelaxedSmoke", func(f figures) {
+		p := workload.Params{Kind: workload.MemcachedCross, Backend: ssp.SSP, Clients: 4, Ops: 4000, Items: 4096, Seed: 0xE0}
+		p.CrossPct = 50
+		p.Relaxed = true
+		p.Machine.Channels = 4
+		p.Machine.JournalShards = 4
+		p.Machine.DurabilityEpoch = 100000
+		rel := workload.RunParallel(p)
+		const b = "BenchmarkCrossRelaxedSmoke"
+		f.put(b, "CrossRelaxed_ack_cTPS", rel.CommittedTPS)
+		f.put(b, "CrossRelaxed_durable_TPS", rel.TPS)
+		f.put(b, "CrossRelaxed_global_commits", float64(rel.Stats.GlobalCommits))
+		f.put(b, "CrossRelaxed_prepare_records", float64(rel.Stats.PrepareRecords))
+		f.put(b, "CrossRelaxed_hardened_epochs", float64(rel.Stats.HardenedEpochs))
+		f.put(b, "CrossRelaxed_checkpoints", float64(rel.Stats.Checkpoints))
+		f.put(b, "CrossRelaxed_harden_lag_cycles", experiments.MeanHardenLag(rel.Stats))
 	}},
 	// The open-loop sharded-kv service on 4 cores at YCSB-style skew: a
 	// closed-loop probe sets the capacity, then sync and relaxed serve half

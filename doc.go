@@ -139,8 +139,9 @@
 // differs, before recovery parses it.
 // Crash costs a pointer per page the run wrote, and Restore that plus
 // recovery: Crash + Restore of the Table 2 machine (192 MB of NVRAM) holding
-// a 2 000-key B-tree allocate 0.12 MiB, and holding a 4 MiB array 0.8 MiB,
-// nearly all of it SSP recovery's per-slot state. No write through one
+// a 2 000-key B-tree allocate 0.12 MiB, and holding a 4 MiB array 0.54 MiB,
+// nearly all of it SSP recovery's per-slot state (its slot tables grow once,
+// to the highest slot NVRAM or a surviving record names). No write through one
 // Memory is ever visible in the image or in another Memory, so the crashed
 // one may still Recover in place and one image may be restored any number of
 // times, from any goroutine. Image.Bytes and memsim.ImageFromBytes convert
@@ -172,6 +173,18 @@
 // set its block of ways at the first fill into it; looking up a set that has
 // none is a miss, and DropAll unmaps the blocks it handed out and keeps
 // their storage for the refill (the layout is in the next section but one).
+// A block's line data follows the ways filled, not the ways it has: data is
+// laid out way-major, one 2 KiB chunk per way of 32 consecutive blocks, and
+// a set fills its lowest free way first, so a level whose sets hold one
+// line each — a crash-sweep run fills about 33 sets per level, one line in
+// each — allocates 64 B of data per line where a block-major pool allocated
+// every way's (1 KiB per set on the 16-way L3). Tags stay block-major, in
+// fixed 2 KiB chunks, so a level's tags never move or copy as it grows. cachesim.TestSparseLevelAllocatesPerFilledLine
+// holds K lines in K distinct L3 sets to 320 B per line (274 measured, the
+// pool's 1.6 KiB before), and cachesim.TestLevelDataMatchesScanModel holds
+// every valid line's data to the block-major pool's. Each TLB level's
+// open-addressing index likewise starts at 16 slots and doubles as its
+// entries outgrow half of it, up to twice the capacity.
 // FlushAll and
 // DebugValidate visit lines in set-index order, ways in order within a
 // set, never in the order sets were first filled: FlushAll issues timed
@@ -219,9 +232,10 @@
 //
 // ssp.New allocates 0.1 MiB on every backend; ssp.TestMachineAllocationBudget
 // holds it to 0.6 MiB on the 192 MB Table 2 machine and
-// crashsweep.TestMachineNewAllocationBudget to 128 KiB on the sweeps' 32 MB
-// one. crashsweep.TestTrapPointAllocationBudget holds a trap point's run,
-// recovery and verification on the sweep's machine to 64 KiB of heap.
+// crashsweep.TestMachineNewAllocationBudget to 80 KiB on the sweeps' 32 MB
+// one (68-73 KiB measured). crashsweep.TestTrapPointAllocationBudget holds a
+// trap point's run, recovery and verification on the sweep's machine to
+// 40 KiB of heap (28-33 KiB measured).
 //
 // # SSP cache: victim policy and constant-time metadata
 //
@@ -300,9 +314,11 @@
 // The layouts. A cache level is a structure of arrays: per set a block of
 // way tags (one host line for an 8-way set), one small record — the ways'
 // recency order as a nibble permutation in one word (at most 16 ways), and
-// valid, dirty and speculative (tx) way masks — and data in a separate pool
-// grown in fixed chunks that never move; only the set directory and the
-// chunk list hold Go pointers. Power-of-two levels index by mask, the
+// valid, dirty and speculative (tx) way masks — and data apart, way-major
+// in fixed chunks that never move, one per way of 32 consecutive blocks;
+// only the set directory and the chunk tables hold Go pointers. A line's
+// data is one dependent load (its chunk's slice header) plus index
+// arithmetic away. Power-of-two levels index by mask, the
 // 12288-set L3 by modulo. A small way predictor keyed by low line-address
 // bits is checked before the set is scanned. Victim choice (first invalid
 // way, else the LRU way without the tx flag, else the LRU way) is a few bit

@@ -77,11 +77,10 @@ func DefaultConfig(cores int) Config {
 
 // level is one cache array, laid out as a structure of arrays. A set's ways
 // live in one block: the block's tags are contiguous (one host cache line
-// for an 8-way set), its data sits in a separate pool, and everything else
-// about the set is one small record — its recency order, and its valid,
-// dirty and speculative (tx) ways as one bit mask each. A line is named by
-// its index, block<<wbits | way; the way stride is ways rounded up to a
-// power of two.
+// for an 8-way set), its data sits apart, and everything else about the set
+// is one small record — its recency order, and its valid, dirty and
+// speculative (tx) ways as one bit mask each. A line is named by its index,
+// block<<wbits | way; the way stride is ways rounded up to a power of two.
 //
 // The recency order is a permutation of the ways, one nibble per way, the
 // most recent use in the low nibble; a hit or fill moves its way to the
@@ -98,27 +97,40 @@ func DefaultConfig(cores int) Config {
 // Blocks materialise on touch: a set gets a block at its first fill, so
 // building a level costs its directory — one slot per setChunk consecutive
 // sets, holding their block numbers once any of them is filled — and
-// dropping it costs what was filled. The metadata arrays grow by append; the
-// data pool grows in chunks of dataChunkBlocks blocks that never move, so a
-// line's data pointer stays valid while other sets materialise. Only the
-// directory and the chunk list hold Go pointers. Anything that visits every
-// line (FlushAll, DebugValidate) walks sets in index order — FlushAll issues
-// timed write-backs, so the order lines are visited in is part of the
-// simulated result.
+// dropping it costs what was filled. Tags and data live in fixed-size
+// chunks that never move, so nothing is copied as a level grows and a line's
+// data pointer stays valid while other sets materialise:
+//
+//   - tags block-major, in chunks of tagChunk lines, so a set's tags are
+//     contiguous for the scan;
+//   - data way-major: a data chunk holds one way of dataGroup consecutive
+//     blocks, found in the chunk table at (block group, way). victim fills
+//     a set's lowest invalid way first, so way w of a group is allocated
+//     only once some set of it holds w+1 lines. A sparse level — the crash
+//     sweep's hold one line in each of a few dozen sets — allocates the
+//     way-0 chunks of the groups it touched, 64 B per line filled; a full
+//     level allocates what a block-major pool would. line is one dependent
+//     load (the chunk's slice header) plus index arithmetic and its bounds
+//     check, as tagRef is for the tags.
+//
+// The block records grow by append. Only the directory and the chunk tables
+// hold Go pointers. Anything that visits every line (FlushAll,
+// DebugValidate) walks sets in index order — FlushAll issues timed
+// write-backs, so the order lines are visited in is part of the simulated
+// result.
 type level struct {
 	sets, ways int
 	pow2       bool   // sets is a power of two: index by mask, not modulo
 	wbits      uint   // log2 of the way stride
-	dshift     uint   // log2 of the lines per data chunk
 	wmask      uint64 // a line index's way bits
 	lruShift   uint   // 4 × (ways-1): where the least recent way sits in an order
 	allWays    uint16 // a way mask with every way set
 
-	pred []int32            // way predictor: a line index per low line-address bits
-	dir  []*[setChunk]int32 // per set: 1 + its block, 0 while never filled; nil chunk: none filled
-	blks []block            // per block: its set, recency order and way masks
-	tags []uint64           // per line: line address + 1, 0 when invalid
-	data [][][memsim.LineBytes]byte
+	pred []int32                    // way predictor: a line index per low line-address bits
+	dir  []*[setChunk]int32         // per set: 1 + its block, 0 while never filled; nil chunk: none filled
+	blks []block                    // per block: its set, recency order and way masks
+	tags [][]uint64                 // per tagChunk lines: line address + 1 per line, 0 when invalid
+	data [][][memsim.LineBytes]byte // per (group of dataGroup blocks, way): that way's line of each block; nil until one is filled
 
 	// scans counts the probes that searched a set's ways because the way
 	// predictor missed. Only tests read it.
@@ -146,11 +158,15 @@ const (
 	setChunk      = 1 << setChunkShift
 )
 
-// dataChunkBlocks is how many blocks' data one pool chunk holds: small, so a
-// level that touched a few sets holds little more than their lines.
+// tagChunk is how many lines' tags one tag chunk holds (2 KiB): a whole
+// number of blocks at any way stride, so a set's tags never straddle two
+// chunks. dataGroup is how many consecutive blocks one data chunk holds a
+// way of (2 KiB).
 const (
-	dataChunkShift  = 3
-	dataChunkBlocks = 1 << dataChunkShift
+	tagChunkShift  = 8
+	tagChunk       = 1 << tagChunkShift
+	dataGroupShift = 5
+	dataGroup      = 1 << dataGroupShift
 )
 
 // predMax bounds the way predictor: one entry per line up to that many.
@@ -172,7 +188,6 @@ func newLevel(bytes, ways int) *level {
 		pow2:     sets&(sets-1) == 0,
 		wbits:    wbits,
 		wmask:    1<<wbits - 1,
-		dshift:   wbits + dataChunkShift,
 		lruShift: 4 * uint(ways-1),
 		allWays:  uint16(1<<ways - 1),
 		pred:     make([]int32, min(predMax, 1<<bits.Len(uint(nLines-1)))),
@@ -200,7 +215,7 @@ func (l *level) index(lineAddr uint64) int {
 func (l *level) peek(lineAddr uint64) int {
 	key := lineAddr + 1
 	p := &l.pred[lineAddr&uint64(len(l.pred)-1)]
-	if i := int(*p); i < len(l.tags) && l.tags[i] == key {
+	if i := int(*p); i>>tagChunkShift < len(l.tags) && *l.tagRef(i) == key {
 		return i
 	}
 	b := l.block(l.index(lineAddr))
@@ -209,7 +224,7 @@ func (l *level) peek(lineAddr uint64) int {
 	}
 	l.scans++
 	base := b << l.wbits
-	for w, t := range l.tags[base : base+l.ways] {
+	for w, t := range l.blockTags(base) {
 		if t == key {
 			*p = int32(base + w)
 			return base + w
@@ -230,7 +245,7 @@ func (l *level) lookup(lineAddr uint64) int {
 // holds reports whether line i, a probe's earlier answer (-1: absent), still
 // holds lineAddr.
 func (l *level) holds(i int, lineAddr uint64) bool {
-	return i >= 0 && l.tags[i] == lineAddr+1
+	return i >= 0 && *l.tagRef(i) == lineAddr+1
 }
 
 // way returns line i's block and its way's bit.
@@ -263,12 +278,12 @@ func toFront(order, w uint64) uint64 {
 	return order&^(ahead<<4|0xF) | (order&ahead)<<4 | w
 }
 
-// victim returns the line to fill for lineAddr, materialising its set: an
-// invalid way if one exists, otherwise the LRU way among non-speculative
-// lines, otherwise the LRU way outright. Speculative (tx) lines are kept
-// cached when possible — redo-style designs must not write uncommitted data
-// back in place (DHTM keeps transactional lines pinned in the volatile
-// hierarchy).
+// victim returns the line to fill for lineAddr, materialising its set, and
+// for a free way the data chunk the line lives in: the lowest invalid way if
+// one exists, otherwise the LRU way among non-speculative lines, otherwise
+// the LRU way outright. Speculative (tx) lines are kept cached when
+// possible — redo-style designs must not write uncommitted data back in
+// place (DHTM keeps transactional lines pinned in the volatile hierarchy).
 func (l *level) victim(lineAddr uint64) int {
 	set := l.index(lineAddr)
 	b := l.block(set)
@@ -277,7 +292,11 @@ func (l *level) victim(lineAddr uint64) int {
 	}
 	blk, base := &l.blks[b], b<<l.wbits
 	if free := l.allWays &^ blk.valid; free != 0 {
-		return base + bits.TrailingZeros16(free)
+		w := bits.TrailingZeros16(free)
+		if c := b>>dataGroupShift<<l.wbits | w; l.data[c] == nil {
+			l.data[c] = make([][memsim.LineBytes]byte, dataGroup)
+		}
+		return base + w
 	}
 	if blk.tx != 0 {
 		for s := int(l.lruShift); s >= 0; s -= 4 {
@@ -289,15 +308,17 @@ func (l *level) victim(lineAddr uint64) int {
 	return base + int(blk.order>>l.lruShift&0xF)
 }
 
-// materialise gives set a block of invalid lines and returns it.
+// materialise gives set a block of invalid lines and returns it. The
+// block's tags and its group's entries in the data chunk table exist after
+// it; the data chunks come with the ways victim hands out.
 func (l *level) materialise(set int) int {
 	b := len(l.blks)
 	l.blks = append(l.blks, block{order: identityOrder, set: int32(set)})
-	for w := 0; w < 1<<l.wbits; w++ {
-		l.tags = append(l.tags, 0)
+	if b<<l.wbits>>tagChunkShift == len(l.tags) {
+		l.tags = append(l.tags, make([]uint64, tagChunk))
 	}
-	if b>>dataChunkShift == len(l.data) {
-		l.data = append(l.data, make([][memsim.LineBytes]byte, dataChunkBlocks<<l.wbits))
+	if g := b >> dataGroupShift << l.wbits; g == len(l.data) {
+		l.data = append(l.data, make([][][memsim.LineBytes]byte, 1<<l.wbits)...)
 	}
 	c := l.dir[set>>setChunkShift]
 	if c == nil {
@@ -311,7 +332,7 @@ func (l *level) materialise(set int) int {
 // fill installs lineAddr into line i (a victim) as its set's most recent use.
 func (l *level) fill(i int, lineAddr uint64, data *[memsim.LineBytes]byte, dirty, tx bool) {
 	l.pred[lineAddr&uint64(len(l.pred)-1)] = int32(i)
-	l.tags[i] = lineAddr + 1
+	*l.tagRef(i) = lineAddr + 1
 	if d := l.line(i); d != data {
 		*d = *data
 	}
@@ -321,16 +342,31 @@ func (l *level) fill(i int, lineAddr uint64, data *[memsim.LineBytes]byte, dirty
 	l.touch(i)
 }
 
+// line returns line i's data: the chunk of way i&wmask of its block's group,
+// at the block's place in the group. The chunk's table index, group<<wbits |
+// way, is i>>dataGroupShift with its low wbits replaced by the way (they
+// hold the top of the block's place in the group, which is below 1<<wbits).
 func (l *level) line(i int) *[memsim.LineBytes]byte {
-	return &l.data[i>>l.dshift][i&(1<<l.dshift-1)]
+	m := int(l.wmask)
+	return &l.data[i>>dataGroupShift&^m|i&m][i>>(l.wbits&63)&(dataGroup-1)]
 }
 
-func (l *level) valid(i int) bool { return l.tags[i] != 0 }
+// tagRef returns where line i's tag, its line address + 1, is kept.
+func (l *level) tagRef(i int) *uint64 {
+	return &l.tags[i>>tagChunkShift][i&(tagChunk-1)]
+}
 
-func (l *level) tag(i int) uint64 { return l.tags[i] - 1 }
+// blockTags returns the tags of the block whose first line is base.
+func (l *level) blockTags(base int) []uint64 {
+	return l.tags[base>>tagChunkShift][base&(tagChunk-1):][:l.ways]
+}
+
+func (l *level) valid(i int) bool { return *l.tagRef(i) != 0 }
+
+func (l *level) tag(i int) uint64 { return *l.tagRef(i) - 1 }
 
 func (l *level) invalidate(i int) {
-	l.tags[i] = 0
+	*l.tagRef(i) = 0
 	b, m := l.way(i)
 	b.valid &^= m
 }
@@ -381,14 +417,16 @@ func (l *level) merge(i int, data *[memsim.LineBytes]byte, dirty, tx bool) {
 	l.setFlags(i, dirty || l.isDirty(i), tx || l.isTx(i))
 }
 
-// reset empties the level in time proportional to what was filled; the
-// pools keep their capacity, so refilling allocates nothing until it
-// exceeds what was filled before.
+// reset empties the level in time proportional to what was filled: it
+// clears the directory slots and tags of the blocks it held. The chunks
+// stay, so refilling allocates nothing until it exceeds what was filled
+// before; a stale prediction meets a zero tag.
 func (l *level) reset() {
-	for _, b := range l.blks {
-		l.dir[b.set>>setChunkShift][b.set&(setChunk-1)] = 0
+	for b, blk := range l.blks {
+		l.dir[blk.set>>setChunkShift][blk.set&(setChunk-1)] = 0
+		clear(l.blockTags(b << l.wbits))
 	}
-	l.blks, l.tags = l.blks[:0], l.tags[:0]
+	l.blks = l.blks[:0]
 }
 
 // eachValid calls fn on the level's valid lines, sets in index order and

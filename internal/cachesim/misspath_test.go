@@ -41,8 +41,8 @@ func TestMissPathScanCounts(t *testing.T) {
 		if b < 0 {
 			return false
 		}
-		for _, tag := range l.tags[b<<l.wbits : b<<l.wbits+l.ways] {
-			if tag == la(pa)+1 {
+		for w := range l.ways {
+			if *l.tagRef(b<<l.wbits + w) == la(pa)+1 {
 				return true
 			}
 		}

@@ -174,7 +174,7 @@ func (s *SSP) commit(core int, at engine.Cycles, relaxed bool) engine.Cycles {
 	// as the dispatch does.
 	var globalShards []int
 	if s.globalTxn[core] && s.sharded() {
-		if shards := s.participantShards(pages); len(shards) > 1 {
+		if shards := s.participantShards(core, pages); len(shards) > 1 {
 			globalShards = shards
 		}
 	}

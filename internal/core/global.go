@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/wal"
@@ -57,25 +57,37 @@ func (s *SSP) BeginGlobal(core int, at engine.Cycles) engine.Cycles {
 	return t
 }
 
-// participantShards returns the sorted distinct journal shards owning the
-// write-set pages' slots. Slot assignment is immutable while the pages are
-// core-referenced.
-func (s *SSP) participantShards(pages []int) []int {
-	seen := map[int]bool{}
-	var shards []int
+// globalScratch is one core's reused buffers for a cross-shard commit, so
+// that a global commit allocates no more than a local one.
+type globalScratch struct {
+	shards    []int // the participant shards, ascending
+	pageShard []int // per write-set page: the shard owning its slot
+	involved  []int // the participants plus the coordinator, ascending
+}
+
+// participantShards returns the sorted distinct journal shards owning core's
+// write-set pages' slots, and notes each page's shard for globalCommit.
+// Slot assignment is immutable while the pages are core-referenced. The
+// result lives in the core's scratch, valid until its next commit.
+func (s *SSP) participantShards(core int, pages []int) []int {
+	g := &s.global[core]
+	g.pageShard = g.pageShard[:0]
+	var seen uint32
 	for _, vpn := range pages {
 		si := s.shardOfSlot(s.lookupMeta(vpn).slot)
-		if !seen[si] {
-			seen[si] = true
-			shards = append(shards, si)
-		}
+		g.pageShard = append(g.pageShard, si)
+		seen |= 1 << uint(si)
 	}
-	sort.Ints(shards)
-	return shards
+	g.shards = g.shards[:0]
+	for m := seen; m != 0; m &= m - 1 {
+		g.shards = append(g.shards, bits.TrailingZeros32(m))
+	}
+	return g.shards
 }
 
 // globalCommit is the two-phase journal leg of a cross-shard commit over
-// the participant shards (ascending).
+// the participant shards (ascending), as participantShards returned them
+// for pages.
 //
 // Phase 1 is the same in both durability modes: the prepare records are
 // appended and their participant shards flushed (hardening any open epochs
@@ -102,27 +114,23 @@ func (s *SSP) participantShards(pages []int) []int {
 func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence engine.Cycles, relaxed bool) engine.Cycles {
 	t := start
 	coord := s.shardFor(core)
-
-	// Group the write set by owning shard (pages stay vpn-sorted within a
-	// group, so serial runs append deterministically).
-	groups := make(map[int][]int, len(shards))
-	for _, vpn := range pages {
-		si := s.shardOfSlot(s.lookupMeta(vpn).slot)
-		groups[si] = append(groups[si], vpn)
-	}
-
+	pageShard := s.global[core].pageShard
 	tid := s.allocTID()
 
 	// Phase 1: prepare records appended into every participant shard first
 	// (ascending shard order), then the per-shard flushes issued
 	// concurrently in simulated time. The shards are independent rings in
 	// distinct NVRAM regions, so the fence charges the max — not the sum —
-	// of the shard flush completions.
+	// of the shard flush completions. Each shard's pages go in vpn order,
+	// so serial runs append deterministically.
 	var mask uint32
-	pubs := make([]slotPub, 0, len(pages))
+	pubs := s.pubs[core][:0]
 	for _, si := range shards {
 		mask |= 1 << uint(si)
-		for _, vpn := range groups[si] {
+		for i, vpn := range pages {
+			if pageShard[i] != si {
+				continue
+			}
 			pub := s.snapshotPage(core, vpn)
 			t = s.appendSlotRecord(si, core, tid, recPrepare, pub.sid, pub.st, t)
 			s.noteUpdate(pub.meta, si)
@@ -130,6 +138,7 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 			pubs = append(pubs, pub)
 		}
 	}
+	s.pubs[core] = pubs
 	prepDone := t
 	for _, si := range shards {
 		if done := s.flushShard(si, core, t); done > prepDone {
@@ -158,7 +167,8 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 	}
 
 	// Phase 2: the coordinator end record is the commit point.
-	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: globalEndPayload(mask)}, t)
+	var end [globalEndPayloadBytes]byte
+	t = s.journals[coord].Append(wal.Record{TID: tid, Kind: recGlobalEnd, Payload: globalEndPayload(&end, mask)}, t)
 	s.markUnsealed(coord)
 	s.env.StatsFor(core).JournalRecords++
 	s.env.Stats.JournalShardRecords[coord]++
@@ -183,7 +193,7 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 		// Commit's tail). A checkpoint writes the slot array and empties
 		// only its own ring, so one shard's checkpoint never moves another
 		// past or below its mark.
-		for _, si := range involvedShards(shards, coord) {
+		for _, si := range s.involvedShards(core, shards, coord) {
 			s.maybeCheckpointShard(si, t)
 		}
 	}
@@ -191,12 +201,13 @@ func (s *SSP) globalCommit(core int, shards []int, pages []int, start, fence eng
 }
 
 // involvedShards returns the participant shards plus the coordinator,
-// ascending.
-func involvedShards(shards []int, coord int) []int {
+// ascending, in core's scratch when the coordinator is not a participant.
+func (s *SSP) involvedShards(core int, shards []int, coord int) []int {
 	if slices.Contains(shards, coord) {
 		return shards
 	}
-	involved := append(append([]int{}, shards...), coord)
-	sort.Ints(involved)
-	return involved
+	g := &s.global[core]
+	g.involved = append(append(g.involved[:0], shards...), coord)
+	slices.Sort(g.involved)
+	return g.involved
 }

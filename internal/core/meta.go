@@ -301,12 +301,15 @@ func putJournalPayload(p []byte, sid int, st slotState, l *vm.Layout, withVer bo
 	return p
 }
 
-// globalEndPayload is a global-end record's payload: the u32
+// globalEndPayload encodes a global-end record's payload into buf: the u32
 // participant-shard bitmask. The mask is diagnostic (recovery keys on the TID
 // alone); it keeps torn coordinator records detectable by length as well as
 // checksum: Recover rejects a global-end payload of any length but
 // globalEndPayloadBytes.
-func globalEndPayload(mask uint32) []byte { return binary.LittleEndian.AppendUint32(nil, mask) }
+func globalEndPayload(buf *[globalEndPayloadBytes]byte, mask uint32) []byte {
+	binary.LittleEndian.PutUint32(buf[:], mask)
+	return buf[:]
+}
 
 const globalEndPayloadBytes = 4
 

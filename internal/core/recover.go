@@ -75,6 +75,7 @@ func (s *SSP) Recover() error {
 	var page [memsim.PageBytes]byte
 	var maxVer uint32
 	const perPage = len(page) / slotBytes
+	s.growSlots(s.highestSlotLine(&page) + 1)
 	for first := 0; first < s.cfg.Entries; first += perPage {
 		if !s.env.Mem.Written(s.slotAddr(first)) {
 			continue
@@ -91,7 +92,6 @@ func (s *SSP) Recover() error {
 				return err
 			}
 			s.slotDecodes++
-			s.growSlots(first + i + 1)
 			s.slotShadow[first+i] = st
 			maxVer = max(maxVer, st.ver)
 		}
@@ -171,7 +171,19 @@ func (s *SSP) Recover() error {
 	// rolled back once — regardless of how many shards its records span.
 	s.env.Stats.RecoveredTxns += uint64(len(endTIDs))
 	s.env.Stats.RolledBackTxns += uint64(len(droppedGlobal))
-	for _, r := range wal.Merge(valid) {
+	merged := wal.Merge(valid)
+	// The tables grow once, to the highest slot a record below applies to:
+	// a slot past them is formatted (version 0), so the first record naming
+	// it applies if the journal is unsharded or the record carries a
+	// version.
+	hi := len(s.slotShadow)
+	for _, r := range merged {
+		if sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout); err == nil && sid < s.cfg.Entries && (!s.sharded() || st.ver > 0) {
+			hi = max(hi, sid+1)
+		}
+	}
+	s.growSlots(hi)
+	for _, r := range merged {
 		sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
 		if err != nil {
 			return err
@@ -266,6 +278,25 @@ func (s *SSP) Recover() error {
 	return nil
 }
 
+// highestSlotLine returns the highest slot whose line NVRAM holds, or -1,
+// reading slot pages into page from the top down.
+func (s *SSP) highestSlotLine(page *[memsim.PageBytes]byte) int {
+	const perPage = memsim.PageBytes / slotBytes
+	for first := (s.cfg.Entries - 1) / perPage * perPage; first >= 0; first -= perPage {
+		if !s.env.Mem.Written(s.slotAddr(first)) {
+			continue
+		}
+		n := min(perPage, s.cfg.Entries-first)
+		s.env.Mem.Peek(s.slotAddr(first), page[:n*slotBytes])
+		for i := n - 1; i >= 0; i-- {
+			if [slotBytes]byte(page[i*slotBytes:(i+1)*slotBytes]) != [slotBytes]byte{} {
+				return first + i
+			}
+		}
+	}
+	return -1
+}
+
 // validShardRecords applies one shard's batch-framing semantics: update
 // batches survive only through a durable End record (recUpdateEnd, or a
 // standalone recEnd sealing the open batch), consolidate/release records
@@ -278,25 +309,25 @@ func (s *SSP) Recover() error {
 // each distributed rollback once across all its shards. Shard-local order
 // is preserved in the returned slice.
 func (s *SSP) validShardRecords(recs []wal.Record, endTIDs, droppedGlobal map[uint32]bool) ([]wal.Record, error) {
-	var out []wal.Record
-	var batch []wal.Record
+	out := make([]wal.Record, 0, len(recs))
+	var batch []wal.Record // reused: a sealed batch is copied into out
 	var batchTID uint32
 	seal := func() {
 		out = append(out, batch...)
 		s.env.Stats.RecoveredTxns++
-		batch = nil
+		batch = batch[:0]
 	}
 	for _, r := range recs {
 		switch r.Kind {
 		case recUpdate:
 			if len(batch) > 0 && r.TID != batchTID {
-				batch = nil
+				batch = batch[:0]
 			}
 			batchTID = r.TID
 			batch = append(batch, r)
 		case recUpdateEnd:
 			if len(batch) > 0 && r.TID != batchTID {
-				batch = nil
+				batch = batch[:0]
 			}
 			batchTID = r.TID
 			batch = append(batch, r)

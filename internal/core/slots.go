@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/tlbsim"
@@ -34,13 +35,19 @@ func (s *SSP) shadowOf(sid int) slotState {
 	return s.formatted(sid)
 }
 
-// growSlots extends the slot tables to n slots, each new one formatted.
+// growSlots extends the slot tables to n slots, each new one formatted, in
+// one step per table.
 func (s *SSP) growSlots(n int) {
-	for sid := len(s.slotShadow); sid < n; sid++ {
-		s.slotShadow = append(s.slotShadow, s.formatted(sid))
-		s.slotOwner = append(s.slotOwner, nil)
-		s.slotBarrier = append(s.slotBarrier, journalRef{})
+	from := len(s.slotShadow)
+	if n <= from {
+		return
 	}
+	s.slotShadow = slices.Grow(s.slotShadow, n-from)[:n]
+	for sid := from; sid < n; sid++ {
+		s.slotShadow[sid] = s.formatted(sid)
+	}
+	s.slotOwner = append(s.slotOwner, make([]*pageMeta, n-from)...)
+	s.slotBarrier = append(s.slotBarrier, make([]journalRef, n-from)...)
 }
 
 // resetSlots empties the slot tables and the free-slot stack (power loss,

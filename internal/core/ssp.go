@@ -99,7 +99,8 @@ type SSP struct {
 	inTxn     []bool
 	globalTxn []bool
 	ws        []writeSet  // write-set buffers
-	pubs      [][]slotPub // per-core commit publication buffers (appendBatch)
+	pubs      [][]slotPub // per-core commit publication buffers (appendBatch, globalCommit)
+	global    []globalScratch
 
 	// Software fall-back path (§3.5).
 	fallback []bool
@@ -161,6 +162,7 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	s.globalTxn = make([]bool, cores)
 	s.ws = make([]writeSet, cores)
 	s.pubs = make([][]slotPub, cores)
+	s.global = make([]globalScratch, cores)
 	s.fallback = make([]bool, cores)
 	s.fbTID = make([]uint32, cores)
 	s.fbOld = make([]map[memsim.PAddr][memsim.LineBytes]byte, cores)

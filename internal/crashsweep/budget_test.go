@@ -19,12 +19,14 @@ func scriptWrites(cfg ssp.Config, sc Script) int64 {
 }
 
 // Building the sweep's machine costs what a fresh machine holds, not its
-// capacities: no eagerly formatted SSP slot array, no TLB entry array sized
-// to the STLB's reach. ssp.New(Config(b)) allocates at most 128 KiB on
-// every backend; with both built to capacity SSP's build allocated 301 KiB
-// and the logging designs' 129 KiB.
+// capacities: no eagerly formatted SSP slot array, no TLB entry array or
+// index sized to the STLB's reach, no cache data for the ways of a set that
+// holds one line. ssp.New(Config(b)) allocates at most 80 KiB on every
+// backend (68-73 KiB measured); with a block-major cache data pool and a
+// capacity-sized TLB index it allocated 104-109 KiB, and with the slot
+// array and TLB entries built to capacity SSP's build allocated 301 KiB.
 func TestMachineNewAllocationBudget(t *testing.T) {
-	const budget, builds = 128 << 10, 16
+	const budget, builds = 80 << 10, 16
 	for _, b := range ssp.Backends() {
 		cfg := Config(b)
 		var ms runtime.MemStats
@@ -46,10 +48,11 @@ func TestMachineNewAllocationBudget(t *testing.T) {
 // recovery and verification allocate on the sweep's machine stay within a
 // budget that a capacity-sized structure — a full-history occupancy ring
 // per bank, a page-table-sized read buffer, a per-slot scratch — would
-// break. Machine construction is outside the budget, as it is outside the
-// benchmark's measured window.
+// break, and so would a cache level allocating every way of each set it
+// touches (50-54 KiB per point). Machine construction is outside the
+// budget, as it is outside the benchmark's measured window.
 func TestTrapPointAllocationBudget(t *testing.T) {
-	const budget = 64 << 10
+	const budget = 40 << 10
 	sc := MakeScript(1000003, 12)
 	for _, b := range ssp.Backends() {
 		cfg := Config(b)

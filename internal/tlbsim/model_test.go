@@ -198,9 +198,10 @@ func (t *refTLB) Resident() []VPN {
 // with the same seeded operation sequences, on sizes small enough that
 // promotion, demotion and eviction happen constantly, and requires identical
 // results, counters, eviction-callback sequences and recency order after
-// every operation.
+// every operation. The last two shapes hold more entries than the index
+// starts with room for, so their levels' indexes grow mid-sequence.
 func TestTLBMatchesScanModel(t *testing.T) {
-	for _, shape := range [][2]int{{1, 0}, {4, 0}, {2, 3}, {4, 8}, {8, 5}} {
+	for _, shape := range [][2]int{{1, 0}, {4, 0}, {2, 3}, {4, 8}, {8, 5}, {24, 0}, {8, 40}} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("L1=%d,L2=%d,seed=%d", shape[0], shape[1], seed), func(t *testing.T) {
 				var gotEv, wantEv []VPN
@@ -256,6 +257,13 @@ func TestTLBMatchesScanModel(t *testing.T) {
 					if g, w := got.Resident(), want.Resident(); !slices.Equal(g, w) {
 						t.Fatalf("op %d %s(%d): resident %v; model %v", op, what, vpn, g, w)
 					}
+				}
+				last := got.l1
+				if got.l2 != nil {
+					last = got.l2
+				}
+				if grows := last.cap > minIndexSlots/2; grows != (len(last.index) > minIndexSlots) {
+					t.Fatalf("the last level of %d entries ended with %d index slots; the test wants growth exactly when it outgrows %d", last.cap, len(last.index), minIndexSlots)
 				}
 			})
 		}

@@ -8,6 +8,8 @@
 package tlbsim
 
 import (
+	"math/bits"
+
 	"repro/internal/memsim"
 	"repro/internal/stats"
 )
@@ -30,9 +32,10 @@ const nilNode = int32(-1)
 // (head most recent), and an open-addressing table maps a VPN to its entry
 // (linear probing over a power-of-two table at most half full; a removal
 // shifts its probe chain back, so no tombstones build up). The entry array
-// grows as entries are first inserted, up to the capacity, and keeps its
-// storage across clear, which empties the level at the cost of the entries
-// it holds.
+// grows as entries are first inserted, up to the capacity, and the index
+// doubles as the entries outgrow half of it, up to twice the capacity; both
+// keep their storage across clear, which empties the level at the cost of
+// the entries it holds.
 type lruCache struct {
 	cap        int
 	n          int
@@ -43,17 +46,31 @@ type lruCache struct {
 	shift      uint    // 64 - log2(len(index))
 }
 
+// minIndexSlots is the index size a level starts with.
+const minIndexSlots = 16
+
 func newLRUCache(capacity int) *lruCache {
-	size, shift := 2, uint(63)
-	for size < 2*capacity {
-		size <<= 1
-		shift--
-	}
-	c := &lruCache{cap: capacity, index: make([]int32, size), shift: shift, head: nilNode, tail: nilNode, free: nilNode}
+	c := &lruCache{cap: capacity, shift: 64, head: nilNode, tail: nilNode, free: nilNode}
+	c.resize(minIndexSlots)
+	return c
+}
+
+// resize rebuilds the index with size slots (a power of two), re-placing
+// every held entry.
+func (c *lruCache) resize(size int) {
+	c.index = make([]int32, size)
 	for i := range c.index {
 		c.index[i] = nilNode
 	}
-	return c
+	c.shift = 64 - uint(bits.Len(uint(size-1)))
+	mask := size - 1
+	for e := c.head; e != nilNode; e = c.nodes[e].next {
+		i := c.home(c.nodes[e].vpn)
+		for c.index[i] != nilNode {
+			i = (i + 1) & mask
+		}
+		c.index[i] = e
+	}
 }
 
 // home is vpn's preferred index slot (Fibonacci hashing).
@@ -145,6 +162,9 @@ func (c *lruCache) insert(vpn VPN, ppn memsim.PAddr) (victim node, ok bool) {
 	if c.n == c.cap {
 		victim, ok = c.nodes[c.tail], true
 		c.remove(victim.vpn)
+	}
+	if 2*(c.n+1) > len(c.index) {
+		c.resize(2 * len(c.index))
 	}
 	var e int32
 	if c.free != nilNode {

@@ -69,3 +69,41 @@ func TestMachineAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// A cross-shard commit reuses its core's buffers, as a single-shard one
+// does: on one core with four journal shards, a BeginGlobal section writing
+// four pages whose slots belong to four different shards commits without
+// allocating, and so does a Begin section over the same pages. The machine
+// is warmed up first: the memory's occupancy rings grow with the simulated
+// span until it passes their history bound, and the first checkpoints
+// write slot pages NVRAM never held.
+func TestGlobalCommitAllocatesNothing(t *testing.T) {
+	m := MustNew(Config{Backend: SSP, Cores: 1, JournalShards: 4})
+	m.Heap().EnsureMapped(nil, 1, 4)
+	c := m.Core(0)
+	var n uint64
+	section := func(begin func()) func() {
+		return func() {
+			begin()
+			for p := uint64(1); p <= 4; p++ {
+				c.Store64(HeapBase+p*PageBytes+n%64*LineBytes, n)
+			}
+			c.Commit()
+			n++
+		}
+	}
+	global := section(c.BeginGlobal)
+	for range 2000 {
+		global()
+	}
+	before := m.Stats().GlobalCommits
+	if a := testing.AllocsPerRun(200, global); a != 0 {
+		t.Errorf("BeginGlobal commit: %.2f allocations per commit", a)
+	}
+	if got := m.Stats().GlobalCommits - before; got != 201 {
+		t.Fatalf("%d of 201 BeginGlobal sections committed across shards", got)
+	}
+	if a := testing.AllocsPerRun(200, section(c.Begin)); a != 0 {
+		t.Errorf("Begin commit: %.2f allocations per commit", a)
+	}
+}

@@ -124,9 +124,9 @@ func arrayMachine(b ssp.Backend) (ssp.Config, *ssp.Machine) {
 // image's page bytes, on the Table 2 machine holding a 4 MiB array. Either
 // one copying the pages, as both did, allocates at least the image's page
 // bytes. Restore's own cost is recovery's: the logging designs' allocates a
-// fortieth of the page bytes, SSP's a fifth, as it rebuilds a page's
-// metadata, its slot-table entries and its journal records for each of the
-// ~1 000 slots the array holds.
+// fortieth of the page bytes, SSP's just over an eighth (536 KiB of 4 168),
+// as it rebuilds a page's metadata, its slot-table entries and its journal
+// records for each of the ~1 000 slots the array holds.
 func TestCrashRestoreSharesPages(t *testing.T) {
 	for _, b := range ssp.Backends() {
 		cfg, m := arrayMachine(b)

@@ -113,35 +113,49 @@
 // Building a machine, dropping its volatile state at a power failure and
 // recovering it cost what the run touched; a capacity only bounds.
 //
-// internal/memsim keeps DRAM and NVRAM bytes behind a two-level directory
-// (region.go): one slot per MiB of address space, a slot's chunk of 256 page
-// pointers and per-page wear counters allocated when something in that MiB is
-// first written, and a page's 4 KiB when that page is. A page never written
-// reads as zeros from one shared page that is only ever copied out of. Every
+// internal/memsim keeps DRAM and NVRAM bytes behind a directory (region.go)
+// of 512 KiB slots: a slot's chunk of 128 page pointers, per-page shared
+// marks and per-page wear counters is allocated when something in those
+// 512 KiB is first written, a page's table of eight 512-byte block pointers
+// (one host cache line) when that page is, and a block's bytes when that
+// block is. Pages stay the unit of addresses and wear; the block is the unit
+// of allocation and of copy-on-write sharing. A block never written reads
+// as zeros from one shared block that is only ever copied out of. Every
 // access is range-checked against DRAM and NVRAM first, so an address past
-// capacity panics instead of reading zeros.
+// capacity panics instead of reading zeros. A crash-sweep run writes a few
+// lines each in about ten NVRAM pages, so it allocates a dozen or so blocks
+// where it allocated ten whole pages
+// (memsim.TestSparseMemoryAllocatesPerWrittenBlock holds a Memory writing
+// one line per page to 1 KiB per page, 637 B measured). A channel's DRAM
+// and NVRAM banks are allocated at its first access to each, so a run that
+// never touches DRAM, as the sweep's does not, never pays for its banks.
 //
 // A power failure's image is as sparse as the memory it came from, and it
-// holds the pages by reference. NVRAM pages are shared copy-on-write: each
-// chunk keeps one bit per page that marks it shared, and the first write
-// through a Memory to a shared page copies it into a fresh 4 KiB buffer and
-// clears the bit — the only page copy a power cycle leaves. NVRAMImage
-// (behind Machine.Crash) walks the directory and hands its page pointers, in
-// page order, to one immutable memsim.Image (ssp.Image) with the capacity it
-// was taken from, marking them shared; NewFromImage (behind ssp.Restore)
-// checks the capacity against the Config and installs the image's pointers
-// marked shared, with no scan of the rest. This is the paper's own move
-// turned on the simulator: remap instead of copy. Restore then checks the
-// superblock: vm.Format records the backend and every layout field that
-// places a region (Cores, MaxHeapPages, SSPSlots, JournalBytes,
-// JournalShards, LogBytes) beside the magic, and an image formatted under
-// another layout is refused with an error naming the first field that
-// differs, before recovery parses it.
+// holds the pages by reference. NVRAM is shared copy-on-write at two
+// levels: each chunk keeps, per page, one bit that marks the page's block
+// table shared and one bit per block that marks the block shared, so a
+// table holds block pointers only. The first write through a Memory to a
+// page whose table is shared copies the table (its block pointers, each
+// then marked shared), and the first write to a shared block copies that
+// block alone and clears its bit — the only copies a power cycle leaves.
+// NVRAMImage (behind Machine.Crash) walks the directory and hands its page
+// tables, in page order, to one immutable memsim.Image (ssp.Image) with the
+// capacity it was taken from, marking them shared; NewFromImage (behind
+// ssp.Restore) checks the capacity against the Config and installs the
+// image's tables marked shared, with no scan of the rest. This is the
+// paper's own move turned on the simulator: remap instead of copy, and copy
+// sub-page blocks where a copy is due. Restore then checks the superblock:
+// vm.Format records the backend and every layout field that places a region
+// (Cores, MaxHeapPages, SSPSlots, JournalBytes, JournalShards, LogBytes)
+// beside the magic, and an image formatted under another layout is refused
+// with an error naming the first field that differs, before recovery parses
+// it.
 // Crash costs a pointer per page the run wrote, and Restore that plus
 // recovery: Crash + Restore of the Table 2 machine (192 MB of NVRAM) holding
-// a 2 000-key B-tree allocate 0.12 MiB, and holding a 4 MiB array 0.54 MiB,
+// a 2 000-key B-tree allocate 0.12 MiB, and holding a 4 MiB array 0.46 MiB,
 // nearly all of it SSP recovery's per-slot state (its slot tables grow once,
-// to the highest slot NVRAM or a surviving record names). No write through one
+// to the highest slot NVRAM or a surviving record names; wal.Scan copies a
+// ring's payloads into one buffer). No write through one
 // Memory is ever visible in the image or in another Memory, so the crashed
 // one may still Recover in place and one image may be restored any number of
 // times, from any goroutine. Image.Bytes and memsim.ImageFromBytes convert
@@ -174,13 +188,19 @@
 // none is a miss, and DropAll unmaps the blocks it handed out and keeps
 // their storage for the refill (the layout is in the next section but one).
 // A block's line data follows the ways filled, not the ways it has: data is
-// laid out way-major, one 2 KiB chunk per way of 32 consecutive blocks, and
-// a set fills its lowest free way first, so a level whose sets hold one
+// laid out way-major, one 512-byte chunk per way of 8 consecutive blocks,
+// and a set fills its lowest free way first, so a level whose sets hold one
 // line each — a crash-sweep run fills about 33 sets per level, one line in
 // each — allocates 64 B of data per line where a block-major pool allocated
-// every way's (1 KiB per set on the 16-way L3). Tags stay block-major, in
-// fixed 2 KiB chunks, so a level's tags never move or copy as it grows. cachesim.TestSparseLevelAllocatesPerFilledLine
-// holds K lines in K distinct L3 sets to 320 B per line (274 measured, the
+// every way's (1 KiB per set on the 16-way L3). Tags stay block-major, 32
+// bits each (physical addresses below 256 GiB), in fixed 256-byte chunks,
+// so a level's tags never move or copy as it grows; the chunk sizes are the
+// ones at which a trap point allocates least. A level's way predictor starts
+// at 32 entries and doubles as the lines it holds outgrow it, up to 1 024,
+// re-placing each held line's prediction from its tag, and a set's record
+// is 16 bytes (no set number: DropAll clears the directory chunks whole).
+// cachesim.TestSparseLevelAllocatesPerFilledLine holds K lines in K distinct
+// L3 sets to 256 B per line (207 measured, 274 with 64-bit tags and the
 // pool's 1.6 KiB before), and cachesim.TestLevelDataMatchesScanModel holds
 // every valid line's data to the block-major pool's. Each TLB level's
 // open-addressing index likewise starts at 16 slots and doubles as its
@@ -197,7 +217,8 @@
 // The same rule holds for what build and Recover walk above the hardware:
 // vm.FrameAlloc is a bump cursor over never-allocated frames between a hot
 // LIFO stack and a cold FIFO queue (the allocation sequence of the full
-// free list it replaced, vm.TestFrameAllocMatchesListModel), the page-table
+// free list it replaced, vm.TestFrameAllocMatchesListModel), with one in-use
+// bit per frame up to the highest one taken, the page-table
 // mirror reaches as far as the highest mapped page and is rebuilt through a
 // 4 KiB window of the PTE array, wal.Scan reads a ring through a 4 KiB
 // window and stops where parsing stops, and the wear statistics visit
@@ -312,12 +333,12 @@
 // all: the copy's core is then the owner and the only sharer.
 //
 // The layouts. A cache level is a structure of arrays: per set a block of
-// way tags (one host line for an 8-way set), one small record — the ways'
-// recency order as a nibble permutation in one word (at most 16 ways), and
-// valid, dirty and speculative (tx) way masks — and data apart, way-major
-// in fixed chunks that never move, one per way of 32 consecutive blocks;
-// only the set directory and the chunk tables hold Go pointers. A line's
-// data is one dependent load (its chunk's slice header) plus index
+// 32-bit way tags (one host line for a 16-way set), one small record — the
+// ways' recency order as a nibble permutation in one word (at most 16
+// ways), and valid, dirty and speculative (tx) way masks — and data apart,
+// way-major in fixed chunks that never move, one per way of 8 consecutive
+// blocks; only the set directory and the chunk tables hold Go pointers. A
+// line's data is one dependent load (its chunk's pointer) plus index
 // arithmetic away. Power-of-two levels index by mask, the
 // 12288-set L3 by modulo. A small way predictor keyed by low line-address
 // bits is checked before the set is scanned. Victim choice (first invalid

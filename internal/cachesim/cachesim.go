@@ -36,6 +36,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/engine"
@@ -77,7 +78,7 @@ func DefaultConfig(cores int) Config {
 
 // level is one cache array, laid out as a structure of arrays. A set's ways
 // live in one block: the block's tags are contiguous (one host cache line
-// for an 8-way set), its data sits apart, and everything else about the set
+// for a 16-way set), its data sits apart, and everything else about the set
 // is one small record — its recency order, and its valid, dirty and
 // speculative (tx) ways as one bit mask each. A line is named by its index,
 // block<<wbits | way; the way stride is ways rounded up to a power of two.
@@ -89,10 +90,19 @@ func DefaultConfig(cores int) Config {
 // the first invalid way, else the least recent way without the tx flag,
 // else the least recent way. At most 16 ways fit.
 //
-// A way predictor of at most predMax entries, indexed by the low bits of the
-// line address, remembers where each recently found line sat; a lookup checks
-// the predicted line's tag before it scans the set. A wrong or stale
-// prediction costs one compare and is never trusted without it.
+// A tag is its line's address + 1 in 32 bits, 0 while the line is invalid,
+// so a level caches the lines of physical addresses below 256 GiB: fill
+// panics on a line beyond, and a probe for one compares in 64 bits and finds
+// nothing.
+//
+// A way predictor, indexed by the low bits of the line address, remembers
+// where each recently found line sat; a lookup checks the predicted line's
+// tag before it scans the set. A wrong or stale prediction costs one compare
+// and is never trusted without it. The predictor starts at predMin entries
+// and doubles whenever the lines the level holds outgrow it, up to predMax;
+// a doubling re-places every held line's prediction from its tag, so a line
+// predicted before it is predicted after it (unless it now shares an entry
+// with another held line, as in a predictor built at the grown size).
 //
 // Blocks materialise on touch: a set gets a block at its first fill, so
 // building a level costs its directory — one slot per setChunk consecutive
@@ -110,11 +120,12 @@ func DefaultConfig(cores int) Config {
 //     sweep's hold one line in each of a few dozen sets — allocates the
 //     way-0 chunks of the groups it touched, 64 B per line filled; a full
 //     level allocates what a block-major pool would. line is one dependent
-//     load (the chunk's slice header) plus index arithmetic and its bounds
-//     check, as tagRef is for the tags.
+//     load (the chunk's pointer) plus index arithmetic and the table's
+//     bounds check, as tagRef is for the tags.
 //
-// The block records grow by append. Only the directory and the chunk tables
-// hold Go pointers. Anything that visits every line (FlushAll,
+// The block records and the chunk tables grow by append, from room for
+// blksMin blocks reserved at the level's first fill. Only the directory and
+// the chunk tables hold Go pointers. Anything that visits every line (FlushAll,
 // DebugValidate) walks sets in index order — FlushAll issues timed
 // write-backs, so the order lines are visited in is part of the simulated
 // result.
@@ -126,11 +137,12 @@ type level struct {
 	lruShift   uint   // 4 × (ways-1): where the least recent way sits in an order
 	allWays    uint16 // a way mask with every way set
 
-	pred []int32                    // way predictor: a line index per low line-address bits
-	dir  []*[setChunk]int32         // per set: 1 + its block, 0 while never filled; nil chunk: none filled
-	blks []block                    // per block: its set, recency order and way masks
-	tags [][]uint64                 // per tagChunk lines: line address + 1 per line, 0 when invalid
-	data [][][memsim.LineBytes]byte // per (group of dataGroup blocks, way): that way's line of each block; nil until one is filled
+	pred []int32                              // way predictor: a line index per low line-address bits
+	held int                                  // valid lines
+	dir  []*[setChunk]int32                   // per set: 1 + its block, 0 while never filled; nil chunk: none filled
+	blks []block                              // per block: its recency order and way masks
+	tags []*[tagChunk]uint32                  // per tagChunk lines: line address + 1 per line, 0 when invalid
+	data []*[dataGroup][memsim.LineBytes]byte // per (group of dataGroup blocks, way): that way's line of each block; nil until one is filled
 
 	// scans counts the probes that searched a set's ways because the way
 	// predictor missed. Only tests read it.
@@ -141,7 +153,6 @@ type level struct {
 type block struct {
 	order            uint64 // recency: nibble k holds the way used k-th most recently
 	valid, dirty, tx uint16 // bit w is way w's flag
-	set              int32  // the set this block holds
 }
 
 // identityOrder is a fresh block's recency order. Nibbles past the level's
@@ -158,19 +169,31 @@ const (
 	setChunk      = 1 << setChunkShift
 )
 
-// tagChunk is how many lines' tags one tag chunk holds (2 KiB): a whole
+// tagChunk is how many lines' tags one tag chunk holds (256 B): a whole
 // number of blocks at any way stride, so a set's tags never straddle two
 // chunks. dataGroup is how many consecutive blocks one data chunk holds a
-// way of (2 KiB).
+// way of (512 B). Both are the sizes at which a crash-sweep trap point
+// allocates least (BenchmarkTrapPoint's B/point).
 const (
-	tagChunkShift  = 8
+	tagChunkShift  = 6
 	tagChunk       = 1 << tagChunkShift
-	dataGroupShift = 5
+	dataGroupShift = 3
 	dataGroup      = 1 << dataGroupShift
 )
 
-// predMax bounds the way predictor: one entry per line up to that many.
-const predMax = 1024
+// The way predictor holds one entry per line the level holds, rounded up to
+// a power of two, between predMin and predMax entries (or the level's lines,
+// if fewer).
+const (
+	predMin = 32
+	predMax = 1024
+)
+
+// blksMin is how many blocks a level's first fill reserves room for, in
+// the block records and both chunk tables: a machine that runs anything
+// fills that many sets of each level within its first transactions, so the
+// doublings below it would only be churn.
+const blksMin = 32
 
 func newLevel(bytes, ways int) *level {
 	nLines := bytes / memsim.LineBytes
@@ -190,7 +213,7 @@ func newLevel(bytes, ways int) *level {
 		wmask:    1<<wbits - 1,
 		lruShift: 4 * uint(ways-1),
 		allWays:  uint16(1<<ways - 1),
-		pred:     make([]int32, min(predMax, 1<<bits.Len(uint(nLines-1)))),
+		pred:     make([]int32, min(predMin, 1<<bits.Len(uint(nLines-1)))),
 		dir:      make([]*[setChunk]int32, (sets+setChunk-1)/setChunk),
 	}
 }
@@ -215,7 +238,7 @@ func (l *level) index(lineAddr uint64) int {
 func (l *level) peek(lineAddr uint64) int {
 	key := lineAddr + 1
 	p := &l.pred[lineAddr&uint64(len(l.pred)-1)]
-	if i := int(*p); i>>tagChunkShift < len(l.tags) && *l.tagRef(i) == key {
+	if i := int(*p); i>>tagChunkShift < len(l.tags) && uint64(*l.tagRef(i)) == key {
 		return i
 	}
 	b := l.block(l.index(lineAddr))
@@ -225,7 +248,7 @@ func (l *level) peek(lineAddr uint64) int {
 	l.scans++
 	base := b << l.wbits
 	for w, t := range l.blockTags(base) {
-		if t == key {
+		if uint64(t) == key {
 			*p = int32(base + w)
 			return base + w
 		}
@@ -245,7 +268,7 @@ func (l *level) lookup(lineAddr uint64) int {
 // holds reports whether line i, a probe's earlier answer (-1: absent), still
 // holds lineAddr.
 func (l *level) holds(i int, lineAddr uint64) bool {
-	return i >= 0 && *l.tagRef(i) == lineAddr+1
+	return i >= 0 && uint64(*l.tagRef(i)) == lineAddr+1
 }
 
 // way returns line i's block and its way's bit.
@@ -294,7 +317,7 @@ func (l *level) victim(lineAddr uint64) int {
 	if free := l.allWays &^ blk.valid; free != 0 {
 		w := bits.TrailingZeros16(free)
 		if c := b>>dataGroupShift<<l.wbits | w; l.data[c] == nil {
-			l.data[c] = make([][memsim.LineBytes]byte, dataGroup)
+			l.data[c] = new([dataGroup][memsim.LineBytes]byte)
 		}
 		return base + w
 	}
@@ -313,12 +336,17 @@ func (l *level) victim(lineAddr uint64) int {
 // it; the data chunks come with the ways victim hands out.
 func (l *level) materialise(set int) int {
 	b := len(l.blks)
-	l.blks = append(l.blks, block{order: identityOrder, set: int32(set)})
+	if l.blks == nil {
+		l.blks = make([]block, 0, blksMin)
+		l.tags = make([]*[tagChunk]uint32, 0, blksMin<<l.wbits>>tagChunkShift)
+		l.data = make([]*[dataGroup][memsim.LineBytes]byte, 0, blksMin>>dataGroupShift<<l.wbits)
+	}
+	l.blks = append(l.blks, block{order: identityOrder})
 	if b<<l.wbits>>tagChunkShift == len(l.tags) {
-		l.tags = append(l.tags, make([]uint64, tagChunk))
+		l.tags = append(l.tags, new([tagChunk]uint32))
 	}
 	if g := b >> dataGroupShift << l.wbits; g == len(l.data) {
-		l.data = append(l.data, make([][][memsim.LineBytes]byte, 1<<l.wbits)...)
+		l.data = append(l.data, make([]*[dataGroup][memsim.LineBytes]byte, 1<<l.wbits)...)
 	}
 	c := l.dir[set>>setChunkShift]
 	if c == nil {
@@ -331,15 +359,34 @@ func (l *level) materialise(set int) int {
 
 // fill installs lineAddr into line i (a victim) as its set's most recent use.
 func (l *level) fill(i int, lineAddr uint64, data *[memsim.LineBytes]byte, dirty, tx bool) {
-	l.pred[lineAddr&uint64(len(l.pred)-1)] = int32(i)
-	*l.tagRef(i) = lineAddr + 1
+	if lineAddr >= math.MaxUint32 {
+		panic(fmt.Sprintf("cachesim: line address %#x is beyond the 32-bit tags", lineAddr))
+	}
+	*l.tagRef(i) = uint32(lineAddr + 1)
 	if d := l.line(i); d != data {
 		*d = *data
 	}
 	b, m := l.way(i)
-	b.valid |= m
+	if b.valid&m == 0 {
+		b.valid |= m
+		if l.held++; l.held > len(l.pred) && len(l.pred) < predMax {
+			l.growPred()
+		}
+	}
+	l.pred[lineAddr&uint64(len(l.pred)-1)] = int32(i)
 	b.setFlags(m, dirty, tx)
 	l.touch(i)
+}
+
+// growPred doubles the way predictor and points each held line's entry at
+// it, sets in index order.
+func (l *level) growPred() {
+	l.pred = make([]int32, 2*len(l.pred))
+	mask := uint64(len(l.pred) - 1)
+	l.eachValid(func(c int) bool {
+		l.pred[l.tag(c)&mask] = int32(c)
+		return true
+	})
 }
 
 // line returns line i's data: the chunk of way i&wmask of its block's group,
@@ -352,23 +399,26 @@ func (l *level) line(i int) *[memsim.LineBytes]byte {
 }
 
 // tagRef returns where line i's tag, its line address + 1, is kept.
-func (l *level) tagRef(i int) *uint64 {
+func (l *level) tagRef(i int) *uint32 {
 	return &l.tags[i>>tagChunkShift][i&(tagChunk-1)]
 }
 
 // blockTags returns the tags of the block whose first line is base.
-func (l *level) blockTags(base int) []uint64 {
+func (l *level) blockTags(base int) []uint32 {
 	return l.tags[base>>tagChunkShift][base&(tagChunk-1):][:l.ways]
 }
 
 func (l *level) valid(i int) bool { return *l.tagRef(i) != 0 }
 
-func (l *level) tag(i int) uint64 { return *l.tagRef(i) - 1 }
+func (l *level) tag(i int) uint64 { return uint64(*l.tagRef(i)) - 1 }
 
 func (l *level) invalidate(i int) {
 	*l.tagRef(i) = 0
 	b, m := l.way(i)
-	b.valid &^= m
+	if b.valid&m != 0 {
+		b.valid &^= m
+		l.held--
+	}
 }
 
 func (l *level) isDirty(i int) bool {
@@ -417,16 +467,21 @@ func (l *level) merge(i int, data *[memsim.LineBytes]byte, dirty, tx bool) {
 	l.setFlags(i, dirty || l.isDirty(i), tx || l.isTx(i))
 }
 
-// reset empties the level in time proportional to what was filled: it
-// clears the directory slots and tags of the blocks it held. The chunks
-// stay, so refilling allocates nothing until it exceeds what was filled
-// before; a stale prediction meets a zero tag.
+// reset empties the level in time proportional to what it ever filled: it
+// clears the directory and tag chunks it materialised. The chunks stay, so
+// refilling allocates nothing until it exceeds what was filled before; a
+// stale prediction meets a zero tag.
 func (l *level) reset() {
-	for b, blk := range l.blks {
-		l.dir[blk.set>>setChunkShift][blk.set&(setChunk-1)] = 0
-		clear(l.blockTags(b << l.wbits))
+	for _, c := range l.dir {
+		if c != nil {
+			clear(c[:])
+		}
+	}
+	for _, t := range l.tags {
+		clear(t[:])
 	}
 	l.blks = l.blks[:0]
+	l.held = 0
 }
 
 // eachValid calls fn on the level's valid lines, sets in index order and

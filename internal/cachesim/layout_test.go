@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -111,12 +112,13 @@ func TestLevelDataMatchesScanModel(t *testing.T) {
 
 // A sparse level allocates per line it holds, not per way of every set it
 // touched: K lines filled into K distinct sets of the Table 2 hierarchy's
-// L3 (16 ways) allocate at most 320 B per line — 64 B of data, 128 B of
-// tags (a set's ways share one block of them) and the block's record; 274 B
-// measured. The block-major pool allocated 1.6 KiB per line here, all 16
-// ways' data of every set.
+// L3 (16 ways) allocate at most 256 B per line — 64 B of data, 64 B of
+// 32-bit tags (a set's ways share one block of them), the block's record
+// and the set's directory chunk; 207 B measured (274 B with 64-bit tags).
+// The block-major pool allocated 1.6 KiB per line here, all 16 ways' data
+// of every set.
 func TestSparseLevelAllocatesPerFilledLine(t *testing.T) {
-	const lines, budget = 256, 320
+	const lines, budget = 256, 256
 	h, base := benchHierarchy()
 	l3, first := h.l3, uint64(base>>memsim.LineShift)
 	var d [memsim.LineBytes]byte
@@ -133,5 +135,34 @@ func TestSparseLevelAllocatesPerFilledLine(t *testing.T) {
 	}
 	if per > budget {
 		t.Errorf("%d lines in distinct L3 sets allocated %d B per line, budget %d", lines, per, budget)
+	}
+}
+
+// A level's way predictor is as long as the lines it holds, rounded up to a
+// power of two between predMin and predMax, and a doubling keeps every held
+// line predicted: after each fill of 1 500 consecutive lines (distinct sets,
+// distinct low address bits) into the Table 2 L3, a probe of each of the
+// last predMax lines filled finds it without a scan.
+func TestWayPredictorGrowsWithHeldLines(t *testing.T) {
+	l := newLevel(12<<20, 16)
+	var d [memsim.LineBytes]byte
+	for k := uint64(0); k < 1500; k++ {
+		l.fill(l.victim(k), k, &d, false, false)
+		want := min(predMax, max(predMin, 1<<bits.Len(uint(l.held-1))))
+		if len(l.pred) != want {
+			t.Fatalf("%d lines held: a predictor of %d entries, want %d", l.held, len(l.pred), want)
+		}
+		if k&(k+1) != 0 && k != 1499 { // probe at each power of two and at the end
+			continue
+		}
+		scans := l.scans
+		for j := k + 1 - min(k+1, predMax); j <= k; j++ {
+			if l.peek(j) < 0 {
+				t.Fatalf("line %d not found after %d fills", j, k+1)
+			}
+		}
+		if l.scans != scans {
+			t.Fatalf("after %d fills, probing the last %d lines scanned %d sets", k+1, min(k+1, predMax), l.scans-scans)
+		}
 	}
 }

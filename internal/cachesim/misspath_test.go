@@ -42,7 +42,7 @@ func TestMissPathScanCounts(t *testing.T) {
 			return false
 		}
 		for w := range l.ways {
-			if *l.tagRef(b<<l.wbits + w) == la(pa)+1 {
+			if uint64(*l.tagRef(b<<l.wbits + w)) == la(pa)+1 {
 				return true
 			}
 		}

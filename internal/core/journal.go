@@ -348,7 +348,7 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 		return
 	}
 	t := at
-	sids := make([]int, 0, len(dirty)+len(pending))
+	sids := s.ckptSids[:0]
 	for sid := range dirty {
 		sids = append(sids, sid)
 	}
@@ -363,6 +363,7 @@ func (s *SSP) checkpointShard(si int, at engine.Cycles) {
 		slotLine.put(line[:], s.slotShadow[sid], &s.env.Layout)
 		t = s.env.Mem.WriteLine(s.slotAddr(sid), line[:], t, stats.CatCheckpoint)
 	}
+	s.ckptSids = sids
 	s.journals[si].Reset()
 	clear(dirty)
 	clear(pending)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/memsim"
 	"repro/internal/txn"
 )
 
@@ -193,5 +196,47 @@ func TestBarrierFlushChargesMax(t *testing.T) {
 	}
 	if done > soloA+soloA/2 {
 		t.Errorf("two-shard barrier charged %d cycles, more than 1.5x a single flush (%d): looks like a sum, not a max", done, soloA)
+	}
+}
+
+// A checkpoint on a warmed machine allocates nothing: it sorts the slot ids
+// it persists in per-SSP scratch, and the slot lines it writes land in
+// blocks NVRAM already holds. The memory's occupancy rings grow with the
+// simulated span until it passes their history bound (about 2M cycles), so
+// the machine is warmed for 8M cycles of checkpoints first.
+func TestCheckpointAllocatesNothing(t *testing.T) {
+	const pages = 8
+	env, s := shardEnv(t, 1, 1)
+	for vpn := range pages {
+		mapPage(env, vpn)
+	}
+	var now engine.Cycles
+	round := 0
+	// checkpoint dirties a slot per page and returns the allocations of the
+	// checkpoint that persists them.
+	checkpoint := func() uint64 {
+		for vpn := range pages {
+			now = s.Begin(0, now)
+			now = s.Store(0, va(vpn, round%memsim.LinesPerPage), []byte{byte(round)}, now)
+			now = s.Commit(0, now)
+		}
+		round++
+		if n := len(s.dirtySlots[0]); n != pages {
+			t.Fatalf("round %d: %d dirty slots before the checkpoint, want %d", round, n, pages)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.checkpointShard(0, now)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for now < 8<<20 {
+		checkpoint()
+	}
+	t.Logf("warmed for %d rounds", round)
+	for i := range 50 {
+		if n := checkpoint(); n != 0 {
+			t.Fatalf("checkpoint %d after the warm-up allocated %d times", i, n)
+		}
 	}
 }

@@ -33,7 +33,7 @@ type metaTable struct {
 }
 
 const (
-	metaChunkBits  = 8
+	metaChunkBits  = 6
 	metaChunkPages = 1 << metaChunkBits
 )
 
@@ -101,6 +101,7 @@ type SSP struct {
 	ws        []writeSet  // write-set buffers
 	pubs      [][]slotPub // per-core commit publication buffers (appendBatch, globalCommit)
 	global    []globalScratch
+	ckptSids  []int // checkpointShard's sorted slot ids, reused across checkpoints
 
 	// Software fall-back path (§3.5).
 	fallback []bool

@@ -14,10 +14,13 @@ import (
 // run to the power failure (run_ns), recover in place (recover_ns), map the
 // script's pages again and check (verify_ns) — and the heap bytes a point
 // allocates, construction included (B/point). Each iteration sweeps every
-// point once. A point allocates 98-108 KB (157-166 KB while each cache
-// level allocated every way of a set at its first fill); a CPU or memory
-// profile of this benchmark is where a trap point's host cost is split
-// further.
+// point once. A point allocates 49-54 KB: about 32 KB to build, 15-19 KB to
+// run and under 3 KB to recover and verify. It allocated 98-108 KB (69-74
+// KB to build) while NVRAM was backed by whole 4 KiB pages, way predictors
+// were built full size and cache tags were 64 bits wide, and 157-166 KB
+// while each cache level allocated every way of a set at its first fill. A
+// CPU or memory profile of this benchmark is where a trap point's host cost
+// is split further.
 //
 //	go test -run '^$' -bench TrapPoint -benchtime 20x ./internal/crashsweep
 func BenchmarkTrapPoint(b *testing.B) {

@@ -21,12 +21,15 @@ func scriptWrites(cfg ssp.Config, sc Script) int64 {
 // Building the sweep's machine costs what a fresh machine holds, not its
 // capacities: no eagerly formatted SSP slot array, no TLB entry array or
 // index sized to the STLB's reach, no cache data for the ways of a set that
-// holds one line. ssp.New(Config(b)) allocates at most 80 KiB on every
-// backend (68-73 KiB measured); with a block-major cache data pool and a
-// capacity-sized TLB index it allocated 104-109 KiB, and with the slot
-// array and TLB entries built to capacity SSP's build allocated 301 KiB.
+// holds one line, no way predictor sized to a level's capacity, no whole
+// NVRAM page for a few lines written to it, no banks of a memory it never
+// accessed. ssp.New(Config(b)) allocates at most 38 KiB on every backend
+// (30.9-31.5 KiB measured); with 4 KiB pages, full-size predictors and
+// 64-bit tags it allocated 68-73 KiB, with a block-major cache data pool
+// and a capacity-sized TLB index 104-109 KiB, and with the slot array and
+// TLB entries built to capacity SSP's build allocated 301 KiB.
 func TestMachineNewAllocationBudget(t *testing.T) {
-	const budget, builds = 80 << 10, 16
+	const budget, builds = 38 << 10, 16
 	for _, b := range ssp.Backends() {
 		cfg := Config(b)
 		var ms runtime.MemStats
@@ -45,14 +48,16 @@ func TestMachineNewAllocationBudget(t *testing.T) {
 }
 
 // A trap point pays for what its script touched: the heap bytes its run,
-// recovery and verification allocate on the sweep's machine stay within a
-// budget that a capacity-sized structure — a full-history occupancy ring
-// per bank, a page-table-sized read buffer, a per-slot scratch — would
-// break, and so would a cache level allocating every way of each set it
-// touches (50-54 KiB per point). Machine construction is outside the
-// budget, as it is outside the benchmark's measured window.
+// recovery and verification allocate on the sweep's machine stay within 24
+// KiB (16.3-21.2 KiB measured; 27.6-32.3 KiB with NVRAM backed by whole
+// 4 KiB pages and 64-bit cache tags). A capacity-sized structure — a
+// full-history occupancy ring per bank, a page-table-sized read buffer, a
+// per-slot scratch — would break that budget, and so would a cache level
+// allocating every way of each set it touches (50-54 KiB per point).
+// Machine construction is outside the budget, as it is outside the
+// benchmark's measured window.
 func TestTrapPointAllocationBudget(t *testing.T) {
-	const budget = 40 << 10
+	const budget = 24 << 10
 	sc := MakeScript(1000003, 12)
 	for _, b := range ssp.Backends() {
 		cfg := Config(b)

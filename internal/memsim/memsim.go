@@ -360,12 +360,12 @@ func (w *wheel) reserveCapacity(at, dur engine.Cycles) engine.Cycles {
 
 type bank struct {
 	tl      wheel
-	openRow uint64
-	hasOpen bool
+	openRow uint64 // the open row + 1; 0 while no row is open
 }
 
 // channel is one independent memory channel: its own banks, its own bus
-// occupancy ledger and its own counter shard.
+// occupancy ledger and its own counter shard. Its DRAM and its NVRAM banks
+// are allocated at its first access to that kind of memory.
 type channel struct {
 	dramBanks []bank
 	nvBanks   []bank
@@ -386,8 +386,9 @@ type Memory struct {
 	dram  region
 	nvram region
 
-	chans     []channel
-	busCycles engine.Cycles
+	chans          []channel
+	dramPer, nvPer int // banks per channel
+	busCycles      engine.Cycles
 
 	powerOff   bool
 	trapAfter  int64 // remaining NVRAM writes before power-off; <0 disabled
@@ -421,12 +422,12 @@ func New(cfg Config, st *stats.Stats) *Memory {
 		dram:      newRegion(0, cfg.DRAMBytes),
 		nvram:     newRegion(cfg.NVRAMBase, cfg.NVRAMBytes),
 		chans:     make([]channel, nCh),
+		dramPer:   dramPer,
+		nvPer:     nvPer,
 		busCycles: engine.NSToCycles(cfg.BusNS, cfg.FreqGHz),
 		trapAfter: -1,
 	}
 	for i := range m.chans {
-		m.chans[i].dramBanks = make([]bank, dramPer)
-		m.chans[i].nvBanks = make([]bank, nvPer)
 		m.chans[i].st = st
 	}
 	return m
@@ -492,19 +493,16 @@ func (m *Memory) ChannelOf(pa PAddr) int {
 	return ch
 }
 
-// copyIn copies data into the byte image, chunking at page boundaries.
+// copyIn copies data into the byte image, chunking at block boundaries.
 func (m *Memory) copyIn(pa PAddr, data []byte) {
 	for len(data) > 0 {
-		n := PageBytes - int(pa&(PageBytes-1))
-		if n > len(data) {
-			n = len(data)
-		}
+		n := min(blockBytes-int(pa&(blockBytes-1)), len(data))
 		r, off := m.locate(pa, n)
-		pg := r.owned(off)
-		if pg == nil {
-			pg = r.own(off)
+		b := r.owned(off)
+		if b == nil {
+			b = r.own(off)
 		}
-		copy(pg[off&(PageBytes-1):], data[:n])
+		copy(b[off&(blockBytes-1):], data[:n])
 		pa += PAddr(n)
 		data = data[n:]
 	}
@@ -513,12 +511,9 @@ func (m *Memory) copyIn(pa PAddr, data []byte) {
 // copyOut copies bytes out of the image.
 func (m *Memory) copyOut(pa PAddr, buf []byte) {
 	for len(buf) > 0 {
-		n := PageBytes - int(pa&(PageBytes-1))
-		if n > len(buf) {
-			n = len(buf)
-		}
+		n := min(blockBytes-int(pa&(blockBytes-1)), len(buf))
 		r, off := m.locate(pa, n)
-		copy(buf[:n], r.readable(off)[off&(PageBytes-1):])
+		copy(buf[:n], r.readable(off)[off&(blockBytes-1):])
 		pa += PAddr(n)
 		buf = buf[n:]
 	}
@@ -537,6 +532,9 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 	var rowBytes int
 	var lat float64
 	if nv {
+		if c.nvBanks == nil {
+			c.nvBanks = make([]bank, m.nvPer)
+		}
 		banks = c.nvBanks
 		rowBytes = m.cfg.NVRAMRow
 		if write {
@@ -549,6 +547,9 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 			c.st.NVRAMReadLines++
 		}
 	} else {
+		if c.dramBanks == nil {
+			c.dramBanks = make([]bank, m.dramPer)
+		}
 		banks = c.dramBanks
 		rowBytes = m.cfg.DRAMRow
 		if write {
@@ -572,13 +573,12 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 	b := &banks[(rowGlobal%nb+swizzle(row))%nb]
 
 	latency := engine.NSToCycles(lat, m.cfg.FreqGHz)
-	if b.hasOpen && b.openRow == row {
+	if b.openRow == row+1 {
 		c.st.RowHits++
 		latency = engine.Cycles(float64(latency) * m.cfg.RowHitFrac)
 	} else {
 		c.st.RowMisses++
-		b.openRow = row
-		b.hasOpen = true
+		b.openRow = row + 1
 	}
 
 	if nv && write {
@@ -667,7 +667,7 @@ func (m *Memory) Peek(pa PAddr, buf []byte) {
 // whose all-zero contents have a meaning of their own (SSP's slot array).
 func (m *Memory) Written(pa PAddr) bool {
 	r, off := m.locate(pa, 1)
-	return r.readable(off) != &zeroPage
+	return r.pageAt(off) != nil
 }
 
 // Poke sets durable bytes without timing; used only for initialisation
@@ -781,7 +781,7 @@ func (m *Memory) ResetTiming() {
 			for j := range banks {
 				b := &banks[j]
 				b.tl.reset()
-				b.openRow, b.hasOpen = 0, false
+				b.openRow = 0
 			}
 		}
 		c.bus.reset()

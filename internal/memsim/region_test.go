@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -177,8 +178,8 @@ func TestSparseBackingMatchesFlatModel(t *testing.T) {
 			t.Fatalf("seed %d: final NVRAMImage differs from the flat model", seed)
 		}
 	}
-	if zeroPage != [PageBytes]byte{} {
-		t.Fatal("the shared zero page was written to")
+	if zeroBlock != [blockBytes]byte{} {
+		t.Fatal("the shared zero block was written to")
 	}
 }
 
@@ -201,9 +202,40 @@ func TestImageFromBytesSkipsZeroPages(t *testing.T) {
 		t.Fatal("image did not survive NewFromImage")
 	}
 	pages := 0
-	mem.nvram.eachPage(func(uint64, *[PageBytes]byte) { pages++ })
+	mem.nvram.eachPage(func(uint64, *page) { pages++ })
 	if pages != 2 {
 		t.Fatalf("NewFromImage materialised %d pages for an image with 2 non-zero pages", pages)
+	}
+}
+
+// A Memory that writes one line in each of its NVRAM pages allocates at
+// most 1 KiB per page (637 B measured), the memory's construction, its
+// directory chunks and the timing rings of the banks it books included: a
+// page costs its table and the block written, not its 4 KiB.
+func TestSparseMemoryAllocatesPerWrittenBlock(t *testing.T) {
+	const budget = 1 << 10
+	cfg := sparseTestConfig()
+	k := int(cfg.NVRAMBytes / PageBytes)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	mem := New(cfg, &stats.Stats{})
+	for p := range k {
+		pa := cfg.NVRAMBase + PAddr(p*PageBytes+p%LinesPerPage*LineBytes)
+		mem.WriteLine(pa, line(byte(p)), 0, stats.CatData)
+	}
+	runtime.ReadMemStats(&ms)
+	per := (ms.TotalAlloc - before) / uint64(k)
+	t.Logf("%d B per page written", per)
+	if per > budget {
+		t.Errorf("writing one line in each of %d pages allocated %d B per page, budget %d", k, per, budget)
+	}
+	var got [LineBytes]byte
+	for p := range k {
+		mem.Peek(cfg.NVRAMBase+PAddr(p*PageBytes+p%LinesPerPage*LineBytes), got[:])
+		if got != [LineBytes]byte(line(byte(p))) {
+			t.Fatalf("page %d reads back %v", p, got[:4])
+		}
 	}
 }
 

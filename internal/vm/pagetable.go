@@ -3,6 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -130,8 +131,8 @@ type FrameAlloc struct {
 	hot      []int
 	next     int // frames [next, layout.Frames) were never handed out
 	cold     []int
-	coldHead int    // cold[coldHead:] is the queue
-	used     []bool // used[idx], for the frames up to the highest one ever taken
+	coldHead int      // cold[coldHead:] is the queue
+	used     []uint64 // bit idx: frame idx is in use; words up to the highest frame ever taken
 	inUse    int
 }
 
@@ -157,14 +158,21 @@ func (fa *FrameAlloc) pop() (int, bool) {
 	return 0, false
 }
 
-func (fa *FrameAlloc) isUsed(idx int) bool { return idx < len(fa.used) && fa.used[idx] }
+func (fa *FrameAlloc) isUsed(idx int) bool {
+	return idx>>6 < len(fa.used) && fa.used[idx>>6]&(1<<(idx&63)) != 0
+}
+
+// grow extends the in-use bits to cover frames [0, n).
+func (fa *FrameAlloc) grow(n int) {
+	if w := (n + 63) >> 6; w > len(fa.used) {
+		fa.used = append(fa.used, make([]uint64, w-len(fa.used))...)
+	}
+}
 
 // take marks a free frame used.
 func (fa *FrameAlloc) take(idx int) {
-	if idx >= len(fa.used) {
-		fa.used = append(fa.used, make([]bool, idx+1-len(fa.used))...)
-	}
-	fa.used[idx] = true
+	fa.grow(idx + 1)
+	fa.used[idx>>6] |= 1 << (idx & 63)
 	fa.inUse++
 }
 
@@ -174,7 +182,7 @@ func (fa *FrameAlloc) release(pa memsim.PAddr) int {
 	if !fa.isUsed(idx) {
 		panic(fmt.Sprintf("vm: double free of frame %#x", pa))
 	}
-	fa.used[idx] = false
+	fa.used[idx>>6] &^= 1 << (idx & 63)
 	fa.inUse--
 	return idx
 }
@@ -248,14 +256,12 @@ func (fa *FrameAlloc) reserveRange(lo, hi int) int {
 	if lo >= hi {
 		return -1
 	}
-	if hi > len(fa.used) {
-		fa.used = append(fa.used, make([]bool, hi-len(fa.used))...)
-	}
+	fa.grow(hi)
 	for idx := lo; idx < hi; idx++ {
-		if fa.used[idx] {
+		if fa.isUsed(idx) {
 			return idx
 		}
-		fa.used[idx] = true
+		fa.used[idx>>6] |= 1 << (idx & 63)
 	}
 	fa.inUse += hi - lo
 	if fa.next == lo {
@@ -268,9 +274,9 @@ func (fa *FrameAlloc) reserveRange(lo, hi int) int {
 // (tests compare two allocators' states with it).
 func (fa *FrameAlloc) DebugUsed() []int {
 	var out []int
-	for idx, u := range fa.used {
-		if u {
-			out = append(out, idx)
+	for w, u := range fa.used {
+		for ; u != 0; u &= u - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(u))
 		}
 	}
 	return out

@@ -215,8 +215,11 @@ const scanWindow = memsim.PageBytes
 // exactly as they would be. It reads the region through a fixed window and
 // no further than the record that stops it, so scanning a near-empty ring
 // costs a window, not the ring's capacity.
+//
+// A first pass finds the valid prefix, its record count and its payload
+// bytes; a second copies it, so the records and their payloads cost one
+// allocation each per scan. Each payload is capped at its own length.
 func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
-	var out []Record
 	var win [scanWindow]byte
 	winOff, winLen := 0, 0 // win[:winLen] holds region bytes [winOff, winOff+winLen)
 	// bytesAt returns region bytes [off, off+n), n <= scanWindow, refilling
@@ -228,7 +231,7 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		}
 		return win[off-winOff : off-winOff+n]
 	}
-	off := 0
+	n, size, off := 0, 0, 0
 	var last uint32
 	for off+HeaderBytes <= capacity {
 		hdr := bytesAt(off, HeaderBytes)
@@ -239,17 +242,24 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		if plen > MaxPayload || off+encodedLen(plen) > capacity {
 			break
 		}
-		payload := bytesAt(off+HeaderBytes, plen)
-		if checksum(tid, kind, payload) != sum {
-			break
-		}
-		if tid < last {
+		if checksum(tid, kind, bytesAt(off+HeaderBytes, plen)) != sum || tid < last {
 			break
 		}
 		last = tid
-		cp := make([]byte, plen)
-		copy(cp, payload)
-		out = append(out, Record{TID: tid, Kind: kind, Payload: cp})
+		n, size, off = n+1, size+plen, off+encodedLen(plen)
+	}
+	if n == 0 {
+		return nil
+	}
+	out, payloads := make([]Record, n), make([]byte, size)
+	off = 0
+	for i := range out {
+		hdr := bytesAt(off, HeaderBytes)
+		tid, kind, plen := binary.LittleEndian.Uint32(hdr[4:]), hdr[8], int(hdr[9])
+		p := payloads[:plen:plen]
+		copy(p, bytesAt(off+HeaderBytes, plen))
+		out[i] = Record{TID: tid, Kind: kind, Payload: p}
+		payloads = payloads[plen:]
 		off += encodedLen(plen)
 	}
 	return out

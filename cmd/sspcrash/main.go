@@ -6,6 +6,9 @@
 // tests sweep the same table on fixed seeds; this tool runs it at fuzzing
 // scale. A failure line names class, backend, script seed and trap index;
 // the class name is also the test (TestTrapSweep<class>) that sweeps it.
+// The output ends with the total, then one line per class: its trap points
+// over every backend and script, their wall time and the time per point —
+// what a sweep of more scripts, or a new row like it, would cost.
 //
 // Usage:
 //
@@ -17,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/crashsweep"
 	"repro/ssp"
@@ -44,7 +48,13 @@ func main() {
 	}
 
 	total, failures := 0, 0
-	for _, cl := range crashsweep.Classes {
+	type cost struct {
+		points int
+		wall   time.Duration
+	}
+	costs := make([]cost, len(crashsweep.Classes))
+	for i, cl := range crashsweep.Classes {
+		start := time.Now()
 		n := cl.Txns
 		if *txns > 0 {
 			n = *txns
@@ -57,12 +67,18 @@ func main() {
 				sc.Class = cl.Name
 				points, bad := crashsweep.Sweep(cfg, sc, os.Stdout)
 				total += points
+				costs[i].points += points
 				failures += bad
 				fmt.Printf("%-21s %-9s script seed %#x: %4d trap points, %d violations\n", cl.Name, b, sc.Seed, points, bad)
 			}
 		}
+		costs[i].wall = time.Since(start)
 	}
 	fmt.Printf("\n%d trap points checked, %d violations\n", total, failures)
+	for i, cl := range crashsweep.Classes {
+		c := costs[i]
+		fmt.Printf("%-23s %6d trap points %9.3f s %8.1f µs/point\n", cl.Name, c.points, c.wall.Seconds(), float64(c.wall.Microseconds())/float64(max(1, c.points)))
+	}
 	if failures > 0 {
 		os.Exit(1)
 	}

@@ -163,6 +163,26 @@
 // (Memory.PageWrites), where in-place Recover keeps them: the image holds
 // contents, not wear.
 //
+// Recovery and the crash oracle follow the same rule: a trap point's
+// measured window — run, recover, verify — does only the work its
+// simulated events ask for. vm.PageTable.Rebuild reads only the PTE pages
+// NVRAM holds and sets only the entries that map a frame, so a rebuild costs
+// the pages the run mapped, not MaxHeapPages (512 PTEs on the sweep's
+// machine, 24 576 on the Table 2 default;
+// vm.TestPageTableRebuildReadsWrittenPages counts the pages read).
+// vm.FrameAlloc reserves SSP's N·T+O formatted spare frames a 64-frame word
+// at a time. SSP recovery builds every shard's surviving journal records in
+// one buffer, replays a single shard's records without a merge, and
+// allocates the rebuilt transient-cache entries together: 5 allocations
+// per recovery of a sweep machine cut mid-script, where it made 15. The
+// coherence check the oracle runs twice per point
+// (cachesim.Hierarchy.DebugValidate) walks each level's materialised blocks
+// and their valid masks, not every set of each touched directory slot;
+// walks whose order the simulation sees (FlushAll, the way predictor's
+// growth) keep set-index order. The oracle sizes its
+// per-point slices once (crashsweep.TestTrapPointAllocationBudget bounds a
+// point's bytes and objects).
+//
 // Recovery reads durable state that may be corrupt: a page-table entry that
 // is not a frame base in the pool, a frame mapped twice (by two VPNs, or by
 // a VPN and an SSP spare, vm.FrameAlloc.Rebuild), and an SSP slot line or
@@ -353,12 +373,19 @@
 // miss). Each TLB level is a fully associative true-LRU array: a recency
 // list linked by index and an open-addressing VPN index, with a
 // most-recent-entry check before either.
-// Per-core write sets are short slices cleared at Begin: SSP's write-set
-// buffer keeps its pages sorted (at most WSBEntries of them), so a commit
-// neither allocates nor sorts, and Core's Table 3 record is one line bitmap
-// per page. The replaced structures survive as the reference models of
-// differential tests (cachesim.TestHierarchyMatchesScanModel,
-// tlbsim.TestTLBMatchesScanModel); allocation guards pin a serial Load64
+// Per-core write sets are short slices cleared at Begin, on all three
+// backends: SSP's write-set buffer keeps its pages sorted (at most
+// WSBEntries of them), UNDO-LOG's and REDO-LOG's keep their lines sorted
+// (UNDO-LOG's with each line's pre-transaction image), each found by binary
+// search and reset in place at commit, abort and power failure, so a commit
+// neither allocates nor sorts and flushes, logs and restores lines in
+// ascending address order; Core's Table 3 record is one line bitmap per
+// page. REDO-LOG's write-back queue moves its live tail to the front as it
+// drains, so it never reallocates. The replaced structures survive as the
+// reference models of differential tests (cachesim.TestHierarchyMatchesScanModel,
+// tlbsim.TestTLBMatchesScanModel, logging.TestWriteSetMatchesScanModel);
+// logging.TestCommitAllocatesNothing and ssp.TestGlobalCommitAllocatesNothing
+// hold a warm commit to zero allocations; allocation guards pin a serial Load64
 // hit, a Store64 into the write set, every kind of cache miss, Retag, Flush,
 // WritebackInvalidate, InjectLine, Hierarchy.DropAll and TLB.Drop at zero.
 //

@@ -125,10 +125,12 @@ func DefaultConfig(cores int) Config {
 //
 // The block records and the chunk tables grow by append, from room for
 // blksMin blocks reserved at the level's first fill. Only the directory and
-// the chunk tables hold Go pointers. Anything that visits every line (FlushAll,
-// DebugValidate) walks sets in index order — FlushAll issues timed
-// write-backs, so the order lines are visited in is part of the simulated
-// result.
+// the chunk tables hold Go pointers. A walk whose order the simulation sees
+// walks sets in index order (eachValid): FlushAll issues timed write-backs
+// and growPred lets a later line take a shared predictor entry, so the
+// order lines are visited in is part of the simulated result. DebugValidate,
+// whose order nothing sees, walks the materialised blocks (eachHeld), so
+// its cost is the sets ever filled, not every set of each directory slot.
 type level struct {
 	sets, ways int
 	pow2       bool   // sets is a power of two: index by mask, not modulo
@@ -482,6 +484,23 @@ func (l *level) reset() {
 	}
 	l.blks = l.blks[:0]
 	l.held = 0
+}
+
+// eachHeld calls fn on the level's valid lines, blocks in the order their
+// sets were first filled and ways in order within a block, until fn returns
+// false; it reports whether every call returned true. It walks only the
+// materialised blocks and their valid masks; use it where the order is not
+// part of the simulated result.
+func (l *level) eachHeld(fn func(c int) bool) bool {
+	for b := range l.blks {
+		base := b << l.wbits
+		for m := l.blks[b].valid; m != 0; m &= m - 1 {
+			if !fn(base + bits.TrailingZeros16(m)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // eachValid calls fn on the level's valid lines, sets in index order and
@@ -1364,8 +1383,9 @@ func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles
 // a line carries the authority value resolved by DebugPeek; every valid
 // private copy's core is a directory sharer of the line, and a dirty one's
 // core is its owner; every owner is a sharer. It returns a description of
-// the first violation, or "". Test helper. It formats a message only for
-// the violation it reports.
+// the first violation it meets, or "". Test helper. It visits each level's
+// materialised blocks, not its sets (eachHeld), and formats a message only
+// for the violation it reports.
 func (h *Hierarchy) DebugValidate() string {
 	auth := &h.fillBuf
 	msg := ""
@@ -1390,7 +1410,7 @@ func (h *Hierarchy) DebugValidate() string {
 	}
 	for core := range h.l1 {
 		for _, lv := range [2]*level{h.l1[core], h.l2[core]} {
-			ok := lv.eachValid(func(c int) bool {
+			ok := lv.eachHeld(func(c int) bool {
 				e := h.dir.get(lv.tag(c))
 				switch {
 				case e.sharers&(1<<uint(core)) == 0:
@@ -1407,7 +1427,7 @@ func (h *Hierarchy) DebugValidate() string {
 			}
 		}
 	}
-	h.l3.eachValid(func(c int) bool {
+	h.l3.eachHeld(func(c int) bool {
 		// A stale L3 copy is legal while a dirty private owner shadows it;
 		// every read path consults the owner first.
 		return h.dir.get(h.l3.tag(c)).owner >= 0 || check(-1, h.l3, c)

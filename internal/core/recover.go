@@ -158,20 +158,28 @@ func (s *SSP) Recover() error {
 			}
 		}
 	}
-	valid := make([][]wal.Record, len(raw))
+	// Each shard's survivors replace its records in raw. They are built in
+	// one buffer, each shard's in room for all its records, and past that
+	// room is the batch under validation.
+	total, longest := 0, 0
+	for _, recs := range raw {
+		total, longest = total+len(recs), max(longest, len(recs))
+	}
+	buf := make([]wal.Record, total+longest)
+	batch := buf[total:total:len(buf)]
 	droppedGlobal := make(map[uint32]bool)
 	for i, recs := range raw {
-		v, err := s.validShardRecords(recs, endTIDs, droppedGlobal)
+		v, err := s.validShardRecords(recs, buf[:0:len(recs)], batch, endTIDs, droppedGlobal)
 		if err != nil {
 			return err
 		}
-		valid[i] = v
+		raw[i], buf = v, buf[len(recs):]
 	}
 	// Each sealed global transaction recovered once, each unsealed one
 	// rolled back once — regardless of how many shards its records span.
 	s.env.Stats.RecoveredTxns += uint64(len(endTIDs))
 	s.env.Stats.RolledBackTxns += uint64(len(droppedGlobal))
-	merged := wal.Merge(valid)
+	merged := wal.Merge(raw)
 	// The tables grow once, to the highest slot a record below applies to:
 	// a slot past them is formatted (version 0), so the first record naming
 	// it applies if the journal is unsharded or the record carries a
@@ -230,6 +238,13 @@ func (s *SSP) Recover() error {
 	// free and handed out after the stack.
 	s.env.PT.Rebuild()
 	s.resetEntries()
+	used := 0
+	for _, st := range s.slotShadow {
+		if st.vpn >= 0 {
+			used++
+		}
+	}
+	metas := make([]pageMeta, used) // the rebuilt entries, allocated together
 	for sid := len(s.slotShadow) - 1; sid >= 0; sid-- {
 		st := s.slotShadow[sid]
 		if st.vpn < 0 {
@@ -247,7 +262,9 @@ func (s *SSP) Recover() error {
 			s.env.PT.Set(st.vpn, st.ppn0, 0)
 			s.env.Stats.RecoveryNVWrites++
 		}
-		meta := &pageMeta{
+		meta := &metas[len(metas)-1]
+		metas = metas[:len(metas)-1]
+		*meta = pageMeta{
 			vpn:       st.vpn,
 			slot:      sid,
 			ppn0:      st.ppn0,
@@ -307,10 +324,10 @@ func (s *SSP) highestSlotLine(page *[memsim.PageBytes]byte) int {
 // batch is the crashed transaction and counts as rolled back (§4.1.1).
 // Unsealed global TIDs accumulate in droppedGlobal so the caller can count
 // each distributed rollback once across all its shards. Shard-local order
-// is preserved in the returned slice.
-func (s *SSP) validShardRecords(recs []wal.Record, endTIDs, droppedGlobal map[uint32]bool) ([]wal.Record, error) {
-	out := make([]wal.Record, 0, len(recs))
-	var batch []wal.Record // reused: a sealed batch is copied into out
+// is preserved in the returned slice, which is built in out; out and batch
+// (the scratch a batch collects in until it is sealed and copied into out)
+// are empty, with room for len(recs) records each.
+func (s *SSP) validShardRecords(recs, out, batch []wal.Record, endTIDs, droppedGlobal map[uint32]bool) ([]wal.Record, error) {
 	var batchTID uint32
 	seal := func() {
 		out = append(out, batch...)

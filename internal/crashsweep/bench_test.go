@@ -14,13 +14,17 @@ import (
 // run to the power failure (run_ns), recover in place (recover_ns), map the
 // script's pages again and check (verify_ns) — and the heap bytes a point
 // allocates, construction included (B/point). Each iteration sweeps every
-// point once. A point allocates 49-54 KB: about 32 KB to build, 15-19 KB to
-// run and under 3 KB to recover and verify. It allocated 98-108 KB (69-74
-// KB to build) while NVRAM was backed by whole 4 KiB pages, way predictors
-// were built full size and cache tags were 64 bits wide, and 157-166 KB
-// while each cache level allocated every way of a set at its first fill. A
-// CPU or memory profile of this benchmark is where a trap point's host cost
-// is split further.
+// point once. A point allocates 46-54 KB: about 32 KB to build and 15-21 KB
+// to run, recover and verify. On a 2-CPU host shared with other load, run +
+// recover + verify take 47-65 µs of a point, against 58-75 µs while the
+// logging baselines kept map write sets, the page-table rebuild read every
+// PTE and the oracle walked every set of each touched directory slot
+// (recover_ns 5-12 µs, against 7-18 µs). A point allocated 49-54 KB then,
+// 98-108 KB (69-74 KB to build) while NVRAM was backed by whole 4 KiB pages,
+// way predictors were built full size and cache tags were 64 bits wide, and
+// 157-166 KB while each cache level allocated every way of a set at its
+// first fill. A CPU or memory profile of this benchmark is where a trap
+// point's host cost is split further.
 //
 //	go test -run '^$' -bench TrapPoint -benchtime 20x ./internal/crashsweep
 func BenchmarkTrapPoint(b *testing.B) {

@@ -56,6 +56,15 @@ func (sc Script) lastPage(cores int) int {
 	return last
 }
 
+// writes counts the stores of sc's transactions.
+func (sc Script) writes() int {
+	n := 0
+	for _, addrs := range sc.Txns {
+		n += len(addrs)
+	}
+	return n
+}
+
 // lines draws 1 to k+1 random lines of pages 1..pages.
 func lines(rng *engine.RNG, pages, k int) (addrs []uint64) {
 	for j := 0; j <= rng.Intn(k); j++ {
@@ -171,12 +180,14 @@ type outcome struct {
 func run(m *ssp.Machine, sc Script) outcome {
 	cores, shards := m.Cores(), max(1, m.Config().Layout.JournalShards)
 	out := outcome{txns: make([]txn, len(sc.Txns))}
+	writes := make([]write, sc.writes()) // every transaction's, one after another
 	for i, vas := range sc.Txns {
 		c, shift := i%cores, uint64(0)
 		if sc.Concurrent {
 			shift = uint64(c*coreStride) * ssp.PageBytes
 		}
-		out.txns[i] = txn{writes: make([]write, len(vas)), relaxed: sc.Relaxed, shard: c % shards}
+		out.txns[i] = txn{writes: writes[:len(vas):len(vas)], relaxed: sc.Relaxed, shard: c % shards}
+		writes = writes[len(vas):]
 		for j, va := range vas {
 			out.txns[i].writes[j] = write{va + shift, uint64(i + 1)}
 		}
@@ -272,7 +283,12 @@ func check(m *ssp.Machine, txns []txn, floor int) error {
 			}
 		}
 		// 3. Image: present transactions' stores in order, over zeroes.
-		var vas []uint64
+		n := 0
+		for _, t := range txns {
+			n += len(t.writes)
+		}
+		buf := make([]uint64, 2*n) // the addresses, then the values they must hold
+		vas := buf[:0:n]
 		for _, t := range txns {
 			for _, w := range t.writes {
 				vas = append(vas, w.va)
@@ -280,7 +296,7 @@ func check(m *ssp.Machine, txns []txn, floor int) error {
 		}
 		slices.Sort(vas)
 		vas = slices.Compact(vas)
-		want := make([]uint64, len(vas))
+		want := buf[n : n+len(vas)]
 		for i, t := range txns {
 			for _, w := range t.writes {
 				if present[i] {
@@ -324,11 +340,11 @@ func coherent(m *ssp.Machine, reads func() error) error {
 // committed holds the acknowledged stores, boundary those of the
 // transaction in flight at power-off (nil if none; the first if several).
 func RunScript(m *ssp.Machine, sc Script) (committed, boundary map[uint64]uint64) {
-	committed = map[uint64]uint64{}
+	committed = make(map[uint64]uint64, sc.writes())
 	for _, t := range run(m, sc).txns {
 		into := committed
 		if t.inFlight && boundary == nil {
-			boundary = map[uint64]uint64{}
+			boundary = make(map[uint64]uint64, len(t.writes))
 			into = boundary
 		} else if t.ack == 0 {
 			continue
@@ -343,14 +359,15 @@ func RunScript(m *ssp.Machine, sc Script) (committed, boundary map[uint64]uint64
 // Verify checks a recovered machine against RunScript's report with the
 // one oracle: committed acknowledged, boundary in flight.
 func Verify(m *ssp.Machine, committed, boundary map[uint64]uint64) error {
-	out := outcome{txns: []txn{{ack: 1}, {inFlight: len(boundary) > 0}}}
-	for i, vals := range []map[uint64]uint64{committed, boundary} {
-		out.txns[i].writes = make([]write, 0, len(vals))
+	txns := [2]txn{{ack: 1}, {inFlight: len(boundary) > 0}}
+	writes := make([]write, 0, len(committed)+len(boundary))
+	for i, vals := range [2]map[uint64]uint64{committed, boundary} {
 		for va, v := range vals {
-			out.txns[i].writes = append(out.txns[i].writes, write{va, v})
+			writes = append(writes, write{va, v})
 		}
+		txns[i].writes, writes = writes[:len(writes):len(writes)], writes[len(writes):]
 	}
-	return check(m, out.txns, 0)
+	return check(m, txns[:], 0)
 }
 
 // Sweep trap-sweeps sc on cfg: a drained reference run counts the durable

@@ -21,7 +21,7 @@ package logging
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -36,11 +36,12 @@ const (
 
 const dataPayloadBytes = 8 + memsim.LineBytes
 
-func encodeDataPayload(pa memsim.PAddr, line []byte) []byte {
-	p := make([]byte, dataPayloadBytes)
-	binary.LittleEndian.PutUint64(p, uint64(pa))
-	copy(p[8:], line)
-	return p
+// encodeDataPayload frames a data record's payload in dst and returns it;
+// wal.Stream.Append copies it, so dst can live on the caller's stack.
+func encodeDataPayload(dst *[dataPayloadBytes]byte, pa memsim.PAddr, line []byte) []byte {
+	binary.LittleEndian.PutUint64(dst[:], uint64(pa))
+	copy(dst[8:], line)
+	return dst[:]
 }
 
 func decodeDataPayload(p []byte) (memsim.PAddr, []byte) {
@@ -50,25 +51,37 @@ func decodeDataPayload(p []byte) (memsim.PAddr, []byte) {
 	return memsim.PAddr(binary.LittleEndian.Uint64(p)), p[8:]
 }
 
-// sortedLines returns the keys of a line-address set in address order, for
-// deterministic commit processing.
-func sortedLines(m map[memsim.PAddr][memsim.LineBytes]byte) []memsim.PAddr {
-	out := make([]memsim.PAddr, 0, len(m))
-	for la := range m {
-		out = append(out, la)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// writeSet is one core's write set: the lines its open transaction stored
+// to, in ascending address order, each with a value (UNDO-LOG: the line's
+// pre-transaction image; REDO-LOG: none). Commit and abort walk it in that
+// order, so their simulated work does not depend on host state. A lookup is
+// a binary search and reset keeps the capacity, so a warm write set
+// allocates nothing, across transactions and crashes alike.
+type writeSet[V any] struct {
+	lines []memsim.PAddr
+	vals  []V
 }
 
-func sortedSet(m map[memsim.PAddr]struct{}) []memsim.PAddr {
-	out := make([]memsim.PAddr, 0, len(m))
-	for la := range m {
-		out = append(out, la)
+// find returns la's position, or the position it would be inserted at, and
+// whether it is present.
+func (w *writeSet[V]) find(la memsim.PAddr) (int, bool) { return slices.BinarySearch(w.lines, la) }
+
+// writeSetMin is the room a write set's first insert makes: more lines
+// than most transactions write, so a fresh machine's first transactions do
+// not grow it line by line.
+const writeSetMin = 8
+
+// insert adds la with value v at position i, as returned by find.
+func (w *writeSet[V]) insert(i int, la memsim.PAddr, v V) {
+	if len(w.lines) == cap(w.lines) {
+		w.lines = slices.Grow(w.lines, max(writeSetMin, len(w.lines)))
+		w.vals = slices.Grow(w.vals, max(writeSetMin, len(w.vals)))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	w.lines = slices.Insert(w.lines, i, la)
+	w.vals = slices.Insert(w.vals, i, v)
 }
+
+func (w *writeSet[V]) reset() { w.lines, w.vals = w.lines[:0], w.vals[:0] }
 
 // lineOf returns the line base address for va translated through env.
 func lineOf(env *txn.Env, core int, va uint64, at engine.Cycles) (memsim.PAddr, memsim.PAddr, engine.Cycles) {

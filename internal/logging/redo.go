@@ -38,13 +38,16 @@ type redoEngine struct {
 	clock   engine.Cycles
 }
 
-// reap removes completed write-backs from the queue head.
+// reap removes completed write-backs from the queue head, moving the rest
+// to the front so appends reuse the queue's storage.
 func (e *redoEngine) reap(now engine.Cycles) {
 	i := 0
 	for i < len(e.pending) && e.pending[i] <= now {
 		i++
 	}
-	e.pending = e.pending[i:]
+	if i > 0 {
+		e.pending = e.pending[:copy(e.pending, e.pending[i:])]
+	}
 }
 
 // Redo is the REDO-LOG baseline (DHTM-style hardware redo logging).
@@ -61,9 +64,14 @@ type Redo struct {
 	next uint32 // the next commit's TID: drawn at commit, so TID order is commit order
 
 	inTxn []bool
-	wset  []map[memsim.PAddr]struct{} // speculative lines of the open txn
+	wset  []writeSet[struct{}] // speculative lines of the open txn
 
 	engines []*redoEngine
+
+	// img is what Commit reads each logged line's final value into: a
+	// field, because the peek reaches memory through an interface, which
+	// would move a local buffer to the heap on every line.
+	img [memsim.LineBytes]byte
 }
 
 // NewRedo builds the baseline over env.
@@ -81,8 +89,8 @@ func NewRedo(env *txn.Env, cfg RedoConfig) *Redo {
 	r.next = 1
 	for c := 0; c < env.Cores(); c++ {
 		r.logs = append(r.logs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatRedoLog))
-		r.wset = append(r.wset, make(map[memsim.PAddr]struct{}))
 	}
+	r.wset = make([]writeSet[struct{}], env.Cores())
 	r.inTxn = make([]bool, env.Cores())
 	return r
 }
@@ -113,8 +121,8 @@ func (r *Redo) Store(core int, va uint64, data []byte, at engine.Cycles) engine.
 	pa, la, t := lineOf(r.env, core, va, at)
 	t = r.env.Caches.Store(core, pa, data, t)
 	r.env.Caches.MarkTx(core, pa)
-	if _, ok := r.wset[core][la]; !ok {
-		r.wset[core][la] = struct{}{}
+	if i, ok := r.wset[core].find(la); !ok {
+		r.wset[core].insert(i, la, struct{}{})
 		r.env.StatsFor(core).RedoRecords++
 	}
 	return t
@@ -135,7 +143,7 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 		panic("redo: Commit outside transaction")
 	}
 	t := at
-	lines := sortedSet(r.wset[core])
+	lines := r.wset[core].lines
 	eng := r.engineFor(core)
 
 	// Queue admission: wait until this core's engine has room for the
@@ -160,9 +168,9 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 	tid := r.next
 	r.next++
 	for _, la := range lines {
-		var img [memsim.LineBytes]byte
-		r.env.Caches.DebugPeek(la, img[:]) // controller sees the final value
-		t = log.Append(wal.Record{TID: tid, Kind: kindData, Payload: encodeDataPayload(la, img[:])}, t)
+		r.env.Caches.DebugPeek(la, r.img[:]) // controller sees the final value
+		var p [dataPayloadBytes]byte
+		t = log.Append(wal.Record{TID: tid, Kind: kindData, Payload: encodeDataPayload(&p, la, r.img[:])}, t)
 	}
 	t = log.Append(wal.Record{TID: tid, Kind: kindCommit}, t)
 	t = log.Flush(t)
@@ -184,7 +192,7 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 	// records, so any crash either replays this transaction from the log
 	// or already sees its data in place.
 	log.Reset()
-	clear(r.wset[core])
+	r.wset[core].reset()
 	r.inTxn[core] = false
 	r.env.StatsFor(core).Commits++
 	return t + r.env.BarrierCycles
@@ -196,11 +204,11 @@ func (r *Redo) Abort(core int, at engine.Cycles) engine.Cycles {
 	if !r.inTxn[core] {
 		panic("redo: Abort outside transaction")
 	}
-	for _, la := range sortedSet(r.wset[core]) {
+	for _, la := range r.wset[core].lines {
 		r.env.Caches.InvalidateLine(la)
 	}
 	r.logs[core].Reset()
-	clear(r.wset[core])
+	r.wset[core].reset()
 	r.inTxn[core] = false
 	r.env.StatsFor(core).Aborts++
 	return at + r.env.BarrierCycles
@@ -215,12 +223,12 @@ func (r *Redo) StoreNT(core int, va uint64, data []byte, at engine.Cycles) engin
 // Crash implements txn.Backend.
 func (r *Redo) Crash() {
 	for c := range r.wset {
-		r.wset[c] = make(map[memsim.PAddr]struct{})
+		r.wset[c].reset()
 		r.inTxn[c] = false
 		r.logs[c].Reset()
 	}
 	for _, e := range r.engines {
-		e.pending = nil
+		e.pending = e.pending[:0]
 		e.clock = 0
 	}
 }
@@ -282,7 +290,7 @@ func (r *Redo) Drain(at engine.Cycles) engine.Cycles {
 	t := at
 	for _, e := range r.engines {
 		t = engine.MaxCycles(t, e.clock)
-		e.pending = nil
+		e.pending = e.pending[:0]
 	}
 	return t
 }

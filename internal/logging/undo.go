@@ -22,7 +22,7 @@ type Undo struct {
 	tid   []uint32
 	// old holds the pre-transaction image of every logged line, both the
 	// volatile dedup set and the data needed by Abort.
-	old []map[memsim.PAddr][memsim.LineBytes]byte
+	old []writeSet[[memsim.LineBytes]byte]
 }
 
 // NewUndo builds the baseline over env.
@@ -31,8 +31,8 @@ func NewUndo(env *txn.Env) *Undo {
 	u.next = 1
 	for c := 0; c < env.Cores(); c++ {
 		u.logs = append(u.logs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatUndoLog))
-		u.old = append(u.old, make(map[memsim.PAddr][memsim.LineBytes]byte))
 	}
+	u.old = make([]writeSet[[memsim.LineBytes]byte], env.Cores())
 	u.inTxn = make([]bool, env.Cores())
 	u.tid = make([]uint32, env.Cores())
 	return u
@@ -58,14 +58,15 @@ func (u *Undo) Store(core int, va uint64, data []byte, at engine.Cycles) engine.
 		panic("undo: Store outside transaction")
 	}
 	pa, la, t := lineOf(u.env, core, va, at)
-	if _, logged := u.old[core][la]; !logged {
+	if i, logged := u.old[core].find(la); !logged {
 		// First store to this line: read the old image and persist an undo
 		// record before the store proceeds.
 		var img [memsim.LineBytes]byte
 		t = u.env.Caches.Load(core, la, img[:], t)
-		u.old[core][la] = img
+		u.old[core].insert(i, la, img)
 		log := u.logs[core]
-		t = log.Append(wal.Record{TID: u.tid[core], Kind: kindData, Payload: encodeDataPayload(la, img[:])}, t)
+		var p [dataPayloadBytes]byte
+		t = log.Append(wal.Record{TID: u.tid[core], Kind: kindData, Payload: encodeDataPayload(&p, la, img[:])}, t)
 		t = log.Flush(t) // the blocking persist
 		u.env.StatsFor(core).UndoRecords++
 	}
@@ -86,7 +87,7 @@ func (u *Undo) Commit(core int, at engine.Cycles) engine.Cycles {
 	}
 	t := at
 	fence := t
-	for _, la := range sortedLines(u.old[core]) {
+	for _, la := range u.old[core].lines {
 		done, _ := u.env.Caches.Flush(core, la, t, stats.CatData)
 		fence = engine.MaxCycles(fence, done)
 	}
@@ -101,7 +102,7 @@ func (u *Undo) Commit(core int, at engine.Cycles) engine.Cycles {
 	u.env.StatsFor(core).NVRAMWriteBytes[stats.CatCommitRecord] += wal.HeaderBytes
 	u.env.StatsFor(core).NVRAMWriteBytes[stats.CatUndoLog] -= wal.HeaderBytes
 	log.Reset()
-	clear(u.old[core])
+	u.old[core].reset()
 	u.inTxn[core] = false
 	u.env.StatsFor(core).Commits++
 	return t + u.env.BarrierCycles
@@ -113,12 +114,12 @@ func (u *Undo) Abort(core int, at engine.Cycles) engine.Cycles {
 		panic("undo: Abort outside transaction")
 	}
 	t := at
-	for _, la := range sortedLines(u.old[core]) {
-		img := u.old[core][la]
-		t = u.env.Caches.Store(core, la, img[:], t)
+	ws := &u.old[core]
+	for i, la := range ws.lines {
+		t = u.env.Caches.Store(core, la, ws.vals[i][:], t)
 	}
 	u.logs[core].Reset()
-	clear(u.old[core])
+	ws.reset()
 	u.inTxn[core] = false
 	u.env.StatsFor(core).Aborts++
 	return t + u.env.BarrierCycles
@@ -133,7 +134,7 @@ func (u *Undo) StoreNT(core int, va uint64, data []byte, at engine.Cycles) engin
 // Crash implements txn.Backend.
 func (u *Undo) Crash() {
 	for c := range u.old {
-		u.old[c] = make(map[memsim.PAddr][memsim.LineBytes]byte)
+		u.old[c].reset()
 		u.inTxn[c] = false
 		u.logs[c].Reset()
 	}

@@ -19,6 +19,9 @@ type PageTable struct {
 	layout Layout
 
 	mirror []memsim.PAddr // 0 = unmapped; reaches as far as the highest VPN ever mapped
+
+	// rebuildReads counts the PTE pages Rebuild read. Only tests read it.
+	rebuildReads int
 }
 
 // NewPageTable returns a page table over mem; the mirror starts empty
@@ -81,15 +84,24 @@ func (pt *PageTable) SetMirror(vpn int, pa memsim.PAddr) {
 }
 
 // Rebuild reloads the mirror from the durable PTE array, reading it through
-// a one-page window.
+// a one-page window. It reads only the PTE pages NVRAM holds — a page never
+// written maps nothing — and sets only the entries that map a frame, so a
+// rebuild costs the page table's written pages, not MaxHeapPages.
 func (pt *PageTable) Rebuild() {
 	var win [memsim.PageBytes]byte
 	clear(pt.mirror)
 	for first := 0; first < pt.layout.Cfg.MaxHeapPages; first += len(win) / 8 {
+		pa := pt.layout.PTEAddr(first)
+		if !pt.mem.Written(pa) {
+			continue
+		}
+		pt.rebuildReads++
 		n := min(len(win)/8, pt.layout.Cfg.MaxHeapPages-first)
-		pt.mem.Peek(pt.layout.PTEAddr(first), win[:n*8])
+		pt.mem.Peek(pa, win[:n*8])
 		for i := 0; i < n; i++ {
-			pt.setMirror(first+i, memsim.PAddr(binary.LittleEndian.Uint64(win[i*8:])))
+			if e := binary.LittleEndian.Uint64(win[i*8:]); e != 0 {
+				pt.setMirror(first+i, memsim.PAddr(e))
+			}
 		}
 	}
 }
@@ -257,11 +269,17 @@ func (fa *FrameAlloc) reserveRange(lo, hi int) int {
 		return -1
 	}
 	fa.grow(hi)
-	for idx := lo; idx < hi; idx++ {
-		if fa.isUsed(idx) {
-			return idx
+	for idx := lo; idx < hi; {
+		// m holds the range's frames in idx's word.
+		w, end := idx>>6, min(hi, idx|63+1)
+		m := ^uint64(0) >> (64 - (end - idx)) << (idx & 63)
+		if u := fa.used[w] & m; u != 0 {
+			first := bits.TrailingZeros64(u)
+			fa.used[w] |= m & (1<<first - 1)
+			return w<<6 | first
 		}
-		fa.used[idx>>6] |= 1 << (idx & 63)
+		fa.used[w] |= m
+		idx = end
 	}
 	fa.inUse += hi - lo
 	if fa.next == lo {

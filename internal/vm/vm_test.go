@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/stats"
 )
@@ -317,4 +319,91 @@ func TestRootAddrBounds(t *testing.T) {
 		}
 	}()
 	l.RootAddr(RootSlots)
+}
+
+// Rebuild's cost follows the page table's written pages, not its size: on
+// the paper's default 24 576-page heap holding 3 mappings it reads the PTE
+// pages the 3 entries live in and skips the other 45; a page whose only
+// mapping was undone is still read, and maps nothing.
+func TestPageTableRebuildReadsWrittenPages(t *testing.T) {
+	mem, _, _ := testEnv(t)
+	mcfg := mem.Config()
+	mcfg.NVRAMBytes = 128 << 20
+	mem = memsim.New(mcfg, &stats.Stats{})
+	lcfg := DefaultLayoutConfig(1)
+	lcfg.MaxHeapPages = 24576
+	l := NewLayout(mcfg, lcfg)
+	pt := NewPageTable(mem, l)
+	vpns := []int{3, 7000, 24575} // PTE pages 0, 13 and 47
+	for i, vpn := range vpns {
+		pt.Set(vpn, l.FrameAddr(i+1), 0)
+	}
+	pt.Set(10000, l.FrameAddr(9), 0)
+	pt.Set(10000, 0, 0) // PTE page 19: written, maps nothing
+	pt2 := NewPageTable(mem, l)
+	pt2.Rebuild()
+	if pt2.rebuildReads != 4 {
+		t.Errorf("Rebuild read %d PTE pages of %d, want the 4 written", pt2.rebuildReads, (lcfg.MaxHeapPages+511)/512)
+	}
+	if got := pt2.Mapped(); len(got) != len(vpns) {
+		t.Fatalf("Rebuild mapped %v, want vpns %v", got, vpns)
+	}
+	for i, vpn := range vpns {
+		if pa, ok := pt2.Lookup(vpn); !ok || pa != l.FrameAddr(i+1) {
+			t.Errorf("vpn %d -> %#x, %v; want %#x", vpn, pa, ok, l.FrameAddr(i+1))
+		}
+	}
+}
+
+// reserveRange marks whole 64-frame words: on ranges that start, end and
+// meet a used frame anywhere in a word, or span several words, it leaves the
+// same frames marked, the same count in use and the same cursor, and
+// reports the same first used frame, as marking one frame at a time did.
+func TestReserveRangeMatchesBitModel(t *testing.T) {
+	_, l, _ := testEnv(t)
+	// bitReserve is the frame-at-a-time loop reserveRange replaced.
+	bitReserve := func(fa *FrameAlloc, lo, hi int) int {
+		if lo >= hi {
+			return -1
+		}
+		fa.grow(hi)
+		for idx := lo; idx < hi; idx++ {
+			if fa.isUsed(idx) {
+				return idx
+			}
+			fa.used[idx>>6] |= 1 << (idx & 63)
+		}
+		fa.inUse += hi - lo
+		if fa.next == lo {
+			fa.next = hi
+		}
+		return -1
+	}
+	rng := engine.NewRNG(0x5EED)
+	for trial := 0; trial < 2000; trial++ {
+		got, want := NewFrameAlloc(l), NewFrameAlloc(l)
+		for i := rng.Intn(4); i > 0; i-- { // frames already in use
+			idx := rng.Intn(320)
+			if !got.isUsed(idx) {
+				got.take(idx)
+				want.take(idx)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			got.next, want.next = 64, 64
+		}
+		lo := rng.Intn(256)
+		if rng.Intn(3) == 0 {
+			lo &^= 63 // a range from a word boundary
+		}
+		hi := lo + rng.Intn(200)
+		if rng.Intn(3) == 0 {
+			hi = (hi + 63) &^ 63 // to a word boundary
+		}
+		g, w := got.reserveRange(lo, hi), bitReserve(want, lo, hi)
+		if g != w || got.inUse != want.inUse || got.next != want.next || fmt.Sprint(got.DebugUsed()) != fmt.Sprint(want.DebugUsed()) {
+			t.Fatalf("trial %d, range [%d, %d): reserveRange returned %d, in use %d, next %d, used %v; the bit loop %d, %d, %d, %v",
+				trial, lo, hi, g, got.inUse, got.next, got.DebugUsed(), w, want.inUse, want.next, want.DebugUsed())
+		}
+	}
 }

@@ -293,13 +293,21 @@ func ScanShards(mem *memsim.Memory, bases []memsim.PAddr, capacity int) [][]Reco
 // (a transaction's update batch) are consumed as a unit, so a batch is
 // never split by another shard's records; across shards TIDs are unique by
 // construction (one global allocator), and any tie is broken by shard index
-// so the merge is deterministic. The inputs are not modified.
+// so the merge is deterministic. The inputs are not modified; when at most
+// one shard holds records, the result is that shard's slice itself.
 func Merge(shards [][]Record) []Record {
-	heads := make([]int, len(shards))
-	total := 0
+	total, held := 0, 0
+	var only []Record
 	for _, s := range shards {
 		total += len(s)
+		if len(s) > 0 {
+			held, only = held+1, s
+		}
 	}
+	if held <= 1 {
+		return only
+	}
+	heads := make([]int, len(shards))
 	out := make([]Record, 0, total)
 	for {
 		best := -1

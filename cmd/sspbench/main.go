@@ -151,12 +151,6 @@ var experimentTable = []experiment{
 			skews, coreList, frames))
 		fmt.Println(experiments.RenderCache(experiments.CacheSweep(sc, skews, coreList, frames)))
 	}},
-	{"wear", "software wear-leveling sweep (rotation threshold)", func(sc experiments.Scale, fl benchFlags) {
-		thresholds := experiments.WearThresholds()
-		section(fmt.Sprintf("Software wear-leveling — hot-key serve mix (skew 1.2, 10%% reads), %d cores, rotation thresholds %v",
-			fl.cores, thresholds))
-		fmt.Println(experiments.RenderWear(experiments.WearSweep(sc, fl.cores, thresholds)))
-	}},
 	{"scale", "deterministic window-scheduler scale-out (window x cores)", func(sc experiments.Scale, fl benchFlags) {
 		coreList := experiments.SweepPowersOfTwo(fl.cores)
 		windows := experiments.ScaleWindows()

@@ -114,19 +114,19 @@
 // recovering it cost what the run touched; a capacity only bounds.
 //
 // internal/memsim keeps DRAM and NVRAM bytes behind a directory (region.go)
-// of 512 KiB slots: a slot's chunk of 128 page pointers, per-page shared
-// marks and per-page wear counters is allocated when something in those
-// 512 KiB is first written, a page's table of eight 512-byte block pointers
-// (one host cache line) when that page is, and a block's bytes when that
-// block is. Pages stay the unit of addresses and wear; the block is the unit
-// of allocation and of copy-on-write sharing. A block never written reads
-// as zeros from one shared block that is only ever copied out of. Every
+// of 512 KiB slots: a slot's chunk of 128 page pointers and per-page shared
+// marks (1 280 B) is allocated when something in those 512 KiB is first
+// written, a page's table of eight 512-byte block pointers (one host cache
+// line) when that page is, and a block's bytes when that block is. Pages
+// stay the unit of addresses; the block is the unit of allocation and of
+// copy-on-write sharing. A block never written reads as zeros from one
+// shared block that is only ever copied out of. Every
 // access is range-checked against DRAM and NVRAM first, so an address past
 // capacity panics instead of reading zeros. A crash-sweep run writes a few
 // lines each in about ten NVRAM pages, so it allocates a dozen or so blocks
 // where it allocated ten whole pages
 // (memsim.TestSparseMemoryAllocatesPerWrittenBlock holds a Memory writing
-// one line per page to 1 KiB per page, 637 B measured). A channel's DRAM
+// one line per page to 1 KiB per page, 622 B measured). A channel's DRAM
 // and NVRAM banks are allocated at its first access to each, so a run that
 // never touches DRAM, as the sweep's does not, never pays for its banks.
 //
@@ -159,9 +159,7 @@
 // Memory is ever visible in the image or in another Memory, so the crashed
 // one may still Recover in place and one image may be restored any number of
 // times, from any goroutine. Image.Bytes and memsim.ImageFromBytes convert
-// to and from a flat copy, for tests. Restore boots with zero wear counters
-// (Memory.PageWrites), where in-place Recover keeps them: the image holds
-// contents, not wear.
+// to and from a flat copy, for tests.
 //
 // Recovery and the crash oracle follow the same rule: a trap point's
 // measured window — run, recover, verify — does only the work its
@@ -235,15 +233,15 @@
 // verification reads.
 //
 // The same rule holds for what build and Recover walk above the hardware:
-// vm.FrameAlloc is a bump cursor over never-allocated frames between a hot
-// LIFO stack and a cold FIFO queue (the allocation sequence of the full
-// free list it replaced, vm.TestFrameAllocMatchesListModel), with one in-use
-// bit per frame up to the highest one taken, the page-table
-// mirror reaches as far as the highest mapped page and is rebuilt through a
-// 4 KiB window of the PTE array, wal.Scan reads a ring through a 4 KiB
-// window and stops where parsing stops, and the wear statistics visit
-// written pages only. DebugValidate visits lines through a callback and
-// formats a message only for the violation it reports.
+// vm.FrameAlloc is a cursor over the frames in ascending order that skips
+// the ones in use, with one in-use bit per frame up to the highest one taken
+// (the allocation sequence of the full free list it replaced,
+// vm.TestFrameAllocMatchesListModel); no frame is ever returned to it. The
+// page-table mirror reaches as far as the highest mapped page and is rebuilt
+// through a 4 KiB window of the PTE array, and wal.Scan reads a ring through
+// a 4 KiB window and stops where parsing stops. DebugValidate visits lines
+// through a callback and formats a message only for the violation it
+// reports.
 //
 // SSP's cache is sized N·T+O (§4.1.2; 1152 entries on one core, 4416 on
 // four), and a persistent slot plus a spare frame come with every entry,
@@ -524,7 +522,7 @@
 // `go run ./cmd/sspserver -smoke` boots the real server on a loopback
 // port and drives it over TCP (the CI smoke).
 //
-// # DRAM buffer cache and software wear-leveling
+// # DRAM buffer cache
 //
 // ssp.Config.DRAMCacheFrames interposes a pager-style DRAM buffer tier
 // (internal/buffercache) of that many 4 KiB frames between the CPU cache
@@ -549,20 +547,16 @@
 // small scale the 4-core Zipfian point gains ~1.1x cTPS with ~6% of
 // NVRAM data-write lines removed, and the uniform point ~16%.
 //
-// ssp.Config.WearRotateWrites adds SoftWear-style software wear-leveling
-// on the NVRAM side: memsim keeps per-frame cumulative write counters
-// (Stats.FrameWrites histogram, FrameWriteMax/FrameWriteTotal/
-// FramesWritten), and at page consolidation — the one moment a page's
-// frames are quiescent and about to be re-journaled — any frame at or
-// past the threshold is retired: committed lines are copied into a cold
-// frame, the flip rides the ordinary journaled consolidation record
-// (flushed before the retired frames are recycled, so replay can never
-// land on reused frames), and the hot frame returns to the allocator's
-// cold end (vm.FrameAlloc.FreeCold; plain LIFO Free would hand the same
-// hot frame right back). `sspbench -exp wear` runs a hot-key write-heavy
-// mix and reports the write-distribution skew: at small scale rotation
-// cuts max/mean frame-write skew from ~24 to ~5-8 for under 3% of data
-// writes spent on rotation copies. 0 (default) disables rotation.
+// Software wear-leveling used to sit beside it: ssp.Config.WearRotateWrites
+// (SoftWear-style, beyond the paper; the design is in
+// `git show c58810b:internal/core/consolidate.go`) retired, at page
+// consolidation, a frame whose per-page NVRAM write count had reached the
+// threshold to the cold end of the frame pool, and `sspbench -exp wear`
+// reported the write-distribution skew. No gated figure and no benchmark
+// workload ran with it on, yet every NVRAM line write paid for its per-page
+// counter and every Stats call for a walk over the written frames. It was
+// deleted with the counters, the rotation statistics and the frame
+// allocator's Free paths, which only it used.
 //
 // # Crash oracle
 //
@@ -645,9 +639,8 @@
 // `go run ./cmd/sspbench -exp epoch -cores 4` (the relaxed-durability
 // epoch-length × cores sweep with acknowledged-vs-durable TPS and mean
 // harden lag) and
-// `go run ./cmd/sspbench -exp cache -cores 4` /
-// `go run ./cmd/sspbench -exp wear -cores 4` (the DRAM buffer tier and
-// wear-leveling sweeps above).
+// `go run ./cmd/sspbench -exp cache -cores 4` (the DRAM buffer tier sweep
+// above).
 //
 // TestPaperFigures (paper_test.go) holds every table and figure of the
 // paper's evaluation to ci/bench_baseline.json, exactly, and prints them:

@@ -109,7 +109,7 @@ func TestFlushAllOrderGolden(t *testing.T) {
 	}
 	got := fmt.Sprintf("done=%d writes=%d rowhits=%d stats=%x image=%x", done, st.NVRAMWriteLines, st.RowHits,
 		sha256.Sum256([]byte(fmt.Sprintf("%+v", *st))), sha256.Sum256(mem.NVRAMImage().Bytes()))
-	const want = "done=1428349 writes=7445 rowhits=4321 stats=1341208f20c6f7428640aa88a2bad26a8e17635e2cced5d90b99921584b656e9 image=e6523310eadf0494e43901bd197b916d019ce92de8a2fec5335bdba4fa219e93"
+	const want = "done=1428349 writes=7445 rowhits=4321 stats=63583d8aacdbf5e6ccd29ff38e2331001fe6e5991d5e5a39f0472bdc989c51d8 image=e6523310eadf0494e43901bd197b916d019ce92de8a2fec5335bdba4fa219e93"
 	if got != want {
 		t.Fatalf("FlushAll on the fixed script:\n got %s\nwant %s", got, want)
 	}

@@ -48,35 +48,10 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 		survivor, spare = meta.ppn1, meta.ppn0
 		copyBit = 0
 	}
-	// Software wear-leveling (beyond the paper): consolidation is the one
-	// moment a page's frames are quiescent and about to be re-journaled,
-	// so it doubles as the rotation point. A survivor whose cumulative
-	// NVRAM write count has crossed the threshold is replaced by a cold
-	// frame from the allocator (every committed line is copied there); a
-	// hot spare is simply swapped for a cold one — it holds no committed
-	// data after the flip. Retired frames go back via FreeCold, behind
-	// every other free frame, so the replacement is always the pool's
-	// coldest frame rather than the one just retired; they are freed only
-	// after the flip record is durable (below).
-	var retired []memsim.PAddr
-	rotated := false
-	if thr := s.cfg.WearRotateWrites; thr > 0 {
-		if s.env.Mem.PageWrites(survivor) >= thr && s.env.Frames.FreeCount() > 1 {
-			retired = append(retired, survivor)
-			survivor = s.env.Frames.Alloc()
-			rotated = true
-			s.env.Stats.WearRotations++
-		}
-		if s.env.Mem.PageWrites(spare) >= thr && s.env.Frames.FreeCount() > 1 {
-			retired = append(retired, spare)
-			spare = s.env.Frames.Alloc()
-			s.env.Stats.WearRotations++
-		}
-	}
 	var buf [memsim.LineBytes]byte
 	for unit := 0; unit < units; unit++ {
 		bit := (meta.committed >> uint(unit)) & 1
-		if bit != copyBit && !rotated {
+		if bit != copyBit {
 			continue // already resident in the surviving frame
 		}
 		begin, end := s.unitLines(unit)
@@ -116,16 +91,7 @@ func (s *SSP) consolidate(meta *pageMeta, at engine.Cycles) {
 	meta.barrier = journalRef{shard: si, mark: s.journals[si].MarkHere()}
 	meta.ppn0, meta.ppn1 = survivor, spare
 	meta.committed, meta.current = 0, 0
-	if len(retired) > 0 {
-		// The flip record must be durable before the retired frames are
-		// recycled: a crash after a new owner overwrites them would
-		// otherwise replay this page back onto foreign data.
-		t = s.flushShard(si, -1, t)
-	}
 	s.maybeCheckpointShard(si, t)
-	for _, pa := range retired {
-		s.env.Frames.FreeCold(pa)
-	}
 
 	// Durable page-table repoint. Safe in either order with the journal
 	// record: recovery trusts the journal-replayed slot state and repairs

@@ -67,13 +67,6 @@ type Config struct {
 	FlipViaShootdown bool
 	// ShootdownCycles is the cost of one TLB shootdown (OS trap + IPIs).
 	ShootdownCycles engine.Cycles
-	// WearRotateWrites, when positive, retires hot physical frames at
-	// consolidation time (SoftWear-style software wear-leveling): a frame
-	// whose cumulative NVRAM write count (memsim.Memory.PageWrites) has
-	// reached this threshold is swapped for a cold frame from the
-	// allocator, with the flip journaled by the same consolidation record.
-	// 0 disables rotation.
-	WearRotateWrites uint64
 	// DurabilityEpoch, when positive, enables the relaxed-durability commit
 	// mode (CommitRelaxed): a relaxed commit is acknowledged as soon as its
 	// journal batch is buffered, and each journal shard hardens its open

@@ -23,13 +23,15 @@ func scriptWrites(cfg ssp.Config, sc Script) int64 {
 // index sized to the STLB's reach, no cache data for the ways of a set that
 // holds one line, no way predictor sized to a level's capacity, no whole
 // NVRAM page for a few lines written to it, no banks of a memory it never
-// accessed. ssp.New(Config(b)) allocates at most 38 KiB on every backend
-// (30.9-31.5 KiB measured); with 4 KiB pages, full-size predictors and
+// accessed. ssp.New(Config(b)) allocates at most 35 KiB on every backend
+// (27.9-29.4 KiB measured, 28.7-30.8 KiB under the race detector). The
+// budget was 38 KiB while a per-page wear counter in every NVRAM directory
+// chunk made it 30.0-31.5 KiB; with 4 KiB pages, full-size predictors and
 // 64-bit tags it allocated 68-73 KiB, with a block-major cache data pool
 // and a capacity-sized TLB index 104-109 KiB, and with the slot array and
 // TLB entries built to capacity SSP's build allocated 301 KiB.
 func TestMachineNewAllocationBudget(t *testing.T) {
-	const budget, builds = 38 << 10, 16
+	const budget, builds = 35 << 10, 16
 	for _, b := range ssp.Backends() {
 		cfg := Config(b)
 		var ms runtime.MemStats

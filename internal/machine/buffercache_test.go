@@ -7,11 +7,10 @@ import (
 )
 
 // Machine-level tests of the DRAM buffer tier (Config.DRAMCacheFrames) and
-// the software wear-leveling rotation (core.Config.WearRotateWrites): the
-// counter identities under real cache-hierarchy traffic, crash semantics,
-// and data preservation across rotations. The per-frame mechanics are unit
-// tested in internal/buffercache; the crash windows are swept by
-// internal/crashsweep.
+// of SSP's page consolidation: the counter identities under real
+// cache-hierarchy traffic, crash semantics, and data preservation across
+// consolidations. The per-frame mechanics are unit tested in
+// internal/buffercache; the crash windows are swept by internal/crashsweep.
 
 // cacheConfig shrinks the L3 so a ~1 MiB working set spills into the buffer
 // tier.
@@ -80,13 +79,12 @@ func TestDRAMCacheCommittedSurvivesCrash(t *testing.T) {
 	}
 }
 
-func TestWearRotationLevelsAndPreservesData(t *testing.T) {
+func TestConsolidationPreservesData(t *testing.T) {
 	cfg := testConfig(SSP, 1)
-	// A tiny TLB cycles pages out of reach so they consolidate — the
-	// rotation point — and a low threshold makes rotations frequent.
+	// A tiny TLB cycles pages out of reach so they consolidate: every
+	// committed line moves into one frame, then the page splits again.
 	cfg.TLBEntries = 4
 	cfg.STLBEntries = 0
-	cfg.SSP.WearRotateWrites = 16
 	m := New(cfg)
 	c := m.Core(0)
 	const pages, lines = 16, 8
@@ -104,12 +102,12 @@ func TestWearRotationLevelsAndPreservesData(t *testing.T) {
 	m.Drain()
 
 	st := m.Stats()
-	if st.WearRotations == 0 {
-		t.Fatal("no rotations fired with a 16-write threshold")
+	if st.Consolidations == 0 {
+		t.Fatal("no page consolidated with a 4-entry TLB")
 	}
 	if s, ok := m.Backend().(*core.SSP); ok {
 		if msg := s.DebugCheckFrames(); msg != "" {
-			t.Fatalf("frame invariant violated after rotation: %s", msg)
+			t.Fatalf("frame invariant violated after consolidation: %s", msg)
 		}
 	}
 	check := func(when string) {
@@ -121,10 +119,10 @@ func TestWearRotationLevelsAndPreservesData(t *testing.T) {
 			}
 		}
 	}
-	check("after rotations")
+	check("after consolidations")
 	if err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	check("after crash+recovery")
-	t.Logf("rotations: %d, consolidations: %d", st.WearRotations, st.Consolidations)
+	t.Logf("consolidations: %d", st.Consolidations)
 }

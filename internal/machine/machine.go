@@ -20,7 +20,6 @@ package machine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/buffercache"
 	"repro/internal/cachesim"
@@ -215,8 +214,7 @@ func New(cfg Config) *Machine {
 // Restore boots a machine from a previous machine's durable NVRAM image
 // (post-crash) and runs the backend's recovery. The image's pages are
 // installed shared copy-on-write, not copied, so the same image can be
-// restored again; wear counters start at zero. Recovery of a corrupt image
-// returns an error.
+// restored again. Recovery of a corrupt image returns an error.
 func Restore(cfg Config, image memsim.Image) (*Machine, error) {
 	m, err := build(cfg, &image)
 	if err != nil {
@@ -377,27 +375,7 @@ func (m *Machine) Config() Config { return m.cfg }
 // quiesce first.
 func (m *Machine) Stats() *stats.Stats {
 	agg := m.shards.Aggregate()
-	m.fillWear(&agg)
 	return &agg
-}
-
-// fillWear snapshots memsim's per-page NVRAM write counters over the data
-// frame pool into st's wear fields (histogram, max, total). The counters
-// live in memsim rather than a shard, so they are folded in at snapshot
-// time; shards carry zeros for these fields.
-func (m *Machine) fillWear(st *stats.Stats) {
-	for _, w := range m.mem.WornPages(m.layout.FramePoolBase, m.layout.Frames) {
-		st.FramesWritten++
-		st.FrameWriteTotal += w
-		if w > st.FrameWriteMax {
-			st.FrameWriteMax = w
-		}
-		b := bits.Len64(w) - 1
-		if b >= len(st.FrameWrites) {
-			b = len(st.FrameWrites) - 1
-		}
-		st.FrameWrites[b]++
-	}
 }
 
 // CoreStats returns core i's private counter shard (per-core reporting).
@@ -429,7 +407,6 @@ func (m *Machine) WriteSet() *WriteSetStats {
 // clocks and durable state are untouched.
 func (m *Machine) ResetStats() {
 	m.shards.Reset()
-	m.mem.ResetWear()
 	for i := range m.ws {
 		m.ws[i] = WriteSetStats{}
 	}

@@ -51,10 +51,10 @@ func (m *Memory) NVRAMImage() Image {
 // this is how a post-crash machine boots from a previous machine's durable
 // state. The image's page tables are installed shared, not copied: the new
 // Memory copies a table on its first write to the page, and img is left as
-// it was, to be restored again. Wear counters start at zero. The image must
-// come from a Memory with cfg.NVRAMBytes of NVRAM; a mismatched image (from
-// a machine with a different memory Config) is rejected with a descriptive
-// error rather than corrupting the address space.
+// it was, to be restored again. The image must come from a Memory with
+// cfg.NVRAMBytes of NVRAM; a mismatched image (from a machine with a
+// different memory Config) is rejected with a descriptive error rather than
+// corrupting the address space.
 func NewFromImage(cfg Config, st *stats.Stats, img Image) (*Memory, error) {
 	if img.capacity != cfg.NVRAMBytes {
 		return nil, fmt.Errorf("memsim: NVRAM image is %d bytes but Config.NVRAMBytes is %d; the image must come from a machine with the same memory capacities", img.capacity, cfg.NVRAMBytes)

@@ -541,7 +541,6 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 			lat = m.cfg.NVRAMWrite
 			c.st.NVRAMWriteLines++ // line count maintained here; bytes by caller category
 			c.st.NVRAMWriteBytes[cat] += uint64(nbytes)
-			*m.wearOf(pa)++
 		} else {
 			lat = m.cfg.NVRAMRead
 			c.st.NVRAMReadLines++
@@ -718,58 +717,6 @@ func (m *Memory) OnPowerOff(fn func()) { m.onPowerOff = fn }
 // PowerOn clears the power-off state after recovery has rebuilt volatile
 // structures; durable contents are preserved.
 func (m *Memory) PowerOn() { m.powerOff = false }
-
-// PageWrites returns how many durable line writes the NVRAM page containing
-// pa has absorbed since construction (or the last ResetWear) — the page's
-// media wear.
-func (m *Memory) PageWrites(pa PAddr) uint64 {
-	if !m.IsNVRAM(pa) {
-		return 0
-	}
-	page := uint64(pa-m.cfg.NVRAMBase) >> PageShift
-	if c := m.nvram.chunkOf(page); c != nil {
-		return c.wear[page&(chunkPages-1)]
-	}
-	return 0
-}
-
-// WornPages returns the write counters of the written-to pages among the
-// `pages` NVRAM pages starting at base (base must be page-aligned NVRAM), in
-// address order; pages never written are left out, so the cost follows the
-// pages a run wrote.
-func (m *Memory) WornPages(base PAddr, pages int) []uint64 {
-	if !m.IsNVRAM(base) || base%PageBytes != 0 {
-		panic(fmt.Sprintf("memsim: WornPages base %#x is not an NVRAM page", base))
-	}
-	first := uint64(base-m.cfg.NVRAMBase) >> PageShift
-	end := first + uint64(pages)
-	if end<<PageShift > m.cfg.NVRAMBytes {
-		panic(fmt.Sprintf("memsim: WornPages of %d pages at %#x runs past NVRAM", pages, base))
-	}
-	var out []uint64
-	for page := first; page < end; {
-		next := min(end, (page>>chunkShift+1)<<chunkShift) // first page of the next chunk
-		if c := m.nvram.chunkOf(page); c != nil {
-			for ; page < next; page++ {
-				if w := c.wear[page&(chunkPages-1)]; w != 0 {
-					out = append(out, w)
-				}
-			}
-		}
-		page = next
-	}
-	return out
-}
-
-// ResetWear zeroes the per-page write counters (after warm-up, with
-// measurement-window statistics).
-func (m *Memory) ResetWear() {
-	for _, c := range m.nvram.dir {
-		if c != nil {
-			clear(c.wear[:])
-		}
-	}
-}
 
 // ResetTiming clears bank/bus timelines and open-row state on every channel
 // (a reboot); durable contents and statistics are untouched. The rings keep

@@ -3,14 +3,14 @@ package memsim
 import "fmt"
 
 // Byte images materialise on touch, a block at a time: a region is a
-// directory of chunks, a chunk holds chunkPages page pointers and wear
-// counters, a page is a table of pageBlocks block pointers, and a block's
+// directory of chunks, a chunk holds chunkPages page pointers and their
+// shared marks, a page is a table of pageBlocks block pointers, and a block's
 // blockBytes exist only once something was written to it. Building a Memory
 // therefore costs a directory of one pointer per 512 KiB of capacity, a
 // page that was written to costs its table and the blocks written, and
-// everything that walks a region (NVRAMImage, ResetWear, WornPages) walks
-// what was touched. Pages stay the unit of addresses and of wear; the block
-// is the unit of allocation and of copy-on-write sharing.
+// everything that walks a region (NVRAMImage) walks what was touched. Pages
+// stay the unit of addresses; the block is the unit of allocation and of
+// copy-on-write sharing.
 //
 // A block is 512 bytes, so a page's table is 8 pointers: one 64-byte host
 // cache line, which every line access loads between the chunk and the
@@ -55,9 +55,6 @@ type chunk struct {
 	// Image, and bit k while block k may also be held by another table: the
 	// table, or the block, must be copied before this Memory writes it.
 	shared [chunkPages]uint16
-	// wear[i] counts durable line writes to the page — the media-endurance
-	// profile software wear-leveling consumes (NVRAM only).
-	wear [chunkPages]uint64
 }
 
 // region is one contiguous physical range, DRAM or NVRAM.
@@ -208,11 +205,4 @@ func (r *region) own(off uint64) *[blockBytes]byte {
 	p[k] = b
 	c.shared[i] &^= 1 << k
 	return b
-}
-
-// wearOf returns the wear counter of the NVRAM page containing pa (which
-// must be NVRAM), materialising its chunk.
-func (m *Memory) wearOf(pa PAddr) *uint64 {
-	n := uint64(pa-m.cfg.NVRAMBase) >> PageShift
-	return &m.nvram.touchChunk(n).wear[n&(chunkPages-1)]
 }

@@ -209,7 +209,7 @@ func TestImageFromBytesSkipsZeroPages(t *testing.T) {
 }
 
 // A Memory that writes one line in each of its NVRAM pages allocates at
-// most 1 KiB per page (637 B measured), the memory's construction, its
+// most 1 KiB per page (622 B measured), the memory's construction, its
 // directory chunks and the timing rings of the banks it books included: a
 // page costs its table and the block written, not its 4 KiB.
 func TestSparseMemoryAllocatesPerWrittenBlock(t *testing.T) {
@@ -355,52 +355,5 @@ func TestUnwrittenPageReadsAreCopies(t *testing.T) {
 				t.Fatalf("unwritten page %#x no longer reads as zeros", at)
 			}
 		}
-	}
-}
-
-// WornPages over any page range is the non-zero PageWrites of that range, in
-// address order, whether or not the range starts or ends inside a directory
-// chunk, and is empty again after ResetWear.
-func TestWornPagesMatchesPageWrites(t *testing.T) {
-	cfg := sparseTestConfig()
-	cfg.NVRAMBytes = 3<<20 + 5*PageBytes
-	mem := New(cfg, &stats.Stats{})
-	rng := engine.NewRNG(3)
-	total := int(cfg.NVRAMBytes / PageBytes)
-	for i := 0; i < 400; i++ {
-		page := rng.Intn(total)
-		if rng.Intn(2) == 0 { // leave the middle MiB untouched
-			page = rng.Intn(200)
-		} else if page >= 256 && page < 512 {
-			continue
-		}
-		mem.WriteLine(cfg.NVRAMBase+PAddr(page*PageBytes+rng.Intn(PageBytes)), line(1), 0, stats.CatData)
-	}
-	for i := 0; i < 50; i++ {
-		first := rng.Intn(total)
-		pages := rng.Intn(total - first + 1)
-		base := cfg.NVRAMBase + PAddr(first*PageBytes)
-		var want []uint64
-		for p := 0; p < pages; p++ {
-			if w := mem.PageWrites(base + PAddr(p*PageBytes)); w != 0 {
-				want = append(want, w)
-			}
-		}
-		got := mem.WornPages(base, pages)
-		if len(got) != len(want) {
-			t.Fatalf("WornPages(%d pages from page %d) returned %d counters, PageWrites has %d non-zero", pages, first, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("WornPages(%d pages from page %d)[%d] = %d, want %d", pages, first, j, got[j], want[j])
-			}
-		}
-	}
-	if len(mem.WornPages(cfg.NVRAMBase, total)) == 0 {
-		t.Fatal("no page recorded a write")
-	}
-	mem.ResetWear()
-	if got := mem.WornPages(cfg.NVRAMBase, total); len(got) != 0 {
-		t.Fatalf("%d pages still worn after ResetWear", len(got))
 	}
 }

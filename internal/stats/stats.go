@@ -91,11 +91,6 @@ const MaxChannels = 16
 // (vm.LayoutConfig.JournalShards; keep the two limits in sync).
 const MaxJournalShards = 16
 
-// FrameWriteBuckets sizes the log2 histogram of per-frame NVRAM write
-// counts (Stats.FrameWrites): bucket i counts frames whose write count has
-// bit length i+1, i.e. lies in [2^i, 2^(i+1)).
-const FrameWriteBuckets = 24
-
 // Stats is the full counter set for one simulation run. It is plain data;
 // the zero value is ready to use.
 type Stats struct {
@@ -197,22 +192,6 @@ type Stats struct {
 	DRAMCacheHardens    uint64
 	DRAMCacheWriteBacks uint64
 	DRAMCacheEvictions  uint64
-
-	// Software wear-leveling counters. WearRotations counts hot frames
-	// retired by the rotation policy (core.Config.WearRotateWrites). The
-	// remaining fields are a snapshot of memsim's per-frame NVRAM write
-	// counters over the data frame pool, filled when the machine aggregates
-	// its statistics: FrameWrites is a log2 histogram of per-frame write
-	// counts (bucket i = frames with writes in [2^i, 2^(i+1))),
-	// FrameWriteMax the hottest frame, FrameWriteTotal the sum and
-	// FramesWritten the number of frames written at all — so max/mean =
-	// FrameWriteMax / (FrameWriteTotal/FramesWritten) is the wear skew the
-	// -exp wear sweep reports.
-	WearRotations   uint64
-	FrameWrites     [FrameWriteBuckets]uint64
-	FrameWriteMax   uint64
-	FrameWriteTotal uint64
-	FramesWritten   uint64
 
 	// Per-shard SSP metadata-journal counters (journal sharding). Indexed by
 	// shard; shards beyond LayoutConfig.JournalShards stay zero.
@@ -358,15 +337,6 @@ func (s *Stats) Add(o *Stats) {
 	s.DRAMCacheHardens += o.DRAMCacheHardens
 	s.DRAMCacheWriteBacks += o.DRAMCacheWriteBacks
 	s.DRAMCacheEvictions += o.DRAMCacheEvictions
-	s.WearRotations += o.WearRotations
-	for i := range s.FrameWrites {
-		s.FrameWrites[i] += o.FrameWrites[i]
-	}
-	if o.FrameWriteMax > s.FrameWriteMax {
-		s.FrameWriteMax = o.FrameWriteMax
-	}
-	s.FrameWriteTotal += o.FrameWriteTotal
-	s.FramesWritten += o.FramesWritten
 	for i := range s.JournalShardRecords {
 		s.JournalShardRecords[i] += o.JournalShardRecords[i]
 		s.JournalShardCheckpoints[i] += o.JournalShardCheckpoints[i]
@@ -443,11 +413,6 @@ func (s *Stats) Summary() string {
 		fmt.Fprintf(&b, "DRAM cache reads: %d (hits %d, misses %d)\n", s.DRAMCacheReads, s.DRAMCacheHits, s.DRAMCacheMisses)
 		fmt.Fprintf(&b, "DRAM cache absorbed/hardened/writeback lines: %d/%d/%d (%d frame evictions)\n",
 			s.DRAMCacheAbsorbed, s.DRAMCacheHardens, s.DRAMCacheWriteBacks, s.DRAMCacheEvictions)
-	}
-	if s.FramesWritten > 0 {
-		mean := float64(s.FrameWriteTotal) / float64(s.FramesWritten)
-		fmt.Fprintf(&b, "frame wear: %d frames written, max %d, mean %.1f (skew %.2f), rotations %d\n",
-			s.FramesWritten, s.FrameWriteMax, mean, float64(s.FrameWriteMax)/mean, s.WearRotations)
 	}
 	fmt.Fprintf(&b, "undo/redo records: %d/%d, writeback stalls: %d\n", s.UndoRecords, s.RedoRecords, s.WritebackStalls)
 	fmt.Fprintf(&b, "commits: %d, aborts: %d, fallback txns: %d\n", s.Commits, s.Aborts, s.FallbackTxns)

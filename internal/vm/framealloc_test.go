@@ -9,9 +9,9 @@ import (
 )
 
 // listFrameAlloc is the reference model of FrameAlloc's allocation order:
-// the pool as one explicit stack of frame indices, built in full, with
-// FreeCold inserting at the bottom. FrameAlloc must hand out the same frame
-// at every step of any operation sequence.
+// the pool as one explicit stack of frame indices, built in full, popped
+// past the frames in use. FrameAlloc must hand out the same frame at every
+// step of any operation sequence.
 type listFrameAlloc struct {
 	layout Layout
 	free   []int
@@ -45,18 +45,6 @@ func (fa *listFrameAlloc) alloc() (pa memsim.PAddr, ok bool) {
 	return 0, false
 }
 
-func (fa *listFrameAlloc) freeHot(pa memsim.PAddr) {
-	idx := fa.layout.FrameIndex(pa)
-	fa.used[idx] = false
-	fa.free = append(fa.free, idx)
-}
-
-func (fa *listFrameAlloc) freeCold(pa memsim.PAddr) {
-	idx := fa.layout.FrameIndex(pa)
-	fa.used[idx] = false
-	fa.free = append([]int{idx}, fa.free...)
-}
-
 func (fa *listFrameAlloc) reserve(pa memsim.PAddr) { fa.used[fa.layout.FrameIndex(pa)] = true }
 
 func (fa *listFrameAlloc) inUse() int {
@@ -76,27 +64,20 @@ func panics(fn func()) (p bool) {
 	return false
 }
 
-// Randomised differential test: Alloc, Free, FreeCold, reserve and Rebuild
-// in any interleaving — including recovery's Rebuild from a page table, frees
-// of reserved frames that leave a frame listed twice, and runs into an
-// exhausted pool — give the allocation sequence of the reference model.
+// Randomised differential test: Alloc, reserve and Rebuild in any
+// interleaving — including recovery's Rebuild from a page table and runs
+// into an exhausted pool — give the allocation sequence of the reference
+// model.
 func TestFrameAllocMatchesListModel(t *testing.T) {
 	mem, l, _ := testEnv(t)
 	for seed := uint64(1); seed <= 30; seed++ {
-		l.Frames = 8 + int(seed)*3 // small pools reach the cold queue and exhaustion
+		l.Frames = 8 + int(seed)*3 // small pools reach exhaustion
 		rng := engine.NewRNG(seed)
 		fa, ref := NewFrameAlloc(l), newListFrameAlloc(l)
-		var held []memsim.PAddr // frames in use, in both
-		drop := func(i int) memsim.PAddr {
-			pa := held[i]
-			held[i] = held[len(held)-1]
-			held = held[:len(held)-1]
-			return pa
-		}
 		var trace []string
 		for step := 0; step < 4000; step++ {
 			switch op := rng.Intn(100); {
-			case op < 45:
+			case op < 60:
 				want, ok := ref.alloc()
 				if !ok {
 					if !panics(func() { fa.Alloc() }) {
@@ -112,18 +93,7 @@ func TestFrameAllocMatchesListModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Alloc returned frame %d, the list model %d\nlast ops: %v",
 						seed, step, l.FrameIndex(got), l.FrameIndex(want), trace[max(0, len(trace)-12):])
 				}
-				held = append(held, got)
-			case op < 65 && len(held) > 0:
-				pa := drop(rng.Intn(len(held)))
-				trace = append(trace, fmt.Sprintf("free(%d)", l.FrameIndex(pa)))
-				fa.Free(pa)
-				ref.freeHot(pa)
-			case op < 85 && len(held) > 0:
-				pa := drop(rng.Intn(len(held)))
-				trace = append(trace, fmt.Sprintf("freecold(%d)", l.FrameIndex(pa)))
-				fa.FreeCold(pa)
-				ref.freeCold(pa)
-			case op < 97:
+			case op < 95:
 				pa := l.FrameAddr(rng.Intn(l.Frames))
 				if ref.used[l.FrameIndex(pa)] {
 					if !panics(func() { fa.reserve(pa) }) {
@@ -134,28 +104,25 @@ func TestFrameAllocMatchesListModel(t *testing.T) {
 				trace = append(trace, fmt.Sprintf("reserve(%d)", l.FrameIndex(pa)))
 				fa.reserve(pa)
 				ref.reserve(pa)
-				held = append(held, pa)
 			default:
 				// Recovery's rebuild: everything free but what the page
 				// table maps.
 				trace = append(trace, "rebuild")
 				ref.reset()
-				held = held[:0]
 				pt := NewPageTable(mem, l)
-				for i := rng.Intn(l.Frames / 2); i > 0; i-- {
+				for vpn := rng.Intn(l.Frames / 2); vpn > 0; vpn-- {
 					pa := l.FrameAddr(rng.Intn(l.Frames))
 					if !ref.used[l.FrameIndex(pa)] {
-						pt.SetMirror(len(held), pa)
+						pt.SetMirror(vpn, pa)
 						ref.reserve(pa)
-						held = append(held, pa)
 					}
 				}
 				if err := fa.Rebuild(pt, 0, 0, nil); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 			}
-			if got, want := fa.InUse(), ref.inUse(); got != want || fa.FreeCount() != l.Frames-want {
-				t.Fatalf("seed %d step %d: InUse %d FreeCount %d, the list model has %d in use of %d", seed, step, got, fa.FreeCount(), want, l.Frames)
+			if got, want := fa.InUse(), ref.inUse(); got != want {
+				t.Fatalf("seed %d step %d: InUse %d, the list model has %d in use of %d", seed, step, got, want, l.Frames)
 			}
 		}
 	}

@@ -129,45 +129,22 @@ func (pt *PageTable) Mapped() [](struct {
 // FrameAlloc hands out physical frames from the pool. Allocation state is
 // volatile: recovery rebuilds it (Rebuild) from the page table and the SSP
 // slots' spares (frames lost between mapping and commit leak until then).
-//
-// The free pool is one conceptual stack, top first: the hot frames (Free,
-// last in first out), then the frames no one has taken yet in ascending
-// index order, then the cold frames (FreeCold, first in first out). The
-// middle part is a cursor rather than a list, so neither building nor
-// resetting the allocator, nor anything it does, walks the pool. A frame a
-// rebuild reserved, or one that is listed twice, is still in the stack; Alloc
-// skips an entry whose frame is in use when it surfaces.
+// Frames are never returned: a heap page keeps its frame once mapped, and
+// SSP moves a page's second frame between its own slots. So the pool is a
+// cursor over the frame indices, ascending, beside an in-use bitmap; Alloc
+// skips the frames a rebuild or a range reservation took. Neither building
+// nor resetting the allocator walks the pool.
 type FrameAlloc struct {
 	layout Layout
 
-	hot      []int
-	next     int // frames [next, layout.Frames) were never handed out
-	cold     []int
-	coldHead int      // cold[coldHead:] is the queue
-	used     []uint64 // bit idx: frame idx is in use; words up to the highest frame ever taken
-	inUse    int
+	next  int      // frames [next, layout.Frames) were never handed out
+	used  []uint64 // bit idx: frame idx is in use; words up to the highest frame ever taken
+	inUse int
 }
 
 // NewFrameAlloc returns an allocator with every frame free.
 func NewFrameAlloc(l Layout) *FrameAlloc {
 	return &FrameAlloc{layout: l}
-}
-
-// pop removes the top entry of the free stack.
-func (fa *FrameAlloc) pop() (int, bool) {
-	switch {
-	case len(fa.hot) > 0:
-		idx := fa.hot[len(fa.hot)-1]
-		fa.hot = fa.hot[:len(fa.hot)-1]
-		return idx, true
-	case fa.next < fa.layout.Frames:
-		fa.next++
-		return fa.next - 1, true
-	case fa.coldHead < len(fa.cold):
-		fa.coldHead++
-		return fa.cold[fa.coldHead-1], true
-	}
-	return 0, false
 }
 
 func (fa *FrameAlloc) isUsed(idx int) bool {
@@ -188,49 +165,18 @@ func (fa *FrameAlloc) take(idx int) {
 	fa.inUse++
 }
 
-// release marks pa's frame free and returns its index.
-func (fa *FrameAlloc) release(pa memsim.PAddr) int {
-	idx := fa.layout.FrameIndex(pa)
-	if !fa.isUsed(idx) {
-		panic(fmt.Sprintf("vm: double free of frame %#x", pa))
-	}
-	fa.used[idx>>6] &^= 1 << (idx & 63)
-	fa.inUse--
-	return idx
-}
-
 // Alloc returns a free frame's base address. It panics when the pool is
 // exhausted (simulated machines are sized for their workloads).
 func (fa *FrameAlloc) Alloc() memsim.PAddr {
-	for {
-		idx, ok := fa.pop()
-		if !ok {
-			panic("vm: NVRAM frame pool exhausted; raise Config.NVRAMBytes")
-		}
+	for fa.next < fa.layout.Frames {
+		idx := fa.next
+		fa.next++
 		if !fa.isUsed(idx) {
 			fa.take(idx)
 			return fa.layout.FrameAddr(idx)
 		}
 	}
-}
-
-// Free returns a frame to the pool.
-func (fa *FrameAlloc) Free(pa memsim.PAddr) {
-	fa.hot = append(fa.hot, fa.release(pa))
-}
-
-// FreeCold returns a frame to the cold end of the pool, so it is reused
-// only after every other free frame. Wear rotation retires hot frames this
-// way: with the plain LIFO Free, a retired frame would be the very next
-// Alloc's pick and the same physical frame would keep soaking up the hot
-// page's writes.
-func (fa *FrameAlloc) FreeCold(pa memsim.PAddr) {
-	idx := fa.release(pa)
-	if fa.coldHead > len(fa.cold)/2 { // drop the consumed prefix
-		fa.cold = fa.cold[:copy(fa.cold, fa.cold[fa.coldHead:])]
-		fa.coldHead = 0
-	}
-	fa.cold = append(fa.cold, idx)
+	panic("vm: NVRAM frame pool exhausted; raise Config.NVRAMBytes")
 }
 
 // reserve marks a free frame used; reserving an already-used frame is an
@@ -302,8 +248,7 @@ func (fa *FrameAlloc) DebugUsed() []int {
 
 // reset returns the allocator to the all-free state.
 func (fa *FrameAlloc) reset() {
-	fa.hot, fa.next = fa.hot[:0], 0
-	fa.cold, fa.coldHead = fa.cold[:0], 0
+	fa.next = 0
 	fa.used, fa.inUse = fa.used[:0], 0
 }
 
@@ -364,6 +309,3 @@ func (fa *FrameAlloc) Rebuild(pt *PageTable, spares, formatted int, spare func(i
 func (fa *FrameAlloc) InUse() int {
 	return fa.inUse
 }
-
-// FreeCount returns the number of available frames.
-func (fa *FrameAlloc) FreeCount() int { return fa.layout.Frames - fa.InUse() }

@@ -248,40 +248,17 @@ func TestPageTableSetMirrorIsVolatile(t *testing.T) {
 func TestFrameAllocLifecycle(t *testing.T) {
 	_, l, _ := testEnv(t)
 	fa := NewFrameAlloc(l)
-	total := l.Frames
-	if fa.FreeCount() != total {
-		t.Fatalf("free = %d, want %d", fa.FreeCount(), total)
+	if fa.InUse() != 0 {
+		t.Fatalf("in use = %d, want 0", fa.InUse())
 	}
 	a := fa.Alloc()
 	b := fa.Alloc()
-	if a == b {
-		t.Fatal("duplicate frame allocation")
+	if a != l.FrameAddr(0) || b != l.FrameAddr(1) {
+		t.Fatalf("Alloc returned frames %#x, %#x, want the pool's first two in order", a, b)
 	}
 	if fa.InUse() != 2 {
 		t.Errorf("in use = %d", fa.InUse())
 	}
-	fa.Free(a)
-	if fa.InUse() != 1 {
-		t.Errorf("in use after free = %d", fa.InUse())
-	}
-	c := fa.Alloc()
-	_ = c
-	if fa.InUse() != 2 {
-		t.Errorf("in use after realloc = %d", fa.InUse())
-	}
-}
-
-func TestFrameAllocDoubleFreePanics(t *testing.T) {
-	_, l, _ := testEnv(t)
-	fa := NewFrameAlloc(l)
-	a := fa.Alloc()
-	fa.Free(a)
-	defer func() {
-		if recover() == nil {
-			t.Error("double free should panic")
-		}
-	}()
-	fa.Free(a)
 }
 
 func TestFrameAllocReserveAndReset(t *testing.T) {
@@ -302,7 +279,7 @@ func TestFrameAllocReserveAndReset(t *testing.T) {
 		seen[f] = true
 	}
 	fa.reset()
-	if fa.InUse() != 0 || fa.FreeCount() != l.Frames {
+	if fa.InUse() != 0 || fa.Alloc() != l.FrameAddr(0) {
 		t.Error("reset did not clear state")
 	}
 }

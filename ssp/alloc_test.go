@@ -18,8 +18,9 @@ func allocated(fn func()) uint64 {
 // Building and power-cycling a machine costs what the run touched, not what
 // was configured: on the paper's Table 2 machine (192 MB of NVRAM, 12 MB L3;
 // the sizes the benchmark's tree/sps/serve workloads use) New allocates under
-// 0.6 MiB (0.1 MiB measured) and New + a dozen transactions + power failure +
-// in-place recovery under 16 MiB, on every backend. An eager make of a
+// 0.6 MiB (32-38 KiB measured) and New + a dozen transactions + power
+// failure + in-place recovery under 16 MiB (66-87 KiB measured), on every
+// backend. An eager make of a
 // capacity-sized array (the NVRAM bytes are 192 MiB, the L3 lines 17 MiB) or
 // an eagerly formatted SSP slot array (0.4 MiB) cannot hide in that.
 func TestMachineAllocationBudget(t *testing.T) {

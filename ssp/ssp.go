@@ -220,15 +220,6 @@ type Config struct {
 	// buffer hardens it first. The frames must fit in DRAMMB. 0 (default)
 	// is the paper's bare-NVRAM model, bit-for-bit.
 	DRAMCacheFrames int
-	// WearRotateWrites, when positive, enables SoftWear-style software
-	// wear-leveling (beyond the paper): at page consolidation, a physical
-	// frame whose cumulative NVRAM write count has reached this threshold
-	// is retired — the page's committed lines are copied into a cold frame
-	// from the allocator, the frame flip rides the same journaled
-	// consolidation record, and the hot frame returns to the pool
-	// (Stats.WearRotations, Stats.FrameWriteMax). 0 (default) disables
-	// rotation, bit-for-bit.
-	WearRotateWrites int
 	// LazyConsolidation defers consolidation until slot pressure demands
 	// it (the paper's §3.4 future-work variant).
 	LazyConsolidation bool
@@ -308,9 +299,6 @@ func (c Config) apply() machine.Config {
 		mc.SSP.WSBEntries = c.WSBEntries
 	}
 	mc.DRAMCacheFrames = c.DRAMCacheFrames
-	if c.WearRotateWrites > 0 {
-		mc.SSP.WearRotateWrites = uint64(c.WearRotateWrites)
-	}
 	mc.SSP.LazyConsolidation = c.LazyConsolidation
 	mc.SSP.FlipViaShootdown = c.FlipViaShootdown
 	if c.TimeWindow > 0 {
@@ -404,9 +392,6 @@ func (c Config) Validate() error {
 				c.DRAMCacheFrames, c.DRAMCacheFrames*4, dramBytes>>20)
 		}
 	}
-	if c.WearRotateWrites < 0 {
-		return fmt.Errorf("ssp: WearRotateWrites is %d, want >= 0 (0 disables wear rotation)", c.WearRotateWrites)
-	}
 	mc := c.apply()
 	if err := vm.CheckLayout(mc.Mem, mc.Layout); err != nil {
 		return fmt.Errorf("ssp: NVRAMMB (%d MiB) cannot hold the metadata regions sized by Cores (%d), TLBEntries, STLBEntries, MaxHeapPages, JournalKB and JournalShards: %v",
@@ -448,8 +433,7 @@ func MustNew(cfg Config) *Machine {
 // plus recovery, and one image may be restored any number of times, from any
 // goroutine. A corrupt image is an error, not a panic: recovery refuses, for
 // instance, a page-table entry that is not a frame base or a frame mapped
-// twice. The restored machine's NVRAM wear counters start at zero, where
-// in-place Recover keeps them.
+// twice.
 func Restore(cfg Config, image Image) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

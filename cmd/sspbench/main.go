@@ -94,7 +94,6 @@ var experimentTable = []experiment{
 		section("Ablations — design-choice knobs (beyond the paper)")
 		fmt.Println(experiments.RenderAblations("sub-page granularity (§4.3)", experiments.AblateSubPage(sc)))
 		fmt.Println(experiments.RenderAblations("write-set buffer capacity (§4.2)", experiments.AblateWSB(sc)))
-		fmt.Println(experiments.RenderAblations("REDO write-back queue bound", experiments.AblateRedoQueue(sc)))
 		fmt.Println(experiments.RenderAblations("SSP-cache L3 residency", experiments.AblateSSPCacheResidency(sc)))
 		fmt.Println(experiments.RenderAblations("consolidation policy (§3.4 eager vs lazy)", experiments.AblateConsolidationPolicy(sc)))
 		fmt.Println(experiments.RenderAblations("flip mechanism (§4.1.1 broadcast vs §4.3 shootdown)", experiments.AblateFlipMechanism(sc)))

@@ -56,10 +56,11 @@
 // sleeping thread. A BlockExternal wait runs on a helper goroutine of the
 // core, which on its return makes the core ready and drives the loop
 // itself if no goroutine is driving; a panic in one core's fn ends the Run
-// with a panic naming the core. Execution
-// is serialised, so extra host cores add no wall-clock speed, while
-// SIMULATED speedup curves are unaffected (conservative windows only fix
-// the interleaving). Machine.WindowStats reports windows/grants/barrier
+// with a panic naming the core. Execution is serialised, so extra host
+// cores add no wall-clock speed. W does move SIMULATED speedup curves,
+// since a core books shared hardware up to one window ahead of the
+// laggard's clock: TestPaperFigures' ScaleSweep row holds 4-core memcached
+// at each swept W. Machine.WindowStats reports windows/grants/barrier
 // stalls (deterministic) plus the host-side barrier-wait share used to pick
 // the default W — at small scale W=4096 keeps the barrier-wait share near
 // the serialisation floor while bounding cross-core lag. The server path's
@@ -608,10 +609,13 @@
 // global commits, the End deferred into the coordinator's open epoch);
 // CrossRelaxedCheckpoints (the same on 1 KiB rings under the window
 // scheduler: participant checkpoints harden the holding coordinator
-// epochs); and
-// Windowed (per-core loops under the window scheduler with shards and an
-// epoch). A new knob is a new row, never a new oracle. `go run
-// ./cmd/sspcrash` sweeps the same table on fresh seeds, and a failure line
+// epochs); Windowed (per-core loops under the window scheduler with shards
+// and an epoch); Consolidation/serial (a 4-entry DTLB and no STLB, so SSP
+// consolidates pages mid-script and cuts land inside the copy and around
+// the flip record); and Fallback (a 1-page write-set buffer, so SSP's
+// multi-page transactions take §3.5's software fall-back path). A new knob
+// is a new row, never a new oracle. `go run ./cmd/sspcrash` sweeps the
+// same table on fresh seeds, and a failure line
 // names class, backend, script seed and trap index. The benchmark's
 // crashsweep.RunScript and Verify are thin wrappers over the same runner
 // and checker.
@@ -646,4 +650,9 @@
 // paper's evaluation to ci/bench_baseline.json, exactly, and prints them:
 //
 //	go test -v -run TestPaperFigures .
+//
+// The same pass gates the configuration surface: it records every
+// ssp.Config that reaches ssp.New, adds the crash class table's, and fails,
+// naming the field, when some Config field is never set away from its
+// default, so a knob exists only with a gated cell that sets it.
 package repro

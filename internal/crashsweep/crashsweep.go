@@ -440,6 +440,9 @@ var Classes = []Class{
 	{"CrossRelaxedCheckpoints", with(machine(4, 4, 30000), func(c *ssp.Config) { c.JournalKB = 1 }),
 		relaxed(true, true), 60, []uint64{2}},
 	{"Windowed", machine(4, 2, 50000), mode(false, true), 10, []uint64{0x3D0A, 0xF7F4D}},
+	{"Consolidation/serial", with(machine(1, 0, 0), func(c *ssp.Config) { c.TLBEntries, c.STLBEntries = 4, -1 }),
+		MakeScript, 30, []uint64{1, 2, 3, 4}},
+	{"Fallback", with(machine(1, 0, 0), func(c *ssp.Config) { c.WSBEntries = 1 }), MakeScript, 20, []uint64{7, 8, 9, 10}},
 }
 
 // machine is Config with cores, journal shards and a durability epoch.

@@ -24,6 +24,8 @@ func TestTrapSweepRelaxed(t *testing.T)                 { sweepFamily(t, "Relaxe
 func TestTrapSweepCrossRelaxed(t *testing.T)            { sweepFamily(t, "CrossRelaxed") }
 func TestTrapSweepCrossRelaxedCheckpoints(t *testing.T) { sweepFamily(t, "CrossRelaxedCheckpoints") }
 func TestTrapSweepWindowed(t *testing.T)                { sweepFamily(t, "Windowed") }
+func TestTrapSweepConsolidation(t *testing.T)           { sweepFamily(t, "Consolidation") }
+func TestTrapSweepFallback(t *testing.T)                { sweepFamily(t, "Fallback") }
 
 // drives is, per family, what the SSP reference run of every seed must
 // drive for the sweep to cover the mechanism the class is named after.
@@ -47,6 +49,8 @@ var drives = map[string]struct {
 	"CrossRelaxedCheckpoints": {"checkpoints, global commits and hardened epochs", func(st *ssp.Stats) bool {
 		return st.Checkpoints > 0 && st.GlobalCommits > 0 && st.HardenedEpochs > 0
 	}},
+	"Consolidation": {"consolidations", func(st *ssp.Stats) bool { return st.Consolidations > 0 }},
+	"Fallback":      {"fall-back transactions", func(st *ssp.Stats) bool { return st.FallbackTxns > 0 }},
 }
 
 func sweepFamily(t *testing.T, family string) {

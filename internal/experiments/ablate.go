@@ -65,25 +65,6 @@ func AblateWSB(sc Scale) []AblationRow {
 	return rows
 }
 
-// AblateRedoQueue varies REDO-LOG's post-commit write-back queue bound,
-// exposing DHTM's residual critical-path cost.
-func AblateRedoQueue(sc Scale) []AblationRow {
-	var rows []AblationRow
-	for _, q := range []int{8, 64, 512} {
-		p := sc.params(workload.BTreeRand, ssp.RedoLog, 1)
-		p.Machine.RedoQueueLines = q
-		res := workload.Run(p)
-		st := res.Stats
-		rows = append(rows, AblationRow{
-			Name:   fmt.Sprintf("redoq=%d", q),
-			Kind:   workload.BTreeRand,
-			TPS:    res.TPS,
-			Writes: st.TotalWriteBytes(),
-		})
-	}
-	return rows
-}
-
 // AblateSSPCacheResidency shrinks the L3-resident share of the SSP cache,
 // forcing DRAM-latency metadata fetches (the effect Figure 9 sweeps via
 // latency).

@@ -244,11 +244,6 @@ func TestAblations(t *testing.T) {
 		t.Errorf("wsb=2 should force fall-back transactions")
 	}
 
-	rq := AblateRedoQueue(sc)
-	if len(rq) != 3 {
-		t.Fatalf("redo queue rows: %d", len(rq))
-	}
-
 	res := AblateSSPCacheResidency(sc)
 	if res[0].TPS < res[2].TPS {
 		t.Errorf("shrinking SSP-cache residency should not speed SPS up (%.0f -> %.0f)",

@@ -13,10 +13,10 @@ import (
 // scheduler, swept against the window size W. The scheduler serialises
 // cores onto one execution slot in simulated-time order, making every
 // repeat byte-identical. The sweep reports the simulated
-// speedup curve (which W does not change — conservative windows only order
-// the interleaving), the scheduler's host-side barrier-wait share (which
-// picks the default W), and the per-shard journal pressure that explains
-// where the speedup curve flattens.
+// speedup curve (W moves it: a core books shared hardware up to a window
+// ahead of the laggard's clock), the scheduler's host-side barrier-wait
+// share (which picks the default W), and the per-shard journal pressure
+// that explains where the speedup curve flattens.
 
 // ScaleWindows returns the swept window sizes in cycles.
 func ScaleWindows() []int { return []int{1024, 4096, 16384} }
@@ -89,7 +89,7 @@ func RenderScale(points []ScalePoint) string {
 			Speedup: pt.Speedup,
 		}, true
 	}))
-	b.WriteString("\nscheduler cost (host side; simulated timing is window-invariant):\n")
+	b.WriteString("\nscheduler cost (host side):\n")
 	for _, w := range rowKeys {
 		for _, c := range coresList {
 			pt, ok := cellOf(w, c)

@@ -199,6 +199,12 @@ func (w *WriteSetStats) AvgPages() float64 {
 	return float64(w.TotalPages) / float64(w.Txns)
 }
 
+// RecordConfig, when non-nil, receives the public configuration (an
+// ssp.Config) of every machine ssp.New builds. Only the paper-figures test
+// sets it, for the length of its pass, to check that each Config field is
+// set by some gated row; nil otherwise.
+var RecordConfig func(cfg any)
+
 // New builds and formats a fresh machine.
 func New(cfg Config) *Machine {
 	m, err := build(cfg, nil)

@@ -1,8 +1,10 @@
 // TestPaperFigures regenerates the paper's evaluation — Tables 3–5, Figs
-// 5–9, the two ablations, the recovery sweep and the multi-core smokes — at
-// a fixed small scale and holds every value to ci/bench_baseline.json at
-// exact float64 equality. Every simulated number is a pure function of
-// (commit, seed), so any difference is a behavioural change: re-record with
+// 5–9, the six ablations, the recovery sweep, the window sweep and the
+// multi-core smokes — at a fixed small scale and holds every value to
+// ci/bench_baseline.json at exact float64 equality. The same pass fails on
+// an ssp.Config field that no machine it builds and no crash class sets.
+// Every simulated number is a pure function of (commit, seed), so any
+// difference is a behavioural change: re-record with
 //
 //	go test -run '^TestPaperFigures$' . -update
 //
@@ -16,12 +18,17 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/crashsweep"
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/workload"
 	"repro/ssp"
 )
@@ -102,16 +109,13 @@ var paperRows = []struct {
 			f.put("BenchmarkTable5_RealWorkloadWriteSaving", r.Kind.String()+"_vsREDO_%", r.SavingOver[ssp.RedoLog])
 		}
 	}},
-	{"AblationSubPage", func(f figures) {
-		for _, r := range experiments.AblateSubPage(shortScale()) {
-			f.put("BenchmarkAblation_SubPageGranularity", r.Kind.String()+"_"+r.Name+"_TPS", r.TPS)
-		}
-	}},
-	{"AblationConsolidation", func(f figures) {
-		for _, r := range experiments.AblateConsolidationPolicy(shortScale()) {
-			f.put("BenchmarkAblation_ConsolidationPolicy", r.Kind.String()+"_"+r.Name+"_TPS", r.TPS)
-		}
-	}},
+	// The design-choice ablations `sspbench -exp ablate` prints.
+	{"AblationSubPage", ablation("BenchmarkAblation_SubPageGranularity", experiments.AblateSubPage)},
+	{"AblationConsolidation", ablation("BenchmarkAblation_ConsolidationPolicy", experiments.AblateConsolidationPolicy)},
+	{"AblationWSB", ablation("BenchmarkAblation_WSBCapacity", experiments.AblateWSB)},
+	{"AblationSSPCacheResidency", ablation("BenchmarkAblation_SSPCacheResidency", experiments.AblateSSPCacheResidency)},
+	{"AblationFlipMechanism", ablation("BenchmarkAblation_FlipMechanism", experiments.AblateFlipMechanism)},
+	{"AblationRedoEngines", ablation("BenchmarkAblation_RedoWriteBackEngines", experiments.AblateRedoEngines)},
 	{"RecoveryEffort", func(f figures) {
 		sc := paperScale()
 		sc.Ops = 400
@@ -254,6 +258,13 @@ var paperRows = []struct {
 		f.put(b, "Cache_dataWr_lines", float64(experiments.DataWriteLines(cached.Stats)))
 		f.put(b, "Cache_speedup", cached.CommittedTPS/bare.CommittedTPS)
 	}},
+	// SSP on the sharded memcached workload at 4 cores under each window
+	// size of the scale-out sweep.
+	{"ScaleSweep", func(f figures) {
+		for _, pt := range experiments.ScaleSweep(shortScale(), workload.Memcached, experiments.ScaleWindows(), []int{4}) {
+			f.put("BenchmarkScaleSweep", "Memcached_4core_W"+strconv.Itoa(pt.Window)+"_speedup", pt.Speedup)
+		}
+	}},
 	// The simulated cycles of one minimal two-store transaction on a fresh
 	// machine of each design: the mechanism overhead itself.
 	{"TxnPath", func(f figures) {
@@ -265,12 +276,52 @@ var paperRows = []struct {
 	}},
 }
 
+// ablation gates one `sspbench -exp ablate` table at shortScale: each row's
+// TPS, plus its fallbacks and its parallel speedup when the table carries
+// them (the write-set buffer and the write-back engines).
+func ablation(bench string, run func(experiments.Scale) []experiments.AblationRow) func(f figures) {
+	return func(f figures) {
+		rows := run(shortScale())
+		fallbacks := slices.ContainsFunc(rows, func(r experiments.AblationRow) bool { return r.Fallback > 0 })
+		for _, r := range rows {
+			key := r.Kind.String() + "_" + r.Name
+			f.put(bench, key+"_TPS", r.TPS)
+			if fallbacks {
+				f.put(bench, key+"_fallbacks", float64(r.Fallback))
+			}
+			if r.Speedup > 0 {
+				f.put(bench, key+"_speedup", r.Speedup)
+			}
+		}
+	}
+}
+
+// configGateExempt names the ssp.Config fields no gated row needs to set,
+// each with its reason. It is empty: every field has a gated setter.
+var configGateExempt = map[string]string{}
+
 func TestPaperFigures(t *testing.T) {
+	// The config gate: every ssp.Config field is set to a non-zero value
+	// (the zero value selects the default) by some machine this pass builds
+	// or by some crash class row.
+	var built []ssp.Config
+	prev := machine.RecordConfig
+	machine.RecordConfig = func(cfg any) { built = append(built, cfg.(ssp.Config)) }
+	defer func() { machine.RecordConfig = prev }()
+
 	got := figures{}
 	for _, row := range paperRows {
 		start := time.Now()
 		row.run(got)
 		t.Logf("%s ran in %v", row.name, time.Since(start).Round(time.Millisecond))
+	}
+	for _, cl := range crashsweep.Classes {
+		built = append(built, cl.Config)
+	}
+	if ungated, err := ungatedFields(built, configGateExempt); err != nil {
+		t.Error(err)
+	} else if len(ungated) > 0 {
+		t.Errorf("ssp.Config fields that no gated row or crash class sets: %s", strings.Join(ungated, ", "))
 	}
 	for _, bench := range sortedKeys(got) {
 		for _, metric := range sortedKeys(got[bench]) {
@@ -296,6 +347,28 @@ func TestPaperFigures(t *testing.T) {
 	for _, d := range diffFigures(got, want) {
 		t.Error(d)
 	}
+}
+
+// ungatedFields returns, in declaration order, every ssp.Config field that
+// holds its zero value in each of configs and that exempt does not name. An
+// exemption naming no ssp.Config field is an error, so the list cannot
+// outlive its field.
+func ungatedFields(configs []ssp.Config, exempt map[string]string) ([]string, error) {
+	typ := reflect.TypeOf(ssp.Config{})
+	for _, name := range sortedKeys(exempt) {
+		if _, ok := typ.FieldByName(name); !ok {
+			return nil, fmt.Errorf("config gate exemption %q names no ssp.Config field", name)
+		}
+	}
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		set := slices.ContainsFunc(configs, func(c ssp.Config) bool { return !reflect.ValueOf(c).Field(i).IsZero() })
+		if _, ok := exempt[name]; !ok && !set {
+			out = append(out, name)
+		}
+	}
+	return out, nil
 }
 
 func readBaseline(path string) (figures, error) {
@@ -378,6 +451,59 @@ func TestDiffFigures(t *testing.T) {
 			tc.edit(got)
 			if d := diffFigures(got, base()); len(d) != 1 || d[0] != tc.want {
 				t.Errorf("got %q, want [%q]", d, tc.want)
+			}
+		})
+	}
+}
+
+// The config gate fails closed: a field that no config sets is named, an
+// exempt one is not, and an exemption naming no field is an error.
+func TestUngatedFields(t *testing.T) {
+	// every sets each ssp.Config field to a non-zero value, minus skip.
+	every := func(skip string) ssp.Config {
+		var c ssp.Config
+		v := reflect.ValueOf(&c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); {
+			case v.Type().Field(i).Name == skip:
+			case f.CanInt():
+				f.SetInt(1)
+			case f.CanUint():
+				f.SetUint(1)
+			case f.CanFloat():
+				f.SetFloat(1)
+			default:
+				f.SetBool(true)
+			}
+		}
+		return c
+	}
+	if got, err := ungatedFields([]ssp.Config{every("")}, nil); err != nil || len(got) != 0 {
+		t.Fatalf("a config setting every field: ungated %q, error %v", got, err)
+	}
+	for _, tc := range []struct {
+		name    string
+		configs []ssp.Config
+		exempt  map[string]string
+		want    []string
+		wantErr string
+	}{
+		{"unset field named", []ssp.Config{every("WSBEntries"), {Cores: 4}}, nil, []string{"WSBEntries"}, ""},
+		{"exempt field not named", []ssp.Config{every("WSBEntries")}, map[string]string{"WSBEntries": "sizing"}, nil, ""},
+		{"unknown exemption", []ssp.Config{every("")}, map[string]string{"NoSuchField": "deleted"}, nil,
+			`config gate exemption "NoSuchField" names no ssp.Config field`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ungatedFields(tc.configs, tc.exempt)
+			gotErr := ""
+			if err != nil {
+				gotErr = err.Error()
+			}
+			if gotErr != tc.wantErr {
+				t.Fatalf("error %q, want %q", gotErr, tc.wantErr)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("ungated %q, want %q", got, tc.want)
 			}
 		})
 	}

@@ -50,7 +50,6 @@ var configRejects = []struct {
 	{"negative time window", Config{TimeWindow: -4096}, "TimeWindow"},
 	{"negative dram cache frames", Config{DRAMCacheFrames: -1}, "DRAMCacheFrames"},
 	{"dram cache frames over dram", Config{DRAMMB: 2, DRAMCacheFrames: 513}, "DRAMCacheFrames"},
-	{"negative redo queue", Config{RedoQueueLines: -1}, "RedoQueueLines"},
 	{"negative redo engines", Config{RedoWriteBackEngines: -1}, "RedoWriteBackEngines"},
 }
 

@@ -143,7 +143,9 @@ const HeapBase = vm.HeapBase
 const RootSlots = pheap.RootSlots
 
 // Config selects the machine to simulate. The zero value of any field
-// falls back to the paper's Table 2 parameters.
+// falls back to the paper's Table 2 parameters. Every field is set to a
+// non-zero value by some gated paper-figures row or crash class row:
+// TestPaperFigures fails, naming the field, when one is not.
 type Config struct {
 	Backend Backend
 	Cores   int // default 1
@@ -227,12 +229,10 @@ type Config struct {
 	// shootdowns (§4.3's simpler-hardware alternative).
 	FlipViaShootdown bool
 
-	// REDO-LOG knobs.
-	RedoQueueLines int // post-commit write-back queue bound (per engine)
-	// RedoWriteBackEngines is the number of background write-back engines
-	// (default 1 = DHTM's single engine per memory controller, which pins
-	// REDO-LOG's parallel speedup near 1x; per-core engines ablate that
-	// serialisation — `sspbench -exp ablate`).
+	// REDO-LOG knob. RedoWriteBackEngines is the number of background
+	// write-back engines (default 1 = DHTM's single engine per memory
+	// controller, which pins REDO-LOG's parallel speedup near 1x; per-core
+	// engines ablate that serialisation — `sspbench -exp ablate`).
 	RedoWriteBackEngines int
 }
 
@@ -307,9 +307,6 @@ func (c Config) apply() machine.Config {
 	if c.DurabilityEpoch > 0 {
 		mc.SSP.DurabilityEpoch = engine.Cycles(c.DurabilityEpoch)
 	}
-	if c.RedoQueueLines > 0 {
-		mc.Redo.QueueLines = c.RedoQueueLines
-	}
 	if c.RedoWriteBackEngines > 0 {
 		mc.Redo.WriteBackEngines = c.RedoWriteBackEngines
 	}
@@ -357,7 +354,6 @@ func (c Config) Validate() error {
 		{"SSPCacheLatency", int64(c.SSPCacheLatency)},
 		{"SSPResident", int64(c.SSPResident)},
 		{"WSBEntries", int64(c.WSBEntries)},
-		{"RedoQueueLines", int64(c.RedoQueueLines)},
 		{"RedoWriteBackEngines", int64(c.RedoWriteBackEngines)},
 	} {
 		if f.v < 0 {
@@ -412,6 +408,9 @@ func (c Config) Validate() error {
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if machine.RecordConfig != nil {
+		machine.RecordConfig(cfg)
 	}
 	return &Machine{Machine: machine.New(cfg.apply()), cfg: cfg}, nil
 }

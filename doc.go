@@ -208,30 +208,45 @@
 // their storage for the refill (the layout is in the next section but one).
 // A block's line data follows the ways filled, not the ways it has: data is
 // laid out way-major, one 512-byte chunk per way of 8 consecutive blocks,
-// and a set fills its lowest free way first, so a level whose sets hold one
-// line each — a crash-sweep run fills about 33 sets per level, one line in
-// each — allocates 64 B of data per line where a block-major pool allocated
-// every way's (1 KiB per set on the 16-way L3). Tags stay block-major, 32
-// bits each (physical addresses below 256 GiB), in fixed 256-byte chunks,
-// so a level's tags never move or copy as it grows; the chunk sizes are the
-// ones at which a trap point allocates least. A level's way predictor starts
-// at 32 entries and doubles as the lines it holds outgrow it, up to 1 024,
+// allocated when a line of it is first given bytes, and a set fills its
+// lowest free way first, so a private level whose sets hold one line each —
+// a crash-sweep run fills about 33 sets per level, one line in each —
+// allocates 64 B of data per line where a block-major pool allocated every
+// way's (1 KiB per set on the 16-way L3). The L3 goes further: it keeps
+// bytes only for its dirty lines, so its data follows the lines filled or
+// merged dirty, not the ways filled. A clean L3 line is a tag and flags; a
+// hit on it reads the memory tier's value untimed (Mem.Peek: the DRAM
+// buffer's copy if it holds the line, else the durable image) at the L3's
+// latency. This is the value-authority chain — a dirty owner's private
+// copy, else a dirty L3 copy, else memory — made structural: a clean L3
+// line has no bytes of its own, so it cannot go stale, and the 12 MiB Table
+// 2 L3 no longer duplicates in host memory what memsim holds. L1 and L2
+// keep a copy of every line, so the hit path is unchanged. Tags stay
+// block-major, 32 bits each (physical addresses below 256 GiB), in fixed
+// 256-byte chunks, so a level's tags never move or copy as it grows; the
+// chunk sizes are the ones at which a trap point allocates least. A level's
+// way predictor starts at 32 entries and doubles as the lines it holds
+// outgrow it, up to 1 024,
 // re-placing each held line's prediction from its tag, and a set's record
 // is 16 bytes (no set number: DropAll clears the directory chunks whole).
-// cachesim.TestSparseLevelAllocatesPerFilledLine holds K lines in K distinct
-// L3 sets to 256 B per line (207 measured, 274 with 64-bit tags and the
-// pool's 1.6 KiB before), and cachesim.TestLevelDataMatchesScanModel holds
-// every valid line's data to the block-major pool's. Each TLB level's
+// cachesim.TestSparseLevelAllocatesPerFilledLine holds K clean lines in K
+// distinct L3 sets to 176 B per line (143 measured; 207 while every filled
+// way had data, 274 with 64-bit tags and the pool's 1.6 KiB before),
+// cachesim.TestCleanL3FillsAllocateNoData counts no data chunk for clean L3
+// fills and one for one dirty spill, and
+// cachesim.TestLevelDataMatchesScanModel holds every valid line's data to
+// the block-major pool's. Each TLB level's
 // open-addressing index likewise starts at 16 slots and doubles as its
 // entries outgrow half of it, up to twice the capacity.
-// FlushAll and
-// DebugValidate visit lines in set-index order, ways in order within a
-// set, never in the order sets were first filled: FlushAll issues timed
-// write-backs, so the visiting order is part of the simulated result
+// FlushAll visits lines in set-index order, ways in order within a set,
+// never in the order sets were first filled: it issues timed write-backs,
+// so the visiting order is part of the simulated result
 // (cachesim.TestFlushAllOrderGolden pins it to the values of the eagerly
-// allocated array). DebugValidate costs what is cached, which is what lets
-// the crash oracle run it after each recovery and again after its
-// verification reads.
+// allocated array). DebugValidate holds every private copy to the value
+// the authority chain resolves (a clean L3 line has no bytes to compare)
+// and walks only the materialised blocks, so it costs what is cached, which
+// is what lets the crash oracle run it after each recovery and again after
+// its verification reads.
 //
 // The same rule holds for what build and Recover walk above the hardware:
 // vm.FrameAlloc is a cursor over the frames in ascending order that skips
@@ -270,12 +285,13 @@
 // its capacity, and its Drop empties the index slots of the entries it
 // holds, not the whole table.
 //
-// ssp.New allocates 0.1 MiB on every backend; ssp.TestMachineAllocationBudget
-// holds it to 0.6 MiB on the 192 MB Table 2 machine and
-// crashsweep.TestMachineNewAllocationBudget to 80 KiB on the sweeps' 32 MB
-// one (68-73 KiB measured). crashsweep.TestTrapPointAllocationBudget holds a
-// trap point's run, recovery and verification on the sweep's machine to
-// 40 KiB of heap (28-33 KiB measured).
+// ssp.New allocates 0.03-0.04 MiB on every backend;
+// ssp.TestMachineAllocationBudget holds it to 0.6 MiB on the 192 MB Table 2
+// machine and crashsweep.TestMachineNewAllocationBudget to 34 KiB on the
+// sweeps' 32 MB one (26.9-28.4 KiB measured).
+// crashsweep.TestTrapPointAllocationBudget holds a trap point's run,
+// recovery and verification on the sweep's machine to 23 KiB of heap
+// (14.6-20.4 KiB measured).
 //
 // # SSP cache: victim policy and constant-time metadata
 //
@@ -358,7 +374,8 @@
 // way-major in fixed chunks that never move, one per way of 8 consecutive
 // blocks; only the set directory and the chunk tables hold Go pointers. A
 // line's data is one dependent load (its chunk's pointer) plus index
-// arithmetic away. Power-of-two levels index by mask, the
+// arithmetic away; the L3's data chunks exist only for lines it has held
+// dirty. Power-of-two levels index by mask, the
 // 12288-set L3 by modulo. A small way predictor keyed by low line-address
 // bits is checked before the set is scanned. Victim choice (first invalid
 // way, else the LRU way without the tx flag, else the LRU way) is a few bit
@@ -612,9 +629,17 @@
 // epochs); Windowed (per-core loops under the window scheduler with shards
 // and an epoch); Consolidation/serial (a 4-entry DTLB and no STLB, so SSP
 // consolidates pages mid-script and cuts land inside the copy and around
-// the flip record); and Fallback (a 1-page write-set buffer, so SSP's
-// multi-page transactions take §3.5's software fall-back path). A new knob
-// is a new row, never a new oracle. `go run ./cmd/sspcrash` sweeps the
+// the flip record); Consolidation/parallel (the same on two cores under the
+// window scheduler, 70 transactions, so the epoch drain consolidates the
+// queued pages in batches every 32 commits); SubPage/4 (4-line, 256-byte
+// sub-pages with the small TLB, so consolidation copies whole sub-pages,
+// §4.3); and Fallback (a 1-page write-set buffer, so SSP's multi-page
+// transactions take §3.5's software fall-back path). A new knob is a new
+// row, never a new oracle. crashsweep.TestClassTableDrivesEveryMechanism
+// sums the SSP reference runs of every row and requires consolidations,
+// fall-backs, checkpoints, global commits, hardened epochs and DRAM
+// write-backs; speculative-line spills and aborts are listed as expected
+// zero until scripts can express them. `go run ./cmd/sspcrash` sweeps the
 // same table on fresh seeds, and a failure line
 // names class, backend, script seed and trap index. The benchmark's
 // crashsweep.RunScript and Verify are thin wrappers over the same runner

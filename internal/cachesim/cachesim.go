@@ -114,14 +114,21 @@ func DefaultConfig(cores int) Config {
 //   - tags block-major, in chunks of tagChunk lines, so a set's tags are
 //     contiguous for the scan;
 //   - data way-major: a data chunk holds one way of dataGroup consecutive
-//     blocks, found in the chunk table at (block group, way). victim fills
-//     a set's lowest invalid way first, so way w of a group is allocated
-//     only once some set of it holds w+1 lines. A sparse level — the crash
-//     sweep's hold one line in each of a few dozen sets — allocates the
-//     way-0 chunks of the groups it touched, 64 B per line filled; a full
-//     level allocates what a block-major pool would. line is one dependent
-//     load (the chunk's pointer) plus index arithmetic and the table's
-//     bounds check, as tagRef is for the tags.
+//     blocks, found in the chunk table at (block group, way), and is
+//     allocated when a line of it is first given bytes (place). victim
+//     fills a set's lowest invalid way first, so way w of a group is
+//     allocated only once some set of it holds w+1 lines. A sparse level —
+//     the crash sweep's hold one line in each of a few dozen sets —
+//     allocates the way-0 chunks of the groups it touched, 64 B per line
+//     filled; a full level allocates what a block-major pool would. line is
+//     one dependent load (the chunk's pointer) plus index arithmetic and the
+//     table's bounds check, as tagRef is for the tags.
+//
+// A level built with dirtyOnly (the L3) gives bytes only to its dirty
+// lines: a clean line's value is the memory tier's (Hierarchy.fetch reads
+// it there), so its data chunks follow the lines filled or merged dirty,
+// not the ways filled, and a clean line cannot go stale. Its line(i) is
+// meaningful only while line i is dirty.
 //
 // The block records and the chunk tables grow by append, from room for
 // blksMin blocks reserved at the level's first fill. Only the directory and
@@ -134,6 +141,7 @@ func DefaultConfig(cores int) Config {
 type level struct {
 	sets, ways int
 	pow2       bool   // sets is a power of two: index by mask, not modulo
+	dirtyOnly  bool   // only dirty lines have bytes (see above)
 	wbits      uint   // log2 of the way stride
 	wmask      uint64 // a line index's way bits
 	lruShift   uint   // 4 × (ways-1): where the least recent way sits in an order
@@ -303,12 +311,12 @@ func toFront(order, w uint64) uint64 {
 	return order&^(ahead<<4|0xF) | (order&ahead)<<4 | w
 }
 
-// victim returns the line to fill for lineAddr, materialising its set, and
-// for a free way the data chunk the line lives in: the lowest invalid way if
-// one exists, otherwise the LRU way among non-speculative lines, otherwise
-// the LRU way outright. Speculative (tx) lines are kept cached when
-// possible — redo-style designs must not write uncommitted data back in
-// place (DHTM keeps transactional lines pinned in the volatile hierarchy).
+// victim returns the line to fill for lineAddr, materialising its set: the
+// lowest invalid way if one exists, otherwise the LRU way among
+// non-speculative lines, otherwise the LRU way outright. Speculative (tx)
+// lines are kept cached when possible — redo-style designs must not write
+// uncommitted data back in place (DHTM keeps transactional lines pinned in
+// the volatile hierarchy).
 func (l *level) victim(lineAddr uint64) int {
 	set := l.index(lineAddr)
 	b := l.block(set)
@@ -317,11 +325,7 @@ func (l *level) victim(lineAddr uint64) int {
 	}
 	blk, base := &l.blks[b], b<<l.wbits
 	if free := l.allWays &^ blk.valid; free != 0 {
-		w := bits.TrailingZeros16(free)
-		if c := b>>dataGroupShift<<l.wbits | w; l.data[c] == nil {
-			l.data[c] = new([dataGroup][memsim.LineBytes]byte)
-		}
-		return base + w
+		return base + bits.TrailingZeros16(free)
 	}
 	if blk.tx != 0 {
 		for s := int(l.lruShift); s >= 0; s -= 4 {
@@ -335,7 +339,7 @@ func (l *level) victim(lineAddr uint64) int {
 
 // materialise gives set a block of invalid lines and returns it. The
 // block's tags and its group's entries in the data chunk table exist after
-// it; the data chunks come with the ways victim hands out.
+// it; the data chunks come with the lines given bytes (place).
 func (l *level) materialise(set int) int {
 	b := len(l.blks)
 	if l.blks == nil {
@@ -359,14 +363,17 @@ func (l *level) materialise(set int) int {
 	return b
 }
 
-// fill installs lineAddr into line i (a victim) as its set's most recent use.
+// fill installs lineAddr into line i (a victim) as its set's most recent
+// use. A dirtyOnly level keeps no bytes for a clean fill.
 func (l *level) fill(i int, lineAddr uint64, data *[memsim.LineBytes]byte, dirty, tx bool) {
 	if lineAddr >= math.MaxUint32 {
 		panic(fmt.Sprintf("cachesim: line address %#x is beyond the 32-bit tags", lineAddr))
 	}
 	*l.tagRef(i) = uint32(lineAddr + 1)
-	if d := l.line(i); d != data {
-		*d = *data
+	if dirty || !l.dirtyOnly {
+		if d := l.place(i); d != data {
+			*d = *data
+		}
 	}
 	b, m := l.way(i)
 	if b.valid&m == 0 {
@@ -398,6 +405,16 @@ func (l *level) growPred() {
 func (l *level) line(i int) *[memsim.LineBytes]byte {
 	m := int(l.wmask)
 	return &l.data[i>>dataGroupShift&^m|i&m][i>>(l.wbits&63)&(dataGroup-1)]
+}
+
+// place is line for a line about to be given bytes: it allocates the
+// line's data chunk first if none of its lines had bytes yet.
+func (l *level) place(i int) *[memsim.LineBytes]byte {
+	m := int(l.wmask)
+	if c := &l.data[i>>dataGroupShift&^m|i&m]; *c == nil {
+		*c = new([dataGroup][memsim.LineBytes]byte)
+	}
+	return l.line(i)
 }
 
 // tagRef returns where line i's tag, its line address + 1, is kept.
@@ -464,7 +481,7 @@ func (b *block) setFlags(m uint16, dirty, tx bool) {
 // only a dirty fill's data is copied.
 func (l *level) merge(i int, data *[memsim.LineBytes]byte, dirty, tx bool) {
 	if dirty {
-		*l.line(i) = *data
+		*l.place(i) = *data
 	}
 	l.setFlags(i, dirty || l.isDirty(i), tx || l.isTx(i))
 }
@@ -775,8 +792,9 @@ type Hierarchy struct {
 	l3     *level
 	dir    directory
 
-	// fillBuf receives memory reads, an L3 miss's or DebugValidate's: a local
-	// array would escape to the heap through the Mem interface call.
+	// fillBuf receives memory reads — an L3 miss's, a clean L3 hit's or
+	// DebugValidate's: a local array would escape to the heap through the Mem
+	// interface call.
 	fillBuf [memsim.LineBytes]byte
 }
 
@@ -800,6 +818,7 @@ func NewWithMem(cfg Config, mem Mem, st *stats.Stats) *Hierarchy {
 		l3:  newLevel(cfg.L3Bytes, cfg.L3Ways),
 		dir: newDirectory(),
 	}
+	h.l3.dirtyOnly = true
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1[i] = newLevel(cfg.L1Bytes, cfg.L1Ways)
 		h.l2[i] = newLevel(cfg.L2Bytes, cfg.L2Ways)
@@ -941,18 +960,24 @@ func (h *Hierarchy) downgradeOwner(core int, la uint64, c3 int, at engine.Cycles
 }
 
 // fetch obtains la's data from L3 line c3, or from memory into L3 when c3 is
-// -1, on behalf of core; no private cache may hold a fresher copy. It
-// returns the data, staged in fillBuf (the installs that follow may evict
-// the L3 line), and the completion time.
+// -1, on behalf of core; no private cache may hold a fresher copy. A clean
+// L3 hit keeps no bytes of its own: its value is the memory tier's, read
+// untimed (Peek). It returns the data, staged in fillBuf (the installs that
+// follow may evict the L3 line), and the completion time.
 func (h *Hierarchy) fetch(core int, la uint64, c3 int, at engine.Cycles) (*[memsim.LineBytes]byte, engine.Cycles) {
+	pa := memsim.PAddr(la) << memsim.LineShift
 	if c3 >= 0 {
 		h.l3.touch(c3)
 		h.st.CacheHits[2]++
-		h.fillBuf = *h.l3.line(c3)
+		if h.l3.isDirty(c3) {
+			h.fillBuf = *h.l3.line(c3)
+		} else {
+			h.mem.Peek(pa, h.fillBuf[:])
+		}
 		return &h.fillBuf, at + h.cfg.L3Lat
 	}
 	h.st.CacheMisses[2]++
-	done := h.mem.ReadLine(core, memsim.PAddr(la)<<memsim.LineShift, h.fillBuf[:], at+h.cfg.L3Lat)
+	done := h.mem.ReadLine(core, pa, h.fillBuf[:], at+h.cfg.L3Lat)
 	h.installL3(core, la, -1, &h.fillBuf, false, false, done)
 	return &h.fillBuf, done
 }
@@ -1177,15 +1202,13 @@ func (h *Hierarchy) flush(core int, la uint64, c3 int, at engine.Cycles, cat sta
 			h.dir.delAt(i)
 		}
 	}
-	if c3 >= 0 {
-		if data != nil {
-			// Private copy is fresher; update L3's stale copy in place.
-			*h.l3.line(c3) = *data
-			h.l3.setFlags(c3, false, false)
-		} else if h.l3.isDirty(c3) {
+	if c3 >= 0 && (data != nil || h.l3.isDirty(c3)) {
+		// The freshest dirty copy (a private one, else L3's own) goes to
+		// memory below, which the now clean L3 line reads.
+		if data == nil {
 			data = h.l3.line(c3)
-			h.l3.setFlags(c3, false, false)
 		}
+		h.l3.setFlags(c3, false, false)
 	}
 	return h.persist(core, la, data, at, cat)
 }
@@ -1301,6 +1324,7 @@ func (h *Hierarchy) discardLine(la uint64, e dirEntry) *[memsim.LineBytes]byte {
 // memory controller just wrote to NVRAM (cache injection, as DMA/DDIO
 // engines do), leaving copies clean. Copies must not be dirty — the caller
 // owns the line's coherence at this point. Absent lines are not installed.
+// A clean L3 copy has no bytes to update: it reads memory.
 func (h *Hierarchy) InjectLine(pa memsim.PAddr, data []byte) {
 	la := uint64(pa >> memsim.LineShift)
 	apply := func(l *level, c int) {
@@ -1317,7 +1341,9 @@ func (h *Hierarchy) InjectLine(pa memsim.PAddr, data []byte) {
 		apply(h.l1[o], h.l1[o].peek(la))
 		apply(h.l2[o], h.l2[o].peek(la))
 	}
-	apply(h.l3, h.l3.peek(la))
+	if c := h.l3.peek(la); c >= 0 && h.l3.isDirty(c) {
+		panic(fmt.Sprintf("cachesim: InjectLine over a dirty copy of %#x", la))
+	}
 	h.mem.InjectLine(memsim.PAddr(la)<<memsim.LineShift, data)
 }
 
@@ -1379,8 +1405,9 @@ func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles
 	return t
 }
 
-// DebugValidate checks the coherence invariants: every valid cached copy of
-// a line carries the authority value resolved by DebugPeek; every valid
+// DebugValidate checks the coherence invariants: every valid private copy
+// of a line carries the authority value resolved by DebugPeek (a dirty L3
+// copy is that value, and a clean one has no bytes of its own); every valid
 // private copy's core is a directory sharer of the line, and a dirty one's
 // core is its owner; every owner is a sharer. It returns a description of
 // the first violation it meets, or "". Test helper. It visits each level's
@@ -1389,16 +1416,11 @@ func (h *Hierarchy) FlushAll(at engine.Cycles, cat stats.WriteCat) engine.Cycles
 func (h *Hierarchy) DebugValidate() string {
 	auth := &h.fillBuf
 	msg := ""
-	// check compares line c of l, held by core (-1: the L3), with the
-	// authority value.
+	// check compares line c of core's level l with the authority value.
 	check := func(core int, l *level, c int) bool {
 		h.DebugPeek(memsim.PAddr(l.tag(c))<<memsim.LineShift, auth[:])
 		if d := l.line(c); *d != *auth {
-			where := "L3"
-			if core >= 0 {
-				where = fmt.Sprintf("core%d", core)
-			}
-			msg = fmt.Sprintf("%s line %#x: copy %v != authority %v (dirty=%v)", where, l.tag(c), d[0], auth[0], l.isDirty(c))
+			msg = fmt.Sprintf("core%d line %#x: copy %v != authority %v (dirty=%v)", core, l.tag(c), d[0], auth[0], l.isDirty(c))
 			return false
 		}
 		return true
@@ -1427,12 +1449,7 @@ func (h *Hierarchy) DebugValidate() string {
 			}
 		}
 	}
-	h.l3.eachHeld(func(c int) bool {
-		// A stale L3 copy is legal while a dirty private owner shadows it;
-		// every read path consults the owner first.
-		return h.dir.get(h.l3.tag(c)).owner >= 0 || check(-1, h.l3, c)
-	})
-	return msg
+	return ""
 }
 
 // ---------------------------------------------------------------------------

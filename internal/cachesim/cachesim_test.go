@@ -285,9 +285,31 @@ func TestLatencyOrdering(t *testing.T) {
 	}
 }
 
+// cleanL3Matches reports whether every clean L3 line that no private owner
+// shadows reads, through memory, the byte ref holds for it (at line index
+// (pa-base)/64): such a line keeps no bytes of its own, and a hit on it
+// returns that value.
+func cleanL3Matches(t *testing.T, h *Hierarchy, base memsim.PAddr, ref []byte) bool {
+	var d [memsim.LineBytes]byte
+	return h.l3.eachHeld(func(c int) bool {
+		la := h.l3.tag(c)
+		if h.l3.isDirty(c) || h.dir.get(la).owner >= 0 {
+			return true
+		}
+		pa := memsim.PAddr(la) << memsim.LineShift
+		h.mem.Peek(pa, d[:])
+		if li := int(pa-base) / memsim.LineBytes; d[0] != ref[li] {
+			t.Logf("clean L3 line %d reads %#x through memory, want %#x", li, d[0], ref[li])
+			return false
+		}
+		return true
+	})
+}
+
 // Property test: under random loads/stores/flushes/retags across cores, a
 // load always returns the value of the most recent store to that address
-// (single-writer interleaving, which is how the simulator drives it).
+// (single-writer interleaving, which is how the simulator drives it), and
+// so does every clean L3 line read through memory.
 func TestHierarchyMatchesReferenceModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		h, mem, _ := testSetup(3)
@@ -313,6 +335,10 @@ func TestHierarchyMatchesReferenceModel(t *testing.T) {
 				}
 			case 3: // flush
 				h.Flush(core, pa, 0, stats.CatData)
+			}
+			if !cleanL3Matches(t, h, base, ref) {
+				t.Logf("after op %d", op)
+				return false
 			}
 		}
 		// Flush everything; durable image must equal the reference.

@@ -111,14 +111,15 @@ func TestLevelDataMatchesScanModel(t *testing.T) {
 }
 
 // A sparse level allocates per line it holds, not per way of every set it
-// touched: K lines filled into K distinct sets of the Table 2 hierarchy's
-// L3 (16 ways) allocate at most 256 B per line — 64 B of data, 64 B of
-// 32-bit tags (a set's ways share one block of them), the block's record
-// and the set's directory chunk; 207 B measured (274 B with 64-bit tags).
-// The block-major pool allocated 1.6 KiB per line here, all 16 ways' data
-// of every set.
+// touched: K lines filled clean into K distinct sets of the Table 2
+// hierarchy's L3 (16 ways) allocate at most 176 B per line — 64 B of 32-bit
+// tags (a set's ways share one block of them), the block's record, the
+// set's directory chunk and the way predictor, and no data: the L3 keeps
+// bytes only for dirty lines. 143 B measured; 207 B while every filled way
+// had data (budget 256 B), 274 B with 64-bit tags, and the block-major pool
+// allocated 1.6 KiB per line here, all 16 ways' data of every set.
 func TestSparseLevelAllocatesPerFilledLine(t *testing.T) {
-	const lines, budget = 256, 256
+	const lines, budget = 256, 176
 	h, base := benchHierarchy()
 	l3, first := h.l3, uint64(base>>memsim.LineShift)
 	var d [memsim.LineBytes]byte

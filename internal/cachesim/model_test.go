@@ -721,7 +721,11 @@ type lineState struct {
 	data      [memsim.LineBytes]byte
 }
 
-func (l *level) state() []lineState {
+// state describes level l of h. A clean line of a dirtyOnly level (the L3)
+// has no bytes of its own, so its data is read through memory, as a clean
+// L3 hit reads it: the model keeps every line's bytes, so comparing the two
+// holds the memory value to the copy the L3 no longer keeps.
+func (h *Hierarchy) state(l *level) []lineState {
 	var out []lineState
 	l.eachValid(func(c int) bool {
 		// The valid ways ahead of c's in its set's recency order.
@@ -732,7 +736,13 @@ func (l *level) state() []lineState {
 				rank++
 			}
 		}
-		out = append(out, lineState{l.tag(c), l.isDirty(c), l.isTx(c), rank, *l.line(c)})
+		s := lineState{tag: l.tag(c), dirty: l.isDirty(c), tx: l.isTx(c), rank: rank}
+		if l.dirtyOnly && !s.dirty {
+			h.mem.Peek(memsim.PAddr(s.tag)<<memsim.LineShift, s.data[:])
+		} else {
+			s.data = *l.line(c)
+		}
+		out = append(out, s)
 		return true
 	})
 	return out
@@ -900,13 +910,16 @@ func matchScanModel(t *testing.T, cfg Config, seed uint64, ops int) {
 			}
 		}
 		for c := 0; c < cfg.Cores; c++ {
-			for lv, pair := range [][2]func() []lineState{{got.l1[c].state, want.l1[c].state}, {got.l2[c].state, want.l2[c].state}} {
-				if gs, ws := pair[0](), pair[1](); !slices.Equal(gs, ws) {
+			for lv, pair := range [2]struct {
+				got  *level
+				want *refLevel
+			}{{got.l1[c], want.l1[c]}, {got.l2[c], want.l2[c]}} {
+				if gs, ws := got.state(pair.got), pair.want.state(); !slices.Equal(gs, ws) {
 					t.Fatalf("op %d: %s: core %d L%d holds %v; model %v", op, what, c, lv+1, gs, ws)
 				}
 			}
 		}
-		if gs, ws := got.l3.state(), want.l3.state(); !slices.Equal(gs, ws) {
+		if gs, ws := got.state(got.l3), want.l3.state(); !slices.Equal(gs, ws) {
 			t.Fatalf("op %d: %s: L3 holds %v; model %v", op, what, gs, ws)
 		}
 		if msg := got.DebugValidate(); msg != "" {
@@ -952,7 +965,8 @@ func TestDebugValidateReportsDirectoryCorruption(t *testing.T) {
 
 // The crash oracles run DebugValidate twice per trap point, so it formats a
 // message only for the violation it reports: an intact hierarchy checks
-// without allocating, and a stale private or L3 copy is still named.
+// without allocating, and a corrupt dirty L3 copy (the authority the
+// private copies are held to) or a stale private copy is still named.
 func TestDebugValidateAllocatesOnlyToReport(t *testing.T) {
 	h, mem, _ := testSetup(2)
 	buf := make([]byte, 8)
@@ -969,13 +983,23 @@ func TestDebugValidateAllocatesOnlyToReport(t *testing.T) {
 		t.Errorf("DebugValidate of an intact hierarchy allocated %.1f times", n)
 	}
 
+	// Core 1's load moves core 0's dirty copy into L3 (a cache-to-cache
+	// transfer): L3 holds the line dirty, both cores clean copies.
 	pa := nv(mem, 100*memsim.LineBytes)
 	la := uint64(pa >> memsim.LineShift)
-	h.Load(0, pa, buf, 0)
+	h.Store(0, pa, []byte{0x5A}, 0)
+	h.Load(1, pa, buf, 0)
 	c := h.l3.peek(la)
+	if c < 0 || !h.l3.isDirty(c) {
+		t.Fatal("the transfer left no dirty L3 copy")
+	}
 	h.l3.line(c)[0] ^= 0xFF
-	if msg, want := h.DebugValidate(), fmt.Sprintf("L3 line %#x: copy ", la); !strings.HasPrefix(msg, want) {
-		t.Errorf("stale L3 copy reported as %q, want prefix %q", msg, want)
+	if msg, want := h.DebugValidate(), fmt.Sprintf("core0 line %#x: copy ", la); !strings.HasPrefix(msg, want) {
+		t.Errorf("corrupt dirty L3 copy reported as %q, want prefix %q", msg, want)
+	}
+	h.l3.line(c)[0] ^= 0xFF
+	if msg := h.DebugValidate(); msg != "" {
+		t.Fatalf("restored L3 copy: %s", msg)
 	}
 	c = h.l1[0].peek(la)
 	h.l1[0].line(c)[0] ^= 0xFF

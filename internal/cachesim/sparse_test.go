@@ -114,3 +114,64 @@ func TestFlushAllOrderGolden(t *testing.T) {
 		t.Fatalf("FlushAll on the fixed script:\n got %s\nwant %s", got, want)
 	}
 }
+
+// chunks counts l's allocated data chunks.
+func (l *level) chunks() int {
+	n := 0
+	for _, c := range l.data {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// The L3 keeps bytes only for its dirty lines: loads that fill it clean
+// allocate no data chunk and read memory's values, and one dirty line
+// spilled from a private cache allocates exactly one chunk.
+func TestCleanL3FillsAllocateNoData(t *testing.T) {
+	h, mem, _ := testSetup(1)
+	const lines = 128 // two lines in each of the L3's 64 sets, twice the L2's
+	buf := make([]byte, 1)
+	for i := uint64(0); i < lines; i++ {
+		mem.Poke(nv(mem, i*memsim.LineBytes), []byte{byte(i + 1)})
+	}
+	for rep := 0; rep < 2; rep++ { // the second pass hits the L3 for the lines the L2 lost
+		for i := uint64(0); i < lines; i++ {
+			if h.Load(0, nv(mem, i*memsim.LineBytes), buf, 0); buf[0] != byte(i+1) {
+				t.Fatalf("pass %d: line %d reads %#x, want %#x", rep, i, buf[0], i+1)
+			}
+		}
+	}
+	if h.l3.held != lines || h.st.CacheHits[2] == 0 {
+		t.Fatalf("the L3 holds %d lines after %d hits; the test wants %d and some hits", h.l3.held, h.st.CacheHits[2], lines)
+	}
+	if n := h.l3.chunks(); n != 0 {
+		t.Fatalf("%d clean L3 lines allocated %d data chunks, want 0", lines, n)
+	}
+
+	// Line 0 is stored, then pushed out of the L1 and L2 by loads of lines
+	// that share their sets (every 16th line), until it spills dirty into
+	// the L3 line that holds it clean.
+	pa := nv(mem, 0)
+	h.Store(0, pa, []byte{0xD1}, 0)
+	c3 := h.l3.peek(uint64(pa >> memsim.LineShift))
+	for i := uint64(1); !h.l3.isDirty(c3); i++ {
+		if i > 8 {
+			t.Fatal("line 0 never spilled dirty into the L3")
+		}
+		h.Load(0, nv(mem, (lines+16*i)*memsim.LineBytes), buf, 0)
+	}
+	if h.Present(0, pa) {
+		t.Fatal("the spilled line is still cached privately")
+	}
+	if n := h.l3.chunks(); n != 1 {
+		t.Fatalf("one dirty spill left %d data chunks, want 1", n)
+	}
+	if h.Load(0, pa, buf, 0); buf[0] != 0xD1 {
+		t.Fatalf("the spilled line reads %#x, want 0xd1", buf[0])
+	}
+	if msg := h.DebugValidate(); msg != "" {
+		t.Fatal(msg)
+	}
+}

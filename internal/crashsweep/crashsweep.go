@@ -440,8 +440,10 @@ var Classes = []Class{
 	{"CrossRelaxedCheckpoints", with(machine(4, 4, 30000), func(c *ssp.Config) { c.JournalKB = 1 }),
 		relaxed(true, true), 60, []uint64{2}},
 	{"Windowed", machine(4, 2, 50000), mode(false, true), 10, []uint64{0x3D0A, 0xF7F4D}},
-	{"Consolidation/serial", with(machine(1, 0, 0), func(c *ssp.Config) { c.TLBEntries, c.STLBEntries = 4, -1 }),
-		MakeScript, 30, []uint64{1, 2, 3, 4}},
+	{"Consolidation/serial", with(machine(1, 0, 0), smallTLB), MakeScript, 30, []uint64{1, 2, 3, 4}},
+	{"Consolidation/parallel", with(machine(2, 0, 0), smallTLB), mode(false, true), 70, []uint64{1, 2}},
+	{"SubPage/4", with(machine(1, 0, 0), func(c *ssp.Config) { smallTLB(c); c.SubPageLines = 4 }),
+		MakeScript, 30, []uint64{1, 2}},
 	{"Fallback", with(machine(1, 0, 0), func(c *ssp.Config) { c.WSBEntries = 1 }), MakeScript, 20, []uint64{7, 8, 9, 10}},
 }
 
@@ -458,6 +460,10 @@ func with(cfg ssp.Config, set func(*ssp.Config)) ssp.Config {
 }
 
 func buffered(cfg *ssp.Config) { cfg.DRAMCacheFrames, cfg.L2KB, cfg.L3KB = 16, 32, 64 }
+
+// smallTLB leaves a core four TLB entries and no STLB, so pages fall out of
+// the TLB within a few transactions and SSP consolidates them.
+func smallTLB(cfg *ssp.Config) { cfg.TLBEntries, cfg.STLBEntries = 4, -1 }
 
 func mode(spray, concurrent bool) func(uint64, int) Script {
 	return func(seed uint64, txns int) Script {

@@ -105,15 +105,15 @@ var experimentTable = []experiment{
 	}},
 	{"parallel", "goroutine-per-core engine vs 1-core serial", func(sc experiments.Scale, fl benchFlags) {
 		section(fmt.Sprintf("Concurrent engine — %d goroutine-backed cores vs 1-core serial", fl.cores))
-		fmt.Println(experiments.RenderParallel(experiments.ParallelScaling(sc, workload.Memcached, fl.cores)))
-		fmt.Println(experiments.RenderParallel(experiments.ParallelScaling(sc, workload.Vacation, fl.cores)))
+		fmt.Println(experiments.RenderGrid(experiments.ParallelScaling(sc, workload.Memcached, fl.cores)))
+		fmt.Println(experiments.RenderGrid(experiments.ParallelScaling(sc, workload.Vacation, fl.cores)))
 	}},
 	{"channels", "multi-channel memory sweep (channels x cores)", func(sc experiments.Scale, fl benchFlags) {
 		chList := experiments.SweepPowersOfTwo(fl.channels)
 		coreList := experiments.SweepPowersOfTwo(fl.cores)
 		for _, k := range []workload.Kind{workload.Memcached, workload.Vacation} {
 			section(fmt.Sprintf("Multi-channel memory — SSP committed TPS on %s, %v channels x %v cores", k, chList, coreList))
-			fmt.Println(experiments.RenderChannels(experiments.ChannelSweep(sc, k, ssp.SSP, chList, coreList)))
+			fmt.Println(experiments.RenderGrid(experiments.ChannelSweep(sc, k, ssp.SSP, chList, coreList)))
 		}
 	}},
 	{"journal", "metadata-journal sharding sweep (shards x cores)", func(sc experiments.Scale, fl benchFlags) {
@@ -121,7 +121,7 @@ var experimentTable = []experiment{
 		coreList := experiments.SweepPowersOfTwo(fl.cores)
 		for _, k := range []workload.Kind{workload.Memcached, workload.Vacation} {
 			section(fmt.Sprintf("Journal sharding — SSP committed TPS on %s, %v shards x %v cores (%d channels)", k, shList, coreList, fl.channels))
-			fmt.Println(experiments.RenderJournal(experiments.JournalSweep(sc, k, fl.channels, shList, coreList)))
+			fmt.Println(experiments.RenderGrid(experiments.JournalSweep(sc, k, fl.channels, shList, coreList)))
 		}
 	}},
 	{"crossshard", "cross-shard transaction fraction sweep", func(sc experiments.Scale, fl benchFlags) {
@@ -130,7 +130,7 @@ var experimentTable = []experiment{
 		for _, k := range []workload.Kind{workload.MemcachedCross, workload.VacationCross} {
 			section(fmt.Sprintf("Cross-shard transactions — SSP committed TPS on %s, %v%% global x %v cores (%d shards, %d channels)",
 				k, fracs, coreList, fl.shards, fl.channels))
-			fmt.Println(experiments.RenderCrossShard(experiments.CrossShardSweep(sc, k, fl.channels, fl.shards, fracs, coreList)))
+			fmt.Println(experiments.RenderGrid(experiments.CrossShardSweep(sc, k, fl.channels, fl.shards, fracs, coreList)))
 		}
 	}},
 	{"epoch", "relaxed-durability epoch sweep (epoch x cores)", func(sc experiments.Scale, fl benchFlags) {
@@ -156,7 +156,7 @@ var experimentTable = []experiment{
 		for _, k := range []workload.Kind{workload.Memcached, workload.Vacation} {
 			section(fmt.Sprintf("Window-scheduler scale-out — SSP committed TPS on %s, windows %v cycles x %v cores (4 shards, 4 channels)",
 				k, windows, coreList))
-			fmt.Println(experiments.RenderScale(experiments.ScaleSweep(sc, k, windows, coreList)))
+			fmt.Println(experiments.RenderGrid(experiments.ScaleSweep(sc, k, windows, coreList)))
 		}
 	}},
 	{"serve", "open-loop serve latency (skew x load x cores, sync vs relaxed)", func(sc experiments.Scale, fl benchFlags) {

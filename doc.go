@@ -103,7 +103,11 @@
 // ownership transfers — remain serialised in simulated time by design. The
 // sweep `go run ./cmd/sspbench -exp channels -cores 4 -channels 8` reports
 // committed TPS, speedup and per-channel bus utilization across the
-// channels × cores grid.
+// channels × cores grid. TestPaperFigures' ChannelSweep row gates 4-core
+// SSP memcached on 1 and 4 channels with one journal shard (+11.3% cTPS
+// from the extra channels) and on one channel with four shards, whose
+// four-channel cell is ParallelSmoke's (−9.9%): more channels win only
+// while a single journal shard is the bottleneck.
 //
 // # Memory and caches materialise on touch
 //
@@ -654,22 +658,30 @@
 //
 // The aggregate-vs-serial equivalence and the scheduler's ordering are
 // enforced by `go test -race ./internal/machine -run TestParallel` and the
-// workload
-// smoke tests; the benchmark entry points are
-// `go run ./cmd/sspbench -exp parallel -cores 4` (now with per-core
-// commit-barrier wait shares from Stats.CommitBarrierWait),
-// `go run ./cmd/sspbench -exp channels -cores 4`,
-// `go run ./cmd/sspbench -exp journal -cores 4 -shards 4` (journal-shard ×
-// core sweep with per-shard journal pressure and the CatMetaJournal bank
-// occupancy that motivates it),
-// `go run ./cmd/sspbench -exp crossshard -cores 4 -shards 4` (cross-shard
-// transaction fraction × cores on the sharded memcached / partitioned
-// vacation mixes, with global-commit and prepare-record traffic) and
-// `go run ./cmd/sspbench -exp epoch -cores 4` (the relaxed-durability
-// epoch-length × cores sweep with acknowledged-vs-durable TPS and mean
-// harden lag) and
-// `go run ./cmd/sspbench -exp cache -cores 4` (the DRAM buffer tier sweep
-// above).
+// workload tests. Every beyond-the-paper sweep `go run ./cmd/sspbench -exp
+// <id>` prints has a TestPaperFigures row that calls the sweep itself at
+// some of its cells, holds them to ci/bench_baseline.json exactly and logs
+// the sweep's table:
+//
+//	-exp        row              gated values
+//	parallel    ParallelScaling  BenchmarkParallelSweep: memcached on each backend, 1 and 4 cores
+//	channels    ChannelSweep     BenchmarkChannelSweep: 4-core memcached, 1 and 4 channels x 1 and 4 shards
+//	journal     JournalSweep     BenchmarkParallelSmoke, BenchmarkScaleSmoke: 4 and 8 cores, 4 shards
+//	crossshard  CrossShardSweep  BenchmarkCrossShardSmoke: 2 cores at 50% global
+//	epoch       EpochSweep       BenchmarkRelaxedSmoke: 4 cores, sync and a 100k-cycle epoch
+//	serve       ServeSweep       BenchmarkServeSmoke: 4 cores, skew 0.99, half the probed capacity
+//	cache       CacheSweep       BenchmarkCacheSmoke: 4 cores, bare and 1024 frames
+//	scale       ScaleSweep       BenchmarkScaleSweep: 4 cores at each swept window
+//
+// The parallel, channels, journal, crossshard and scale sweeps are one grid
+// (internal/experiments/grid.go): rows of machine configurations — backend,
+// channels, journal shards, global-transaction percentage or scheduler
+// window — by core counts, each cell's committed TPS against its row's own
+// 1-core run, and one detail line per cell (per-core throughput and
+// commit-barrier share, bus utilization, journal pressure,
+// distributed-commit traffic or scheduler cost). A journal pressure line
+// gives the journal banks' busy cycles summed over every bank, so their
+// ratio to the window is the mean number of journal banks busy at once.
 //
 // TestPaperFigures (paper_test.go) holds every table and figure of the
 // paper's evaluation to ci/bench_baseline.json, exactly, and prints them:

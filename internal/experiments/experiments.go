@@ -3,8 +3,11 @@
 // (microbenchmark throughput, 1 and 4 threads), Figure 6 (logging writes),
 // Figures 7a/7b (NVRAM writes and SSP write breakdown), Figure 8 (NVRAM
 // latency sensitivity), Figure 9 (SSP cache latency sensitivity), and
-// Tables 4/5 (real-workload speedup and write savings). `sspbench -list`
-// is the experiment index.
+// Tables 4/5 (real-workload speedup and write savings). It also holds the
+// beyond-the-paper experiments: the design-choice ablations, the recovery
+// sweep, the scaling grid that the parallel, channels, journal, crossshard
+// and scale sweeps share (grid.go), and the epoch, serve and cache sweeps.
+// `sspbench -list` is the experiment index.
 //
 // Each runner returns structured rows and renders the same series the
 // paper reports; absolute numbers come from the simulator, shapes are what

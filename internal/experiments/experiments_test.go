@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -287,123 +288,139 @@ func TestRecoveryEffort(t *testing.T) {
 	_ = RenderRecovery(rows)
 }
 
-func TestChannelSweep(t *testing.T) {
+// TestGrid runs each grid sweep at tiny scale and holds it to the runner's
+// contract: one 1-core baseline per row, run on the row's parameters by the
+// driver the kind needs (the cross-shard mixes run only on the parallel
+// one), one cell per core count in order, and a speedup that is exactly the
+// cell's committed TPS over its row baseline's. Each case then checks the
+// mechanism its row axis varies, and the render prints every row and cell.
+func TestGrid(t *testing.T) {
 	sc := tinyScale()
-	points := ChannelSweep(sc, workload.Memcached, ssp.SSP, []int{1, 4}, []int{1, 2})
-	if len(points) != 4 {
-		t.Fatalf("expected 4 sweep points, got %d", len(points))
-	}
-	for _, pt := range points {
-		if pt.Speedup <= 0 {
-			t.Errorf("%dch x %dcore: speedup %.2f not positive", pt.Channels, pt.Cores, pt.Speedup)
-		}
-		if len(pt.Util) != pt.Channels {
-			t.Fatalf("%dch x %dcore: %d utilization entries", pt.Channels, pt.Cores, len(pt.Util))
-		}
-		for c, u := range pt.Util {
-			if u < 0 || u > 1 {
-				t.Errorf("%dch x %dcore: channel %d utilization %.3f out of [0,1]", pt.Channels, pt.Cores, c, u)
-			}
-			if u == 0 {
-				t.Errorf("%dch x %dcore: channel %d saw no bus occupancy", pt.Channels, pt.Cores, c)
-			}
-		}
-	}
-	// Multi-core runs must beat the 1-core run at the same channel count.
-	byKey := map[[2]int]ChannelPoint{}
-	for _, pt := range points {
-		byKey[[2]int{pt.Channels, pt.Cores}] = pt
-	}
-	for _, ch := range []int{1, 4} {
-		if s1, s2 := byKey[[2]int{ch, 1}].Speedup, byKey[[2]int{ch, 2}].Speedup; s2 <= s1 {
-			t.Errorf("%dch: 2-core speedup %.2f not above 1-core %.2f", ch, s2, s1)
-		}
-	}
-	if out := RenderChannels(points); !strings.Contains(out, "channels") || !strings.Contains(out, "utilization") {
-		t.Errorf("render missing sections:\n%s", out)
-	}
-}
-
-func TestJournalSweep(t *testing.T) {
-	sc := tinyScale()
-	points := JournalSweep(sc, workload.Memcached, 2, []int{1, 2}, []int{1, 2})
-	if len(points) != 4 {
-		t.Fatalf("expected 4 sweep points, got %d", len(points))
-	}
-	byKey := map[[2]int]JournalPoint{}
-	for _, pt := range points {
-		if pt.Speedup <= 0 {
-			t.Errorf("%dsh x %dcore: speedup %.2f not positive", pt.Shards, pt.Cores, pt.Speedup)
-		}
-		if got := len(pt.Parallel.Journal); got != pt.Shards {
-			t.Fatalf("%dsh x %dcore: %d pressure entries, want %d", pt.Shards, pt.Cores, got, pt.Shards)
-		}
-		byKey[[2]int{pt.Shards, pt.Cores}] = pt
-	}
-	// With two cores on two shards, both shards must carry records and the
-	// per-shard sums must equal the run's journal record total.
-	pt := byKey[[2]int{2, 2}]
-	var sum uint64
-	for _, p := range pt.Parallel.Journal {
-		if p.Records == 0 {
-			t.Errorf("2sh x 2core: shard %d appended no records", p.Shard)
-		}
-		if f := p.FillFrac(); f < 0 || f > 1 {
-			t.Errorf("2sh x 2core: shard %d fill %.3f out of [0,1]", p.Shard, f)
-		}
-		sum += p.Records
-	}
-	if sum != pt.Parallel.Stats.JournalRecords {
-		t.Errorf("2sh x 2core: per-shard records sum %d != total %d", sum, pt.Parallel.Stats.JournalRecords)
-	}
-	// Journal bank occupancy must be visible in the counters and the render.
-	if pt.Parallel.Stats.NVRAMBankBusy[stats.CatMetaJournal] == 0 {
-		t.Error("2sh x 2core: no CatMetaJournal bank busy cycles recorded")
-	}
-	out := RenderJournal(points)
-	if !strings.Contains(out, "shards") || !strings.Contains(out, "journal bank busy") {
-		t.Errorf("render missing sections:\n%s", out)
-	}
-}
-
-// TestCrossShardSweep runs the cross-shard experiment at tiny scale on both
-// mixes: global commits must appear exactly when the cross fraction is
-// non-zero and the machine has peers, each global commit must have spread
-// prepare records over at least two shards, and the cross fraction of
-// committed transactions must track the requested percentage.
-func TestCrossShardSweep(t *testing.T) {
-	sc := tinyScale()
-	for _, kind := range []workload.Kind{workload.MemcachedCross, workload.VacationCross} {
-		points := CrossShardSweep(sc, kind, 2, 4, []int{0, 25}, []int{1, 2})
-		if len(points) != 4 {
-			t.Fatalf("%s: expected 4 sweep points, got %d", kind, len(points))
-		}
-		for _, pt := range points {
-			st := pt.Parallel.Stats
-			if pt.CrossPct == 0 || pt.Cores == 1 {
-				if st.GlobalCommits != 0 {
-					t.Errorf("%s %d%% x %dcore: %d global commits, want 0",
-						kind, pt.CrossPct, pt.Cores, st.GlobalCommits)
+	for _, tc := range []struct {
+		name  string
+		run   func() Grid
+		rows  []string
+		check func(t *testing.T, c GridCell)
+	}{
+		{"parallel", func() Grid { return ParallelScaling(sc, workload.Memcached, 2) },
+			[]string{"UNDO-LOG", "REDO-LOG", "SSP"}, func(t *testing.T, c GridCell) {
+				if got := c.Parallel.Backend.String(); got != c.Row {
+					t.Errorf("row %s ran on %s", c.Row, got)
 				}
-				continue
+			}},
+		{"channels", func() Grid { return ChannelSweep(sc, workload.Memcached, ssp.SSP, []int{1, 4}, []int{1, 2}) },
+			[]string{"1", "4"}, func(t *testing.T, c GridCell) {
+				if c.Cores > 1 && c.Speedup() <= 1 {
+					t.Errorf("%sch x %dcore: speedup %.2f, not above the 1-core run", c.Row, c.Cores, c.Speedup())
+				}
+				for ch := 0; ch < c.Params.Machine.Channels; ch++ {
+					if u := busUtil(c.Parallel, ch); u <= 0 || u > 1 {
+						t.Errorf("%sch x %dcore: channel %d utilization %.3f out of (0,1]", c.Row, c.Cores, ch, u)
+					}
+				}
+			}},
+		{"journal", func() Grid { return JournalSweep(sc, workload.Memcached, 2, []int{1, 2}, []int{1, 2}) },
+			[]string{"1", "2"}, func(t *testing.T, c GridCell) {
+				// Each shard's records add up to the run's, and the
+				// journal banks' occupancy is counted.
+				res := c.Parallel
+				if got := len(res.Journal); got != c.Params.Machine.JournalShards {
+					t.Fatalf("%ssh x %dcore: %d pressure entries", c.Row, c.Cores, got)
+				}
+				var sum uint64
+				for _, p := range res.Journal {
+					if p.Records == 0 && c.Cores >= len(res.Journal) {
+						t.Errorf("%ssh x %dcore: shard %d appended no records", c.Row, c.Cores, p.Shard)
+					}
+					if f := p.FillFrac(); f < 0 || f > 1 {
+						t.Errorf("%ssh x %dcore: shard %d fill %.3f out of [0,1]", c.Row, c.Cores, p.Shard, f)
+					}
+					sum += p.Records
+				}
+				if sum != res.Stats.JournalRecords {
+					t.Errorf("%ssh x %dcore: per-shard records sum %d != total %d", c.Row, c.Cores, sum, res.Stats.JournalRecords)
+				}
+				if res.Stats.NVRAMBankBusy[stats.CatMetaJournal] == 0 {
+					t.Errorf("%ssh x %dcore: no CatMetaJournal bank busy cycles", c.Row, c.Cores)
+				}
+			}},
+		{"crossshard/memcached", func() Grid { return CrossShardSweep(sc, workload.MemcachedCross, 2, 4, []int{0, 25}, []int{1, 2}) },
+			[]string{"0", "25"}, checkCrossShard},
+		{"crossshard/vacation", func() Grid { return CrossShardSweep(sc, workload.VacationCross, 2, 4, []int{0, 25}, []int{1, 2}) },
+			[]string{"0", "25"}, checkCrossShard},
+		{"scale", func() Grid { return ScaleSweep(sc, workload.Memcached, []int{1024, 4096}, []int{2}) },
+			[]string{"1024", "4096"}, func(t *testing.T, c GridCell) {
+				if got := strconv.Itoa(int(c.Parallel.WindowSched.Window)); got != c.Row {
+					t.Errorf("row W=%s ran with a %s-cycle window", c.Row, got)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.run()
+			if len(g.Cells) != len(tc.rows)*len(g.Cores) {
+				t.Fatalf("%d cells for %d rows x %d core counts", len(g.Cells), len(tc.rows), len(g.Cores))
 			}
-			if st.GlobalCommits == 0 {
-				t.Errorf("%s %d%% x %dcore: no global commits", kind, pt.CrossPct, pt.Cores)
-				continue
+			for i, c := range g.Cells {
+				row := g.Cells[i-i%len(g.Cores)]
+				if c.Row != tc.rows[i/len(g.Cores)] || c.Cores != g.Cores[i%len(g.Cores)] {
+					t.Fatalf("cell %d is %s x %d cores, want %s x %d", i, c.Row, c.Cores, tc.rows[i/len(g.Cores)], g.Cores[i%len(g.Cores)])
+				}
+				if c.Base.Cycles != row.Base.Cycles || c.Base.Stats != row.Base.Stats {
+					t.Errorf("%s x %d cores: baseline differs from its row's", c.Row, c.Cores)
+				}
+				if c.Speedup() != c.TPS()/c.BaseTPS() {
+					t.Errorf("%s x %d cores: speedup %v, want %v / %v", c.Row, c.Cores, c.Speedup(), c.TPS(), c.BaseTPS())
+				}
+				tc.check(t, c)
 			}
-			if st.PrepareRecords < 2*st.GlobalCommits {
-				t.Errorf("%s %d%% x %dcore: %d prepare records for %d global commits (< 2 shards each)",
-					kind, pt.CrossPct, pt.Cores, st.PrepareRecords, st.GlobalCommits)
+			for i := 0; i < len(g.Cells); i += len(g.Cores) {
+				c := g.Cells[i]
+				p := c.Params
+				p.Clients = 1
+				var want workload.ParallelResult
+				if g.Kind == workload.MemcachedCross || g.Kind == workload.VacationCross {
+					want = workload.RunParallel(p)
+				} else {
+					want.Result = workload.Run(p)
+				}
+				if c.Base.Cycles != want.Cycles || c.Base.Stats != want.Stats || len(c.Base.PerCore) != len(want.PerCore) {
+					t.Errorf("row %s: baseline is not its parameters' 1-core run on the kind's driver", c.Row)
+				}
 			}
-			frac := float64(st.GlobalCommits) / float64(st.Commits)
-			if frac < 0.10 || frac > 0.45 {
-				t.Errorf("%s %d%% x %dcore: global fraction %.2f far from requested 0.25",
-					kind, pt.CrossPct, pt.Cores, frac)
+			out := RenderGrid(g)
+			if got := strings.Count(out, "core: "); got != len(g.Cells) {
+				t.Errorf("render has %d detail lines for %d cells:\n%s", got, len(g.Cells), out)
 			}
-		}
+			for _, r := range tc.rows {
+				if !strings.Contains(out, g.Axis+" "+r+" x ") {
+					t.Errorf("render misses row %s:\n%s", r, out)
+				}
+			}
+		})
 	}
-	if out := RenderCrossShard(CrossShardSweep(sc, workload.MemcachedCross, 2, 4, []int{25}, []int{2})); out == "" {
-		t.Error("RenderCrossShard returned empty output")
+}
+
+// checkCrossShard: global commits appear exactly when the cross fraction is
+// non-zero and the machine has peers, each spreads prepare records over at
+// least two shards, and the global fraction of committed transactions
+// tracks the requested 25%.
+func checkCrossShard(t *testing.T, c GridCell) {
+	st := c.Parallel.Stats
+	if c.Params.CrossPct == 0 || c.Cores == 1 {
+		if st.GlobalCommits != 0 {
+			t.Errorf("%s%% x %dcore: %d global commits, want 0", c.Row, c.Cores, st.GlobalCommits)
+		}
+		return
+	}
+	if st.GlobalCommits == 0 {
+		t.Fatalf("%s%% x %dcore: no global commits", c.Row, c.Cores)
+	}
+	if st.PrepareRecords < 2*st.GlobalCommits {
+		t.Errorf("%s%% x %dcore: %d prepare records for %d global commits (< 2 shards each)",
+			c.Row, c.Cores, st.PrepareRecords, st.GlobalCommits)
+	}
+	if frac := float64(st.GlobalCommits) / float64(st.Commits); frac < 0.10 || frac > 0.45 {
+		t.Errorf("%s%% x %dcore: global fraction %.2f far from requested 0.25", c.Row, c.Cores, frac)
 	}
 }
 

@@ -1,10 +1,10 @@
 // TestPaperFigures regenerates the paper's evaluation — Tables 3–5, Figs
-// 5–9, the six ablations, the recovery sweep, the window sweep and the
-// multi-core smokes — at a fixed small scale and holds every value to
-// ci/bench_baseline.json at exact float64 equality. The same pass fails on
-// an ssp.Config field that no machine it builds and no crash class sets.
-// Every simulated number is a pure function of (commit, seed), so any
-// difference is a behavioural change: re-record with
+// 5–9, the six ablations, the recovery sweep and cells of every
+// beyond-paper sweep, whose tables it logs — at a fixed small scale and
+// holds every value to ci/bench_baseline.json at exact float64 equality.
+// The same pass fails on an ssp.Config field that no machine it builds
+// and no crash class sets. Every simulated number is a pure function of
+// (commit, seed), so any difference is a behavioural change: re-record with
 //
 //	go test -run '^TestPaperFigures$' . -update
 //
@@ -55,6 +55,12 @@ func paperScale() experiments.Scale {
 	return experiments.Scale{Ops: 1200, Keys: 8192, Elems: 1 << 17, Items: 4096, Tuples: 4096, Seed: 0xE0, STLB: 128}
 }
 
+// smokeScale is the multi-core smokes' size: ops operations over 4096
+// items, the workload package's defaults otherwise.
+func smokeScale(ops int) experiments.Scale {
+	return experiments.Scale{Ops: ops, Items: 4096, Seed: 0xE0}
+}
+
 // shortScale is paperScale at 600 operations, the size of the latency
 // sweeps and ablations.
 func shortScale() experiments.Scale {
@@ -67,14 +73,14 @@ func shortScale() experiments.Scale {
 // experiment once.
 var paperRows = []struct {
 	name string
-	run  func(f figures)
+	run  func(f figures, t *testing.T)
 }{
-	{"Table3", func(f figures) {
+	{"Table3", func(f figures, _ *testing.T) {
 		for _, r := range experiments.Table3(paperScale()) {
 			f.put("BenchmarkTable3_Characterisation", r.Kind.String()+"_lines/txn", r.AvgLines)
 		}
 	}},
-	{"Fig5a-7", func(f figures) {
+	{"Fig5a-7", func(f figures, _ *testing.T) {
 		for _, r := range experiments.Micro(paperScale(), 1) {
 			f.put("BenchmarkFig5a_MicroTPS_1Thread", r.Kind.String()+"_SSP/UNDO", r.TPS[ssp.SSP])
 			f.put("BenchmarkFig6_LoggingWrites", r.Kind.String()+"_SSP/UNDO", r.Logging[ssp.SSP])
@@ -82,26 +88,26 @@ var paperRows = []struct {
 			f.put("BenchmarkFig7b_SSPWriteBreakdown", r.Kind.String()+"_consol%", r.ConsolidationPct)
 		}
 	}},
-	{"Fig5b", func(f figures) {
+	{"Fig5b", func(f figures, _ *testing.T) {
 		for _, r := range experiments.Micro(paperScale(), 4) {
 			f.put("BenchmarkFig5b_MicroTPS_4Threads", r.Kind.String()+"_SSP/UNDO", r.TPS[ssp.SSP])
 		}
 	}},
-	{"Fig8", func(f figures) {
+	{"Fig8", func(f figures, _ *testing.T) {
 		for _, pt := range experiments.Fig8(shortScale()) {
 			if pt.Kind == workload.BTreeRand {
 				f.put("BenchmarkFig8_NVRAMLatencySweep", "BTree_SSP_kTPS_x"+strconv.Itoa(pt.Multiple), pt.TPS[ssp.SSP]/1e3)
 			}
 		}
 	}},
-	{"Fig9", func(f figures) {
+	{"Fig9", func(f figures, _ *testing.T) {
 		for _, pt := range experiments.Fig9(shortScale()) {
 			if pt.Kind == workload.SPS {
 				f.put("BenchmarkFig9_SSPCacheLatencySweep", "SPS_speedup_lat"+strconv.Itoa(pt.Latency), pt.Speedup)
 			}
 		}
 	}},
-	{"Table45", func(f figures) {
+	{"Table45", func(f figures, _ *testing.T) {
 		for _, r := range experiments.Table45(paperScale()) {
 			f.put("BenchmarkTable4_RealWorkloadSpeedup", r.Kind.String()+"_vsUNDO_%", r.SpeedupOver[ssp.UndoLog])
 			f.put("BenchmarkTable4_RealWorkloadSpeedup", r.Kind.String()+"_vsREDO_%", r.SpeedupOver[ssp.RedoLog])
@@ -116,86 +122,92 @@ var paperRows = []struct {
 	{"AblationSSPCacheResidency", ablation("BenchmarkAblation_SSPCacheResidency", experiments.AblateSSPCacheResidency)},
 	{"AblationFlipMechanism", ablation("BenchmarkAblation_FlipMechanism", experiments.AblateFlipMechanism)},
 	{"AblationRedoEngines", ablation("BenchmarkAblation_RedoWriteBackEngines", experiments.AblateRedoEngines)},
-	{"RecoveryEffort", func(f figures) {
+	{"RecoveryEffort", func(f figures, _ *testing.T) {
 		sc := paperScale()
 		sc.Ops = 400
 		for _, r := range experiments.RecoveryEffort(sc) {
 			f.put("BenchmarkRecoveryEffort", "replayed_j"+strconv.Itoa(r.JournalKB), float64(r.ReplayedRecords))
 		}
 	}},
-	// SSP on the sharded memcached workload over 4 channels and 4 journal
-	// shards: 4 cores (the parallel smoke) and 8 (the scale smoke) against
-	// one 1-core serial run.
-	{"ParallelScaleSmoke", func(f figures) {
-		params := func(clients int) workload.Params {
-			p := workload.Params{Kind: workload.Memcached, Backend: ssp.SSP, Clients: clients, Ops: 4000, Items: 4096, Seed: 0xE0}
-			p.Machine.Channels = 4
-			p.Machine.JournalShards = 4
-			return p
+	// The beyond-paper sweeps `sspbench -exp` prints, each gated at its
+	// smoke cells and logged as the sweep renders them. The 4- and 8-core
+	// SSP memcached cells on 4 channels and 4 journal shards (`-exp
+	// journal`; the 8-core cell is the scale smoke).
+	{"JournalSweep", func(f figures, t *testing.T) {
+		g := experiments.JournalSweep(smokeScale(4000), workload.Memcached, 4, []int{4}, []int{4, 8})
+		par, scale := g.Cells[0], g.Cells[1]
+		f.put("BenchmarkParallelSmoke", "SSP_cTPS", par.TPS())
+		f.put("BenchmarkParallelSmoke", "SSP_serial_cTPS", par.BaseTPS())
+		f.put("BenchmarkParallelSmoke", "SSP_speedup", par.Speedup())
+		f.put("BenchmarkParallelSmoke", "SSP_barrierwait_cycles", float64(par.Parallel.Stats.CommitBarrierWait))
+		f.put("BenchmarkScaleSmoke", "Scale_cTPS", scale.TPS())
+		f.put("BenchmarkScaleSmoke", "Scale_speedup", scale.Speedup())
+		f.put("BenchmarkScaleSmoke", "Scale_windows", float64(scale.Parallel.WindowSched.Windows))
+		t.Log(experiments.RenderGrid(g))
+	}},
+	// Memcached on every backend at 4 cores against its 1-core run (`-exp
+	// parallel`).
+	{"ParallelScaling", func(f figures, t *testing.T) {
+		g := experiments.ParallelScaling(smokeScale(4000), workload.Memcached, 4)
+		for _, c := range g.Cells {
+			f.put("BenchmarkParallelSweep", "Memcached_"+c.Row+"_serial_cTPS", c.BaseTPS())
+			f.put("BenchmarkParallelSweep", "Memcached_"+c.Row+"_4core_cTPS", c.TPS())
 		}
-		serial := workload.Run(params(1))
-		sTPS := experiments.CommittedTPS(serial.Cycles, serial)
-		par := workload.RunParallel(params(4))
-		pTPS := experiments.CommittedTPS(par.Cycles, par.Result)
-		f.put("BenchmarkParallelSmoke", "SSP_cTPS", pTPS)
-		f.put("BenchmarkParallelSmoke", "SSP_serial_cTPS", sTPS)
-		f.put("BenchmarkParallelSmoke", "SSP_speedup", pTPS/sTPS)
-		f.put("BenchmarkParallelSmoke", "SSP_barrierwait_cycles", float64(par.Stats.CommitBarrierWait))
-		scale := workload.RunParallel(params(8))
-		cTPS := experiments.CommittedTPS(scale.Cycles, scale.Result)
-		f.put("BenchmarkScaleSmoke", "Scale_cTPS", cTPS)
-		f.put("BenchmarkScaleSmoke", "Scale_speedup", cTPS/sTPS)
-		f.put("BenchmarkScaleSmoke", "Scale_windows", float64(scale.WindowSched.Windows))
+		t.Log(experiments.RenderGrid(g))
+	}},
+	// SSP memcached at 4 cores on 1 and 4 channels (`-exp channels`), with
+	// one journal shard, and on one channel with four shards (`-exp
+	// journal`); four channels with four shards is ParallelSmoke's cell. So
+	// the Channels knob has a gated cell on each side at both shard counts.
+	{"ChannelSweep", func(f figures, t *testing.T) {
+		sc := smokeScale(4000)
+		channels := experiments.ChannelSweep(sc, workload.Memcached, ssp.SSP, []int{1, 4}, []int{4})
+		shards := experiments.JournalSweep(sc, workload.Memcached, 1, []int{4}, []int{4})
+		for _, c := range channels.Cells {
+			f.put("BenchmarkChannelSweep", "Memcached_"+c.Row+"ch_1sh_serial_cTPS", c.BaseTPS())
+			f.put("BenchmarkChannelSweep", "Memcached_"+c.Row+"ch_1sh_4core_cTPS", c.TPS())
+		}
+		c := shards.Cells[0]
+		f.put("BenchmarkChannelSweep", "Memcached_1ch_4sh_serial_cTPS", c.BaseTPS())
+		f.put("BenchmarkChannelSweep", "Memcached_1ch_4sh_4core_cTPS", c.TPS())
+		t.Log(experiments.RenderGrid(channels))
+		t.Log(experiments.RenderGrid(shards))
 	}},
 	// The 2-core memcached cross-shard mix at a 50% global fraction over 4
-	// journal shards, against 1 core.
-	{"CrossShardSmoke", func(f figures) {
-		params := func(clients int) workload.Params {
-			p := workload.Params{Kind: workload.MemcachedCross, Backend: ssp.SSP, Clients: clients, Ops: 4000, Items: 4096, Seed: 0xE0}
-			p.CrossPct = 50
-			p.Machine.Channels = 4
-			p.Machine.JournalShards = 4
-			return p
-		}
-		base := workload.RunParallel(params(1))
-		par := workload.RunParallel(params(2))
-		bTPS := experiments.CommittedTPS(base.Cycles, base.Result)
-		pTPS := experiments.CommittedTPS(par.Cycles, par.Result)
+	// journal shards, against 1 core (`-exp crossshard`).
+	{"CrossShardSweep", func(f figures, t *testing.T) {
+		g := experiments.CrossShardSweep(smokeScale(4000), workload.MemcachedCross, 4, 4, []int{50}, []int{2})
+		c := g.Cells[0]
 		const b = "BenchmarkCrossShardSmoke"
-		f.put(b, "SSPCross_cTPS", pTPS)
-		f.put(b, "SSPCross_speedup_50pct", pTPS/bTPS)
-		f.put(b, "SSPCross_barrierwait_cycles", float64(par.Stats.CommitBarrierWait))
+		f.put(b, "SSPCross_cTPS", c.TPS())
+		f.put(b, "SSPCross_speedup_50pct", c.Speedup())
+		f.put(b, "SSPCross_barrierwait_cycles", float64(c.Parallel.Stats.CommitBarrierWait))
+		t.Log(experiments.RenderGrid(g))
 	}},
 	// The 4-core single-shard memcached mix, synchronous against relaxed
-	// with a 100k-cycle epoch: acknowledged and durable TPS bracket the
-	// durability lag.
-	{"RelaxedSmoke", func(f figures) {
-		params := func(epoch int) workload.Params {
-			p := workload.Params{Kind: workload.Memcached, Backend: ssp.SSP, Clients: 4, Ops: 4000, Items: 4096, Seed: 0xE0}
-			p.Machine.Channels = 4
-			p.Machine.JournalShards = 1
-			p.Machine.DurabilityEpoch = epoch
-			p.Relaxed = epoch > 0
-			return p
-		}
-		sync := workload.RunParallel(params(0))
-		rel := workload.RunParallel(params(100000))
+	// with a 100k-cycle epoch (`-exp epoch`): acknowledged and durable TPS
+	// bracket the durability lag.
+	{"EpochSweep", func(f figures, t *testing.T) {
+		mix := experiments.EpochMix{Kind: workload.Memcached, Shards: 1, Channels: 4}
+		points := experiments.EpochSweep(smokeScale(4000), mix, []int{0, 100000}, []int{4})
+		sync, rel := points[0].Parallel, points[1]
 		const b = "BenchmarkRelaxedSmoke"
 		f.put(b, "Relaxed_sync_cTPS", sync.CommittedTPS)
-		f.put(b, "Relaxed_ack_cTPS", rel.CommittedTPS)
-		f.put(b, "Relaxed_durable_TPS", rel.TPS)
-		f.put(b, "Relaxed_ack_speedup", rel.CommittedTPS/sync.CommittedTPS)
+		f.put(b, "Relaxed_ack_cTPS", rel.Parallel.CommittedTPS)
+		f.put(b, "Relaxed_durable_TPS", rel.Parallel.TPS)
+		f.put(b, "Relaxed_ack_speedup", rel.Parallel.CommittedTPS/rel.BaseTPS)
 		f.put(b, "Relaxed_sync_barrier_pct", 100*experiments.BarrierWaitShare(sync, 4))
-		f.put(b, "Relaxed_epoch_barrier_pct", 100*experiments.BarrierWaitShare(rel, 4))
-		f.put(b, "Relaxed_commits", float64(rel.Stats.RelaxedCommits))
-		f.put(b, "Relaxed_hardened_epochs", float64(rel.Stats.HardenedEpochs))
-		f.put(b, "Relaxed_harden_lag_cycles", experiments.MeanHardenLag(rel.Stats))
+		f.put(b, "Relaxed_epoch_barrier_pct", 100*experiments.BarrierWaitShare(rel.Parallel, 4))
+		f.put(b, "Relaxed_commits", float64(rel.Parallel.Stats.RelaxedCommits))
+		f.put(b, "Relaxed_hardened_epochs", float64(rel.Parallel.Stats.HardenedEpochs))
+		f.put(b, "Relaxed_harden_lag_cycles", experiments.MeanHardenLag(rel.Parallel.Stats))
+		t.Log(experiments.RenderEpoch(points))
 	}},
 	// The 4-core memcached cross-shard mix at a 50% global fraction over 4
 	// journal shards, relaxed with a 100k-cycle epoch: coordinator epochs
 	// buffer global Ends and hold their participant shards, whose
-	// checkpoints harden the holders first.
-	{"CrossRelaxedSmoke", func(f figures) {
+	// checkpoints harden the holders first. No sweep prints this cell.
+	{"CrossRelaxedSmoke", func(f figures, _ *testing.T) {
 		p := workload.Params{Kind: workload.MemcachedCross, Backend: ssp.SSP, Clients: 4, Ops: 4000, Items: 4096, Seed: 0xE0}
 		p.CrossPct = 50
 		p.Relaxed = true
@@ -212,23 +224,12 @@ var paperRows = []struct {
 		f.put(b, "CrossRelaxed_checkpoints", float64(rel.Stats.Checkpoints))
 		f.put(b, "CrossRelaxed_harden_lag_cycles", experiments.MeanHardenLag(rel.Stats))
 	}},
-	// The open-loop sharded-kv service on 4 cores at YCSB-style skew: a
-	// closed-loop probe sets the capacity, then sync and relaxed serve half
-	// of it, below the queueing knee.
-	{"ServeSmoke", func(f figures) {
-		params := func(rate float64, relaxed bool) workload.ServeParams {
-			p := workload.ServeParams{Backend: ssp.SSP, Clients: 4, Ops: 12000, Items: 4096, Skew: 0.99, OfferedTPS: rate, Relaxed: relaxed, Seed: 0xE0}
-			p.Machine.Channels = 4
-			p.Machine.JournalShards = 1
-			if relaxed {
-				p.Machine.DurabilityEpoch = 100000
-			}
-			return p
-		}
-		probe := workload.RunServe(params(0, false))
-		rate := probe.CommittedTPS * 0.5
-		sync := workload.RunServe(params(rate, false))
-		rel := workload.RunServe(params(rate, true))
+	// The open-loop sharded-kv service on 4 cores at YCSB-style skew (`-exp
+	// serve`): a closed-loop probe sets the capacity, then sync and relaxed
+	// serve half of it, below the queueing knee.
+	{"ServeSweep", func(f figures, t *testing.T) {
+		points := experiments.ServeSweep(smokeScale(12000), []float64{0.99}, []int{50}, []int{4}, 100000)
+		probe, sync, rel := points[0].Res, points[1].Res, points[2].Res
 		const b = "BenchmarkServeSmoke"
 		f.put(b, "Serve_cTPS", probe.CommittedTPS)
 		f.put(b, "Serve_p50", float64(sync.LatencyP50))
@@ -238,36 +239,37 @@ var paperRows = []struct {
 		f.put(b, "Serve_relaxed_p999", float64(rel.LatencyP999))
 		f.put(b, "Serve_harden_lag_cycles", experiments.MeanHardenLag(rel.Stats))
 		f.put(b, "Serve_sync_over_relaxed_p99", float64(sync.LatencyP99)/float64(rel.LatencyP99))
+		t.Log(experiments.RenderServe(points))
 	}},
 	// The cache experiment's serve mix (4 cores, Zipfian keys, GET-path
 	// recency stamps, a 256 KiB L3), bare and with a 1024-frame DRAM buffer
-	// tier. The bare row is the sentinel that DRAMCacheFrames = 0 still
-	// models the bare-NVRAM machine.
-	{"CacheSmoke", func(f figures) {
-		params := func(frames int) workload.ServeParams {
-			return workload.ServeParams{Backend: ssp.SSP, Clients: 4, Ops: 8000, Items: 4096, Skew: 0.99, ReadPct: 70, TouchOnGet: true, Seed: 0xE0,
-				Machine: ssp.Config{L3KB: 256, DRAMCacheFrames: frames}}
-		}
-		bare := workload.RunServe(params(0))
-		cached := workload.RunServe(params(1024))
+	// tier (`-exp cache`). The bare row is the sentinel that
+	// DRAMCacheFrames = 0 still models the bare-NVRAM machine.
+	{"CacheSweep", func(f figures, t *testing.T) {
+		points := experiments.CacheSweep(smokeScale(8000), []float64{0.99}, []int{4}, []int{1024})
+		pt := points[0]
+		bare, cached := pt.Base.Stats, pt.Cached.Stats
 		const b = "BenchmarkCacheSmoke"
-		f.put(b, "Cache_cTPS", cached.CommittedTPS)
-		f.put(b, "Cache_bare_cTPS", bare.CommittedTPS)
-		f.put(b, "Cache_hit_pct", 100*float64(cached.Stats.DRAMCacheHits)/float64(cached.Stats.DRAMCacheReads))
-		f.put(b, "Cache_bare_dataWr_lines", float64(experiments.DataWriteLines(bare.Stats)))
-		f.put(b, "Cache_dataWr_lines", float64(experiments.DataWriteLines(cached.Stats)))
-		f.put(b, "Cache_speedup", cached.CommittedTPS/bare.CommittedTPS)
+		f.put(b, "Cache_cTPS", pt.Cached.CommittedTPS)
+		f.put(b, "Cache_bare_cTPS", pt.Base.CommittedTPS)
+		f.put(b, "Cache_hit_pct", 100*float64(cached.DRAMCacheHits)/float64(cached.DRAMCacheReads))
+		f.put(b, "Cache_bare_dataWr_lines", float64(experiments.DataWriteLines(bare)))
+		f.put(b, "Cache_dataWr_lines", float64(experiments.DataWriteLines(cached)))
+		f.put(b, "Cache_speedup", pt.Speedup)
+		t.Log(experiments.RenderCache(points))
 	}},
-	// SSP on the sharded memcached workload at 4 cores under each window
-	// size of the scale-out sweep.
-	{"ScaleSweep", func(f figures) {
-		for _, pt := range experiments.ScaleSweep(shortScale(), workload.Memcached, experiments.ScaleWindows(), []int{4}) {
-			f.put("BenchmarkScaleSweep", "Memcached_4core_W"+strconv.Itoa(pt.Window)+"_speedup", pt.Speedup)
+	// SSP memcached at 4 cores under each window size of the scale-out
+	// sweep (`-exp scale`).
+	{"ScaleSweep", func(f figures, t *testing.T) {
+		g := experiments.ScaleSweep(shortScale(), workload.Memcached, experiments.ScaleWindows(), []int{4})
+		for _, c := range g.Cells {
+			f.put("BenchmarkScaleSweep", "Memcached_4core_W"+c.Row+"_speedup", c.Speedup())
 		}
+		t.Log(experiments.RenderGrid(g))
 	}},
 	// The simulated cycles of one minimal two-store transaction on a fresh
 	// machine of each design: the mechanism overhead itself.
-	{"TxnPath", func(f figures) {
+	{"TxnPath", func(f figures, _ *testing.T) {
 		for _, backend := range ssp.Backends() {
 			m := txnPathMachine(backend)
 			txnPathTxn(m.Core(0), 0)
@@ -279,8 +281,8 @@ var paperRows = []struct {
 // ablation gates one `sspbench -exp ablate` table at shortScale: each row's
 // TPS, plus its fallbacks and its parallel speedup when the table carries
 // them (the write-set buffer and the write-back engines).
-func ablation(bench string, run func(experiments.Scale) []experiments.AblationRow) func(f figures) {
-	return func(f figures) {
+func ablation(bench string, run func(experiments.Scale) []experiments.AblationRow) func(f figures, _ *testing.T) {
+	return func(f figures, _ *testing.T) {
 		rows := run(shortScale())
 		fallbacks := slices.ContainsFunc(rows, func(r experiments.AblationRow) bool { return r.Fallback > 0 })
 		for _, r := range rows {
@@ -312,7 +314,7 @@ func TestPaperFigures(t *testing.T) {
 	got := figures{}
 	for _, row := range paperRows {
 		start := time.Now()
-		row.run(got)
+		row.run(got, t)
 		t.Logf("%s ran in %v", row.name, time.Since(start).Round(time.Millisecond))
 	}
 	for _, cl := range crashsweep.Classes {

@@ -92,12 +92,9 @@ var experimentTable = []experiment{
 	}},
 	{"ablate", "design-choice knob ablations", func(sc experiments.Scale, fl benchFlags) {
 		section("Ablations — design-choice knobs (beyond the paper)")
-		fmt.Println(experiments.RenderAblations("sub-page granularity (§4.3)", experiments.AblateSubPage(sc)))
-		fmt.Println(experiments.RenderAblations("write-set buffer capacity (§4.2)", experiments.AblateWSB(sc)))
-		fmt.Println(experiments.RenderAblations("SSP-cache L3 residency", experiments.AblateSSPCacheResidency(sc)))
-		fmt.Println(experiments.RenderAblations("consolidation policy (§3.4 eager vs lazy)", experiments.AblateConsolidationPolicy(sc)))
-		fmt.Println(experiments.RenderAblations("flip mechanism (§4.1.1 broadcast vs §4.3 shootdown)", experiments.AblateFlipMechanism(sc)))
-		fmt.Println(experiments.RenderAblations("REDO write-back engines (DHTM single vs per-core, 4-core parallel)", experiments.AblateRedoEngines(sc)))
+		for _, t := range experiments.Ablations(sc) {
+			fmt.Println(experiments.RenderAblations(t.Title, t.Rows))
+		}
 	}},
 	{"recovery", "recovery effort vs journal capacity", func(sc experiments.Scale, fl benchFlags) {
 		section("Recovery effort vs journal capacity (§4.1.2 checkpointing)")

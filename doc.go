@@ -519,6 +519,33 @@
 // committed-vs-durable TPS spread; BENCH_6.json records the trajectory and
 // TestPaperFigures holds RelaxedSmoke's Relaxed_ack_cTPS exactly.
 //
+// # Workload drivers
+//
+// Every figure comes from internal/workload, through one of three
+// drivers: Run steps the client with the lowest clock (Tables 3–5, Figs
+// 5–9), RunParallel runs each client's share on its own core goroutine
+// under Machine.Run (the scaling, epoch and ablation rows), and RunServe
+// paces an open-loop kv mix on every core under Machine.Run (the serve
+// and cache rows, the benchmark's serve-sim-4c). They share one measured
+// window: after setup it drains, aligns every core's clock to the latest,
+// resets the counters and splits the operations across the cores; after
+// the driver's body it reads the acknowledgment time, drains again and
+// assembles the aggregate, TPS, CommittedTPS and per-core rows. Only the
+// body differs. ParallelResult.Wall times exactly the Machine.Run call, so
+// the benchmark's setup_s and host_ops_per_s split a RunServe call at it.
+//
+// Each deployment has one builder. The tree/hash microbenchmarks take
+// their client's allocator (the shared heap under Run, a per-client arena
+// under RunParallel); the serial memcached and vacation share one cache or
+// table set under locks; the parallel driver's sharded memcached and
+// partitioned vacation give each core its own shard, arena and lock. The
+// cross-shard kinds are those two builders plus a coin: MemcachedCross and
+// VacationCross with more than one client draw it per transaction, and
+// CrossPct percent of draws run one BeginGlobal section over 2–4 shards
+// (crossmix.go); every other kind draws nothing, so its random streams
+// are the all-local ones. TestPaperFigures' ParallelKinds row gates each
+// microbenchmark's and Vacation's RunParallel build at 2 cores.
+//
 // # Network KV front end and open-loop serve latency
 //
 // internal/server and cmd/sspserver expose the machine as a line-oriented

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/stats"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -20,20 +20,9 @@ import (
 // far into logged in-place state, which is equivalent and keeps the
 // programming model oblivious.
 const (
-	fbKindData   = 10
+	fbKindData   = 10 // payload: a txn line record
 	fbKindCommit = 11
 )
-
-func encodeFBPayload(pa memsim.PAddr, line []byte) []byte {
-	p := make([]byte, 8+memsim.LineBytes)
-	binary.LittleEndian.PutUint64(p, uint64(pa))
-	copy(p[8:], line)
-	return p
-}
-
-func decodeFBPayload(p []byte) (memsim.PAddr, []byte) {
-	return memsim.PAddr(binary.LittleEndian.Uint64(p)), p[8:]
-}
 
 // transitionToFallback converts the open SSP transaction on core into a
 // software-undo transaction: every speculative unit is undo-logged
@@ -62,7 +51,8 @@ func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 				t = s.env.Caches.Load(core, specLA, spec[:], t)
 				t = s.env.Caches.Load(core, commLA, comm[:], t)
 				s.fbOld[core][commLA] = comm
-				t = log.Append(wal.Record{TID: tid, Kind: fbKindData, Payload: encodeFBPayload(commLA, comm[:])}, t)
+				var p [txn.LineRecordBytes]byte
+				t = log.Append(wal.Record{TID: tid, Kind: fbKindData, Payload: txn.EncodeLine(&p, commLA, comm[:])}, t)
 				t = log.Flush(t)
 				s.env.StatsFor(core).UndoRecords++
 				t = s.env.Caches.Store(core, commLA, spec[:], t)
@@ -95,7 +85,8 @@ func (s *SSP) fbStore(core int, va uint64, data []byte, at engine.Cycles) engine
 		t = s.env.Caches.Load(core, la, img[:], t)
 		s.fbOld[core][la] = img
 		log := s.fbLogs[core]
-		t = log.Append(wal.Record{TID: s.fbTID[core], Kind: fbKindData, Payload: encodeFBPayload(la, img[:])}, t)
+		var p [txn.LineRecordBytes]byte
+		t = log.Append(wal.Record{TID: s.fbTID[core], Kind: fbKindData, Payload: txn.EncodeLine(&p, la, img[:])}, t)
 		t = log.Flush(t)
 		s.env.StatsFor(core).UndoRecords++
 	}
@@ -133,8 +124,7 @@ func (s *SSP) fbCommit(core int, at engine.Cycles) engine.Cycles {
 	log := s.fbLogs[core]
 	t = log.Append(wal.Record{TID: s.fbTID[core], Kind: fbKindCommit}, t)
 	t = log.Flush(t)
-	s.env.StatsFor(core).NVRAMWriteBytes[stats.CatCommitRecord] += wal.HeaderBytes
-	s.env.StatsFor(core).NVRAMWriteBytes[stats.CatUndoLog] -= wal.HeaderBytes
+	s.env.ChargeCommitRecord(stats.CatUndoLog)
 	log.Reset()
 	s.finishFallback(core, t)
 	return s.endTxn(core, t, true)

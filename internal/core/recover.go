@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/memsim"
 	"repro/internal/stats"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -212,24 +213,26 @@ func (s *SSP) Recover() error {
 	}
 
 	// 3. Roll back interrupted software fall-back transactions (their undo
-	// logs live in the per-core log regions).
+	// logs live in the per-core log regions), every log decoded before any
+	// line is written back.
+	rollback := make([][]txn.LineRecord, len(s.fbLogs))
 	for c := range s.fbLogs {
 		lrecs := wal.Scan(s.env.Mem, s.env.Layout.LogBase[c], s.env.Layout.Cfg.LogBytes)
-		if m := wal.MaxTID(lrecs); m > maxTID {
-			maxTID = m
+		maxTID = max(maxTID, wal.MaxTID(lrecs))
+		lines, err := s.env.DecodeLines(lrecs, fbKindData)
+		if err != nil {
+			return err
 		}
-		if len(lrecs) == 0 || lrecs[len(lrecs)-1].Kind == fbKindCommit {
-			continue
+		if len(lrecs) > 0 && lrecs[len(lrecs)-1].Kind != fbKindCommit {
+			rollback[c] = lines
+			s.env.Stats.RolledBackTxns++
 		}
-		for i := len(lrecs) - 1; i >= 0; i-- {
-			if lrecs[i].Kind != fbKindData {
-				continue
-			}
-			pa, img := decodeFBPayload(lrecs[i].Payload)
-			s.env.Mem.WriteLine(pa, img, 0, stats.CatRecovery)
+	}
+	for _, lines := range rollback {
+		for i := len(lines) - 1; i >= 0; i-- {
+			s.env.Mem.WriteLine(lines[i].PA, lines[i].Line, 0, stats.CatRecovery)
 			s.env.Stats.RecoveryNVWrites++
 		}
-		s.env.Stats.RolledBackTxns++
 	}
 
 	// 4. Rebuild the page table mirror, repair consolidation flips, and

@@ -228,16 +228,28 @@ func TestTable45RealWorkloads(t *testing.T) {
 	_ = RenderTable5(rows)
 }
 
-func TestAblations(t *testing.T) {
-	sc := tinyScale()
-	sc.Ops = 300
+// tinyAblations runs every ablation table once at tinyScale for the tests
+// below.
+var tinyAblations = sync.OnceValue(func() map[string][]AblationRow {
+	tables := map[string][]AblationRow{}
+	for _, t := range Ablations(tinyScale()) {
+		tables[t.ID] = t.Rows
+	}
+	return tables
+})
 
-	sub := AblateSubPage(sc)
+func TestAblations(t *testing.T) {
+	tables := tinyAblations()
+	if len(tables) != 6 {
+		t.Fatalf("ablation tables: %d", len(tables))
+	}
+
+	sub := tables["SubPageGranularity"]
 	if len(sub) != 8 {
 		t.Fatalf("subpage rows: %d", len(sub))
 	}
 
-	wsb := AblateWSB(sc)
+	wsb := tables["WSBCapacity"]
 	if wsb[0].Fallback != 0 {
 		t.Errorf("wsb=64 should not fall back (got %d)", wsb[0].Fallback)
 	}
@@ -245,14 +257,14 @@ func TestAblations(t *testing.T) {
 		t.Errorf("wsb=2 should force fall-back transactions")
 	}
 
-	res := AblateSSPCacheResidency(sc)
+	res := tables["SSPCacheResidency"]
 	if res[0].TPS < res[2].TPS {
 		t.Errorf("shrinking SSP-cache residency should not speed SPS up (%.0f -> %.0f)",
 			res[0].TPS, res[2].TPS)
 	}
 
 	// Shootdown-based flips must be slower than the coherence broadcast.
-	flip := AblateFlipMechanism(sc)
+	flip := tables["FlipMechanism"]
 	for i := 0; i < len(flip); i += 2 {
 		if flip[i+1].TPS >= flip[i].TPS {
 			t.Errorf("%s: shootdown flips (%.0f TPS) not slower than broadcast (%.0f)",
@@ -261,9 +273,15 @@ func TestAblations(t *testing.T) {
 	}
 
 	// Lazy consolidation defers copies: SPS total writes must not rise.
-	pol := AblateConsolidationPolicy(sc)
+	pol := tables["ConsolidationPolicy"]
 	if pol[1].Writes > pol[0].Writes {
 		t.Errorf("lazy consolidation wrote more than eager: %d > %d", pol[1].Writes, pol[0].Writes)
+	}
+
+	// A setting that equals the default machine shares the default's run:
+	// RBTree-Rand's default row is the same in every table that has one.
+	if sub[2].TPS != wsb[0].TPS || sub[2].TPS != flip[0].TPS || sub[2].TPS != pol[2].TPS {
+		t.Errorf("default RBTree-Rand rows differ: %.0f %.0f %.0f %.0f", sub[2].TPS, wsb[0].TPS, flip[0].TPS, pol[2].TPS)
 	}
 	_ = RenderAblations("subpage", sub)
 }
@@ -428,7 +446,7 @@ func checkCrossShard(t *testing.T, c GridCell) {
 // 4-core parallel REDO run down, and the rows must carry speedups for the
 // render's delta column.
 func TestAblateRedoEngines(t *testing.T) {
-	rows := AblateRedoEngines(tinyScale())
+	rows := tinyAblations()["RedoWriteBackEngines"]
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 rows, got %d", len(rows))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/workload"
 	"repro/ssp"
 	"repro/ssp/pds"
 )
@@ -95,55 +94,4 @@ func RenderRecovery(rows []RecoveryRow) string {
 			r.JournalKB, r.Checkpoints, r.ReplayedRecords, r.RecoveryWrites, r.Recovered)
 	}
 	return out
-}
-
-// AblateConsolidationPolicy compares eager (the paper's implementation)
-// against lazy consolidation (its flagged future work, §3.4) on the
-// consolidation-heavy workloads.
-func AblateConsolidationPolicy(sc Scale) []AblationRow {
-	var rows []AblationRow
-	for _, k := range []workload.Kind{workload.SPS, workload.RBTreeRand} {
-		for _, lazy := range []bool{false, true} {
-			p := sc.params(k, ssp.SSP, 1)
-			p.Machine.LazyConsolidation = lazy
-			res := workload.Run(p)
-			st := res.Stats
-			name := "eager"
-			if lazy {
-				name = "lazy"
-			}
-			rows = append(rows, AblationRow{
-				Name:   "consol=" + name,
-				Kind:   k,
-				TPS:    res.TPS,
-				Writes: st.TotalWriteBytes(),
-			})
-		}
-	}
-	return rows
-}
-
-// AblateFlipMechanism compares the flip-current-bit coherence broadcast
-// (§4.1.1) against TLB shootdowns (§4.3's simpler-hardware alternative).
-func AblateFlipMechanism(sc Scale) []AblationRow {
-	var rows []AblationRow
-	for _, k := range []workload.Kind{workload.RBTreeRand, workload.HashRand} {
-		for _, shoot := range []bool{false, true} {
-			p := sc.params(k, ssp.SSP, 1)
-			p.Machine.FlipViaShootdown = shoot
-			res := workload.Run(p)
-			st := res.Stats
-			name := "broadcast"
-			if shoot {
-				name = "shootdown"
-			}
-			rows = append(rows, AblationRow{
-				Name:   "flip=" + name,
-				Kind:   k,
-				TPS:    res.TPS,
-				Writes: st.TotalWriteBytes(),
-			})
-		}
-	}
-	return rows
 }

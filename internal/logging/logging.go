@@ -19,8 +19,6 @@
 package logging
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/engine"
@@ -30,26 +28,9 @@ import (
 
 // Log record kinds.
 const (
-	kindData   = 1 // payload: line address (8B) + 64B line image
+	kindData   = 1 // payload: a txn line record
 	kindCommit = 2 // empty payload
 )
-
-const dataPayloadBytes = 8 + memsim.LineBytes
-
-// encodeDataPayload frames a data record's payload in dst and returns it;
-// wal.Stream.Append copies it, so dst can live on the caller's stack.
-func encodeDataPayload(dst *[dataPayloadBytes]byte, pa memsim.PAddr, line []byte) []byte {
-	binary.LittleEndian.PutUint64(dst[:], uint64(pa))
-	copy(dst[8:], line)
-	return dst[:]
-}
-
-func decodeDataPayload(p []byte) (memsim.PAddr, []byte) {
-	if len(p) != dataPayloadBytes {
-		panic(fmt.Sprintf("logging: bad data payload length %d", len(p)))
-	}
-	return memsim.PAddr(binary.LittleEndian.Uint64(p)), p[8:]
-}
 
 // writeSet is one core's write set: the lines its open transaction stored
 // to, in ascending address order, each with a value (UNDO-LOG: the line's

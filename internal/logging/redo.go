@@ -169,13 +169,12 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 	r.next++
 	for _, la := range lines {
 		r.env.Caches.DebugPeek(la, r.img[:]) // controller sees the final value
-		var p [dataPayloadBytes]byte
-		t = log.Append(wal.Record{TID: tid, Kind: kindData, Payload: encodeDataPayload(&p, la, r.img[:])}, t)
+		var p [txn.LineRecordBytes]byte
+		t = log.Append(wal.Record{TID: tid, Kind: kindData, Payload: txn.EncodeLine(&p, la, r.img[:])}, t)
 	}
 	t = log.Append(wal.Record{TID: tid, Kind: kindCommit}, t)
 	t = log.Flush(t)
-	r.env.StatsFor(core).NVRAMWriteBytes[stats.CatCommitRecord] += wal.HeaderBytes
-	r.env.StatsFor(core).NVRAMWriteBytes[stats.CatRedoLog] -= wal.HeaderBytes
+	r.env.ChargeCommitRecord(stats.CatRedoLog)
 
 	// Background: write the data back in place, overlapping subsequent
 	// execution. Functionally the lines become durable now (write order is
@@ -248,10 +247,15 @@ func (r *Redo) Recover() error {
 	var maxTID uint32
 	last := -1 // the core whose log holds maxTID
 	logs := make([][]wal.Record, len(r.logs))
+	lines := make([][]txn.LineRecord, len(r.logs))
 	for c := range r.logs {
 		logs[c] = wal.Scan(r.env.Mem, r.env.Layout.LogBase[c], r.env.Layout.Cfg.LogBytes)
 		if m := wal.MaxTID(logs[c]); len(logs[c]) > 0 && (last < 0 || m > maxTID) {
 			maxTID, last = m, c
+		}
+		var err error
+		if lines[c], err = r.env.DecodeLines(logs[c], kindData); err != nil {
+			return err
 		}
 	}
 	for c, recs := range logs {
@@ -265,12 +269,8 @@ func (r *Redo) Recover() error {
 		if c != last {
 			continue
 		}
-		for _, rec := range recs {
-			if rec.Kind != kindData {
-				continue
-			}
-			pa, img := decodeDataPayload(rec.Payload)
-			r.env.Mem.WriteLine(pa, img, 0, stats.CatRecovery)
+		for _, l := range lines[c] {
+			r.env.Mem.WriteLine(l.PA, l.Line, 0, stats.CatRecovery)
 			r.env.Stats.RecoveryNVWrites++
 			r.env.Stats.ReplayedRecords++
 		}

@@ -65,8 +65,8 @@ func (u *Undo) Store(core int, va uint64, data []byte, at engine.Cycles) engine.
 		t = u.env.Caches.Load(core, la, img[:], t)
 		u.old[core].insert(i, la, img)
 		log := u.logs[core]
-		var p [dataPayloadBytes]byte
-		t = log.Append(wal.Record{TID: u.tid[core], Kind: kindData, Payload: encodeDataPayload(&p, la, img[:])}, t)
+		var p [txn.LineRecordBytes]byte
+		t = log.Append(wal.Record{TID: u.tid[core], Kind: kindData, Payload: txn.EncodeLine(&p, la, img[:])}, t)
 		t = log.Flush(t) // the blocking persist
 		u.env.StatsFor(core).UndoRecords++
 	}
@@ -99,8 +99,7 @@ func (u *Undo) Commit(core int, at engine.Cycles) engine.Cycles {
 	log := u.logs[core]
 	t = log.Append(wal.Record{TID: u.tid[core], Kind: kindCommit}, t)
 	t = log.Flush(t)
-	u.env.StatsFor(core).NVRAMWriteBytes[stats.CatCommitRecord] += wal.HeaderBytes
-	u.env.StatsFor(core).NVRAMWriteBytes[stats.CatUndoLog] -= wal.HeaderBytes
+	u.env.ChargeCommitRecord(stats.CatUndoLog)
 	log.Reset()
 	u.old[core].reset()
 	u.inTxn[core] = false
@@ -141,34 +140,35 @@ func (u *Undo) Crash() {
 }
 
 // Recover implements txn.Backend: roll back every transaction without a
-// durable commit record by applying its undo records in reverse.
+// durable commit record by applying its undo records in reverse. Every log
+// is decoded before any line is written back.
 func (u *Undo) Recover() error {
 	u.env.Stats.Recoveries++
 	var maxTID uint32
+	rollback := make([][]txn.LineRecord, len(u.logs))
 	for c := range u.logs {
 		recs := wal.Scan(u.env.Mem, u.env.Layout.LogBase[c], u.env.Layout.Cfg.LogBytes)
-		if m := wal.MaxTID(recs); m > maxTID {
-			maxTID = m
+		maxTID = max(maxTID, wal.MaxTID(recs))
+		lines, err := u.env.DecodeLines(recs, kindData)
+		if err != nil {
+			return err
 		}
-		committed := len(recs) > 0 && recs[len(recs)-1].Kind == kindCommit
-		if committed {
+		switch {
+		case len(recs) == 0:
+		case recs[len(recs)-1].Kind == kindCommit:
 			// In-place updates were flushed before the commit record; the
 			// durable state is already the transaction's outcome.
 			u.env.Stats.RecoveredTxns++
-			continue
+		default:
+			rollback[c] = lines
+			u.env.Stats.RolledBackTxns++
 		}
-		if len(recs) == 0 {
-			continue
-		}
-		for i := len(recs) - 1; i >= 0; i-- {
-			if recs[i].Kind != kindData {
-				continue
-			}
-			pa, img := decodeDataPayload(recs[i].Payload)
-			u.env.Mem.WriteLine(pa, img, 0, stats.CatRecovery)
+	}
+	for _, lines := range rollback {
+		for i := len(lines) - 1; i >= 0; i-- {
+			u.env.Mem.WriteLine(lines[i].PA, lines[i].Line, 0, stats.CatRecovery)
 			u.env.Stats.RecoveryNVWrites++
 		}
-		u.env.Stats.RolledBackTxns++
 	}
 	if maxTID >= u.next {
 		u.next = maxTID + 1

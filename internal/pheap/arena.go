@@ -42,6 +42,7 @@ const (
 type Arena struct {
 	h    *Heap
 	meta uint64 // VA of the arena's metadata page
+	r    region
 }
 
 // NewArena carves a new arena of the given data capacity (in pages) out of
@@ -52,19 +53,25 @@ func (h *Heap) NewArena(tx Tx, pages int) *Arena {
 	if pages <= 0 {
 		panic("pheap: NewArena of non-positive page count")
 	}
-	meta := h.bumpPages(tx, 1)
-	base := h.bumpPages(tx, pages)
+	r := h.region()
+	meta := r.carve(tx, memsim.PageBytes)
+	base := r.carve(tx, uint64(pages)*memsim.PageBytes)
 	tx.Store64(meta+arenaBumpOff, base)
 	tx.Store64(meta+arenaLimitOff, base+uint64(pages)*memsim.PageBytes)
 	for i := range classes {
 		tx.Store64(meta+arenaClassOff+uint64(i*8), 0)
 	}
-	return &Arena{h: h, meta: meta}
+	return OpenArena(h, meta)
 }
 
 // OpenArena reattaches an arena from its metadata page address (after a
 // Restore).
-func OpenArena(h *Heap, meta uint64) *Arena { return &Arena{h: h, meta: meta} }
+func OpenArena(h *Heap, meta uint64) *Arena {
+	return &Arena{h: h, meta: meta, r: region{
+		bump: meta + arenaBumpOff, limit: meta + arenaLimitOff, classes: meta + arenaClassOff,
+		exhausted: fmt.Sprintf("pheap: arena %#x exhausted; size arenas for the workload", meta),
+	}}
+}
 
 // Meta returns the arena's metadata page address; store it in a root slot
 // to reopen the arena after a crash.
@@ -73,70 +80,14 @@ func (a *Arena) Meta() uint64 { return a.meta }
 // Alloc returns the VA of a new block of at least size bytes from the
 // arena, carving it from the arena's free lists or bump region. It must run
 // inside a transaction on the owning core.
-func (a *Arena) Alloc(tx Tx, size int) uint64 {
-	if size <= 0 {
-		panic("pheap: Alloc of non-positive size")
-	}
-	ci := classFor(size)
-	if ci >= 0 {
-		headVA := a.meta + arenaClassOff + uint64(ci*8)
-		if head := tx.Load64(headVA); head != 0 {
-			next := tx.Load64(head)
-			tx.Store64(headVA, next)
-			return head
-		}
-		return a.bump(tx, classes[ci])
-	}
-	pages := (size + memsim.PageBytes - 1) / memsim.PageBytes
-	return a.bumpPages(tx, pages)
-}
-
-// bump carves size (a class size) from the arena's bump region, never
-// straddling a page boundary.
-func (a *Arena) bump(tx Tx, size int) uint64 {
-	bumpVA := a.meta + arenaBumpOff
-	b := tx.Load64(bumpVA)
-	if rem := int(b % memsim.PageBytes); rem != 0 && rem+size > memsim.PageBytes {
-		b += uint64(memsim.PageBytes - rem)
-	}
-	a.checkLimit(tx, b+uint64(size))
-	tx.Store64(bumpVA, b+uint64(size))
-	return b
-}
-
-func (a *Arena) bumpPages(tx Tx, pages int) uint64 {
-	bumpVA := a.meta + arenaBumpOff
-	b := tx.Load64(bumpVA)
-	if rem := b % memsim.PageBytes; rem != 0 {
-		b += memsim.PageBytes - rem
-	}
-	size := uint64(pages) * memsim.PageBytes
-	a.checkLimit(tx, b+size)
-	tx.Store64(bumpVA, b+size)
-	return b
-}
-
-func (a *Arena) checkLimit(tx Tx, end uint64) {
-	if end > tx.Load64(a.meta+arenaLimitOff) {
-		panic(fmt.Sprintf("pheap: arena %#x exhausted; size arenas for the workload", a.meta))
-	}
-}
+func (a *Arena) Alloc(tx Tx, size int) uint64 { return a.r.alloc(tx, size) }
 
 // Free returns a class-sized block to the arena's free list. The block must
 // have been allocated from this arena (cross-arena frees would let two
 // cores' transactions meet on one free-list line).
-func (a *Arena) Free(tx Tx, va uint64, size int) {
-	ci := classFor(size)
-	if ci < 0 {
-		panic("pheap: Free of a page-granular block")
-	}
-	headVA := a.meta + arenaClassOff + uint64(ci*8)
-	head := tx.Load64(headVA)
-	tx.Store64(va, head)
-	tx.Store64(headVA, va)
-}
+func (a *Arena) Free(tx Tx, va uint64, size int) { a.r.free(tx, va, size) }
 
 // Remaining returns the unallocated bump-region bytes (sizing/debug aid).
 func (a *Arena) Remaining(tx Tx) uint64 {
-	return tx.Load64(a.meta+arenaLimitOff) - tx.Load64(a.meta+arenaBumpOff)
+	return tx.Load64(a.r.limit) - tx.Load64(a.r.bump)
 }

@@ -93,66 +93,81 @@ func (h *Heap) Format(tx Tx, maxPages int) {
 // Blocks are 16-byte aligned and never split or coalesced (fixed-class
 // segregated storage).
 func (h *Heap) Alloc(tx Tx, size int) uint64 {
-	if size <= 0 {
-		panic("pheap: Alloc of non-positive size")
-	}
-	ci := classFor(size)
-	if ci >= 0 {
-		headVA := MetaVA(classOff + ci*8)
-		if head := tx.Load64(headVA); head != 0 {
-			next := tx.Load64(head)
-			tx.Store64(headVA, next)
-			return head
-		}
-		return h.bump(tx, classes[ci])
-	}
-	// Page-granular allocation for big blocks.
-	pages := (size + memsim.PageBytes - 1) / memsim.PageBytes
-	return h.bumpPages(tx, pages)
-}
-
-// bump carves size (a class size, power of two ≤ 2048) from the bump
-// region, never straddling a page boundary so objects stay within pages of
-// their class run.
-func (h *Heap) bump(tx Tx, size int) uint64 {
-	bumpVA := MetaVA(bumpOff)
-	b := tx.Load64(bumpVA)
-	if rem := int(b % memsim.PageBytes); rem != 0 && rem+size > memsim.PageBytes {
-		b += uint64(memsim.PageBytes - rem)
-	}
-	h.checkLimit(tx, b+uint64(size))
-	h.EnsureMapped(tx, vm.VPNOf(b), vm.VPNOf(b+uint64(size)-1))
-	tx.Store64(bumpVA, b+uint64(size))
-	return b
-}
-
-func (h *Heap) bumpPages(tx Tx, pages int) uint64 {
-	bumpVA := MetaVA(bumpOff)
-	b := tx.Load64(bumpVA)
-	if rem := b % memsim.PageBytes; rem != 0 {
-		b += memsim.PageBytes - rem
-	}
-	size := uint64(pages) * memsim.PageBytes
-	h.checkLimit(tx, b+size)
-	h.EnsureMapped(tx, vm.VPNOf(b), vm.VPNOf(b+size-1))
-	tx.Store64(bumpVA, b+size)
-	return b
-}
-
-func (h *Heap) checkLimit(tx Tx, end uint64) {
-	if end > tx.Load64(MetaVA(limitOff)) {
-		panic("pheap: persistent heap exhausted; raise NVRAMBytes/MaxHeapPages")
-	}
+	r := h.region()
+	return r.alloc(tx, size)
 }
 
 // Free returns a class-sized block to its free list. Page-granular blocks
 // cannot be freed (arena semantics), matching the workloads' needs.
 func (h *Heap) Free(tx Tx, va uint64, size int) {
+	r := h.region()
+	r.free(tx, va, size)
+}
+
+// region returns the heap's allocator state: the metadata page's bump
+// pointer, limit and free lists, with fresh bump pages mapped on demand.
+func (h *Heap) region() region {
+	return region{
+		bump: MetaVA(bumpOff), limit: MetaVA(limitOff), classes: MetaVA(classOff),
+		mapPages:  h.EnsureMapped,
+		exhausted: "pheap: persistent heap exhausted; raise NVRAMBytes/MaxHeapPages",
+	}
+}
+
+// region is the allocator body Heap and Arena share: a bump pointer, a
+// limit and one free-list head per size class at fixed virtual addresses,
+// all updated inside the caller's transaction.
+type region struct {
+	bump, limit, classes uint64 // VAs of the bump pointer, the limit and the first free-list head
+	// mapPages maps the heap pages a bump carves (nil: the region is
+	// mapped up front).
+	mapPages  func(tx Tx, firstVPN, lastVPN int)
+	exhausted string // the panic message when a bump passes the limit
+}
+
+func (r *region) alloc(tx Tx, size int) uint64 {
+	if size <= 0 {
+		panic("pheap: Alloc of non-positive size")
+	}
+	ci := classFor(size)
+	if ci < 0 {
+		// Page-granular allocation for big blocks.
+		pages := (size + memsim.PageBytes - 1) / memsim.PageBytes
+		return r.carve(tx, uint64(pages)*memsim.PageBytes)
+	}
+	headVA := r.classes + uint64(ci*8)
+	if head := tx.Load64(headVA); head != 0 {
+		next := tx.Load64(head)
+		tx.Store64(headVA, next)
+		return head
+	}
+	return r.carve(tx, uint64(classes[ci]))
+}
+
+// carve takes size bytes from the bump region: a class size (a power of
+// two ≤ 2048) never straddles a page boundary, so objects stay within pages
+// of their class run, and whole pages start on a page boundary.
+func (r *region) carve(tx Tx, size uint64) uint64 {
+	b := tx.Load64(r.bump)
+	if rem := b % memsim.PageBytes; rem != 0 && rem+size > memsim.PageBytes {
+		b += memsim.PageBytes - rem
+	}
+	if b+size > tx.Load64(r.limit) {
+		panic(r.exhausted)
+	}
+	if r.mapPages != nil {
+		r.mapPages(tx, vm.VPNOf(b), vm.VPNOf(b+size-1))
+	}
+	tx.Store64(r.bump, b+size)
+	return b
+}
+
+func (r *region) free(tx Tx, va uint64, size int) {
 	ci := classFor(size)
 	if ci < 0 {
 		panic("pheap: Free of a page-granular block")
 	}
-	headVA := MetaVA(classOff + ci*8)
+	headVA := r.classes + uint64(ci*8)
 	head := tx.Load64(headVA)
 	tx.Store64(va, head)
 	tx.Store64(headVA, va)

@@ -5,25 +5,49 @@ import (
 
 	"repro/internal/engine"
 	"repro/ssp"
-	"repro/ssp/kv"
-	"repro/ssp/pds"
 )
 
 // Cross-shard transaction mixes (beyond the paper): the sharded memcached
-// and partitioned vacation deployments of parallel.go, with CrossPct
-// percent of each core's transactions made *global* — a single BeginGlobal
-// section writing 2-4 cores' shards/arenas at once. These are the
-// distributed commits over multiple arenas the ROADMAP called unexplored:
-// under SSP with sharded journals they drive the two-phase cross-shard
-// commit protocol (prepare records in every participant journal shard, one
-// coordinator end record); under the logging baselines, or with one journal
-// shard, they are ordinary transactions with a wider footprint, which makes
-// the mixes a fair cross-backend comparison.
+// and partitioned vacation deployments, with CrossPct percent of each
+// core's transactions made *global* — a single BeginGlobal section writing
+// 2-4 cores' shards/arenas at once. These are the distributed commits over
+// multiple arenas the ROADMAP called unexplored: under SSP with sharded
+// journals they drive the two-phase cross-shard commit protocol (prepare
+// records in every participant journal shard, one coordinator end record);
+// under the logging baselines, or with one journal shard, they are ordinary
+// transactions with a wider footprint, which makes the mixes a fair
+// cross-backend comparison.
 //
 // Isolation follows the repo's locking discipline: every shard keeps its
 // per-shard lock, and a global transaction acquires the locks of all its
 // participants in ascending core order before Begin — the same total order
 // on every core, so global and local ops can never deadlock.
+
+// crossCoin draws whether a client's next transaction is global. Only the
+// cross kinds with more than one client draw it, so the all-local kinds
+// keep their random streams.
+func crossCoin(p Params, rng *engine.RNG) bool {
+	return (p.Kind == MemcachedCross || p.Kind == VacationCross) && p.Clients > 1 && rng.Intn(100) < p.CrossPct
+}
+
+// global runs one cross-shard transaction from core own: it draws 2-4
+// participant shards (own included), acquires their locks in ascending
+// order, applies body to each participant inside one BeginGlobal section,
+// commits in the run's mode and releases the locks in reverse.
+func global(c *ssp.Core, rng *engine.RNG, locks []*ssp.Lock, own int, relaxed bool, body func(shard int)) {
+	targets := pickShards(rng, len(locks), own, crossFanout(rng, len(locks)))
+	for _, s := range targets {
+		c.Acquire(locks[s])
+	}
+	c.BeginGlobal()
+	for _, s := range targets {
+		body(s)
+	}
+	commit(c, relaxed)
+	for j := len(targets) - 1; j >= 0; j-- {
+		c.Release(locks[targets[j]])
+	}
+}
 
 // pickShards selects n distinct shard indices including own, returned in
 // ascending order (the lock-acquisition order).
@@ -50,174 +74,4 @@ func crossFanout(rng *engine.RNG, clients int) int {
 		n = clients
 	}
 	return n
-}
-
-// buildMemcachedCross is buildMemcachedParallel plus global multi-shard
-// writes: a cross transaction SETs one key in each of 2-4 shards — the
-// multi-key distributed write of a sharded cache — inside one BeginGlobal
-// section, holding every touched shard's lock.
-func buildMemcachedCross(m *ssp.Machine, p Params) []*client {
-	perItems := p.Items / p.Clients
-	if perItems < 16 {
-		perItems = 16
-	}
-	entry := 40 + p.ValueBytes
-	arenaPages := pagesFor(perItems*entry + (perItems/4)*8)
-
-	rng := engine.NewRNG(p.Seed)
-	shards := make([]*kv.Cache, p.Clients)
-	locks := make([]*ssp.Lock, p.Clients)
-	rngs := make([]*engine.RNG, p.Clients)
-	keySpace := uint64(perItems) * 2 // half the keys miss / insert-evict
-	for i := 0; i < p.Clients; i++ {
-		c := m.Core(i)
-		rngs[i] = rng.Fork()
-
-		c.Begin()
-		arena := m.NewArena(c, arenaPages)
-		shards[i] = kv.Create(c, arena, kv.Config{
-			Buckets:    perItems / 4,
-			Capacity:   perItems,
-			ValueBytes: p.ValueBytes,
-		})
-		c.Commit()
-
-		// Prefill this shard to capacity so steady state includes
-		// evictions, as in the all-local build.
-		fill := make([]byte, p.ValueBytes)
-		for k := 0; k < perItems; k++ {
-			fill[0] = byte(k)
-			c.Begin()
-			shards[i].Set(c, uint64(k), fill)
-			c.Commit()
-		}
-		locks[i] = m.NewLock()
-	}
-
-	var clients []*client
-	for i := 0; i < p.Clients; i++ {
-		i := i
-		c := m.Core(i)
-		crng := rngs[i]
-		val := make([]byte, p.ValueBytes)
-		buf := make([]byte, p.ValueBytes)
-		cl := &client{core: c}
-		cl.op = func() {
-			k := crng.Uint64n(keySpace)
-			if p.Clients > 1 && crng.Intn(100) < p.CrossPct {
-				// Global multi-shard SET: one key written in every chosen
-				// shard, all-or-nothing across their arenas.
-				val[0] = byte(k)
-				val[1] = byte(crng.Intn(256))
-				targets := pickShards(crng, p.Clients, i, crossFanout(crng, p.Clients))
-				for _, s := range targets {
-					c.Acquire(locks[s])
-				}
-				c.BeginGlobal()
-				for _, s := range targets {
-					shards[s].Set(c, k, val)
-				}
-				p.commit(c)
-				for j := len(targets) - 1; j >= 0; j-- {
-					c.Release(locks[targets[j]])
-				}
-				return
-			}
-			if crng.Intn(10) == 0 { // 10% GET
-				c.Acquire(locks[i])
-				shards[i].Get(c, k, buf)
-				c.Release(locks[i])
-				return
-			}
-			val[0] = byte(k)
-			val[1] = byte(crng.Intn(256))
-			c.Acquire(locks[i])
-			c.Begin()
-			shards[i].Set(c, k, val)
-			p.commit(c)
-			c.Release(locks[i])
-		}
-		clients = append(clients, cl)
-	}
-	return clients
-}
-
-// buildVacationCross is buildVacationParallel plus global multi-partition
-// administrative transactions: a cross transaction runs the update-tables
-// body against 2-4 partitions — a fleet-wide price/capacity change — inside
-// one BeginGlobal section.
-func buildVacationCross(m *ssp.Machine, p Params) []*client {
-	perTuples := p.Tuples / p.Clients
-	if perTuples < 64 {
-		perTuples = 64
-	}
-	arenaPages := pagesFor(perTuples*(vacResourceTables+1)*64 + perTuples*vacReserveEntry)
-
-	seedRng := engine.NewRNG(p.Seed + 7)
-	states := make([]*vacationState, p.Clients)
-	locks := make([]*ssp.Lock, p.Clients)
-	for i := 0; i < p.Clients; i++ {
-		c := m.Core(i)
-
-		c.Begin()
-		arena := m.NewArena(c, arenaPages)
-		st := &vacationState{tuples: perTuples, alloc: arena, commit: p.commit}
-		for t := 0; t < vacResourceTables; t++ {
-			st.resources[t] = pds.CreateRBTree(c, arena)
-		}
-		st.customers = pds.CreateRBTree(c, arena)
-		c.Commit()
-
-		for id := 0; id < perTuples; id++ {
-			c.Begin()
-			for tbl := 0; tbl < vacResourceTables; tbl++ {
-				price := uint32(50 + seedRng.Intn(450))
-				st.resources[tbl].Insert(c, uint64(id), packResource(100, price))
-			}
-			c.Commit()
-		}
-		states[i] = st
-		locks[i] = m.NewLock()
-	}
-
-	var clients []*client
-	for i := 0; i < p.Clients; i++ {
-		i := i
-		c := m.Core(i)
-		crng := seedRng.Fork()
-		cl := &client{core: c}
-		cl.op = func() {
-			if p.Clients > 1 && crng.Intn(100) < p.CrossPct {
-				// Global multi-partition update: the administrative body of
-				// vacUpdateTables applied to every chosen partition under
-				// one atomic section.
-				targets := pickShards(crng, p.Clients, i, crossFanout(crng, p.Clients))
-				for _, s := range targets {
-					c.Acquire(locks[s])
-				}
-				c.BeginGlobal()
-				for _, s := range targets {
-					vacUpdateTablesBody(c, states[s], crng)
-				}
-				p.commit(c)
-				for j := len(targets) - 1; j >= 0; j-- {
-					c.Release(locks[targets[j]])
-				}
-				return
-			}
-			r := crng.Intn(10)
-			c.Acquire(locks[i])
-			switch {
-			case r < 8:
-				vacMakeReservation(c, states[i], crng)
-			case r < 9:
-				vacDeleteCustomer(c, states[i], crng)
-			default:
-				vacUpdateTables(c, states[i], crng)
-			}
-			c.Release(locks[i])
-		}
-		clients = append(clients, cl)
-	}
-	return clients
 }

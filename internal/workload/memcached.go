@@ -58,8 +58,76 @@ func buildMemcached(m *ssp.Machine, p Params) []*client {
 			c.Acquire(lock)
 			c.Begin()
 			cache.Set(c, k, val)
-			p.commit(c)
+			commit(c, p.Relaxed)
 			c.Release(lock)
+		}
+		clients = append(clients, cl)
+	}
+	return clients
+}
+
+// buildShardedMemcached shards the cache: each core owns one kv.Cache (its
+// own buckets, eviction list and arena) and a slice of the key space — a
+// sharded memcached, with one lock per shard standing in for the
+// per-instance lock. In the MemcachedCross mix a global transaction SETs
+// one key in each of 2-4 shards — the multi-key distributed write of a
+// sharded cache — holding every touched shard's lock (crossmix.go).
+func buildShardedMemcached(m *ssp.Machine, p Params) []*client {
+	perItems := max(p.Items/p.Clients, 16)
+	arenaPages := pagesFor(perItems*(40+p.ValueBytes) + (perItems/4)*8)
+	keySpace := uint64(perItems) * 2 // half the keys miss / insert-evict
+
+	rng := engine.NewRNG(p.Seed)
+	shards := make([]*kv.Cache, p.Clients)
+	locks := make([]*ssp.Lock, p.Clients)
+	var clients []*client
+	for i := range shards {
+		c := m.Core(i)
+		crng := rng.Fork()
+
+		c.Begin()
+		shards[i] = kv.Create(c, m.NewArena(c, arenaPages), kv.Config{
+			Buckets:    perItems / 4,
+			Capacity:   perItems,
+			ValueBytes: p.ValueBytes,
+		})
+		c.Commit()
+
+		// Prefill this shard to capacity so steady state includes
+		// evictions, as in the serial build.
+		fill := make([]byte, p.ValueBytes)
+		for k := 0; k < perItems; k++ {
+			fill[0] = byte(k)
+			c.Begin()
+			shards[i].Set(c, uint64(k), fill)
+			c.Commit()
+		}
+		locks[i] = m.NewLock()
+
+		val := make([]byte, p.ValueBytes)
+		buf := make([]byte, p.ValueBytes)
+		cl := &client{core: c}
+		cl.op = func() {
+			k := crng.Uint64n(keySpace)
+			if crossCoin(p, crng) {
+				val[0] = byte(k)
+				val[1] = byte(crng.Intn(256))
+				global(c, crng, locks, i, p.Relaxed, func(s int) { shards[s].Set(c, k, val) })
+				return
+			}
+			if crng.Intn(10) == 0 { // 10% GET
+				c.Acquire(locks[i])
+				shards[i].Get(c, k, buf)
+				c.Release(locks[i])
+				return
+			}
+			val[0] = byte(k)
+			val[1] = byte(crng.Intn(256))
+			c.Acquire(locks[i])
+			c.Begin()
+			shards[i].Set(c, k, val)
+			commit(c, p.Relaxed)
+			c.Release(locks[i])
 		}
 		clients = append(clients, cl)
 	}

@@ -17,8 +17,10 @@ type microStore interface {
 // buildMicroKV sets up the tree/hash microbenchmarks: each client owns a
 // shard (its own structure, key space and lock), sharing the machine's
 // memory system — the multi-client coupling is bandwidth and bank
-// contention, as in the paper's scaling runs.
-func buildMicroKV(m *ssp.Machine, p Params) []*client {
+// contention, as in the paper's scaling runs. alloc returns the allocator
+// of client c's structure inside its setup transaction: the shared heap
+// (Run) or a per-client arena (RunParallel).
+func buildMicroKV(m *ssp.Machine, p Params, alloc func(c *ssp.Core) ssp.Allocator) []*client {
 	rng := engine.NewRNG(p.Seed)
 	var clients []*client
 	for i := 0; i < p.Clients; i++ {
@@ -26,14 +28,15 @@ func buildMicroKV(m *ssp.Machine, p Params) []*client {
 		crng := rng.Fork()
 
 		c.Begin()
+		a := alloc(c)
 		var s microStore
 		switch p.Kind {
 		case BTreeRand, BTreeZipf:
-			s = pds.CreateBTree(c, m.Heap())
+			s = pds.CreateBTree(c, a)
 		case RBTreeRand, RBTreeZipf:
-			s = pds.CreateRBTree(c, m.Heap())
+			s = pds.CreateRBTree(c, a)
 		case HashRand, HashZipf:
-			s = pds.CreateHash(c, m.Heap(), int(p.Keys/4))
+			s = pds.CreateHash(c, a, int(p.Keys/4))
 		}
 		c.Commit()
 
@@ -63,7 +66,7 @@ func buildMicroKV(m *ssp.Machine, p Params) []*client {
 			} else {
 				s.Insert(c, k, vrng.Uint64())
 			}
-			p.commit(c)
+			commit(c, p.Relaxed)
 			c.Release(lock)
 		}
 		clients = append(clients, cl)
@@ -100,7 +103,7 @@ func buildSPS(m *ssp.Machine, p Params) []*client {
 			c.Acquire(lock)
 			c.Begin()
 			arr.Swap(c, i, j)
-			p.commit(c)
+			commit(c, p.Relaxed)
 			c.Release(lock)
 		}
 		clients = append(clients, cl)

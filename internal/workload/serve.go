@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"time"
-
 	"repro/internal/engine"
 	"repro/internal/loadgen"
 	"repro/internal/stats"
@@ -77,19 +75,9 @@ func (p ServeParams) Defaults() ServeParams {
 		p.DelPct = 5
 	}
 	if p.Seed == 0 {
-		p.Seed = 0x55AA1234
+		p.Seed = defaultSeed
 	}
-	p.Machine.Backend = p.Backend
-	p.Machine.Cores = p.Clients
-	if p.Machine.NVRAMMB == 0 {
-		p.Machine.NVRAMMB = 192
-	}
-	if p.Machine.DRAMMB == 0 {
-		p.Machine.DRAMMB = 4
-	}
-	if p.Machine.MaxHeapPages == 0 {
-		p.Machine.MaxHeapPages = 36 << 10
-	}
+	p.Machine = machineDefaults(p.Machine, p.Backend, p.Clients)
 	return p
 }
 
@@ -135,22 +123,6 @@ func RunServe(p ServeParams) ParallelResult {
 		}
 	}
 
-	// Measurement window: aligned clocks, clean counters.
-	m.Drain()
-	start := m.MaxClock()
-	for i := 0; i < p.Clients; i++ {
-		m.Core(i).SetNow(start)
-	}
-	m.ResetStats()
-
-	share := make([]int, p.Clients)
-	for i := range share {
-		share[i] = p.Ops / p.Clients
-	}
-	for i := 0; i < p.Ops%p.Clients; i++ {
-		share[i]++
-	}
-
 	parent := loadgen.New(loadgen.Config{
 		Keys:    p.Keys,
 		Skew:    p.Skew,
@@ -162,102 +134,54 @@ func RunServe(p ServeParams) ParallelResult {
 	perRate := p.OfferedTPS / float64(p.Clients)
 	freq := m.FreqGHz()
 
-	wallStart := time.Now()
-	m.Run(func(c *ssp.Core) {
-		id := c.ID()
-		shard := shards[id]
-		stream := parent.Fork(id)
-		pacer := loadgen.CyclePacer(start, freq, perRate)
-		hist := &hists[id]
-		val := make([]byte, p.ValueBytes)
-		buf := make([]byte, p.ValueBytes)
-		for k := 0; k < share[id]; k++ {
-			arrival := engine.Cycles(pacer.Arrival(k))
-			if pacer.Interval() == 0 {
-				arrival = c.Now() // closed loop: latency is pure service time
-			} else if c.Now() < arrival {
-				c.SetNow(arrival) // idle until the scheduled arrival
+	res := measure(m, Memcached, p.Backend, p.Ops, func(w *window) {
+		w.run(func(c *ssp.Core) {
+			id := c.ID()
+			shard := shards[id]
+			stream := parent.Fork(id)
+			pacer := loadgen.CyclePacer(w.start, freq, perRate)
+			hist := &hists[id]
+			val := make([]byte, p.ValueBytes)
+			buf := make([]byte, p.ValueBytes)
+			for k := 0; k < w.share[id]; k++ {
+				arrival := engine.Cycles(pacer.Arrival(k))
+				if pacer.Interval() == 0 {
+					arrival = c.Now() // closed loop: latency is pure service time
+				} else if c.Now() < arrival {
+					c.SetNow(arrival) // idle until the scheduled arrival
+				}
+				op := stream.Next()
+				switch op.Kind {
+				case loadgen.OpGet:
+					shard.Get(c, op.Key, buf)
+					if p.TouchOnGet {
+						// Plain store outside any transaction: an LRU-style
+						// recency stamp with no durability requirement.
+						c.Store64(recency[id]+(op.Key%p.Keys)*64, uint64(k))
+					}
+				case loadgen.OpSet:
+					val[0] = byte(op.Key)
+					c.Begin()
+					shard.Set(c, op.Key, val)
+					commit(c, p.Relaxed)
+				case loadgen.OpDel:
+					c.Begin()
+					shard.Delete(c, op.Key)
+					commit(c, p.Relaxed)
+				}
+				hist.Record(uint64(c.Now() - arrival))
 			}
-			op := stream.Next()
-			switch op.Kind {
-			case loadgen.OpGet:
-				shard.Get(c, op.Key, buf)
-				if p.TouchOnGet {
-					// Plain store outside any transaction: an LRU-style
-					// recency stamp with no durability requirement.
-					c.Store64(recency[id]+(op.Key%p.Keys)*64, uint64(k))
-				}
-			case loadgen.OpSet:
-				val[0] = byte(op.Key)
-				c.Begin()
-				shard.Set(c, op.Key, val)
-				if p.Relaxed {
-					c.CommitRelaxed()
-				} else {
-					c.Commit()
-				}
-			case loadgen.OpDel:
-				c.Begin()
-				shard.Delete(c, op.Key)
-				if p.Relaxed {
-					c.CommitRelaxed()
-				} else {
-					c.Commit()
-				}
-			}
-			hist.Record(uint64(c.Now() - arrival))
-		}
+		})
 	})
-	wall := time.Since(wallStart)
-	acked := m.MaxClock() - start
-	m.Drain()
 
 	merged := &stats.Histogram{}
 	for i := range hists {
 		merged.Merge(&hists[i])
 	}
-
-	elapsed := m.MaxClock() - start
-	res := ParallelResult{
-		Result: Result{
-			Kind:        Memcached,
-			Backend:     p.Backend,
-			Clients:     p.Clients,
-			Txns:        uint64(p.Ops),
-			Cycles:      elapsed,
-			AckCycles:   acked,
-			Stats:       *m.Stats(),
-			WriteSet:    *m.WriteSet(),
-			Journal:     m.JournalPressure(),
-			AckHist:     merged,
-			LatencyP50:  ssp.Cycles(merged.Percentile(50)),
-			LatencyP99:  ssp.Cycles(merged.Percentile(99)),
-			LatencyP999: ssp.Cycles(merged.Percentile(99.9)),
-			OfferedTPS:  p.OfferedTPS,
-		},
-		Wall:        wall,
-		WindowSched: m.WindowStats(),
-	}
-	if elapsed > 0 {
-		res.TPS = float64(p.Ops) / m.Seconds(elapsed)
-	}
-	if acked > 0 {
-		res.CommittedTPS = float64(p.Ops) / m.Seconds(acked)
-	}
-	for i := 0; i < p.Clients; i++ {
-		coreElapsed := m.Core(i).Now() - start
-		cst := m.CoreStats(i)
-		cr := CoreResult{
-			Core:        i,
-			Txns:        uint64(share[i]),
-			Commits:     cst.Commits,
-			Cycles:      coreElapsed,
-			BarrierWait: cst.CommitBarrierWait,
-		}
-		if coreElapsed > 0 {
-			cr.TPS = float64(cr.Commits) / m.Seconds(coreElapsed)
-		}
-		res.PerCore = append(res.PerCore, cr)
-	}
+	res.AckHist = merged
+	res.LatencyP50 = ssp.Cycles(merged.Percentile(50))
+	res.LatencyP99 = ssp.Cycles(merged.Percentile(99))
+	res.LatencyP999 = ssp.Cycles(merged.Percentile(99.9))
+	res.OfferedTPS = p.OfferedTPS
 	return res
 }

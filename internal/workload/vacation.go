@@ -25,9 +25,9 @@ type vacationState struct {
 	tuples    int
 	alloc     ssp.Allocator // reservation-entry allocator (heap or per-core arena)
 
-	// commit closes a measured transaction (Params.commit: synchronous or
-	// relaxed). The helpers below commit internally, so the mode rides here.
-	commit func(*ssp.Core)
+	// relaxed is the run's commit mode (Params.Relaxed); the helpers below
+	// commit internally, so the mode rides here.
+	relaxed bool
 }
 
 // packResource packs (free count, price) into a tree value.
@@ -37,49 +37,88 @@ func unpackResource(v uint64) (free, price uint32) {
 	return uint32(v >> 32), uint32(v)
 }
 
-func buildVacation(m *ssp.Machine, p Params) []*client {
-	boot := m.Core(0)
-	st := &vacationState{tuples: p.Tuples, alloc: m.Heap(), commit: p.commit}
-
-	boot.Begin()
-	for i := 0; i < vacResourceTables; i++ {
-		st.resources[i] = pds.CreateRBTree(boot, m.Heap())
+// newVacation creates one table set on core c over tuples rows, its
+// structures allocated from alloc(c) inside the setup transaction, and
+// populates it: every resource starts with capacity and a price drawn from
+// rng; customers start without reservations.
+func newVacation(c *ssp.Core, alloc func(*ssp.Core) ssp.Allocator, tuples int, relaxed bool, rng *engine.RNG) *vacationState {
+	c.Begin()
+	a := alloc(c)
+	st := &vacationState{tuples: tuples, alloc: a, relaxed: relaxed}
+	for t := 0; t < vacResourceTables; t++ {
+		st.resources[t] = pds.CreateRBTree(c, a)
 	}
-	st.customers = pds.CreateRBTree(boot, m.Heap())
-	boot.Commit()
+	st.customers = pds.CreateRBTree(c, a)
+	c.Commit()
 
-	// Populate tables: every resource starts with capacity and a price;
-	// customers start without reservations.
-	seedRng := engine.NewRNG(p.Seed + 7)
-	for id := 0; id < p.Tuples; id++ {
-		boot.Begin()
+	for id := 0; id < tuples; id++ {
+		c.Begin()
 		for tbl := 0; tbl < vacResourceTables; tbl++ {
-			price := uint32(50 + seedRng.Intn(450))
-			st.resources[tbl].Insert(boot, uint64(id), packResource(100, price))
+			price := uint32(50 + rng.Intn(450))
+			st.resources[tbl].Insert(c, uint64(id), packResource(100, price))
 		}
-		boot.Commit()
+		c.Commit()
 	}
+	return st
+}
 
-	lock := m.NewLock() // coarse-grained, as with lock-based STAMP ports
+// vacTxn runs one transaction of the mix on st under lock.
+func vacTxn(c *ssp.Core, st *vacationState, rng *engine.RNG, lock *ssp.Lock) {
+	r := rng.Intn(10)
+	c.Acquire(lock)
+	switch {
+	case r < 8:
+		vacMakeReservation(c, st, rng)
+	case r < 9:
+		vacDeleteCustomer(c, st, rng)
+	default:
+		vacUpdateTables(c, st, rng)
+	}
+	c.Release(lock)
+}
+
+// buildVacation is the serial deployment: one table set on the heap, shared
+// by every client under one coarse-grained lock, as with lock-based STAMP
+// ports.
+func buildVacation(m *ssp.Machine, p Params) []*client {
+	seedRng := engine.NewRNG(p.Seed + 7)
+	st := newVacation(m.Core(0), func(*ssp.Core) ssp.Allocator { return m.Heap() }, p.Tuples, p.Relaxed, seedRng)
+	lock := m.NewLock()
 	var clients []*client
 	for i := 0; i < p.Clients; i++ {
 		c := m.Core(i)
 		crng := seedRng.Fork()
-		cl := &client{core: c}
-		cl.op = func() {
-			r := crng.Intn(10)
-			c.Acquire(lock)
-			switch {
-			case r < 8:
-				vacMakeReservation(c, st, crng)
-			case r < 9:
-				vacDeleteCustomer(c, st, crng)
-			default:
-				vacUpdateTables(c, st, crng)
+		clients = append(clients, &client{core: c, op: func() { vacTxn(c, st, crng, lock) }})
+	}
+	return clients
+}
+
+// buildPartitionedVacation shards the OLTP state: each core owns a full
+// table set (cars/flights/rooms/customers) over its own tuple range and
+// arena — the database-partitioned deployment of the same transaction mix.
+// In the VacationCross mix a global transaction runs the update-tables body
+// against 2-4 partitions — a fleet-wide price/capacity change — inside one
+// BeginGlobal section (crossmix.go).
+func buildPartitionedVacation(m *ssp.Machine, p Params) []*client {
+	perTuples := max(p.Tuples/p.Clients, 64)
+	arenaPages := pagesFor(perTuples*(vacResourceTables+1)*64 + perTuples*vacReserveEntry)
+
+	seedRng := engine.NewRNG(p.Seed + 7)
+	states := make([]*vacationState, p.Clients)
+	locks := make([]*ssp.Lock, p.Clients)
+	var clients []*client
+	for i := range states {
+		c := m.Core(i)
+		states[i] = newVacation(c, func(c *ssp.Core) ssp.Allocator { return m.NewArena(c, arenaPages) }, perTuples, p.Relaxed, seedRng)
+		locks[i] = m.NewLock()
+		crng := seedRng.Fork()
+		clients = append(clients, &client{core: c, op: func() {
+			if crossCoin(p, crng) {
+				global(c, crng, locks, i, p.Relaxed, func(s int) { vacUpdateTablesBody(c, states[s], crng) })
+				return
 			}
-			c.Release(lock)
-		}
-		clients = append(clients, cl)
+			vacTxn(c, states[i], crng, locks[i])
+		}})
 	}
 	return clients
 }
@@ -133,7 +172,7 @@ func vacMakeReservation(c *ssp.Core, st *vacationState, rng *engine.RNG) {
 		listHead = entry
 	}
 	st.customers.Insert(c, custID, listHead)
-	st.commit(c)
+	commit(c, st.relaxed)
 }
 
 // vacDeleteCustomer releases all of a customer's reservations and removes
@@ -143,7 +182,7 @@ func vacDeleteCustomer(c *ssp.Core, st *vacationState, rng *engine.RNG) {
 	c.Begin()
 	listHead, ok := st.customers.Get(c, custID)
 	if !ok {
-		st.commit(c)
+		commit(c, st.relaxed)
 		return
 	}
 	for e := listHead; e != 0; {
@@ -158,7 +197,7 @@ func vacDeleteCustomer(c *ssp.Core, st *vacationState, rng *engine.RNG) {
 		e = next
 	}
 	st.customers.Delete(c, custID)
-	st.commit(c)
+	commit(c, st.relaxed)
 }
 
 // vacUpdateTables changes prices or adds capacity for a few resources (the
@@ -166,7 +205,7 @@ func vacDeleteCustomer(c *ssp.Core, st *vacationState, rng *engine.RNG) {
 func vacUpdateTables(c *ssp.Core, st *vacationState, rng *engine.RNG) {
 	c.Begin()
 	vacUpdateTablesBody(c, st, rng)
-	st.commit(c)
+	commit(c, st.relaxed)
 }
 
 // vacUpdateTablesBody is the update-tables write set without the section

@@ -4,13 +4,19 @@
 // plus SPS array swaps) and two real-application emulations (memcached
 // driven by a memslap-like generator, and a STAMP-Vacation-style OLTP mix).
 //
-// Clients are simulated cores. The driver always steps the client with the
-// lowest clock, so multi-client runs interleave deterministically while
-// sharing memory-bank and lock timelines.
+// Clients are simulated cores. Three drivers run them: Run always steps
+// the client with the lowest clock, so multi-client runs interleave
+// deterministically while sharing memory-bank and lock timelines;
+// RunParallel runs each client on its own core goroutine under
+// Machine.Run; RunServe paces an open-loop kv mix the same way. All three
+// measure through one window (measure), and each deployment — shared or
+// sharded, all-local or cross-shard — has one builder.
 package workload
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -112,15 +118,6 @@ type Params struct {
 	Machine ssp.Config // base machine config; Backend/Cores overridden
 }
 
-// commit closes one measured transaction in the run's durability mode.
-func (p Params) commit(c *ssp.Core) {
-	if p.Relaxed {
-		c.CommitRelaxed()
-	} else {
-		c.Commit()
-	}
-}
-
 // Defaults fills in simulation-friendly defaults.
 func (p Params) Defaults() Params {
 	if p.Clients <= 0 {
@@ -145,20 +142,39 @@ func (p Params) Defaults() Params {
 		p.Tuples = 16384
 	}
 	if p.Seed == 0 {
-		p.Seed = 0x55AA1234
+		p.Seed = defaultSeed
 	}
-	p.Machine.Backend = p.Backend
-	p.Machine.Cores = p.Clients
-	if p.Machine.NVRAMMB == 0 {
-		p.Machine.NVRAMMB = 192
-	}
-	if p.Machine.DRAMMB == 0 {
-		p.Machine.DRAMMB = 4
-	}
-	if p.Machine.MaxHeapPages == 0 {
-		p.Machine.MaxHeapPages = 36 << 10
-	}
+	p.Machine = machineDefaults(p.Machine, p.Backend, p.Clients)
 	return p
+}
+
+const defaultSeed = 0x55AA1234
+
+// machineDefaults sets the machine every driver builds: the run's backend,
+// one core per client, 192 MiB of NVRAM, 4 MiB of DRAM and a 36 Ki-page
+// heap unless cfg says otherwise.
+func machineDefaults(cfg ssp.Config, b ssp.Backend, clients int) ssp.Config {
+	cfg.Backend = b
+	cfg.Cores = clients
+	if cfg.NVRAMMB == 0 {
+		cfg.NVRAMMB = 192
+	}
+	if cfg.DRAMMB == 0 {
+		cfg.DRAMMB = 4
+	}
+	if cfg.MaxHeapPages == 0 {
+		cfg.MaxHeapPages = 36 << 10
+	}
+	return cfg
+}
+
+// commit closes one measured transaction in the run's durability mode.
+func commit(c *ssp.Core, relaxed bool) {
+	if relaxed {
+		c.CommitRelaxed()
+	} else {
+		c.Commit()
+	}
 }
 
 // Result is one run's measurements.
@@ -203,64 +219,106 @@ type client struct {
 }
 
 // Run executes the workload and returns measurements for the steady-state
-// window (setup and prefill excluded).
+// window (setup and prefill excluded). Deterministic min-clock scheduling:
+// the client with the lowest clock runs its next operation.
 func Run(p Params) Result {
 	p = p.Defaults()
 	m := ssp.MustNew(p.Machine)
 	clients := buildClients(m, p)
+	return measure(m, p.Kind, p.Backend, p.Ops, func(w *window) {
+		remaining := slices.Clone(w.share)
+		for {
+			best := -1
+			for i, c := range clients {
+				if remaining[i] == 0 {
+					continue
+				}
+				if best < 0 || c.core.Now() < clients[best].core.Now() {
+					best = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			clients[best].op()
+			remaining[best]--
+		}
+	}).Result
+}
 
-	// Measurement window: reset counters after setup, align clocks.
+// window is the measured window all three drivers share. measure opens it
+// after setup: it drains setup's background work, aligns every core's clock
+// to the latest, clears the counters and splits the operations across the
+// cores; then drive runs them. Closing, it reads the acknowledgment time,
+// drains once more (hardening outstanding relaxed epochs) and assembles the
+// aggregate and per-core result.
+type window struct {
+	m     *ssp.Machine
+	start ssp.Cycles
+	share []int         // operations per core
+	wall  time.Duration // host time of the Machine.Run call (run)
+}
+
+// run executes body on every core's goroutine via Machine.Run and times
+// exactly that call: ParallelResult.Wall.
+func (w *window) run(body func(c *ssp.Core)) {
+	t := time.Now()
+	w.m.Run(body)
+	w.wall = time.Since(t)
+}
+
+func measure(m *ssp.Machine, kind Kind, backend ssp.Backend, ops int, drive func(w *window)) ParallelResult {
 	m.Drain()
-	start := m.MaxClock()
-	for i := 0; i < p.Clients; i++ {
-		m.Core(i).SetNow(start)
+	w := &window{m: m, start: m.MaxClock(), share: make([]int, m.Cores())}
+	for i := range w.share {
+		m.Core(i).SetNow(w.start)
+		w.share[i] = ops / len(w.share)
+		if i < ops%len(w.share) {
+			w.share[i]++
+		}
 	}
 	m.ResetStats()
 
-	// Deterministic min-clock scheduling.
-	remaining := make([]int, p.Clients)
-	for i := range remaining {
-		remaining[i] = p.Ops / p.Clients
-	}
-	for i := 0; i < p.Ops%p.Clients; i++ {
-		remaining[i]++
-	}
-	for {
-		best := -1
-		for i, c := range clients {
-			if remaining[i] == 0 {
-				continue
-			}
-			if best < 0 || c.core.Now() < clients[best].core.Now() {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		clients[best].op()
-		remaining[best]--
-	}
-	acked := m.MaxClock() - start
+	drive(w)
+	acked := m.MaxClock() - w.start
 	m.Drain()
 
-	elapsed := m.MaxClock() - start
-	res := Result{
-		Kind:      p.Kind,
-		Backend:   p.Backend,
-		Clients:   p.Clients,
-		Txns:      uint64(p.Ops),
-		Cycles:    elapsed,
-		AckCycles: acked,
-		Stats:     *m.Stats(),
-		WriteSet:  *m.WriteSet(),
-		Journal:   m.JournalPressure(),
+	elapsed := m.MaxClock() - w.start
+	res := ParallelResult{
+		Result: Result{
+			Kind:      kind,
+			Backend:   backend,
+			Clients:   len(w.share),
+			Txns:      uint64(ops),
+			Cycles:    elapsed,
+			AckCycles: acked,
+			Stats:     *m.Stats(),
+			WriteSet:  *m.WriteSet(),
+			Journal:   m.JournalPressure(),
+		},
+		Wall:        w.wall,
+		WindowSched: m.WindowStats(),
 	}
 	if elapsed > 0 {
-		res.TPS = float64(p.Ops) / m.Seconds(elapsed)
+		res.TPS = float64(ops) / m.Seconds(elapsed)
 	}
 	if acked > 0 {
-		res.CommittedTPS = float64(p.Ops) / m.Seconds(acked)
+		res.CommittedTPS = float64(ops) / m.Seconds(acked)
+	}
+	for i, n := range w.share {
+		coreElapsed := m.Core(i).Now() - w.start
+		cst := m.CoreStats(i)
+		cr := CoreResult{
+			Core:        i,
+			Txns:        uint64(n),
+			Commits:     cst.Commits,
+			Cycles:      coreElapsed,
+			BarrierWait: cst.CommitBarrierWait,
+		}
+		if coreElapsed > 0 {
+			cr.TPS = float64(cr.Commits) / m.Seconds(coreElapsed)
+		}
+		res.PerCore = append(res.PerCore, cr)
 	}
 	return res
 }
@@ -269,7 +327,7 @@ func Run(p Params) Result {
 func buildClients(m *ssp.Machine, p Params) []*client {
 	switch p.Kind {
 	case BTreeRand, BTreeZipf, RBTreeRand, RBTreeZipf, HashRand, HashZipf:
-		return buildMicroKV(m, p)
+		return buildMicroKV(m, p, func(*ssp.Core) ssp.Allocator { return m.Heap() })
 	case SPS:
 		return buildSPS(m, p)
 	case Memcached:

@@ -115,13 +115,13 @@ var paperRows = []struct {
 			f.put("BenchmarkTable5_RealWorkloadWriteSaving", r.Kind.String()+"_vsREDO_%", r.SavingOver[ssp.RedoLog])
 		}
 	}},
-	// The design-choice ablations `sspbench -exp ablate` prints.
-	{"AblationSubPage", ablation("BenchmarkAblation_SubPageGranularity", experiments.AblateSubPage)},
-	{"AblationConsolidation", ablation("BenchmarkAblation_ConsolidationPolicy", experiments.AblateConsolidationPolicy)},
-	{"AblationWSB", ablation("BenchmarkAblation_WSBCapacity", experiments.AblateWSB)},
-	{"AblationSSPCacheResidency", ablation("BenchmarkAblation_SSPCacheResidency", experiments.AblateSSPCacheResidency)},
-	{"AblationFlipMechanism", ablation("BenchmarkAblation_FlipMechanism", experiments.AblateFlipMechanism)},
-	{"AblationRedoEngines", ablation("BenchmarkAblation_RedoWriteBackEngines", experiments.AblateRedoEngines)},
+	// The design-choice ablations `sspbench -exp ablate` prints, at
+	// shortScale: each table's rows gated under BenchmarkAblation_<ID>.
+	{"Ablations", func(f figures, _ *testing.T) {
+		for _, t := range experiments.Ablations(shortScale()) {
+			putAblation(f, "BenchmarkAblation_"+t.ID, t.Rows)
+		}
+	}},
 	{"RecoveryEffort", func(f figures, _ *testing.T) {
 		sc := paperScale()
 		sc.Ops = 400
@@ -154,6 +154,20 @@ var paperRows = []struct {
 			f.put("BenchmarkParallelSweep", "Memcached_"+c.Row+"_4core_cTPS", c.TPS())
 		}
 		t.Log(experiments.RenderGrid(g))
+	}},
+	// The seven microbenchmarks and Vacation on the parallel driver, SSP, 2
+	// cores at paperScale: committed TPS and total NVRAM write bytes, so
+	// every kind's RunParallel build has a gated cell.
+	{"ParallelKinds", func(f figures, _ *testing.T) {
+		sc := paperScale()
+		for _, k := range append(workload.Micro(), workload.Vacation) {
+			p := workload.Params{Kind: k, Backend: ssp.SSP, Clients: 2, Ops: sc.Ops, Keys: sc.Keys,
+				Elems: sc.Elems, Items: sc.Items, Tuples: sc.Tuples, Seed: sc.Seed}
+			p.Machine.STLBEntries = sc.STLB
+			r := workload.RunParallel(p)
+			f.put("BenchmarkParallelKinds", k.String()+"_2core_cTPS", r.CommittedTPS)
+			f.put("BenchmarkParallelKinds", k.String()+"_2core_nvram_bytes", float64(r.Stats.TotalWriteBytes()))
+		}
 	}},
 	// SSP memcached at 4 cores on 1 and 4 channels (`-exp channels`), with
 	// one journal shard, and on one channel with four shards (`-exp
@@ -278,22 +292,19 @@ var paperRows = []struct {
 	}},
 }
 
-// ablation gates one `sspbench -exp ablate` table at shortScale: each row's
-// TPS, plus its fallbacks and its parallel speedup when the table carries
-// them (the write-set buffer and the write-back engines).
-func ablation(bench string, run func(experiments.Scale) []experiments.AblationRow) func(f figures, _ *testing.T) {
-	return func(f figures, _ *testing.T) {
-		rows := run(shortScale())
-		fallbacks := slices.ContainsFunc(rows, func(r experiments.AblationRow) bool { return r.Fallback > 0 })
-		for _, r := range rows {
-			key := r.Kind.String() + "_" + r.Name
-			f.put(bench, key+"_TPS", r.TPS)
-			if fallbacks {
-				f.put(bench, key+"_fallbacks", float64(r.Fallback))
-			}
-			if r.Speedup > 0 {
-				f.put(bench, key+"_speedup", r.Speedup)
-			}
+// putAblation gates one ablation table: each row's TPS, plus its fallbacks
+// and its parallel speedup when the table carries them (the write-set
+// buffer and the write-back engines).
+func putAblation(f figures, bench string, rows []experiments.AblationRow) {
+	fallbacks := slices.ContainsFunc(rows, func(r experiments.AblationRow) bool { return r.Fallback > 0 })
+	for _, r := range rows {
+		key := r.Kind.String() + "_" + r.Name
+		f.put(bench, key+"_TPS", r.TPS)
+		if fallbacks {
+			f.put(bench, key+"_fallbacks", float64(r.Fallback))
+		}
+		if r.Speedup > 0 {
+			f.put(bench, key+"_speedup", r.Speedup)
 		}
 	}
 }

@@ -47,10 +47,10 @@ func main() {
 		}
 	}
 
-	total, failures := 0, 0
+	total, totalNested, failures := 0, 0, 0
 	type cost struct {
-		points int
-		wall   time.Duration
+		points, nested int
+		wall           time.Duration
 	}
 	costs := make([]cost, len(crashsweep.Classes))
 	for i, cl := range crashsweep.Classes {
@@ -65,19 +65,22 @@ func main() {
 			for s := 0; s < *scripts; s++ {
 				sc := cl.Script(*seed+uint64(s)*1000003, n)
 				sc.Class = cl.Name
-				points, bad := crashsweep.Sweep(cfg, sc, os.Stdout)
+				points, nested, bad := crashsweep.Sweep(cfg, sc, os.Stdout)
 				total += points
+				totalNested += nested
 				costs[i].points += points
+				costs[i].nested += nested
 				failures += bad
-				fmt.Printf("%-21s %-9s script seed %#x: %4d trap points, %d violations\n", cl.Name, b, sc.Seed, points, bad)
+				fmt.Printf("%-23s %-9s script seed %#x: %4d trap points, %4d nested cuts, %d violations\n", cl.Name, b, sc.Seed, points, nested, bad)
 			}
 		}
 		costs[i].wall = time.Since(start)
 	}
-	fmt.Printf("\n%d trap points checked, %d violations\n", total, failures)
+	fmt.Printf("\n%d trap points and %d nested cuts checked, %d violations\n", total, totalNested, failures)
 	for i, cl := range crashsweep.Classes {
 		c := costs[i]
-		fmt.Printf("%-23s %6d trap points %9.3f s %8.1f µs/point\n", cl.Name, c.points, c.wall.Seconds(), float64(c.wall.Microseconds())/float64(max(1, c.points)))
+		fmt.Printf("%-23s %6d trap points %6d nested cuts %9.3f s %8.1f µs/point\n", cl.Name, c.points, c.nested, c.wall.Seconds(),
+			float64(c.wall.Microseconds())/float64(max(1, c.points+c.nested)))
 	}
 	if failures > 0 {
 		os.Exit(1)

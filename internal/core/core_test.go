@@ -516,24 +516,74 @@ func TestRecoverySkipsUnsealedBatch(t *testing.T) {
 	}
 }
 
-// TestRecoveryRejectsBadGlobalEndLength: a checksum-valid recGlobalEnd
-// record whose payload is not the 4-byte participant mask is a recovery
-// error naming the length, never a commit point for its TID.
-func TestRecoveryRejectsBadGlobalEndLength(t *testing.T) {
-	env, s := testEnv(t, 1)
-	mapPage(env, 0)
-	s.Begin(0, 0)
-	s.Store(0, va(0, 0), []byte{1}, 0)
-	s.Commit(0, 0)
-	s.journals[0].Append(wal.Record{TID: s.allocTID(), Kind: recGlobalEnd, Payload: []byte{1, 0, 0}}, 0)
-	s.journals[0].Flush(0)
+// TestRecoveryRejectsMalformedJournalRecords: a checksum-valid journal
+// record that does not decode is a recovery error naming the record,
+// wherever it sits: inside a sealed batch, in the trailing unsealed batch
+// that recovery drops, or beside a prepare that no durable End commits.
+func TestRecoveryRejectsMalformedJournalRecords(t *testing.T) {
+	rows := []struct {
+		name string
+		kind uint8 // 0: the position's slot-record kind
+		bad  func(p []byte, l *vm.Layout) []byte
+		want string
+	}{
+		{"payload length", 0, func(p []byte, _ *vm.Layout) []byte { return p[:10] }, "payload length 10"},
+		{"slot past Entries", 0, func(p []byte, _ *vm.Layout) []byte {
+			binary.LittleEndian.PutUint32(p, 64)
+			return p
+		}, "names slot 64 of 64"},
+		{"frame outside the pool", 0, func(p []byte, l *vm.Layout) []byte {
+			binary.LittleEndian.PutUint32(p[journalPayload.p1:], uint32(l.Frames))
+			return p
+		}, "frame index"},
+		{"vpn outside the heap", 0, func(p []byte, l *vm.Layout) []byte {
+			binary.LittleEndian.PutUint32(p[journalPayload.vpn:], uint32(l.Cfg.MaxHeapPages))
+			return p
+		}, "names vpn"},
+		{"unknown kind", 42, func(p []byte, _ *vm.Layout) []byte { return p }, "unknown journal record kind 42"},
+		{"3-byte global end", recGlobalEnd, func([]byte, *vm.Layout) []byte { return []byte{1, 0, 0} }, "global-end payload length 3"},
+	}
+	positions := []struct {
+		name      string
+		kind, end uint8 // the batch's slot-record kind and its seal (0: none)
+	}{
+		{"sealed batch", recUpdate, recUpdateEnd},
+		{"unsealed batch", recUpdate, 0},
+		{"dropped prepare", recPrepare, 0},
+	}
+	for _, row := range rows {
+		for _, pos := range positions {
+			t.Run(row.name+"/"+pos.name, func(t *testing.T) {
+				env, s := testEnv(t, 1)
+				mapPage(env, 0)
+				s.Begin(0, 0)
+				s.Store(0, va(0, 0), []byte{1}, 0)
+				s.Commit(0, 0)
+				st := s.shadowOf(0)
+				good := func() []byte {
+					return putJournalPayload(make([]byte, journalPayloadVerBytes), 0, st, &env.Layout, s.sharded())
+				}
+				tid := s.allocTID()
+				kind := row.kind
+				if kind == 0 {
+					kind = pos.kind
+				}
+				s.journals[0].Append(wal.Record{TID: tid, Kind: pos.kind, Payload: good()}, 0)
+				s.journals[0].Append(wal.Record{TID: tid, Kind: kind, Payload: row.bad(good(), &env.Layout)}, 0)
+				if pos.end != 0 {
+					s.journals[0].Append(wal.Record{TID: tid, Kind: pos.end, Payload: good()}, 0)
+				}
+				s.journals[0].Flush(0)
 
-	s.Crash()
-	env.Caches.DropAll()
-	env.TLBs[0].Drop()
-	err := s.Recover()
-	if err == nil || !strings.Contains(err.Error(), "global-end payload length 3") {
-		t.Fatalf("Recover of a 3-byte global-end record returned %v, want a length error", err)
+				s.Crash()
+				env.Caches.DropAll()
+				env.TLBs[0].Drop()
+				err := s.Recover()
+				if err == nil || !strings.Contains(err.Error(), row.want) || !strings.Contains(err.Error(), fmt.Sprintf("TID %d", tid)) {
+					t.Fatalf("Recover returned %v, want an error naming TID %d and %q", err, tid, row.want)
+				}
+			})
+		}
 	}
 }
 

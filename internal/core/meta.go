@@ -241,7 +241,8 @@ func (c *slotCodec) get(sid int, p []byte, l *vm.Layout) (slotState, error) {
 // seals the batch with recUpdateEnd (update + end marker in one record, so
 // single-page transactions cost exactly one record). Consolidate and
 // release records are single-record atomic operations applied
-// unconditionally. recEnd remains as a standalone seal (used by tests).
+// unconditionally. Kind 2, a standalone seal no writer appended, is
+// retired: recovery refuses it as an unknown kind.
 //
 // Cross-shard (global) transactions use the two-phase pair: recPrepare
 // records carry a global transaction's slot updates into every participant
@@ -259,7 +260,6 @@ func (c *slotCodec) get(sid int, p []byte, l *vm.Layout) (slotState, error) {
 // absent (recover.go).
 const (
 	recUpdate      = 1
-	recEnd         = 2
 	recConsolidate = 3
 	recRelease     = 4
 	recUpdateEnd   = 5

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/memsim"
-	"repro/internal/stats"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -98,25 +96,31 @@ func (s *SSP) Recover() error {
 		}
 	}
 
-	// 2. Scan every journal shard. First pass: collect the durable
-	// coordinator end records of cross-shard transactions (and the
-	// version/TID high waters). Second pass: validate batch framing per
-	// shard, merge the survivors by TID, and replay under the version
-	// guard.
-	raw := wal.ScanShards(s.env.Mem, s.env.Layout.JournalBase, s.env.Layout.Cfg.JournalBytes)
+	// 2. Scan every journal shard once and decode each record once, into
+	// one buffer: each shard's records, then room for the batch under
+	// validation.
+	raw := make([][]wal.Record, len(s.env.Layout.JournalBase))
+	total, longest := 0, 0
+	for i, base := range s.env.Layout.JournalBase {
+		raw[i] = wal.Scan(s.env.Mem, base, s.env.Layout.Cfg.JournalBytes)
+		total, longest = total+len(raw[i]), max(longest, len(raw[i]))
+	}
+	buf := make([]journalRecord, total+longest)
+	batch := buf[total:total:len(buf)]
+	shards := make([][]journalRecord, len(raw))
 	var maxTID uint32
-	for _, recs := range raw {
-		if m := wal.MaxTID(recs); m > maxTID {
-			maxTID = m
-		}
-		for _, r := range recs {
+	for i, recs := range raw {
+		shards[i], buf = buf[:len(recs):len(recs)], buf[len(recs):]
+		for j, r := range recs {
+			jr, err := s.decodeJournalRecord(r)
+			if err != nil {
+				return fmt.Errorf("%w (journal shard %d, record %d, TID %d, kind %d)", err, i, j, r.TID, r.Kind)
+			}
+			shards[i][j] = jr
 			// Versions and TIDs consumed by dropped batches — including
 			// everything the epoch cut below discards — must stay below the
-			// next allocation, so this scan covers every record, applied or
-			// not.
-			if _, st, err := decodeJournalPayload(r.Payload, &s.env.Layout); err == nil && st.ver > maxVer {
-				maxVer = st.ver
-			}
+			// next allocation, so this covers every record, applied or not.
+			maxTID, maxVer = max(maxTID, r.TID), max(maxVer, jr.st.ver)
 		}
 	}
 
@@ -130,108 +134,77 @@ func (s *SSP) Recover() error {
 	// come from the CUT lists, so a coordinator End sitting in an open epoch
 	// cannot commit its (durably sealed) prepares in other shards.
 	if s.cfg.DurabilityEpoch > 0 {
-		for i, recs := range raw {
+		for i, recs := range shards {
 			cut := 0
 			for j, r := range recs {
-				if r.Kind == recEpochSeal {
+				if r.kind == recEpochSeal {
 					cut = j + 1
 				}
 			}
 			for _, r := range recs[cut:] {
 				s.env.Stats.DroppedEpochRecords++
-				if r.Kind == recUpdateEnd || r.Kind == recGlobalEnd {
+				if r.kind == recUpdateEnd || r.kind == recGlobalEnd {
 					s.env.Stats.LostEpochTxns++
 				}
 			}
-			raw[i] = recs[:cut]
+			shards[i] = recs[:cut]
 		}
 	}
 
 	endTIDs := make(map[uint32]bool)
-	for _, recs := range raw {
+	for _, recs := range shards {
 		for _, r := range recs {
-			if r.Kind == recGlobalEnd {
-				if len(r.Payload) != globalEndPayloadBytes {
-					return fmt.Errorf("core: bad global-end payload length %d for TID %d, want %d",
-						len(r.Payload), r.TID, globalEndPayloadBytes)
-				}
-				endTIDs[r.TID] = true
+			if r.kind == recGlobalEnd {
+				endTIDs[r.tid] = true
 			}
 		}
 	}
-	// Each shard's survivors replace its records in raw. They are built in
-	// one buffer, each shard's in room for all its records, and past that
-	// room is the batch under validation.
-	total, longest := 0, 0
-	for _, recs := range raw {
-		total, longest = total+len(recs), max(longest, len(recs))
-	}
-	buf := make([]wal.Record, total+longest)
-	batch := buf[total:total:len(buf)]
+	// Each shard's survivors replace its records, in place.
 	droppedGlobal := make(map[uint32]bool)
-	for i, recs := range raw {
-		v, err := s.validShardRecords(recs, buf[:0:len(recs)], batch, endTIDs, droppedGlobal)
-		if err != nil {
-			return err
-		}
-		raw[i], buf = v, buf[len(recs):]
+	for i, recs := range shards {
+		shards[i] = s.validShardRecords(recs, batch, endTIDs, droppedGlobal)
 	}
 	// Each sealed global transaction recovered once, each unsealed one
 	// rolled back once — regardless of how many shards its records span.
 	s.env.Stats.RecoveredTxns += uint64(len(endTIDs))
 	s.env.Stats.RolledBackTxns += uint64(len(droppedGlobal))
-	merged := wal.Merge(raw)
+	merged := wal.Merge(shards, func(r *journalRecord) uint32 { return r.tid })
 	// The tables grow once, to the highest slot a record below applies to:
 	// a slot past them is formatted (version 0), so the first record naming
 	// it applies if the journal is unsharded or the record carries a
 	// version.
 	hi := len(s.slotShadow)
 	for _, r := range merged {
-		if sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout); err == nil && sid < s.cfg.Entries && (!s.sharded() || st.ver > 0) {
-			hi = max(hi, sid+1)
+		if !s.sharded() || r.st.ver > 0 {
+			hi = max(hi, r.sid+1)
 		}
 	}
 	s.growSlots(hi)
 	for _, r := range merged {
-		sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
-		if err != nil {
-			return err
-		}
-		if sid >= s.cfg.Entries {
-			return fmt.Errorf("core: journal record names slot %d of %d", sid, s.cfg.Entries)
-		}
 		// With sharded journals a record must be newer than the slot's
 		// checkpointed state to apply; with the single paper-model journal
 		// the stream order is the update order (records carry no version)
 		// and every surviving record applies, exactly as before sharding.
-		if s.sharded() && st.ver <= s.shadowOf(sid).ver {
+		if s.sharded() && r.st.ver <= s.shadowOf(r.sid).ver {
 			continue // the slot already holds this update (or a newer one)
 		}
-		s.growSlots(sid + 1)
-		s.slotShadow[sid] = st
+		s.growSlots(r.sid + 1)
+		s.slotShadow[r.sid] = r.st
 		s.env.Stats.ReplayedRecords++
 	}
 
 	// 3. Roll back interrupted software fall-back transactions (their undo
 	// logs live in the per-core log regions), every log decoded before any
 	// line is written back.
-	rollback := make([][]txn.LineRecord, len(s.fbLogs))
-	for c := range s.fbLogs {
-		lrecs := wal.Scan(s.env.Mem, s.env.Layout.LogBase[c], s.env.Layout.Cfg.LogBytes)
-		maxTID = max(maxTID, wal.MaxTID(lrecs))
-		lines, err := s.env.DecodeLines(lrecs, fbKindData)
-		if err != nil {
-			return err
-		}
-		if len(lrecs) > 0 && lrecs[len(lrecs)-1].Kind != fbKindCommit {
-			rollback[c] = lines
-			s.env.Stats.RolledBackTxns++
-		}
+	logs, logTID, err := s.env.ReadLogs(fbKindData, fbKindCommit)
+	if err != nil {
+		return err
 	}
-	for _, lines := range rollback {
-		for i := len(lines) - 1; i >= 0; i-- {
-			s.env.Mem.WriteLine(lines[i].PA, lines[i].Line, 0, stats.CatRecovery)
-			s.env.Stats.RecoveryNVWrites++
+	maxTID = max(maxTID, logTID)
+	for _, l := range logs {
+		if l.Interrupted() {
+			s.env.Rollback(l)
+			s.env.Stats.RolledBackTxns++
 		}
 	}
 
@@ -317,78 +290,99 @@ func (s *SSP) highestSlotLine(page *[memsim.PageBytes]byte) int {
 	return -1
 }
 
-// validShardRecords applies one shard's batch-framing semantics: update
-// batches survive only through a durable End record (recUpdateEnd, or a
-// standalone recEnd sealing the open batch), consolidate/release records
-// survive unconditionally, and a global transaction's prepare records
-// survive only when endTIDs carries their TID (the coordinator end record
-// was durable somewhere). A batch superseded by a new TID mid-stream can
-// only be a torn-tail artifact and drops silently; a trailing unsealed
-// batch is the crashed transaction and counts as rolled back (§4.1.1).
-// Unsealed global TIDs accumulate in droppedGlobal so the caller can count
-// each distributed rollback once across all its shards. Shard-local order
-// is preserved in the returned slice, which is built in out; out and batch
-// (the scratch a batch collects in until it is sealed and copied into out)
-// are empty, with room for len(recs) records each.
-func (s *SSP) validShardRecords(recs, out, batch []wal.Record, endTIDs, droppedGlobal map[uint32]bool) ([]wal.Record, error) {
-	var batchTID uint32
-	seal := func() {
-		out = append(out, batch...)
-		s.env.Stats.RecoveredTxns++
-		batch = batch[:0]
+// journalRecord is one journal record as recovery reads it, its payload
+// decoded once: sid and st are the slot id and state of the kinds that
+// carry one (every kind but recGlobalEnd and recEpochSeal).
+type journalRecord struct {
+	tid  uint32
+	kind uint8
+	sid  int
+	st   slotState
+}
+
+// decodeJournalRecord decodes r's payload by its kind. A payload its kind
+// does not admit — a wrong length, a slot past Entries, a frame outside the
+// pool, a vpn outside the heap — and an unknown kind are errors, wherever
+// the record sits: recovery refuses a corrupt journal rather than guess
+// which of its records it may ignore.
+func (s *SSP) decodeJournalRecord(r wal.Record) (journalRecord, error) {
+	s.journalDecodes++
+	jr := journalRecord{tid: r.TID, kind: r.Kind}
+	switch r.Kind {
+	case recUpdate, recUpdateEnd, recConsolidate, recRelease, recPrepare:
+		sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
+		if err != nil {
+			return jr, err
+		}
+		if sid >= s.cfg.Entries {
+			return jr, fmt.Errorf("core: journal record names slot %d of %d", sid, s.cfg.Entries)
+		}
+		jr.sid, jr.st = sid, st
+	case recGlobalEnd:
+		if len(r.Payload) != globalEndPayloadBytes {
+			return jr, fmt.Errorf("core: bad global-end payload length %d, want %d", len(r.Payload), globalEndPayloadBytes)
+		}
+	case recEpochSeal:
+		if len(r.Payload) != 0 {
+			return jr, fmt.Errorf("core: bad epoch-seal payload length %d, want 0", len(r.Payload))
+		}
+	default:
+		return jr, fmt.Errorf("core: unknown journal record kind %d", r.Kind)
 	}
+	return jr, nil
+}
+
+// validShardRecords applies one shard's batch-framing semantics: update
+// batches survive only through a durable recUpdateEnd record,
+// consolidate/release records survive unconditionally, and a global
+// transaction's prepare records survive only when endTIDs carries their TID
+// (the coordinator end record was durable somewhere). A batch superseded by
+// a new TID mid-stream can only be a torn-tail artifact and drops silently;
+// a trailing unsealed batch is the crashed transaction and counts as rolled
+// back (§4.1.1). Unsealed global TIDs accumulate in droppedGlobal so the
+// caller can count each distributed rollback once across all its shards.
+// The survivors keep their shard-local order and are returned in recs's
+// own storage (each is written no later than it is read); batch is empty,
+// with room for len(recs) records: a batch collects there until it is
+// sealed and copied out.
+func (s *SSP) validShardRecords(recs, batch []journalRecord, endTIDs, droppedGlobal map[uint32]bool) []journalRecord {
+	out := recs[:0]
+	var batchTID uint32
 	for _, r := range recs {
-		switch r.Kind {
-		case recUpdate:
-			if len(batch) > 0 && r.TID != batchTID {
+		switch r.kind {
+		case recUpdate, recUpdateEnd:
+			if len(batch) > 0 && r.tid != batchTID {
 				batch = batch[:0]
 			}
-			batchTID = r.TID
+			batchTID = r.tid
 			batch = append(batch, r)
-		case recUpdateEnd:
-			if len(batch) > 0 && r.TID != batchTID {
+			if r.kind == recUpdateEnd {
+				out = append(out, batch...)
+				s.env.Stats.RecoveredTxns++
 				batch = batch[:0]
-			}
-			batchTID = r.TID
-			batch = append(batch, r)
-			seal()
-		case recEnd:
-			if len(batch) > 0 && r.TID == batchTID {
-				seal()
 			}
 		case recConsolidate, recRelease:
 			out = append(out, r)
 		case recPrepare:
-			if endTIDs[r.TID] {
+			if endTIDs[r.tid] {
 				out = append(out, r)
-			} else {
+			} else if r.st.ver > s.shadowOf(r.sid).ver {
 				// No durable end record. If the slot array already carries a
 				// state at least as new, this prepare is the checkpointed
 				// remnant of a COMMITTED global whose coordinator end was
 				// truncated (checkpointShard persisted its slots first) —
 				// not evidence of a torn transaction. Only a prepare the
 				// slot array does not supersede marks a genuine rollback.
-				sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
-				if err != nil {
-					return nil, err
-				}
-				if st.ver > s.shadowOf(sid).ver {
-					droppedGlobal[r.TID] = true
-				}
+				droppedGlobal[r.tid] = true
 			}
-		case recGlobalEnd:
-			// The commit point itself; carries no slot state. Its TIDs were
-			// collected in the caller's first pass.
-		case recEpochSeal:
-			// Epoch boundary marker: no slot state, and never inside a batch
-			// (a batch is appended whole before any seal can follow it).
-			// Nothing to emit.
-		default:
-			return nil, fmt.Errorf("core: unknown journal record kind %d", r.Kind)
 		}
+		// recGlobalEnd is the commit point itself and carries no slot state
+		// (the caller collected its TIDs); recEpochSeal is an epoch boundary,
+		// never inside a batch (a batch is appended whole before any seal can
+		// follow it).
 	}
 	if len(batch) > 0 {
 		s.env.Stats.RolledBackTxns++ // speculative updates discarded (§4.1.1)
 	}
-	return out, nil
+	return out
 }

@@ -75,8 +75,9 @@ type SSP struct {
 	slotBarrier []journalRef // pending release-record barrier per slot
 	freeSlots   []int
 
-	// slotDecodes counts the slot lines recovery has decoded (tests).
-	slotDecodes int
+	// slotDecodes and journalDecodes count the slot lines and journal
+	// record payloads recovery has decoded (tests).
+	slotDecodes, journalDecodes int
 
 	dirtySlots []map[int]struct{} // per journal shard: slots needing a checkpoint write
 

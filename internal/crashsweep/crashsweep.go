@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"os"
 	"slices"
 
 	"repro/internal/engine"
@@ -370,12 +371,26 @@ func Verify(m *ssp.Machine, committed, boundary map[uint64]uint64) error {
 	return check(m, txns[:], 0)
 }
 
+// NestedAllEnv names the environment variable that, set to any non-empty
+// value, makes Sweep run the nested cut at every trap point instead of
+// about nestedCuts of them.
+const NestedAllEnv = "CRASHSWEEP_NESTED_ALL"
+
+// nestedCuts is about how many of a sweep's trap points also get the nested
+// cut: every ceil((writes+1)/nestedCuts)-th point, from point 0.
+const nestedCuts = 40
+
 // Sweep trap-sweeps sc on cfg: a drained reference run counts the durable
 // NVRAM writes and must check clean; then sc re-runs on a fresh machine
 // with power failing after write k = 0..writes, recovers and is checked.
-// Each failure is a line on log (nil: silent) naming class, backend, seed
-// and trap ("ref" for the reference run).
-func Sweep(cfg ssp.Config, sc Script, log io.Writer) (points, failures int) {
+// A sample of the points (every point when NestedAllEnv is set) also gets
+// the nested cut: for each NVRAM write j that point's recovery issues, a
+// fresh machine fails at k again, fails once more after j writes of its
+// first Recover, recovers again on live power and must pass the same check.
+// points counts the single cuts, nested the nested ones. Each failure is a
+// line on log (nil: silent) naming class, backend, seed and trap ("ref"
+// for the reference run, "k/j" for a nested cut).
+func Sweep(cfg ssp.Config, sc Script, log io.Writer) (points, nested, failures int) {
 	fail := func(trap any, err error) {
 		failures++
 		if log != nil {
@@ -390,22 +405,57 @@ func Sweep(cfg ssp.Config, sc Script, log io.Writer) (points, failures int) {
 	if err := check(ref, out.txns, len(sc.Txns)); err != nil { // drained: every ack durable
 		fail("ref", err)
 	}
-	for k := int64(0); k <= writes; k++ {
-		points++
+	every := (writes + nestedCuts) / nestedCuts
+	if os.Getenv(NestedAllEnv) != "" {
+		every = 1
+	}
+	// cut fails power after write k of the run and, when j >= 0, after
+	// write j of the first recovery; it recovers on live power and checks.
+	// It returns the NVRAM writes the last recovery issued.
+	cut := func(k, j int64) int64 {
 		m := ssp.MustNew(cfg)
 		m.Mem().SetWriteTrap(k)
 		out := run(m, sc)
-		m.Mem().SetWriteTrap(-1)
-		if err := m.Recover(); err != nil {
-			fail(k, fmt.Errorf("recovery: %w", err))
-			continue
+		if j >= 0 {
+			m.Mem().SetWriteTrap(j)
+			if err := m.Recover(); err != nil {
+				fail(trapName(k, j), fmt.Errorf("first recovery: %w", err))
+				return 0
+			}
 		}
+		m.Mem().SetWriteTrap(-1)
+		before := m.Stats().NVRAMWriteLines
+		if err := m.Recover(); err != nil {
+			fail(trapName(k, j), fmt.Errorf("recovery: %w", err))
+			return 0
+		}
+		recWrites := int64(m.Stats().NVRAMWriteLines - before)
 		m.Heap().EnsureMapped(nil, 1, sc.lastPage(m.Cores()))
 		if err := check(m, out.txns, out.floor); err != nil {
-			fail(k, err)
+			fail(trapName(k, j), err)
+		}
+		return recWrites
+	}
+	for k := int64(0); k <= writes; k++ {
+		points++
+		recWrites := cut(k, -1)
+		if k%every != 0 {
+			continue
+		}
+		for j := int64(0); j < recWrites; j++ {
+			nested++
+			cut(k, j)
 		}
 	}
-	return points, failures
+	return points, nested, failures
+}
+
+// trapName names a single cut k, or the nested cut j of k's recovery.
+func trapName(k, j int64) any {
+	if j < 0 {
+		return k
+	}
+	return fmt.Sprintf("%d/%d", k, j)
 }
 
 // Class is one row of the crash class table: a machine (Backend is set per

@@ -147,14 +147,14 @@ func sweepClass(t *testing.T, cl Class, family string) {
 						t.Fatalf("seed %#x: the reference run drives no %s; the sweep needs them", seed, need.what)
 					}
 				}
-				points, bad := Sweep(cfg, sc, os.Stderr)
+				points, nested, bad := Sweep(cfg, sc, os.Stderr)
 				if bad != 0 {
-					t.Fatalf("seed %#x: %d of %d trap points violated the contract", seed, bad, points)
+					t.Fatalf("seed %#x: %d of %d trap points (%d nested) violated the contract", seed, bad, points+nested, nested)
 				}
 				if points == 0 {
 					t.Fatalf("seed %#x: the sweep checked no trap points", seed)
 				}
-				t.Logf("%s %v seed %#x: %d trap points", cl.Name, b, seed, points)
+				t.Logf("%s %v seed %#x: %d trap points, %d nested cuts", cl.Name, b, seed, points, nested)
 			}
 		})
 	}

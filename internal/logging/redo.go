@@ -244,33 +244,25 @@ func (r *Redo) Crash() {
 // have overwritten the same lines in place, which a replay would regress.
 func (r *Redo) Recover() error {
 	r.env.Stats.Recoveries++
-	var maxTID uint32
-	last := -1 // the core whose log holds maxTID
-	logs := make([][]wal.Record, len(r.logs))
-	lines := make([][]txn.LineRecord, len(r.logs))
-	for c := range r.logs {
-		logs[c] = wal.Scan(r.env.Mem, r.env.Layout.LogBase[c], r.env.Layout.Cfg.LogBytes)
-		if m := wal.MaxTID(logs[c]); len(logs[c]) > 0 && (last < 0 || m > maxTID) {
-			maxTID, last = m, c
-		}
-		var err error
-		if lines[c], err = r.env.DecodeLines(logs[c], kindData); err != nil {
-			return err
+	logs, maxTID, err := r.env.ReadLogs(kindData, kindCommit)
+	if err != nil {
+		return err
+	}
+	last := -1 // the first core whose log holds maxTID
+	for c, l := range logs {
+		if l.Records > 0 && (last < 0 || l.TID > logs[last].TID) {
+			last = c
 		}
 	}
-	for c, recs := range logs {
-		if len(recs) == 0 {
-			continue
-		}
-		if recs[len(recs)-1].Kind != kindCommit {
+	for c, l := range logs {
+		if l.Interrupted() {
 			r.env.Stats.RolledBackTxns++
+		}
+		if c != last || !l.Committed {
 			continue
 		}
-		if c != last {
-			continue
-		}
-		for _, l := range lines[c] {
-			r.env.Mem.WriteLine(l.PA, l.Line, 0, stats.CatRecovery)
+		for _, line := range l.Lines {
+			r.env.Mem.WriteLine(line.PA, line.Line, 0, stats.CatRecovery)
 			r.env.Stats.RecoveryNVWrites++
 			r.env.Stats.ReplayedRecords++
 		}

@@ -144,30 +144,19 @@ func (u *Undo) Crash() {
 // is decoded before any line is written back.
 func (u *Undo) Recover() error {
 	u.env.Stats.Recoveries++
-	var maxTID uint32
-	rollback := make([][]txn.LineRecord, len(u.logs))
-	for c := range u.logs {
-		recs := wal.Scan(u.env.Mem, u.env.Layout.LogBase[c], u.env.Layout.Cfg.LogBytes)
-		maxTID = max(maxTID, wal.MaxTID(recs))
-		lines, err := u.env.DecodeLines(recs, kindData)
-		if err != nil {
-			return err
-		}
+	logs, maxTID, err := u.env.ReadLogs(kindData, kindCommit)
+	if err != nil {
+		return err
+	}
+	for _, l := range logs {
 		switch {
-		case len(recs) == 0:
-		case recs[len(recs)-1].Kind == kindCommit:
+		case l.Committed:
 			// In-place updates were flushed before the commit record; the
 			// durable state is already the transaction's outcome.
 			u.env.Stats.RecoveredTxns++
-		default:
-			rollback[c] = lines
+		case l.Interrupted():
+			u.env.Rollback(l)
 			u.env.Stats.RolledBackTxns++
-		}
-	}
-	for _, lines := range rollback {
-		for i := len(lines) - 1; i >= 0; i-- {
-			u.env.Mem.WriteLine(lines[i].PA, lines[i].Line, 0, stats.CatRecovery)
-			u.env.Stats.RecoveryNVWrites++
 		}
 	}
 	if maxTID >= u.next {

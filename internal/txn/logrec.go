@@ -11,7 +11,8 @@ import (
 
 // The per-core logs of UNDO-LOG, REDO-LOG and SSP's software fall-back path
 // carry one kind of data record: a line's NVRAM address and its 64-byte
-// image. This file is that record's one codec, plus the accounting of the
+// image. This file is that record's one codec, the one reader recovery
+// reads those logs through, the one rollback loop, and the accounting of the
 // header-only commit record that closes each of those logs.
 
 // LineRecordBytes is a line record's payload: the address (8 B) and the
@@ -54,6 +55,51 @@ func (e *Env) DecodeLines(recs []wal.Record, kind uint8) ([]LineRecord, error) {
 		out = append(out, LineRecord{PA: pa, Line: r.Payload[8:]})
 	}
 	return out, nil
+}
+
+// Log is one core's log as recovery reads it.
+type Log struct {
+	Lines     []LineRecord // the data records' lines, in append order
+	Records   int          // records scanned; 0 for an empty log
+	TID       uint32       // the last record's TID, the log's highest
+	Committed bool         // the last record is the commit record
+}
+
+// Interrupted reports whether the log holds a transaction that never wrote
+// its commit record.
+func (l Log) Interrupted() bool { return l.Records > 0 && !l.Committed }
+
+// ReadLogs scans every core's log region once and decodes its records of
+// kind data through DecodeLines; commit is the kind of the record that
+// closes a log. It returns the logs in core order and the highest TID among
+// them. Every log is decoded before the caller writes any line back, so a
+// corrupt record fails recovery before it changes NVRAM.
+func (e *Env) ReadLogs(data, commit uint8) ([]Log, uint32, error) {
+	logs := make([]Log, e.Cores())
+	var maxTID uint32
+	for c := range logs {
+		recs := wal.Scan(e.Mem, e.Layout.LogBase[c], e.Layout.Cfg.LogBytes)
+		lines, err := e.DecodeLines(recs, data)
+		if err != nil {
+			return nil, 0, err
+		}
+		logs[c] = Log{Lines: lines, Records: len(recs)}
+		if n := len(recs); n > 0 {
+			logs[c].TID, logs[c].Committed = recs[n-1].TID, recs[n-1].Kind == commit
+			maxTID = max(maxTID, recs[n-1].TID)
+		}
+	}
+	return logs, maxTID, nil
+}
+
+// Rollback writes an undo log's line images back in reverse append order,
+// so the oldest image of a line logged twice lands last, and counts each
+// write as recovery's.
+func (e *Env) Rollback(l Log) {
+	for i := len(l.Lines) - 1; i >= 0; i-- {
+		e.Mem.WriteLine(l.Lines[i].PA, l.Lines[i].Line, 0, stats.CatRecovery)
+		e.Stats.RecoveryNVWrites++
+	}
 }
 
 // ChargeCommitRecord moves one record header's bytes from the log's

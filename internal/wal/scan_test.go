@@ -155,3 +155,35 @@ func TestScanAtRegionEnd(t *testing.T) {
 		t.Fatalf("record overhanging the region's end: scanned %d records, want %d", len(got), n)
 	}
 }
+
+// Scan reads a ring once: on a full ring of three and a bit scan windows it
+// peeks each stretch of the region once, four windows (a refill starts at the
+// record that crosses the window's end, so starts lie more than a window
+// less one record apart), where a checksum pass followed by a copy pass
+// peeks eight.
+func TestScanReadsEachWindowOnce(t *testing.T) {
+	const capacity = 3*scanWindow + 200
+	cfg := memsim.DefaultConfig()
+	cfg.DRAMBytes = 1 << 20
+	cfg.NVRAMBytes = 1 << 20
+	mem := memsim.New(cfg, &stats.Stats{})
+	base := cfg.NVRAMBase
+	rng := engine.NewRNG(3)
+	s := NewStream(mem, base, capacity, stats.CatMetaJournal)
+	for tid := uint32(1); s.Used()+encodedLen(MaxPayload) <= capacity; tid++ {
+		s.Append(randomRecord(rng, tid, MaxPayload), 0)
+	}
+	s.Flush(0)
+
+	reads := 0
+	windowRead = func() { reads++ }
+	defer func() { windowRead = nil }()
+	recs := Scan(mem, base, capacity)
+	if want := scanWhole(mem, base, capacity); !reflect.DeepEqual(recs, want) {
+		t.Fatalf("Scan returned %d records, the whole-region parse %d", len(recs), len(want))
+	}
+	if bound := (capacity + scanWindow - encodedLen(MaxPayload) - 1) / (scanWindow - encodedLen(MaxPayload)); reads > bound {
+		t.Errorf("Scan of a %d-byte ring read %d windows, want at most %d", capacity, reads, bound)
+	}
+	t.Logf("%d records, %d windows read", len(recs), reads)
+}

@@ -209,16 +209,21 @@ func (s *Stream) SetTIDFloor(tid uint32) {
 // scanWindow is how much of a region Scan reads at a time.
 const scanWindow = memsim.PageBytes
 
+// windowRead, when set (tests), is called at each window Scan reads.
+var windowRead func()
+
 // Scan reads the durable region from offset zero, returning every valid
 // record up to the first checksum failure or TID regression. It reflects
 // only bytes that reached NVRAM — staged bytes lost in a crash are invisible,
-// exactly as they would be. It reads the region through a fixed window and
-// no further than the record that stops it, so scanning a near-empty ring
-// costs a window, not the ring's capacity.
+// exactly as they would be. It reads the region once, forward, through a
+// fixed window, and no further than the record that stops it, so scanning a
+// near-empty ring costs a window, not the ring's capacity.
 //
-// A first pass finds the valid prefix, its record count and its payload
-// bytes; a second copies it, so the records and their payloads cost one
-// allocation each per scan. Each payload is capped at its own length.
+// Each record's checksum and TID are checked once, as the scan reaches it.
+// The valid records' headers and payload bytes collect in buffers on the
+// stack (a long prefix spills to the heap) and are copied out at the end, so
+// the records and their payloads cost one allocation each per scan. Each
+// payload is capped at its own length.
 func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 	var win [scanWindow]byte
 	winOff, winLen := 0, 0 // win[:winLen] holds region bytes [winOff, winOff+winLen)
@@ -228,12 +233,21 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		if off < winOff || off+n > winOff+winLen {
 			winOff, winLen = off, min(scanWindow, capacity-off)
 			mem.Peek(base+memsim.PAddr(off), win[:winLen])
+			if windowRead != nil {
+				windowRead()
+			}
 		}
 		return win[off-winOff : off-winOff+n]
 	}
-	n, size, off := 0, 0, 0
+	type header struct {
+		tid        uint32
+		kind, plen uint8
+	}
+	var hdrBuf [scanWindow / HeaderBytes]header
+	var payBuf [scanWindow]byte
+	hdrs, pay := hdrBuf[:0], payBuf[:0]
 	var last uint32
-	for off+HeaderBytes <= capacity {
+	for off := 0; off+HeaderBytes <= capacity; {
 		hdr := bytesAt(off, HeaderBytes)
 		sum := binary.LittleEndian.Uint32(hdr[0:])
 		tid := binary.LittleEndian.Uint32(hdr[4:])
@@ -242,62 +256,39 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		if plen > MaxPayload || off+encodedLen(plen) > capacity {
 			break
 		}
-		if checksum(tid, kind, bytesAt(off+HeaderBytes, plen)) != sum || tid < last {
+		p := bytesAt(off+HeaderBytes, plen)
+		if checksum(tid, kind, p) != sum || tid < last {
 			break
 		}
 		last = tid
-		n, size, off = n+1, size+plen, off+encodedLen(plen)
-	}
-	if n == 0 {
-		return nil
-	}
-	out, payloads := make([]Record, n), make([]byte, size)
-	off = 0
-	for i := range out {
-		hdr := bytesAt(off, HeaderBytes)
-		tid, kind, plen := binary.LittleEndian.Uint32(hdr[4:]), hdr[8], int(hdr[9])
-		p := payloads[:plen:plen]
-		copy(p, bytesAt(off+HeaderBytes, plen))
-		out[i] = Record{TID: tid, Kind: kind, Payload: p}
-		payloads = payloads[plen:]
+		hdrs = append(hdrs, header{tid, kind, uint8(plen)})
+		pay = append(pay, p...)
 		off += encodedLen(plen)
 	}
-	return out
-}
-
-// MaxTID returns the highest TID among records (0 when empty).
-func MaxTID(recs []Record) uint32 {
-	var m uint32
-	for _, r := range recs {
-		if r.TID > m {
-			m = r.TID
-		}
+	if len(hdrs) == 0 {
+		return nil
 	}
-	return m
-}
-
-// ScanShards scans one region per base address (all of the given capacity)
-// and returns the per-shard record slices, in shard order. Each shard's
-// slice obeys the single-stream Scan contract: durable bytes only, stopped
-// at the first checksum failure or TID regression (the shard's torn tail).
-func ScanShards(mem *memsim.Memory, bases []memsim.PAddr, capacity int) [][]Record {
-	out := make([][]Record, len(bases))
-	for i, base := range bases {
-		out[i] = Scan(mem, base, capacity)
+	out, payloads := make([]Record, len(hdrs)), make([]byte, len(pay))
+	copy(payloads, pay)
+	for i, h := range hdrs {
+		n := int(h.plen)
+		out[i] = Record{TID: h.tid, Kind: h.kind, Payload: payloads[:n:n]}
+		payloads = payloads[n:]
 	}
 	return out
 }
 
 // Merge interleaves the records of several TID-monotonic streams into one
-// globally TID-ordered replay sequence. Runs of equal TID within one shard
-// (a transaction's update batch) are consumed as a unit, so a batch is
-// never split by another shard's records; across shards TIDs are unique by
-// construction (one global allocator), and any tie is broken by shard index
-// so the merge is deterministic. The inputs are not modified; when at most
-// one shard holds records, the result is that shard's slice itself.
-func Merge(shards [][]Record) []Record {
+// globally TID-ordered replay sequence; tid reads a record's TID. Runs of
+// equal TID within one shard (a transaction's update batch) are consumed as
+// a unit, so a batch is never split by another shard's records; across
+// shards TIDs are unique by construction (one global allocator), and any tie
+// is broken by shard index so the merge is deterministic. The inputs are not
+// modified; when at most one shard holds records, the result is that shard's
+// slice itself.
+func Merge[R any](shards [][]R, tid func(*R) uint32) []R {
 	total, held := 0, 0
-	var only []Record
+	var only []R
 	for _, s := range shards {
 		total += len(s)
 		if len(s) > 0 {
@@ -308,14 +299,14 @@ func Merge(shards [][]Record) []Record {
 		return only
 	}
 	heads := make([]int, len(shards))
-	out := make([]Record, 0, total)
+	out := make([]R, 0, total)
 	for {
 		best := -1
 		for i, s := range shards {
 			if heads[i] >= len(s) {
 				continue
 			}
-			if best < 0 || s[heads[i]].TID < shards[best][heads[best]].TID {
+			if best < 0 || tid(&s[heads[i]]) < tid(&shards[best][heads[best]]) {
 				best = i
 			}
 		}
@@ -323,8 +314,8 @@ func Merge(shards [][]Record) []Record {
 			return out
 		}
 		s := shards[best]
-		tid := s[heads[best]].TID
-		for heads[best] < len(s) && s[heads[best]].TID == tid {
+		t := tid(&s[heads[best]])
+		for heads[best] < len(s) && tid(&s[heads[best]]) == t {
 			out = append(out, s[heads[best]])
 			heads[best]++
 		}

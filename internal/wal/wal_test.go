@@ -41,8 +41,8 @@ func TestAppendScanRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch: %+v vs %+v", i, got[i], recs[i])
 		}
 	}
-	if MaxTID(got) != 2 {
-		t.Errorf("MaxTID = %d", MaxTID(got))
+	if maxTID(got) != 2 {
+		t.Errorf("MaxTID = %d", maxTID(got))
 	}
 }
 
@@ -157,7 +157,7 @@ func TestByteAccountingMatchesWrites(t *testing.T) {
 }
 
 // multiStream builds n streams over disjoint regions of one memory, plus
-// the base addresses for ScanShards.
+// the base addresses for scanShards.
 func multiStream(t *testing.T, n int) ([]*Stream, []memsim.PAddr, *memsim.Memory) {
 	t.Helper()
 	st := &stats.Stats{}
@@ -190,7 +190,7 @@ func TestMergeOrdersAcrossShards(t *testing.T) {
 	for _, s := range streams {
 		s.Flush(0)
 	}
-	merged := Merge(ScanShards(mem, bases, 8<<10))
+	merged := mergeRecords(scanShards(mem, bases, 8<<10))
 	if len(merged) != 11 {
 		t.Fatalf("merged %d records, want 11", len(merged))
 	}
@@ -229,7 +229,7 @@ func TestMergeWithInterleavedTornTails(t *testing.T) {
 	streams[1].Flush(0)
 	mem.Poke(bases[1]+memsim.PAddr(mark)+4, []byte{0xFF, 0xFF}) // corrupt TID field
 
-	merged := Merge(ScanShards(mem, bases, 8<<10))
+	merged := mergeRecords(scanShards(mem, bases, 8<<10))
 	want := []uint32{1, 2, 3, 4}
 	if len(merged) != len(want) {
 		t.Fatalf("merged %d records, want %d (%+v)", len(merged), len(want), merged)
@@ -266,14 +266,14 @@ func TestMergeTornPrepareKeepsOtherShards(t *testing.T) {
 	streams[1].Append(Record{TID: 6, Kind: kindUpdateEnd, Payload: []byte("local-b")}, 0)
 	streams[1].Flush(0)
 
-	shards := ScanShards(mem, bases, 8<<10)
+	shards := scanShards(mem, bases, 8<<10)
 	if n := len(shards[0]); n != 2 {
 		t.Fatalf("shard 0 scanned %d records, want 2 (tear truncates only its own tail)", n)
 	}
 	if n := len(shards[1]); n != 1 {
 		t.Fatalf("shard 1 scanned %d records, want 1", n)
 	}
-	merged := Merge(shards)
+	merged := mergeRecords(shards)
 	want := []uint32{2, 5, 6}
 	if len(merged) != len(want) {
 		t.Fatalf("merged %d records, want %d", len(merged), len(want))
@@ -303,13 +303,13 @@ func TestSetTIDFloorAcrossShards(t *testing.T) {
 	// Recovery: every shard resets and takes the global max TID as floor,
 	// so post-recovery records sort after every durable one — on every
 	// shard, not just the one that held the max.
-	max := MaxTID(Merge(ScanShards(mem, bases, 8<<10)))
-	if max != 8 {
-		t.Fatalf("max TID = %d", max)
+	high := maxTID(mergeRecords(scanShards(mem, bases, 8<<10)))
+	if high != 8 {
+		t.Fatalf("max TID = %d", high)
 	}
 	for _, s := range streams {
 		s.Reset()
-		s.SetTIDFloor(max)
+		s.SetTIDFloor(high)
 	}
 	defer func() {
 		if recover() == nil {
@@ -320,14 +320,14 @@ func TestSetTIDFloorAcrossShards(t *testing.T) {
 }
 
 func TestMergeEmptyAndSingleShard(t *testing.T) {
-	if got := Merge(nil); len(got) != 0 {
+	if got := mergeRecords(nil); len(got) != 0 {
 		t.Fatalf("Merge(nil) returned %d records", len(got))
 	}
-	if got := Merge([][]Record{nil, nil}); len(got) != 0 {
+	if got := mergeRecords([][]Record{nil, nil}); len(got) != 0 {
 		t.Fatalf("Merge of empty shards returned %d records", len(got))
 	}
 	one := [][]Record{{{TID: 1, Kind: 1}, {TID: 2, Kind: 1}}}
-	got := Merge(one)
+	got := mergeRecords(one)
 	if len(got) != 2 || got[0].TID != 1 || got[1].TID != 2 {
 		t.Fatalf("single-shard merge mangled order: %+v", got)
 	}
@@ -372,4 +372,27 @@ func TestScanPrefixProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scanShards scans one region per base address, each of the given capacity.
+func scanShards(mem *memsim.Memory, bases []memsim.PAddr, capacity int) [][]Record {
+	out := make([][]Record, len(bases))
+	for i, base := range bases {
+		out[i] = Scan(mem, base, capacity)
+	}
+	return out
+}
+
+// mergeRecords merges scanned shards by their records' TIDs.
+func mergeRecords(shards [][]Record) []Record {
+	return Merge(shards, func(r *Record) uint32 { return r.TID })
+}
+
+// maxTID returns the highest TID among records (0 when empty).
+func maxTID(recs []Record) uint32 {
+	var m uint32
+	for _, r := range recs {
+		m = max(m, r.TID)
+	}
+	return m
 }

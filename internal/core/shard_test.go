@@ -10,7 +10,7 @@ import (
 )
 
 // shardEnv is testEnv with a multi-shard metadata journal.
-func shardEnv(t *testing.T, cores, shards int) (*txn.Env, *SSP) {
+func shardEnv(t testing.TB, cores, shards int) (*txn.Env, *SSP) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Entries = 64

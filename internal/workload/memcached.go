@@ -74,7 +74,6 @@ func buildMemcached(m *ssp.Machine, p Params) []*client {
 // sharded cache — holding every touched shard's lock (crossmix.go).
 func buildShardedMemcached(m *ssp.Machine, p Params) []*client {
 	perItems := max(p.Items/p.Clients, 16)
-	arenaPages := pagesFor(perItems*(40+p.ValueBytes) + (perItems/4)*8)
 	keySpace := uint64(perItems) * 2 // half the keys miss / insert-evict
 
 	rng := engine.NewRNG(p.Seed)
@@ -84,24 +83,9 @@ func buildShardedMemcached(m *ssp.Machine, p Params) []*client {
 	for i := range shards {
 		c := m.Core(i)
 		crng := rng.Fork()
-
-		c.Begin()
-		shards[i] = kv.Create(c, m.NewArena(c, arenaPages), kv.Config{
-			Buckets:    perItems / 4,
-			Capacity:   perItems,
-			ValueBytes: p.ValueBytes,
-		})
-		c.Commit()
-
-		// Prefill this shard to capacity so steady state includes
-		// evictions, as in the serial build.
-		fill := make([]byte, p.ValueBytes)
-		for k := 0; k < perItems; k++ {
-			fill[0] = byte(k)
-			c.Begin()
-			shards[i].Set(c, uint64(k), fill)
-			c.Commit()
-		}
+		// Prefilled to capacity so steady state includes evictions, as in
+		// the serial build.
+		shards[i], _ = newKVShard(m, c, perItems, p.ValueBytes, perItems, 0)
 		locks[i] = m.NewLock()
 
 		val := make([]byte, p.ValueBytes)
@@ -132,4 +116,32 @@ func buildShardedMemcached(m *ssp.Machine, p Params) []*client {
 		clients = append(clients, cl)
 	}
 	return clients
+}
+
+// newKVShard creates core c's kv shard in an arena of its own: a cache of
+// capacity items of valueBytes, plus a recencyBytes table beside it in the
+// arena when recencyBytes > 0, then SETs keys 0..fill-1, so GETs of them hit
+// and, with fill at capacity, SETs of fresh keys evict. It returns the cache
+// and the table's address.
+func newKVShard(m *ssp.Machine, c *ssp.Core, capacity, valueBytes, fill, recencyBytes int) (*kv.Cache, uint64) {
+	c.Begin()
+	arena := m.NewArena(c, pagesFor(capacity*(40+valueBytes)+(capacity/4)*8+recencyBytes))
+	cache := kv.Create(c, arena, kv.Config{
+		Buckets:    capacity / 4,
+		Capacity:   capacity,
+		ValueBytes: valueBytes,
+	})
+	var recency uint64
+	if recencyBytes > 0 {
+		recency = arena.Alloc(c, recencyBytes)
+	}
+	c.Commit()
+	val := make([]byte, valueBytes)
+	for k := 0; k < fill; k++ {
+		val[0] = byte(k)
+		c.Begin()
+		cache.Set(c, uint64(k), val)
+		c.Commit()
+	}
+	return cache, recency
 }

@@ -90,37 +90,17 @@ func RunServe(p ServeParams) ParallelResult {
 
 	// Serial setup: one kv shard per core, prefilled to capacity so GETs
 	// hit and steady-state SETs of fresh keys evict.
-	entry := 40 + p.ValueBytes
-	shardBytes := p.Items*entry + (p.Items/4)*8
 	recencyBytes := 0
 	if p.TouchOnGet {
 		// One full line per key: memcached keeps an item's LRU metadata in
 		// its header line, so each hot key dirties its own line.
 		recencyBytes = int(p.Keys) * 64
 	}
-	arenaPages := pagesFor(shardBytes + recencyBytes)
 	shards := make([]*kv.Cache, p.Clients)
 	recency := make([]uint64, p.Clients)
-	for i := 0; i < p.Clients; i++ {
-		c := m.Core(i)
-		c.Begin()
-		arena := m.NewArena(c, arenaPages)
-		shards[i] = kv.Create(c, arena, kv.Config{
-			Buckets:    p.Items / 4,
-			Capacity:   p.Items,
-			ValueBytes: p.ValueBytes,
-		})
-		if p.TouchOnGet {
-			recency[i] = arena.Alloc(c, recencyBytes)
-		}
-		c.Commit()
-		fill := make([]byte, p.ValueBytes)
-		for k := uint64(0); k < p.Keys && k < uint64(p.Items); k++ {
-			fill[0] = byte(k)
-			c.Begin()
-			shards[i].Set(c, k, fill)
-			c.Commit()
-		}
+	fill := int(min(p.Keys, uint64(p.Items)))
+	for i := range shards {
+		shards[i], recency[i] = newKVShard(m, m.Core(i), p.Items, p.ValueBytes, fill, recencyBytes)
 	}
 
 	parent := loadgen.New(loadgen.Config{

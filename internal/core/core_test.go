@@ -383,20 +383,24 @@ func TestSlotEncodingRoundTrip(t *testing.T) {
 }
 
 func TestJournalPayloadRoundTrip(t *testing.T) {
-	env, _ := testEnv(t, 1)
+	env, s := testEnv(t, 1)
 	st := slotState{vpn: 9, ppn0: env.Layout.FrameAddr(1), ppn1: env.Layout.FrameAddr(2), committed: 0x55, ver: 7}
-	// The paper-model 24-byte record (no version)...
-	sid, got, err := decodeJournalPayload(putJournalPayload(make([]byte, journalPayloadVerBytes), 13, st, &env.Layout, false), &env.Layout)
-	if err != nil || sid != 13 || got.vpn != 9 || got.ppn0 != st.ppn0 || got.ppn1 != st.ppn1 || got.committed != 0x55 {
-		t.Errorf("journal payload round trip: %+v (sid %d, %v)", got, sid, err)
+	decode := func(withVer bool) (journalRecord, error) {
+		p := putJournalPayload(make([]byte, journalPayloadVerBytes), 13, st, &env.Layout, withVer)
+		return s.decodeJournalRecord(wal.Record{TID: 1, Kind: recUpdate, Payload: p})
 	}
-	if got.ver != 0 {
-		t.Errorf("version leaked into the unsharded payload: %d", got.ver)
+	// The paper-model 24-byte record (no version)...
+	got, err := decode(false)
+	if err != nil || got.sid != 13 || got.st.vpn != 9 || got.st.ppn0 != st.ppn0 || got.st.ppn1 != st.ppn1 || got.st.committed != 0x55 {
+		t.Errorf("journal payload round trip: %+v (%v)", got, err)
+	}
+	if got.st.ver != 0 {
+		t.Errorf("version leaked into the unsharded payload: %d", got.st.ver)
 	}
 	// ...and the sharded 28-byte record carrying the slot update version.
-	sid, got, err = decodeJournalPayload(putJournalPayload(make([]byte, journalPayloadVerBytes), 13, st, &env.Layout, true), &env.Layout)
-	if err != nil || sid != 13 || got.vpn != 9 || got.committed != 0x55 || got.ver != 7 {
-		t.Errorf("versioned journal payload round trip: %+v (sid %d, %v)", got, sid, err)
+	got, err = decode(true)
+	if err != nil || got.sid != 13 || got.st.vpn != 9 || got.st.committed != 0x55 || got.st.ver != 7 {
+		t.Errorf("versioned journal payload round trip: %+v (%v)", got, err)
 	}
 }
 

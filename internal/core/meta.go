@@ -306,15 +306,6 @@ func globalEndPayload(buf *[globalEndPayloadBytes]byte, mask uint32) []byte {
 
 const globalEndPayloadBytes = 4
 
-func decodeJournalPayload(p []byte, l *vm.Layout) (sid int, st slotState, err error) {
-	if len(p) != journalPayloadBytes && len(p) != journalPayloadVerBytes {
-		return 0, st, fmt.Errorf("core: bad journal payload length %d", len(p))
-	}
-	sid = int(binary.LittleEndian.Uint32(p))
-	st, err = journalPayload.get(sid, p, l)
-	return sid, st, err
-}
-
 // lruSet models which SSP cache entries currently sit in the L3-resident
 // slice: a bounded recency set over slot IDs, held as an intrusive doubly
 // linked list indexed by slot id — head is the most recently touched slot,

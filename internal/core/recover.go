@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/memsim"
+	"repro/internal/vm"
 	"repro/internal/wal"
 )
 
@@ -45,43 +47,43 @@ func (s *SSP) Crash() {
 // from the persistent slot array, replay the metadata journal shards in
 // merged TID order (skipping transactions without a durable End record),
 // roll back interrupted fall-back transactions, repair the page table, and
-// rebuild the frame allocator.
+// rebuild the frame allocator. It reads the slot array and every ring once
+// and decodes each journal record once; a record that does not decode fails
+// recovery wherever it sits (decodeJournalRecord).
 //
-// With sharded journals the replay order is a TID-merge: every shard is
-// scanned and batch-validated independently (a shard's torn tail or
-// batch-without-End drops exactly as it did with one journal), the
-// surviving records are merged by their globally monotonic TIDs, and each
-// record applies only if its slot update version is newer than the state
-// already in the slot — a record left in one shard's ring must not regress
-// a slot that another shard's checkpoint already advanced past it.
+// With sharded journals every shard is batch-validated independently (a
+// shard's torn tail or batch-without-End drops exactly as with one
+// journal), the survivors are merged by their globally monotonic TIDs, and
+// each record applies only if its slot update version is newer than the
+// slot's: a record left in one shard's ring must not regress a slot that
+// another shard's checkpoint already advanced past it.
 //
 // Cross-shard transactions add one rule: a recPrepare record — a global
 // transaction's slot update in a participant shard — applies iff its TID's
-// recGlobalEnd record is durable in the coordinator shard. The end records
-// are collected in a first pass over every shard, so per-shard validation
-// stays independent otherwise: a torn prepare batch in one shard can never
-// drop an unrelated single-shard batch (even one with a higher TID) in
-// another.
+// recGlobalEnd record is durable in the coordinator shard. Every shard's end
+// records are collected before any shard is validated, so a torn prepare
+// batch in one shard can never drop an unrelated single-shard batch (even
+// one with a higher TID) in another.
 func (s *SSP) Recover() error {
 	s.env.Stats.Recoveries++
 
 	// 1. Load the persistent slot array (including each slot's checkpointed
-	// update version), a page of slots at a time. Only the lines NVRAM holds
-	// are decoded: a page never written and an all-zero line hold formatted
-	// slots (slots.go; no encoded slot is all zeros: a free one has vpn
-	// invalidU32, a used one two distinct frames).
+	// update version), a page of slots at a time, from the top down, so the
+	// tables grow once, to the highest line decoded. Only the lines NVRAM
+	// holds are decoded: a page never written and an all-zero line hold
+	// formatted slots (slots.go; no encoded slot is all zeros: a free one has
+	// vpn invalidU32, a used one two distinct frames).
 	s.resetSlots()
 	var page [memsim.PageBytes]byte
 	var maxVer uint32
 	const perPage = len(page) / slotBytes
-	s.growSlots(s.highestSlotLine(&page) + 1)
-	for first := 0; first < s.cfg.Entries; first += perPage {
+	for first := (s.cfg.Entries - 1) / perPage * perPage; first >= 0; first -= perPage {
 		if !s.env.Mem.Written(s.slotAddr(first)) {
 			continue
 		}
 		n := min(perPage, s.cfg.Entries-first)
 		s.env.Mem.Peek(s.slotAddr(first), page[:n*slotBytes])
-		for i := 0; i < n; i++ {
+		for i := n - 1; i >= 0; i-- {
 			line := page[i*slotBytes : (i+1)*slotBytes]
 			if [slotBytes]byte(line) == [slotBytes]byte{} {
 				continue
@@ -91,6 +93,7 @@ func (s *SSP) Recover() error {
 				return err
 			}
 			s.slotDecodes++
+			s.growSlots(first + i + 1)
 			s.slotShadow[first+i] = st
 			maxVer = max(maxVer, st.ver)
 		}
@@ -98,8 +101,10 @@ func (s *SSP) Recover() error {
 
 	// 2. Scan every journal shard once and decode each record once, into
 	// one buffer: each shard's records, then room for the batch under
-	// validation.
-	raw := make([][]wal.Record, len(s.env.Layout.JournalBase))
+	// validation. The per-shard slices live on the stack.
+	var scans [vm.MaxJournalShards][]wal.Record
+	var shardBuf [vm.MaxJournalShards][]journalRecord
+	raw, shards := scans[:len(s.env.Layout.JournalBase)], shardBuf[:len(s.env.Layout.JournalBase)]
 	total, longest := 0, 0
 	for i, base := range s.env.Layout.JournalBase {
 		raw[i] = wal.Scan(s.env.Mem, base, s.env.Layout.Cfg.JournalBytes)
@@ -107,7 +112,6 @@ func (s *SSP) Recover() error {
 	}
 	buf := make([]journalRecord, total+longest)
 	batch := buf[total:total:len(buf)]
-	shards := make([][]journalRecord, len(raw))
 	var maxTID uint32
 	for i, recs := range raw {
 		shards[i], buf = buf[:len(recs):len(recs)], buf[len(recs):]
@@ -133,8 +137,9 @@ func (s *SSP) Recover() error {
 	// keeps a relaxed crash from tearing: in particular the end TIDs below
 	// come from the CUT lists, so a coordinator End sitting in an open epoch
 	// cannot commit its (durably sealed) prepares in other shards.
-	if s.cfg.DurabilityEpoch > 0 {
-		for i, recs := range shards {
+	endTIDs := make(map[uint32]bool)
+	for i, recs := range shards {
+		if s.cfg.DurabilityEpoch > 0 {
 			cut := 0
 			for j, r := range recs {
 				if r.kind == recEpochSeal {
@@ -147,12 +152,9 @@ func (s *SSP) Recover() error {
 					s.env.Stats.LostEpochTxns++
 				}
 			}
-			shards[i] = recs[:cut]
+			recs = recs[:cut]
+			shards[i] = recs
 		}
-	}
-
-	endTIDs := make(map[uint32]bool)
-	for _, recs := range shards {
 		for _, r := range recs {
 			if r.kind == recGlobalEnd {
 				endTIDs[r.tid] = true
@@ -188,7 +190,6 @@ func (s *SSP) Recover() error {
 		if s.sharded() && r.st.ver <= s.shadowOf(r.sid).ver {
 			continue // the slot already holds this update (or a newer one)
 		}
-		s.growSlots(r.sid + 1)
 		s.slotShadow[r.sid] = r.st
 		s.env.Stats.ReplayedRecords++
 	}
@@ -271,25 +272,6 @@ func (s *SSP) Recover() error {
 	return nil
 }
 
-// highestSlotLine returns the highest slot whose line NVRAM holds, or -1,
-// reading slot pages into page from the top down.
-func (s *SSP) highestSlotLine(page *[memsim.PageBytes]byte) int {
-	const perPage = memsim.PageBytes / slotBytes
-	for first := (s.cfg.Entries - 1) / perPage * perPage; first >= 0; first -= perPage {
-		if !s.env.Mem.Written(s.slotAddr(first)) {
-			continue
-		}
-		n := min(perPage, s.cfg.Entries-first)
-		s.env.Mem.Peek(s.slotAddr(first), page[:n*slotBytes])
-		for i := n - 1; i >= 0; i-- {
-			if [slotBytes]byte(page[i*slotBytes:(i+1)*slotBytes]) != [slotBytes]byte{} {
-				return first + i
-			}
-		}
-	}
-	return -1
-}
-
 // journalRecord is one journal record as recovery reads it, its payload
 // decoded once: sid and st are the slot id and state of the kinds that
 // carry one (every kind but recGlobalEnd and recEpochSeal).
@@ -310,14 +292,16 @@ func (s *SSP) decodeJournalRecord(r wal.Record) (journalRecord, error) {
 	jr := journalRecord{tid: r.TID, kind: r.Kind}
 	switch r.Kind {
 	case recUpdate, recUpdateEnd, recConsolidate, recRelease, recPrepare:
-		sid, st, err := decodeJournalPayload(r.Payload, &s.env.Layout)
-		if err != nil {
+		if len(r.Payload) != journalPayloadBytes && len(r.Payload) != journalPayloadVerBytes {
+			return jr, fmt.Errorf("core: bad journal payload length %d", len(r.Payload))
+		}
+		if jr.sid = int(binary.LittleEndian.Uint32(r.Payload)); jr.sid >= s.cfg.Entries {
+			return jr, fmt.Errorf("core: journal record names slot %d of %d", jr.sid, s.cfg.Entries)
+		}
+		var err error
+		if jr.st, err = journalPayload.get(jr.sid, r.Payload, &s.env.Layout); err != nil {
 			return jr, err
 		}
-		if sid >= s.cfg.Entries {
-			return jr, fmt.Errorf("core: journal record names slot %d of %d", sid, s.cfg.Entries)
-		}
-		jr.sid, jr.st = sid, st
 	case recGlobalEnd:
 		if len(r.Payload) != globalEndPayloadBytes {
 			return jr, fmt.Errorf("core: bad global-end payload length %d, want %d", len(r.Payload), globalEndPayloadBytes)

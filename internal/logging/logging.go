@@ -24,6 +24,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // Log record kinds.
@@ -63,6 +64,15 @@ func (w *writeSet[V]) insert(i int, la memsim.PAddr, v V) {
 }
 
 func (w *writeSet[V]) reset() { w.lines, w.vals = w.lines[:0], w.vals[:0] }
+
+// resume sets a recovered backend's next TID past maxTID, the highest one
+// its logs hold, and raises every log's TID floor to it.
+func resume(logs []*wal.Stream, next *uint32, maxTID uint32) {
+	*next = max(*next, maxTID+1)
+	for _, l := range logs {
+		l.SetTIDFloor(maxTID)
+	}
+}
 
 // lineOf returns the line base address for va translated through env.
 func lineOf(env *txn.Env, core int, va uint64, at engine.Cycles) (memsim.PAddr, memsim.PAddr, engine.Cycles) {

@@ -250,30 +250,22 @@ func (r *Redo) Recover() error {
 	}
 	last := -1 // the first core whose log holds maxTID
 	for c, l := range logs {
+		if l.Interrupted() {
+			r.env.Stats.RolledBackTxns++
+		}
 		if l.Records > 0 && (last < 0 || l.TID > logs[last].TID) {
 			last = c
 		}
 	}
-	for c, l := range logs {
-		if l.Interrupted() {
-			r.env.Stats.RolledBackTxns++
-		}
-		if c != last || !l.Committed {
-			continue
-		}
-		for _, line := range l.Lines {
+	if last >= 0 && logs[last].Committed {
+		for _, line := range logs[last].Lines {
 			r.env.Mem.WriteLine(line.PA, line.Line, 0, stats.CatRecovery)
 			r.env.Stats.RecoveryNVWrites++
 			r.env.Stats.ReplayedRecords++
 		}
 		r.env.Stats.RecoveredTxns++
 	}
-	if maxTID >= r.next {
-		r.next = maxTID + 1
-	}
-	for c := range r.logs {
-		r.logs[c].SetTIDFloor(maxTID)
-	}
+	resume(r.logs, &r.next, maxTID)
 	return nil
 }
 

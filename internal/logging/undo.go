@@ -159,12 +159,7 @@ func (u *Undo) Recover() error {
 			u.env.Stats.RolledBackTxns++
 		}
 	}
-	if maxTID >= u.next {
-		u.next = maxTID + 1
-	}
-	for c := range u.logs {
-		u.logs[c].SetTIDFloor(maxTID)
-	}
+	resume(u.logs, &u.next, maxTID)
 	return nil
 }
 

@@ -220,17 +220,33 @@ var windowRead func()
 // near-empty ring costs a window, not the ring's capacity.
 //
 // Each record's checksum and TID are checked once, as the scan reaches it.
-// The valid records' headers and payload bytes collect in buffers on the
-// stack (a long prefix spills to the heap) and are copied out at the end, so
-// the records and their payloads cost one allocation each per scan. Each
-// payload is capped at its own length.
+// A valid record's payload stays in the window until the window moves past
+// it, and is copied out then or at the end, so the records and their
+// payloads cost one allocation each per scan of a ring that fits the
+// window. Each payload is capped at its own length.
 func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
+	type header struct {
+		tid        uint32
+		off        int32 // the payload's offset in the region
+		kind, plen uint8
+	}
 	var win [scanWindow]byte
 	winOff, winLen := 0, 0 // win[:winLen] holds region bytes [winOff, winOff+winLen)
+	var hdrBuf [64]header
+	hdrs := hdrBuf[:0]
+	var pay []byte // the payloads of hdrs[:kept], copied out of the window
+	kept := 0
+	keep := func() {
+		for _, h := range hdrs[kept:] {
+			pay = append(pay, win[int(h.off)-winOff:][:h.plen]...)
+		}
+		kept = len(hdrs)
+	}
 	// bytesAt returns region bytes [off, off+n), n <= scanWindow, refilling
 	// the window from off when it does not hold them all.
 	bytesAt := func(off, n int) []byte {
 		if off < winOff || off+n > winOff+winLen {
+			keep()
 			winOff, winLen = off, min(scanWindow, capacity-off)
 			mem.Peek(base+memsim.PAddr(off), win[:winLen])
 			if windowRead != nil {
@@ -239,14 +255,8 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		}
 		return win[off-winOff : off-winOff+n]
 	}
-	type header struct {
-		tid        uint32
-		kind, plen uint8
-	}
-	var hdrBuf [scanWindow / HeaderBytes]header
-	var payBuf [scanWindow]byte
-	hdrs, pay := hdrBuf[:0], payBuf[:0]
 	var last uint32
+	size := 0 // the valid records' payload bytes
 	for off := 0; off+HeaderBytes <= capacity; {
 		hdr := bytesAt(off, HeaderBytes)
 		sum := binary.LittleEndian.Uint32(hdr[0:])
@@ -256,24 +266,25 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		if plen > MaxPayload || off+encodedLen(plen) > capacity {
 			break
 		}
-		p := bytesAt(off+HeaderBytes, plen)
-		if checksum(tid, kind, p) != sum || tid < last {
+		if checksum(tid, kind, bytesAt(off+HeaderBytes, plen)) != sum || tid < last {
 			break
 		}
 		last = tid
-		hdrs = append(hdrs, header{tid, kind, uint8(plen)})
-		pay = append(pay, p...)
-		off += encodedLen(plen)
+		hdrs = append(hdrs, header{tid, int32(off + HeaderBytes), kind, uint8(plen)})
+		size, off = size+plen, off+encodedLen(plen)
 	}
 	if len(hdrs) == 0 {
 		return nil
 	}
-	out, payloads := make([]Record, len(hdrs)), make([]byte, len(pay))
-	copy(payloads, pay)
+	if pay == nil {
+		pay = make([]byte, 0, size)
+	}
+	keep()
+	out := make([]Record, len(hdrs))
 	for i, h := range hdrs {
 		n := int(h.plen)
-		out[i] = Record{TID: h.tid, Kind: h.kind, Payload: payloads[:n:n]}
-		payloads = payloads[n:]
+		out[i] = Record{TID: h.tid, Kind: h.kind, Payload: pay[:n:n]}
+		pay = pay[n:]
 	}
 	return out
 }

@@ -160,7 +160,7 @@
 // a 2 000-key B-tree allocate 0.12 MiB, and holding a 4 MiB array 0.46 MiB,
 // nearly all of it SSP recovery's per-slot state (its slot tables grow once,
 // to the highest slot NVRAM or a surviving record names; wal.Scan copies a
-// ring's payloads into one buffer). No write through one
+// ring's payloads out of its scan window into one buffer). No write through one
 // Memory is ever visible in the image or in another Memory, so the crashed
 // one may still Recover in place and one image may be restored any number of
 // times, from any goroutine. Image.Bytes and memsim.ImageFromBytes convert
@@ -174,10 +174,11 @@
 // machine, 24 576 on the Table 2 default;
 // vm.TestPageTableRebuildReadsWrittenPages counts the pages read).
 // vm.FrameAlloc reserves SSP's N·T+O formatted spare frames a 64-frame word
-// at a time. SSP recovery builds every shard's surviving journal records in
-// one buffer, replays a single shard's records without a merge, and
-// allocates the rebuilt transient-cache entries together: 5 allocations
-// per recovery of a sweep machine cut mid-script, where it made 15. The
+// at a time. SSP recovery decodes every shard's journal records once, into
+// one buffer, validates each shard's batches in place, replays a single
+// shard's records without a merge, and allocates the rebuilt
+// transient-cache entries together: 5 allocations per recovery of a sweep
+// machine cut mid-script, where it made 15. The
 // coherence check the oracle runs twice per point
 // (cachesim.Hierarchy.DebugValidate) walks each level's materialised blocks
 // and their valid masks, not every set of each touched directory slot;
@@ -191,6 +192,15 @@
 // a VPN and an SSP spare, vm.FrameAlloc.Rebuild), and an SSP slot line or
 // journal record naming a VPN or frame outside the heap or the pool are
 // errors of ssp.Restore and Machine.Recover naming the value, not panics.
+// So is a checksum-valid journal record whose payload its kind does not
+// admit (a wrong length, a slot past the SSP cache, a frame or VPN outside
+// the pool or the heap) or whose kind is unknown, wherever it sits: inside
+// a sealed batch, in the unsealed tail recovery drops, or beside a prepare
+// no durable End commits. The error names the record's shard, position,
+// TID and kind (core.TestRecoveryRejectsMalformedJournalRecords;
+// core.FuzzRecoverJournal frames fuzzed records into a journal and
+// recovers it). The per-core logs follow the same rule through
+// txn.Env.DecodeLines.
 //
 // A bank's or bus's occupancy ring is sized by the simulated span it covers,
 // not by its history bound: it materialises at the resource's first booking
@@ -258,8 +268,10 @@
 // (the allocation sequence of the full free list it replaced,
 // vm.TestFrameAllocMatchesListModel); no frame is ever returned to it. The
 // page-table mirror reaches as far as the highest mapped page and is rebuilt
-// through a 4 KiB window of the PTE array, and wal.Scan reads a ring through
-// a 4 KiB window and stops where parsing stops. DebugValidate visits lines
+// through a 4 KiB window of the PTE array, and wal.Scan reads a ring once,
+// forward, through a 4 KiB window, checks each record's checksum and TID
+// once and stops at the first invalid record
+// (wal.TestScanReadsEachWindowOnce counts the windows). DebugValidate visits lines
 // through a callback and formats a message only for the violation it
 // reports.
 //
@@ -418,7 +430,14 @@
 // tail line; transaction IDs come from one global allocator (a commit
 // appends before any other core runs, so every stream stays
 // TID-monotonic). Checkpointing is
-// per-shard: a hot core fills and drains only its own ring. Recovery is a
+// per-shard: a hot core fills and drains only its own ring. Recovery decodes
+// each journal record once, into a typed record carrying its slot id and
+// state, and the version high-water, the epoch cut, the end-TID set, batch
+// validation, table sizing and replay all read those fields
+// (core.TestRecoverDecodesEachJournalRecordOnce pins decodes = records
+// scanned); UNDO-LOG, REDO-LOG and SSP's fall-back rollback read their
+// per-core logs through one reader (txn.Env.ReadLogs) and roll back through
+// one loop (txn.Env.Rollback). Recovery is a
 // TID-merge — every shard is scanned and batch-validated independently
 // (torn tails and batches without a durable End drop per shard, exactly as
 // with one journal), the survivors merge by their globally monotonic TIDs,
@@ -675,6 +694,21 @@
 // names class, backend, script seed and trap index. The benchmark's
 // crashsweep.RunScript and Verify are thin wrappers over the same runner
 // and checker.
+//
+// Recovery must itself survive a power failure: a failure at any NVRAM
+// write of Recover, followed by a complete recovery, gives the same oracle
+// verdict — all-or-nothing, no error, no panic. crashsweep.Sweep checks it
+// with a nested cut on a sample of each script's trap points (every
+// ceil((writes+1)/40)-th, about 40 per script; every point with
+// CRASHSWEEP_NESTED_ALL set): for each NVRAM write j the point's recovery
+// issues, a fresh machine fails at the same point, fails again after j
+// writes of its first Recover, recovers once more on live power, and the
+// same checker runs. There is no second oracle and no new class, so every
+// row runs nested cuts on every backend, and sspcrash prints each row's
+// nested cuts beside its trap points. Recovery writes little — UNDO-LOG's
+// rollback lines, REDO-LOG's replayed lines, SSP's fall-back rollback and
+// page-table repairs — so the in-tree sweep runs 6 983 nested cuts
+// (UNDO-LOG 2 983, REDO-LOG 3 690, SSP 310) beside its 25 903 trap points.
 //
 // REDO-LOG recovery replays only the log that holds the highest TID, and
 // TIDs are drawn at commit. A commit writes its data back in place before

@@ -79,8 +79,7 @@ func TestRecoverDecodesOnlyWrittenSlots(t *testing.T) {
 // Recovery decodes each journal record's payload once: on a four-shard image
 // holding cross-shard prepares and their coordinator ends, relaxed epochs
 // and their seals, the payload decodes equal the records the shards' scans
-// return — where a high-water pass, a table-sizing pass and the replay once
-// decoded each slot record up to three times.
+// return, so no later step of recovery decodes a payload again.
 func TestRecoverDecodesEachJournalRecordOnce(t *testing.T) {
 	env, s := shardEnv(t, 4, 4)
 	s.cfg.DurabilityEpoch = 1 << 30 // only the Syncs harden

@@ -94,7 +94,7 @@
 // (permutation-based interleaving), so power-of-2 strided regions such as the
 // per-core logs spread across banks instead of aliasing onto one. Per-channel
 // traffic and bus-occupancy counters land in stats.Stats (ChannelLines,
-// ChannelBusyCycles), one stats shard per channel.
+// ChannelBusyCycles, indexed by channel) on the machine's shared shard.
 //
 // Bank and bus occupancy is tracked in time-bucketed ledgers rather than
 // "busy until" scalars, so cores queue only when their simulated
@@ -200,7 +200,7 @@
 // TID and kind (core.TestRecoveryRejectsMalformedJournalRecords;
 // core.FuzzRecoverJournal frames fuzzed records into a journal and
 // recovers it). The per-core logs follow the same rule through
-// txn.Env.DecodeLines.
+// txn.Logs.Read.
 //
 // A bank's or bus's occupancy ring is sized by the simulated span it covers,
 // not by its history bound: it materialises at the resource's first booking
@@ -269,9 +269,12 @@
 // vm.TestFrameAllocMatchesListModel); no frame is ever returned to it. The
 // page-table mirror reaches as far as the highest mapped page and is rebuilt
 // through a 4 KiB window of the PTE array, and wal.Scan reads a ring once,
-// forward, through a 4 KiB window, checks each record's checksum and TID
-// once and stops at the first invalid record
-// (wal.TestScanReadsEachWindowOnce counts the windows). DebugValidate visits lines
+// forward, into a window of at most 4 KiB, in reads that start at 256 bytes
+// and double, checks each record's checksum and TID once and stops at the
+// first invalid record without reading past it
+// (wal.TestScanReadsEachWindowOnce pins each byte peeked at most once,
+// wal.TestScanOfOneRecordPeeksLittle a one-record ring at one read of at most
+// 256 bytes). DebugValidate visits lines
 // through a callback and formats a message only for the violation it
 // reports.
 //
@@ -407,17 +410,21 @@
 // most-recent-entry check before either.
 // Per-core write sets are short slices cleared at Begin, on all three
 // backends: SSP's write-set buffer keeps its pages sorted (at most
-// WSBEntries of them), UNDO-LOG's and REDO-LOG's keep their lines sorted
-// (UNDO-LOG's with each line's pre-transaction image), each found by binary
+// WSBEntries of them), and the per-core log's write sets (txn.WriteSet, on
+// UNDO-LOG, REDO-LOG and SSP's fall-back path) keep their lines sorted (the
+// undo logs' with each line's pre-transaction image), each found by binary
 // search and reset in place at commit, abort and power failure, so a commit
 // neither allocates nor sorts and flushes, logs and restores lines in
-// ascending address order; Core's Table 3 record is one line bitmap per
+// ascending address order; the fall-back's pinned pages are a sorted slice
+// reused the same way. Core's Table 3 record is one line bitmap per
 // page. REDO-LOG's write-back queue moves its live tail to the front as it
 // drains, so it never reallocates. The replaced structures survive as the
 // reference models of differential tests (cachesim.TestHierarchyMatchesScanModel,
-// tlbsim.TestTLBMatchesScanModel, logging.TestWriteSetMatchesScanModel);
-// logging.TestCommitAllocatesNothing and ssp.TestGlobalCommitAllocatesNothing
-// hold a warm commit to zero allocations; allocation guards pin a serial Load64
+// tlbsim.TestTLBMatchesScanModel, logging.TestWriteSetMatchesScanModel,
+// core.TestFallbackLogMatchesMapModel);
+// logging.TestCommitAllocatesNothing (UNDO-LOG, REDO-LOG and SSP's fall-back
+// path) and ssp.TestGlobalCommitAllocatesNothing hold a warm commit to zero
+// allocations; allocation guards pin a serial Load64
 // hit, a Store64 into the write set, every kind of cache miss, Retag, Flush,
 // WritebackInvalidate, InjectLine, Hierarchy.DropAll and TLB.Drop at zero.
 //
@@ -435,9 +442,15 @@
 // state, and the version high-water, the epoch cut, the end-TID set, batch
 // validation, table sizing and replay all read those fields
 // (core.TestRecoverDecodesEachJournalRecordOnce pins decodes = records
-// scanned); UNDO-LOG, REDO-LOG and SSP's fall-back rollback read their
-// per-core logs through one reader (txn.Env.ReadLogs) and roll back through
-// one loop (txn.Env.Rollback). Recovery is a
+// scanned). UNDO-LOG, REDO-LOG and SSP's fall-back path share one per-core
+// log, all of it in internal/txn: one pair of record kinds (a line record,
+// a header-only commit record), one writer (txn.Logs: each core's ring, its
+// open transaction's TID and sorted write set, the undo step, the closing
+// commit record and the TID floor after recovery), one reader
+// (txn.Logs.Read) and one rollback loop (txn.Logs.Rollback). The designs
+// keep their policy: when a TID is drawn (UNDO-LOG at Begin, REDO-LOG at
+// commit, the fall-back from SSP's allocator), which image a record
+// carries, and what a commit persists before its record. Recovery is a
 // TID-merge — every shard is scanned and batch-validated independently
 // (torn tails and batches without a durable End drop per shard, exactly as
 // with one journal), the survivors merge by their globally monotonic TIDs,

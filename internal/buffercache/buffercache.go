@@ -4,8 +4,8 @@
 // cachesim.Mem, so internal/cachesim routes all sub-L3 traffic through it.
 //
 // Shape (the classic pager): a pool of 4 KiB DRAM frames, a frame table
-// mapping NVRAM data pages to frames, pin counts, per-shard LRU eviction
-// and a free list, with dirty lines written back to NVRAM before a frame is
+// mapping NVRAM data pages to frames, per-shard LRU eviction and a free
+// list, with dirty lines written back to NVRAM before a frame is
 // reused. The pool is sharded by page address — one shard per core by
 // default — so the serve path takes no lock of its own (all calls arrive
 // from inside a cachesim operation, and those run one at a time; sharding
@@ -61,13 +61,11 @@ type Config struct {
 
 // frame is one DRAM page frame.
 type frame struct {
-	page  memsim.PAddr // NVRAM page base currently cached; valid when inUse
+	page  memsim.PAddr // NVRAM page base currently cached; valid while mapped
 	buf   memsim.PAddr // DRAM base address of this frame (immutable)
 	valid uint64       // per-line valid mask
 	dirty uint64       // per-line dirty mask (absorbed write-backs)
-	pins  int
 	lru   uint64
-	inUse bool
 }
 
 // shard is one independent frame partition with its own table, free list
@@ -157,9 +155,9 @@ func (s *shard) touch(f *frame) {
 	f.lru = s.tick
 }
 
-// ensureFrame returns a frame holding pa's page, allocating (and evicting,
-// writing dirty victim lines back to NVRAM at `at`) as needed. Returns nil
-// when the shard has no evictable frame (all pinned).
+// ensureFrame returns a frame holding pa's page, allocating (and evicting
+// the shard's least recently used frame, writing its dirty lines back to
+// NVRAM at `at`) as needed.
 func (c *Cache) ensureFrame(core int, page memsim.PAddr, at engine.Cycles) *frame {
 	s, f := c.lookup(page)
 	if f != nil {
@@ -172,23 +170,15 @@ func (c *Cache) ensureFrame(core int, page memsim.PAddr, at engine.Cycles) *fram
 		idx = s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
 	default:
-		idx = -1
 		for i := range s.frames {
-			v := &s.frames[i]
-			if v.pins > 0 {
-				continue
-			}
-			if idx < 0 || v.lru < s.frames[idx].lru {
+			if s.frames[i].lru < s.frames[idx].lru {
 				idx = i
 			}
-		}
-		if idx < 0 {
-			return nil // every frame pinned
 		}
 		c.evictFrame(core, s, idx, at)
 	}
 	f = &s.frames[idx]
-	f.page, f.valid, f.dirty, f.inUse = page, 0, 0, true
+	f.page, f.valid, f.dirty = page, 0, 0
 	s.table[page] = idx
 	s.touch(f)
 	return f
@@ -211,7 +201,7 @@ func (c *Cache) evictFrame(core int, s *shard, idx int, at engine.Cycles) {
 		st.DRAMCacheWriteBacks++
 	}
 	delete(s.table, f.page)
-	f.inUse, f.valid, f.dirty = false, 0, 0
+	f.valid, f.dirty = 0, 0
 }
 
 // ---------------------------------------------------------------------------
@@ -238,11 +228,10 @@ func (c *Cache) ReadLine(core int, pa memsim.PAddr, buf []byte, at engine.Cycles
 	done := c.mem.ReadLine(pa, buf, at)
 	// Fill the frame clean; the DRAM write's completion is not waited on
 	// (fill engines run behind the demand read).
-	if f = c.ensureFrame(core, page, at); f != nil {
-		c.mem.WriteLine(f.buf+off, buf, at, stats.CatData)
-		f.valid |= 1 << uint(li)
-		f.dirty &^= 1 << uint(li)
-	}
+	f = c.ensureFrame(core, page, at)
+	c.mem.WriteLine(f.buf+off, buf, at, stats.CatData)
+	f.valid |= 1 << uint(li)
+	f.dirty &^= 1 << uint(li)
 	return done
 }
 
@@ -257,11 +246,6 @@ func (c *Cache) EvictLine(core int, pa memsim.PAddr, data []byte, at engine.Cycl
 	}
 	page := memsim.PageAddr(pa)
 	f := c.ensureFrame(core, page, at)
-	if f == nil {
-		// Every frame pinned: fall through to NVRAM like the bare model.
-		c.mem.WriteLine(pa, data, at, cat)
-		return
-	}
 	li := memsim.LineIndex(pa)
 	off := pa - page
 	c.mem.WriteLine(f.buf+off, data, at, cat)
@@ -280,12 +264,11 @@ func (c *Cache) PersistLine(core int, pa memsim.PAddr, data []byte, at engine.Cy
 		return done
 	}
 	page := memsim.PageAddr(pa)
-	if f := c.ensureFrame(core, page, at); f != nil {
-		li := memsim.LineIndex(pa)
-		c.mem.WriteLine(f.buf+(pa-page), data, at, cat)
-		f.valid |= 1 << uint(li)
-		f.dirty &^= 1 << uint(li)
-	}
+	f := c.ensureFrame(core, page, at)
+	li := memsim.LineIndex(pa)
+	c.mem.WriteLine(f.buf+(pa-page), data, at, cat)
+	f.valid |= 1 << uint(li)
+	f.dirty &^= 1 << uint(li)
 	return done
 }
 
@@ -356,32 +339,6 @@ func (c *Cache) Peek(pa memsim.PAddr, buf []byte) {
 	c.mem.Peek(f.buf+(pa-page), buf)
 }
 
-// ---------------------------------------------------------------------------
-// Pager API beyond cachesim.Mem.
-
-// Pin prevents the frame holding pa's page (if any) from being evicted
-// until a matching Unpin. Reports whether a frame was pinned.
-func (c *Cache) Pin(pa memsim.PAddr) bool {
-	if !c.cached(pa) {
-		return false
-	}
-	_, f := c.lookup(memsim.PageAddr(pa))
-	if f == nil {
-		return false
-	}
-	f.pins++
-	return true
-}
-
-// Unpin releases one pin on pa's frame.
-func (c *Cache) Unpin(pa memsim.PAddr) {
-	_, f := c.lookup(memsim.PageAddr(pa))
-	if f == nil || f.pins == 0 {
-		panic(fmt.Sprintf("buffercache: Unpin of unpinned page %#x", pa))
-	}
-	f.pins--
-}
-
 // DropAll discards every frame without write-back: the moment of power
 // loss. Dirty absorbed lines vanish, exactly as volatile DRAM contents do.
 func (c *Cache) DropAll() {
@@ -390,7 +347,7 @@ func (c *Cache) DropAll() {
 		s.free = s.free[:0]
 		for i := range s.frames {
 			f := &s.frames[i]
-			f.inUse, f.valid, f.dirty, f.pins = false, 0, 0, 0
+			f.valid, f.dirty = 0, 0
 			s.free = append(s.free, i)
 		}
 		s.tick = 0

@@ -31,46 +31,6 @@ func line(b byte) []byte {
 	return data
 }
 
-func TestPinPreventsEviction(t *testing.T) {
-	c, mem, sh := newTestCache(t, 1, 1)
-	pageA := c.lo
-	pageB := c.lo + memsim.PageBytes
-	buf := make([]byte, memsim.LineBytes)
-
-	c.ReadLine(0, pageA, buf, 0) // fills the only frame
-	if !c.Pin(pageA) {
-		t.Fatal("Pin found no frame for a just-filled page")
-	}
-	// A demand read of another page cannot claim the pinned frame: it is
-	// served from NVRAM and left uncached.
-	c.ReadLine(0, pageB, buf, 0)
-	if _, f := c.lookup(pageB); f != nil {
-		t.Error("page B got a frame while the whole pool was pinned")
-	}
-	if _, f := c.lookup(pageA); f == nil || !f.inUse {
-		t.Error("pinned page A was evicted")
-	}
-	// A victim write-back cannot be absorbed either — it falls through to
-	// NVRAM like the bare model, keeping the bytes safe.
-	c.EvictLine(0, pageB, line(7), 0, stats.CatData)
-	if got := sh.Shard(0).DRAMCacheAbsorbed; got != 0 {
-		t.Errorf("absorbed %d write-backs with every frame pinned", got)
-	}
-	mem.Peek(pageB, buf)
-	if buf[0] != 7 {
-		t.Error("fall-through write-back did not reach NVRAM")
-	}
-	// Unpinning re-enables eviction.
-	c.Unpin(pageA)
-	c.EvictLine(0, pageB, line(8), 0, stats.CatData)
-	if _, f := c.lookup(pageB); f == nil {
-		t.Error("page B not absorbed after Unpin")
-	}
-	if _, f := c.lookup(pageA); f != nil {
-		t.Error("page A still resident after losing the pool's only frame")
-	}
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
 	c, _, _ := newTestCache(t, 2, 1)
 	pageA := c.lo

@@ -2,27 +2,25 @@ package core
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/stats"
-	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // The software fall-back path (§3.5): when a transaction's write set
 // overflows the write-set buffer, SSP "aborts the transaction and reverts
 // to a fall-back path ... which can implement any kind of unbounded
 // software redo or undo logging". We implement unbounded software undo
-// logging over the per-core log regions — and rather than re-executing the
-// program, the transition converts the SSP-speculative state accumulated so
-// far into logged in-place state, which is equivalent and keeps the
-// programming model oblivious.
-const (
-	fbKindData   = 10 // payload: a txn line record
-	fbKindCommit = 11
-)
+// logging — UNDO-LOG's protocol, written through the same per-core log
+// writer (txn.Logs, fbLog) and read back by the same reader — and rather
+// than re-executing the program, the transition converts the
+// SSP-speculative state accumulated so far into logged in-place state,
+// which is equivalent and keeps the programming model oblivious. What stays
+// here is the fall-back's own policy: the transition, TIDs from SSP's
+// allocator, the pages pinned against consolidation (fbPages) and the
+// metadata barrier before the in-place data persists.
 
 // transitionToFallback converts the open SSP transaction on core into a
 // software-undo transaction: every speculative unit is undo-logged
@@ -32,9 +30,8 @@ const (
 func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 	s.env.StatsFor(core).FallbackTxns++
 	t := at
-	tid := s.allocTID()
-	s.fbTID[core] = tid
-	log := s.fbLogs[core]
+	s.fbLog.Open(core, s.allocTID())
+	fbws := s.fbLog.Set(core)
 
 	ws := &s.ws[core]
 	for i, vpn := range ws.vpns {
@@ -50,21 +47,18 @@ func (s *SSP) transitionToFallback(core int, at engine.Cycles) engine.Cycles {
 				var spec, comm [memsim.LineBytes]byte
 				t = s.env.Caches.Load(core, specLA, spec[:], t)
 				t = s.env.Caches.Load(core, commLA, comm[:], t)
-				s.fbOld[core][commLA] = comm
-				var p [txn.LineRecordBytes]byte
-				t = log.Append(wal.Record{TID: tid, Kind: fbKindData, Payload: txn.EncodeLine(&p, commLA, comm[:])}, t)
-				t = log.Flush(t)
-				s.env.StatsFor(core).UndoRecords++
+				pos, _ := fbws.Find(commLA)
+				t = s.fbLog.LogUndo(core, pos, commLA, comm, comm[:], t)
 				t = s.env.Caches.Store(core, commLA, spec[:], t)
 				s.env.Caches.InvalidateLine(specLA)
 			}
 			meta.current ^= 1 << uint(unit)
 			s.env.StatsFor(core).FlipBroadcasts++
 		}
-		// The page stays pinned against consolidation for the rest of the
-		// fall-back transaction.
-		s.fbPages[core][vpn] = struct{}{}
 	}
+	// The pages stay pinned against consolidation, by the references their
+	// first stores took, for the rest of the fall-back transaction.
+	s.fbPages[core] = append(s.fbPages[core][:0], ws.vpns...)
 	ws.reset()
 	s.fallback[core] = true
 	s.clock(t)
@@ -80,20 +74,15 @@ func (s *SSP) fbStore(core int, va uint64, data []byte, at engine.Cycles) engine
 	curBit := (meta.current >> uint(s.unitOf(lineIdx))) & 1
 	pa := meta.lineAddr(lineIdx, curBit) + memsim.PAddr(off&(memsim.LineBytes-1))
 	la := memsim.LineAddr(pa)
-	if _, logged := s.fbOld[core][la]; !logged {
+	if i, logged := s.fbLog.Set(core).Find(la); !logged {
 		var img [memsim.LineBytes]byte
 		t = s.env.Caches.Load(core, la, img[:], t)
-		s.fbOld[core][la] = img
-		log := s.fbLogs[core]
-		var p [txn.LineRecordBytes]byte
-		t = log.Append(wal.Record{TID: s.fbTID[core], Kind: fbKindData, Payload: txn.EncodeLine(&p, la, img[:])}, t)
-		t = log.Flush(t)
-		s.env.StatsFor(core).UndoRecords++
+		t = s.fbLog.LogUndo(core, i, la, img, img[:], t)
 	}
-	if _, pinned := s.fbPages[core][meta.vpn]; !pinned {
+	if i, pinned := slices.BinarySearch(s.fbPages[core], meta.vpn); !pinned {
 		meta.coreRef++
 		s.refTaken(meta)
-		s.fbPages[core][meta.vpn] = struct{}{}
+		s.fbPages[core] = slices.Insert(s.fbPages[core], i, meta.vpn)
 	}
 	t = s.env.Caches.Store(core, pa, data, t)
 	s.clock(t)
@@ -103,29 +92,18 @@ func (s *SSP) fbStore(core int, va uint64, data []byte, at engine.Cycles) engine
 // fbCommit flushes the in-place write set, persists a commit record and
 // truncates the fall-back log.
 func (s *SSP) fbCommit(core int, at engine.Cycles) engine.Cycles {
-	t := at
 	// Same metadata barrier as the SSP commit path: in-place data must not
 	// become durable in frames that pending journal records still remap.
-	pages := make([]int, 0, len(s.fbPages[core]))
-	for vpn := range s.fbPages[core] {
-		pages = append(pages, vpn)
-	}
-	sort.Ints(pages)
 	// A nil dest: the fall-back path writes data in place with no journal
 	// record of its own, so the epoch leg may never skip an unsealed
 	// lastUpdate shard.
-	t = s.barrierFlush(core, pages, t, nil)
+	t := s.barrierFlush(core, s.fbPages[core], at, nil)
 	fence := t
-	for _, la := range s.sortedFBLines(core) {
+	for _, la := range s.fbLog.Set(core).Lines {
 		done, _ := s.env.Caches.Flush(core, la, t, stats.CatData)
 		fence = engine.MaxCycles(fence, done)
 	}
-	t = fence
-	log := s.fbLogs[core]
-	t = log.Append(wal.Record{TID: s.fbTID[core], Kind: fbKindCommit}, t)
-	t = log.Flush(t)
-	s.env.ChargeCommitRecord(stats.CatUndoLog)
-	log.Reset()
+	t = s.fbLog.Commit(core, fence)
 	s.finishFallback(core, t)
 	return s.endTxn(core, t, true)
 }
@@ -133,35 +111,20 @@ func (s *SSP) fbCommit(core int, at engine.Cycles) engine.Cycles {
 // fbAbort restores the logged images in cache and truncates the log.
 func (s *SSP) fbAbort(core int, at engine.Cycles) engine.Cycles {
 	t := at
-	for _, la := range s.sortedFBLines(core) {
-		img := s.fbOld[core][la]
-		t = s.env.Caches.Store(core, la, img[:], t)
+	ws := s.fbLog.Set(core)
+	for i, la := range ws.Lines {
+		t = s.env.Caches.Store(core, la, ws.Vals[i][:], t)
 	}
-	s.fbLogs[core].Reset()
+	s.fbLog.Truncate(core)
 	s.finishFallback(core, t)
 	return s.endTxn(core, t, false)
 }
 
-// sortedFBLines returns the fall-back transaction's logged line addresses
-// in order.
-func (s *SSP) sortedFBLines(core int) []memsim.PAddr {
-	out := make([]memsim.PAddr, 0, len(s.fbOld[core]))
-	for la := range s.fbOld[core] {
-		out = append(out, la)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// finishFallback unpins the transaction's pages and clears the fall-back
-// log state; endTxn closes the transaction.
+// finishFallback unpins the transaction's pages, in vpn order; the log's
+// Commit or Truncate has closed the write set, and endTxn closes the
+// transaction.
 func (s *SSP) finishFallback(core int, at engine.Cycles) {
-	pages := make([]int, 0, len(s.fbPages[core]))
-	for vpn := range s.fbPages[core] {
-		pages = append(pages, vpn)
-	}
-	sort.Ints(pages)
-	for _, vpn := range pages {
+	for _, vpn := range s.fbPages[core] {
 		meta := s.lookupMeta(vpn)
 		if meta.coreRef > 0 {
 			meta.coreRef--
@@ -169,6 +132,5 @@ func (s *SSP) finishFallback(core int, at engine.Cycles) {
 		}
 		s.maybeConsolidate(meta, at)
 	}
-	clear(s.fbOld[core])
-	clear(s.fbPages[core])
+	s.fbPages[core] = s.fbPages[core][:0]
 }

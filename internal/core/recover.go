@@ -29,9 +29,8 @@ func (s *SSP) Crash() {
 		s.inTxn[c] = false
 		s.globalTxn[c] = false
 		s.fallback[c] = false
-		clear(s.fbOld[c])
-		clear(s.fbPages[c])
-		s.fbLogs[c].Reset()
+		s.fbLog.Truncate(c)
+		s.fbPages[c] = s.fbPages[c][:0]
 	}
 	for i := range s.journals {
 		s.journals[i].Reset()
@@ -197,14 +196,14 @@ func (s *SSP) Recover() error {
 	// 3. Roll back interrupted software fall-back transactions (their undo
 	// logs live in the per-core log regions), every log decoded before any
 	// line is written back.
-	logs, logTID, err := s.env.ReadLogs(fbKindData, fbKindCommit)
+	logs, logTID, err := s.fbLog.Read()
 	if err != nil {
 		return err
 	}
 	maxTID = max(maxTID, logTID)
 	for _, l := range logs {
 		if l.Interrupted() {
-			s.env.Rollback(l)
+			s.fbLog.Rollback(l)
 			s.env.Stats.RolledBackTxns++
 		}
 	}
@@ -265,10 +264,7 @@ func (s *SSP) Recover() error {
 		s.journals[i].Reset()
 		s.journals[i].SetTIDFloor(maxTID)
 	}
-	for c := range s.fbLogs {
-		s.fbLogs[c].Reset()
-		s.fbLogs[c].SetTIDFloor(maxTID)
-	}
+	s.fbLog.Resume(maxTID)
 	return nil
 }
 

@@ -104,12 +104,12 @@ type SSP struct {
 	global    []globalScratch
 	ckptSids  []int // checkpointShard's sorted slot ids, reused across checkpoints
 
-	// Software fall-back path (§3.5).
+	// Software fall-back path (§3.5): the per-core undo logs, their write
+	// sets holding each logged line's pre-image, and each core's pinned
+	// pages in vpn order.
 	fallback []bool
-	fbTID    []uint32
-	fbLogs   []*wal.Stream
-	fbOld    []map[memsim.PAddr][memsim.LineBytes]byte
-	fbPages  []map[int]struct{}
+	fbLog    *txn.Logs[[memsim.LineBytes]byte]
+	fbPages  [][]int
 
 	// now tracks the latest time observed by any operation, so background
 	// work triggered from timeless callbacks (TLB evictions) has a clock.
@@ -166,13 +166,9 @@ func NewSSP(env *txn.Env, cfg Config, fresh bool) *SSP {
 	s.pubs = make([][]slotPub, cores)
 	s.global = make([]globalScratch, cores)
 	s.fallback = make([]bool, cores)
-	s.fbTID = make([]uint32, cores)
-	s.fbOld = make([]map[memsim.PAddr][memsim.LineBytes]byte, cores)
-	s.fbPages = make([]map[int]struct{}, cores)
+	s.fbLog = txn.NewLogs[[memsim.LineBytes]byte](env, stats.CatUndoLog)
+	s.fbPages = make([][]int, cores)
 	for c := 0; c < cores; c++ {
-		s.fbOld[c] = make(map[memsim.PAddr][memsim.LineBytes]byte)
-		s.fbPages[c] = make(map[int]struct{})
-		s.fbLogs = append(s.fbLogs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatUndoLog))
 		env.TLBs[c].OnEvict = s.onTLBEvict
 	}
 	if fresh {

@@ -5,7 +5,6 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/stats"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // RedoConfig tunes the REDO-LOG baseline.
@@ -60,11 +59,10 @@ type Redo struct {
 	env *txn.Env
 	cfg RedoConfig
 
-	logs []*wal.Stream
 	next uint32 // the next commit's TID: drawn at commit, so TID order is commit order
 
 	inTxn []bool
-	wset  []writeSet[struct{}] // speculative lines of the open txn
+	log   *txn.Logs[struct{}] // its write sets hold the open txn's speculative lines
 
 	engines []*redoEngine
 
@@ -82,16 +80,16 @@ func NewRedo(env *txn.Env, cfg RedoConfig) *Redo {
 	if cfg.WriteBackEngines <= 0 {
 		cfg.WriteBackEngines = 1
 	}
-	r := &Redo{env: env, cfg: cfg}
+	r := &Redo{
+		env:   env,
+		cfg:   cfg,
+		next:  1,
+		inTxn: make([]bool, env.Cores()),
+		log:   txn.NewLogs[struct{}](env, stats.CatRedoLog),
+	}
 	for i := 0; i < cfg.WriteBackEngines; i++ {
 		r.engines = append(r.engines, &redoEngine{})
 	}
-	r.next = 1
-	for c := 0; c < env.Cores(); c++ {
-		r.logs = append(r.logs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatRedoLog))
-	}
-	r.wset = make([]writeSet[struct{}], env.Cores())
-	r.inTxn = make([]bool, env.Cores())
 	return r
 }
 
@@ -121,8 +119,9 @@ func (r *Redo) Store(core int, va uint64, data []byte, at engine.Cycles) engine.
 	pa, la, t := lineOf(r.env, core, va, at)
 	t = r.env.Caches.Store(core, pa, data, t)
 	r.env.Caches.MarkTx(core, pa)
-	if i, ok := r.wset[core].find(la); !ok {
-		r.wset[core].insert(i, la, struct{}{})
+	ws := r.log.Set(core)
+	if i, ok := ws.Find(la); !ok {
+		ws.Insert(i, la, struct{}{})
 		r.env.StatsFor(core).RedoRecords++
 	}
 	return t
@@ -143,7 +142,7 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 		panic("redo: Commit outside transaction")
 	}
 	t := at
-	lines := r.wset[core].lines
+	lines := r.log.Set(core).Lines
 	eng := r.engineFor(core)
 
 	// Queue admission: wait until this core's engine has room for the
@@ -164,17 +163,18 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 	}
 
 	// Persist the redo log: predicted final state of each modified line.
-	log := r.logs[core]
-	tid := r.next
+	// The log can be reused once the commit record is durable: write-backs
+	// are durably ordered after the log records, so any crash either
+	// replays this transaction from the log or already sees its data in
+	// place. The truncation empties the write set in place; lines keeps its
+	// entries for the write-back below.
+	r.log.Open(core, r.next)
 	r.next++
 	for _, la := range lines {
 		r.env.Caches.DebugPeek(la, r.img[:]) // controller sees the final value
-		var p [txn.LineRecordBytes]byte
-		t = log.Append(wal.Record{TID: tid, Kind: kindData, Payload: txn.EncodeLine(&p, la, r.img[:])}, t)
+		t = r.log.Append(core, la, r.img[:], t)
 	}
-	t = log.Append(wal.Record{TID: tid, Kind: kindCommit}, t)
-	t = log.Flush(t)
-	r.env.ChargeCommitRecord(stats.CatRedoLog)
+	t = r.log.Commit(core, t)
 
 	// Background: write the data back in place, overlapping subsequent
 	// execution. Functionally the lines become durable now (write order is
@@ -186,12 +186,6 @@ func (r *Redo) Commit(core int, at engine.Cycles) engine.Cycles {
 		eng.pending = append(eng.pending, done)
 	}
 	eng.clock = bg
-
-	// The log can be reused: write-backs are durably ordered after the log
-	// records, so any crash either replays this transaction from the log
-	// or already sees its data in place.
-	log.Reset()
-	r.wset[core].reset()
 	r.inTxn[core] = false
 	r.env.StatsFor(core).Commits++
 	return t + r.env.BarrierCycles
@@ -203,11 +197,10 @@ func (r *Redo) Abort(core int, at engine.Cycles) engine.Cycles {
 	if !r.inTxn[core] {
 		panic("redo: Abort outside transaction")
 	}
-	for _, la := range r.wset[core].lines {
+	for _, la := range r.log.Set(core).Lines {
 		r.env.Caches.InvalidateLine(la)
 	}
-	r.logs[core].Reset()
-	r.wset[core].reset()
+	r.log.Truncate(core)
 	r.inTxn[core] = false
 	r.env.StatsFor(core).Aborts++
 	return at + r.env.BarrierCycles
@@ -221,10 +214,9 @@ func (r *Redo) StoreNT(core int, va uint64, data []byte, at engine.Cycles) engin
 
 // Crash implements txn.Backend.
 func (r *Redo) Crash() {
-	for c := range r.wset {
-		r.wset[c].reset()
+	for c := range r.inTxn {
 		r.inTxn[c] = false
-		r.logs[c].Reset()
+		r.log.Truncate(c)
 	}
 	for _, e := range r.engines {
 		e.pending = e.pending[:0]
@@ -244,7 +236,7 @@ func (r *Redo) Crash() {
 // have overwritten the same lines in place, which a replay would regress.
 func (r *Redo) Recover() error {
 	r.env.Stats.Recoveries++
-	logs, maxTID, err := r.env.ReadLogs(kindData, kindCommit)
+	logs, maxTID, err := r.log.Read()
 	if err != nil {
 		return err
 	}
@@ -265,7 +257,8 @@ func (r *Redo) Recover() error {
 		}
 		r.env.Stats.RecoveredTxns++
 	}
-	resume(r.logs, &r.next, maxTID)
+	r.next = max(r.next, maxTID+1)
+	r.log.Resume(maxTID)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/stats"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // Undo is the UNDO-LOG baseline: hardware undo logging with in-place data
@@ -15,27 +14,22 @@ import (
 // state is per-core.
 type Undo struct {
 	env  *txn.Env
-	logs []*wal.Stream
-	next uint32
+	next uint32 // the next transaction's TID, drawn at Begin
 
 	inTxn []bool
-	tid   []uint32
-	// old holds the pre-transaction image of every logged line, both the
-	// volatile dedup set and the data needed by Abort.
-	old []writeSet[[memsim.LineBytes]byte]
+	// log's write sets hold the pre-transaction image of every logged line,
+	// both the volatile dedup set and the data needed by Abort.
+	log *txn.Logs[[memsim.LineBytes]byte]
 }
 
 // NewUndo builds the baseline over env.
 func NewUndo(env *txn.Env) *Undo {
-	u := &Undo{env: env}
-	u.next = 1
-	for c := 0; c < env.Cores(); c++ {
-		u.logs = append(u.logs, wal.NewStream(env.Mem, env.Layout.LogBase[c], env.Layout.Cfg.LogBytes, stats.CatUndoLog))
+	return &Undo{
+		env:   env,
+		next:  1,
+		inTxn: make([]bool, env.Cores()),
+		log:   txn.NewLogs[[memsim.LineBytes]byte](env, stats.CatUndoLog),
 	}
-	u.old = make([]writeSet[[memsim.LineBytes]byte], env.Cores())
-	u.inTxn = make([]bool, env.Cores())
-	u.tid = make([]uint32, env.Cores())
-	return u
 }
 
 // Name implements txn.Backend.
@@ -47,7 +41,7 @@ func (u *Undo) Begin(core int, at engine.Cycles) engine.Cycles {
 		panic("undo: nested transaction")
 	}
 	u.inTxn[core] = true
-	u.tid[core] = u.next
+	u.log.Open(core, u.next)
 	u.next++
 	return at + u.env.BarrierCycles
 }
@@ -58,17 +52,12 @@ func (u *Undo) Store(core int, va uint64, data []byte, at engine.Cycles) engine.
 		panic("undo: Store outside transaction")
 	}
 	pa, la, t := lineOf(u.env, core, va, at)
-	if i, logged := u.old[core].find(la); !logged {
+	if i, logged := u.log.Set(core).Find(la); !logged {
 		// First store to this line: read the old image and persist an undo
 		// record before the store proceeds.
 		var img [memsim.LineBytes]byte
 		t = u.env.Caches.Load(core, la, img[:], t)
-		u.old[core].insert(i, la, img)
-		log := u.logs[core]
-		var p [txn.LineRecordBytes]byte
-		t = log.Append(wal.Record{TID: u.tid[core], Kind: kindData, Payload: txn.EncodeLine(&p, la, img[:])}, t)
-		t = log.Flush(t) // the blocking persist
-		u.env.StatsFor(core).UndoRecords++
+		t = u.log.LogUndo(core, i, la, img, img[:], t)
 	}
 	return u.env.Caches.Store(core, pa, data, t)
 }
@@ -85,23 +74,16 @@ func (u *Undo) Commit(core int, at engine.Cycles) engine.Cycles {
 	if !u.inTxn[core] {
 		panic("undo: Commit outside transaction")
 	}
-	t := at
-	fence := t
-	for _, la := range u.old[core].lines {
-		done, _ := u.env.Caches.Flush(core, la, t, stats.CatData)
+	fence := at
+	for _, la := range u.log.Set(core).Lines {
+		done, _ := u.env.Caches.Flush(core, la, at, stats.CatData)
 		fence = engine.MaxCycles(fence, done)
 	}
 	// The write-set flush fence is UNDO-LOG's commit-critical persistence
 	// wait — the same quantity SSP surfaces, so the commit-path experiment
 	// compares designs on one counter.
-	u.env.StatsFor(core).CommitBarrierWait += uint64(fence - t)
-	t = fence
-	log := u.logs[core]
-	t = log.Append(wal.Record{TID: u.tid[core], Kind: kindCommit}, t)
-	t = log.Flush(t)
-	u.env.ChargeCommitRecord(stats.CatUndoLog)
-	log.Reset()
-	u.old[core].reset()
+	u.env.StatsFor(core).CommitBarrierWait += uint64(fence - at)
+	t := u.log.Commit(core, fence)
 	u.inTxn[core] = false
 	u.env.StatsFor(core).Commits++
 	return t + u.env.BarrierCycles
@@ -113,12 +95,11 @@ func (u *Undo) Abort(core int, at engine.Cycles) engine.Cycles {
 		panic("undo: Abort outside transaction")
 	}
 	t := at
-	ws := &u.old[core]
-	for i, la := range ws.lines {
-		t = u.env.Caches.Store(core, la, ws.vals[i][:], t)
+	ws := u.log.Set(core)
+	for i, la := range ws.Lines {
+		t = u.env.Caches.Store(core, la, ws.Vals[i][:], t)
 	}
-	u.logs[core].Reset()
-	ws.reset()
+	u.log.Truncate(core)
 	u.inTxn[core] = false
 	u.env.StatsFor(core).Aborts++
 	return t + u.env.BarrierCycles
@@ -132,10 +113,9 @@ func (u *Undo) StoreNT(core int, va uint64, data []byte, at engine.Cycles) engin
 
 // Crash implements txn.Backend.
 func (u *Undo) Crash() {
-	for c := range u.old {
-		u.old[c].reset()
+	for c := range u.inTxn {
 		u.inTxn[c] = false
-		u.logs[c].Reset()
+		u.log.Truncate(c)
 	}
 }
 
@@ -144,7 +124,7 @@ func (u *Undo) Crash() {
 // is decoded before any line is written back.
 func (u *Undo) Recover() error {
 	u.env.Stats.Recoveries++
-	logs, maxTID, err := u.env.ReadLogs(kindData, kindCommit)
+	logs, maxTID, err := u.log.Read()
 	if err != nil {
 		return err
 	}
@@ -155,11 +135,12 @@ func (u *Undo) Recover() error {
 			// durable state is already the transaction's outcome.
 			u.env.Stats.RecoveredTxns++
 		case l.Interrupted():
-			u.env.Rollback(l)
+			u.log.Rollback(l)
 			u.env.Stats.RolledBackTxns++
 		}
 	}
-	resume(u.logs, &u.next, maxTID)
+	u.next = max(u.next, maxTID+1)
+	u.log.Resume(maxTID)
 	return nil
 }
 

@@ -51,10 +51,10 @@ func TestWriteSetMatchesScanModel(t *testing.T) {
 			var ws func(c int) []memsim.PAddr
 			if undo {
 				u = NewUndo(env)
-				ws = func(c int) []memsim.PAddr { return u.old[c].lines }
+				ws = func(c int) []memsim.PAddr { return u.log.Set(c).Lines }
 			} else {
 				r = NewRedo(env, DefaultRedoConfig())
-				ws = func(c int) []memsim.PAddr { return r.wset[c].lines }
+				ws = func(c int) []memsim.PAddr { return r.log.Set(c).Lines }
 			}
 			begin := func(c int) {
 				if undo {
@@ -112,7 +112,7 @@ func TestWriteSetMatchesScanModel(t *testing.T) {
 				}
 				if undo {
 					for i, la := range want {
-						if u.old[c].vals[i] != imgs[c][la] {
+						if u.log.Set(c).Vals[i] != imgs[c][la] {
 							t.Fatalf("seed %#x step %d core %d: line %#x image differs from the model's", seed, step, c, la)
 						}
 					}

@@ -36,12 +36,9 @@ func TestCorruptLogRecordIsAnError(t *testing.T) {
 		for name, payload := range payloads {
 			t.Run(fmt.Sprintf("%v/%s", b, name), func(t *testing.T) {
 				m := New(cfg)
-				// The data-record kinds of the logging baselines (1) and of
-				// SSP's fall-back log (10); each backend skips the other's.
+				// One line-record kind serves every backend's per-core log.
 				log := wal.NewStream(m.Mem(), m.layout.LogBase[0], m.layout.Cfg.LogBytes, stats.CatUndoLog)
-				at := log.Append(wal.Record{TID: 1, Kind: 1, Payload: payload}, 0)
-				at = log.Append(wal.Record{TID: 1, Kind: 10, Payload: payload}, at)
-				log.Flush(at)
+				log.Flush(log.Append(wal.Record{TID: 1, Kind: txn.KindLine, Payload: payload}, 0))
 				img := m.Crash()
 				defer func() {
 					if r := recover(); r != nil {

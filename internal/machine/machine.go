@@ -256,10 +256,9 @@ func build(cfg Config, image *memsim.Image) (*Machine, error) {
 	cfg.Cache.Cores = cfg.Cores
 	cfg.Layout.Cores = cfg.Cores
 	shards := stats.NewSharded(cfg.Cores)
-	// Counter routing: the cache hierarchy writes the shared shard; each
-	// memory channel writes its own channel shard; each TLB and each core's
-	// backend execution path write that core's shard. Aggregation is an
-	// order-independent sum.
+	// Counter routing: the cache hierarchy and the memory channels write the
+	// shared shard; each TLB and each core's backend execution path write
+	// that core's shard. Aggregation is an order-independent sum.
 	shared := shards.Shared()
 	var mem *memsim.Memory
 	if image != nil {
@@ -271,7 +270,6 @@ func build(cfg Config, image *memsim.Image) (*Machine, error) {
 	} else {
 		mem = memsim.New(cfg.Mem, shared)
 	}
-	mem.AttachChannelStats(shards.ChannelShards(mem.Channels()))
 	layout := vm.NewLayout(cfg.Mem, cfg.Layout)
 	// The memory tier below the caches: bare NVRAM, or a DRAM buffer cache
 	// over the data frame pool when configured.

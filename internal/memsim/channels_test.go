@@ -220,19 +220,18 @@ func TestChannelBandwidthScaling(t *testing.T) {
 	}
 }
 
-// Aggregated per-channel counters must account for every transfer, and the
-// traffic must actually spread across channels.
+// The per-channel counters, which every channel writes to the one Stats the
+// memory was built with, must account for every transfer, and the traffic
+// must actually spread across channels.
 func TestChannelCounters(t *testing.T) {
-	sh := stats.NewSharded(1)
-	m := New(channelConfig(4), sh.Shared())
-	m.AttachChannelStats(sh.ChannelShards(4))
+	st := &stats.Stats{}
+	m := New(channelConfig(4), st)
 	base := m.Config().NVRAMBase
 	buf := make([]byte, LineBytes)
 	for i := 0; i < 256; i++ {
 		m.WriteLine(base+PAddr(i)*LineBytes, buf, 0, stats.CatData)
 		m.ReadLine(PAddr(i)*LineBytes, buf, 0)
 	}
-	st := sh.Aggregate()
 	var chanLines uint64
 	for c := 0; c < 4; c++ {
 		if st.ChannelLines[c] == 0 {

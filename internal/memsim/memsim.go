@@ -363,25 +363,22 @@ type bank struct {
 	openRow uint64 // the open row + 1; 0 while no row is open
 }
 
-// channel is one independent memory channel: its own banks, its own bus
-// occupancy ledger and its own counter shard. Its DRAM and its NVRAM banks
-// are allocated at its first access to that kind of memory.
+// channel is one independent memory channel: its own banks and its own bus
+// occupancy ledger. Its DRAM and its NVRAM banks are allocated at its first
+// access to that kind of memory.
 type channel struct {
 	dramBanks []bank
 	nvBanks   []bank
 	bus       wheel
-	st        *stats.Stats
 }
 
-// Memory is the simulated hybrid memory system.
-//
-// Counter routing: every timing counter is written to the owning channel's
-// stats shard. By default all channels share the Stats passed to New; a
-// machine attaches one shard per channel via AttachChannelStats, so
-// per-channel counts can be reported apart.
+// Memory is the simulated hybrid memory system. Every channel writes its
+// timing counters to the Stats passed to New; the per-channel ones
+// (ChannelLines, ChannelBusyCycles) are arrays indexed by channel.
 type Memory struct {
 	cfg       Config
 	nChannels int
+	st        *stats.Stats
 
 	dram  region
 	nvram region
@@ -395,8 +392,8 @@ type Memory struct {
 	onPowerOff func()
 }
 
-// New allocates a memory system per cfg, with zeroed contents. All channels
-// initially write their counters to st (see AttachChannelStats).
+// New allocates a memory system per cfg, with zeroed contents, charging its
+// counters to st.
 func New(cfg Config, st *stats.Stats) *Memory {
 	if cfg.FreqGHz <= 0 {
 		panic("memsim: FreqGHz must be positive")
@@ -419,6 +416,7 @@ func New(cfg Config, st *stats.Stats) *Memory {
 	m := &Memory{
 		cfg:       cfg,
 		nChannels: nCh,
+		st:        st,
 		dram:      newRegion(0, cfg.DRAMBytes),
 		nvram:     newRegion(cfg.NVRAMBase, cfg.NVRAMBytes),
 		chans:     make([]channel, nCh),
@@ -427,21 +425,7 @@ func New(cfg Config, st *stats.Stats) *Memory {
 		busCycles: engine.NSToCycles(cfg.BusNS, cfg.FreqGHz),
 		trapAfter: -1,
 	}
-	for i := range m.chans {
-		m.chans[i].st = st
-	}
 	return m
-}
-
-// AttachChannelStats routes each channel's counters to its own shard
-// (sh[i] for channel i).
-func (m *Memory) AttachChannelStats(sh []*stats.Stats) {
-	if len(sh) != m.nChannels {
-		panic(fmt.Sprintf("memsim: AttachChannelStats got %d shards for %d channels", len(sh), m.nChannels))
-	}
-	for i := range m.chans {
-		m.chans[i].st = sh[i]
-	}
 }
 
 // Config returns the configuration the memory was built with.
@@ -520,8 +504,8 @@ func (m *Memory) copyOut(pa PAddr, buf []byte) {
 }
 
 // access charges timing for one memory transaction at address pa and
-// returns its completion time. It routes the address to its channel and
-// updates the channel's bank/bus timelines and counter shard. nbytes is the
+// returns its completion time. It routes the address to its channel,
+// updates the channel's bank/bus timelines and counts the access. nbytes is the
 // byte count recorded for write accounting.
 func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteCat, nbytes int) engine.Cycles {
 	chIdx, ca := m.route(pa)
@@ -539,11 +523,11 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 		rowBytes = m.cfg.NVRAMRow
 		if write {
 			lat = m.cfg.NVRAMWrite
-			c.st.NVRAMWriteLines++ // line count maintained here; bytes by caller category
-			c.st.NVRAMWriteBytes[cat] += uint64(nbytes)
+			m.st.NVRAMWriteLines++ // line count maintained here; bytes by caller category
+			m.st.NVRAMWriteBytes[cat] += uint64(nbytes)
 		} else {
 			lat = m.cfg.NVRAMRead
-			c.st.NVRAMReadLines++
+			m.st.NVRAMReadLines++
 		}
 	} else {
 		if c.dramBanks == nil {
@@ -553,10 +537,10 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 		rowBytes = m.cfg.DRAMRow
 		if write {
 			lat = m.cfg.DRAMWrite
-			c.st.DRAMWriteLines++
+			m.st.DRAMWriteLines++
 		} else {
 			lat = m.cfg.DRAMRead
-			c.st.DRAMReadLines++
+			m.st.DRAMReadLines++
 		}
 	}
 
@@ -573,10 +557,10 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 
 	latency := engine.NSToCycles(lat, m.cfg.FreqGHz)
 	if b.openRow == row+1 {
-		c.st.RowHits++
+		m.st.RowHits++
 		latency = engine.Cycles(float64(latency) * m.cfg.RowHitFrac)
 	} else {
-		c.st.RowMisses++
+		m.st.RowMisses++
 		b.openRow = row + 1
 	}
 
@@ -585,7 +569,7 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 		// spent absorbing each write category (journal appends, data
 		// flushes, checkpoints, ...). The serial-append cost of a shared
 		// metadata journal shows up here as CatMetaJournal busy cycles.
-		c.st.NVRAMBankBusy[cat] += uint64(latency)
+		m.st.NVRAMBankBusy[cat] += uint64(latency)
 	}
 
 	// Reservation: the access occupies its bank for the full latency, and
@@ -602,8 +586,8 @@ func (m *Memory) access(pa PAddr, write bool, at engine.Cycles, cat stats.WriteC
 			done = slot + m.busCycles
 		}
 	}
-	c.st.ChannelLines[chIdx]++
-	c.st.ChannelBusyCycles[chIdx] += uint64(m.busCycles)
+	m.st.ChannelLines[chIdx]++
+	m.st.ChannelBusyCycles[chIdx] += uint64(m.busCycles)
 	return done
 }
 

@@ -87,8 +87,9 @@ func Categories() []WriteCat {
 // supports at most this many independent channels (memsim.Config.Channels).
 const MaxChannels = 16
 
-// MaxJournalShards bounds the per-shard SSP metadata-journal counter arrays
-// (vm.LayoutConfig.JournalShards; keep the two limits in sync).
+// MaxJournalShards bounds the per-shard SSP metadata-journal counter arrays;
+// vm.MaxJournalShards, the bound of vm.LayoutConfig.JournalShards, is this
+// constant.
 const MaxJournalShards = 16
 
 // Stats is the full counter set for one simulation run. It is plain data;

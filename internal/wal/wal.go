@@ -1,6 +1,7 @@
 // Package wal implements the durable record streams every atomicity
-// mechanism in this repository builds on: the per-core undo/redo logs, the
-// SSP metadata journal (§3.3), and the software fall-back log.
+// mechanism in this repository builds on: the SSP metadata journal (§3.3)
+// and the per-core log that UNDO-LOG, REDO-LOG and SSP's software fall-back
+// path write through internal/txn.
 //
 // A stream is a fixed NVRAM region written sequentially at cache-line
 // granularity through a small controller-side buffer (the paper's "log
@@ -206,20 +207,28 @@ func (s *Stream) SetTIDFloor(tid uint32) {
 	}
 }
 
-// scanWindow is how much of a region Scan reads at a time.
+// scanWindow is the most of a region Scan holds at a time.
 const scanWindow = memsim.PageBytes
 
-// windowRead, when set (tests), is called at each window Scan reads.
-var windowRead func()
+// scanFirst is Scan's first read: a log holding one line record and its
+// commit record, and the header that stops the scan, fit in it.
+const scanFirst = 256
+
+// peeked, when set (tests), is called with the size of each read Scan makes.
+var peeked func(n int)
 
 // Scan reads the durable region from offset zero, returning every valid
 // record up to the first checksum failure or TID regression. It reflects
 // only bytes that reached NVRAM — staged bytes lost in a crash are invisible,
-// exactly as they would be. It reads the region once, forward, through a
-// fixed window, and no further than the record that stops it, so scanning a
-// near-empty ring costs a window, not the ring's capacity.
+// exactly as they would be. It reads the region once, forward, into a
+// window of at most scanWindow bytes, in reads that start at scanFirst and
+// double, and no further than the record that stops it, so scanning a
+// near-empty ring reads a few hundred bytes, not the ring's capacity. When
+// the window is full, the record it ends in moves to its front, so no byte
+// is read twice.
 //
-// Each record's checksum and TID are checked once, as the scan reaches it.
+// Each record's checksum and TID are checked once, as the scan reaches it;
+// a record whose TID regresses stops the scan before its payload is read.
 // A valid record's payload stays in the window until the window moves past
 // it, and is copied out then or at the end, so the records and their
 // payloads cost one allocation each per scan of a ring that fits the
@@ -232,6 +241,7 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 	}
 	var win [scanWindow]byte
 	winOff, winLen := 0, 0 // win[:winLen] holds region bytes [winOff, winOff+winLen)
+	step := scanFirst      // the next read's size
 	var hdrBuf [64]header
 	hdrs := hdrBuf[:0]
 	var pay []byte // the payloads of hdrs[:kept], copied out of the window
@@ -242,16 +252,22 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		}
 		kept = len(hdrs)
 	}
-	// bytesAt returns region bytes [off, off+n), n <= scanWindow, refilling
-	// the window from off when it does not hold them all.
+	// bytesAt returns region bytes [off, off+n), n <= scanWindow, where off
+	// is at most the window's end and never below an earlier call's off.
 	bytesAt := func(off, n int) []byte {
-		if off < winOff || off+n > winOff+winLen {
-			keep()
-			winOff, winLen = off, min(scanWindow, capacity-off)
-			mem.Peek(base+memsim.PAddr(off), win[:winLen])
-			if windowRead != nil {
-				windowRead()
+		if off+n > winOff+winLen {
+			if off+n > winOff+scanWindow {
+				keep()
+				winLen = copy(win[:], win[off-winOff:winLen])
+				winOff = off
 			}
+			end := min(max(off+n, winOff+winLen+step), winOff+scanWindow, capacity)
+			mem.Peek(base+memsim.PAddr(winOff+winLen), win[winLen:end-winOff])
+			if peeked != nil {
+				peeked(end - winOff - winLen)
+			}
+			winLen = end - winOff
+			step = min(2*step, scanWindow)
 		}
 		return win[off-winOff : off-winOff+n]
 	}
@@ -263,10 +279,10 @@ func Scan(mem *memsim.Memory, base memsim.PAddr, capacity int) []Record {
 		tid := binary.LittleEndian.Uint32(hdr[4:])
 		kind := hdr[8]
 		plen := int(hdr[9])
-		if plen > MaxPayload || off+encodedLen(plen) > capacity {
+		if plen > MaxPayload || off+encodedLen(plen) > capacity || tid < last {
 			break
 		}
-		if checksum(tid, kind, bytesAt(off+HeaderBytes, plen)) != sum || tid < last {
+		if checksum(tid, kind, bytesAt(off+HeaderBytes, plen)) != sum {
 			break
 		}
 		last = tid
